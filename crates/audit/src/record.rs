@@ -34,8 +34,9 @@ impl LogRecord {
     }
 
     /// [`size`](LogRecord::size) as if the payload held `payload_len`
-    /// bytes — what loggers charge before a deferred payload is filled
-    /// in. Keep in lockstep with [`size`](LogRecord::size).
+    /// bytes — what loggers charge for a record whose stored payload
+    /// differs in length from the one it arrived with. Keep in lockstep
+    /// with [`size`](LogRecord::size).
     pub fn size_with(&self, payload_len: usize) -> usize {
         40 + self.op.len() + payload_len
     }

@@ -2,12 +2,11 @@
 //!
 //! Usage:
 //! ```text
-//! repro [--quick] [fig1|fig3|fig4a|fig4b|fig4c|table1|table2|backends|pipeline|crypto|mt|server|invariants|ablations|checks|chaos|all]
+//! repro [--quick] [fig1|fig3|fig4a|fig4b|fig4c|table1|table2|backends|crypto|mt|server|invariants|ablations|checks|chaos|all]
 //! ```
 //!
-//! `pipeline` additionally writes the measured cells to
-//! `BENCH_pipeline.json`, `crypto` writes the crypto-substrate
-//! before/after throughput plus encrypted-profile wall times to
+//! `crypto` additionally writes the crypto-substrate before/after
+//! throughput plus encrypted-profile wall times to
 //! `BENCH_crypto.json`, `mt` writes the concurrent-engine
 //! multi-session scaling cells to `BENCH_mt.json`, and `server` writes
 //! the served-engine clients × tenants × backend wire-throughput cells
@@ -68,15 +67,6 @@ fn main() {
     }
     if want("backends") {
         println!("{}", figures::backend_matrix(scale).render_text());
-    }
-    if want("pipeline") {
-        let (table, points) = figures::pipeline_matrix(scale);
-        println!("{}", table.render_text());
-        let json = figures::pipeline_json(&points, scale);
-        match std::fs::write("BENCH_pipeline.json", &json) {
-            Ok(()) => println!("wrote BENCH_pipeline.json ({} cells)\n", points.len()),
-            Err(e) => println!("could not write BENCH_pipeline.json: {e}\n"),
-        }
     }
     if want("crypto") {
         // Log what the runtime dispatcher picked so every recorded run

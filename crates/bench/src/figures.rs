@@ -746,192 +746,6 @@ pub fn ablation_aes_strength(scale: Scale) -> Table {
 }
 
 // ---------------------------------------------------------------------
-// Pipeline throughput — staged batch execution vs serial submit.
-// ---------------------------------------------------------------------
-
-/// One measured cell of the pipeline-throughput matrix.
-#[derive(Clone, Copy, Debug)]
-pub struct PipelinePoint {
-    /// Storage substrate.
-    pub backend: BackendKind,
-    /// YCSB mix (B = read-heavy, A = mixed).
-    pub workload: YcsbWorkload,
-    /// Staged pipeline on or off.
-    pub pipeline: bool,
-    /// Transactions executed per repetition.
-    pub ops: usize,
-    /// Best-of-reps wall time of the transaction phase, in milliseconds.
-    pub wall_ms: f64,
-    /// Simulated throughput — identical between modes by the parity
-    /// contract, reported as evidence.
-    pub sim_ops_per_sec: f64,
-}
-
-/// Requests per submitted batch in the pipeline bench: large enough that
-/// read waves clear the fan-out threshold comfortably.
-pub const PIPELINE_BATCH: usize = 256;
-
-/// Wall-time repetitions per cell (the minimum is reported).
-pub const PIPELINE_REPS: usize = 3;
-
-/// Run one pipeline cell: P_Base (per-tuple AES-256 — exactly the payload
-/// work the apply stage fans out) over `backend`, running a YCSB mix as
-/// the processor, with the epoch-versioned decision cache on in **both**
-/// modes so the comparison isolates the pipeline itself. Records carry
-/// classic 1 KiB YCSB payloads (not the paper figures' compact 100-byte
-/// shape) so the cells measure the AES fan-out under a meaningful crypto
-/// load rather than per-op dispatch overhead. Returns the
-/// transaction-phase stats (the load phase is excluded from timing).
-pub fn pipeline_cell(
-    backend: BackendKind,
-    workload: YcsbWorkload,
-    pipeline: bool,
-    records: u64,
-    txns: u64,
-    seed: u64,
-) -> RunStats {
-    let mut config = EngineConfig::p_base()
-        .with_backend(backend)
-        .with_pipeline(pipeline)
-        .with_decision_cache(4096);
-    config.heap.buffer_pages = buffer_pages_for(records);
-    let mut fe = Frontend::new(config);
-    let mut y = Ycsb::new(seed, records).with_payload_size(1024);
-    let load = y.load_phase();
-    run_ops_batched(&mut fe, &load, Actor::Controller, PIPELINE_BATCH);
-    let ops = y.ops(txns as usize, workload);
-    run_ops_batched(&mut fe, &ops, Actor::Processor, PIPELINE_BATCH)
-}
-
-/// The pipeline-throughput matrix: serial vs pipelined submit on both
-/// backends, read-heavy (YCSB-B) and mixed (YCSB-A) profiles. Each cell
-/// reports the best of [`PIPELINE_REPS`] transaction-phase wall times —
-/// wall clock, because the pipeline's contract is that *simulated*
-/// results never change (the table shows the sim column agreeing).
-pub fn pipeline_matrix(scale: Scale) -> (Table, Vec<PipelinePoint>) {
-    let records = scale.div(20_000);
-    let txns = scale.div(20_000);
-    let mut table = Table::new(
-        format!(
-            "Pipeline throughput — serial vs staged submit (records={records}, txns={txns}, batch={PIPELINE_BATCH})"
-        ),
-        &[
-            "backend",
-            "workload",
-            "serial (wall ms)",
-            "pipelined (wall ms)",
-            "speedup",
-            "sim identical",
-        ],
-    );
-    let mut points = Vec::new();
-    for backend in BackendKind::ALL {
-        for workload in [YcsbWorkload::B, YcsbWorkload::A] {
-            // One fixed seed per cell: every repetition (and both modes)
-            // runs the identical workload, so the min is a true
-            // best-of-reps and the sim column is a real parity check
-            // evaluated on every rep.
-            let seed = 7;
-            let cell = |pipeline: bool| -> PipelinePoint {
-                let mut best_wall = f64::INFINITY;
-                let mut sim = 0.0;
-                let mut ops = 0;
-                for rep in 0..PIPELINE_REPS {
-                    let stats = pipeline_cell(backend, workload, pipeline, records, txns, seed);
-                    best_wall = best_wall.min(stats.wall.as_secs_f64() * 1e3);
-                    let rep_sim = stats.sim_ops_per_sec();
-                    assert!(
-                        rep == 0 || rep_sim == sim,
-                        "simulated throughput must be deterministic across reps"
-                    );
-                    sim = rep_sim;
-                    ops = stats.ops;
-                }
-                PipelinePoint {
-                    backend,
-                    workload,
-                    pipeline,
-                    ops,
-                    wall_ms: best_wall,
-                    sim_ops_per_sec: sim,
-                }
-            };
-            let serial = cell(false);
-            let piped = cell(true);
-            // The parity contract is hard: simulated results may never
-            // differ between modes. Fail the harness loudly rather than
-            // quietly printing "NO" — this covers the YCSB-shaped paths
-            // that prop_frontend's GDPRBench streams do not reach.
-            assert!(
-                serial.sim_ops_per_sec == piped.sim_ops_per_sec,
-                "{}/{}: pipelined and serial simulated throughput diverged ({} vs {})",
-                backend.label(),
-                workload.label(),
-                serial.sim_ops_per_sec,
-                piped.sim_ops_per_sec,
-            );
-            table.row(vec![
-                backend.label().into(),
-                workload.label().into(),
-                f3(serial.wall_ms),
-                f3(piped.wall_ms),
-                format!("{:.2}x", serial.wall_ms / piped.wall_ms),
-                if serial.sim_ops_per_sec == piped.sim_ops_per_sec {
-                    "yes".into()
-                } else {
-                    "NO".into()
-                },
-            ]);
-            points.push(serial);
-            points.push(piped);
-        }
-    }
-    (table, points)
-}
-
-/// Render pipeline points as the `BENCH_pipeline.json` document: one
-/// object per cell, plus the derived speedups — the repo's wall-clock
-/// perf trajectory, machine-readable.
-pub fn pipeline_json(points: &[PipelinePoint], scale: Scale) -> String {
-    let mut out = String::from("{\n  \"bench\": \"pipeline_throughput\",\n");
-    out.push_str(&format!(
-        "  \"scale_divisor\": {},\n  \"batch\": {PIPELINE_BATCH},\n  \"reps\": {PIPELINE_REPS},\n  \"cells\": [\n",
-        scale.0
-    ));
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"workload\": \"{}\", \"pipeline\": {}, \"ops\": {}, \"wall_ms\": {:.3}, \"sim_ops_per_sec\": {:.3}}}{}\n",
-            p.backend.label(),
-            p.workload.label(),
-            p.pipeline,
-            p.ops,
-            p.wall_ms,
-            p.sim_ops_per_sec,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"speedups\": [\n");
-    let pairs: Vec<(&PipelinePoint, &PipelinePoint)> = points
-        .chunks(2)
-        .filter_map(|c| match c {
-            [serial, piped] if !serial.pipeline && piped.pipeline => Some((serial, piped)),
-            _ => None,
-        })
-        .collect();
-    for (i, (serial, piped)) in pairs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"workload\": \"{}\", \"speedup\": {:.3}}}{}\n",
-            serial.backend.label(),
-            serial.workload.label(),
-            serial.wall_ms / piped.wall_ms,
-            if i + 1 < pairs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------
 // Crypto-substrate throughput (BENCH_crypto.json)
 // ---------------------------------------------------------------------
 
@@ -967,20 +781,15 @@ impl CryptoPoint {
 }
 
 /// One end-to-end encrypted-profile cell: transaction-phase wall times
-/// through up to four crypto configurations of the *same* engine build —
-/// the retained byte-oriented reference rounds (selected per engine via
-/// [`EngineConfig::with_crypto_backend`], so results are bit-identical
-/// and only wall time moves), the software T-table path with the
-/// pipeline off and on (apply-stage fan-out of tuple **and** P_SYS
-/// audit-log AES), and on AES-NI hosts the hardware backend with the
-/// pipeline on.
+/// through up to three crypto backends of the *same* engine build — the
+/// retained byte-oriented reference rounds, the software T-table path,
+/// and on AES-NI hosts the hardware backend — each selected per engine
+/// via [`EngineConfig::with_crypto_backend`], so results are
+/// bit-identical and only wall time moves.
 ///
-/// The reference cells isolate the *round/XOR implementation*: this PR's
-/// other wins — cached key schedules, the `Arc`'d log cipher, the
-/// worker-pool offload — stay active in them, and each made the pre-PR
-/// engine strictly slower than what the toggle reproduces. The reported
-/// reference-vs-pipelined speedup is therefore a **lower bound** on the
-/// true pre-overhaul gap.
+/// The reference cells isolate the *round/XOR implementation*: cached
+/// key schedules stay active in them, so the reported speedup is a
+/// **lower bound** on the gap to the pre-overhaul engine.
 #[derive(Clone, Debug)]
 pub struct CryptoEndToEnd {
     /// The encrypted profile under test.
@@ -991,15 +800,13 @@ pub struct CryptoEndToEnd {
     pub ops: usize,
     /// Best-of-reps wall ms on the pre-overhaul reference crypto path.
     pub reference_wall_ms: f64,
-    /// Best-of-reps wall ms, T-table crypto, pipeline off.
-    pub serial_wall_ms: f64,
-    /// Best-of-reps wall ms, T-table crypto, pipeline on.
-    pub pipelined_wall_ms: f64,
-    /// Best-of-reps wall ms, hardware (AES-NI) crypto, pipeline on;
-    /// `None` on hosts without hardware AES.
+    /// Best-of-reps wall ms, software T-table crypto.
+    pub software_wall_ms: f64,
+    /// Best-of-reps wall ms, hardware (AES-NI) crypto; `None` on hosts
+    /// without hardware AES.
     pub hardware_wall_ms: Option<f64>,
-    /// Simulated throughput (identical across every configuration by the
-    /// parity + equivalence contracts; reported as evidence).
+    /// Simulated throughput (identical across every backend by the
+    /// crypto-equivalence contract; reported as evidence).
     pub sim_ops_per_sec: f64,
 }
 
@@ -1091,37 +898,41 @@ pub fn crypto_micro(scale: Scale) -> Vec<CryptoPoint> {
 /// production workloads.
 pub const CRYPTO_E2E_PAYLOAD: usize = 1024;
 
-/// Run one end-to-end encrypted-profile cell (mirrors
-/// [`pipeline_cell`], but over the profiles whose hot path is crypto):
-/// load, then a YCSB transaction phase at [`CRYPTO_E2E_PAYLOAD`]-byte
-/// records, returning its stats.
+/// Requests per submitted batch in the end-to-end crypto cells.
+const CRYPTO_E2E_BATCH: usize = 256;
+
+/// Wall-time repetitions per end-to-end crypto cell (the minimum is
+/// reported).
+const CRYPTO_E2E_REPS: usize = 3;
+
+/// Run one end-to-end encrypted-profile cell: load, then a YCSB
+/// transaction phase at [`CRYPTO_E2E_PAYLOAD`]-byte records, returning
+/// its stats.
 pub fn crypto_cell(
     profile: ProfileKind,
     workload: YcsbWorkload,
-    pipeline: bool,
     backend: datacase_crypto::CryptoBackend,
     records: u64,
     txns: u64,
     seed: u64,
 ) -> RunStats {
     let mut config = EngineConfig::for_profile(profile)
-        .with_pipeline(pipeline)
         .with_crypto_backend(backend)
         .with_decision_cache(4096);
     config.heap.buffer_pages = buffer_pages_for(records);
     let mut fe = Frontend::new(config);
     let mut y = Ycsb::new(seed, records).with_payload_size(CRYPTO_E2E_PAYLOAD);
     let load = y.load_phase();
-    run_ops_batched(&mut fe, &load, Actor::Controller, PIPELINE_BATCH);
+    run_ops_batched(&mut fe, &load, Actor::Controller, CRYPTO_E2E_BATCH);
     let ops = y.ops(txns as usize, workload);
-    run_ops_batched(&mut fe, &ops, Actor::Processor, PIPELINE_BATCH)
+    run_ops_batched(&mut fe, &ops, Actor::Processor, CRYPTO_E2E_BATCH)
 }
 
 /// The crypto throughput report: the micro substrate matrix plus
 /// end-to-end wall times of the two encrypted paper profiles (P_SYS:
 /// encrypted audit log + AES-128 tuples; P_GBench: LUKS sector
-/// encryption), serial vs pipelined, with the sim-parity contract
-/// asserted on every cell.
+/// encryption) per crypto backend, with the sim-parity contract asserted
+/// on every cell.
 pub fn crypto_matrix(scale: Scale) -> (Table, Table, Vec<CryptoPoint>, Vec<CryptoEndToEnd>) {
     use datacase_crypto::CryptoBackend;
     let points = crypto_micro(scale);
@@ -1152,15 +963,14 @@ pub fn crypto_matrix(scale: Scale) -> (Table, Table, Vec<CryptoPoint>, Vec<Crypt
     let txns = scale.div(20_000);
     let mut e2e_table = Table::new(
         format!(
-            "Encrypted-profile wall times — pre-overhaul reference crypto vs T-table (records={records}, txns={txns}, batch={PIPELINE_BATCH}, {CRYPTO_E2E_PAYLOAD} B records)"
+            "Encrypted-profile wall times — pre-overhaul reference crypto vs T-table (records={records}, txns={txns}, batch={CRYPTO_E2E_BATCH}, {CRYPTO_E2E_PAYLOAD} B records)"
         ),
         &[
             "profile",
             "workload",
             "reference (wall ms)",
-            "software serial (wall ms)",
-            "software pipelined (wall ms)",
-            "hardware pipelined (wall ms)",
+            "software (wall ms)",
+            "hardware (wall ms)",
             "overall speedup",
             "sim identical",
         ],
@@ -1169,12 +979,12 @@ pub fn crypto_matrix(scale: Scale) -> (Table, Table, Vec<CryptoPoint>, Vec<Crypt
     for profile in [ProfileKind::PSys, ProfileKind::PGBench] {
         let workload = YcsbWorkload::B;
         let seed = 7;
-        let run = |pipeline: bool, backend: CryptoBackend| -> (f64, f64, usize) {
+        let run = |backend: CryptoBackend| -> (f64, f64, usize) {
             let mut best_wall = f64::INFINITY;
             let mut sim = 0.0;
             let mut ops = 0;
-            for rep in 0..PIPELINE_REPS {
-                let stats = crypto_cell(profile, workload, pipeline, backend, records, txns, seed);
+            for rep in 0..CRYPTO_E2E_REPS {
+                let stats = crypto_cell(profile, workload, backend, records, txns, seed);
                 best_wall = best_wall.min(stats.wall.as_secs_f64() * 1e3);
                 let rep_sim = stats.sim_ops_per_sec();
                 assert!(
@@ -1186,36 +996,34 @@ pub fn crypto_matrix(scale: Scale) -> (Table, Table, Vec<CryptoPoint>, Vec<Crypt
             }
             (best_wall, sim, ops)
         };
-        // Reference cell: byte-oriented rounds, pipeline on (the PR-4
-        // default) — bit-identical results, only wall time moves. A
-        // lower bound on the pre-overhaul engine (see CryptoEndToEnd).
-        let (reference_wall_ms, ref_sim, ops) = run(true, CryptoBackend::Reference);
-        let (serial_wall_ms, serial_sim, _) = run(false, CryptoBackend::Software);
-        let (pipelined_wall_ms, piped_sim, _) = run(true, CryptoBackend::Software);
+        // Reference cell: byte-oriented rounds — bit-identical results,
+        // only wall time moves. A lower bound on the pre-overhaul engine
+        // (see CryptoEndToEnd).
+        let (reference_wall_ms, ref_sim, ops) = run(CryptoBackend::Reference);
+        let (software_wall_ms, software_sim, _) = run(CryptoBackend::Software);
         assert!(
-            ref_sim == serial_sim && serial_sim == piped_sim,
-            "{}: simulated throughput diverged across crypto configurations ({ref_sim} / {serial_sim} / {piped_sim})",
+            ref_sim == software_sim,
+            "{}: simulated throughput diverged across crypto backends ({ref_sim} / {software_sim})",
             profile.label(),
         );
         // Hardware cell (AES-NI hosts): the whole engine under the
-        // hardware backend, pipeline on — every simulated column must
-        // stay bit-identical to the software and reference runs.
+        // hardware backend — every simulated column must stay
+        // bit-identical to the software and reference runs.
         let hardware_wall_ms = CryptoBackend::hardware_available().then(|| {
-            let (hw_wall, hw_sim, _) = run(true, CryptoBackend::Hardware);
+            let (hw_wall, hw_sim, _) = run(CryptoBackend::Hardware);
             assert!(
-                hw_sim == serial_sim,
-                "{}: simulated throughput diverged on the hardware backend ({hw_sim} vs {serial_sim})",
+                hw_sim == software_sim,
+                "{}: simulated throughput diverged on the hardware backend ({hw_sim} vs {software_sim})",
                 profile.label(),
             );
             hw_wall
         });
-        let best_after = hardware_wall_ms.unwrap_or(pipelined_wall_ms);
+        let best_after = hardware_wall_ms.unwrap_or(software_wall_ms);
         e2e_table.row(vec![
             profile.label().into(),
             workload.label().into(),
             f3(reference_wall_ms),
-            f3(serial_wall_ms),
-            f3(pipelined_wall_ms),
+            f3(software_wall_ms),
             hardware_wall_ms.map_or_else(|| "n/a".into(), f3),
             format!("{:.2}x", reference_wall_ms / best_after),
             "yes".into(),
@@ -1225,20 +1033,19 @@ pub fn crypto_matrix(scale: Scale) -> (Table, Table, Vec<CryptoPoint>, Vec<Crypt
             workload,
             ops,
             reference_wall_ms,
-            serial_wall_ms,
-            pipelined_wall_ms,
+            software_wall_ms,
             hardware_wall_ms,
-            sim_ops_per_sec: serial_sim,
+            sim_ops_per_sec: software_sim,
         });
     }
     (table, e2e_table, points, e2e)
 }
 
-/// Render the crypto report as the `BENCH_crypto.json` document
-/// (`BENCH_pipeline.json`-style): the host's detected CPU features and
-/// `Auto`'s resolved backend, one object per micro substrate with
-/// reference/software/hardware MB/s, one per end-to-end
-/// encrypted-profile cell with serial/pipelined/hardware wall times.
+/// Render the crypto report as the `BENCH_crypto.json` document: the
+/// host's detected CPU features and `Auto`'s resolved backend, one
+/// object per micro substrate with reference/software/hardware MB/s, one
+/// per end-to-end encrypted-profile cell with
+/// reference/software/hardware wall times.
 pub fn crypto_json(points: &[CryptoPoint], e2e: &[CryptoEndToEnd], scale: Scale) -> String {
     use datacase_crypto::{backend, CryptoBackend};
     let mut out = String::from("{\n  \"bench\": \"crypto_throughput\",\n");
@@ -1278,15 +1085,14 @@ pub fn crypto_json(points: &[CryptoPoint], e2e: &[CryptoEndToEnd], scale: Scale)
         let hw_wall = c
             .hardware_wall_ms
             .map_or_else(|| "null".into(), |v| format!("{v:.3}"));
-        let best_after = c.hardware_wall_ms.unwrap_or(c.pipelined_wall_ms);
+        let best_after = c.hardware_wall_ms.unwrap_or(c.software_wall_ms);
         out.push_str(&format!(
-            "    {{\"profile\": \"{}\", \"workload\": \"{}\", \"ops\": {}, \"reference_wall_ms\": {:.3}, \"ttable_serial_wall_ms\": {:.3}, \"ttable_pipelined_wall_ms\": {:.3}, \"hardware_pipelined_wall_ms\": {}, \"speedup\": {:.3}, \"sim_ops_per_sec\": {:.3}}}{}\n",
+            "    {{\"profile\": \"{}\", \"workload\": \"{}\", \"ops\": {}, \"reference_wall_ms\": {:.3}, \"software_wall_ms\": {:.3}, \"hardware_wall_ms\": {}, \"speedup\": {:.3}, \"sim_ops_per_sec\": {:.3}}}{}\n",
             c.profile.label(),
             c.workload.label(),
             c.ops,
             c.reference_wall_ms,
-            c.serial_wall_ms,
-            c.pipelined_wall_ms,
+            c.software_wall_ms,
             hw_wall,
             c.reference_wall_ms / best_after,
             c.sim_ops_per_sec,
@@ -1362,8 +1168,8 @@ impl MtPoint {
 /// owns it — so each shard's simulated timeline is bit-identical to the
 /// single-session run and only wall time responds to the added
 /// concurrency (overlapped think time everywhere; overlapped shard CPU
-/// on multi-core hosts). The per-shard pipeline stays off: each shard
-/// worker is one thread, so cells measure pure session-level scaling.
+/// on multi-core hosts). Each shard worker is one thread, so cells
+/// measure pure session-level scaling.
 pub fn mt_cell(
     backend: BackendKind,
     sessions: usize,
@@ -1377,7 +1183,6 @@ pub fn mt_cell(
     );
     let mut config = EngineConfig::p_base()
         .with_backend(backend)
-        .with_pipeline(false)
         .with_decision_cache(4096);
     config.heap.buffer_pages = buffer_pages_for(records / MT_SHARDS as u64);
     let engine = datacase_engine::ConcurrentEngine::new(config, MT_SHARDS);
@@ -1601,7 +1406,6 @@ pub fn server_cell(
     let per_tenant_txns = (txns / tenants as u64).max(1);
     let mut config = EngineConfig::p_base()
         .with_backend(backend)
-        .with_pipeline(false)
         .with_decision_cache(4096);
     config.heap.buffer_pages = buffer_pages_for(per_tenant_records / SERVER_SHARDS as u64);
     let specs: Vec<TenantSpec> = (0..tenants)

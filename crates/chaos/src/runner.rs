@@ -5,7 +5,7 @@
 //! ## Recovery model
 //!
 //! A "crash" is a [`CrashSignal`] panic fired by the engine's fault
-//! plane at a named pipeline stage; the runner catches it with
+//! plane at a named crash point; the runner catches it with
 //! `catch_unwind`. What survives is exactly what the storage substrate
 //! declares durable — the heap's WAL or the LSM's committed run
 //! manifest, salvaged as a [`DurableSnapshot`] from the wreck. The
@@ -451,12 +451,20 @@ mod tests {
     fn discovery_counts_stages() {
         let compiled = compile(11, &Scenario::erase_flood());
         let heap = discover_hits(BackendKind::Heap, &compiled);
-        assert!(heap[CrashPoint::Plan as usize] > 0);
-        assert!(heap[CrashPoint::Decide as usize] > 0);
+        let lsm = discover_hits(BackendKind::Lsm, &compiled);
+        for hits in [&heap, &lsm] {
+            for point in [
+                CrashPoint::Plan,
+                CrashPoint::Decide,
+                CrashPoint::Apply,
+                CrashPoint::Account,
+            ] {
+                assert!(hits[point as usize] > 0, "{point:?} unreachable");
+            }
+        }
         assert!(heap[CrashPoint::DestroyKey as usize] > 0);
         assert!(heap[CrashPoint::PurgeUnit as usize] > 0);
         assert!(heap[CrashPoint::WalAppend as usize] > 0);
-        let lsm = discover_hits(BackendKind::Lsm, &compiled);
         assert!(lsm[CrashPoint::PurgeUnit as usize] > 0);
     }
 

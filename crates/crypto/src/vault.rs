@@ -145,17 +145,6 @@ impl KeyVault {
         self
     }
 
-    /// Back-compat shim: `true` is [`CryptoBackend::Reference`], `false`
-    /// the default [`CryptoBackend::Auto`]. Prefer
-    /// [`with_backend`](KeyVault::with_backend).
-    pub fn with_reference_mode(self, on: bool) -> KeyVault {
-        self.with_backend(if on {
-            CryptoBackend::Reference
-        } else {
-            CryptoBackend::Auto
-        })
-    }
-
     /// The backend this vault expands schedules under.
     pub fn backend(&self) -> CryptoBackend {
         self.backend
@@ -599,14 +588,6 @@ mod tests {
         v.ensure_key(1);
         // A schedule exists: rerouting now would silently mix backends.
         let _ = v.with_backend(CryptoBackend::Reference);
-    }
-
-    #[test]
-    #[should_panic(expected = "construction-time invariant")]
-    fn reference_shim_after_first_key_is_impossible_too() {
-        let mut v = KeyVault::new(b"m", KeySize::Aes128);
-        v.ensure_key(1);
-        let _ = v.with_reference_mode(true);
     }
 
     #[test]

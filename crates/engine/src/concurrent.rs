@@ -14,22 +14,18 @@
 //!
 //! ## Ordering and soundness
 //!
-//! * **Per-shard total order.** A shard worker drains its queue in FIFO
-//!   order and executes each burst through
-//!   [`exec::execute_many`](crate::exec) — so every shard's audit chain
-//!   is byte-identical to replaying that shard's arrival sequence
-//!   serially. [`merged_chain_head`] folds the per-shard heads (in shard
-//!   order) into one engine-wide digest.
-//! * **Cross-batch pipelining.** When submissions queue up, the worker
-//!   drains up to [`MAX_BURST`] of them and runs the burst through *one*
-//!   staged pipeline: read waves straddle submission boundaries while the
-//!   account pass stays serial, so replies, residuals, and chain bytes
-//!   match one-at-a-time execution exactly.
+//! * **Per-shard total order.** A shard worker takes submissions off its
+//!   queue in FIFO order and runs each one to completion — every request
+//!   decided, applied and audited — before it replies and takes the
+//!   next. Every shard's audit chain is therefore byte-identical to
+//!   replaying that shard's arrival sequence serially.
+//!   [`merged_chain_head`] folds the per-shard heads (in shard order)
+//!   into one engine-wide digest.
 //! * **Revocation safety.** All shards share one
 //!   [`datacase_policy::enforcer::EpochBus`]: a global-scope
 //!   revoke observed by any shard publishes a generation bump, and every
-//!   other shard strands its stale cached allows at the next submission
-//!   boundary — before any decide that could have reused them.
+//!   other shard strands its stale cached allows before it decides its
+//!   next submission.
 //! * **Keyless requests.** [`Request::ReadByMeta`] names no shard; the
 //!   handle broadcasts it to every shard and the ticket merges the
 //!   per-shard row counts ([`Reply::Rows`] sums; the first error in shard
@@ -52,11 +48,6 @@ use crate::driver::ShardPlan;
 use crate::exec;
 use crate::frontend::{Frontend, Reply, Request, Response, Session};
 use crate::profiles::EngineConfig;
-
-/// Upper bound on how many queued submissions a shard worker fuses into
-/// one staged pipeline pass. Bounds reply latency under sustained load
-/// without giving up cross-batch span coalescing.
-pub const MAX_BURST: usize = 32;
 
 /// Which shard owns a request: its key modulo the shard count, or `None`
 /// for keyless metadata scans (which broadcast to every shard).
@@ -365,45 +356,24 @@ impl ConcurrentEngine {
     }
 }
 
-/// A shard worker's life: block for one submission, opportunistically
-/// drain up to [`MAX_BURST`] more, execute the burst through one staged
-/// pipeline, reply per submission in arrival order. Exits (returning its
-/// [`Frontend`]) at the drain marker or when the queue closes.
+/// A shard worker's life: receive a submission, execute it, reply.
+/// Exits (returning its [`Frontend`]) at the drain marker or when the
+/// queue closes.
 fn shard_loop(shard: usize, rx: Receiver<ShardMsg>, mut fe: Frontend) -> Frontend {
     let mut seq: u64 = 0;
-    let mut draining = false;
-    while !draining {
-        let Ok(ShardMsg::Batch(first)) = rx.recv() else {
-            break;
-        };
-        let mut burst = vec![first];
-        while burst.len() < MAX_BURST {
-            match rx.try_recv() {
-                Ok(ShardMsg::Batch(submission)) => burst.push(submission),
-                Ok(ShardMsg::Drain) => {
-                    draining = true;
-                    break;
-                }
-                Err(_) => break,
-            }
-        }
-        let mut replies = Vec::with_capacity(burst.len());
-        let mut batches = Vec::with_capacity(burst.len());
-        for submission in burst {
-            replies.push(submission.reply);
-            batches.push((submission.session, submission.requests));
-        }
-        let grouped = exec::execute_many(fe.db_mut(), &batches);
-        for (reply, responses) in replies.into_iter().zip(grouped) {
-            seq += 1;
-            // A client that dropped its ticket no longer cares; the work
-            // is already accounted and audited either way.
-            let _ = reply.send(ShardReply {
-                shard,
-                seq,
-                responses,
-            });
-        }
+    while let Ok(ShardMsg::Batch(submission)) = rx.recv() {
+        // Strand cached allows another shard's revoke invalidated before
+        // deciding anything in this submission.
+        fe.db_mut().sync_epoch_bus();
+        let responses = exec::execute(fe.db_mut(), &submission.session, &submission.requests);
+        seq += 1;
+        // A client that dropped its ticket no longer cares; the work is
+        // already accounted and audited either way.
+        let _ = submission.reply.send(ShardReply {
+            shard,
+            seq,
+            responses,
+        });
     }
     fe
 }

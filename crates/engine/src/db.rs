@@ -34,6 +34,7 @@ use datacase_policy::enforcer::{
 use datacase_policy::fgac::{FgacConfig, FgacEnforcer};
 use datacase_policy::metatable::MetaTableEnforcer;
 use datacase_policy::rbac::{RbacEnforcer, Role};
+use datacase_sim::fault::CrashPoint;
 use datacase_sim::time::Ts;
 use datacase_sim::{Meter, SimClock};
 use datacase_storage::backend::{
@@ -44,7 +45,7 @@ use datacase_storage::heap::HeapDb;
 use datacase_workloads::opstream::{MetaField, MetaSelector};
 
 use crate::error::EngineError;
-use crate::exec::{CachedDecision, CipherJob, CipherPool, DecisionCache, StagedRead};
+use crate::exec::{CachedDecision, DecisionCache};
 use crate::frontend::{Reply, Request};
 use crate::profiles::{DeleteStrategy, EngineConfig, ProfileKind};
 
@@ -66,13 +67,6 @@ struct KeyMeta {
     subject: u32,
     purpose: PurposeId,
     ttl: Ts,
-}
-
-/// A denied access: the typed error plus its already-charged DENIED
-/// audit record (boxed — denials are the cold path).
-pub(crate) struct DeniedAccess {
-    pub error: EngineError,
-    pub record: LogRecord,
 }
 
 /// The compliant database engine.
@@ -102,14 +96,6 @@ pub struct CompliantDb {
     clock: SimClock,
     meter: Arc<Meter>,
     decisions: DecisionCache,
-    /// The persistent apply-stage AES pool (present when the pipeline is
-    /// on and more than one worker is available).
-    pool: Option<CipherPool>,
-    /// Pipelined-span mode: audit records are charged and sequenced
-    /// immediately but queued in `pending_log` instead of entering the
-    /// store, until the span flushes (see `datacase_engine::exec`).
-    deferred: bool,
-    pending_log: Vec<LogRecord>,
     deletes_since_maintenance: u64,
     ops_since_checkpoint: u64,
     log_seq: u64,
@@ -200,14 +186,6 @@ impl CompliantDb {
             }
         };
 
-        let workers = match config.pipeline_workers {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8),
-            n => n,
-        };
-        let pool = (config.pipeline && workers > 1).then(|| CipherPool::new(workers));
         let decisions = DecisionCache::new(config.decision_cache);
         let mut db = CompliantDb {
             config,
@@ -231,9 +209,6 @@ impl CompliantDb {
             clock,
             meter,
             decisions,
-            pool,
-            deferred: false,
-            pending_log: Vec::new(),
             deletes_since_maintenance: 0,
             ops_since_checkpoint: 0,
             log_seq: 0,
@@ -354,11 +329,6 @@ impl CompliantDb {
         }
     }
 
-    fn next_log(&mut self) -> u64 {
-        self.log_seq += 1;
-        self.log_seq
-    }
-
     /// Audit sequence numbers issued so far (the frontend derives
     /// [`AuditRef`](crate::frontend::AuditRef)s from before/after pairs).
     pub(crate) fn log_seq(&self) -> u64 {
@@ -390,155 +360,50 @@ impl CompliantDb {
         self.enforcer.sync_bus();
     }
 
-    /// The persistent apply-stage AES worker pool, if fan-out is possible.
-    pub(crate) fn pool(&self) -> Option<&CipherPool> {
-        self.pool.as_ref()
-    }
-
-    /// Minimum distinct span bytes before apply-stage AES fans out.
-    pub(crate) fn fanout_bytes(&self) -> usize {
-        self.config.pipeline_fanout_bytes
-    }
-
     /// Live decision-cache entries (tests).
     #[cfg(test)]
     pub(crate) fn cached_decisions(&self) -> usize {
         self.decisions.len()
     }
 
-    /// Route a fully-charged record into the log: straight into the
-    /// store normally, or onto the deferred queue during a pipelined
-    /// span. Queue order equals sequence order, so the chain extends
-    /// identically either way.
-    fn push_record(&mut self, rec: LogRecord) {
-        if self.deferred {
-            self.pending_log.push(rec);
-        } else {
-            self.logger.append_precharged(rec);
-        }
-    }
-
-    /// Enter or leave deferred-append mode (the pipeline driver flushes
-    /// the queue before leaving).
-    pub(crate) fn set_deferred(&mut self, deferred: bool) {
-        debug_assert!(
-            deferred || self.pending_log.is_empty(),
-            "flush before leaving"
-        );
-        self.deferred = deferred;
-        self.backend.set_deferred_sector_crypto(deferred);
-    }
-
-    /// Patch a deferred record's payload (decrypted by the apply stage).
-    pub(crate) fn fill_deferred(&mut self, slot: usize, payload: Vec<u8>) {
-        self.pending_log[slot].payload = payload;
-    }
-
-    /// Commit the deferred queue to the log store in sequence order (the
-    /// pipeline's account stage).
-    ///
-    /// When the logger encrypts payloads at rest (P_SYS), the AES runs
-    /// *here*, fanned out across the apply-stage workers, instead of
-    /// serially inside every append: each queued record's payload is
-    /// transformed with the logger's shared cipher schedule under
-    /// `iv_from_nonce(seq)` — deterministic, so the committed bytes (and
-    /// the tamper-evidence chain) are identical to serial execution —
-    /// and committed via [`AuditLogger::append_ciphered`]. Costs were
-    /// charged at op time either way.
-    pub(crate) fn commit_deferred(&mut self) {
-        let cipher = match self.logger.payload_cipher() {
-            // No at-rest payload cipher, or no pool to fan out over
-            // (single-core host): append_precharged does the right thing
-            // inline — same bytes, no job round-trip.
-            Some(c) if self.pool.is_some() => c,
-            _ => {
-                for rec in std::mem::take(&mut self.pending_log) {
-                    self.logger.append_precharged(rec);
-                }
-                return;
-            }
-        };
-        let mut jobs: Vec<CipherJob> = self
-            .pending_log
-            .iter_mut()
-            .enumerate()
-            .filter(|(_, rec)| !rec.payload.is_empty())
-            .map(|(slot, rec)| CipherJob {
-                slot,
-                // Every record seq is unique: jobs spread round-robin
-                // over the workers and the dedup pass never coalesces.
-                shard: rec.seq,
-                cipher: std::sync::Arc::clone(&cipher),
-                iv: AesCtr::iv_from_nonce(rec.seq),
-                data: std::mem::take(&mut rec.payload),
-            })
-            .collect();
-        crate::exec::run_jobs(
-            &mut jobs,
-            self.pool.as_ref(),
-            self.config.pipeline_fanout_bytes,
-            // One job per unique record seq: nothing to dedup.
-            false,
-        );
-        for job in jobs {
-            self.pending_log[job.slot].payload = job.data;
-        }
-        for rec in std::mem::take(&mut self.pending_log) {
-            self.logger.append_ciphered(rec);
-        }
-    }
-
-    /// Build the next audit record: the sequence number is assigned
-    /// here, so record-creation order is sequence order on every path
-    /// (serial and staged alike).
-    fn new_record(
-        &mut self,
-        at: Ts,
-        unit: Option<UnitId>,
-        entity: EntityId,
-        purpose: PurposeId,
-        op: &str,
-        payload: Vec<u8>,
-    ) -> LogRecord {
-        LogRecord {
-            seq: self.next_log(),
-            at,
-            unit,
-            entity,
-            purpose,
-            op: op.to_owned(),
-            payload,
-            redacted: false,
-        }
-    }
-
+    /// The account step: sequence, charge and append one audit record.
+    /// Synchronous — the record is in the log store, under the
+    /// tamper-evidence chain, before the request that produced it is
+    /// answered.
     fn log(
         &mut self,
         unit: Option<UnitId>,
         entity: EntityId,
         purpose: PurposeId,
         op: &str,
-        payload: &[u8],
+        payload: Vec<u8>,
     ) {
-        let now = self.clock.now();
-        let rec = self.new_record(now, unit, entity, purpose, op, payload.to_vec());
+        self.log_seq += 1;
+        let rec = LogRecord {
+            seq: self.log_seq,
+            at: self.clock.now(),
+            unit,
+            entity,
+            purpose,
+            op: op.to_owned(),
+            payload,
+            redacted: false,
+        };
         self.logger.charge(&rec, rec.payload.len());
-        self.push_record(rec);
+        self.config.fault.hit(CrashPoint::Account);
+        self.logger.append_precharged(rec);
     }
 
-    /// The decide stage for one access: resolve through the
+    /// The decide step for one access: resolve through the
     /// epoch-versioned decision cache, evaluating the enforcer only on a
-    /// miss. On denial the (already-charged) DENIED audit record is
-    /// handed back to the caller, who appends it immediately (serial
-    /// path) or defers it to the account stage (wave path) — either way
-    /// it joins the log at the sequence number assigned here.
-    fn decide(
+    /// miss. A denial is audited (a DENIED record) before it is returned.
+    fn check(
         &mut self,
         unit: UnitId,
         entity: EntityId,
         purpose: PurposeId,
         action: ActionKind,
-    ) -> Result<(), Box<DeniedAccess>> {
+    ) -> Result<(), EngineError> {
         if self.config.profile == ProfileKind::Stock {
             return Ok(()); // vanilla engine: no enforcement at all
         }
@@ -554,7 +419,7 @@ impl CompliantDb {
                         // re-logged with its cached reason.
                         let reason = reason.clone();
                         Meter::bump(&self.meter.denials, 1);
-                        return Err(self.denied_record(unit, entity, purpose, reason));
+                        return Err(self.deny(unit, entity, purpose, reason));
                     }
                 }
             }
@@ -585,52 +450,27 @@ impl CompliantDb {
         }
         match deny_reason {
             None => Ok(()),
-            Some(reason) => Err(self.denied_record(unit, entity, purpose, reason)),
+            Some(reason) => Err(self.deny(unit, entity, purpose, reason)),
         }
     }
 
-    /// Account a denial: bump the counter, assign the audit sequence
-    /// number, and charge the DENIED record the caller will append.
-    fn denied_record(
+    /// Account a denial: bump the counter and append the DENIED record.
+    fn deny(
         &mut self,
         unit: UnitId,
         entity: EntityId,
         purpose: PurposeId,
         reason: String,
-    ) -> Box<DeniedAccess> {
+    ) -> EngineError {
         self.denied += 1;
-        let now = self.clock.now();
-        let rec = self.new_record(
-            now,
+        self.log(
             Some(unit),
             entity,
             purpose,
             "DENIED",
             reason.clone().into_bytes(),
         );
-        self.logger.charge(&rec, rec.payload.len());
-        Box::new(DeniedAccess {
-            error: EngineError::Denied { reason },
-            record: rec,
-        })
-    }
-
-    /// [`decide`](CompliantDb::decide) with the denial's audit record
-    /// routed into the log immediately (store or deferred queue).
-    fn check(
-        &mut self,
-        unit: UnitId,
-        entity: EntityId,
-        purpose: PurposeId,
-        action: ActionKind,
-    ) -> Result<(), EngineError> {
-        match self.decide(unit, entity, purpose, action) {
-            Ok(()) => Ok(()),
-            Err(denied) => {
-                self.push_record(denied.record);
-                Err(denied.error)
-            }
-        }
+        EngineError::Denied { reason }
     }
 
     fn encrypt_payload(&mut self, unit: UnitId, payload: &[u8]) -> Vec<u8> {
@@ -689,10 +529,17 @@ impl CompliantDb {
         purpose: Option<PurposeId>,
         scope: Option<datacase_core::tenant::KeyRange>,
     ) -> Result<Reply, EngineError> {
+        self.config.fault.hit(CrashPoint::Apply);
         if !matches!(request, Request::Erase { .. } | Request::Restore { .. }) {
-            // Workload ops drive the checkpoint cadence; the compliance
-            // path (erase/restore) never did and still does not.
-            self.tick_cadence();
+            // Workload ops drive the checkpoint cadence (flush + WAL
+            // recycle every `checkpoint_every` ops); the compliance path
+            // (erase/restore) never did and still does not.
+            self.ops_since_checkpoint += 1;
+            if self.ops_since_checkpoint >= self.config.checkpoint_every {
+                self.ops_since_checkpoint = 0;
+                self.backend.checkpoint();
+                self.backend.recycle_logs();
+            }
         }
         match request {
             Request::Create {
@@ -711,19 +558,6 @@ impl CompliantDb {
                 interpretation,
             } => self.op_erase(*key, *interpretation, actor),
             Request::Restore { key } => self.op_restore(*key, actor),
-        }
-    }
-
-    /// One workload operation's worth of checkpoint cadence (flush + WAL
-    /// recycle every `checkpoint_every` ops). The pipeline's wave pass
-    /// calls this per staged read; [`apply`](CompliantDb::apply) calls it
-    /// for every serial workload op.
-    pub(crate) fn tick_cadence(&mut self) {
-        self.ops_since_checkpoint += 1;
-        if self.ops_since_checkpoint >= self.config.checkpoint_every {
-            self.ops_since_checkpoint = 0;
-            self.backend.checkpoint();
-            self.backend.recycle_logs();
         }
     }
 
@@ -877,7 +711,7 @@ impl CompliantDb {
             self.controller,
             wk::contract(),
             "INSERT",
-            payload,
+            payload.to_vec(),
         );
         Ok(Reply::Done)
     }
@@ -888,154 +722,29 @@ impl CompliantDb {
         actor: Actor,
         declared: Option<PurposeId>,
     ) -> Result<Reply, EngineError> {
-        let staged = self.stage_read(key, actor, declared);
-        self.finish_staged(staged)
-    }
-
-    /// The decide/charge half of a point read (the pipeline's serial
-    /// pass). Policy check, storage read, decrypt *charges*, history and
-    /// audit accounting all happen here, in submission order; the AES
-    /// work itself is returned as a [`CipherJob`] for the apply stage.
-    /// AES-CTR preserves length, so the reply is complete without it.
-    pub(crate) fn stage_read(
-        &mut self,
-        key: u64,
-        actor: Actor,
-        declared: Option<PurposeId>,
-    ) -> StagedRead {
         let Some(meta) = self.key_meta.get(&key).copied() else {
-            return StagedRead::fail(EngineError::NotFound { key });
+            return Err(EngineError::NotFound { key });
         };
         let purpose = declared.unwrap_or(match actor {
             Actor::Subject => wk::subject_access(),
             _ => meta.purpose,
         });
         let entity = self.actor_entity(actor, meta.subject);
-        if let Err(denied) = self.decide(meta.unit, entity, purpose, ActionKind::Read) {
-            return StagedRead {
-                outcome: Err(denied.error),
-                pending: Some(denied.record),
-                job: None,
-            };
-        }
+        self.check(meta.unit, entity, purpose, ActionKind::Read)?;
         let Some(stored) = self.backend.read(key, false) else {
-            return StagedRead::fail(self.gone(key, meta.unit));
+            return Err(self.gone(key, meta.unit));
         };
-        // Decrypt accounting now, AES work deferred.
-        let mut payload = Vec::new();
-        let mut job = None;
-        let plain_len = match &mut self.vault {
-            Some(vault) => match vault.cipher(meta.unit.0) {
-                Ok(cipher) => {
-                    let bits = cipher.key_size().bits();
-                    self.clock
-                        .charge(self.clock.model().aes_cost(bits, stored.len()));
-                    Meter::bump(&self.meter.crypto_bytes, stored.len() as u64);
-                    let len = stored.len();
-                    let iv = AesCtr::iv_from_nonce(meta.unit.0);
-                    let mut data = stored;
-                    if matches!(vault.keystream_apply(meta.unit.0, iv, &mut data), Ok(true)) {
-                        // Hot-tuple cache hit: the decrypt collapsed to a
-                        // XOR, so there is no AES left worth deferring —
-                        // the record carries its payload immediately.
-                        payload = data;
-                    } else {
-                        job = Some(CipherJob {
-                            slot: 0, // assigned when the record is queued
-                            shard: meta.unit.0,
-                            iv,
-                            cipher,
-                            data,
-                        });
-                    }
-                    len
-                }
-                Err(_) => 0, // crypto-erased: unreadable
-            },
-            None => {
-                payload = stored;
-                payload.len()
-            }
-        };
-        let now = self.clock.now();
+        let plain = self.decrypt_payload(meta.unit, stored);
+        let len = plain.len();
         self.history.record(HistoryTuple {
             unit: meta.unit,
             purpose,
             entity,
             action: Action::Read,
-            at: now,
+            at: self.clock.now(),
         });
-        let rec = self.new_record(now, Some(meta.unit), entity, purpose, "SELECT", payload);
-        self.logger.charge(&rec, plain_len);
-        StagedRead {
-            outcome: Ok(Reply::Value(plain_len)),
-            pending: Some(rec),
-            job,
-        }
-    }
-
-    /// Run a staged read to completion inline (serial execution): do the
-    /// deferred AES work and route the audit record into the log
-    /// immediately.
-    fn finish_staged(&mut self, staged: StagedRead) -> Result<Reply, EngineError> {
-        let StagedRead {
-            outcome,
-            pending,
-            job,
-        } = staged;
-        if let Some(mut rec) = pending {
-            if let Some(mut job) = job {
-                job.run();
-                rec.payload = job.data;
-            }
-            self.push_record(rec);
-        }
-        outcome
-    }
-
-    /// A point read within a pipelined span: the audit record joins the
-    /// deferred queue with its payload still encrypted, and the AES work
-    /// comes back as a [`CipherJob`] addressing that queue slot.
-    pub(crate) fn read_deferred(
-        &mut self,
-        key: u64,
-        actor: Actor,
-        declared: Option<PurposeId>,
-    ) -> (Result<Reply, EngineError>, Option<CipherJob>) {
-        let staged = self.stage_read(key, actor, declared);
-        self.defer_staged(staged)
-    }
-
-    /// A metadata read within a pipelined span (no payload work — only
-    /// the record append is deferred, preserving queue order).
-    pub(crate) fn read_meta_deferred(
-        &mut self,
-        key: u64,
-        actor: Actor,
-        declared: Option<PurposeId>,
-    ) -> (Result<Reply, EngineError>, Option<CipherJob>) {
-        let staged = self.stage_read_meta(key, actor, declared);
-        self.defer_staged(staged)
-    }
-
-    fn defer_staged(
-        &mut self,
-        staged: StagedRead,
-    ) -> (Result<Reply, EngineError>, Option<CipherJob>) {
-        debug_assert!(self.deferred, "deferred reads require span mode");
-        let StagedRead {
-            outcome,
-            pending,
-            mut job,
-        } = staged;
-        if let Some(rec) = pending {
-            let slot = self.pending_log.len();
-            self.pending_log.push(rec);
-            if let Some(job) = &mut job {
-                job.slot = slot;
-            }
-        }
-        (outcome, job)
+        self.log(Some(meta.unit), entity, purpose, "SELECT", plain);
+        Ok(Reply::Value(len))
     }
 
     fn op_update(
@@ -1069,7 +778,7 @@ impl CompliantDb {
             action: Action::UpdateValue,
             at: now,
         });
-        self.log(Some(meta.unit), entity, purpose, "UPDATE", payload);
+        self.log(Some(meta.unit), entity, purpose, "UPDATE", payload.to_vec());
         Ok(Reply::Done)
     }
 
@@ -1121,7 +830,7 @@ impl CompliantDb {
             entity,
             wk::compliance_erase(),
             "DELETE",
-            &[],
+            Vec::new(),
         );
         // Index maintenance. `key_meta` is deliberately retained: a real
         // database does not know a key is gone until it probes the index
@@ -1162,25 +871,12 @@ impl CompliantDb {
         actor: Actor,
         declared: Option<PurposeId>,
     ) -> Result<Reply, EngineError> {
-        let staged = self.stage_read_meta(key, actor, declared);
-        self.finish_staged(staged)
-    }
-
-    /// The decide/charge half of a metadata read. No payload work to
-    /// defer (the row rendering is cheap); only the audit-record append
-    /// moves to the account stage, keeping the wave's log order intact.
-    pub(crate) fn stage_read_meta(
-        &mut self,
-        key: u64,
-        actor: Actor,
-        declared: Option<PurposeId>,
-    ) -> StagedRead {
         let Some(meta) = self.key_meta.get(&key).copied() else {
-            return StagedRead::fail(EngineError::NotFound { key });
+            return Err(EngineError::NotFound { key });
         };
         if let Some(since) = self.erased_since(meta.unit) {
             // The record's metadata row went with the record.
-            return StagedRead::fail(EngineError::RetentionExpired { key, since });
+            return Err(EngineError::RetentionExpired { key, since });
         }
         let (entity, purpose) = match actor {
             Actor::Subject => (
@@ -1190,20 +886,14 @@ impl CompliantDb {
             Actor::Controller => (self.controller, declared.unwrap_or(wk::contract())),
             Actor::Processor => (self.processor, declared.unwrap_or(meta.purpose)),
         };
-        if let Err(denied) = self.decide(meta.unit, entity, purpose, ActionKind::ReadMeta) {
-            return StagedRead {
-                outcome: Err(denied.error),
-                pending: Some(denied.record),
-                job: None,
-            };
-        }
+        self.check(meta.unit, entity, purpose, ActionKind::ReadMeta)?;
         // The metadata row itself: policies + provenance summary.
+        let now = self.clock.now();
         let policies = self
             .state
             .unit(meta.unit)
-            .map(|u| u.policies.active_at(self.clock.now()).len())
+            .map(|u| u.policies.active_at(now).len())
             .unwrap_or(0);
-        let now = self.clock.now();
         self.history.record(HistoryTuple {
             unit: meta.unit,
             purpose,
@@ -1215,20 +905,15 @@ impl CompliantDb {
             "key={key} subject={} purpose={} ttl={} policies={policies}",
             meta.subject, meta.purpose, meta.ttl
         );
-        let rec = self.new_record(
-            now,
+        let len = rendered.len();
+        self.log(
             Some(meta.unit),
             entity,
             purpose,
             "SELECT-META",
             rendered.into_bytes(),
         );
-        self.logger.charge(&rec, rec.payload.len());
-        StagedRead {
-            outcome: Ok(Reply::Value(rec.payload.len())),
-            pending: Some(rec),
-            job: None,
-        }
+        Ok(Reply::Value(len))
     }
 
     fn op_update_meta(
@@ -1302,7 +987,7 @@ impl CompliantDb {
             entity,
             wk::contract(),
             "UPDATE-META+NOTIFY",
-            format!("{field:?}").as_bytes(),
+            format!("{field:?}").into_bytes(),
         );
         Ok(Reply::Done)
     }
@@ -1375,7 +1060,7 @@ impl CompliantDb {
             entity,
             wk::retention(),
             "SELECT-BY-META",
-            format!("{selector:?} rows={rows}").as_bytes(),
+            format!("{selector:?} rows={rows}").into_bytes(),
         );
         Ok(Reply::Rows(rows))
     }

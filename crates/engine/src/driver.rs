@@ -3,13 +3,9 @@
 //! scalability ablations, including heterogeneous per-shard storage
 //! backends.
 //!
-//! Every driver submits through [`Frontend::submit`], i.e. through the
-//! staged batch pipeline (`datacase_engine::exec`) when
-//! [`EngineConfig::pipeline`] is on: within each submitted chunk, runs of
-//! point reads fan their payload work out across scoped workers while
-//! mutations stay serial barriers. Batch size and pipeline mode never
-//! change results — only boundary crossings and wall-clock time (the
-//! `prop_frontend` parity suite holds the engine to that).
+//! Every driver submits through [`Frontend::submit`]. Batch size never
+//! changes results — only boundary crossings and wall-clock time (the
+//! `prop_frontend` batch-parity property holds the engine to that).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -304,31 +300,6 @@ mod tests {
         assert_eq!(a.expired, b.expired);
         assert_eq!(a.simulated, b.simulated);
         assert_eq!(a.work, b.work);
-    }
-
-    #[test]
-    fn pipeline_mode_does_not_change_driver_results() {
-        let run = |pipeline: bool| {
-            // Force multiple apply-stage workers so the scoped-thread
-            // fan-out path is exercised regardless of host core count.
-            let mut config = EngineConfig::for_profile(ProfileKind::PSys)
-                .with_pipeline(pipeline)
-                .with_decision_cache(512);
-            config.pipeline_workers = 4;
-            let mut fe = Frontend::new(config);
-            let mut bench = GdprBench::new(9, 50);
-            let load = bench.load_phase(150);
-            run_ops_batched(&mut fe, &load, Actor::Controller, 64);
-            let txns = bench.ops(300, Mix::wcus());
-            run_ops_batched(&mut fe, &txns, Actor::Subject, 64)
-        };
-        let serial = run(false);
-        let pipelined = run(true);
-        assert_eq!(serial.denied, pipelined.denied);
-        assert_eq!(serial.not_found, pipelined.not_found);
-        assert_eq!(serial.expired, pipelined.expired);
-        assert_eq!(serial.simulated, pipelined.simulated);
-        assert_eq!(serial.work, pipelined.work);
     }
 
     #[test]

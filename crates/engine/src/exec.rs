@@ -1,47 +1,33 @@
-//! Staged batch execution: the engine's pipeline behind
+//! Request execution: the one path behind
 //! [`Frontend::submit`](crate::frontend::Frontend::submit).
 //!
-//! A submitted batch flows through four explicit stages:
+//! Every request runs to completion, in submission order, before the
+//! next one starts:
 //!
-//! 1. **Plan** — requests are classified ([`classify`]) and grouped into
-//!    *spans* separated by *barriers*. A barrier is a request that may
-//!    mutate the audit store itself (the compliance verbs, and workload
-//!    deletes on profiles that redact logs on erasure); everything else —
-//!    reads **and** benign mutations — shares a span. Mutations always
-//!    execute serially in submission order, so per-unit order is exactly
-//!    the batch order.
-//! 2. **Decide** — policy checks run against the epoch-versioned decision
-//!    cache (`DecisionCache`): outcomes (allows **and** denials) are
-//!    stamped with the [`PolicyEpoch`] they were computed at plus the
+//! 1. **Decide** — session admission (scope, deadline), then the policy
+//!    check, resolved against the epoch-versioned decision cache
+//!    (`DecisionCache`): outcomes (allows **and** denials) are stamped
+//!    with the [`PolicyEpoch`] they were computed at plus the
 //!    policy-window horizon they hold until, and revalidated by
 //!    comparison against the enforcer's current epoch — fine-grained,
 //!    structural invalidation instead of a TTL or a wholesale flush.
-//! 3. **Apply** — the span's deferred payload work (AES decryption of
-//!    every read tuple) fans out across `std::thread::scope` workers,
-//!    sharded by unit id. Everything that charges the simulated clock or
-//!    assigns audit sequence numbers ran in the serial pass, so the cost
-//!    stream — and with it every audit-record timestamp — is identical
-//!    to sequential execution.
-//! 4. **Account** — the span's audit records, queued in sequence order
-//!    during the serial pass, are committed to the log store in that
-//!    order (decrypted payloads patched in first), so the
-//!    tamper-evidence chain is byte-identical to a sequential run's. On
-//!    the P_SYS encrypted log the records' payload AES itself runs on
-//!    the apply-stage workers before the in-order commit: the ciphertext
-//!    is deterministic per record (`iv_from_nonce(seq)`), so the chain
-//!    bytes cannot diverge from serial execution.
+//! 2. **Apply** — the request touches the backend and the abstract
+//!    model; tuple payloads are encrypted before they reach the backend
+//!    and sectors before they reach the disk.
+//! 3. **Account** — the request's audit records are appended to the log
+//!    store, synchronously: a record is in the store (and under the
+//!    tamper-evidence chain) before its request's [`Response`] is built.
 //!
-//! The `prop_frontend` parity suite holds both modes — pipeline on and
-//! off — to the same replies, meter counters, forensic residuals, and
-//! audit-chain head, which is what makes the pipeline a safe default.
+//! One batch of *n* requests is therefore *n* single-request
+//! submissions: replies, meter counters, forensic residuals and the
+//! audit chain's bytes are independent of batch size (the
+//! `prop_frontend` batch-parity property holds the engine to this).
 
-use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use datacase_core::action::ActionKind;
 use datacase_core::ids::EntityId;
 use datacase_core::purpose::PurposeId;
-use datacase_crypto::ctr::AesCtr;
 use datacase_policy::enforcer::{PolicyEpoch, UnitClass, VersionedEnforcer};
 use datacase_sim::fault::CrashPoint;
 use datacase_sim::time::Ts;
@@ -49,99 +35,6 @@ use datacase_sim::time::Ts;
 use crate::db::CompliantDb;
 use crate::error::EngineError;
 use crate::frontend::{AuditRef, Request, Response, Session};
-use crate::profiles::EngineConfig;
-
-// ---------------------------------------------------------------------
-// Plan stage
-// ---------------------------------------------------------------------
-
-/// How the plan stage sees a request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RequestClass {
-    /// A point read (`Read`, `ReadMeta`): its payload work (decryption)
-    /// is deferred to the span's apply stage.
-    ReadOnly,
-    /// A scan-shaped read (`ReadByMeta`): read-only, executed serially
-    /// within its span (it touches many units under one audit record).
-    Scan,
-    /// A workload mutation (`Create`, `Update`, `Delete`, `UpdateMeta`):
-    /// executed serially in submission order within its span.
-    Mutating,
-    /// The compliance path (`Erase`, `Restore`): always a barrier — an
-    /// erasure may redact already-written audit records, so every
-    /// deferred record must be committed before it runs.
-    Compliance,
-}
-
-/// Classify a request for the plan stage.
-pub fn classify(request: &Request) -> RequestClass {
-    match request {
-        Request::Read { .. } | Request::ReadMeta { .. } => RequestClass::ReadOnly,
-        Request::ReadByMeta { .. } => RequestClass::Scan,
-        Request::Create { .. }
-        | Request::Update { .. }
-        | Request::Delete { .. }
-        | Request::UpdateMeta { .. } => RequestClass::Mutating,
-        Request::Erase { .. } | Request::Restore { .. } => RequestClass::Compliance,
-    }
-}
-
-/// Does `request` require committing all deferred audit records before it
-/// executes? True for anything that may redact the audit store: the
-/// compliance verbs always (permanent erasure redacts the unit's log
-/// records), and workload deletes on profiles that redact logs on every
-/// erase (P_SYS).
-fn flush_barrier(request: &Request, config: &EngineConfig) -> bool {
-    match classify(request) {
-        RequestClass::Compliance => true,
-        RequestClass::Mutating => {
-            matches!(request, Request::Delete { .. }) && config.delete_logs_on_erase
-        }
-        RequestClass::ReadOnly | RequestClass::Scan => false,
-    }
-}
-
-/// One planned segment of a batch.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum Segment {
-    /// Requests `[start, end)` executed in one deferred span: reads queue
-    /// decryption jobs, everything runs in submission order, and the
-    /// span's audit records commit together at the next flush.
-    Span(std::ops::Range<usize>),
-    /// A request that must see a fully-committed audit store: the
-    /// preceding span is flushed first.
-    Barrier(usize),
-}
-
-/// Group a batch into spans and barriers.
-pub(crate) fn plan<'r>(
-    requests: impl Iterator<Item = &'r Request>,
-    config: &EngineConfig,
-) -> Vec<Segment> {
-    let mut segments = Vec::new();
-    let mut span_start: Option<usize> = None;
-    let mut n = 0;
-    let flush = |segments: &mut Vec<Segment>, start: Option<usize>, end: usize| {
-        if let Some(start) = start {
-            segments.push(Segment::Span(start..end));
-        }
-    };
-    for (i, request) in requests.enumerate() {
-        n = i + 1;
-        if flush_barrier(request, config) {
-            flush(&mut segments, span_start.take(), i);
-            segments.push(Segment::Barrier(i));
-        } else {
-            span_start.get_or_insert(i);
-        }
-    }
-    flush(&mut segments, span_start.take(), n);
-    segments
-}
-
-// ---------------------------------------------------------------------
-// Decide stage: the epoch-versioned decision cache
-// ---------------------------------------------------------------------
 
 /// A decision-cache key: the unit's equivalence class under the active
 /// enforcement mechanism, plus the (actor entity, purpose, action) triple.
@@ -227,424 +120,19 @@ impl DecisionCache {
     }
 }
 
-// ---------------------------------------------------------------------
-// Apply stage: deferred payload work
-// ---------------------------------------------------------------------
-
-/// Payload AES work deferred out of the serial pass — CTR is an
-/// involution, so the same job shape covers both directions: decrypting
-/// stored tuple bytes into a queued audit record's payload (the read
-/// path), and encrypting queued payloads into their at-rest form for the
-/// P_SYS encrypted log (the account path). All simulated costs were
-/// charged when the job was created; running it is pure host CPU.
-pub(crate) struct CipherJob {
-    /// Index of the record this job's output belongs to, within the
-    /// engine's deferred-record queue.
-    pub slot: usize,
-    /// Fan-out shard (unit id for tuple work, record seq for log work):
-    /// jobs of one shard always land on the same worker, preserving
-    /// per-shard order.
-    pub shard: u64,
-    /// The expanded cipher schedule, shared — never re-expanded per job.
-    pub cipher: std::sync::Arc<AesCtr>,
-    /// The payload's IV.
-    pub iv: [u8; 16],
-    /// Ciphertext in, plaintext out (or vice versa).
-    pub data: Vec<u8>,
-}
-
-impl CipherJob {
-    /// Perform the AES work in place (charges were paid at staging).
-    pub(crate) fn run(&mut self) {
-        self.cipher.apply(self.iv, &mut self.data);
-    }
-}
-
-/// A staged point read: the typed outcome plus the audit record and
-/// payload work still owed to the account/apply stages.
-pub(crate) struct StagedRead {
-    /// The request's outcome (complete — payload lengths are known
-    /// without decrypting; AES-CTR preserves length).
-    pub outcome: Result<crate::frontend::Reply, EngineError>,
-    /// The audit record to route into the log, already charged and
-    /// sequenced. Its payload is empty when `job` is set — the decrypted
-    /// bytes fill it in before the record reaches the store.
-    pub pending: Option<datacase_audit::record::LogRecord>,
-    /// Deferred decryption feeding `pending`'s payload.
-    pub job: Option<CipherJob>,
-}
-
-impl StagedRead {
-    /// A read that failed before producing audit records or work.
-    pub fn fail(error: EngineError) -> StagedRead {
-        StagedRead {
-            outcome: Err(error),
-            pending: None,
-            job: None,
-        }
-    }
-}
-
-/// Below this many unique jobs a span runs its AES inline: scoped-thread
-/// spawn costs more than it saves. Byte volume has its own threshold
-/// ([`crate::profiles::EngineConfig::pipeline_fanout_bytes`]) — job
-/// *count* alone is a bad proxy since the crypto overhaul: 256
-/// cached-key 100-byte decrypts are only ~25 KiB of AES, gone in ~100 µs
-/// on the T-table path.
-const MIN_FANOUT_JOBS: usize = 24;
-
-/// A persistent pool of AES workers, spawned once per engine and fed one
-/// batch of jobs per span flush. Replaces the per-span
-/// `std::thread::scope` fan-out: with the T-table path a typical span's
-/// AES is a few hundred microseconds of work, and re-spawning workers for
-/// every span cost more than it saved.
-///
-/// The protocol is a plain fan-out/fan-in: distinct jobs are sharded to
-/// the workers' queues, each worker runs its batch and sends it back, the
-/// caller reassembles by index. Workers idle on `recv` between flushes
-/// and exit when the engine (and with it the senders) drops.
-pub(crate) struct CipherPool {
-    txs: Vec<std::sync::mpsc::Sender<Vec<(usize, CipherJob)>>>,
-    done_rx: std::sync::mpsc::Receiver<Vec<(usize, CipherJob)>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl CipherPool {
-    /// Spawn `workers` (≥ 2) pool threads.
-    pub(crate) fn new(workers: usize) -> CipherPool {
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let mut txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = std::sync::mpsc::channel::<Vec<(usize, CipherJob)>>();
-            let done = done_tx.clone();
-            handles.push(std::thread::spawn(move || {
-                while let Ok(mut batch) = rx.recv() {
-                    for (_, job) in batch.iter_mut() {
-                        job.run();
-                    }
-                    if done.send(batch).is_err() {
-                        break;
-                    }
-                }
-            }));
-            txs.push(tx);
-        }
-        CipherPool {
-            txs,
-            done_rx,
-            handles,
-        }
-    }
-
-    /// Pool width.
-    pub(crate) fn workers(&self) -> usize {
-        self.txs.len()
-    }
-
-    /// Run the per-worker batches to completion, returning every
-    /// (index, job) pair once its AES is done.
-    fn dispatch(&self, batches: Vec<Vec<(usize, CipherJob)>>) -> Vec<(usize, CipherJob)> {
-        let mut outstanding = 0usize;
-        let mut total = 0usize;
-        for (worker, batch) in batches.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            total += batch.len();
-            self.txs[worker].send(batch).expect("cipher worker alive");
-            outstanding += 1;
-        }
-        let mut done = Vec::with_capacity(total);
-        for _ in 0..outstanding {
-            done.extend(self.done_rx.recv().expect("cipher worker alive"));
-        }
-        done
-    }
-}
-
-impl Drop for CipherPool {
-    fn drop(&mut self) {
-        self.txs.clear(); // workers see a closed channel and exit
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Run a span's cipher jobs.
-///
-/// Two batch-level optimizations sequential execution structurally cannot
-/// make:
-///
-/// * **Coalescing** — zipfian read batches hit hot keys repeatedly, and
-///   two jobs with the same (unit, IV, ciphertext) have the same
-///   plaintext: each distinct job runs once and duplicates copy its
-///   output. Simulated decrypt costs were charged per read in the serial
-///   pass, exactly as sequential execution charges them — only host CPU
-///   is deduplicated.
-/// * **Fan-out** — spans carrying at least `min_fanout_bytes` of distinct
-///   AES work spread it across the persistent [`CipherPool`], sharded by
-///   `CipherJob::shard` so one worker owns all of a shard's work; smaller
-///   spans run inline, where the T-table path finishes before the pool
-///   round-trip would.
-pub(crate) fn run_jobs(
-    jobs: &mut Vec<CipherJob>,
-    pool: Option<&CipherPool>,
-    min_fanout_bytes: usize,
-    dedup: bool,
-) {
-    // Dedup by (shard, iv, fingerprint-of-ciphertext) buckets without
-    // cloning payloads: a bucket hit compares the actual bytes, so a
-    // fingerprint collision can only cost a comparison, never a wrong
-    // plaintext. Callers whose jobs are distinct by construction (log
-    // encryption: one job per unique record seq) pass `dedup: false`
-    // and skip the full-payload fingerprint pass entirely.
-    let fingerprint = |data: &[u8]| -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in data {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    };
-    let mut dups: Vec<(usize, usize)> = Vec::new();
-    let mut is_dup = vec![false; jobs.len()];
-    let mut distinct = jobs.len();
-    let mut distinct_bytes: usize = jobs.iter().map(|j| j.data.len()).sum();
-    if dedup {
-        let mut buckets: HashMap<(u64, [u8; 16], u64), Vec<usize>> =
-            HashMap::with_capacity(jobs.len());
-        distinct = 0;
-        distinct_bytes = 0;
-        for i in 0..jobs.len() {
-            let key = (jobs[i].shard, jobs[i].iv, fingerprint(&jobs[i].data));
-            let bucket = buckets.entry(key).or_default();
-            match bucket.iter().find(|&&r| jobs[r].data == jobs[i].data) {
-                Some(&rep) => {
-                    dups.push((i, rep));
-                    is_dup[i] = true;
-                }
-                None => {
-                    bucket.push(i);
-                    distinct += 1;
-                    distinct_bytes += jobs[i].data.len();
-                }
-            }
-        }
-    }
-    let workers = pool.map(CipherPool::workers).unwrap_or(1);
-    if workers <= 1 || distinct < MIN_FANOUT_JOBS || distinct_bytes < min_fanout_bytes {
-        for (i, job) in jobs.iter_mut().enumerate() {
-            if !is_dup[i] {
-                job.run();
-            }
-        }
-    } else {
-        let pool = pool.expect("workers > 1 implies a pool");
-        let mut slots: Vec<Option<CipherJob>> = jobs.drain(..).map(Some).collect();
-        let mut batches: Vec<Vec<(usize, CipherJob)>> = Vec::new();
-        batches.resize_with(workers, Vec::new);
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if !is_dup[i] {
-                let job = slot.take().expect("distinct job present");
-                let worker = (job.shard % workers as u64) as usize;
-                batches[worker].push((i, job));
-            }
-        }
-        for (i, job) in pool.dispatch(batches) {
-            slots[i] = Some(job);
-        }
-        jobs.extend(slots.into_iter().map(|s| s.expect("all jobs returned")));
-    }
-    for (dup, rep) in dups {
-        jobs[dup].data = jobs[rep].data.clone();
-    }
-}
-
-/// Apply + account: run the accumulated decrypt jobs (fanned out), patch
-/// their plaintexts into the deferred audit records, and commit the queue
-/// to the log store in sequence order. On encrypted-log profiles (P_SYS)
-/// the commit itself fans the records' payload AES out over the same
-/// workers first — see [`CompliantDb::commit_deferred`] — so the last
-/// serial AES of the account pass is gone.
-fn flush_span(db: &mut CompliantDb, jobs: &mut Vec<CipherJob>) {
-    db.config().fault.hit(CrashPoint::Apply);
-    run_jobs(jobs, db.pool(), db.fanout_bytes(), true);
-    for job in jobs.drain(..) {
-        db.fill_deferred(job.slot, job.data);
-    }
-    db.config().fault.hit(CrashPoint::Account);
-    db.commit_deferred();
-    flush_sector_crypto(db);
-}
-
-/// Drain the backend's deferred sector encryption (pages that crossed
-/// the buffer-pool/disk boundary during the span on a sector-encrypted
-/// substrate — P_GBench's LUKS shim) onto the same cipher workers. The
-/// sectors' simulated charges landed at write time; this is the pure
-/// host AES, the last serial crypto of the P_GBench hot path.
-///
-/// Runs as its own `run_jobs` call with `dedup: false`: sector jobs are
-/// distinct by construction (one per sector), and the dedup bucket key
-/// does not include which cipher a job carries, so they must never share
-/// a dedup pass with tuple jobs.
-fn flush_sector_crypto(db: &mut CompliantDb) {
-    let pending = db.backend_mut().take_pending_sector_crypto();
-    if pending.is_empty() {
-        return;
-    }
-    let mut jobs: Vec<CipherJob> = pending
-        .into_iter()
-        .map(|p| CipherJob {
-            slot: p.sector as usize,
-            shard: p.sector as u64,
-            cipher: p.cipher,
-            iv: p.iv,
-            data: p.data,
-        })
-        .collect();
-    run_jobs(&mut jobs, db.pool(), db.fanout_bytes(), false);
-    for job in jobs {
-        db.backend_mut()
-            .store_sector_ciphertext(job.slot as u32, job.data);
-    }
-}
-
-// ---------------------------------------------------------------------
-// The pipeline driver
-// ---------------------------------------------------------------------
-
 /// Execute a batch under `session`, returning one [`Response`] per
-/// request in submission order. Routes through the staged pipeline when
-/// [`EngineConfig::pipeline`] is set, and through the plain sequential
-/// loop otherwise; both paths share every cost-charging code line, so
-/// their observable behaviour is identical.
-pub(crate) fn execute<T: Borrow<Request>>(
+/// request in submission order.
+pub(crate) fn execute(
     db: &mut CompliantDb,
     session: &Session,
-    requests: &[T],
+    requests: &[Request],
 ) -> Vec<Response> {
     db.config().fault.hit(CrashPoint::Plan);
-    let mut responses = Vec::with_capacity(requests.len());
-    if !db.config().pipeline {
-        for (i, request) in requests.iter().enumerate() {
-            responses.push(run_one(db, session, request.borrow(), i, None));
-        }
-        return responses;
-    }
-    let segments = plan(requests.iter().map(Borrow::borrow), db.config());
-    let mut jobs: Vec<CipherJob> = Vec::new();
-    db.set_deferred(true);
-    for segment in segments {
-        match segment {
-            Segment::Span(range) => {
-                for i in range {
-                    responses.push(run_one(
-                        db,
-                        session,
-                        requests[i].borrow(),
-                        i,
-                        Some(&mut jobs),
-                    ));
-                }
-            }
-            Segment::Barrier(i) => {
-                // The barrier may redact the audit store: commit every
-                // deferred record first, exactly as sequential execution
-                // would have by this point.
-                flush_span(db, &mut jobs);
-                responses.push(run_one(db, session, requests[i].borrow(), i, None));
-            }
-        }
-    }
-    flush_span(db, &mut jobs);
-    db.set_deferred(false);
-    responses
-}
-
-/// Execute a queued burst of submissions — possibly from different
-/// sessions — through **one** staged pipeline, overlapping plan/decide/
-/// apply across submission boundaries: a read wave at the tail of one
-/// submission and the head of the next flush as a single span, so queue
-/// bursts amortize fan-out cost that per-call execution cannot.
-///
-/// The contract is the same as [`execute`]'s, extended across the burst:
-/// the account pass stays serial in global submission order, records are
-/// charged and sequenced exactly when sequential execution would have
-/// charged them, and each [`Response`] carries its index *within its own
-/// submission* — so replies, meter counters, forensic residuals and the
-/// audit chain's bytes are all indistinguishable from executing the
-/// submissions one at a time (the multi-session parity gate holds a
-/// concurrent engine to precisely this).
-///
-/// Before each submission's first decide the engine-wide [`EpochBus`] is
-/// observed, so a revoke published by any shard strands stale cached
-/// global allows here no later than the submission boundary.
-///
-/// [`EpochBus`]: datacase_policy::enforcer::EpochBus
-pub(crate) fn execute_many(
-    db: &mut CompliantDb,
-    submissions: &[(Session, Vec<Request>)],
-) -> Vec<Vec<Response>> {
-    if !db.config().pipeline {
-        return submissions
-            .iter()
-            .map(|(session, requests)| {
-                db.sync_epoch_bus();
-                execute(db, session, requests)
-            })
-            .collect();
-    }
-    db.config().fault.hit(CrashPoint::Plan);
-    // Flatten the burst while remembering each request's origin: plan()
-    // sees one stream (spans may straddle submission boundaries), but
-    // sessions and reply indices stay per-submission.
-    let mut origin: Vec<(usize, usize)> = Vec::new();
-    let mut flat: Vec<&Request> = Vec::new();
-    for (s, (_, requests)) in submissions.iter().enumerate() {
-        for (i, request) in requests.iter().enumerate() {
-            origin.push((s, i));
-            flat.push(request);
-        }
-    }
-    let segments = plan(flat.iter().copied(), db.config());
-    let mut out: Vec<Vec<Response>> = submissions
+    requests
         .iter()
-        .map(|(_, requests)| Vec::with_capacity(requests.len()))
-        .collect();
-    let mut jobs: Vec<CipherJob> = Vec::new();
-    let mut current = usize::MAX;
-    let mut sync_boundary = |db: &mut CompliantDb, s: usize| {
-        if s != current {
-            current = s;
-            db.sync_epoch_bus();
-        }
-    };
-    db.set_deferred(true);
-    for segment in segments {
-        match segment {
-            Segment::Span(range) => {
-                for g in range {
-                    let (s, i) = origin[g];
-                    sync_boundary(db, s);
-                    let response = run_one(db, &submissions[s].0, flat[g], i, Some(&mut jobs));
-                    out[s].push(response);
-                }
-            }
-            Segment::Barrier(g) => {
-                // The barrier may redact the audit store: commit every
-                // deferred record first, exactly as per-call execution
-                // would have by this point.
-                flush_span(db, &mut jobs);
-                let (s, i) = origin[g];
-                sync_boundary(db, s);
-                out[s].push(run_one(db, &submissions[s].0, flat[g], i, None));
-            }
-        }
-    }
-    flush_span(db, &mut jobs);
-    db.set_deferred(false);
-    out
+        .enumerate()
+        .map(|(i, request)| run_one(db, session, request, i))
+        .collect()
 }
 
 /// Admission control: a session past its deadline is denied without
@@ -669,17 +157,8 @@ fn in_scope(session: &Session, request: &Request) -> bool {
         _ => true,
     }
 }
-
-/// Execute one request in submission order. With `jobs` present (a
-/// pipelined span), point reads defer their decryption into the job
-/// queue; everything else runs to completion here either way.
-fn run_one(
-    db: &mut CompliantDb,
-    session: &Session,
-    request: &Request,
-    index: usize,
-    jobs: Option<&mut Vec<CipherJob>>,
-) -> Response {
+/// Execute one request to completion: decide, apply, account.
+fn run_one(db: &mut CompliantDb, session: &Session, request: &Request, index: usize) -> Response {
     db.config().fault.hit(CrashPoint::Decide);
     let seq_before = db.log_seq();
     let outcome = if !in_scope(session, request) {
@@ -687,23 +166,7 @@ fn run_one(
             reason: "key outside session scope".into(),
         })
     } else if admitted(db, session) {
-        match (jobs, classify(request)) {
-            (Some(jobs), RequestClass::ReadOnly) => {
-                db.tick_cadence();
-                let (outcome, job) = match request {
-                    Request::Read { key } => {
-                        db.read_deferred(*key, session.actor(), session.purpose())
-                    }
-                    Request::ReadMeta { key } => {
-                        db.read_meta_deferred(*key, session.actor(), session.purpose())
-                    }
-                    _ => unreachable!("ReadOnly covers exactly Read and ReadMeta"),
-                };
-                jobs.extend(job);
-                outcome
-            }
-            _ => db.apply(request, session.actor(), session.purpose(), session.scope()),
-        }
+        db.apply(request, session.actor(), session.purpose(), session.scope())
     } else {
         Err(EngineError::Denied {
             reason: "session deadline passed".into(),
@@ -718,84 +181,5 @@ fn run_one(
             records: seq_after - seq_before,
             at: db.clock().now(),
         },
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::profiles::ProfileKind;
-
-    fn read(key: u64) -> Request {
-        Request::Read { key }
-    }
-
-    #[test]
-    fn classify_covers_the_vocabulary() {
-        use datacase_core::grounding::erasure::ErasureInterpretation;
-        assert_eq!(classify(&read(1)), RequestClass::ReadOnly);
-        assert_eq!(
-            classify(&Request::ReadMeta { key: 1 }),
-            RequestClass::ReadOnly
-        );
-        assert_eq!(
-            classify(&Request::ReadByMeta {
-                selector: datacase_workloads::opstream::MetaSelector::BySubject(1),
-            }),
-            RequestClass::Scan
-        );
-        assert_eq!(
-            classify(&Request::Delete { key: 1 }),
-            RequestClass::Mutating
-        );
-        assert_eq!(
-            classify(&Request::Erase {
-                key: 1,
-                interpretation: ErasureInterpretation::Deleted,
-            }),
-            RequestClass::Compliance
-        );
-    }
-
-    #[test]
-    fn plan_spans_benign_mutations_and_breaks_at_compliance_verbs() {
-        use datacase_core::grounding::erasure::ErasureInterpretation;
-        let config = EngineConfig::p_base(); // no log redaction on delete
-        let reqs = [
-            read(1),
-            Request::Delete { key: 9 },
-            read(2),
-            Request::Erase {
-                key: 3,
-                interpretation: ErasureInterpretation::Deleted,
-            },
-            read(4),
-            read(5),
-        ];
-        let segments = plan(reqs.iter(), &config);
-        assert_eq!(
-            segments,
-            vec![
-                Segment::Span(0..3), // delete without log redaction stays in-span
-                Segment::Barrier(3), // erasure may redact the audit store
-                Segment::Span(4..6),
-            ]
-        );
-    }
-
-    #[test]
-    fn plan_breaks_at_deletes_on_log_redacting_profiles() {
-        let config = EngineConfig::for_profile(ProfileKind::PSys);
-        assert!(config.delete_logs_on_erase);
-        let reqs = [read(1), Request::Delete { key: 9 }, read(2)];
-        let segments = plan(reqs.iter(), &config);
-        assert_eq!(
-            segments,
-            vec![
-                Segment::Span(0..1),
-                Segment::Barrier(1),
-                Segment::Span(2..3),
-            ]
-        );
     }
 }

@@ -469,18 +469,15 @@ impl Frontend {
     /// This is the single enforcement choke point: session admission
     /// (deadline), purpose resolution, policy checks, audit-ref
     /// assignment, and checkpoint cadence all happen here and nowhere
-    /// else — execution itself runs through the staged batch pipeline
-    /// ([`crate::exec`]): requests are *planned* into read waves and
-    /// serial barriers, *decided* against the epoch-versioned policy
-    /// cache, *applied* (read payload work fans out across scoped worker
-    /// threads), and *accounted* (audit records committed in batch
-    /// order). Submitting one batch of *n* requests is semantically
-    /// identical to submitting *n* single-request batches, and pipelined
-    /// execution is observably identical to serial execution down to the
-    /// audit chain's bytes (the `prop_frontend` parity suite holds the
-    /// engine to both) — which is why the deadline gate is evaluated per
-    /// request: a deadline crossing mid-batch denies the tail exactly as
-    /// single-request submissions would.
+    /// else. Each request runs to completion in submission order —
+    /// *decided* against the epoch-versioned policy cache, *applied* to
+    /// the backend, *accounted* with a synchronous audit append — before
+    /// the next one starts. Submitting one batch of *n* requests is
+    /// therefore identical to submitting *n* single-request batches,
+    /// down to the audit chain's bytes (the `prop_frontend` batch-parity
+    /// property holds the engine to it) — which is why the deadline gate
+    /// is evaluated per request: a deadline crossing mid-batch denies
+    /// the tail exactly as single-request submissions would.
     pub fn submit(&mut self, session: &Session, batch: &Batch) -> Vec<Response> {
         crate::exec::execute(&mut self.db, session, batch.requests())
     }
@@ -702,8 +699,8 @@ impl Forensic<'_> {
 
     /// The audit chain's head MAC — a 32-byte digest over every record's
     /// bytes in order. Two engines whose heads match hold byte-identical
-    /// audit chains (the pipeline-parity gate compares pipelined and
-    /// serial runs through this).
+    /// audit chains (the batch-parity and serial-replay properties
+    /// compare runs through this).
     pub fn chain_head(&mut self) -> [u8; 32] {
         self.db.logger_mut().chain_head()
     }

@@ -21,16 +21,14 @@
 //! [`Actor`], declared purpose, and deadline, and typed [`Request`]s are
 //! submitted as [`Batch`]es — each answered with a [`Response`] whose
 //! outcome is `Result<Reply, EngineError>` plus an [`AuditRef`] into the
-//! audit log. Batches execute through the staged pipeline in [`exec`]
-//! (plan → decide → apply → account): policy checks resolve against an
-//! epoch-versioned decision cache, read payload work is coalesced and
-//! fanned out across scoped workers, and audit records commit in batch
-//! order — observably identical to serial execution down to the audit
-//! chain's bytes. The engine simultaneously maintains the Data-CASE
-//! *abstract model* (state + action history from `datacase-core`), so the
-//! compliance checker can audit any run; the erasure executor that maps
-//! grounded interpretations to system-action plans (Table 1) is driven by
-//! [`Request::Erase`] / [`Request::Restore`].
+//! audit log. Every request runs decide → apply → account to completion,
+//! in submission order: the policy check resolves against an
+//! epoch-versioned decision cache, and the audit record is appended
+//! before the reply is built. The engine simultaneously maintains the
+//! Data-CASE *abstract model* (state + action history from
+//! `datacase-core`), so the compliance checker can audit any run; the
+//! erasure executor that maps grounded interpretations to system-action
+//! plans (Table 1) is driven by [`Request::Erase`] / [`Request::Restore`].
 //!
 //! Every profile composes over a pluggable
 //! [`StorageBackend`](datacase_storage::backend::StorageBackend): the
@@ -46,7 +44,7 @@ pub mod concurrent;
 pub mod driver;
 pub mod erasure;
 pub mod error;
-pub mod exec;
+mod exec;
 pub mod frontend;
 pub mod pia;
 pub mod profiles;
@@ -63,7 +61,6 @@ pub use driver::{
 };
 pub use erasure::{lsm_erase, probe, probe_on, LsmEraseOutcome};
 pub use error::EngineError;
-pub use exec::RequestClass;
 pub use frontend::{AuditRef, Batch, Forensic, Frontend, Reply, Request, Response, Session};
 pub use pia::{assess, certify, Certificate, PiaReport};
 pub use profiles::{DeleteStrategy, EngineConfig, ProfileKind};

@@ -110,42 +110,23 @@ pub struct EngineConfig {
     pub fgac_index: bool,
     /// Capacity (entries) of the epoch-versioned policy-decision cache;
     /// `0` disables it. Off by default on every paper profile so measured
-    /// enforcement costs stay paper-faithful; production-style runs and
-    /// the pipeline benches turn it on with
-    /// [`EngineConfig::with_decision_cache`]. Decisions (allows **and**
-    /// denials) are stamped with the [`PolicyEpoch`] they were computed
-    /// at and revalidated by epoch comparison — stale entries are
-    /// structurally unreachable, no TTL involved.
+    /// enforcement costs stay paper-faithful; production-style runs turn
+    /// it on with [`EngineConfig::with_decision_cache`]. Decisions
+    /// (allows **and** denials) are stamped with the [`PolicyEpoch`] they
+    /// were computed at and revalidated by epoch comparison — stale
+    /// entries are structurally unreachable, no TTL involved.
     ///
     /// [`PolicyEpoch`]: datacase_policy::enforcer::PolicyEpoch
     pub decision_cache: usize,
-    /// Execute batches through the staged pipeline (plan → decide →
-    /// apply → account) in [`Frontend::submit`]: read-only runs fan
-    /// payload work out across scoped worker threads while the simulated
-    /// cost stream — and therefore replies, meter, and the audit chain —
-    /// stays byte-identical to serial execution (the `prop_frontend`
-    /// parity suite enforces this). On by default.
-    ///
-    /// [`Frontend::submit`]: crate::frontend::Frontend::submit
-    pub pipeline: bool,
-    /// Worker threads for the pipeline's apply stage; `0` picks the host
-    /// parallelism (capped at 8). Sharding of work across workers is by
-    /// unit id, so per-unit ordering is stable.
-    pub pipeline_workers: usize,
-    /// Minimum distinct payload bytes in a span before its AES work fans
-    /// out across worker threads; smaller spans run inline, where the
-    /// T-table path finishes faster than the workers could be spawned.
-    /// Lower it (tests use `0`) to force the threaded path.
-    pub pipeline_fanout_bytes: usize,
     /// Which AES implementation every crypto path this engine constructs
     /// (tuple vault, sector cipher, encrypted audit log) runs on:
     /// [`CryptoBackend::Auto`] (the default) detects hardware AES-NI and
-    /// falls back to the software T-table path; `Software`/`Hardware`/
-    /// `Reference` force a series for the crypto A/B. Scoped to this
-    /// engine instance: selecting a backend for one bench engine cannot
-    /// reroute concurrent engines (or shards) in the same process.
-    /// Ciphertext is byte-identical across backends; only wall-clock
-    /// changes.
+    /// falls back to the software T-table path; `Software`/`Hardware`
+    /// force one implementation and `Reference` is the byte-oriented
+    /// FIPS-197 test oracle. Scoped to this engine instance: selecting a
+    /// backend for one engine cannot reroute concurrent engines (or
+    /// shards) in the same process. Ciphertext is byte-identical across
+    /// backends; only wall-clock changes.
     pub crypto_backend: CryptoBackend,
     /// Capacity (entries) of the [`KeyVault`] keystream cache; `0`
     /// disables it. A hit serves a hot tuple's CTR keystream from memory
@@ -169,11 +150,6 @@ pub struct EngineConfig {
     pub fault: FaultInjector,
 }
 
-/// Default [`EngineConfig::pipeline_fanout_bytes`]: ~200 µs of AES at
-/// T-table throughput, about where fan-out starts beating worker spawn
-/// cost.
-pub const DEFAULT_FANOUT_BYTES: usize = 64 * 1024;
-
 impl EngineConfig {
     /// Stock engine (vanilla PSQL stand-in) with a delete strategy —
     /// the Figure 4a/Table 1 configuration.
@@ -192,9 +168,6 @@ impl EngineConfig {
             people: 1000,
             fgac_index: true,
             decision_cache: 0,
-            pipeline: true,
-            pipeline_workers: 0,
-            pipeline_fanout_bytes: DEFAULT_FANOUT_BYTES,
             crypto_backend: CryptoBackend::Auto,
             keystream_cache: 0,
             fault: FaultInjector::disabled(),
@@ -217,9 +190,6 @@ impl EngineConfig {
             people: 1000,
             fgac_index: true,
             decision_cache: 0,
-            pipeline: true,
-            pipeline_workers: 0,
-            pipeline_fanout_bytes: DEFAULT_FANOUT_BYTES,
             crypto_backend: CryptoBackend::Auto,
             keystream_cache: 0,
             fault: FaultInjector::disabled(),
@@ -245,9 +215,6 @@ impl EngineConfig {
             people: 1000,
             fgac_index: true,
             decision_cache: 0,
-            pipeline: true,
-            pipeline_workers: 0,
-            pipeline_fanout_bytes: DEFAULT_FANOUT_BYTES,
             crypto_backend: CryptoBackend::Auto,
             keystream_cache: 0,
             fault: FaultInjector::disabled(),
@@ -270,9 +237,6 @@ impl EngineConfig {
             people: 1000,
             fgac_index: true,
             decision_cache: 0,
-            pipeline: true,
-            pipeline_workers: 0,
-            pipeline_fanout_bytes: DEFAULT_FANOUT_BYTES,
             crypto_backend: CryptoBackend::Auto,
             keystream_cache: 0,
             fault: FaultInjector::disabled(),
@@ -310,14 +274,6 @@ impl EngineConfig {
         self
     }
 
-    /// The same configuration with the batch pipeline forced on or off
-    /// (parity harnesses compare both modes; results are identical by
-    /// contract, only wall-clock time differs).
-    pub fn with_pipeline(mut self, pipeline: bool) -> EngineConfig {
-        self.pipeline = pipeline;
-        self
-    }
-
     /// The same configuration with the crash-injection plane set. The
     /// chaos harness arms one [`CrashPoint`](datacase_sim::fault::CrashPoint)
     /// per run; the injector is shared (Arc) with the storage configs at
@@ -329,22 +285,10 @@ impl EngineConfig {
     }
 
     /// The same configuration with every AES path this engine constructs
-    /// routed through `backend` — the per-engine selector the crypto A/B
-    /// harness sets. See [`EngineConfig::crypto_backend`].
+    /// routed through `backend`. See [`EngineConfig::crypto_backend`].
     pub fn with_crypto_backend(mut self, backend: CryptoBackend) -> EngineConfig {
         self.crypto_backend = backend;
         self
-    }
-
-    /// Back-compat shim: `true` is [`CryptoBackend::Reference`], `false`
-    /// the default [`CryptoBackend::Auto`]. Prefer
-    /// [`with_crypto_backend`](EngineConfig::with_crypto_backend).
-    pub fn with_reference_crypto(self, on: bool) -> EngineConfig {
-        self.with_crypto_backend(if on {
-            CryptoBackend::Reference
-        } else {
-            CryptoBackend::Auto
-        })
     }
 
     /// Is data encrypted at rest under this configuration? Per-tuple

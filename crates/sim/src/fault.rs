@@ -1,7 +1,7 @@
 //! Deterministic fault injection: named crash points and the shared
 //! injection plane the chaos harness arms.
 //!
-//! Every layer of the stack (engine pipeline stages, WAL append and
+//! Every layer of the stack (engine execution steps, WAL append and
 //! checkpoint boundaries, LSM compaction, mid-erasure key destruction and
 //! unit purging) calls [`FaultInjector::hit`] at a named [`CrashPoint`].
 //! The injector is an `Option<Arc<_>>`: the disabled default is a single
@@ -34,13 +34,14 @@ use std::sync::Arc;
 /// `destroy-key`, ...) used by the chaos DSL, `repro chaos`, and the docs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CrashPoint {
-    /// Engine pipeline: after a batch is planned into spans/barriers.
+    /// Engine: on entry to a batch, before its first request.
     Plan,
-    /// Engine pipeline: before a request's policy decision.
+    /// Engine: before a request's admission and policy decision.
     Decide,
-    /// Engine pipeline: before a span's payload work is applied.
+    /// Engine: before an admitted request touches the backend or the
+    /// abstract model.
     Apply,
-    /// Engine pipeline: before deferred audit records are committed.
+    /// Engine: before an audit record enters the log store.
     Account,
     /// Storage: before a WAL record is appended.
     WalAppend,

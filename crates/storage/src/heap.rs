@@ -44,15 +44,6 @@ pub struct HeapConfig {
     /// ([`CryptoBackend::Auto`] detects hardware AES at construction;
     /// per-instance bench A/B; ciphertext bytes are unchanged).
     pub crypto_backend: CryptoBackend,
-    /// Capacity (pages) of the disk's sector-keystream cache; `0`
-    /// disables it. A sector's CTR keystream is a pure function of the
-    /// disk key and the sector number, so cached streams never go stale
-    /// and hold no sector content — hot pages cross the cipher as a XOR
-    /// while ciphertext bytes, remanence ghosts, and all simulated
-    /// charges stay bit-identical. Ignored (bypassed) when
-    /// [`crypto_backend`](HeapConfig::crypto_backend) resolves to the
-    /// reference path, so A/B baselines keep their honest cost.
-    pub sector_keystream_pages: usize,
     /// Crash-injection plane shared with the engine (chaos harness).
     /// The disabled default makes every tap a single `None` check.
     pub fault: FaultInjector,
@@ -65,7 +56,6 @@ impl Default for HeapConfig {
             disk_passphrase: None,
             fsync_per_commit: true,
             crypto_backend: CryptoBackend::Auto,
-            sector_keystream_pages: 4096,
             fault: FaultInjector::disabled(),
         }
     }
@@ -159,8 +149,7 @@ impl HeapDb {
                 meter.clone(),
                 SectorCipher::from_passphrase(pass, datacase_crypto::aes::KeySize::Aes256)
                     .with_backend(config.crypto_backend),
-            )
-            .with_keystream_cache(config.sector_keystream_pages),
+            ),
             None => Disk::new(clock.clone(), meter.clone()),
         };
         HeapDb {
@@ -632,11 +621,6 @@ impl HeapDb {
     /// The underlying disk (forensics).
     pub fn disk(&self) -> &Disk {
         &self.disk
-    }
-
-    /// Mutable access to the underlying disk (deferred sector crypto).
-    pub fn disk_mut(&mut self) -> &mut Disk {
-        &mut self.disk
     }
 
     /// The WAL (forensics, recovery).

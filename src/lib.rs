@@ -53,13 +53,13 @@ pub mod prelude {
     pub use datacase_engine::concurrent::{
         merged_chain_head, ConcurrentEngine, EngineHandle, SubmitStamp, Ticket,
     };
+    pub use datacase_engine::driver::RunStats;
     pub use datacase_engine::error::EngineError;
     pub use datacase_engine::frontend::{
         AuditRef, Batch, Frontend, Reply, Request, Response, Session,
     };
     pub use datacase_engine::profiles::{DeleteStrategy, EngineConfig, ProfileKind};
     pub use datacase_engine::Actor;
-    pub use datacase_engine::{driver::RunStats, RequestClass};
     pub use datacase_policy::enforcer::PolicyEpoch;
     pub use datacase_server::{Client, Server, TenantSpec};
     pub use datacase_sim::time::{Dur, Ts};

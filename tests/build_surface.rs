@@ -26,7 +26,6 @@ const EXAMPLES: &[&str] = &[
     "compliance_by_construction",
     "metaspace_case_study",
     "multinational",
-    "pipelined_batches",
     "policy_audit",
     "quickstart",
     "right_to_be_forgotten",
@@ -45,7 +44,6 @@ const BENCHES: &[&str] = &[
     "fig4c_scalability",
     "micro_substrates",
     "mt_throughput",
-    "pipeline_throughput",
     "server_throughput",
     "table1_erasure_actions",
     "table2_space_factor",

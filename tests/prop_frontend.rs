@@ -4,15 +4,10 @@
 //!
 //! * **Batch parity** — submitting one batch of *n* requests must be
 //!   indistinguishable from *n* single-request submissions: same reply
-//!   stream, same work-meter counters, same forensic residuals. This is
-//!   what makes the drivers' batch-first execution safe.
-//! * **Pipeline parity** — executing through the staged batch pipeline
-//!   (plan → decide → apply → account, with read waves fanned out across
-//!   worker threads) must be indistinguishable from plain serial
-//!   execution, down to the **bytes of the audit chain**: every record's
-//!   sequence number, timestamp, and payload must match, or the chain
-//!   heads diverge. Pipelining amortizes wall-clock time, never
-//!   semantics.
+//!   stream, same work-meter counters, same forensic residuals, and the
+//!   same **bytes of the audit chain** — every record's sequence number,
+//!   timestamp, and payload must match, or the chain heads diverge. This
+//!   is what makes the drivers' batch-first execution safe.
 //! * **Multi-session parity** — interleaved batches from ≥3 concurrent
 //!   sessions through the sharded [`ConcurrentEngine`] must replay
 //!   serially: the (shard, seq) stamps recorded by the concurrent run,
@@ -32,10 +27,9 @@ type StampedReplies = Vec<(Vec<Response>, Vec<SubmitStamp>)>;
 /// One multi-session run against the sharded concurrent engine: load
 /// through the handle, then fire `schedule`-ordered sub-batches from
 /// `sessions` interleaved sessions. With `overlap` every ticket is
-/// submitted before any is redeemed, so shard queues back up and workers
-/// fuse cross-session bursts through one staged pipeline; without it each
-/// ticket is awaited immediately — the serial witness with the identical
-/// per-shard arrival order. Returns the per-submission responses and
+/// submitted before any is redeemed, so shard queues back up behind the
+/// workers; without it each ticket is awaited immediately — the serial
+/// witness with the identical per-shard arrival order. Returns the per-submission responses and
 /// stamps (in firing order), the engine-wide forensic residual count, and
 /// the merged audit chain head.
 fn concurrent_run(
@@ -96,11 +90,10 @@ fn concurrent_run(
 }
 
 /// One full run: load `records`, then execute `txns` WCus requests in
-/// submissions of `batch_size`, with the pipeline forced on or off and a
-/// decision cache of `cache` entries. Returns the outcome stream, the
-/// meter counters, the count of forensic residuals for the workload's
-/// payload marker, and the audit chain's head MAC.
-#[allow(clippy::too_many_arguments)]
+/// submissions of `batch_size`, with a decision cache of `cache` entries.
+/// Returns the outcome stream, the meter counters, the count of forensic
+/// residuals for the workload's payload marker, and the audit chain's
+/// head MAC.
 fn run(
     backend: BackendKind,
     profile: ProfileKind,
@@ -108,7 +101,6 @@ fn run(
     records: usize,
     txns: usize,
     batch_size: usize,
-    pipeline: bool,
     cache: usize,
 ) -> (
     Vec<Result<Reply, EngineError>>,
@@ -118,15 +110,8 @@ fn run(
 ) {
     let mut config = EngineConfig::for_profile(profile)
         .with_backend(backend)
-        .with_pipeline(pipeline)
         .with_decision_cache(cache);
     config.maintenance_every = 25;
-    // Force several apply-stage workers so the scoped-thread fan-out path
-    // is exercised (and proven identical) regardless of host core count,
-    // and drop the byte threshold so these small GDPRBench payloads
-    // actually cross it.
-    config.pipeline_workers = 3;
-    config.pipeline_fanout_bytes = 0;
     let mut fe = Frontend::new(config);
     let mut bench = GdprBench::new(seed, 60);
     let controller = Session::new(Actor::Controller);
@@ -153,8 +138,9 @@ fn run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Batch-submit ≡ sequential-execute, on heap and LSM: the reply
-    /// stream, the meter snapshot, and the forensic-residual count all
+    /// Batch-submit ≡ sequential-execute, on heap and LSM, with and
+    /// without the decision cache: the reply stream, the meter snapshot,
+    /// the forensic-residual count, **and the audit chain's bytes** all
     /// agree between single-request submissions and arbitrary batch
     /// sizes.
     #[test]
@@ -162,11 +148,13 @@ proptest! {
         seed in 0u64..10_000,
         batch_size in 2usize..96,
         txns in 40usize..120,
+        cached in proptest::bool::ANY,
     ) {
+        let cache = if cached { 1024 } else { 0 };
         for backend in BackendKind::ALL {
-            for profile in [ProfileKind::PBase, ProfileKind::PSys] {
-                let sequential = run(backend, profile, seed, 60, txns, 1, true, 0);
-                let batched = run(backend, profile, seed, 60, txns, batch_size, true, 0);
+            for profile in ProfileKind::PAPER {
+                let sequential = run(backend, profile, seed, 60, txns, 1, cache);
+                let batched = run(backend, profile, seed, 60, txns, batch_size, cache);
                 prop_assert_eq!(
                     &sequential.0,
                     &batched.0,
@@ -191,54 +179,13 @@ proptest! {
                     profile,
                     batch_size
                 );
-            }
-        }
-    }
-
-    /// Pipeline parity: with the pipeline forced on and off over the same
-    /// request stream (and with or without the decision cache), replies,
-    /// meter counters, forensic residuals, **and the audit chain's
-    /// bytes** all agree — every record's sequence number, timestamp, and
-    /// payload is identical, or the chain-head MACs would diverge.
-    #[test]
-    fn pipeline_on_and_off_produce_identical_runs_and_audit_chains(
-        seed in 0u64..10_000,
-        batch_size in 24usize..128,
-        txns in 60usize..160,
-        cached in proptest::bool::ANY,
-    ) {
-        let cache = if cached { 1024 } else { 0 };
-        for backend in BackendKind::ALL {
-            for profile in [ProfileKind::PBase, ProfileKind::PSys] {
-                let serial = run(backend, profile, seed, 60, txns, batch_size, false, cache);
-                let piped = run(backend, profile, seed, 60, txns, batch_size, true, cache);
                 prop_assert_eq!(
-                    &serial.0,
-                    &piped.0,
-                    "{:?}/{:?}: reply streams diverged between modes",
+                    sequential.3,
+                    batched.3,
+                    "{:?}/{:?}: audit chains are not byte-identical (batch={})",
                     backend,
-                    profile
-                );
-                prop_assert_eq!(
-                    serial.1,
-                    piped.1,
-                    "{:?}/{:?}: meter snapshots diverged between modes",
-                    backend,
-                    profile
-                );
-                prop_assert_eq!(
-                    serial.2,
-                    piped.2,
-                    "{:?}/{:?}: forensic residuals diverged between modes",
-                    backend,
-                    profile
-                );
-                prop_assert_eq!(
-                    serial.3,
-                    piped.3,
-                    "{:?}/{:?}: audit chains are not byte-identical between modes",
-                    backend,
-                    profile
+                    profile,
+                    batch_size
                 );
             }
         }
@@ -303,8 +250,8 @@ proptest! {
 
     /// Multi-session parity: ≥3 sessions firing interleaved sub-batches
     /// into the sharded concurrent engine — tickets outstanding
-    /// simultaneously, shard workers fusing cross-session bursts — must be
-    /// indistinguishable from replaying the same per-shard arrival order
+    /// simultaneously, submissions queued behind the shard workers — must
+    /// be indistinguishable from replaying the same per-shard arrival order
     /// one submission at a time: same replies, same (shard, seq) stamps,
     /// same forensic residuals, and a byte-identical merged audit chain.
     /// On heap and LSM both.
