@@ -9,32 +9,14 @@ use crate::record::{HmacChain, LogRecord};
 
 /// A logging backend: persists records, accounts bytes, stays
 /// tamper-evident, and supports per-unit redaction.
-///
-/// Persisting a record has two halves: [`charge`](AuditLogger::charge)
-/// pays the record's simulated costs (only the payload *length* is
-/// needed), and [`append_precharged`](AuditLogger::append_precharged)
-/// commits the record to the store and the chain without charging again.
-/// The plain [`log`](AuditLogger::log) is the composition of the two.
 pub trait AuditLogger: Send {
     /// Backend display name.
     fn name(&self) -> &'static str;
 
-    /// Persist one record (charges log costs): exactly
-    /// `charge(&rec, rec.payload.len())` then `append_precharged(rec)`.
-    fn log(&mut self, rec: LogRecord) {
-        self.charge(&rec, rec.payload.len());
-        self.append_precharged(rec);
-    }
-
-    /// Charge the simulated costs of persisting `rec` as if its payload
-    /// held `payload_len` bytes, without storing anything — only the
-    /// length drives costs (log bytes, AES work), never the content.
-    fn charge(&mut self, rec: &LogRecord, payload_len: usize);
-
-    /// Commit a record whose costs were already charged via
-    /// [`charge`](AuditLogger::charge). The record joins the store and the
-    /// tamper-evidence chain in call order.
-    fn append_precharged(&mut self, rec: LogRecord);
+    /// Persist one record: pay its simulated costs (log bytes, AES work —
+    /// driven by the stored length, never the content), then commit it to
+    /// the store and the tamper-evidence chain in call order.
+    fn log(&mut self, rec: LogRecord);
 
     /// The chain's current head MAC, resealing pending redactions first —
     /// a 32-byte digest two logs can be compared by.
@@ -93,17 +75,14 @@ impl LogCore {
         }
     }
 
-    /// Pay for a record of `size` stored bytes (clock + meter + space
-    /// accounting) without storing anything yet.
-    fn charge(&mut self, size: usize) {
+    /// Pay for `rec` as stored (clock + meter + space accounting), then
+    /// commit it to the store and the chain.
+    fn append(&mut self, rec: LogRecord) {
+        let size = rec.size();
         self.clock.charge(self.clock.model().log_cost(size));
         Meter::bump(&self.meter.log_records, 1);
         Meter::bump(&self.meter.log_bytes, size as u64);
         self.bytes += size as u64;
-    }
-
-    /// Store a record whose costs were already charged.
-    fn store(&mut self, rec: LogRecord) {
         self.chain.extend(&rec.chain_bytes());
         if let Some(unit) = rec.unit {
             self.by_unit
@@ -220,17 +199,10 @@ impl AuditLogger for CsvRowLogger {
         "csv row-level (P_Base)"
     }
 
-    fn charge(&mut self, rec: &LogRecord, payload_len: usize) {
+    fn log(&mut self, mut rec: LogRecord) {
         // Row-level: only a truncated response row is stored.
-        let stored = payload_len.min(CSV_ROW_CAP);
-        self.core.charge(rec.size_with(stored));
-    }
-
-    fn append_precharged(&mut self, mut rec: LogRecord) {
-        if rec.payload.len() > CSV_ROW_CAP {
-            rec.payload.truncate(CSV_ROW_CAP);
-        }
-        self.core.store(rec);
+        rec.payload.truncate(CSV_ROW_CAP);
+        self.core.append(rec);
     }
 
     fn chain_head(&mut self) -> [u8; 32] {
@@ -289,19 +261,13 @@ impl AuditLogger for FullQueryLogger {
         "full query+response (P_GBench)"
     }
 
-    fn charge(&mut self, rec: &LogRecord, payload_len: usize) {
+    fn log(&mut self, mut rec: LogRecord) {
         // The stored payload is the synthesised query text plus the
         // response payload.
-        let query_len = query_text(rec).len();
-        self.core
-            .charge(40 + rec.op.len() + query_len + payload_len);
-    }
-
-    fn append_precharged(&mut self, mut rec: LogRecord) {
         let mut payload = query_text(&rec).into_bytes();
         payload.extend_from_slice(&rec.payload);
         rec.payload = payload;
-        self.core.store(rec);
+        self.core.append(rec);
     }
 
     fn chain_head(&mut self) -> [u8; 32] {
@@ -384,19 +350,16 @@ impl AuditLogger for EncryptedLogger {
         "encrypted AES-128 (P_SYS)"
     }
 
-    fn charge(&mut self, rec: &LogRecord, payload_len: usize) {
+    fn log(&mut self, mut rec: LogRecord) {
+        let payload_len = rec.payload.len();
         self.core
             .clock
             .charge(self.core.clock.model().aes_cost(128, payload_len));
         Meter::bump(&self.core.meter.crypto_bytes, payload_len as u64);
         // AES-CTR: ciphertext length equals plaintext length.
-        self.core.charge(rec.size_with(payload_len));
-    }
-
-    fn append_precharged(&mut self, mut rec: LogRecord) {
         self.cipher
             .apply(AesCtr::iv_from_nonce(rec.seq), &mut rec.payload);
-        self.core.store(rec);
+        self.core.append(rec);
     }
 
     fn chain_head(&mut self) -> [u8; 32] {
@@ -527,21 +490,6 @@ mod tests {
         let mut csv = CsvRowLogger::new(b"k", clock, meter);
         csv.log(rec(1, 1, &vec![9u8; 500]));
         assert!(csv.bytes() < 200, "row-level keeps it compact");
-    }
-
-    #[test]
-    fn charge_then_append_equals_log() {
-        // The split halves must compose to exactly what log() does —
-        // same bytes, same meter counts, same clock charges, same chain.
-        for (mut split, mut whole) in backends().into_iter().zip(backends()) {
-            let r = rec(1, 1, b"some-payload-bytes");
-            split.charge(&r, r.payload.len());
-            split.append_precharged(r.clone());
-            whole.log(r);
-            assert_eq!(split.records(), whole.records(), "{}", split.name());
-            assert_eq!(split.bytes(), whole.bytes(), "{}", split.name());
-            assert_eq!(split.chain_head(), whole.chain_head(), "{}", split.name());
-        }
     }
 
     #[test]

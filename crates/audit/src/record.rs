@@ -30,15 +30,7 @@ pub struct LogRecord {
 impl LogRecord {
     /// Serialized size estimate (for space accounting and log costs).
     pub fn size(&self) -> usize {
-        self.size_with(self.payload.len())
-    }
-
-    /// [`size`](LogRecord::size) as if the payload held `payload_len`
-    /// bytes — what loggers charge for a record whose stored payload
-    /// differs in length from the one it arrived with. Keep in lockstep
-    /// with [`size`](LogRecord::size).
-    pub fn size_with(&self, payload_len: usize) -> usize {
-        40 + self.op.len() + payload_len
+        40 + self.op.len() + self.payload.len()
     }
 
     /// Canonical bytes fed to the HMAC chain.

@@ -2,15 +2,11 @@
 //!
 //! Usage:
 //! ```text
-//! repro [--quick] [fig1|fig3|fig4a|fig4b|fig4c|table1|table2|backends|crypto|mt|server|invariants|ablations|checks|chaos|all]
+//! repro [--quick] [fig1|table1|fig3|fig4a|fig4b|fig4c|table2|backends|invariants|ablations|chaos|checks|all]...
 //! ```
 //!
-//! `crypto` additionally writes the crypto-substrate before/after
-//! throughput plus encrypted-profile wall times to
-//! `BENCH_crypto.json`, `mt` writes the concurrent-engine
-//! multi-session scaling cells to `BENCH_mt.json`, and `server` writes
-//! the served-engine clients × tenants × backend wire-throughput cells
-//! to `BENCH_server.json` (the repo's wall-clock perf trajectory).
+//! No target (or `all`) runs everything; an unknown target or flag
+//! prints the usage line on stderr and exits with code 2.
 //!
 //! `--quick` divides record/transaction counts by 10 (useful for smoke
 //! runs); the default is paper-faithful sizes (100k records, 10k txns,
@@ -24,17 +20,61 @@
 
 use datacase_bench::figures::{self, Scale};
 
+/// Every target, in the order `all` prints them.
+const TARGETS: [&str; 12] = [
+    "fig1",
+    "table1",
+    "fig3",
+    "fig4a",
+    "fig4b",
+    "fig4c",
+    "table2",
+    "backends",
+    "invariants",
+    "ablations",
+    "chaos",
+    "checks",
+];
+
+/// A parsed command line: the scale flag and the selected targets.
+#[derive(Debug, PartialEq)]
+struct Args {
+    quick: bool,
+    targets: Vec<&'static str>,
+}
+
+/// Parse the arguments after the program name. No target, or `all`
+/// among them, selects every target; the error is the offending
+/// argument.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut quick = false;
+    let mut all = false;
+    let mut targets = Vec::new();
+    for arg in args {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "all" => all = true,
+            name => match TARGETS.iter().find(|t| **t == name) {
+                Some(target) => targets.push(*target),
+                None => return Err(arg.clone()),
+            },
+        }
+    }
+    if all || targets.is_empty() {
+        targets = TARGETS.to_vec();
+    }
+    Ok(Args { quick, targets })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let Args { quick, targets } = parse_args(&args).unwrap_or_else(|bad| {
+        eprintln!("repro: unknown argument `{bad}`");
+        eprintln!("usage: repro [--quick] [{}|all]...", TARGETS.join("|"));
+        std::process::exit(2);
+    });
     let scale = if quick { Scale::QUICK } else { Scale::FULL };
-    let targets: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
-    let all = targets.is_empty() || targets.contains(&"all");
-    let want = |name: &str| all || targets.contains(&name);
+    let want = |name: &str| targets.contains(&name);
 
     println!("Data-CASE reproduction harness (scale = 1/{})\n", scale.0);
 
@@ -67,49 +107,6 @@ fn main() {
     }
     if want("backends") {
         println!("{}", figures::backend_matrix(scale).render_text());
-    }
-    if want("crypto") {
-        // Log what the runtime dispatcher picked so every recorded run
-        // is attributable to the silicon it measured.
-        println!(
-            "crypto backend: Auto resolves to \"{}\" on this host (hardware AES {})\n",
-            datacase_crypto::CryptoBackend::Auto.resolve(),
-            if datacase_crypto::CryptoBackend::hardware_available() {
-                "detected"
-            } else {
-                "not detected"
-            }
-        );
-        let (micro, e2e_table, points, e2e) = figures::crypto_matrix(scale);
-        println!("{}", micro.render_text());
-        println!("{}", e2e_table.render_text());
-        let json = figures::crypto_json(&points, &e2e, scale);
-        match std::fs::write("BENCH_crypto.json", &json) {
-            Ok(()) => println!(
-                "wrote BENCH_crypto.json ({} substrates, {} end-to-end cells)\n",
-                points.len(),
-                e2e.len()
-            ),
-            Err(e) => println!("could not write BENCH_crypto.json: {e}\n"),
-        }
-    }
-    if want("mt") {
-        let (table, points) = figures::mt_matrix(scale);
-        println!("{}", table.render_text());
-        let json = figures::mt_json(&points, scale);
-        match std::fs::write("BENCH_mt.json", &json) {
-            Ok(()) => println!("wrote BENCH_mt.json ({} cells)\n", points.len()),
-            Err(e) => println!("could not write BENCH_mt.json: {e}\n"),
-        }
-    }
-    if want("server") {
-        let (table, points) = figures::server_matrix(scale);
-        println!("{}", table.render_text());
-        let json = figures::server_json(&points, scale);
-        match std::fs::write("BENCH_server.json", &json) {
-            Ok(()) => println!("wrote BENCH_server.json ({} cells)\n", points.len()),
-            Err(e) => println!("could not write BENCH_server.json: {e}\n"),
-        }
     }
     if want("invariants") {
         let (clean, dirty) = figures::invariants_demo();
@@ -172,5 +169,40 @@ fn main() {
         if !all_ok {
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parse_args_selects_named_targets_and_rejects_unknown_ones() {
+        let picked = parse(&["--quick", "fig4b", "table2"]).expect("valid targets");
+        assert_eq!(
+            picked,
+            Args {
+                quick: true,
+                targets: vec!["fig4b", "table2"]
+            }
+        );
+        // Nothing named, or `all` anywhere, selects every target.
+        let everything = Args {
+            quick: false,
+            targets: TARGETS.to_vec(),
+        };
+        assert_eq!(parse(&[]), Ok(everything));
+        assert_eq!(
+            parse(&["fig1", "all"]).expect("all is valid").targets,
+            TARGETS
+        );
+        // A retired harness name or a mistyped flag is an error naming
+        // the argument, never an empty run that exits 0.
+        assert_eq!(parse(&["crypto"]), Err("crypto".into()));
+        assert_eq!(parse(&["fig1", "--quik"]), Err("--quik".into()));
     }
 }

@@ -7,18 +7,16 @@ use datacase_core::grounding::table::{Backend, GroundingTable};
 use datacase_core::invariants::full_catalog;
 use datacase_core::regulation::Regulation;
 use datacase_core::timeline::ErasureTimeline;
-use datacase_engine::driver::{run_ops, run_ops_batched, RunStats};
+use datacase_engine::driver::{run_ops, RunStats};
 use datacase_engine::erasure::probe;
 use datacase_engine::frontend::{Batch, Frontend, Request, Session};
 use datacase_engine::profiles::{DeleteStrategy, EngineConfig, ProfileKind};
 use datacase_engine::space::SpaceReport;
 use datacase_engine::Actor;
 use datacase_sim::report::{f3, Table};
-use datacase_sim::time::{Dur, Ts};
 use datacase_storage::backend::BackendKind;
 use datacase_workloads::gdprbench::{GdprBench, Mix};
 use datacase_workloads::ycsb::{Ycsb, YcsbWorkload};
-use std::time::Instant;
 
 /// Scale knob for quick runs (divides record/txn counts).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -745,846 +743,6 @@ pub fn ablation_aes_strength(scale: Scale) -> Table {
     table
 }
 
-// ---------------------------------------------------------------------
-// Crypto-substrate throughput (BENCH_crypto.json)
-// ---------------------------------------------------------------------
-
-/// One measured crypto-substrate cell: host throughput through the
-/// retained byte-oriented reference path, the software T-table /
-/// lane-XOR path, and (on AES-NI hosts) the hardware path, over the
-/// same buffers.
-#[derive(Clone, Debug)]
-pub struct CryptoPoint {
-    /// Substrate label (cipher × buffer shape).
-    pub substrate: &'static str,
-    /// Bytes per measured pass.
-    pub buf_bytes: usize,
-    /// Reference-path throughput in MB/s.
-    pub ref_mb_s: f64,
-    /// Software (T-table) path throughput in MB/s.
-    pub fast_mb_s: f64,
-    /// Hardware (AES-NI) path throughput in MB/s; `None` when the host
-    /// has no usable hardware AES.
-    pub hw_mb_s: Option<f64>,
-}
-
-impl CryptoPoint {
-    /// software ÷ reference.
-    pub fn speedup(&self) -> f64 {
-        self.fast_mb_s / self.ref_mb_s
-    }
-
-    /// hardware ÷ software, when the hardware series ran.
-    pub fn hw_speedup(&self) -> Option<f64> {
-        self.hw_mb_s.map(|hw| hw / self.fast_mb_s)
-    }
-}
-
-/// One end-to-end encrypted-profile cell: transaction-phase wall times
-/// through up to three crypto backends of the *same* engine build — the
-/// retained byte-oriented reference rounds, the software T-table path,
-/// and on AES-NI hosts the hardware backend — each selected per engine
-/// via [`EngineConfig::with_crypto_backend`], so results are
-/// bit-identical and only wall time moves.
-///
-/// The reference cells isolate the *round/XOR implementation*: cached
-/// key schedules stay active in them, so the reported speedup is a
-/// **lower bound** on the gap to the pre-overhaul engine.
-#[derive(Clone, Debug)]
-pub struct CryptoEndToEnd {
-    /// The encrypted profile under test.
-    pub profile: ProfileKind,
-    /// The YCSB mix driving it.
-    pub workload: YcsbWorkload,
-    /// Transactions executed.
-    pub ops: usize,
-    /// Best-of-reps wall ms on the pre-overhaul reference crypto path.
-    pub reference_wall_ms: f64,
-    /// Best-of-reps wall ms, software T-table crypto.
-    pub software_wall_ms: f64,
-    /// Best-of-reps wall ms, hardware (AES-NI) crypto; `None` on hosts
-    /// without hardware AES.
-    pub hardware_wall_ms: Option<f64>,
-    /// Simulated throughput (identical across every backend by the
-    /// crypto-equivalence contract; reported as evidence).
-    pub sim_ops_per_sec: f64,
-}
-
-/// Measure `f` (one pass over `buf_bytes`) and return MB/s, after one
-/// untimed warm-up pass.
-fn throughput_mb_s(buf_bytes: usize, passes: u64, mut f: impl FnMut()) -> f64 {
-    f();
-    let t = std::time::Instant::now();
-    for _ in 0..passes {
-        f();
-    }
-    (buf_bytes as u64 * passes) as f64 / t.elapsed().as_secs_f64() / 1e6
-}
-
-/// The crypto-substrate micro matrix: every AES shape the profiles pay on
-/// their hot paths — P_SYS log records (AES-128, record-sized), tuple
-/// payloads (AES-128/AES-256, row-sized), and P_GBench/LUKS whole pages
-/// (AES-256 under the sector-IV binding) — measured through both paths.
-pub fn crypto_micro(scale: Scale) -> Vec<CryptoPoint> {
-    use datacase_crypto::aes::KeySize;
-    use datacase_crypto::ctr::AesCtr;
-    use datacase_crypto::sector::SectorCipher;
-    use datacase_crypto::CryptoBackend;
-    // ~32 MB through each series at full scale, ~3 MB on --quick.
-    let budget = scale.div(32 * 1024 * 1024);
-    let hw_here = CryptoBackend::hardware_available();
-    let mut points = Vec::new();
-    let mut ctr_cell = |substrate: &'static str, size: KeySize, buf_bytes: usize| {
-        // The software series forces its backend: under `Auto` this
-        // cipher would silently become the hardware measurement on
-        // AES-NI hosts and the A/B would compare hardware to itself.
-        let sw = AesCtr::from_key(size, &[0x42u8; 32][..size.key_len()])
-            .with_backend(CryptoBackend::Software);
-        let iv = AesCtr::iv_from_nonce(7);
-        let mut buf = vec![0xABu8; buf_bytes];
-        let passes = (budget / buf_bytes as u64).max(8);
-        let fast = throughput_mb_s(buf_bytes, passes, || sw.apply(iv, &mut buf));
-        let hw = hw_here.then(|| {
-            let hw_ctr = sw.clone().with_backend(CryptoBackend::Hardware);
-            // Hardware sustains several times the software rate; give it
-            // the same byte budget scaled up so the timing window stays
-            // comparable.
-            throughput_mb_s(buf_bytes, passes * 4, || hw_ctr.apply(iv, &mut buf))
-        });
-        // The reference path is ~4–5× slower; a quarter of the passes
-        // keeps runtimes balanced without starving the measurement.
-        let r = throughput_mb_s(buf_bytes, (passes / 4).max(8), || {
-            sw.apply_ref(iv, &mut buf)
-        });
-        points.push(CryptoPoint {
-            substrate,
-            buf_bytes,
-            ref_mb_s: r,
-            fast_mb_s: fast,
-            hw_mb_s: hw,
-        });
-    };
-    ctr_cell("aes128-ctr 256 B (P_SYS log record)", KeySize::Aes128, 256);
-    ctr_cell("aes128-ctr 4 KiB (P_SYS tuples)", KeySize::Aes128, 4096);
-    ctr_cell("aes256-ctr 4 KiB (P_Base tuples)", KeySize::Aes256, 4096);
-    {
-        let sc = SectorCipher::from_passphrase(b"luks-gbench-passphrase", KeySize::Aes256)
-            .with_backend(CryptoBackend::Software);
-        let buf_bytes = 4096;
-        let mut buf = vec![0xCDu8; buf_bytes];
-        let passes = (budget / buf_bytes as u64).max(8);
-        let fast = throughput_mb_s(buf_bytes, passes, || sc.apply(11, &mut buf));
-        let hw = hw_here.then(|| {
-            let hw_sc = sc.clone().with_backend(CryptoBackend::Hardware);
-            throughput_mb_s(buf_bytes, passes * 4, || hw_sc.apply(11, &mut buf))
-        });
-        let r = throughput_mb_s(buf_bytes, (passes / 4).max(8), || {
-            sc.apply_ref(11, &mut buf)
-        });
-        points.push(CryptoPoint {
-            substrate: "sector-aes256 4 KiB page (P_GBench/LUKS)",
-            buf_bytes,
-            ref_mb_s: r,
-            fast_mb_s: fast,
-            hw_mb_s: hw,
-        });
-    }
-    points
-}
-
-/// Record size for the end-to-end crypto cells: classic YCSB 1 KiB
-/// records, so the profiles' AES work (tuple payloads, log payloads,
-/// whole pages) dominates the way it does on payload-carrying
-/// production workloads.
-pub const CRYPTO_E2E_PAYLOAD: usize = 1024;
-
-/// Requests per submitted batch in the end-to-end crypto cells.
-const CRYPTO_E2E_BATCH: usize = 256;
-
-/// Wall-time repetitions per end-to-end crypto cell (the minimum is
-/// reported).
-const CRYPTO_E2E_REPS: usize = 3;
-
-/// Run one end-to-end encrypted-profile cell: load, then a YCSB
-/// transaction phase at [`CRYPTO_E2E_PAYLOAD`]-byte records, returning
-/// its stats.
-pub fn crypto_cell(
-    profile: ProfileKind,
-    workload: YcsbWorkload,
-    backend: datacase_crypto::CryptoBackend,
-    records: u64,
-    txns: u64,
-    seed: u64,
-) -> RunStats {
-    let mut config = EngineConfig::for_profile(profile)
-        .with_crypto_backend(backend)
-        .with_decision_cache(4096);
-    config.heap.buffer_pages = buffer_pages_for(records);
-    let mut fe = Frontend::new(config);
-    let mut y = Ycsb::new(seed, records).with_payload_size(CRYPTO_E2E_PAYLOAD);
-    let load = y.load_phase();
-    run_ops_batched(&mut fe, &load, Actor::Controller, CRYPTO_E2E_BATCH);
-    let ops = y.ops(txns as usize, workload);
-    run_ops_batched(&mut fe, &ops, Actor::Processor, CRYPTO_E2E_BATCH)
-}
-
-/// The crypto throughput report: the micro substrate matrix plus
-/// end-to-end wall times of the two encrypted paper profiles (P_SYS:
-/// encrypted audit log + AES-128 tuples; P_GBench: LUKS sector
-/// encryption) per crypto backend, with the sim-parity contract asserted
-/// on every cell.
-pub fn crypto_matrix(scale: Scale) -> (Table, Table, Vec<CryptoPoint>, Vec<CryptoEndToEnd>) {
-    use datacase_crypto::CryptoBackend;
-    let points = crypto_micro(scale);
-    let mut table = Table::new(
-        "Crypto substrate throughput — reference vs software T-table vs hardware AES-NI",
-        &[
-            "substrate",
-            "reference (MB/s)",
-            "software (MB/s)",
-            "hardware (MB/s)",
-            "sw/ref",
-            "hw/sw",
-        ],
-    );
-    for p in &points {
-        table.row(vec![
-            p.substrate.into(),
-            f3(p.ref_mb_s),
-            f3(p.fast_mb_s),
-            p.hw_mb_s.map_or_else(|| "n/a".into(), f3),
-            format!("{:.2}x", p.speedup()),
-            p.hw_speedup()
-                .map_or_else(|| "n/a".into(), |s| format!("{s:.2}x")),
-        ]);
-    }
-
-    let records = scale.div(20_000);
-    let txns = scale.div(20_000);
-    let mut e2e_table = Table::new(
-        format!(
-            "Encrypted-profile wall times — pre-overhaul reference crypto vs T-table (records={records}, txns={txns}, batch={CRYPTO_E2E_BATCH}, {CRYPTO_E2E_PAYLOAD} B records)"
-        ),
-        &[
-            "profile",
-            "workload",
-            "reference (wall ms)",
-            "software (wall ms)",
-            "hardware (wall ms)",
-            "overall speedup",
-            "sim identical",
-        ],
-    );
-    let mut e2e = Vec::new();
-    for profile in [ProfileKind::PSys, ProfileKind::PGBench] {
-        let workload = YcsbWorkload::B;
-        let seed = 7;
-        let run = |backend: CryptoBackend| -> (f64, f64, usize) {
-            let mut best_wall = f64::INFINITY;
-            let mut sim = 0.0;
-            let mut ops = 0;
-            for rep in 0..CRYPTO_E2E_REPS {
-                let stats = crypto_cell(profile, workload, backend, records, txns, seed);
-                best_wall = best_wall.min(stats.wall.as_secs_f64() * 1e3);
-                let rep_sim = stats.sim_ops_per_sec();
-                assert!(
-                    rep == 0 || rep_sim == sim,
-                    "simulated throughput must be deterministic across reps"
-                );
-                sim = rep_sim;
-                ops = stats.ops;
-            }
-            (best_wall, sim, ops)
-        };
-        // Reference cell: byte-oriented rounds — bit-identical results,
-        // only wall time moves. A lower bound on the pre-overhaul engine
-        // (see CryptoEndToEnd).
-        let (reference_wall_ms, ref_sim, ops) = run(CryptoBackend::Reference);
-        let (software_wall_ms, software_sim, _) = run(CryptoBackend::Software);
-        assert!(
-            ref_sim == software_sim,
-            "{}: simulated throughput diverged across crypto backends ({ref_sim} / {software_sim})",
-            profile.label(),
-        );
-        // Hardware cell (AES-NI hosts): the whole engine under the
-        // hardware backend — every simulated column must stay
-        // bit-identical to the software and reference runs.
-        let hardware_wall_ms = CryptoBackend::hardware_available().then(|| {
-            let (hw_wall, hw_sim, _) = run(CryptoBackend::Hardware);
-            assert!(
-                hw_sim == software_sim,
-                "{}: simulated throughput diverged on the hardware backend ({hw_sim} vs {software_sim})",
-                profile.label(),
-            );
-            hw_wall
-        });
-        let best_after = hardware_wall_ms.unwrap_or(software_wall_ms);
-        e2e_table.row(vec![
-            profile.label().into(),
-            workload.label().into(),
-            f3(reference_wall_ms),
-            f3(software_wall_ms),
-            hardware_wall_ms.map_or_else(|| "n/a".into(), f3),
-            format!("{:.2}x", reference_wall_ms / best_after),
-            "yes".into(),
-        ]);
-        e2e.push(CryptoEndToEnd {
-            profile,
-            workload,
-            ops,
-            reference_wall_ms,
-            software_wall_ms,
-            hardware_wall_ms,
-            sim_ops_per_sec: software_sim,
-        });
-    }
-    (table, e2e_table, points, e2e)
-}
-
-/// Render the crypto report as the `BENCH_crypto.json` document: the
-/// host's detected CPU features and `Auto`'s resolved backend, one
-/// object per micro substrate with reference/software/hardware MB/s, one
-/// per end-to-end encrypted-profile cell with
-/// reference/software/hardware wall times.
-pub fn crypto_json(points: &[CryptoPoint], e2e: &[CryptoEndToEnd], scale: Scale) -> String {
-    use datacase_crypto::{backend, CryptoBackend};
-    let mut out = String::from("{\n  \"bench\": \"crypto_throughput\",\n");
-    out.push_str(&format!("  \"scale_divisor\": {},\n", scale.0));
-    out.push_str(&format!(
-        "  \"auto_backend\": \"{}\",\n",
-        CryptoBackend::Auto.resolve()
-    ));
-    let features = backend::cpu_features()
-        .into_iter()
-        .map(|(name, on)| format!("\"{name}\": {on}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    out.push_str(&format!("  \"cpu_features\": {{{features}}},\n"));
-    out.push_str("  \"substrates\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let hw = p
-            .hw_mb_s
-            .map_or_else(|| "null".into(), |v| format!("{v:.3}"));
-        let hw_speedup = p
-            .hw_speedup()
-            .map_or_else(|| "null".into(), |v| format!("{v:.3}"));
-        out.push_str(&format!(
-            "    {{\"substrate\": \"{}\", \"buf_bytes\": {}, \"reference_mb_s\": {:.3}, \"fast_mb_s\": {:.3}, \"hardware_mb_s\": {}, \"speedup\": {:.3}, \"hw_over_sw\": {}}}{}\n",
-            p.substrate,
-            p.buf_bytes,
-            p.ref_mb_s,
-            p.fast_mb_s,
-            hw,
-            p.speedup(),
-            hw_speedup,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"end_to_end\": [\n");
-    for (i, c) in e2e.iter().enumerate() {
-        let hw_wall = c
-            .hardware_wall_ms
-            .map_or_else(|| "null".into(), |v| format!("{v:.3}"));
-        let best_after = c.hardware_wall_ms.unwrap_or(c.software_wall_ms);
-        out.push_str(&format!(
-            "    {{\"profile\": \"{}\", \"workload\": \"{}\", \"ops\": {}, \"reference_wall_ms\": {:.3}, \"software_wall_ms\": {:.3}, \"hardware_wall_ms\": {}, \"speedup\": {:.3}, \"sim_ops_per_sec\": {:.3}}}{}\n",
-            c.profile.label(),
-            c.workload.label(),
-            c.ops,
-            c.reference_wall_ms,
-            c.software_wall_ms,
-            hw_wall,
-            c.reference_wall_ms / best_after,
-            c.sim_ops_per_sec,
-            if i + 1 < e2e.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------
-// Multi-session concurrent-engine throughput (BENCH_mt.json)
-// ---------------------------------------------------------------------
-
-/// Shards in every mt cell. Fixed across session counts so the per-shard
-/// request streams — and therefore the per-shard simulated timelines —
-/// are bit-identical whether one session drives all four shards or four
-/// sessions drive one each.
-pub const MT_SHARDS: usize = 4;
-/// Requests per submitted sub-batch.
-pub const MT_BATCH: usize = 256;
-/// Record payload: classic YCSB 1 KiB rows, so P_Base's per-tuple AES
-/// dominates and extra sessions buy real CPU parallelism.
-pub const MT_PAYLOAD: usize = 1024;
-/// Wall-clock reps per cell (best-of).
-pub const MT_REPS: usize = 3;
-/// Per-batch client think time (milliseconds), TPC-style: each
-/// closed-loop session sleeps this long after every completed batch,
-/// modelling the app/network work a real client does between
-/// submissions. Think time is what makes session concurrency visible as
-/// aggregate throughput even on one core — while one session thinks,
-/// the engine serves the others — and it is exactly what the old serial
-/// frontend could never overlap. Sleeping touches neither the simulated
-/// clock nor the per-shard request order, so the CostModel columns stay
-/// bit-identical across session counts.
-pub const MT_THINK_MS: u64 = 3;
-
-/// One measured multi-session cell: `sessions` closed-loop clients over
-/// a [`MT_SHARDS`]-way [`datacase_engine::ConcurrentEngine`].
-#[derive(Clone, Debug)]
-pub struct MtPoint {
-    /// Storage backend on every shard.
-    pub backend: BackendKind,
-    /// Concurrent closed-loop sessions.
-    pub sessions: usize,
-    /// Transaction-phase requests executed.
-    pub ops: usize,
-    /// Best-of-reps transaction-phase wall milliseconds.
-    pub wall_ms: f64,
-    /// Final simulated instant of each shard's clock — the CostModel
-    /// column. Identical across session counts by construction (each
-    /// shard always executes the same stream in the same order); the
-    /// matrix asserts it.
-    pub shard_sim: Vec<Ts>,
-}
-
-impl MtPoint {
-    /// Aggregate wall-clock throughput in kops/s.
-    pub fn kops_per_sec(&self) -> f64 {
-        self.ops as f64 / self.wall_ms
-    }
-}
-
-/// Run one multi-session cell: load through the handle, pre-partition a
-/// read-heavy YCSB-B transaction stream by shard, then let `sessions`
-/// client threads drive disjoint shard subsets closed-loop (one
-/// outstanding ticket per session, round-robin over its shards, with
-/// [`MT_THINK_MS`] of think time after every completed batch).
-///
-/// Every session count submits the **identical per-shard request
-/// sequence** — sharding is by key, the streams are pre-partitioned, and
-/// a shard's sub-batches arrive in stream order no matter which client
-/// owns it — so each shard's simulated timeline is bit-identical to the
-/// single-session run and only wall time responds to the added
-/// concurrency (overlapped think time everywhere; overlapped shard CPU
-/// on multi-core hosts). Each shard worker is one thread, so cells
-/// measure pure session-level scaling.
-pub fn mt_cell(
-    backend: BackendKind,
-    sessions: usize,
-    records: u64,
-    txns: u64,
-    seed: u64,
-) -> MtPoint {
-    assert!(
-        MT_SHARDS.is_multiple_of(sessions),
-        "sessions must evenly divide the shard count"
-    );
-    let mut config = EngineConfig::p_base()
-        .with_backend(backend)
-        .with_decision_cache(4096);
-    config.heap.buffer_pages = buffer_pages_for(records / MT_SHARDS as u64);
-    let engine = datacase_engine::ConcurrentEngine::new(config, MT_SHARDS);
-    let handle = engine.handle();
-    let controller = Session::new(Actor::Controller);
-    let mut y = Ycsb::new(seed, records).with_payload_size(MT_PAYLOAD);
-    for chunk in y.load_phase().chunks(MT_BATCH) {
-        let requests: Vec<Request> = chunk.iter().map(Request::from).collect();
-        handle.submit(&controller, &requests).wait();
-    }
-    let ops = y.ops(txns as usize, YcsbWorkload::B);
-    let total_ops = ops.len();
-    let mut per_shard: Vec<Vec<Request>> = vec![Vec::new(); MT_SHARDS];
-    for op in &ops {
-        let request = Request::from(op);
-        let shard = datacase_engine::shard_of(&request, MT_SHARDS)
-            .expect("YCSB requests are key-addressed");
-        per_shard[shard].push(request);
-    }
-    let wall_start = Instant::now();
-    std::thread::scope(|scope| {
-        for client in 0..sessions {
-            let handle = engine.handle();
-            let owned: Vec<&[Request]> = per_shard
-                .iter()
-                .enumerate()
-                .filter(|(shard, _)| shard % sessions == client)
-                .map(|(_, stream)| stream.as_slice())
-                .collect();
-            scope.spawn(move || {
-                let session = Session::new(Actor::Processor);
-                let mut cursors = vec![0usize; owned.len()];
-                loop {
-                    let mut progressed = false;
-                    for (i, stream) in owned.iter().enumerate() {
-                        let lo = cursors[i];
-                        if lo >= stream.len() {
-                            continue;
-                        }
-                        let hi = (lo + MT_BATCH).min(stream.len());
-                        cursors[i] = hi;
-                        progressed = true;
-                        handle.submit(&session, &stream[lo..hi]).wait();
-                        std::thread::sleep(std::time::Duration::from_millis(MT_THINK_MS));
-                    }
-                    if !progressed {
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    let wall_ms = wall_start.elapsed().as_secs_f64() * 1e3;
-    drop(handle);
-    let frontends = engine.shutdown();
-    let shard_sim = frontends.iter().map(|fe| fe.clock().now()).collect();
-    MtPoint {
-        backend,
-        sessions,
-        ops: total_ops,
-        wall_ms,
-        shard_sim,
-    }
-}
-
-/// The multi-session scaling matrix: 1, 2, and 4 closed-loop sessions
-/// over the 4-shard concurrent engine (read-heavy YCSB-B, heap shards),
-/// best of [`MT_REPS`] wall-clock reps per cell, with the per-shard
-/// simulated timelines asserted bit-identical across every rep and every
-/// session count.
-pub fn mt_matrix(scale: Scale) -> (Table, Vec<MtPoint>) {
-    let records = scale.div(20_000);
-    let txns = scale.div(20_000);
-    let backend = BackendKind::Heap;
-    let seed = 7;
-    let mut points: Vec<MtPoint> = Vec::new();
-    for sessions in [1usize, 2, 4] {
-        let mut best: Option<MtPoint> = None;
-        for _ in 0..MT_REPS {
-            let p = mt_cell(backend, sessions, records, txns, seed);
-            if let Some(b) = &best {
-                assert_eq!(
-                    b.shard_sim, p.shard_sim,
-                    "simulated shard timelines must be deterministic across reps"
-                );
-            }
-            if best.as_ref().is_none_or(|b| p.wall_ms < b.wall_ms) {
-                let wall_ms = best.map_or(p.wall_ms, |b| b.wall_ms.min(p.wall_ms));
-                best = Some(MtPoint { wall_ms, ..p });
-            }
-        }
-        let best = best.expect("at least one rep");
-        if let Some(first) = points.first() {
-            assert_eq!(
-                first.shard_sim, best.shard_sim,
-                "per-shard simulated timelines must not depend on the session count"
-            );
-        }
-        points.push(best);
-    }
-    let base = points[0].wall_ms;
-    let mut table = Table::new(
-        format!(
-            "Multi-session scaling — {MT_SHARDS} heap shards, YCSB-B, records={records}, txns={txns}, batch={MT_BATCH}, {MT_PAYLOAD} B records, think={MT_THINK_MS}ms"
-        ),
-        &[
-            "sessions",
-            "wall (ms)",
-            "kops/s",
-            "speedup vs 1 session",
-            "sim identical",
-        ],
-    );
-    for p in &points {
-        table.row(vec![
-            p.sessions.to_string(),
-            f3(p.wall_ms),
-            f3(p.kops_per_sec()),
-            format!("{:.2}x", base / p.wall_ms),
-            "yes".into(),
-        ]);
-    }
-    (table, points)
-}
-
-/// Render the mt points as the `BENCH_mt.json` document: one object per
-/// session count with wall time, aggregate throughput, the scaling
-/// factor vs the single-session cell, and the (identical) per-shard
-/// simulated timeline as evidence of the determinism contract.
-pub fn mt_json(points: &[MtPoint], scale: Scale) -> String {
-    let mut out = String::from("{\n  \"bench\": \"mt_throughput\",\n");
-    out.push_str(&format!(
-        "  \"scale_divisor\": {},\n  \"shards\": {MT_SHARDS},\n  \"batch\": {MT_BATCH},\n  \"think_ms\": {MT_THINK_MS},\n  \"reps\": {MT_REPS},\n  \"cells\": [\n",
-        scale.0
-    ));
-    let base = points.first().map_or(1.0, |p| p.wall_ms);
-    for (i, p) in points.iter().enumerate() {
-        let sim: Vec<String> = p
-            .shard_sim
-            .iter()
-            .map(|ts| format!("{:.3}", ts.as_millis_f64()))
-            .collect();
-        out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"sessions\": {}, \"ops\": {}, \"wall_ms\": {:.3}, \"kops_per_sec\": {:.3}, \"scaling_vs_1_session\": {:.3}, \"shard_sim_ms\": [{}]}}{}\n",
-            p.backend.label(),
-            p.sessions,
-            p.ops,
-            p.wall_ms,
-            p.kops_per_sec(),
-            base / p.wall_ms,
-            sim.join(", "),
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------
-// Served-engine throughput over the wire (BENCH_server.json)
-// ---------------------------------------------------------------------
-
-/// Engine shards behind the gateway in every server cell.
-pub const SERVER_SHARDS: usize = 4;
-/// Requests per wire batch.
-pub const SERVER_BATCH: usize = 128;
-/// Record payload bytes (classic YCSB 1 KiB rows).
-pub const SERVER_PAYLOAD: usize = 1024;
-/// Wall-clock reps per cell (best-of).
-pub const SERVER_REPS: usize = 2;
-
-/// One measured served-engine cell: `clients` closed-loop TCP clients
-/// driving `tenants` tenants of one gateway over loopback sockets.
-#[derive(Clone, Debug)]
-pub struct ServerPoint {
-    /// Storage backend on every engine shard.
-    pub backend: BackendKind,
-    /// Concurrent closed-loop wire clients.
-    pub clients: usize,
-    /// Tenants sharing the engine (work split evenly between them).
-    pub tenants: usize,
-    /// Transaction-phase requests executed.
-    pub ops: usize,
-    /// Best-of-reps transaction-phase wall milliseconds.
-    pub wall_ms: f64,
-    /// Mean per-batch round-trip latency (milliseconds) across clients.
-    pub mean_batch_ms: f64,
-    /// 95th-percentile per-batch round-trip latency (milliseconds).
-    pub p95_batch_ms: f64,
-}
-
-impl ServerPoint {
-    /// Aggregate wall-clock throughput in kops/s.
-    pub fn kops_per_sec(&self) -> f64 {
-        self.ops as f64 / self.wall_ms
-    }
-}
-
-/// Run one served-engine cell: spawn a gateway over a
-/// [`SERVER_SHARDS`]-way engine, load each tenant's records through its
-/// own authenticated connection, then let `clients` closed-loop wire
-/// clients drain a read-heavy YCSB-B stream split evenly across the
-/// tenants (one in-flight batch per client, tenant-local keys on the
-/// wire, every frame a real loopback round trip).
-///
-/// Tenant work units are interleaved round-robin across clients, so
-/// every (clients, tenants) combination — including one client serving
-/// two tenants over two connections — drains the identical per-tenant
-/// request streams and only wall time responds to the concurrency.
-pub fn server_cell(
-    backend: BackendKind,
-    clients: usize,
-    tenants: usize,
-    records: u64,
-    txns: u64,
-    seed: u64,
-) -> ServerPoint {
-    use datacase_server::{Client, Server, TenantSpec};
-
-    let per_tenant_records = (records / tenants as u64).max(1);
-    let per_tenant_txns = (txns / tenants as u64).max(1);
-    let mut config = EngineConfig::p_base()
-        .with_backend(backend)
-        .with_decision_cache(4096);
-    config.heap.buffer_pages = buffer_pages_for(per_tenant_records / SERVER_SHARDS as u64);
-    let specs: Vec<TenantSpec> = (0..tenants)
-        .map(|t| TenantSpec::new(&format!("t{t}"), "bench-token"))
-        .collect();
-    let server = Server::spawn(config, SERVER_SHARDS, &specs);
-
-    // Load and transaction streams, one per tenant (tenant-local keys).
-    let mut streams: Vec<Vec<Request>> = Vec::new();
-    for t in 0..tenants {
-        let mut y =
-            Ycsb::new(seed + t as u64, per_tenant_records).with_payload_size(SERVER_PAYLOAD);
-        let load: Vec<Request> = y.load_phase().iter().map(Request::from).collect();
-        let mut loader = Client::connect(
-            server.addr(),
-            &format!("t{t}"),
-            "bench-token",
-            Actor::Controller,
-        )
-        .expect("loader connects");
-        for chunk in load.chunks(SERVER_BATCH) {
-            loader.call(chunk).expect("load batch");
-        }
-        loader.goodbye().ok();
-        streams.push(
-            y.ops(per_tenant_txns as usize, YcsbWorkload::B)
-                .iter()
-                .map(Request::from)
-                .collect(),
-        );
-    }
-
-    // Interleave per-tenant batches into a single work-unit list, then
-    // deal units round-robin to clients.
-    let chunked: Vec<Vec<&[Request]>> = streams
-        .iter()
-        .map(|s| s.chunks(SERVER_BATCH).collect())
-        .collect();
-    let max_chunks = chunked.iter().map(Vec::len).max().unwrap_or(0);
-    let mut units: Vec<(usize, &[Request])> = Vec::new();
-    for i in 0..max_chunks {
-        for (t, chunks) in chunked.iter().enumerate() {
-            if let Some(chunk) = chunks.get(i) {
-                units.push((t, chunk));
-            }
-        }
-    }
-    let total_ops: usize = units.iter().map(|(_, c)| c.len()).sum();
-
-    let wall_start = Instant::now();
-    let mut latencies: Vec<f64> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for client in 0..clients {
-            let addr = server.addr();
-            let units = &units;
-            handles.push(scope.spawn(move || {
-                let mut conns: Vec<Option<Client>> = (0..tenants).map(|_| None).collect();
-                let mut lats = Vec::new();
-                for (tenant, chunk) in units.iter().skip(client).step_by(clients) {
-                    let conn = conns[*tenant].get_or_insert_with(|| {
-                        Client::connect(
-                            addr,
-                            &format!("t{tenant}"),
-                            "bench-token",
-                            Actor::Processor,
-                        )
-                        .expect("client connects")
-                    });
-                    let t0 = Instant::now();
-                    conn.call(chunk).expect("transaction batch");
-                    lats.push(t0.elapsed().as_secs_f64() * 1e3);
-                }
-                for conn in conns.into_iter().flatten() {
-                    conn.goodbye().ok();
-                }
-                lats
-            }));
-        }
-        for handle in handles {
-            latencies.extend(handle.join().expect("client thread"));
-        }
-    });
-    let wall_ms = wall_start.elapsed().as_secs_f64() * 1e3;
-    server.shutdown();
-
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let mean_batch_ms = latencies.iter().sum::<f64>() / latencies.len().max(1) as f64;
-    let p95_batch_ms = latencies
-        .get((latencies.len().saturating_sub(1)) * 95 / 100)
-        .copied()
-        .unwrap_or(0.0);
-    ServerPoint {
-        backend,
-        clients,
-        tenants,
-        ops: total_ops,
-        wall_ms,
-        mean_batch_ms,
-        p95_batch_ms,
-    }
-}
-
-/// The served-engine matrix: 1/2/4 clients × 1/2 tenants × heap/LSM
-/// backends, best of [`SERVER_REPS`] wall-clock reps per cell.
-pub fn server_matrix(scale: Scale) -> (Table, Vec<ServerPoint>) {
-    let records = scale.div(20_000);
-    let txns = scale.div(20_000);
-    let seed = 11;
-    let mut points: Vec<ServerPoint> = Vec::new();
-    for backend in [BackendKind::Heap, BackendKind::Lsm] {
-        for tenants in [1usize, 2] {
-            for clients in [1usize, 2, 4] {
-                let mut best: Option<ServerPoint> = None;
-                for _ in 0..SERVER_REPS {
-                    let p = server_cell(backend, clients, tenants, records, txns, seed);
-                    if best.as_ref().is_none_or(|b| p.wall_ms < b.wall_ms) {
-                        best = Some(p);
-                    }
-                }
-                points.push(best.expect("at least one rep"));
-            }
-        }
-    }
-    let mut table = Table::new(
-        format!(
-            "Served engine over loopback TCP — {SERVER_SHARDS} shards, YCSB-B, records={records}, txns={txns}, batch={SERVER_BATCH}, {SERVER_PAYLOAD} B records"
-        ),
-        &[
-            "backend",
-            "tenants",
-            "clients",
-            "wall (ms)",
-            "kops/s",
-            "mean batch (ms)",
-            "p95 batch (ms)",
-        ],
-    );
-    for p in &points {
-        table.row(vec![
-            p.backend.label().into(),
-            p.tenants.to_string(),
-            p.clients.to_string(),
-            f3(p.wall_ms),
-            f3(p.kops_per_sec()),
-            f3(p.mean_batch_ms),
-            f3(p.p95_batch_ms),
-        ]);
-    }
-    (table, points)
-}
-
-/// Render the server points as the `BENCH_server.json` document: one
-/// object per (backend, tenants, clients) cell with wall time, aggregate
-/// throughput, and per-batch round-trip latency.
-pub fn server_json(points: &[ServerPoint], scale: Scale) -> String {
-    let mut out = String::from("{\n  \"bench\": \"server_throughput\",\n");
-    out.push_str(&format!(
-        "  \"scale_divisor\": {},\n  \"shards\": {SERVER_SHARDS},\n  \"batch\": {SERVER_BATCH},\n  \"reps\": {SERVER_REPS},\n  \"cells\": [\n",
-        scale.0
-    ));
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"tenants\": {}, \"clients\": {}, \"ops\": {}, \"wall_ms\": {:.3}, \"kops_per_sec\": {:.3}, \"mean_batch_ms\": {:.3}, \"p95_batch_ms\": {:.3}}}{}\n",
-            p.backend.label(),
-            p.tenants,
-            p.clients,
-            p.ops,
-            p.wall_ms,
-            p.kops_per_sec(),
-            p.mean_batch_ms,
-            p.p95_batch_ms,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// Shape assertions shared by tests and the repro binary: returns a list
 /// of (check, passed) pairs so violations are visible in reports.
 pub fn shape_checks(scale: Scale) -> Vec<(String, bool)> {
@@ -1638,11 +796,6 @@ pub fn shape_checks(scale: Scale) -> Vec<(String, bool)> {
             && factor(ProfileKind::PGBench) < factor(ProfileKind::PSys),
     ));
     checks
-}
-
-/// Convenience: simulated seconds of a run.
-pub fn sim_secs(d: Dur) -> f64 {
-    d.as_secs_f64()
 }
 
 #[cfg(test)]

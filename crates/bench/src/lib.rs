@@ -1,12 +1,13 @@
 #![warn(missing_docs)]
 //! # datacase-bench
 //!
-//! The harness that regenerates every table and figure of the paper's
-//! evaluation (§4), plus the ablations DESIGN.md calls out. Each
-//! experiment is a pure function returning a rendered
-//! [`datacase_sim::report::Table`] (and raw series for plotting); the
-//! `repro` binary prints them, and the Criterion benches wrap the same
-//! harness functions for wall-clock measurement.
+//! The paper's record: the harness that regenerates every table and
+//! figure of its evaluation (§4), plus five ablations and the shape
+//! checks that restate its claims. Each experiment is a pure function
+//! returning a rendered [`datacase_sim::report::Table`] (and raw series
+//! for plotting) in *simulated* time; the `repro` binary prints them, and
+//! the Criterion benches wrap the same harness functions. Wall-clock
+//! performance is measured elsewhere — `benchmark/` + `BENCHMARK.json`.
 
 pub mod figures;
 

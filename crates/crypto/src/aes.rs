@@ -16,8 +16,7 @@
 //!   byte-oriented FIPS-197 rounds, retained verbatim as the reference
 //!   implementation. The crypto-equivalence gate (`tests/prop_crypto.rs`)
 //!   pins the T-table path byte-identical to this one on random keys and
-//!   blocks for all three key sizes, and the `crypto_throughput` bench
-//!   reports both so the speedup stays measurable.
+//!   blocks for all three key sizes.
 
 /// AES key sizes supported by the cipher.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -609,8 +608,7 @@ impl Aes {
 
     /// Encrypt one block with the retained byte-oriented FIPS-197 rounds —
     /// the reference path the crypto-equivalence gate pins
-    /// [`encrypt_block`](Aes::encrypt_block) against, and the "before"
-    /// series of the `crypto_throughput` bench.
+    /// [`encrypt_block`](Aes::encrypt_block) against.
     pub fn encrypt_block_ref(&self, block: &mut [u8; 16]) {
         let nr = self.size.rounds();
         Self::add_round_key(block, &self.round_keys[0]);

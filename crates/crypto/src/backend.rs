@@ -110,9 +110,10 @@ impl std::fmt::Display for ActiveBackend {
 }
 
 /// The crypto-relevant CPU features of this host, as `(name, detected)`
-/// pairs — recorded into `BENCH_crypto.json` so a measurement is always
-/// attributable to the silicon it ran on. Empty-handed (all `false`)
-/// on non-x86_64 targets and software-only builds.
+/// pairs — recorded in every `benchmark/` run's environment block so a
+/// measurement is always attributable to the silicon it ran on.
+/// Empty-handed (all `false`) on non-x86_64 targets and software-only
+/// builds.
 pub fn cpu_features() -> Vec<(&'static str, bool)> {
     #[cfg(all(target_arch = "x86_64", feature = "hw-aes"))]
     {

@@ -236,8 +236,7 @@ impl AesCtr {
     /// The retained byte-oriented CTR path: reference AES rounds and
     /// byte-at-a-time XOR, exactly the pre-T-table implementation. The
     /// crypto-equivalence gate holds [`apply`](AesCtr::apply) to this
-    /// output on unaligned lengths and random IVs; the `crypto_throughput`
-    /// bench reports it as the "before" series.
+    /// output on unaligned lengths and random IVs.
     pub fn apply_ref(&self, iv: [u8; 16], data: &mut [u8]) {
         let mut counter_block = iv;
         let mut counter = u64::from_be_bytes(iv[8..16].try_into().expect("8 bytes"));

@@ -38,13 +38,10 @@ const BENCHES: &[&str] = &[
     "ablation_policy_index",
     "ablation_vacuum_period",
     "backend_matrix",
-    "crypto_throughput",
     "fig4a_erasure_interpretations",
     "fig4b_profiles",
     "fig4c_scalability",
     "micro_substrates",
-    "mt_throughput",
-    "server_throughput",
     "table1_erasure_actions",
     "table2_space_factor",
 ];

@@ -1,6 +1,11 @@
 //! Cross-crate integration: erasure groundings, forensics, Table 1 probes
 //! — all driven through the session frontend's `Erase`/`Restore`
 //! requests.
+//!
+//! With `integration_backends` (per-backend erasure parity) and
+//! `integration_invariants` (the G6/G17 invariant suite) these are the
+//! paper's compliance claims as regression tests: a grounding that stops
+//! holding fails here under its own name.
 
 use data_case::core::grounding::properties::ErasureProperties;
 use data_case::engine::{lsm_erase, probe};

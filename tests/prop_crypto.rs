@@ -7,16 +7,18 @@
 //! original FIPS-197 byte rounds and byte-at-a-time XOR — coexist in
 //! `datacase_crypto`. This suite pins them together on random keys, IVs
 //! and *unaligned* lengths for all three key sizes, so any future round
-//! tweak that diverges from FIPS-197 fails CI by name ("Crypto-equivalence
-//! gate") instead of silently corrupting ciphertexts. The FIPS/NIST known
-//! vectors live next to the implementations in `crates/crypto`.
+//! tweak that diverges from FIPS-197 fails here, by name, instead of
+//! silently corrupting ciphertexts. The FIPS/NIST known vectors live next
+//! to the implementations in `crates/crypto`.
 
 //! PR 9 extends the gate across the **backend cross-product**: every
 //! property also pins hardware (AES-NI, when the host has it) ≡ software
 //! ≡ reference under the `CryptoBackend` selector — the `backend_`-named
-//! properties below are CI's "HW-crypto equivalence gate". A forced
-//! `Software` run keeps the dispatch path covered on hosts without
-//! AES-NI, where `Hardware` resolves to the same software stream.
+//! properties below, over block/CTR/sector × 128/192/256-bit keys ×
+//! unaligned lengths × nonzero offsets, plus the keystream-cache ×
+//! backend interaction. A forced `Software` run keeps the dispatch path
+//! covered on hosts without AES-NI, where `Hardware` resolves to the same
+//! software stream.
 
 use proptest::prelude::*;
 
@@ -30,8 +32,8 @@ const ALL_SIZES: [KeySize; 3] = [KeySize::Aes128, KeySize::Aes192, KeySize::Aes2
 
 /// The full selector cross-product every `backend_` property runs:
 /// `Hardware` resolves to AES-NI exactly on capable hosts (elsewhere it
-/// is a second software run — the forced-fallback coverage the CI gate
-/// wants), `Software` forces the T-table path everywhere, and
+/// is a second software run — the forced-fallback coverage runners
+/// without AES-NI need), `Software` forces the T-table path everywhere, and
 /// `Reference` is the byte-oriented oracle.
 const ALL_BACKENDS: [CryptoBackend; 4] = [
     CryptoBackend::Auto,
@@ -146,7 +148,7 @@ proptest! {
         }
     }
 
-    // ---- HW-crypto equivalence gate: the backend cross-product ----
+    // ---- Hardware ≡ software ≡ reference: the backend cross-product ----
 
     /// Block level across backends: the AES-NI rounds (when the host has
     /// them) must agree with the T-table rounds on encrypt *and* the

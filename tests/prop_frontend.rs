@@ -4,19 +4,24 @@
 //!
 //! * **Batch parity** — submitting one batch of *n* requests must be
 //!   indistinguishable from *n* single-request submissions: same reply
-//!   stream, same work-meter counters, same forensic residuals, and the
-//!   same **bytes of the audit chain** — every record's sequence number,
-//!   timestamp, and payload must match, or the chain heads diverge. This
-//!   is what makes the drivers' batch-first execution safe.
+//!   stream, same work-meter counters, same simulated clock, same forensic
+//!   residuals, and the same **bytes of the audit chain** — every record's
+//!   sequence number, timestamp, and payload must match, or the chain
+//!   heads diverge. This is what makes the drivers' batch-first execution
+//!   safe. The same comparison runs across crypto backends: which AES
+//!   implementation an engine uses moves wall time only, never a
+//!   simulated column.
 //! * **Multi-session parity** — interleaved batches from ≥3 concurrent
 //!   sessions through the sharded [`ConcurrentEngine`] must replay
 //!   serially: the (shard, seq) stamps recorded by the concurrent run,
-//!   re-executed one submission at a time, reproduce every reply, the
-//!   forensic residual census, and the merged audit chain byte for byte.
-//!   This is the linearizability gate for the concurrent frontend.
+//!   re-executed one submission at a time, reproduce every reply, every
+//!   shard's simulated clock, the forensic residual census, and the merged
+//!   audit chain byte for byte. This is the linearizability gate for the
+//!   concurrent frontend.
 
 use proptest::prelude::*;
 
+use data_case::crypto::CryptoBackend;
 use data_case::prelude::*;
 use data_case::storage::backend::BackendKind;
 use data_case::workloads::gdprbench::{GdprBench, Mix};
@@ -30,8 +35,8 @@ type StampedReplies = Vec<(Vec<Response>, Vec<SubmitStamp>)>;
 /// submitted before any is redeemed, so shard queues back up behind the
 /// workers; without it each ticket is awaited immediately — the serial
 /// witness with the identical per-shard arrival order. Returns the per-submission responses and
-/// stamps (in firing order), the engine-wide forensic residual count, and
-/// the merged audit chain head.
+/// stamps (in firing order), each shard's final simulated instant, the
+/// engine-wide forensic residual count, and the merged audit chain head.
 fn concurrent_run(
     backend: BackendKind,
     seed: u64,
@@ -39,7 +44,7 @@ fn concurrent_run(
     shards: usize,
     schedule: &[usize],
     overlap: bool,
-) -> (StampedReplies, usize, [u8; 32]) {
+) -> (StampedReplies, Vec<Ts>, usize, [u8; 32]) {
     let config = EngineConfig::p_base()
         .with_backend(backend)
         .with_decision_cache(1024);
@@ -82,42 +87,46 @@ fn concurrent_run(
     drop(handle);
     let mut frontends = engine.shutdown();
     let head = merged_chain_head(&mut frontends);
+    let shard_clocks = frontends.iter().map(|fe| fe.clock().now()).collect();
     let residuals = frontends
         .iter_mut()
         .map(|fe| fe.forensic().scan(b"person=").total())
         .sum();
-    (fired, residuals, head)
+    (fired, shard_clocks, residuals, head)
 }
 
-/// One full run: load `records`, then execute `txns` WCus requests in
-/// submissions of `batch_size`, with a decision cache of `cache` entries.
-/// Returns the outcome stream, the meter counters, the count of forensic
+/// One full run: load 60 records, then execute `txns` WCus requests in
+/// submissions of `batch_size`, with a decision cache of `cache` entries
+/// and every AES path routed through `crypto`. Returns the outcome stream,
+/// the meter counters, the final simulated instant, the count of forensic
 /// residuals for the workload's payload marker, and the audit chain's
 /// head MAC.
 fn run(
     backend: BackendKind,
     profile: ProfileKind,
     seed: u64,
-    records: usize,
     txns: usize,
     batch_size: usize,
     cache: usize,
+    crypto: CryptoBackend,
 ) -> (
     Vec<Result<Reply, EngineError>>,
     MeterSnapshot,
+    Ts,
     usize,
     [u8; 32],
 ) {
     let mut config = EngineConfig::for_profile(profile)
         .with_backend(backend)
-        .with_decision_cache(cache);
+        .with_decision_cache(cache)
+        .with_crypto_backend(crypto);
     config.maintenance_every = 25;
     let mut fe = Frontend::new(config);
     let mut bench = GdprBench::new(seed, 60);
     let controller = Session::new(Actor::Controller);
     let subject = Session::new(Actor::Subject);
     let mut outcomes = Vec::new();
-    for chunk in bench.load_phase(records).chunks(batch_size) {
+    for chunk in bench.load_phase(60).chunks(batch_size) {
         for r in fe.submit_ops(&controller, chunk) {
             outcomes.push(r.outcome);
         }
@@ -128,21 +137,25 @@ fn run(
         }
     }
     let work = fe.meter().snapshot();
+    let now = fe.clock().now();
     let chain = fe.forensic().chain_head();
     // GDPRBench payloads embed a "person=" marker; the residual count is
     // the physical-retention fingerprint of the whole run.
     let residuals = fe.forensic().scan(b"person=").total();
-    (outcomes, work, residuals, chain)
+    (outcomes, work, now, residuals, chain)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Batch-submit ≡ sequential-execute, on heap and LSM, with and
-    /// without the decision cache: the reply stream, the meter snapshot,
-    /// the forensic-residual count, **and the audit chain's bytes** all
-    /// agree between single-request submissions and arbitrary batch
-    /// sizes.
+    /// Batch-submit ≡ sequential-execute, on all three paper profiles,
+    /// heap and LSM, with and without the versioned decision cache, under
+    /// every crypto backend: the reply stream, the meter snapshot, the
+    /// simulated clock, the forensic-residual count, **and the audit
+    /// chain's bytes** all agree between single-request submissions on
+    /// the default (`Auto`) AES path and arbitrary batch sizes on the
+    /// hardware-or-software, forced-software and byte-oriented reference
+    /// paths. Erase batches obey the same contract (next property).
     #[test]
     fn batch_submit_matches_sequential_execute(
         seed in 0u64..10_000,
@@ -153,40 +166,20 @@ proptest! {
         let cache = if cached { 1024 } else { 0 };
         for backend in BackendKind::ALL {
             for profile in ProfileKind::PAPER {
-                let sequential = run(backend, profile, seed, 60, txns, 1, cache);
-                let batched = run(backend, profile, seed, 60, txns, batch_size, cache);
-                prop_assert_eq!(
-                    &sequential.0,
-                    &batched.0,
-                    "{:?}/{:?}: reply streams diverged (batch={})",
-                    backend,
-                    profile,
-                    batch_size
-                );
-                prop_assert_eq!(
-                    sequential.1,
-                    batched.1,
-                    "{:?}/{:?}: meter snapshots diverged (batch={})",
-                    backend,
-                    profile,
-                    batch_size
-                );
-                prop_assert_eq!(
-                    sequential.2,
-                    batched.2,
-                    "{:?}/{:?}: forensic residuals diverged (batch={})",
-                    backend,
-                    profile,
-                    batch_size
-                );
-                prop_assert_eq!(
-                    sequential.3,
-                    batched.3,
-                    "{:?}/{:?}: audit chains are not byte-identical (batch={})",
-                    backend,
-                    profile,
-                    batch_size
-                );
+                let sequential = run(backend, profile, seed, txns, 1, cache, CryptoBackend::Auto);
+                for crypto in [
+                    CryptoBackend::Auto,
+                    CryptoBackend::Software,
+                    CryptoBackend::Reference,
+                ] {
+                    let batched = run(backend, profile, seed, txns, batch_size, cache, crypto);
+                    let cell = format!("{backend:?}/{profile:?}/{crypto} (batch={batch_size})");
+                    prop_assert_eq!(&sequential.0, &batched.0, "{}: reply streams", cell);
+                    prop_assert_eq!(sequential.1, batched.1, "{}: meter snapshots", cell);
+                    prop_assert_eq!(sequential.2, batched.2, "{}: simulated clocks", cell);
+                    prop_assert_eq!(sequential.3, batched.3, "{}: forensic residuals", cell);
+                    prop_assert_eq!(sequential.4, batched.4, "{}: audit chain bytes", cell);
+                }
             }
         }
     }
@@ -253,8 +246,9 @@ proptest! {
     /// simultaneously, submissions queued behind the shard workers — must
     /// be indistinguishable from replaying the same per-shard arrival order
     /// one submission at a time: same replies, same (shard, seq) stamps,
-    /// same forensic residuals, and a byte-identical merged audit chain.
-    /// On heap and LSM both.
+    /// same per-shard simulated clocks (how sessions interleave moves wall
+    /// time only), same forensic residuals, and a byte-identical merged
+    /// audit chain. On heap and LSM both.
     #[test]
     fn multi_session_interleavings_replay_serially(
         seed in 0u64..10_000,
@@ -272,14 +266,20 @@ proptest! {
                 backend
             );
             prop_assert_eq!(
-                concurrent.1,
-                serial.1,
-                "{:?}: forensic residuals diverged",
+                &concurrent.1,
+                &serial.1,
+                "{:?}: per-shard simulated clocks diverged",
                 backend
             );
             prop_assert_eq!(
                 concurrent.2,
                 serial.2,
+                "{:?}: forensic residuals diverged",
+                backend
+            );
+            prop_assert_eq!(
+                concurrent.3,
+                serial.3,
                 "{:?}: merged audit chains are not byte-identical",
                 backend
             );
