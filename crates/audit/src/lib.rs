@@ -14,16 +14,10 @@
 //!   support for deleting a unit's log records on erasure.
 //!
 //! All three maintain an HMAC hash chain ([`record::HmacChain`]) making the
-//! log tamper-evident — the evidence invariant IX asks for. [`retention`]
-//! bounds how long log segments live (logs are themselves a retention
-//! hazard), and [`evidence`] extracts per-unit audit bundles.
+//! log tamper-evident — the evidence invariant IX asks for.
 
-pub mod evidence;
 pub mod loggers;
 pub mod record;
-pub mod retention;
 
-pub use evidence::EvidenceBundle;
 pub use loggers::{AuditLogger, CsvRowLogger, EncryptedLogger, FullQueryLogger};
 pub use record::{HmacChain, LogRecord};
-pub use retention::RetentionManager;

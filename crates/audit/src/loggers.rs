@@ -38,14 +38,11 @@ pub trait AuditLogger: Send {
     /// Verify the tamper-evidence chain (invariant IX's input). Reseals
     /// any batched redactions first (an audit-time operation).
     fn verify_chain(&mut self) -> bool;
-
-    /// Drop records older than `before` (retention). Returns dropped count.
-    fn expire_before(&mut self, before: datacase_sim::time::Ts) -> usize;
 }
 
 /// Shared storage + chain logic for the backends.
 ///
-/// Redaction and expiry mark the chain *dirty* instead of resealing
+/// Redaction marks the chain *dirty* instead of resealing
 /// immediately: like real audit systems, redactions batch and the chain is
 /// resealed once, when the next verification (or audit export) happens.
 /// Without this, per-delete redaction would re-MAC the whole log —
@@ -156,24 +153,6 @@ impl LogCore {
         }
         self.chain.head()
     }
-
-    fn expire_before(&mut self, before: datacase_sim::time::Ts) -> usize {
-        let before_len = self.records.len();
-        self.records.retain(|r| r.at >= before);
-        let dropped = before_len - self.records.len();
-        if dropped > 0 {
-            self.bytes = self.records.iter().map(|r| r.size() as u64).sum();
-            // Rebuild the unit index (positions shifted) and reseal lazily.
-            self.by_unit.clear();
-            for (i, r) in self.records.iter().enumerate() {
-                if let Some(unit) = r.unit {
-                    self.by_unit.entry(unit).or_default().push(i as u32);
-                }
-            }
-            self.chain_dirty = true;
-        }
-        dropped
-    }
 }
 
 /// Row cap for [`CsvRowLogger`]: only this many payload bytes are kept.
@@ -223,9 +202,6 @@ impl AuditLogger for CsvRowLogger {
     }
     fn verify_chain(&mut self) -> bool {
         self.core.verify()
-    }
-    fn expire_before(&mut self, before: datacase_sim::time::Ts) -> usize {
-        self.core.expire_before(before)
     }
 }
 
@@ -288,9 +264,6 @@ impl AuditLogger for FullQueryLogger {
     }
     fn verify_chain(&mut self) -> bool {
         self.core.verify()
-    }
-    fn expire_before(&mut self, before: datacase_sim::time::Ts) -> usize {
-        self.core.expire_before(before)
     }
 }
 
@@ -381,9 +354,6 @@ impl AuditLogger for EncryptedLogger {
     fn verify_chain(&mut self) -> bool {
         self.core.verify()
     }
-    fn expire_before(&mut self, before: datacase_sim::time::Ts) -> usize {
-        self.core.expire_before(before)
-    }
 }
 
 #[cfg(test)]
@@ -468,18 +438,6 @@ mod tests {
             assert_eq!(b.scan(b"unit7"), 0, "{}", b.name());
             assert!(b.verify_chain(), "chain resealed: {}", b.name());
             assert_eq!(b.records(), 3, "records preserved, payloads blanked");
-        }
-    }
-
-    #[test]
-    fn expire_before_drops_old_records() {
-        for mut b in backends() {
-            b.log(rec(1, 1, b"old"));
-            b.log(rec(100, 2, b"new"));
-            let dropped = b.expire_before(Ts::from_secs(50));
-            assert_eq!(dropped, 1, "{}", b.name());
-            assert_eq!(b.records(), 1);
-            assert!(b.verify_chain(), "{}", b.name());
         }
     }
 

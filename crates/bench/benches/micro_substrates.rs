@@ -1,5 +1,5 @@
-//! Microbenchmarks of the substrates: AES, SHA-256, B+tree, hash index,
-//! heap point ops, LSM point ops, FGAC checks.
+//! Microbenchmarks of the substrates: AES, SHA-256, B+tree, heap point
+//! ops, LSM point ops, FGAC checks.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use datacase_crypto::aes::KeySize;
@@ -7,7 +7,6 @@ use datacase_crypto::ctr::AesCtr;
 use datacase_crypto::sha256::Sha256;
 use datacase_sim::{Meter, SimClock};
 use datacase_storage::btree::BTreeIndex;
-use datacase_storage::hashindex::HashIndex;
 use datacase_storage::heap::HeapDb;
 use datacase_storage::lsm::LsmTree;
 use datacase_storage::tuple::Tid;
@@ -68,21 +67,6 @@ fn bench_indexes(c: &mut Criterion) {
             );
         }
         b.iter(|| ix.get(5_000));
-    });
-    group.bench_function("hashindex_insert_10k", |b| {
-        b.iter(|| {
-            let mut ix = HashIndex::new(SimClock::commodity(), Arc::new(Meter::new()));
-            for i in 0..10_000u64 {
-                ix.insert(
-                    i,
-                    Tid {
-                        page: i as u32,
-                        slot: 0,
-                    },
-                );
-            }
-            ix
-        });
     });
     group.finish();
 }

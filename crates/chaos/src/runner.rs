@@ -59,13 +59,10 @@ pub fn quiet_crash_panics() {
 
 /// The engine configuration every chaos run uses: the strictest paper
 /// profile (P_SYS — tuple encryption, so `destroy-key` is reachable;
-/// log redaction on erase) over the chosen substrate, with a warm
-/// decision cache for the revocation storms and an LSM tuned small
-/// enough that scenarios actually flush and compact.
+/// log redaction on erase) over the chosen substrate, with an LSM tuned
+/// small enough that scenarios actually flush and compact.
 pub fn chaos_config(kind: BackendKind) -> EngineConfig {
-    let mut config = EngineConfig::p_sys()
-        .with_backend(kind)
-        .with_decision_cache(64);
+    let mut config = EngineConfig::p_sys().with_backend(kind);
     config.lsm.memtable_bytes = 2 * 1024;
     config.lsm.runs_per_level = 2;
     config

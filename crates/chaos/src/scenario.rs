@@ -3,7 +3,7 @@
 //!
 //! A [`Scenario`] is a list of [`Step`]s — the vocabulary of compliance
 //! stress this harness knows how to apply: erase-floods, revocation
-//! storms against warm decision caches, retention horizons expiring
+//! storms, retention horizons expiring
 //! mid-run, role churn, tenant churn. [`compile`] lowers the steps into
 //! a [`CompiledScenario`]: an ordered list of [`TraceOp`]s (engine
 //! submissions, clock advances, retention sweeps) whose every key,
@@ -51,12 +51,11 @@ pub enum Step {
         /// The grounding each erasure executes (Table 1 row).
         interpretation: ErasureInterpretation,
     },
-    /// Rounds of processor reads (warming the policy-decision cache)
-    /// interleaved with purpose changes that bump the policy epoch —
-    /// every cached decision must be structurally invalidated, never
-    /// served stale.
+    /// Rounds of processor reads interleaved with purpose changes that
+    /// bump the policy epoch — every re-read must be decided against the
+    /// changed policy state.
     RevocationStorm {
-        /// Warm / bump / re-read rounds.
+        /// Read / bump / re-read rounds.
         rounds: u32,
     },
     /// Records collected with a short retention horizon; the clock then
@@ -143,7 +142,7 @@ impl Scenario {
         }
     }
 
-    /// Revocation storm against a warm decision cache.
+    /// Revocation storm: reads racing purpose changes.
     pub fn revocation_storm() -> Scenario {
         Scenario {
             name: "revocation-storm",
@@ -486,14 +485,13 @@ impl Compiler {
                         continue;
                     }
                     let processor = Session::new(Actor::Processor);
-                    let warm: Batch = targets.iter().map(|&key| Request::Read { key }).collect();
-                    // Warm the decision cache (allows and denials alike).
+                    let reads: Batch = targets.iter().map(|&key| Request::Read { key }).collect();
+                    // First reads (allows and denials alike).
                     self.ops.push(TraceOp::Submit {
                         session: processor.clone(),
-                        batch: warm.clone(),
+                        batch: reads.clone(),
                     });
-                    // Purpose changes bump the policy epoch: every cached
-                    // decision for these classes goes structurally stale.
+                    // Purpose changes bump the policy epoch.
                     let bump: Batch = targets
                         .iter()
                         .map(|&key| Request::UpdateMeta {
@@ -505,10 +503,10 @@ impl Compiler {
                         session: Session::new(Actor::Controller),
                         batch: bump,
                     });
-                    // Re-read through the (invalidated) cache.
+                    // Re-read under the changed policy state.
                     self.ops.push(TraceOp::Submit {
                         session: processor,
-                        batch: warm,
+                        batch: reads,
                     });
                 }
             }

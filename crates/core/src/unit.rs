@@ -221,8 +221,10 @@ impl DataUnit {
     }
 
     /// Erase the value content at `now` (model-level; physical erasure is
-    /// the storage layer's job).
+    /// the storage layer's job): every earlier version's content goes,
+    /// then an erased version is appended.
     pub fn blank_value(&mut self, now: Ts) {
+        self.value.erase_contents();
         self.value.write(now, Value::Erased);
     }
 }
@@ -337,8 +339,9 @@ mod tests {
         let mut u = mk_unit();
         u.blank_value(t(99));
         assert!(u.value.current().unwrap().is_erased());
-        // History of earlier versions is still in the model (the physical
-        // engines decide what remains on disk).
+        // The record that an earlier version existed stays; its content
+        // does not.
         assert_eq!(u.value.len(), 2);
+        assert!(u.value.versions().iter().all(|(_, v)| v.is_erased()));
     }
 }

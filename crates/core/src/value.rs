@@ -86,6 +86,16 @@ impl VersionedValue {
         self.versions.push((t, v));
     }
 
+    /// Overwrite the content of every version with [`Value::Erased`].
+    /// Timestamps and the version count stay (the record that mutations
+    /// happened outlives their content); derived state dies with its
+    /// source, so no earlier plaintext survives an erasure in the model.
+    pub fn erase_contents(&mut self) {
+        for (_, v) in &mut self.versions {
+            *v = Value::Erased;
+        }
+    }
+
     /// `V(t)`: the value in effect at time `t` (the latest version with
     /// timestamp ≤ `t`).
     pub fn at(&self, t: Ts) -> Option<&Value> {

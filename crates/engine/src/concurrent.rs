@@ -3,8 +3,7 @@
 //!
 //! [`ConcurrentEngine`] turns the single-owner [`Frontend`] into a shared
 //! service without putting a lock around the engine. State is sharded by
-//! unit class — request key modulo the shard count, the same partitioning
-//! [`sharded_run_plan`](crate::driver::sharded_run_plan) uses — and each
+//! request key modulo the shard count ([`shard_of`]), and each
 //! shard is owned exclusively by one worker thread holding its own
 //! [`Frontend`]. Clients hold a cloneable [`EngineHandle`] and submit
 //! batches from any thread; the handle splits a batch along shard lines,
@@ -21,11 +20,10 @@
 //!   replaying that shard's arrival sequence serially.
 //!   [`merged_chain_head`] folds the per-shard heads (in shard order)
 //!   into one engine-wide digest.
-//! * **Revocation safety.** All shards share one
-//!   [`datacase_policy::enforcer::EpochBus`]: a global-scope
-//!   revoke observed by any shard publishes a generation bump, and every
-//!   other shard strands its stale cached allows before it decides its
-//!   next submission.
+//! * **Revocation safety.** A unit lives on exactly one shard and every
+//!   access asks that shard's enforcer against its current policy state,
+//!   so a request submitted after an erase or revoke was answered is
+//!   decided after it — there is no remembered allow to strand.
 //! * **Keyless requests.** [`Request::ReadByMeta`] names no shard; the
 //!   handle broadcasts it to every shard and the ticket merges the
 //!   per-shard row counts ([`Reply::Rows`] sums; the first error in shard
@@ -41,19 +39,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use datacase_crypto::sha256::Sha256;
-use datacase_policy::enforcer::EpochBus;
 use datacase_sim::{Meter, SimClock};
 
-use crate::driver::ShardPlan;
 use crate::exec;
 use crate::frontend::{Frontend, Reply, Request, Response, Session};
 use crate::profiles::EngineConfig;
 
 /// Which shard owns a request: its key modulo the shard count, or `None`
 /// for keyless metadata scans (which broadcast to every shard).
-///
-/// This is the same unit-class partitioning the sharded offline driver
-/// uses, so a dataset loaded through either path lands identically.
 pub fn shard_of(request: &Request, shards: usize) -> Option<usize> {
     request.key().map(|k| (k % shards as u64) as usize)
 }
@@ -281,31 +274,20 @@ pub struct ConcurrentEngine {
 }
 
 impl ConcurrentEngine {
-    /// Spin up `shards` identical shards of `config` (same backend
-    /// everywhere). The config's own `backend` field seeds every shard.
+    /// Spin up `shards` identical shards of `config`, each on its own
+    /// clock and meter.
     pub fn new(config: EngineConfig, shards: usize) -> ConcurrentEngine {
-        let plan = ShardPlan::uniform(config.backend, shards);
-        ConcurrentEngine::with_plan(config, &plan)
-    }
-
-    /// Spin up one shard per entry of `plan`, allowing mixed substrates
-    /// (heap shards next to LSM shards), all wired to one shared
-    /// [`EpochBus`].
-    pub fn with_plan(config: EngineConfig, plan: &ShardPlan) -> ConcurrentEngine {
-        assert!(plan.shards() > 0, "engine needs at least one shard");
-        let bus = EpochBus::new();
-        let mut txs = Vec::with_capacity(plan.shards());
-        let mut workers = Vec::with_capacity(plan.shards());
-        for (shard, &backend) in plan.backends.iter().enumerate() {
+        assert!(shards > 0, "engine needs at least one shard");
+        let mut txs = Vec::with_capacity(shards);
+        let mut workers = Vec::with_capacity(shards);
+        for shard in 0..shards {
             let (tx, rx) = channel::<ShardMsg>();
-            let cfg = config.clone().with_backend(backend);
-            let bus = bus.clone();
+            let cfg = config.clone();
             let worker = std::thread::Builder::new()
                 .name(format!("datacase-shard-{shard}"))
                 .spawn(move || {
-                    let mut fe =
+                    let fe =
                         Frontend::with_clock(cfg, SimClock::commodity(), Arc::new(Meter::new()));
-                    fe.db_mut().attach_epoch_bus(bus);
                     shard_loop(shard, rx, fe)
                 })
                 .expect("spawn shard worker");
@@ -362,9 +344,6 @@ impl ConcurrentEngine {
 fn shard_loop(shard: usize, rx: Receiver<ShardMsg>, mut fe: Frontend) -> Frontend {
     let mut seq: u64 = 0;
     while let Ok(ShardMsg::Batch(submission)) = rx.recv() {
-        // Strand cached allows another shard's revoke invalidated before
-        // deciding anything in this submission.
-        fe.db_mut().sync_epoch_bus();
         let responses = exec::execute(fe.db_mut(), &submission.session, &submission.requests);
         seq += 1;
         // A client that dropped its ticket no longer cares; the work is

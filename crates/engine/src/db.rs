@@ -29,7 +29,7 @@ use datacase_core::value::Value;
 use datacase_crypto::ctr::AesCtr;
 use datacase_crypto::vault::KeyVault;
 use datacase_policy::enforcer::{
-    AccessRequest, Decision, EpochBus, PolicyEnforcer, PolicyEpoch, VersionedEnforcer,
+    AccessRequest, Decision, PolicyEnforcer, PolicyEpoch, VersionedEnforcer,
 };
 use datacase_policy::fgac::{FgacConfig, FgacEnforcer};
 use datacase_policy::metatable::MetaTableEnforcer;
@@ -45,7 +45,6 @@ use datacase_storage::heap::HeapDb;
 use datacase_workloads::opstream::{MetaField, MetaSelector};
 
 use crate::error::EngineError;
-use crate::exec::{CachedDecision, DecisionCache};
 use crate::frontend::{Reply, Request};
 use crate::profiles::{DeleteStrategy, EngineConfig, ProfileKind};
 
@@ -97,7 +96,6 @@ pub struct CompliantDb {
     by_subject: HashMap<u32, BTreeSet<u64>>,
     clock: SimClock,
     meter: Arc<Meter>,
-    decisions: DecisionCache,
     deletes_since_maintenance: u64,
     ops_since_checkpoint: u64,
     log_seq: u64,
@@ -188,7 +186,6 @@ impl CompliantDb {
             }
         };
 
-        let decisions = DecisionCache::new(config.decision_cache);
         let mut db = CompliantDb {
             config,
             backend,
@@ -210,7 +207,6 @@ impl CompliantDb {
             by_subject: HashMap::new(),
             clock,
             meter,
-            decisions,
             deletes_since_maintenance: 0,
             ops_since_checkpoint: 0,
             log_seq: 0,
@@ -338,34 +334,10 @@ impl CompliantDb {
     }
 
     /// The current policy epoch: bumped by every policy-mutating action
-    /// (grant, revocation, erasure, metadata update). Cached decisions
-    /// stamped at an older epoch for a touched unit class are
-    /// structurally unreachable.
+    /// (grant, revocation, erasure, metadata update) — the version of
+    /// the policy state a decision was taken against.
     pub fn policy_epoch(&self) -> PolicyEpoch {
         self.enforcer.epoch()
-    }
-
-    /// Join an engine-wide [`EpochBus`]: global-class policy mutations
-    /// made by this engine are published to the bus, and
-    /// [`sync_epoch_bus`](CompliantDb::sync_epoch_bus) folds remote ones
-    /// into the local epoch — the cross-shard half of decision-cache
-    /// invalidation in a sharded engine.
-    pub(crate) fn attach_epoch_bus(&mut self, bus: EpochBus) {
-        self.enforcer.attach_bus(bus);
-    }
-
-    /// Observe the engine-wide [`EpochBus`] before deciding a batch: if
-    /// another shard published a global-class mutation since the last
-    /// sync, the local epoch bumps and every cached global-class decision
-    /// is stranded. One atomic load when nothing changed.
-    pub(crate) fn sync_epoch_bus(&mut self) {
-        self.enforcer.sync_bus();
-    }
-
-    /// Live decision-cache entries (tests).
-    #[cfg(test)]
-    pub(crate) fn cached_decisions(&self) -> usize {
-        self.decisions.len()
     }
 
     /// The account step: sequence, charge and append one audit record.
@@ -395,9 +367,8 @@ impl CompliantDb {
         self.logger.log(rec);
     }
 
-    /// The decide step for one access: resolve through the
-    /// epoch-versioned decision cache, evaluating the enforcer only on a
-    /// miss. A denial is audited (a DENIED record) before it is returned.
+    /// The decide step for one access: ask the profile's enforcer. A
+    /// denial is audited (a DENIED record) before it is returned.
     fn check(
         &mut self,
         unit: UnitId,
@@ -408,70 +379,27 @@ impl CompliantDb {
         if self.config.profile == ProfileKind::Stock {
             return Ok(()); // vanilla engine: no enforcement at all
         }
-        let now = self.clock.now();
-        let key = (self.enforcer.unit_class(unit), entity, purpose, action);
-        if self.decisions.enabled() {
-            if let Some(cached) = self.decisions.lookup(&key, &self.enforcer, now) {
-                match &cached.deny_reason {
-                    None => return Ok(()),
-                    Some(reason) => {
-                        // A cached denial skips re-evaluation but still
-                        // answers for its work: the denial is metered and
-                        // re-logged with its cached reason.
-                        let reason = reason.clone();
-                        Meter::bump(&self.meter.denials, 1);
-                        return Err(self.deny(unit, entity, purpose, reason));
-                    }
-                }
-            }
-        }
         let req = AccessRequest {
             unit,
             entity,
             purpose,
             action,
-            at: now,
+            at: self.clock.now(),
         };
-        let stamped = self.enforcer.decide_at(self.enforcer.epoch(), &req);
-        let deny_reason = match &stamped.decision {
-            Decision::Allow => None,
-            Decision::Deny(reason) => Some(reason.clone()),
-        };
-        if self.decisions.enabled() {
-            self.decisions.insert(
-                key,
-                CachedDecision {
-                    epoch: stamped.epoch,
-                    until: stamped.valid_until,
-                    deny_reason: deny_reason.clone(),
-                },
-                &self.enforcer,
-                now,
-            );
+        match self.enforcer.check(&req) {
+            Decision::Allow => Ok(()),
+            Decision::Deny(reason) => {
+                self.denied += 1;
+                self.log(
+                    Some(unit),
+                    entity,
+                    purpose,
+                    "DENIED",
+                    reason.clone().into_bytes(),
+                );
+                Err(EngineError::Denied { reason })
+            }
         }
-        match deny_reason {
-            None => Ok(()),
-            Some(reason) => Err(self.deny(unit, entity, purpose, reason)),
-        }
-    }
-
-    /// Account a denial: bump the counter and append the DENIED record.
-    fn deny(
-        &mut self,
-        unit: UnitId,
-        entity: EntityId,
-        purpose: PurposeId,
-        reason: String,
-    ) -> EngineError {
-        self.denied += 1;
-        self.log(
-            Some(unit),
-            entity,
-            purpose,
-            "DENIED",
-            reason.clone().into_bytes(),
-        );
-        EngineError::Denied { reason }
     }
 
     fn encrypt_payload(&mut self, unit: UnitId, payload: &[u8]) -> Vec<u8> {
@@ -530,13 +458,14 @@ impl CompliantDb {
         purpose: Option<PurposeId>,
         scope: Option<datacase_core::tenant::KeyRange>,
     ) -> Result<Reply, EngineError> {
+        /// Checkpoint (flush + WAL recycle) after this many operations.
+        const CHECKPOINT_EVERY: u64 = 20_000;
         self.config.fault.hit(CrashPoint::Apply);
         if !matches!(request, Request::Erase { .. } | Request::Restore { .. }) {
-            // Workload ops drive the checkpoint cadence (flush + WAL
-            // recycle every `checkpoint_every` ops); the compliance path
-            // (erase/restore) never did and still does not.
+            // Workload ops drive the checkpoint cadence; the compliance
+            // path (erase/restore) never did and still does not.
             self.ops_since_checkpoint += 1;
-            if self.ops_since_checkpoint >= self.config.checkpoint_every {
+            if self.ops_since_checkpoint >= CHECKPOINT_EVERY {
                 self.ops_since_checkpoint = 0;
                 self.backend.checkpoint();
                 self.backend.recycle_logs();
@@ -813,10 +742,8 @@ impl CompliantDb {
         if let Some(u) = self.state.unit_mut(meta.unit) {
             u.policies.revoke_all(now);
         }
-        // Revocation bumps the policy epoch, stranding any cached
-        // decisions for the unit's class — no explicit cache flush.
         self.enforcer.revoke_all(meta.unit, now);
-        if self.config.delete_logs_on_erase {
+        if self.config.redacts_logs_on_delete() {
             self.logger.redact_unit(meta.unit);
         }
         self.history.record(HistoryTuple {
@@ -958,8 +885,6 @@ impl CompliantDb {
         if let Some(u) = self.state.unit_mut(meta.unit) {
             u.policies.grant(new_policy, now);
         }
-        // The grant bumps the policy epoch: cached denials for this
-        // unit's class are re-evaluated on their next use.
         self.enforcer.grant(meta.unit, new_policy);
         // The metadata-row update is a durable write like any other
         // statement (the paper: "such operations require more metadata
@@ -1486,30 +1411,6 @@ mod tests {
             (fe.clock().now(), fe.meter().snapshot(), read_units)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn decision_cache_respects_capacity_and_is_deterministic() {
-        let run = |capacity: usize| {
-            let mut config = EngineConfig::p_sys().with_decision_cache(capacity);
-            config.maintenance_every = 50;
-            let mut fe = Frontend::new(config);
-            let mut bench = GdprBench::new(21, 50);
-            load(&mut fe, &mut bench, 60);
-            let ops = bench.ops(300, Mix::wcus());
-            fe.submit_ops(&Session::new(Actor::Subject), &ops);
-            (fe.db().cached_decisions(), fe.meter().snapshot())
-        };
-        let (live, work) = run(8);
-        assert!(live <= 8, "cache exceeded capacity: {live}");
-        // Determinism: the same stream against the same capacity makes
-        // identical eviction choices, so the work counters agree exactly.
-        let (live2, work2) = run(8);
-        assert_eq!(live, live2);
-        assert_eq!(work, work2);
-        // A larger cache only removes work, never changes outcomes.
-        let (_, work_big) = run(4096);
-        assert!(work_big.policy_checks <= work.policy_checks);
     }
 
     #[test]

@@ -24,7 +24,6 @@ use datacase_core::purpose::well_known as wk;
 use datacase_core::unit::ErasureStatus;
 use datacase_sim::fault::CrashPoint;
 use datacase_storage::backend::{BackendKind, MaintenanceDepth};
-use datacase_storage::lsm::LsmTree;
 
 use crate::db::CompliantDb;
 
@@ -144,9 +143,7 @@ pub(crate) fn erase_now(
     if let Some(u) = db.state_mut().unit_mut(unit) {
         u.policies.revoke_all(at);
     }
-    // Revocation through the versioned enforcer bumps the policy epoch:
-    // every cached decision for the unit's class is structurally stale
-    // from here on, in this session and every other.
+    // Revocation through the versioned enforcer bumps the policy epoch.
     db.enforcer_mut().revoke_all(unit, at);
     db.state_mut().mark_erased(unit, status, at);
     db.record_history(HistoryTuple {
@@ -227,7 +224,6 @@ pub fn probe_on(backend: BackendKind, interp: ErasureInterpretation) -> Property
 
     let mut config = crate::profiles::EngineConfig::p_sys().with_backend(backend);
     config.tuple_encryption = None; // stock-engine-like storage for the probe
-    config.delete_logs_on_erase = false;
     let mut fe = Frontend::new(config);
     let controller = Session::new(Actor::Controller);
 
@@ -331,54 +327,6 @@ pub fn probe_on(backend: BackendKind, interp: ErasureInterpretation) -> Property
             invertible,
         },
         notes,
-    }
-}
-
-/// Outcome of erasing a key in the LSM backend.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LsmEraseOutcome {
-    /// Entries physically purged.
-    pub purged_entries: usize,
-    /// Whether a full compaction ran.
-    pub compacted: bool,
-}
-
-/// Execute the LSM grounding of an interpretation (Table 1's LSM rows):
-/// tombstone for deletion, plus forced compaction for delete-and-above,
-/// plus per-unit purge for permanent deletion.
-pub fn lsm_erase(
-    tree: &mut LsmTree,
-    key: u64,
-    unit_id: u64,
-    interp: ErasureInterpretation,
-) -> LsmEraseOutcome {
-    match interp {
-        ErasureInterpretation::ReversiblyInaccessible => {
-            // LSM has no in-place flag; model hides by overwriting with a
-            // marker value that readers filter (here: an empty payload).
-            tree.put(key, unit_id, b"");
-            LsmEraseOutcome {
-                purged_entries: 0,
-                compacted: false,
-            }
-        }
-        ErasureInterpretation::Deleted | ErasureInterpretation::StronglyDeleted => {
-            tree.delete(key, unit_id);
-            tree.compact_all();
-            LsmEraseOutcome {
-                purged_entries: 0,
-                compacted: true,
-            }
-        }
-        ErasureInterpretation::PermanentlyDeleted => {
-            tree.delete(key, unit_id);
-            tree.compact_all();
-            let purged = tree.purge_unit(unit_id);
-            LsmEraseOutcome {
-                purged_entries: purged,
-                compacted: true,
-            }
-        }
     }
 }
 
@@ -513,29 +461,5 @@ mod tests {
             None,
             "derived row deleted"
         );
-    }
-
-    #[test]
-    fn lsm_groundings_execute() {
-        let mut t = LsmTree::default_single();
-        t.put(1, 100, b"lsm-pii-data");
-        t.flush();
-        let out = lsm_erase(&mut t, 1, 100, ErasureInterpretation::Deleted);
-        assert!(out.compacted);
-        assert_eq!(t.get(1), None);
-        assert_eq!(t.scan_physical(b"lsm-pii-data"), 0);
-    }
-
-    #[test]
-    fn lsm_permanent_purges_unit() {
-        let mut t = LsmTree::default_single();
-        t.put(1, 100, b"unit-a");
-        t.put(2, 100, b"unit-a-second");
-        t.put(3, 200, b"unit-b");
-        t.flush();
-        let out = lsm_erase(&mut t, 1, 100, ErasureInterpretation::PermanentlyDeleted);
-        assert!(out.compacted);
-        assert_eq!(t.get(3).unwrap(), b"unit-b");
-        assert_eq!(t.scan_physical(b"unit-a"), 0);
     }
 }

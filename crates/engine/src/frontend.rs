@@ -470,7 +470,7 @@ impl Frontend {
     /// (deadline), purpose resolution, policy checks, audit-ref
     /// assignment, and checkpoint cadence all happen here and nowhere
     /// else. Each request runs to completion in submission order —
-    /// *decided* against the epoch-versioned policy cache, *applied* to
+    /// *decided* by the profile's enforcer, *applied* to
     /// the backend, *accounted* with a synchronous audit append — before
     /// the next one starts. Submitting one batch of *n* requests is
     /// therefore identical to submitting *n* single-request batches,
@@ -557,9 +557,7 @@ impl Frontend {
     }
 
     /// The engine's current policy epoch: bumped by every policy-mutating
-    /// action (grant, revocation, erasure, metadata update). Decision
-    /// caching is correct because entries stamped below the epoch of
-    /// their unit class are structurally unreachable.
+    /// action (grant, revocation, erasure, metadata update).
     pub fn policy_epoch(&self) -> datacase_policy::enforcer::PolicyEpoch {
         self.db.policy_epoch()
     }
@@ -845,39 +843,13 @@ mod tests {
     }
 
     #[test]
-    fn decision_cache_amortizes_policy_checks_without_changing_replies() {
-        let run = |capacity: usize| -> (Vec<Result<Reply, EngineError>>, u64) {
-            let (mut fe, _) = loaded(EngineConfig::p_sys().with_decision_cache(capacity), 10);
-            let session = Session::new(Actor::Processor);
-            let mut batch = Batch::new();
-            for _ in 0..50 {
-                batch.push(Request::Read { key: 1 });
-            }
-            let before = fe.meter().snapshot().policy_checks;
-            let outcomes = fe
-                .submit(&session, &batch)
-                .into_iter()
-                .map(|r| r.outcome)
-                .collect();
-            (outcomes, fe.meter().snapshot().policy_checks - before)
-        };
-        let (plain_replies, plain_checks) = run(0);
-        let (cached_replies, cached_checks) = run(1024);
-        assert_eq!(plain_replies, cached_replies, "caching must be invisible");
-        assert!(
-            cached_checks < plain_checks,
-            "cache must amortize: {cached_checks} vs {plain_checks}"
-        );
-    }
-
-    #[test]
-    fn decision_cache_invalidated_by_policy_mutation() {
-        let (mut fe, _) = loaded(EngineConfig::p_sys().with_decision_cache(1024), 10);
+    fn erase_bumps_the_epoch_and_later_reads_are_denied() {
+        let (mut fe, _) = loaded(EngineConfig::p_sys(), 10);
         let session = Session::new(Actor::Processor);
         let epoch_before = fe.policy_epoch();
         assert!(fe.run(&session, Request::Read { key: 2 }).value().is_some());
-        // Erase revokes policies: the epoch moves, so the cached allow
-        // (stamped at the lower epoch) is structurally stale.
+        // Erase revokes policies: the epoch moves, and the allow the
+        // session just saw does not outlive it.
         let controller = Session::new(Actor::Controller);
         assert!(fe
             .run(
@@ -891,25 +863,21 @@ mod tests {
             .is_ok());
         assert!(fe.policy_epoch() > epoch_before, "erase bumps the epoch");
         let r = fe.run(&session, Request::Read { key: 2 });
-        assert!(
-            r.outcome.is_err(),
-            "stale cached allow leaked: {:?}",
-            r.outcome
-        );
+        assert!(r.outcome.is_err(), "stale allow leaked: {:?}", r.outcome);
     }
 
     #[test]
-    fn cross_session_revoke_invalidates_other_sessions_cached_allow() {
-        // Session B warms the cache with an allow; a revoke issued in
-        // session A (the subject's erasure request) must strand that
-        // entry even though B never observed the mutation: the cache is
-        // frontend-wide and validity is an epoch comparison, so there is
-        // no per-session staleness window at all.
+    fn cross_session_revoke_denies_other_sessions_next_read() {
+        // Session B is allowed a read; a revoke issued in session A (the
+        // subject's erasure request) must deny B's next read even though
+        // B never observed the mutation: every access is decided against
+        // the current policy state, so there is no per-session staleness
+        // window at all.
         for profile in [
             crate::profiles::ProfileKind::PGBench,
             crate::profiles::ProfileKind::PSys,
         ] {
-            let mut config = EngineConfig::for_profile(profile).with_decision_cache(1024);
+            let mut config = EngineConfig::for_profile(profile);
             config.delete_strategy = crate::profiles::DeleteStrategy::TombstoneAttribute;
             let (mut fe, _) = loaded(config, 10);
             let session_b = Session::new(Actor::Processor);
@@ -931,27 +899,26 @@ mod tests {
     }
 
     #[test]
-    fn cached_denial_is_reevaluated_after_grant_bumps_epoch() {
+    fn repeat_denial_is_rechecked_and_audited_until_a_grant_flips_it() {
         // The deny-then-grant flow: a processor reading under a purpose
-        // it holds no policy for is denied (and the denial cached); the
-        // controller's metadata update then grants the analytics policy,
-        // bumping the epoch — the cached deny must not outlive it.
-        let (mut fe, _) = loaded(EngineConfig::p_sys().with_decision_cache(1024), 10);
+        // it holds no policy for is denied; the controller's metadata
+        // update then grants the analytics policy, bumping the epoch —
+        // the denial must not outlive it.
+        let (mut fe, _) = loaded(EngineConfig::p_sys(), 10);
         let analyst = Session::new(Actor::Processor).for_purpose(wk::analytics());
         let denied = fe.run(&analyst, Request::Read { key: 4 });
         assert!(denied.is_denied(), "{:?}", denied.outcome);
-        // Same request again: the denial is served from the cache (no
-        // fresh policy evaluation), but still metered and audit-logged.
+        // Same request again: decided afresh, metered and audit-logged.
         let before = fe.meter().snapshot();
         let denied_again = fe.run(&analyst, Request::Read { key: 4 });
         assert!(denied_again.is_denied());
         assert!(
             !denied_again.audit.is_empty(),
-            "cached denials still write DENIED audit records"
+            "repeat denials still write DENIED audit records"
         );
         let diff = fe.meter().snapshot().diff(&before);
-        assert_eq!(diff.policy_checks, 0, "cached denial skips re-evaluation");
-        assert_eq!(diff.denials, 1, "but the denial itself is metered");
+        assert_eq!(diff.policy_checks, 1, "a repeat denial is one policy check");
+        assert_eq!(diff.denials, 1, "and the denial itself is metered");
         // MetaField::Purpose grants the processor an analytics policy.
         let controller = Session::new(Actor::Controller);
         assert!(fe
@@ -966,7 +933,7 @@ mod tests {
         let r = fe.run(&analyst, Request::Read { key: 4 });
         assert!(
             r.value().is_some(),
-            "grant must flip the cached deny: {:?}",
+            "grant must flip the deny: {:?}",
             r.outcome
         );
     }

@@ -22,8 +22,8 @@
 //! submitted as [`Batch`]es — each answered with a [`Response`] whose
 //! outcome is `Result<Reply, EngineError>` plus an [`AuditRef`] into the
 //! audit log. Every request runs decide → apply → account to completion,
-//! in submission order: the policy check resolves against an
-//! epoch-versioned decision cache, and the audit record is appended
+//! in submission order: the policy check asks the profile's enforcer
+//! against the current policy state, and the audit record is appended
 //! before the reply is built. The engine simultaneously maintains the
 //! Data-CASE *abstract model* (state + action history from
 //! `datacase-core`), so the compliance checker can audit any run; the
@@ -35,8 +35,7 @@
 //! PostgreSQL-style heap or the Cassandra-style LSM tree, selected by
 //! [`EngineConfig::backend`](profiles::EngineConfig) — the full
 //! configuration space is `ProfileKind` × `DeleteStrategy` ×
-//! [`BackendKind`], and [`ShardPlan`] lets a sharded run mix substrates
-//! per shard.
+//! [`BackendKind`].
 
 mod db;
 
@@ -56,10 +55,8 @@ pub use concurrent::{
 };
 pub use datacase_storage::backend::{BackendKind, BackendStats};
 pub use db::Actor;
-pub use driver::{
-    run_ops, run_ops_batched, sharded_run, sharded_run_plan, RunStats, ShardPlan, ShardedRun,
-};
-pub use erasure::{lsm_erase, probe, probe_on, LsmEraseOutcome};
+pub use driver::{run_ops, run_ops_batched, RunStats};
+pub use erasure::{probe, probe_on};
 pub use error::EngineError;
 pub use frontend::{AuditRef, Batch, Forensic, Frontend, Reply, Request, Response, Session};
 pub use pia::{assess, certify, Certificate, PiaReport};

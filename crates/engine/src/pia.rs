@@ -108,11 +108,11 @@ pub fn assess(config: &EngineConfig) -> PiaReport {
             mitigation: "enable tuple encryption or LUKS-style disk encryption".into(),
         });
     }
-    if !config.delete_logs_on_erase {
+    if !config.redacts_logs_on_delete() {
         risks.push(Risk {
             title: "log retention after erasure".into(),
             detail: "audit/WAL records keep erased units' payloads".into(),
-            mitigation: "enable delete_logs_on_erase (P_SYS behaviour) or log encryption".into(),
+            mitigation: "redact logs on delete (P_SYS behaviour) or encrypt the log".into(),
         });
     }
     if config.maintenance_every == u64::MAX
@@ -128,7 +128,7 @@ pub fn assess(config: &EngineConfig) -> PiaReport {
         profile: config.profile,
         workload_erasure,
         encrypted_at_rest: encrypted,
-        logs_redacted_on_erase: config.delete_logs_on_erase,
+        logs_redacted_on_erase: config.redacts_logs_on_delete(),
         risks,
     }
 }

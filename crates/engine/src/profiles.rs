@@ -97,27 +97,11 @@ pub struct EngineConfig {
     pub delete_strategy: DeleteStrategy,
     /// Run the strategy's maintenance after this many deletes.
     pub maintenance_every: u64,
-    /// Redact the unit's logs on every delete (P_SYS behaviour).
-    pub delete_logs_on_erase: bool,
     /// Fine-grained policies per unit registered at collection (drives
     /// P_SYS's metadata footprint).
     pub policies_per_unit: usize,
-    /// Checkpoint (flush + WAL recycle) after this many operations.
-    pub checkpoint_every: u64,
-    /// People (data subjects) known to the engine.
-    pub people: u32,
     /// Use the FGAC policy index (ablation switch; P_SYS only).
     pub fgac_index: bool,
-    /// Capacity (entries) of the epoch-versioned policy-decision cache;
-    /// `0` disables it. Off by default on every paper profile so measured
-    /// enforcement costs stay paper-faithful; production-style runs turn
-    /// it on with [`EngineConfig::with_decision_cache`]. Decisions
-    /// (allows **and** denials) are stamped with the [`PolicyEpoch`] they
-    /// were computed at and revalidated by epoch comparison — stale
-    /// entries are structurally unreachable, no TTL involved.
-    ///
-    /// [`PolicyEpoch`]: datacase_policy::enforcer::PolicyEpoch
-    pub decision_cache: usize,
     /// Which AES implementation every crypto path this engine constructs
     /// (tuple vault, sector cipher, encrypted audit log) runs on:
     /// [`CryptoBackend::Auto`] (the default) detects hardware AES-NI and
@@ -152,7 +136,8 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// Stock engine (vanilla PSQL stand-in) with a delete strategy —
-    /// the Figure 4a/Table 1 configuration.
+    /// the Figure 4a/Table 1 configuration, and the defaults every
+    /// profile below states its differences from.
     pub fn stock(strategy: DeleteStrategy) -> EngineConfig {
         EngineConfig {
             profile: ProfileKind::Stock,
@@ -162,12 +147,8 @@ impl EngineConfig {
             tuple_encryption: None,
             delete_strategy: strategy,
             maintenance_every: 1000,
-            delete_logs_on_erase: false,
             policies_per_unit: 0,
-            checkpoint_every: 20_000,
-            people: 1000,
             fgac_index: true,
-            decision_cache: 0,
             crypto_backend: CryptoBackend::Auto,
             keystream_cache: 0,
             fault: FaultInjector::disabled(),
@@ -178,21 +159,8 @@ impl EngineConfig {
     pub fn p_base() -> EngineConfig {
         EngineConfig {
             profile: ProfileKind::PBase,
-            backend: BackendKind::Heap,
-            heap: HeapConfig::default(),
-            lsm: LsmConfig::default(),
             tuple_encryption: Some(KeySize::Aes256),
-            delete_strategy: DeleteStrategy::DeleteVacuum,
-            maintenance_every: 1000,
-            delete_logs_on_erase: false,
-            policies_per_unit: 0,
-            checkpoint_every: 20_000,
-            people: 1000,
-            fgac_index: true,
-            decision_cache: 0,
-            crypto_backend: CryptoBackend::Auto,
-            keystream_cache: 0,
-            fault: FaultInjector::disabled(),
+            ..EngineConfig::stock(DeleteStrategy::DeleteVacuum)
         }
     }
 
@@ -200,24 +168,13 @@ impl EngineConfig {
     pub fn p_gbench() -> EngineConfig {
         EngineConfig {
             profile: ProfileKind::PGBench,
-            backend: BackendKind::Heap,
             heap: HeapConfig {
                 disk_passphrase: Some(b"luks-gbench-passphrase".to_vec()),
                 ..HeapConfig::default()
             },
-            lsm: LsmConfig::default(),
-            tuple_encryption: None,
-            delete_strategy: DeleteStrategy::DeleteOnly,
             maintenance_every: u64::MAX,
-            delete_logs_on_erase: false,
             policies_per_unit: 5,
-            checkpoint_every: 20_000,
-            people: 1000,
-            fgac_index: true,
-            decision_cache: 0,
-            crypto_backend: CryptoBackend::Auto,
-            keystream_cache: 0,
-            fault: FaultInjector::disabled(),
+            ..EngineConfig::stock(DeleteStrategy::DeleteOnly)
         }
     }
 
@@ -225,21 +182,10 @@ impl EngineConfig {
     pub fn p_sys() -> EngineConfig {
         EngineConfig {
             profile: ProfileKind::PSys,
-            backend: BackendKind::Heap,
-            heap: HeapConfig::default(),
-            lsm: LsmConfig::default(),
             tuple_encryption: Some(KeySize::Aes128),
-            delete_strategy: DeleteStrategy::DeleteVacuumFull,
             maintenance_every: 2000,
-            delete_logs_on_erase: true,
             policies_per_unit: 10,
-            checkpoint_every: 20_000,
-            people: 1000,
-            fgac_index: true,
-            decision_cache: 0,
-            crypto_backend: CryptoBackend::Auto,
-            keystream_cache: 0,
-            fault: FaultInjector::disabled(),
+            ..EngineConfig::stock(DeleteStrategy::DeleteVacuumFull)
         }
     }
 
@@ -256,13 +202,6 @@ impl EngineConfig {
     /// The same configuration over a different storage substrate.
     pub fn with_backend(mut self, backend: BackendKind) -> EngineConfig {
         self.backend = backend;
-        self
-    }
-
-    /// The same configuration with an epoch-versioned decision cache of
-    /// `capacity` entries (`0` disables caching).
-    pub fn with_decision_cache(mut self, capacity: usize) -> EngineConfig {
-        self.decision_cache = capacity;
         self
     }
 
@@ -298,6 +237,12 @@ impl EngineConfig {
         self.tuple_encryption.is_some()
             || (self.backend == BackendKind::Heap && self.heap.disk_passphrase.is_some())
     }
+
+    /// Does a workload delete also redact the unit's audit records? Only
+    /// P_SYS deletes logs (§4.2).
+    pub fn redacts_logs_on_delete(&self) -> bool {
+        self.profile == ProfileKind::PSys
+    }
 }
 
 #[cfg(test)]
@@ -309,7 +254,7 @@ mod tests {
         let base = EngineConfig::p_base();
         assert_eq!(base.tuple_encryption, Some(KeySize::Aes256));
         assert_eq!(base.delete_strategy, DeleteStrategy::DeleteVacuum);
-        assert!(!base.delete_logs_on_erase);
+        assert!(!base.redacts_logs_on_delete());
 
         let gbench = EngineConfig::p_gbench();
         assert!(gbench.heap.disk_passphrase.is_some(), "LUKS disk");
@@ -318,7 +263,7 @@ mod tests {
         let sys = EngineConfig::p_sys();
         assert_eq!(sys.tuple_encryption, Some(KeySize::Aes128));
         assert_eq!(sys.delete_strategy, DeleteStrategy::DeleteVacuumFull);
-        assert!(sys.delete_logs_on_erase);
+        assert!(sys.redacts_logs_on_delete());
         assert!(sys.policies_per_unit > gbench.policies_per_unit);
     }
 

@@ -1,17 +1,11 @@
-//! The common enforcement interface, and the versioned wrapper that makes
-//! policy decisions *cacheable without staleness*.
+//! The common enforcement interface, and the wrapper that versions a
+//! mechanism's policy state.
 //!
-//! Every policy-mutating action (grant, revocation, erasure, metadata
-//! update) bumps a monotonic [`PolicyEpoch`]; decisions are evaluated
-//! through [`VersionedEnforcer::decide_at`], which stamps each outcome
-//! with the epoch it was computed at plus a time horizon it provably
-//! holds until. A cache that compares stamps against the current epoch
-//! can therefore never serve a stale decision — invalidation is a
-//! structural property, not a TTL heuristic.
-
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+//! Every request is decided by asking the profile's enforcer against the
+//! *current* policy state — there is no cached outcome to keep sound.
+//! [`VersionedEnforcer`] counts the policy-mutating actions routed
+//! through it in a monotonic [`PolicyEpoch`]: two decisions taken at the
+//! same epoch saw the same policy set.
 
 use datacase_core::action::ActionKind;
 use datacase_core::ids::{EntityId, UnitId};
@@ -55,8 +49,7 @@ impl Decision {
 /// A monotonic version counter over an enforcer's policy state.
 ///
 /// Bumped by every policy-mutating action; two decisions computed at the
-/// same epoch saw the same policy set. `PolicyEpoch` is totally ordered,
-/// so "is this cached decision current?" is one integer comparison.
+/// same epoch saw the same policy set.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PolicyEpoch(pub u64);
 
@@ -74,40 +67,6 @@ impl std::fmt::Display for PolicyEpoch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "e{}", self.0)
     }
-}
-
-/// How finely a mechanism's decisions vary with the data unit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum DecisionScope {
-    /// Decisions depend only on (entity, purpose, action) — RBAC's
-    /// coarseness. One cached decision covers every unit.
-    Global,
-    /// Decisions consult per-unit policy state (metadata tables, FGAC).
-    PerUnit,
-}
-
-/// The equivalence class of units a decision covers — the unit component
-/// of a decision-cache key.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum UnitClass {
-    /// Unit-independent (a [`DecisionScope::Global`] mechanism).
-    Global,
-    /// This unit only (a [`DecisionScope::PerUnit`] mechanism).
-    Unit(UnitId),
-}
-
-/// A [`Decision`] stamped with the [`PolicyEpoch`] it was evaluated at and
-/// the instant until which it provably holds absent further mutations
-/// (time-based policy expiry: an allow backed by a policy window ending at
-/// `t_f` is only guaranteed through `t_f`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StampedDecision {
-    /// The outcome.
-    pub decision: Decision,
-    /// The epoch the outcome was computed at.
-    pub epoch: PolicyEpoch,
-    /// The decision holds at any `t <= valid_until` at this epoch.
-    pub valid_until: Ts,
 }
 
 /// A policy enforcement mechanism (one per compliance profile).
@@ -137,22 +96,6 @@ pub trait PolicyEnforcer: Send {
     /// Evaluate an access request.
     fn check(&mut self, req: &AccessRequest) -> Decision;
 
-    /// How finely this mechanism's decisions vary with the unit. Coarse
-    /// mechanisms (RBAC) override this to [`DecisionScope::Global`], which
-    /// lets a decision cache reuse one outcome across all units.
-    fn decision_scope(&self) -> DecisionScope {
-        DecisionScope::PerUnit
-    }
-
-    /// Evaluate an access request and additionally report how long the
-    /// outcome provably holds absent policy mutations. The default is the
-    /// conservative choice only for mechanisms whose decisions cannot
-    /// expire with time (roles have no windows); window-based mechanisms
-    /// must override it with the governing policy window's end.
-    fn check_with_horizon(&mut self, req: &AccessRequest) -> (Decision, Ts) {
-        (self.check(req), Ts::MAX)
-    }
-
     /// Metadata bytes this mechanism occupies (policies + indexes).
     fn metadata_bytes(&self) -> u64;
 
@@ -160,66 +103,14 @@ pub trait PolicyEnforcer: Send {
     fn policy_count(&self) -> usize;
 }
 
-/// An engine-wide broadcast channel for [`UnitClass::Global`] policy
-/// mutations, connecting the [`VersionedEnforcer`]s of a sharded engine.
-///
-/// A sharded engine partitions units across shards, so every
-/// [`UnitClass::Unit`] mutation and every decision about that unit happen
-/// on the same shard — per-unit staleness is already handled by that
-/// shard's local epoch. The one class that crosses shards is
-/// [`UnitClass::Global`]: a coarse (RBAC-style) mutation observed by one
-/// shard must strand cached global allows on *every* shard before their
-/// next decide. The bus is exactly that signal: a shared generation
-/// counter that publishers bump and subscribers compare against their
-/// last-seen value, translating a remote global mutation into a local
-/// epoch bump.
-///
-/// Over-notification is sound (a spurious sync merely re-evaluates
-/// decisions against unchanged policy state); missed notification is not,
-/// so [`publish`](EpochBus::publish) uses a sequentially-consistent bump
-/// and subscribers re-check before every decide batch.
-#[derive(Clone, Debug, Default)]
-pub struct EpochBus {
-    generation: Arc<AtomicU64>,
-}
-
-impl EpochBus {
-    /// A fresh bus at generation zero.
-    pub fn new() -> EpochBus {
-        EpochBus::default()
-    }
-
-    /// Announce a global-class policy mutation; returns the new
-    /// generation.
-    pub fn publish(&self) -> u64 {
-        self.generation.fetch_add(1, Ordering::SeqCst) + 1
-    }
-
-    /// The current generation.
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
-    }
-}
-
-/// An enforcer wrapped with epoch versioning: every policy-mutating call
-/// routed through this wrapper bumps the [`PolicyEpoch`] and records which
-/// [`UnitClass`] it touched, so callers holding stamped decisions can tell
-/// — by comparison, not by flushing — whether a decision is still current.
-///
-/// This is the policy-layer half of a versioned decision cache: the cache
-/// itself lives with the caller (it needs the caller's key vocabulary);
-/// the wrapper owns the ground truth of *validity*.
+/// An enforcer wrapped with epoch versioning. One rule: every
+/// [`grant`](VersionedEnforcer::grant) /
+/// [`revoke_all`](VersionedEnforcer::revoke_all) /
+/// [`forget_unit`](VersionedEnforcer::forget_unit) routed through the
+/// wrapper bumps the [`PolicyEpoch`], whatever the mechanism made of it.
 pub struct VersionedEnforcer {
     inner: Box<dyn PolicyEnforcer>,
     epoch: PolicyEpoch,
-    /// Last epoch at which each unit class was mutated. A stamp `s` for
-    /// class `c` is current iff `touched[c] <= s` (or `c` never mutated).
-    touched: HashMap<UnitClass, PolicyEpoch>,
-    /// Cross-shard propagation of [`UnitClass::Global`] mutations, when
-    /// this enforcer is one shard of a concurrent engine.
-    bus: Option<EpochBus>,
-    /// The bus generation already folded into the local epoch.
-    bus_seen: u64,
 }
 
 impl std::fmt::Debug for VersionedEnforcer {
@@ -237,35 +128,6 @@ impl VersionedEnforcer {
         VersionedEnforcer {
             inner,
             epoch: PolicyEpoch::ZERO,
-            touched: HashMap::new(),
-            bus: None,
-            bus_seen: 0,
-        }
-    }
-
-    /// Join an [`EpochBus`]: from now on every [`UnitClass::Global`]
-    /// mutation made through this enforcer is published to the bus, and
-    /// [`sync_bus`](VersionedEnforcer::sync_bus) folds remote global
-    /// mutations into the local epoch. Joins at the bus's current
-    /// generation — decisions cached before the join are the caller's
-    /// responsibility (a fresh enforcer has none).
-    pub fn attach_bus(&mut self, bus: EpochBus) {
-        self.bus_seen = bus.generation();
-        self.bus = Some(bus);
-    }
-
-    /// Fold remote [`UnitClass::Global`] mutations into the local epoch:
-    /// if any other shard published since the last sync, bump the epoch
-    /// for the global class, stranding every cached global-class decision
-    /// on this shard. Call before deciding a batch. No-op without a bus,
-    /// and one relaxed atomic load on the hot path when nothing changed.
-    pub fn sync_bus(&mut self) {
-        let Some(bus) = &self.bus else { return };
-        let generation = bus.generation();
-        if generation != self.bus_seen {
-            self.bus_seen = generation;
-            self.epoch = self.epoch.next();
-            self.touched.insert(UnitClass::Global, self.epoch);
         }
     }
 
@@ -274,105 +136,41 @@ impl VersionedEnforcer {
         self.epoch
     }
 
-    /// The cache-key unit class for `unit` under the wrapped mechanism.
-    pub fn unit_class(&self, unit: UnitId) -> UnitClass {
-        match self.inner.decision_scope() {
-            DecisionScope::Global => UnitClass::Global,
-            DecisionScope::PerUnit => UnitClass::Unit(unit),
-        }
-    }
-
-    /// Is a decision stamped at `epoch` for `class` still current — i.e.
-    /// has no policy mutation touched that class since?
-    pub fn is_current(&self, class: UnitClass, epoch: PolicyEpoch) -> bool {
-        self.touched
-            .get(&class)
-            .map(|&t| t <= epoch)
-            .unwrap_or(true)
-    }
-
-    /// Evaluate `req` as of `observed` (the epoch the caller last saw).
-    ///
-    /// Policy state is only materialized at the current epoch, so the
-    /// evaluation always runs against it; the returned stamp carries the
-    /// epoch the decision is provably valid for, which is ≥ `observed`.
-    /// Callers caching the result must key it by
-    /// [`unit_class`](VersionedEnforcer::unit_class) and revalidate with
-    /// [`is_current`](VersionedEnforcer::is_current).
-    pub fn decide_at(&mut self, observed: PolicyEpoch, req: &AccessRequest) -> StampedDecision {
-        debug_assert!(observed <= self.epoch, "epochs are monotonic");
-        let (decision, valid_until) = self.inner.check_with_horizon(req);
-        StampedDecision {
-            decision,
-            epoch: self.epoch,
-            valid_until,
-        }
-    }
-
-    /// Evaluate without stamping (compatibility surface for callers that
-    /// do not cache).
+    /// Evaluate an access request against the current policy state.
     pub fn check(&mut self, req: &AccessRequest) -> Decision {
         self.inner.check(req)
     }
 
-    fn touch(&mut self, class: UnitClass) {
-        self.epoch = self.epoch.next();
-        self.touched.insert(class, self.epoch);
-        if class == UnitClass::Global {
-            if let Some(bus) = &self.bus {
-                // Advance past our own publication: the local epoch bump
-                // above already stranded this shard's global decisions. If
-                // another shard published concurrently, whichever of the
-                // two bumps we absorb, ours is the later local
-                // invalidation, so no stale decision survives either way.
-                self.bus_seen = bus.publish();
-            }
-        }
-    }
-
     /// Register a new unit with its initial policies. Does **not** bump
-    /// the epoch: the unit's id is fresh, so no decision about it can
-    /// have been cached, and coarse mechanisms ignore per-unit policies.
+    /// the epoch: the unit's id is fresh, so no earlier decision was
+    /// about it.
     pub fn register_unit(&mut self, unit: UnitId, policies: &[Policy]) {
         self.inner.register_unit(unit, policies);
     }
 
     /// A new data-subject entity appeared. Does not bump the epoch: the
-    /// entity id is fresh, so no decision naming it can have been cached.
+    /// entity id is fresh, so no earlier decision named it.
     pub fn on_new_subject(&mut self, entity: EntityId) {
         self.inner.on_new_subject(entity);
     }
 
-    /// Grant an additional policy on a unit (policy-mutating: bumps the
-    /// epoch for the unit's class on per-unit mechanisms; coarse
-    /// mechanisms ignore per-unit grants, so nothing cached can change).
+    /// Grant an additional policy on a unit (policy-mutating).
     pub fn grant(&mut self, unit: UnitId, policy: Policy) {
+        self.epoch = self.epoch.next();
         self.inner.grant(unit, policy);
-        if self.inner.decision_scope() == DecisionScope::PerUnit {
-            self.touch(UnitClass::Unit(unit));
-        }
     }
 
     /// Revoke all policies on a unit (policy-mutating).
     pub fn revoke_all(&mut self, unit: UnitId, at: Ts) -> usize {
-        let revoked = self.inner.revoke_all(unit, at);
-        if revoked > 0 || self.inner.decision_scope() == DecisionScope::PerUnit {
-            let class = self.unit_class(unit);
-            self.touch(class);
-        }
-        revoked
+        self.epoch = self.epoch.next();
+        self.inner.revoke_all(unit, at)
     }
 
     /// Remove every trace of the unit from policy metadata
-    /// (policy-mutating on per-unit mechanisms; coarse mechanisms keep no
-    /// per-unit state, so their decisions cannot have changed).
+    /// (policy-mutating).
     pub fn forget_unit(&mut self, unit: UnitId) -> u64 {
-        let freed = self.inner.forget_unit(unit);
-        if freed > 0 || self.inner.decision_scope() == DecisionScope::PerUnit {
-            let class = self.unit_class(unit);
-            self.touch(class);
-        }
-        freed
+        self.epoch = self.epoch.next();
+        self.inner.forget_unit(unit)
     }
 
     /// The wrapped mechanism, read-only.
@@ -385,7 +183,7 @@ impl VersionedEnforcer {
 mod tests {
     use super::*;
     use crate::metatable::MetaTableEnforcer;
-    use crate::rbac::{RbacEnforcer, Role};
+    use crate::rbac::RbacEnforcer;
     use datacase_core::purpose::well_known as wk;
     use datacase_sim::{Meter, SimClock};
     use std::sync::Arc;
@@ -404,185 +202,27 @@ mod tests {
         assert_eq!(format!("{}", PolicyEpoch(3)), "e3");
     }
 
-    fn versioned_metatable() -> VersionedEnforcer {
-        let inner = MetaTableEnforcer::new(SimClock::commodity(), Arc::new(Meter::new()));
-        VersionedEnforcer::new(Box::new(inner))
-    }
-
-    fn req(unit: u64, entity: u32, at_secs: u64) -> AccessRequest {
-        AccessRequest {
-            unit: UnitId(unit),
-            entity: EntityId(entity),
-            purpose: wk::billing(),
-            action: ActionKind::Read,
-            at: Ts::from_secs(at_secs),
-        }
-    }
-
     #[test]
-    fn mutations_bump_the_epoch_per_unit_class() {
-        let mut v = versioned_metatable();
-        assert_eq!(v.epoch(), PolicyEpoch::ZERO);
-        v.register_unit(
-            UnitId(1),
-            &[Policy::open_ended(wk::billing(), EntityId(1), Ts::ZERO)],
-        );
-        // Registration is not a mutation of observable decisions.
-        assert_eq!(v.epoch(), PolicyEpoch::ZERO);
-        let observed = v.epoch();
-        let stamp = v.decide_at(observed, &req(1, 1, 10));
-        assert!(stamp.decision.is_allow());
-        assert!(v.is_current(v.unit_class(UnitId(1)), stamp.epoch));
-        // Revoking unit 1 invalidates unit 1's class, not unit 2's.
-        v.register_unit(
-            UnitId(2),
-            &[Policy::open_ended(wk::billing(), EntityId(1), Ts::ZERO)],
-        );
-        let stamp2 = v.decide_at(v.epoch(), &req(2, 1, 10));
-        assert_eq!(v.revoke_all(UnitId(1), Ts::from_secs(20)), 1);
-        assert!(v.epoch() > PolicyEpoch::ZERO);
-        assert!(!v.is_current(v.unit_class(UnitId(1)), stamp.epoch));
-        assert!(v.is_current(v.unit_class(UnitId(2)), stamp2.epoch));
-    }
-
-    #[test]
-    fn grant_invalidates_cached_denials() {
-        let mut v = versioned_metatable();
-        v.register_unit(UnitId(1), &[]);
-        let deny = v.decide_at(v.epoch(), &req(1, 1, 10));
-        assert!(!deny.decision.is_allow());
-        v.grant(
-            UnitId(1),
-            Policy::open_ended(wk::billing(), EntityId(1), Ts::ZERO),
-        );
-        assert!(
-            !v.is_current(v.unit_class(UnitId(1)), deny.epoch),
-            "a cached deny must be re-evaluated after a grant"
-        );
-        assert!(v.decide_at(v.epoch(), &req(1, 1, 10)).decision.is_allow());
-    }
-
-    #[test]
-    fn window_end_bounds_the_stamp_horizon() {
-        let mut v = versioned_metatable();
-        v.register_unit(
-            UnitId(1),
-            &[Policy::new(
-                wk::billing(),
-                EntityId(1),
-                Ts::ZERO,
-                Ts::from_secs(100),
-            )],
-        );
-        let stamp = v.decide_at(v.epoch(), &req(1, 1, 10));
-        assert!(stamp.decision.is_allow());
-        assert_eq!(
-            stamp.valid_until,
-            Ts::from_secs(100),
-            "allow holds only through the policy window"
-        );
-    }
-
-    /// A minimal coarse mechanism whose revocations actually change
-    /// global decisions — RBAC ignores per-unit revocation, so the bus
-    /// path needs a mechanism that doesn't.
-    struct GlobalToggle {
-        allowed: bool,
-    }
-
-    impl PolicyEnforcer for GlobalToggle {
-        fn name(&self) -> &'static str {
-            "global-toggle"
-        }
-        fn register_unit(&mut self, _: UnitId, _: &[Policy]) {}
-        fn grant(&mut self, _: UnitId, _: Policy) {}
-        fn revoke_all(&mut self, _: UnitId, _: Ts) -> usize {
-            self.allowed = false;
-            1
-        }
-        fn forget_unit(&mut self, _: UnitId) -> u64 {
-            0
-        }
-        fn check(&mut self, _: &AccessRequest) -> Decision {
-            if self.allowed {
-                Decision::Allow
-            } else {
-                Decision::Deny("revoked".into())
-            }
-        }
-        fn decision_scope(&self) -> DecisionScope {
-            DecisionScope::Global
-        }
-        fn metadata_bytes(&self) -> u64 {
-            0
-        }
-        fn policy_count(&self) -> usize {
-            0
-        }
-    }
-
-    #[test]
-    fn bus_strands_global_decisions_across_shards() {
-        let bus = EpochBus::new();
-        let mut a = VersionedEnforcer::new(Box::new(GlobalToggle { allowed: true }));
-        let mut b = VersionedEnforcer::new(Box::new(GlobalToggle { allowed: true }));
-        a.attach_bus(bus.clone());
-        b.attach_bus(bus.clone());
-        let stamp = b.decide_at(b.epoch(), &req(1, 1, 10));
-        assert!(stamp.decision.is_allow());
-        assert!(b.is_current(UnitClass::Global, stamp.epoch));
-        // Shard A observes a global revocation; the touch publishes it.
-        assert_eq!(a.revoke_all(UnitId(1), Ts::from_secs(20)), 1);
-        assert_eq!(bus.generation(), 1);
-        // Shard B's cached allow is stranded at its next sync, before its
-        // next decide can be served from the cache.
-        b.sync_bus();
-        assert!(!b.is_current(UnitClass::Global, stamp.epoch));
-        // A's own publication is already folded into its local epoch: a
-        // sync after publishing must not strand A's fresh decisions.
-        let fresh = a.decide_at(a.epoch(), &req(1, 1, 30));
-        let before = a.epoch();
-        a.sync_bus();
-        assert_eq!(a.epoch(), before);
-        assert!(a.is_current(UnitClass::Global, fresh.epoch));
-    }
-
-    #[test]
-    fn per_unit_mutations_stay_off_the_bus() {
-        let bus = EpochBus::new();
-        let mut v = versioned_metatable();
-        v.attach_bus(bus.clone());
-        v.register_unit(
-            UnitId(1),
-            &[Policy::open_ended(wk::billing(), EntityId(1), Ts::ZERO)],
-        );
-        assert_eq!(v.revoke_all(UnitId(1), Ts::from_secs(5)), 1);
-        // Unit classes are shard-disjoint in a sharded engine: a per-unit
-        // revocation is the owning shard's business only.
-        assert_eq!(bus.generation(), 0);
-        // And a sync against an idle bus is a no-op.
-        let before = v.epoch();
-        v.sync_bus();
-        assert_eq!(v.epoch(), before);
-    }
-
-    #[test]
-    fn coarse_mechanisms_share_one_unit_class() {
+    fn every_routed_mutation_bumps_the_epoch_and_registration_does_not() {
         let clock = SimClock::commodity();
-        let mut rbac = RbacEnforcer::new(clock, Arc::new(Meter::new()));
-        let role = rbac.define_role(Role::new(
-            "reader",
-            vec![(wk::billing(), vec![ActionKind::Read])],
-        ));
-        rbac.add_member(EntityId(1), role);
-        let mut v = VersionedEnforcer::new(Box::new(rbac));
-        assert_eq!(v.unit_class(UnitId(1)), UnitClass::Global);
-        assert_eq!(v.unit_class(UnitId(2)), UnitClass::Global);
-        // RBAC ignores per-unit revocation: decisions are unchanged, so
-        // the epoch (and every cached decision) survives.
-        let stamp = v.decide_at(v.epoch(), &req(1, 1, 10));
-        assert!(stamp.decision.is_allow());
-        assert_eq!(v.revoke_all(UnitId(1), Ts::from_secs(20)), 0);
-        assert!(v.is_current(UnitClass::Global, stamp.epoch));
+        let metatable = MetaTableEnforcer::new(clock.clone(), Arc::new(Meter::new()));
+        // RBAC ignores per-unit mutations; the rule holds regardless.
+        let rbac = RbacEnforcer::new(clock, Arc::new(Meter::new()));
+        let mechanisms: [Box<dyn PolicyEnforcer>; 2] = [Box::new(metatable), Box::new(rbac)];
+        for inner in mechanisms {
+            let mut v = VersionedEnforcer::new(inner);
+            v.on_new_subject(EntityId(1));
+            v.register_unit(UnitId(1), &[]);
+            assert_eq!(v.epoch(), PolicyEpoch::ZERO, "{v:?}");
+            v.grant(
+                UnitId(1),
+                Policy::open_ended(wk::billing(), EntityId(1), Ts::ZERO),
+            );
+            assert_eq!(v.epoch(), PolicyEpoch(1), "{v:?}");
+            v.revoke_all(UnitId(1), Ts::from_secs(20));
+            assert_eq!(v.epoch(), PolicyEpoch(2), "{v:?}");
+            v.forget_unit(UnitId(1));
+            assert_eq!(v.epoch(), PolicyEpoch(3), "{v:?}");
+        }
     }
 }

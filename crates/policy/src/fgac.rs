@@ -173,17 +173,14 @@ impl PolicyEnforcer for FgacEnforcer {
     }
 
     fn check(&mut self, req: &AccessRequest) -> Decision {
-        self.check_with_horizon(req).0
-    }
-
-    fn check_with_horizon(&mut self, req: &AccessRequest) -> (Decision, Ts) {
         let model = self.clock.model().clone();
         Meter::bump(&self.meter.policy_checks, 1);
-        let rows = self
+        let unit_rows = self
             .by_unit
             .get(&req.unit)
-            .map(|r| r.len() as u64)
-            .unwrap_or(0);
+            .map(|r| r.as_slice())
+            .unwrap_or(&[]);
+        let rows = unit_rows.len() as u64;
         if self.config.use_index {
             // Sieve path: one index probe narrows to the posting list and
             // the index-usage hints let the rewritten query evaluate only
@@ -197,14 +194,10 @@ impl PolicyEnforcer for FgacEnforcer {
                 .unwrap_or(false);
             if !candidate {
                 Meter::bump(&self.meter.denials, 1);
-                // No posting: no policy ⟨entity, purpose⟩ was ever granted
-                // on this unit, so only a grant (an epoch bump) can flip
-                // the decision.
-                let reason = format!(
+                return Decision::Deny(format!(
                     "policy index has no entry ({}, {}) covering unit {}",
                     req.entity, req.purpose, req.unit
-                );
-                return (Decision::Deny(reason), Ts::MAX);
+                ));
             }
             // Per-tuple guard evaluation (UDF calls): one per policy row
             // attached to the tuple.
@@ -219,40 +212,19 @@ impl PolicyEnforcer for FgacEnforcer {
                 model.policy_check_coarse * rows + model.policy_check_fine * rows.max(1) * 4,
             );
         }
-        // Allow horizon: the latest effective end (window end, clipped by
-        // revocation) among active rows. Deny horizon: just before the
-        // earliest not-yet-active window.
-        let mut allow_until: Option<Ts> = None;
-        let mut deny_until = Ts::MAX;
-        for row in self
-            .by_unit
-            .get(&req.unit)
-            .map(|r| r.as_slice())
-            .unwrap_or(&[])
-        {
-            if row.policy.entity != req.entity || row.policy.purpose != req.purpose {
-                continue;
-            }
-            if row.active_at(req.at) {
-                let mut end = row.policy.until;
-                if let Some(revoked) = row.revoked_at {
-                    end = end.min(Ts(revoked.0.saturating_sub(1)));
-                }
-                allow_until = Some(allow_until.map_or(end, |u| u.max(end)));
-            } else if row.policy.from > req.at && row.revoked_at.is_none() {
-                deny_until = deny_until.min(Ts(row.policy.from.0.saturating_sub(1)));
-            }
-        }
-        match allow_until {
-            Some(until) => (Decision::Allow, until),
-            None => {
-                Meter::bump(&self.meter.denials, 1);
-                let reason = format!(
-                    "no active fine-grained policy ⟨{}, {}⟩ on unit {} at {}",
-                    req.purpose, req.entity, req.unit, req.at
-                );
-                (Decision::Deny(reason), deny_until)
-            }
+        let allowed = unit_rows.iter().any(|row| {
+            row.policy.entity == req.entity
+                && row.policy.purpose == req.purpose
+                && row.active_at(req.at)
+        });
+        if allowed {
+            Decision::Allow
+        } else {
+            Meter::bump(&self.meter.denials, 1);
+            Decision::Deny(format!(
+                "no active fine-grained policy ⟨{}, {}⟩ on unit {} at {}",
+                req.purpose, req.entity, req.unit, req.at
+            ))
         }
     }
 

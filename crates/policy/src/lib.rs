@@ -14,17 +14,17 @@
 //!
 //! All three implement [`enforcer::PolicyEnforcer`], charge their distinct
 //! cost signatures to the shared [`datacase_sim::SimClock`], and report the
-//! metadata bytes they occupy (Table 2's space accounting).
+//! metadata bytes they occupy (Table 2's space accounting). The engine
+//! holds the active mechanism in an [`enforcer::VersionedEnforcer`], which
+//! counts policy mutations in a [`PolicyEpoch`] and decides every access
+//! against the current policy state.
 
 pub mod enforcer;
 pub mod fgac;
 pub mod metatable;
 pub mod rbac;
 
-pub use enforcer::{
-    AccessRequest, Decision, DecisionScope, PolicyEnforcer, PolicyEpoch, StampedDecision,
-    UnitClass, VersionedEnforcer,
-};
+pub use enforcer::{AccessRequest, Decision, PolicyEnforcer, PolicyEpoch, VersionedEnforcer};
 pub use fgac::{FgacConfig, FgacEnforcer};
 pub use metatable::MetaTableEnforcer;
 pub use rbac::{RbacEnforcer, Role};

@@ -91,46 +91,30 @@ impl PolicyEnforcer for MetaTableEnforcer {
     }
 
     fn check(&mut self, req: &AccessRequest) -> Decision {
-        self.check_with_horizon(req).0
-    }
-
-    fn check_with_horizon(&mut self, req: &AccessRequest) -> (Decision, Ts) {
         let model = self.clock.model().clone();
         // The join against the separate table.
         self.clock
             .charge_nanos(model.metadata_join + model.index_probe);
         Meter::bump(&self.meter.policy_checks, 1);
         Meter::bump(&self.meter.index_probes, 1);
-        let rows = self.table.get(&req.unit);
-        let candidates = rows.map(|r| r.len()).unwrap_or(0) as u64;
+        let rows: &[Policy] = self
+            .table
+            .get(&req.unit)
+            .map(|r| r.as_slice())
+            .unwrap_or(&[]);
         self.clock
-            .charge_nanos(model.policy_check_coarse * candidates);
-        let rows: &[Policy] = rows.map(|r| r.as_slice()).unwrap_or(&[]);
-        let matching = rows
+            .charge_nanos(model.policy_check_coarse * rows.len() as u64);
+        let allowed = rows
             .iter()
-            .filter(|p| p.entity == req.entity && p.purpose == req.purpose);
-        // Allow horizon: the latest window end among currently active
-        // rows. Deny horizon: just before the earliest not-yet-active
-        // window (a future `from` flips the decision without any grant).
-        let mut allow_until: Option<Ts> = None;
-        let mut deny_until = Ts::MAX;
-        for p in matching {
-            if p.active_at(req.at) {
-                allow_until = Some(allow_until.map_or(p.until, |u| u.max(p.until)));
-            } else if p.from > req.at {
-                deny_until = deny_until.min(Ts(p.from.0.saturating_sub(1)));
-            }
-        }
-        match allow_until {
-            Some(until) => (Decision::Allow, until),
-            None => {
-                Meter::bump(&self.meter.denials, 1);
-                let reason = format!(
-                    "no policy row ⟨{}, {}⟩ active at {} for unit {}",
-                    req.purpose, req.entity, req.at, req.unit
-                );
-                (Decision::Deny(reason), deny_until)
-            }
+            .any(|p| p.entity == req.entity && p.purpose == req.purpose && p.active_at(req.at));
+        if allowed {
+            Decision::Allow
+        } else {
+            Meter::bump(&self.meter.denials, 1);
+            Decision::Deny(format!(
+                "no policy row ⟨{}, {}⟩ active at {} for unit {}",
+                req.purpose, req.entity, req.at, req.unit
+            ))
         }
     }
 

@@ -15,7 +15,7 @@ use datacase_core::purpose::PurposeId;
 use datacase_sim::time::Ts;
 use datacase_sim::{Meter, SimClock};
 
-use crate::enforcer::{AccessRequest, Decision, DecisionScope, PolicyEnforcer};
+use crate::enforcer::{AccessRequest, Decision, PolicyEnforcer};
 
 /// A role: a named set of (purpose, action-kind) capabilities.
 #[derive(Clone, Debug, Default)]
@@ -149,13 +149,6 @@ impl PolicyEnforcer for RbacEnforcer {
                 req.entity, req.action, req.purpose
             ))
         }
-    }
-
-    fn decision_scope(&self) -> DecisionScope {
-        // Authorisation depends on (role, purpose, action) only — one
-        // cached decision is valid for every unit. This is the coarseness
-        // that makes P_Base cheap, surfaced as cache granularity.
-        DecisionScope::Global
     }
 
     fn metadata_bytes(&self) -> u64 {

@@ -13,8 +13,8 @@
 //!   encryption and a *remanence* layer distinguishing strong from
 //!   permanent deletion;
 //! * [`buffer`] — LRU buffer pool;
-//! * [`btree`] / [`hashindex`] — real index structures whose dead-entry
-//!   probes are part of Figure 4a's cost story;
+//! * [`btree`] — a real index structure whose dead-entry probes are
+//!   part of Figure 4a's cost story;
 //! * [`fsm`] — free-space map;
 //! * [`wal`] — write-ahead log (durability *and* retention hazard);
 //! * [`heap`] — the PostgreSQL-style engine: INSERT/SELECT/UPDATE/DELETE,
@@ -22,8 +22,6 @@
 //!   drive sanitisation;
 //! * [`lsm`] — memtable + SSTables + bloom filters + tombstones + tiered
 //!   compaction (the Cassandra-style engine from the paper's intro);
-//! * [`replica`] — copy-tracked replication (the intro's "track the
-//!   copies and delete all of them");
 //! * [`forensic`] — the independent residual scanner that makes Table 1's
 //!   property matrix *measurable*;
 //! * [`backend`] — the [`backend::StorageBackend`] contract the
@@ -37,11 +35,9 @@ pub mod disk;
 pub mod error;
 pub mod forensic;
 pub mod fsm;
-pub mod hashindex;
 pub mod heap;
 pub mod lsm;
 pub mod page;
-pub mod replica;
 pub mod tuple;
 pub mod txn;
 pub mod wal;
@@ -53,5 +49,4 @@ pub use error::{Result, StorageError};
 pub use forensic::{scan_heap, scan_lsm, ForensicFindings};
 pub use heap::{HeapConfig, HeapDb, HeapStats, VacuumStats};
 pub use lsm::{LsmConfig, LsmStats, LsmTree};
-pub use replica::ReplicatedHeap;
 pub use tuple::Tid;

@@ -8,12 +8,17 @@
 //! holding fails here under its own name.
 
 use data_case::core::grounding::properties::ErasureProperties;
-use data_case::engine::{lsm_erase, probe};
+use data_case::engine::probe;
 use data_case::prelude::*;
+use data_case::storage::backend::BackendKind;
 use data_case::storage::lsm::LsmTree;
 
 fn seeded_frontend() -> Frontend {
-    let mut config = EngineConfig::p_sys();
+    seeded_frontend_on(BackendKind::Heap)
+}
+
+fn seeded_frontend_on(backend: BackendKind) -> Frontend {
+    let mut config = EngineConfig::p_sys().with_backend(backend);
     config.tuple_encryption = None;
     let mut fe = Frontend::new(config);
     let metadata = GdprMetadata {
@@ -75,18 +80,48 @@ fn delete_leaves_online_residuals_strong_delete_clears_file() {
     // Vacuum wiped the page, but the WAL retains the payload.
     assert!(!f.wal_lsns.is_empty(), "WAL retention: {}", f.describe());
 
-    let mut fe2 = seeded_frontend();
-    assert!(erase(
-        &mut fe2,
-        1,
-        ErasureInterpretation::PermanentlyDeleted
-    ));
-    let f2 = fe2.forensic().scan(b"INTEGRATION-ERASE-TARGET");
-    assert!(
-        !f2.any(),
-        "permanent deletion must clear all layers: {}",
-        f2.describe()
-    );
+    for backend in BackendKind::ALL {
+        for interp in [
+            ErasureInterpretation::Deleted,
+            ErasureInterpretation::StronglyDeleted,
+            ErasureInterpretation::PermanentlyDeleted,
+        ] {
+            let mut fe2 = seeded_frontend_on(backend);
+            assert!(fe2
+                .run(
+                    &Session::new(Actor::Controller),
+                    Request::Update {
+                        key: 1,
+                        payload: b"INTEGRATION-ERASE-TARGET-v2".to_vec(),
+                    },
+                )
+                .is_done());
+            assert!(erase(&mut fe2, 1, interp));
+            if interp == ErasureInterpretation::PermanentlyDeleted {
+                let f2 = fe2.forensic().scan(b"INTEGRATION-ERASE-TARGET");
+                assert!(
+                    !f2.any(),
+                    "{backend:?}: permanent deletion must clear all layers: {}",
+                    f2.describe()
+                );
+            }
+            // The model forgets with the disk: no version the unit ever
+            // held is still readable through `state()`.
+            let unit = fe2.unit_of_key(1).unwrap();
+            let versions = fe2.state().unit(unit).unwrap().value.versions();
+            assert_eq!(versions.len(), 3, "create, update, erase stay on record");
+            assert!(
+                versions.iter().all(|(_, v)| v.as_bytes().is_none()),
+                "{backend:?}/{interp}: erased plaintext survives in the model: {versions:?}"
+            );
+            let report = fe2.compliance_report(&Regulation::gdpr());
+            assert!(
+                report.violations.is_empty(),
+                "{backend:?}/{interp}: {:?}",
+                report.violations
+            );
+        }
+    }
 }
 
 #[test]
@@ -163,12 +198,14 @@ fn lsm_erasure_groundings_full_cycle() {
     // Plain tombstone delete retains bytes until compaction.
     tree.delete(7, 7);
     assert!(tree.scan_physical(b"lsm-unit-0007") > 0);
-    let out = lsm_erase(&mut tree, 8, 8, ErasureInterpretation::Deleted);
-    assert!(out.compacted);
+    // Delete-and-above forces the compaction.
+    tree.delete(8, 8);
+    tree.compact_all();
     assert_eq!(tree.scan_physical(b"lsm-unit-0008"), 0);
     // Permanent purge removes all entries of the unit.
-    let out2 = lsm_erase(&mut tree, 9, 9, ErasureInterpretation::PermanentlyDeleted);
-    assert!(out2.compacted);
+    tree.delete(9, 9);
+    tree.compact_all();
+    tree.purge_unit(9);
     assert_eq!(tree.scan_physical(b"lsm-unit-0009"), 0);
     // Unrelated units intact.
     assert!(tree.get(100).is_some());

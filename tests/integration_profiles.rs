@@ -1,10 +1,9 @@
 //! Cross-crate integration: the three compliance profiles end to end,
 //! driven batch-first through the session frontend.
 
-use data_case::engine::driver::{run_ops, sharded_run_plan, ShardPlan};
+use data_case::engine::driver::run_ops;
 use data_case::engine::space::SpaceReport;
 use data_case::prelude::*;
-use data_case::storage::backend::BackendKind;
 use data_case::workloads::gdprbench::{GdprBench, Mix};
 use data_case::workloads::ycsb::{Ycsb, YcsbWorkload};
 
@@ -96,37 +95,6 @@ fn wpro_metadata_scans_return_rows() {
         }
     }
     assert!(rows_seen > 0, "metadata-based reads must surface data");
-}
-
-#[test]
-fn sharded_driver_agrees_with_sequential_results() {
-    let config = EngineConfig::for_profile(ProfileKind::PBase);
-    let mut bench = GdprBench::new(53, 100);
-    let load = bench.load_phase(300);
-    let txns = bench.ops(300, Mix::wcus());
-    let run = data_case::engine::driver::sharded_run(&config, &load, &txns, Actor::Subject, 3);
-    assert_eq!(run.total_ops(), 300);
-    for s in &run.shards {
-        assert!(s.denied + s.not_found + s.expired + s.failed <= s.ops);
-    }
-    // The shards share one meter: the aggregate work snapshot covers the
-    // whole fleet (300 load creates alone log 300 audit records).
-    assert!(run.work.log_records >= 300);
-}
-
-#[test]
-fn heterogeneous_shard_plan_mixes_backends_in_one_job() {
-    // The ROADMAP's per-shard backend choice: a hot heap shard next to
-    // LSM capacity shards, one sharded job, same enforcement outcomes.
-    let config = EngineConfig::for_profile(ProfileKind::PBase);
-    let mut bench = GdprBench::new(67, 100);
-    let load = bench.load_phase(300);
-    let txns = bench.ops(300, Mix::wcus());
-    let plan = ShardPlan::of(&[BackendKind::Heap, BackendKind::Lsm, BackendKind::Lsm]);
-    let run = sharded_run_plan(&config, &load, &txns, Actor::Subject, &plan);
-    assert_eq!(run.shards.len(), 3);
-    assert_eq!(run.total_ops(), 300);
-    assert!(run.work.log_records >= 300);
 }
 
 /// Crash P_GBench mid-batch at `point` (arrival `nth`) with a buffer

@@ -205,13 +205,17 @@ fn graceful_shutdown_drains_replies_and_replays_serially() {
     type Recorded = Vec<(SubmitStamp, usize, Vec<Request>, Vec<Response>)>;
     let mut recorded: Recorded = Vec::new();
     let mut total_requests = 0usize;
+    // Shutdown stops accepting: both clients must be connected first.
+    let connected = std::sync::Barrier::new(3);
     std::thread::scope(|scope| {
+        let connected = &connected;
         let joins: Vec<_> = [("acme", "a-token"), ("globex", "g-token")]
             .iter()
             .enumerate()
             .map(|(t, (name, token))| {
                 scope.spawn(move || {
                     let mut client = Client::connect(addr, name, token, Actor::Controller).unwrap();
+                    connected.wait();
                     let mut log = Vec::new();
                     for step in 0..6u64 {
                         let parity = (t as u64 + step) % shards as u64;
@@ -234,7 +238,7 @@ fn graceful_shutdown_drains_replies_and_replays_serially() {
 
         // Begin graceful shutdown while both connections are mid-stream:
         // it must block until every in-flight batch is answered.
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        connected.wait();
         let mut frontends = server.shutdown();
         let live_head = merged_chain_head(&mut frontends);
 

@@ -45,9 +45,7 @@ fn concurrent_run(
     schedule: &[usize],
     overlap: bool,
 ) -> (StampedReplies, Vec<Ts>, usize, [u8; 32]) {
-    let config = EngineConfig::p_base()
-        .with_backend(backend)
-        .with_decision_cache(1024);
+    let config = EngineConfig::p_base().with_backend(backend);
     let engine = ConcurrentEngine::new(config, shards);
     let handle = engine.handle();
     let controller = Session::new(Actor::Controller);
@@ -96,18 +94,16 @@ fn concurrent_run(
 }
 
 /// One full run: load 60 records, then execute `txns` WCus requests in
-/// submissions of `batch_size`, with a decision cache of `cache` entries
-/// and every AES path routed through `crypto`. Returns the outcome stream,
-/// the meter counters, the final simulated instant, the count of forensic
-/// residuals for the workload's payload marker, and the audit chain's
-/// head MAC.
+/// submissions of `batch_size`, with every AES path routed through
+/// `crypto`. Returns the outcome stream, the meter counters, the final
+/// simulated instant, the count of forensic residuals for the workload's
+/// payload marker, and the audit chain's head MAC.
 fn run(
     backend: BackendKind,
     profile: ProfileKind,
     seed: u64,
     txns: usize,
     batch_size: usize,
-    cache: usize,
     crypto: CryptoBackend,
 ) -> (
     Vec<Result<Reply, EngineError>>,
@@ -118,7 +114,6 @@ fn run(
 ) {
     let mut config = EngineConfig::for_profile(profile)
         .with_backend(backend)
-        .with_decision_cache(cache)
         .with_crypto_backend(crypto);
     config.maintenance_every = 25;
     let mut fe = Frontend::new(config);
@@ -149,8 +144,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Batch-submit ≡ sequential-execute, on all three paper profiles,
-    /// heap and LSM, with and without the versioned decision cache, under
-    /// every crypto backend: the reply stream, the meter snapshot, the
+    /// heap and LSM, under every crypto backend: the reply stream, the meter snapshot, the
     /// simulated clock, the forensic-residual count, **and the audit
     /// chain's bytes** all agree between single-request submissions on
     /// the default (`Auto`) AES path and arbitrary batch sizes on the
@@ -161,18 +155,16 @@ proptest! {
         seed in 0u64..10_000,
         batch_size in 2usize..96,
         txns in 40usize..120,
-        cached in proptest::bool::ANY,
     ) {
-        let cache = if cached { 1024 } else { 0 };
         for backend in BackendKind::ALL {
             for profile in ProfileKind::PAPER {
-                let sequential = run(backend, profile, seed, txns, 1, cache, CryptoBackend::Auto);
+                let sequential = run(backend, profile, seed, txns, 1, CryptoBackend::Auto);
                 for crypto in [
                     CryptoBackend::Auto,
                     CryptoBackend::Software,
                     CryptoBackend::Reference,
                 ] {
-                    let batched = run(backend, profile, seed, txns, batch_size, cache, crypto);
+                    let batched = run(backend, profile, seed, txns, batch_size, crypto);
                     let cell = format!("{backend:?}/{profile:?}/{crypto} (batch={batch_size})");
                     prop_assert_eq!(&sequential.0, &batched.0, "{}: reply streams", cell);
                     prop_assert_eq!(sequential.1, batched.1, "{}: meter snapshots", cell);

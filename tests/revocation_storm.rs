@@ -1,17 +1,16 @@
 //! Regression test: a revocation storm across concurrent sessions must
-//! never serve a post-revocation allow from a stale cached decision.
+//! never answer a read with an allow taken before the revocation.
 //!
-//! Shape of the storm: many client threads warm the shared engine's
-//! decision caches on a victim record and keep batches in flight while
-//! one session executes an Art. 17 erasure of that record. The erasure
-//! revokes the unit's policies and bumps the policy epoch on the owning
-//! shard (a global-scope mutation would additionally ride the engine-wide
-//! epoch bus); every warm cached allow for that unit class is stranded by
-//! the epoch check at its next lookup. Requests that were in flight when
-//! the erase landed may linearize on either side of it — but any read
-//! submitted *after* the eraser's ticket completed is guaranteed to
-//! serialize after the erase on the victim's shard, and must come back
-//! denied or retention-expired, never `Ok`.
+//! Shape of the storm: many client threads read a victim record on the
+//! shared engine and keep batches in flight while one session executes
+//! an Art. 17 erasure of that record. The erasure revokes the unit's
+//! policies and bumps the policy epoch on the owning shard, and every
+//! access asks that shard's enforcer against its current policy state.
+//! Requests that were in flight when the erase landed may linearize on
+//! either side of it — but any read submitted *after* the eraser's
+//! ticket completed is guaranteed to serialize after the erase on the
+//! victim's shard, and must come back denied or retention-expired,
+//! never `Ok`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -23,9 +22,7 @@ use data_case::workloads::gdprbench::GdprBench;
 #[test]
 fn revocation_storm_never_serves_stale_allows() {
     for backend in BackendKind::ALL {
-        let config = EngineConfig::p_sys()
-            .with_backend(backend)
-            .with_decision_cache(4096);
+        let config = EngineConfig::p_sys().with_backend(backend);
         let engine = ConcurrentEngine::new(config, 3);
         let controller = Session::new(Actor::Controller);
         let mut bench = GdprBench::new(11, 60);
@@ -45,7 +42,7 @@ fn revocation_storm_never_serves_stale_allows() {
         let settled = Barrier::new(READERS + 1);
 
         std::thread::scope(|scope| {
-            // Sessions B..K: warm the decision cache on the victim, keep
+            // Sessions B..K: read the victim while it is allowed, keep
             // read batches in flight through the storm, then verify that
             // nothing submitted after the erase completed slips through.
             for reader in 0..READERS {
@@ -77,9 +74,9 @@ fn revocation_storm_never_serves_stale_allows() {
                     }
                     settled.wait();
                     // Post-revocation: these serialize after the erase on
-                    // the victim's shard. A stale cached allow would
-                    // surface as Ok (or as NotFound after reaching the
-                    // backend); the epoch check must yield a typed denial.
+                    // the victim's shard. A stale allow would surface as
+                    // Ok (or as NotFound after reaching the backend); the
+                    // enforcer must yield a typed denial.
                     for r in handle.call(&session, &[Request::Read { key: VICTIM }]) {
                         match r.outcome {
                             Err(EngineError::Denied { .. })
