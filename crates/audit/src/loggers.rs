@@ -179,8 +179,10 @@ impl AuditLogger for CsvRowLogger {
     }
 
     fn log(&mut self, mut rec: LogRecord) {
-        // Row-level: only a truncated response row is stored.
+        // Row-level: only a truncated response row is stored — and owned:
+        // the rest of the caller's buffer goes back to the allocator.
         rec.payload.truncate(CSV_ROW_CAP);
+        rec.payload.shrink_to_fit();
         self.core.append(rec);
     }
 
@@ -448,6 +450,32 @@ mod tests {
         let mut csv = CsvRowLogger::new(b"k", clock, meter);
         csv.log(rec(1, 1, &vec![9u8; 500]));
         assert!(csv.bytes() < 200, "row-level keeps it compact");
+    }
+
+    #[test]
+    fn stored_records_own_no_more_than_they_keep() {
+        // A read hands the logger the whole decrypted row; what the store
+        // retains per record must be the bytes it charged for, not the
+        // capacity the row arrived in.
+        let clock = SimClock::commodity();
+        let meter = Arc::new(Meter::new());
+        let row = vec![9u8; 1024];
+        let mut csv = CsvRowLogger::new(b"k", clock.clone(), meter.clone());
+        let mut full = FullQueryLogger::new(b"k", clock.clone(), meter.clone());
+        let mut enc = EncryptedLogger::new(b"k", clock, meter);
+        csv.log(rec(1, 1, &row));
+        full.log(rec(1, 1, &row));
+        enc.log(rec(1, 1, &row));
+        assert_eq!(csv.core.records[0].payload.len(), CSV_ROW_CAP);
+        for (name, core) in [("csv", &csv.core), ("full", &full.core), ("enc", &enc.core)] {
+            let p = &core.records[0].payload;
+            assert!(
+                p.capacity() <= p.len() + 16,
+                "{name}: {} bytes kept behind a {}-byte payload",
+                p.capacity(),
+                p.len()
+            );
+        }
     }
 
     #[test]

@@ -107,6 +107,12 @@ pub struct BackendStats {
     pub dead_entries: u64,
     /// Bytes of persistent table/run storage.
     pub disk_bytes: u64,
+    /// Bytes of physical drive the substrate holds: on the heap every
+    /// sector of the simulated disk — the table, retired sectors awaiting
+    /// sanitisation, and the free list — so `drive_bytes - disk_bytes` is
+    /// what a rewrite left behind; on the LSM, equal to `disk_bytes`. Not
+    /// part of the space report (Table 2 counts the logical table).
+    pub drive_bytes: u64,
     /// Index bytes (primary B+tree; LSM bloom filters are negligible).
     pub index_bytes: u64,
     /// Retained recovery-log bytes (heap WAL; the LSM has none — its runs
@@ -312,6 +318,7 @@ impl StorageBackend for HeapDb {
             live_entries: s.live_tuples,
             dead_entries: s.dead_tuples,
             disk_bytes: s.disk_bytes,
+            drive_bytes: self.disk().bytes(),
             index_bytes: s.index_bytes,
             log_bytes: s.wal_bytes,
             segments: s.pages,
@@ -544,6 +551,7 @@ impl StorageBackend for LsmBackend {
             live_entries: self.live,
             dead_entries: total.saturating_sub(self.live),
             disk_bytes: s.run_bytes,
+            drive_bytes: s.run_bytes,
             index_bytes: 0,
             log_bytes: 0,
             segments: s.runs,

@@ -12,11 +12,51 @@
 //! whole-block T-table fast path (`AesCtr::apply_blocks`) — the sector
 //! layer is the biggest per-byte AES consumer in the system, so this is
 //! where the crypto overhaul pays the most.
+//!
+//! # Sector life cycle
+//!
+//! ```text
+//! allocate() ──► live ──(table rewrite zeroes it)──► retired + ghost
+//!     ▲                                                   │
+//!     │                                   sanitize_and_release()
+//!     │                                                   ▼
+//!     └──────────────────── free ◄──────────────── sanitised
+//! ```
+//!
+//! [`Disk::allocate`] hands out a zeroed sector (ciphertext-of-zero on an
+//! encrypted disk). Writes make it *live*; every overwrite of non-zero
+//! content leaves the previous generation behind as a remanence *ghost*.
+//! When `VACUUM FULL` rewrites the table it zeroes the old sectors and the
+//! heap *retires* them: their file-level bytes are gone, their ghosts are
+//! not. [`Disk::sanitize_and_release`] wipes a retired sector (content
+//! zeros, ghost destroyed) and puts it on the free list, and `allocate`
+//! takes from that list before it grows the drive — so the drive holds the
+//! table at its largest plus one rewrite, not every table ever written.
+//! (A high-water mark: the drive does not shrink when its table does.)
+//!
+//! **An unsanitised sector is never reused.** Its ghost is the whole
+//! difference between *strongly* and *permanently* deleted in the paper's
+//! Table 1: handing the sector out again would let the next overwrite
+//! displace that ghost without a sanitisation pass ever being charged, and
+//! the forensic scanner would report a drive cleaner than the grounding
+//! that ran. The free list therefore has exactly one feeder, and it
+//! sanitises first.
 
 use datacase_crypto::sector::SectorCipher;
 use datacase_sim::{Meter, SimClock};
 
 use crate::page::PAGE_SIZE;
+
+/// One physical sector: what a read returns, and what a lab could still
+/// lift from underneath it.
+struct Sector {
+    /// Raw stored bytes (ciphertext on an encrypted disk).
+    data: Vec<u8>,
+    /// Drive remanence: the previous generation of `data`, until sanitised.
+    ghost: Option<Vec<u8>>,
+    /// On the free list: sanitised (all-zero, no ghost) and owned by no one.
+    free: bool,
+}
 
 /// A page-granular simulated disk.
 ///
@@ -27,8 +67,9 @@ use crate::page::PAGE_SIZE;
 /// gone after VACUUM FULL) and *permanent* deletion (drive sanitised per
 /// NISP-style guidance \[21\] in the paper).
 pub struct Disk {
-    sectors: Vec<Vec<u8>>,
-    remanence: Vec<Option<Vec<u8>>>,
+    sectors: Vec<Sector>,
+    /// Sanitised sectors awaiting reuse, most recently released last.
+    free: Vec<u32>,
     cipher: Option<SectorCipher>,
     clock: SimClock,
     meter: std::sync::Arc<Meter>,
@@ -38,6 +79,7 @@ impl std::fmt::Debug for Disk {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Disk")
             .field("pages", &self.sectors.len())
+            .field("free", &self.free.len())
             .field("encrypted", &self.cipher.is_some())
             .finish()
     }
@@ -48,7 +90,7 @@ impl Disk {
     pub fn new(clock: SimClock, meter: std::sync::Arc<Meter>) -> Disk {
         Disk {
             sectors: Vec::new(),
-            remanence: Vec::new(),
+            free: Vec::new(),
             cipher: None,
             clock,
             meter,
@@ -58,11 +100,8 @@ impl Disk {
     /// An empty disk with LUKS-style sector encryption.
     pub fn encrypted(clock: SimClock, meter: std::sync::Arc<Meter>, cipher: SectorCipher) -> Disk {
         Disk {
-            sectors: Vec::new(),
-            remanence: Vec::new(),
             cipher: Some(cipher),
-            clock,
-            meter,
+            ..Disk::new(clock, meter)
         }
     }
 
@@ -71,7 +110,7 @@ impl Disk {
         self.cipher.is_some()
     }
 
-    /// Number of allocated pages.
+    /// Number of physical sectors the drive holds, free ones included.
     pub fn len(&self) -> usize {
         self.sectors.len()
     }
@@ -81,22 +120,39 @@ impl Disk {
         self.sectors.is_empty()
     }
 
-    /// Total on-disk bytes.
+    /// Sanitised sectors waiting on the free list.
+    pub fn free_len(&self) -> usize {
+        self.free.len()
+    }
+
+    /// Total on-disk bytes, free sectors included.
     pub fn bytes(&self) -> u64 {
         (self.sectors.len() * PAGE_SIZE) as u64
     }
 
-    /// Allocate a fresh zeroed page, returning its id. On an encrypted
-    /// disk the stored bytes are the *ciphertext* of a zero page, so a
-    /// later `read_page` decrypts back to logical zeros.
+    /// Allocate a zeroed page, returning its id: the most recently
+    /// released sanitised sector if there is one, a new sector at the end
+    /// of the drive otherwise. On an encrypted disk the stored bytes are
+    /// the *ciphertext* of a zero page, so a later `read_page` decrypts
+    /// back to logical zeros. Charges nothing, either way.
     pub fn allocate(&mut self) -> u32 {
-        let id = self.sectors.len() as u32;
-        let mut sector = vec![0u8; PAGE_SIZE];
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.sectors[id as usize].free = false;
+                id
+            }
+            None => {
+                self.sectors.push(Sector {
+                    data: vec![0u8; PAGE_SIZE],
+                    ghost: None,
+                    free: false,
+                });
+                (self.sectors.len() - 1) as u32
+            }
+        };
         if let Some(c) = &self.cipher {
-            c.apply(id as u64, &mut sector);
+            c.apply(id as u64, &mut self.sectors[id as usize].data);
         }
-        self.sectors.push(sector);
-        self.remanence.push(None);
         id
     }
 
@@ -120,7 +176,7 @@ impl Disk {
             model.page_read_disk
         });
         Meter::bump(&self.meter.pages_read_disk, 1);
-        let mut data = self.sectors[id as usize].clone();
+        let mut data = self.sectors[id as usize].data.clone();
         if let Some(c) = &self.cipher {
             self.clock
                 .charge(model.aes_cost(c.key_size().bits(), data.len()));
@@ -150,18 +206,22 @@ impl Disk {
             model.page_write_disk
         });
         Meter::bump(&self.meter.pages_written, 1);
-        let mut buf = data.to_vec();
+        let sector = &mut self.sectors[id as usize];
+        debug_assert!(!sector.free, "write to free sector {id}");
+        // Physical remanence: non-zero previous content lingers at the
+        // drive layer until sanitised. It swaps places with the ghost it
+        // displaces, whose buffer takes the new content; an all-zero
+        // sector has nothing to leave behind and is overwritten in place.
+        if sector.data.iter().any(|&b| b != 0) {
+            let spare = sector.ghost.take().unwrap_or_else(|| vec![0u8; PAGE_SIZE]);
+            sector.ghost = Some(std::mem::replace(&mut sector.data, spare));
+        }
+        sector.data.copy_from_slice(data);
         if let Some(c) = &self.cipher {
             self.clock
-                .charge(model.aes_cost(c.key_size().bits(), buf.len()));
-            Meter::bump(&self.meter.crypto_bytes, buf.len() as u64);
-            c.apply(id as u64, &mut buf);
-        }
-        // Physical remanence: the previous sector content lingers at the
-        // drive layer until sanitised.
-        let old = std::mem::replace(&mut self.sectors[id as usize], buf);
-        if old.iter().any(|&b| b != 0) {
-            self.remanence[id as usize] = Some(old);
+                .charge(model.aes_cost(c.key_size().bits(), PAGE_SIZE));
+            Meter::bump(&self.meter.crypto_bytes, PAGE_SIZE as u64);
+            c.apply(id as u64, &mut sector.data);
         }
     }
 
@@ -169,7 +229,7 @@ impl Disk {
     /// This is what forensics sees; no cost is charged (it is the
     /// *observer's* read, not the system's).
     pub fn raw(&self, id: u32) -> &[u8] {
-        &self.sectors[id as usize]
+        &self.sectors[id as usize].data
     }
 
     /// Overwrite a page with a sanitisation pattern `passes` times,
@@ -186,25 +246,49 @@ impl Disk {
                 1 => 0x00u8,
                 _ => 0xAAu8,
             };
-            sector.fill(pattern);
+            sector.data.fill(pattern);
         }
-        sector.fill(0);
-        self.remanence[id as usize] = None;
+        sector.data.fill(0);
+        sector.ghost = None;
     }
 
-    /// Scan every raw page for `needle`, returning matching page ids.
+    /// Sanitise a sector its owner has retired and put it on the free
+    /// list; the next [`allocate`](Disk::allocate) hands it out again.
+    /// This is the free list's only feeder (see the module docs for why).
+    ///
+    /// # Panics
+    /// Panics if the sector is already free — releasing it twice would
+    /// hand one sector to two owners.
+    pub fn sanitize_and_release(&mut self, id: u32, passes: u32) {
+        assert!(
+            !self.sectors[id as usize].free,
+            "sector {id} released twice"
+        );
+        self.sanitize_page(id, passes);
+        self.sectors[id as usize].free = true;
+        self.free.push(id);
+    }
+
+    /// Sectors in use (allocated and not on the free list), with their ids.
+    fn in_use(&self) -> impl Iterator<Item = (u32, &Sector)> {
+        self.sectors
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| !s.free)
+            .map(|(id, s)| (id as u32, s))
+    }
+
+    /// Scan every raw page in use for `needle`, returning matching page
+    /// ids; free sectors are zeros by construction and are skipped.
     /// (Forensic observer: free of simulation cost.)
     pub fn scan_raw(&self, needle: &[u8]) -> Vec<u32> {
         if needle.is_empty() {
             return Vec::new();
         }
-        let mut hits = Vec::new();
-        for (id, sector) in self.sectors.iter().enumerate() {
-            if sector.windows(needle.len()).any(|w| w == needle) {
-                hits.push(id as u32);
-            }
-        }
-        hits
+        self.in_use()
+            .filter(|(_, s)| s.data.windows(needle.len()).any(|w| w == needle))
+            .map(|(id, _)| id)
+            .collect()
     }
 
     /// Scan the drive-remanence layer for `needle` (what an advanced lab
@@ -213,15 +297,14 @@ impl Disk {
         if needle.is_empty() {
             return Vec::new();
         }
-        let mut hits = Vec::new();
-        for (id, ghost) in self.remanence.iter().enumerate() {
-            if let Some(g) = ghost {
-                if g.windows(needle.len()).any(|w| w == needle) {
-                    hits.push(id as u32);
-                }
-            }
-        }
-        hits
+        self.in_use()
+            .filter(|(_, s)| {
+                s.ghost
+                    .as_ref()
+                    .is_some_and(|g| g.windows(needle.len()).any(|w| w == needle))
+            })
+            .map(|(id, _)| id)
+            .collect()
     }
 }
 
@@ -350,5 +433,79 @@ mod tests {
         assert_eq!(d.scan_remanent(b"GHOST-DATA"), vec![id]);
         d.sanitize_page(id, 3);
         assert!(d.scan_remanent(b"GHOST-DATA").is_empty());
+    }
+
+    #[test]
+    fn released_sector_is_the_next_one_allocated() {
+        for encrypted in [false, true] {
+            let mut d = mk_disk(encrypted);
+            let a = d.allocate();
+            let b = d.allocate();
+            d.write_page(a, &page_with(b"FIRST-TENANT"));
+            d.write_page(a, &vec![0u8; PAGE_SIZE]); // retired: zeroed, ghost left
+            d.sanitize_and_release(a, 3);
+            assert_eq!((d.len(), d.free_len()), (2, 1));
+            assert_eq!(d.allocate(), a, "reuse before growth");
+            assert_eq!((d.len(), d.free_len()), (2, 0));
+            // Sealed exactly as a brand-new sector is: logical zeros, and
+            // on an encrypted disk no run of raw zeros to tell it apart.
+            assert!(d.read_page(a).iter().all(|&x| x == 0));
+            assert_eq!(d.raw(a).iter().all(|&x| x == 0), !encrypted);
+            assert!(d.scan_remanent(b"FIRST-TENANT").is_empty());
+            d.write_page(a, &page_with(b"SECOND-TENANT"));
+            assert_eq!(&d.read_page(a)[100..113], b"SECOND-TENANT");
+            assert_eq!(d.scan_raw(b"SECOND-TENANT").is_empty(), encrypted);
+            // With the free list drained the drive grows again.
+            assert_eq!(d.allocate(), b + 1);
+        }
+    }
+
+    #[test]
+    fn unsanitised_sector_is_never_handed_out() {
+        let mut d = mk_disk(false);
+        let a = d.allocate();
+        d.write_page(a, &page_with(b"GHOST-DATA"));
+        d.write_page(a, &vec![0u8; PAGE_SIZE]);
+        // Zeroed is not sanitised: the ghost is still there, the sector is
+        // not free, and allocation grows the drive instead.
+        assert_eq!(d.free_len(), 0);
+        assert_ne!(d.allocate(), a);
+        assert_eq!(d.scan_remanent(b"GHOST-DATA"), vec![a]);
+    }
+
+    #[test]
+    #[should_panic(expected = "released twice")]
+    fn double_release_is_refused() {
+        let mut d = mk_disk(false);
+        let a = d.allocate();
+        d.sanitize_and_release(a, 1);
+        d.sanitize_and_release(a, 1);
+    }
+
+    #[test]
+    fn scans_skip_free_sectors() {
+        let mut d = mk_disk(false);
+        let a = d.allocate();
+        let b = d.allocate();
+        d.sanitize_and_release(a, 1);
+        // A needle of zeros matches every zeroed sector *in use* only.
+        assert_eq!(d.scan_raw(&[0u8; 16]), vec![b]);
+    }
+
+    #[test]
+    fn overwrite_keeps_one_generation_of_remanence() {
+        let mut d = mk_disk(false);
+        let id = d.allocate();
+        d.write_page(id, &page_with(b"GEN-ONE"));
+        d.write_page(id, &page_with(b"GEN-TWO"));
+        d.write_page(id, &page_with(b"GEN-THREE"));
+        assert_eq!(d.scan_raw(b"GEN-THREE"), vec![id]);
+        assert_eq!(d.scan_remanent(b"GEN-TWO"), vec![id]);
+        assert!(d.scan_remanent(b"GEN-ONE").is_empty(), "displaced");
+        // Zeros over content leave the content as the ghost; content over
+        // zeros leaves that ghost where it was.
+        d.write_page(id, &vec![0u8; PAGE_SIZE]);
+        d.write_page(id, &page_with(b"GEN-FOUR"));
+        assert_eq!(d.scan_remanent(b"GEN-THREE"), vec![id]);
     }
 }

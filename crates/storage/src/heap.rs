@@ -26,10 +26,13 @@ use crate::buffer::BufferPool;
 use crate::disk::Disk;
 use crate::error::{Result, StorageError};
 use crate::fsm::FreeSpaceMap;
-use crate::page::{Page, SlotState, LP_SIZE, MAX_TUPLE};
+use crate::page::{Page, SlotState, LP_SIZE, MAX_TUPLE, PAGE_SIZE};
 use crate::tuple::{self, Tid, TupleHeader, FLAG_HIDDEN};
 use crate::txn::TxnManager;
 use crate::wal::{Wal, WalRecord};
+
+/// What VACUUM FULL overwrites every old page with.
+static ZERO_PAGE: [u8; PAGE_SIZE] = [0u8; PAGE_SIZE];
 
 /// Heap engine configuration.
 #[derive(Clone, Debug)]
@@ -131,6 +134,8 @@ impl std::fmt::Debug for HeapDb {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HeapDb")
             .field("pages", &self.pages.len())
+            .field("retired", &self.retired_pages.len())
+            .field("free", &self.disk.free_len())
             .field("live", &self.live)
             .field("dead", &self.dead)
             .finish()
@@ -456,12 +461,8 @@ impl HeapDb {
             self.fsm.set(pos as u32, free);
             // Vacuum writes its cleaned pages back sequentially (ring
             // buffer), rather than leaving them for random write-back.
-            let cleaned = self
-                .buffer
-                .page(&mut self.disk, disk_id)
-                .as_bytes()
-                .to_vec();
-            self.disk.write_page_seq(disk_id, &cleaned);
+            let cleaned = self.buffer.page(&mut self.disk, disk_id);
+            self.disk.write_page_seq(disk_id, cleaned.as_bytes());
             self.buffer.mark_clean(disk_id);
             for (key, tid) in to_remove {
                 if self.index.remove(key, tid) {
@@ -477,22 +478,26 @@ impl HeapDb {
 
     /// VACUUM FULL: rewrite the table compactly into fresh pages, zero the
     /// old ones (their content survives only as drive remanence), rebuild
-    /// the index.
+    /// the index. The old pages are retired, not freed: the drive takes
+    /// them back only once [`sanitize_drive`](HeapDb::sanitize_drive) has
+    /// destroyed that remanence.
     pub fn vacuum_full(&mut self) -> VacuumStats {
         // Write through first: the rewrite must observe (and the zeroing
         // must physically overwrite) the real on-disk state.
         self.buffer.flush_all(&mut self.disk);
         let horizon = self.txn.vacuum_horizon();
         let xid = self.txn.begin();
+        let old_pages = std::mem::take(&mut self.pages);
         let mut stats = VacuumStats {
-            pages_scanned: self.pages.len(),
+            pages_scanned: old_pages.len(),
             ..VacuumStats::default()
         };
-        // Collect live tuples.
-        let mut live: Vec<Vec<u8>> = Vec::new();
+        self.fsm = FreeSpaceMap::new();
+        self.index.clear();
+        // Move live tuples into fresh pages as the scan meets them.
+        let mut current = Page::new();
         let mut moved_bytes = 0u64;
-        for pos in 0..self.pages.len() {
-            let disk_id = self.pages[pos];
+        for &disk_id in &old_pages {
             let page = self.buffer.page_seq(&mut self.disk, disk_id);
             for (slot, state) in page.slots() {
                 if state != SlotState::Normal {
@@ -503,49 +508,33 @@ impl HeapDb {
                 if horizon.dead_for_all(&header) {
                     stats.tuples_reclaimed += 1;
                     stats.bytes_wiped += bytes.len();
-                } else {
-                    moved_bytes += bytes.len() as u64;
-                    live.push(bytes.to_vec());
+                    continue;
                 }
+                moved_bytes += bytes.len() as u64;
+                let slot = match current.insert(bytes) {
+                    Some(s) => s,
+                    None => {
+                        write_fresh_page(&mut self.disk, &mut self.pages, &mut self.fsm, &current);
+                        current = Page::new();
+                        current.insert(bytes).expect("fresh page fits tuple")
+                    }
+                };
+                let pos = self.pages.len() as u32; // current page flushes at this position
+                self.index.insert(header.key, Tid { page: pos, slot });
             }
+        }
+        if current.slot_count() > 0 {
+            write_fresh_page(&mut self.disk, &mut self.pages, &mut self.fsm, &current);
         }
         Meter::bump(&self.meter.compaction_bytes, moved_bytes);
         self.clock
             .charge_nanos(self.clock.model().compaction_per_byte * moved_bytes);
         // Zero old pages (file-level erase; drive remanence persists).
-        let old_pages = std::mem::take(&mut self.pages);
-        for disk_id in &old_pages {
-            self.buffer.discard(*disk_id);
-            self.disk
-                .write_page(*disk_id, &vec![0u8; crate::page::PAGE_SIZE]);
-            self.retired_pages.push(*disk_id);
+        for &disk_id in &old_pages {
+            self.buffer.discard(disk_id);
+            self.disk.write_page(disk_id, &ZERO_PAGE);
         }
-        // Write live tuples into fresh pages.
-        self.fsm = FreeSpaceMap::new();
-        self.index.clear();
-        let mut current = Page::new();
-        let flush_page = |db: &mut HeapDb, page: &mut Page| {
-            let disk_id = db.disk.allocate();
-            db.disk.write_page(disk_id, page.as_bytes());
-            db.pages.push(disk_id);
-            db.fsm.add_page(page.free_space());
-            *page = Page::new();
-        };
-        for bytes in &live {
-            let slot = match current.insert(bytes) {
-                Some(s) => s,
-                None => {
-                    flush_page(self, &mut current);
-                    current.insert(bytes).expect("fresh page fits tuple")
-                }
-            };
-            let (header, _) = tuple::decode(bytes);
-            let pos = self.pages.len() as u32; // current page flushes at this position
-            self.index.insert(header.key, Tid { page: pos, slot });
-        }
-        if current.slot_count() > 0 {
-            flush_page(self, &mut current);
-        }
+        self.retired_pages.extend(old_pages);
         self.dead = 0;
         self.dead_pages.clear();
         self.log(WalRecord::Vacuum { xid, full: true });
@@ -568,22 +557,17 @@ impl HeapDb {
     /// untouched (live pages are rewritten from their logical content).
     pub fn sanitize_drive(&mut self, passes: u32) {
         self.checkpoint();
-        // Retired pages: hard-wipe.
-        let retired = std::mem::take(&mut self.retired_pages);
-        for disk_id in retired {
-            self.disk.sanitize_page(disk_id, passes);
+        // Retired pages: hard-wipe, then hand back to the drive — the
+        // next rewrite (or table growth) reuses them.
+        for disk_id in std::mem::take(&mut self.retired_pages) {
+            self.disk.sanitize_and_release(disk_id, passes);
         }
         // Live pages: rewrite in place to destroy remanence of previous
         // generations, then sanitize-and-restore.
-        for pos in 0..self.pages.len() {
-            let disk_id = self.pages[pos];
-            let content = self
-                .buffer
-                .page(&mut self.disk, disk_id)
-                .as_bytes()
-                .to_vec();
+        for &disk_id in &self.pages {
+            let page = self.buffer.page(&mut self.disk, disk_id);
             self.disk.sanitize_page(disk_id, passes);
-            self.disk.write_page(disk_id, &content);
+            self.disk.write_page(disk_id, page.as_bytes());
             // The restore write must not itself create remanence of zeros —
             // it does not, since the sanitized state was all-zero.
         }
@@ -612,7 +596,7 @@ impl HeapDb {
             pages: self.pages.len(),
             live_tuples: self.live,
             dead_tuples: self.dead,
-            disk_bytes: (self.pages.len() * crate::page::PAGE_SIZE) as u64,
+            disk_bytes: (self.pages.len() * PAGE_SIZE) as u64,
             index_bytes: self.index.size_bytes(),
             wal_bytes: self.wal.bytes(),
         }
@@ -691,6 +675,15 @@ impl HeapDb {
     pub fn crash(&mut self) {
         self.buffer.crash();
     }
+}
+
+/// VACUUM FULL's output step: give `page` a sector of its own and make it
+/// the table's next page.
+fn write_fresh_page(disk: &mut Disk, pages: &mut Vec<u32>, fsm: &mut FreeSpaceMap, page: &Page) {
+    let disk_id = disk.allocate();
+    disk.write_page(disk_id, page.as_bytes());
+    pages.push(disk_id);
+    fsm.add_page(page.free_space());
 }
 
 #[cfg(test)]
@@ -840,6 +833,70 @@ mod tests {
     }
 
     #[test]
+    fn erase_rounds_recycle_sanitised_sectors() {
+        for passphrase in [None, Some(b"luks-pass".to_vec())] {
+            let config = HeapConfig {
+                disk_passphrase: passphrase,
+                ..HeapConfig::default()
+            };
+            let mut db = HeapDb::new(config, SimClock::commodity(), Arc::new(Meter::new()));
+            for i in 0..600u64 {
+                db.insert(i, i, format!("resident-{i:05}").as_bytes())
+                    .unwrap();
+            }
+            for round in 0..50u64 {
+                let key = 1000 + round;
+                db.insert(key, key, format!("transient-{round:03}").as_bytes())
+                    .unwrap();
+                db.delete(key).unwrap();
+                db.vacuum_full();
+                db.sanitize_drive(3);
+                // The drive holds the table plus the one rewrite behind it
+                // — not every table ever written.
+                let (drive, table) = (db.disk().len(), db.stats().pages);
+                assert!(
+                    drive <= 2 * table + 2,
+                    "round {round}: {drive} sectors for a {table}-page table ({db:?})"
+                );
+                let needle = format!("transient-{round:03}");
+                assert!(db.disk().scan_raw(needle.as_bytes()).is_empty());
+                assert!(db.disk().scan_remanent(needle.as_bytes()).is_empty());
+            }
+            for i in (0..600u64).step_by(37) {
+                assert_eq!(
+                    db.read(i, false).unwrap(),
+                    format!("resident-{i:05}").as_bytes()
+                );
+            }
+            // Growth after the rewrites takes from the free list first.
+            let before = db.disk().len();
+            for i in 2000..2400u64 {
+                db.insert(i, i, format!("late-{i:05}").as_bytes()).unwrap();
+            }
+            assert_eq!(db.disk().len(), before, "{db:?}");
+            assert_eq!(db.read(2399, false).unwrap(), b"late-02399");
+        }
+    }
+
+    #[test]
+    fn strong_deletion_alone_keeps_its_ghosts() {
+        // Without a sanitise pass the retired sectors still carry the
+        // remanence that separates strong from permanent deletion, so no
+        // rewrite may take them back.
+        let mut db = mk();
+        db.insert(1, 100, b"ghost-payload").unwrap();
+        db.delete(1).unwrap();
+        db.vacuum_full();
+        for i in 2..400u64 {
+            db.insert(i, i, &[7u8; 64]).unwrap();
+        }
+        db.vacuum_full();
+        db.checkpoint();
+        assert_eq!(db.disk().free_len(), 0);
+        assert!(!db.disk().scan_remanent(b"ghost-payload").is_empty());
+    }
+
+    #[test]
     fn seq_scan_sees_only_visible_unhidden() {
         let mut db = mk();
         db.insert(1, 100, b"a").unwrap();
@@ -937,7 +994,7 @@ mod tests {
 
         #[test]
         fn heap_matches_reference_map(
-            ops in proptest::collection::vec((0u64..40, 0u8..4, proptest::collection::vec(1u8..=255, 1..40)), 1..150)
+            ops in proptest::collection::vec((0u64..40, 0u8..6, proptest::collection::vec(1u8..=255, 1..40)), 1..150)
         ) {
             let mut db = mk();
             let mut model: std::collections::HashMap<u64, Vec<u8>> = Default::default();
@@ -965,12 +1022,29 @@ mod tests {
                         let r = db.delete(key);
                         proptest::prop_assert_eq!(r.is_ok(), model.remove(&key).is_some());
                     }
-                    _ => {
+                    3 => {
                         if i % 3 == 0 {
                             db.vacuum();
                         }
                     }
+                    4 => {
+                        db.vacuum_full();
+                    }
+                    _ => {
+                        // Sanitise frees what the rewrites retired; the
+                        // inserts and rewrites after it land on reused
+                        // sectors and must still read back.
+                        db.sanitize_drive(1);
+                        proptest::prop_assert!(db.retired_pages.is_empty());
+                    }
                 }
+                // Every sector has exactly one owner: the table, the
+                // retired list, or the drive's free list.
+                proptest::prop_assert_eq!(
+                    db.disk.len(),
+                    db.pages.len() + db.retired_pages.len() + db.disk.free_len(),
+                    "{:?}", db
+                );
             }
             for (k, v) in &model {
                 proptest::prop_assert_eq!(db.read(*k, false).unwrap(), v.clone());
