@@ -308,9 +308,9 @@ impl EncryptedLogger {
         }
     }
 
-    /// Rebuild the payload cipher under `backend` (see
-    /// [`AesCtr::with_backend`]) — per-logger, for A/B bench engines.
-    /// Ciphertext bytes are unchanged, only the implementation measured.
+    /// Move the payload cipher onto `backend` (see
+    /// [`AesCtr::with_backend`]) — per-logger. Ciphertext bytes are
+    /// unchanged, only the implementation that produces them.
     pub fn with_crypto_backend(
         mut self,
         backend: datacase_crypto::CryptoBackend,

@@ -17,12 +17,9 @@
 //!   (rcon folded in as a plain XOR afterwards, which keeps the
 //!   immediate-operand constraint out of the loop and makes one routine
 //!   serve all three key sizes).
-//! * **Decryption** uses the FIPS-197 §5.3.5 *equivalent inverse cipher*:
-//!   encryption round keys reversed, middle rounds passed through
-//!   `_mm_aesimc_si128` (InvMixColumns), then straight-line
-//!   `_mm_aesdec_si128` / `_mm_aesdeclast_si128` rounds — the same
-//!   construction the software path's `dk` schedule mirrors in u32 words.
-//! * **CTR keystream** runs [`WIDE`] counter blocks per iteration in XMM
+//! * **No decrypt direction**: every cipher in the system is CTR, so the
+//!   schedule is the encryption round keys and nothing else.
+//! * **CTR keystream** runs `WIDE` (8) counter blocks per iteration in XMM
 //!   registers: each round key is loaded once and `WIDE` independent
 //!   `_mm_aesenc_si128` chains stay in flight, hiding the ~4-cycle AESENC
 //!   latency behind its 1/cycle throughput. The XOR into the data buffer
@@ -31,26 +28,23 @@
 //! On non-x86_64 targets (or with the crate's `hw-aes` feature disabled —
 //! the CI "software-only build guard" configuration) the real
 //! implementation compiles out entirely and a stub whose
-//! [`available`] is a constant `false` takes its place, so the dispatch in
-//! [`AesCtr`](crate::ctr::AesCtr) constant-folds to the software path.
+//! [`available`] is a constant `false` takes its place, so the hardware
+//! lane of [`AesCtr`](crate::ctr::AesCtr) is uninhabited and compiles out.
 
 #[cfg(all(target_arch = "x86_64", feature = "hw-aes"))]
 mod imp {
     use core::arch::x86_64::{
-        __m128i, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
-        _mm_aesimc_si128, _mm_aeskeygenassist_si128, _mm_cvtsi128_si32, _mm_loadu_si128,
-        _mm_set1_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_storeu_si128, _mm_xor_si128,
+        __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_aeskeygenassist_si128,
+        _mm_cvtsi128_si32, _mm_loadu_si128, _mm_set1_epi32, _mm_set_epi64x, _mm_setzero_si128,
+        _mm_srli_si128, _mm_storeu_si128, _mm_xor_si128,
     };
 
-    use crate::aes::KeySize;
-
-    /// Maximum round keys across key sizes (AES-256: Nr = 14, so 15).
-    const MAX_RK: usize = 15;
+    use crate::aes::{KeySize, MAX_ROUND_KEYS as MAX_RK};
 
     /// Counter blocks generated per wide CTR iteration. Eight chains keep
     /// the AESENC pipeline saturated on every post-Westmere core without
     /// spilling XMM registers (16 available; 8 states + 1 round key).
-    pub const WIDE: usize = 8;
+    const WIDE: usize = 8;
 
     /// Is hardware AES usable on this host? (Runtime CPUID detection;
     /// `sse2` is baseline on x86_64.)
@@ -58,12 +52,12 @@ mod imp {
         std::arch::is_x86_feature_detected!("aes")
     }
 
-    /// An expanded hardware key schedule: encryption round keys plus the
-    /// equivalent-inverse-cipher decryption keys, held in XMM-ready form.
-    #[derive(Clone, Copy)]
+    /// An expanded hardware key schedule: the encryption round keys, held
+    /// inline in XMM-ready form — the value *is* the key material, so
+    /// `wipe` reaches all of it.
+    #[derive(Clone)]
     pub struct AesNi {
         ek: [__m128i; MAX_RK],
-        dk: [__m128i; MAX_RK],
         rounds: usize,
     }
 
@@ -94,8 +88,7 @@ mod imp {
     }
 
     /// FIPS-197 §5.2 key expansion over little-endian u32 schedule words,
-    /// non-linear steps via [`sub_rot_word`], followed by the §5.3.5
-    /// equivalent-inverse-cipher transform (AESIMC on the middle rounds).
+    /// non-linear steps via [`sub_rot_word`].
     ///
     /// # Safety
     /// Requires the `aes` target feature (checked by [`AesNi::new`]).
@@ -126,20 +119,13 @@ mod imp {
             };
             w[i] = w[i - nk] ^ t;
         }
-        let zero = _mm_set1_epi32(0);
-        let mut ek = [zero; MAX_RK];
-        let mut dk = [zero; MAX_RK];
+        let mut ek = [_mm_setzero_si128(); MAX_RK];
         for (r, rk) in ek.iter_mut().enumerate().take(nr + 1) {
             // Little-endian schedule words in order are the round key's
             // byte layout, so a straight unaligned load materialises it.
             *rk = _mm_loadu_si128(w[4 * r..].as_ptr() as *const __m128i);
         }
-        dk[0] = ek[nr];
-        for r in 1..nr {
-            dk[r] = _mm_aesimc_si128(ek[nr - r]);
-        }
-        dk[nr] = ek[0];
-        AesNi { ek, dk, rounds: nr }
+        AesNi { ek, rounds: nr }
     }
 
     impl AesNi {
@@ -165,11 +151,35 @@ mod imp {
             unsafe { self.encrypt_block_hw(block) }
         }
 
-        /// Decrypt one 16-byte block in place (equivalent inverse cipher:
-        /// AESDEC rounds over the AESIMC-transformed schedule).
-        pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-            // SAFETY: `self` exists ⇒ `AesNi::new` detected AES-NI.
-            unsafe { self.decrypt_block_hw(block) }
+        /// The key size this schedule was expanded for.
+        pub fn key_size(&self) -> KeySize {
+            match self.rounds {
+                10 => KeySize::Aes128,
+                12 => KeySize::Aes192,
+                _ => KeySize::Aes256,
+            }
+        }
+
+        /// The schedule as bytes, in the layout of
+        /// [`expand_key`](crate::aes::expand_key).
+        pub(crate) fn round_keys(&self) -> [[u8; 16]; MAX_RK] {
+            self.ek.map(|rk| {
+                let mut out = [0u8; 16];
+                // SAFETY: `out` is 16 writable bytes and the store is the
+                // unaligned form; `sse2` is baseline on x86_64.
+                unsafe { _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, rk) };
+                out
+            })
+        }
+
+        /// Overwrite the schedule with zeros. [`std::hint::black_box`]
+        /// keeps the store from being elided when the value is freed
+        /// right after.
+        pub(crate) fn wipe(&mut self) {
+            // SAFETY: `sse2` is baseline on x86_64, the only target this
+            // module compiles for.
+            self.ek = [unsafe { _mm_setzero_si128() }; MAX_RK];
+            std::hint::black_box(&self.ek);
         }
 
         /// XOR whole 16-byte blocks of `data` with the CTR keystream whose
@@ -199,19 +209,6 @@ mod imp {
                 s = _mm_aesenc_si128(s, *rk);
             }
             s = _mm_aesenclast_si128(s, self.ek[self.rounds]);
-            _mm_storeu_si128(p, s);
-        }
-
-        /// # Safety
-        /// Requires the `aes` target feature (checked by [`AesNi::new`]).
-        #[target_feature(enable = "aes")]
-        unsafe fn decrypt_block_hw(&self, block: &mut [u8; 16]) {
-            let p = block.as_mut_ptr() as *mut __m128i;
-            let mut s = _mm_xor_si128(_mm_loadu_si128(p as *const __m128i), self.dk[0]);
-            for rk in &self.dk[1..self.rounds] {
-                s = _mm_aesdec_si128(s, *rk);
-            }
-            s = _mm_aesdeclast_si128(s, self.dk[self.rounds]);
             _mm_storeu_si128(p, s);
         }
 
@@ -274,11 +271,7 @@ mod imp {
 
 #[cfg(not(all(target_arch = "x86_64", feature = "hw-aes")))]
 mod imp {
-    use crate::aes::KeySize;
-
-    /// Counter blocks per wide CTR iteration (mirrors the real module's
-    /// constant for documentation and tests).
-    pub const WIDE: usize = 8;
+    use crate::aes::{KeySize, MAX_ROUND_KEYS};
 
     /// Hardware AES is never available on this build: either the target
     /// is not x86_64 or the `hw-aes` feature is disabled (the CI
@@ -290,7 +283,7 @@ mod imp {
 
     /// Uninstantiable stand-in: [`AesNi::new`] always returns `None`, so
     /// the methods below are unreachable by construction.
-    #[derive(Clone, Copy, Debug)]
+    #[derive(Clone, Debug)]
     pub struct AesNi {
         never: core::convert::Infallible,
     }
@@ -312,7 +305,17 @@ mod imp {
         }
 
         /// Unreachable: no value of this type exists.
-        pub fn decrypt_block(&self, _block: &mut [u8; 16]) {
+        pub fn key_size(&self) -> KeySize {
+            match self.never {}
+        }
+
+        /// Unreachable: no value of this type exists.
+        pub(crate) fn round_keys(&self) -> [[u8; 16]; MAX_ROUND_KEYS] {
+            match self.never {}
+        }
+
+        /// Unreachable: no value of this type exists.
+        pub(crate) fn wipe(&mut self) {
             match self.never {}
         }
 
@@ -323,19 +326,13 @@ mod imp {
     }
 }
 
-pub use imp::{available, AesNi, WIDE};
+pub use imp::{available, AesNi};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aes::{Aes, KeySize};
-
-    fn hex(s: &str) -> Vec<u8> {
-        (0..s.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
-            .collect()
-    }
+    use crate::aes::KeySize;
+    use crate::test_vectors::{hex, FIPS197_C, FIPS197_PT};
 
     /// All further tests run only where hardware AES exists; this one
     /// documents that detection itself never panics anywhere.
@@ -346,73 +343,16 @@ mod tests {
 
     #[test]
     fn fips197_appendix_c_vectors() {
-        for (key, pt, ct) in [
-            (
-                "000102030405060708090a0b0c0d0e0f",
-                "00112233445566778899aabbccddeeff",
-                "69c4e0d86a7b0430d8cdb78070b4c55a",
-            ),
-            (
-                "000102030405060708090a0b0c0d0e0f1011121314151617",
-                "00112233445566778899aabbccddeeff",
-                "dda97ca4864cdfe06eaf70a0ec0d7191",
-            ),
-            (
-                "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
-                "00112233445566778899aabbccddeeff",
-                "8ea2b7ca516745bfeafc49904b496089",
-            ),
-        ] {
+        for (size, key, ct) in FIPS197_C {
             let key = hex(key);
-            let size = match key.len() {
-                16 => KeySize::Aes128,
-                24 => KeySize::Aes192,
-                _ => KeySize::Aes256,
-            };
             let Some(hw) = AesNi::new(size, &key) else {
                 return; // no AES-NI on this host: nothing to pin
             };
-            let mut block: [u8; 16] = hex(pt).try_into().unwrap();
+            let mut block: [u8; 16] = hex(FIPS197_PT).try_into().unwrap();
             hw.encrypt_block(&mut block);
             assert_eq!(block.to_vec(), hex(ct), "{size:?} encrypt");
-            hw.decrypt_block(&mut block);
-            assert_eq!(block.to_vec(), hex(pt), "{size:?} decrypt round-trip");
-        }
-    }
-
-    #[test]
-    fn matches_software_schedule_on_random_keys() {
-        // Derive a pile of pseudo-random keys/blocks from a counter hash
-        // and pin hardware ≡ software at the block level for every size.
-        for size in [KeySize::Aes128, KeySize::Aes192, KeySize::Aes256] {
-            for seed in 0u64..16 {
-                let mut material = Vec::new();
-                let mut i = 0u64;
-                while material.len() < size.key_len() + 16 {
-                    let mut h = crate::sha256::Sha256::new();
-                    h.update(&seed.to_be_bytes());
-                    h.update(&i.to_be_bytes());
-                    material.extend_from_slice(&h.finalize());
-                    i += 1;
-                }
-                let key = &material[..size.key_len()];
-                let block: [u8; 16] = material[size.key_len()..size.key_len() + 16]
-                    .try_into()
-                    .unwrap();
-                let Some(hw) = AesNi::new(size, key) else {
-                    return;
-                };
-                let sw = Aes::new(size, key);
-                let mut fast = block;
-                let mut slow = block;
-                hw.encrypt_block(&mut fast);
-                sw.encrypt_block(&mut slow);
-                assert_eq!(fast, slow, "{size:?} seed {seed} encrypt diverged");
-                hw.decrypt_block(&mut fast);
-                sw.decrypt_block(&mut slow);
-                assert_eq!(fast, slow, "{size:?} seed {seed} decrypt diverged");
-                assert_eq!(fast, block, "{size:?} seed {seed} round-trip broken");
-            }
+            assert_eq!(hw.key_size(), size);
+            assert_eq!(hw.round_keys(), crate::aes::expand_key(size, &key));
         }
     }
 

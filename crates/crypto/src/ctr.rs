@@ -3,113 +3,114 @@
 //! CTR turns the block cipher into a stream cipher: encryption and
 //! decryption are the same operation (XOR with the encrypted counter
 //! stream), which is what the storage layers use for tuple payloads and
-//! whole pages.
+//! whole pages — and why no AES implementation here has a decrypt
+//! direction.
 //!
-//! The keystream generator dispatches **once per cipher construction**
-//! over the [`CryptoBackend`] selector (never per block):
+//! The lane is picked **once per cipher construction** over the
+//! [`CryptoBackend`] selector (never per block), and the cipher then
+//! holds that lane's schedule and nothing else:
 //!
 //! * **Hardware** ([`crate::aesni`], x86_64 hosts with AES-NI): counter
 //!   blocks run 8-wide through AESENC in XMM registers with an SSE2 XOR.
-//! * **Software**: four counter blocks at a time through
-//!   `Aes::encrypt_words_x4` in interleaved u32 lanes (round keys loaded
-//!   once per round, four dependency chains in flight), scalar remainder
-//!   loop, u128-lane XOR.
-//! * **Reference**: the original per-byte path, retained as
-//!   [`AesCtr::apply_ref`] for the crypto-equivalence gate and
-//!   before/after throughput reporting.
+//! * **Software** ([`crate::aes`], everywhere else): one counter block at
+//!   a time through the T-table rounds, counter kept in u32 lanes, u128
+//!   XOR.
 //!
-//! All three produce byte-identical streams (CI's crypto-equivalence and
-//! HW-crypto gates), so the selector changes wall-clock time and nothing
-//! else.
+//! Both produce the stream of the [`crate::reference`] oracle byte for
+//! byte (CI's crypto-equivalence gate), so the selector changes
+//! wall-clock time and nothing else.
 
-use crate::aes::{Aes, KeySize};
+use crate::aes::{Aes, KeySize, MAX_ROUND_KEYS};
 use crate::aesni::AesNi;
 use crate::backend::{ActiveBackend, CryptoBackend};
 
 /// AES in counter mode with a 16-byte initial counter block.
+///
+/// The value is exactly one expanded key schedule, held inline: there is
+/// no raw key, second schedule or selector beside it, so
+/// `wipe` leaves nothing of the key in the value.
 #[derive(Clone, Debug)]
-pub struct AesCtr {
-    aes: Aes,
-    /// The expanded hardware schedule — present exactly when this
-    /// instance's selector resolved to [`ActiveBackend::Hardware`] at
-    /// construction.
-    hw: Option<AesNi>,
-    /// The selector this instance was built under (kept for
-    /// introspection; the resolved implementation is what dispatches).
-    backend: CryptoBackend,
-    /// Resolved `backend == Reference`: route
-    /// [`apply`](AesCtr::apply) / [`apply_blocks`](AesCtr::apply_blocks)
-    /// through the retained byte-oriented reference path. **Benchmark
-    /// instrumentation only**: the paths are byte-identical (the
-    /// crypto-equivalence gate), so the flag changes wall-clock time and
-    /// nothing else. The switch is per-instance — an earlier process-wide
-    /// toggle would have let one engine's A/B run silently reroute every
-    /// other engine in the process, which a concurrent sharded engine
-    /// cannot tolerate.
-    reference: bool,
+pub struct AesCtr(Lane);
+
+/// The implementation a cipher resolved to at construction. Both variants
+/// are one inline schedule of ~256 B (on software-only builds `AesNi` is
+/// an uninhabited stub, which is what the lint would trip over).
+#[derive(Clone, Debug)]
+#[allow(clippy::large_enum_variant)]
+enum Lane {
+    Hardware(AesNi),
+    Software(Aes),
 }
 
 impl AesCtr {
-    /// Build from an already-expanded cipher under the default
-    /// [`CryptoBackend::Auto`] selector (hardware when the host has it).
-    pub fn new(aes: Aes) -> AesCtr {
-        AesCtr::with_schedule(aes, CryptoBackend::Auto)
-    }
-
-    /// Convenience constructor from raw key bytes (`Auto` backend).
+    /// Expand `key` under the default [`CryptoBackend::Auto`] selector
+    /// (hardware when the host has it).
+    ///
+    /// # Panics
+    /// Panics if `key.len() != size.key_len()`.
     pub fn from_key(size: KeySize, key: &[u8]) -> AesCtr {
-        AesCtr::new(Aes::new(size, key))
+        AesCtr::expand(size, key, CryptoBackend::Auto)
     }
 
-    fn with_schedule(aes: Aes, backend: CryptoBackend) -> AesCtr {
-        let hw = match backend.resolve() {
-            ActiveBackend::Hardware => AesNi::new(aes.key_size(), &aes.raw_key()),
-            ActiveBackend::Software | ActiveBackend::Reference => None,
-        };
-        AesCtr {
-            hw,
-            reference: backend.resolve() == ActiveBackend::Reference,
-            backend,
-            aes,
+    /// Expand `key` onto the lane `backend` resolves to on this host.
+    pub(crate) fn expand(size: KeySize, key: &[u8], backend: CryptoBackend) -> AesCtr {
+        AesCtr(match backend.resolve() {
+            ActiveBackend::Hardware => {
+                Lane::Hardware(AesNi::new(size, key).expect("resolve() detected AES-NI"))
+            }
+            ActiveBackend::Software => Lane::Software(Aes::new(size, key)),
+        })
+    }
+
+    /// Move this cipher onto the lane `backend` resolves to — the
+    /// per-instance selector every layer above threads down (engine
+    /// config → vault / sector cipher / encrypted logger → here). A
+    /// no-op when it already runs there; otherwise the key is read back
+    /// from the schedule (FIPS-197 §5.2: the first `Nk` expansion words
+    /// *are* the key) and re-expanded.
+    pub fn with_backend(self, backend: CryptoBackend) -> AesCtr {
+        if backend.resolve() == self.active_backend() {
+            return self;
+        }
+        let size = self.key_size();
+        let schedule = self.round_keys();
+        AesCtr::expand(size, &schedule.as_flattened()[..size.key_len()], backend)
+    }
+
+    /// The schedule as bytes (round key `r` in FIPS column-major order).
+    fn round_keys(&self) -> [[u8; 16]; MAX_ROUND_KEYS] {
+        match &self.0 {
+            Lane::Hardware(hw) => hw.round_keys(),
+            Lane::Software(aes) => aes.round_keys(),
         }
     }
 
-    /// Rebuild this instance under `backend` — the per-instance selector
-    /// every layer above threads down (engine config → vault / sector
-    /// cipher / encrypted logger → here). Resolution happens now, once:
-    /// `Auto`/`Hardware` expand the AES-NI schedule when the host
-    /// supports it and fall back to software otherwise.
-    pub fn with_backend(self, backend: CryptoBackend) -> AesCtr {
-        AesCtr::with_schedule(self.aes, backend)
-    }
-
-    /// Whether this instance takes the reference path.
-    pub fn is_reference(&self) -> bool {
-        self.reference
-    }
-
-    /// The selector this instance was constructed under.
-    pub fn backend(&self) -> CryptoBackend {
-        self.backend
-    }
-
     /// The implementation actually running: what the selector resolved
-    /// to at construction. Layers that cache schedules assert on this
-    /// (mixed-backend streams would be a silent perf lie, never a
-    /// correctness bug — the streams are byte-identical).
+    /// to at construction.
     pub fn active_backend(&self) -> ActiveBackend {
-        if self.reference {
-            ActiveBackend::Reference
-        } else if self.hw.is_some() {
-            ActiveBackend::Hardware
-        } else {
-            ActiveBackend::Software
+        match &self.0 {
+            Lane::Hardware(_) => ActiveBackend::Hardware,
+            Lane::Software(_) => ActiveBackend::Software,
+        }
+    }
+
+    /// Overwrite the key schedule in place with zeros — what
+    /// [`KeyVault::destroy_key`](crate::vault::KeyVault::destroy_key)
+    /// does before it frees a unit's cipher, so crypto-erasure leaves no
+    /// key material in freed memory. The cipher is useless afterwards.
+    pub(crate) fn wipe(&mut self) {
+        match &mut self.0 {
+            Lane::Hardware(hw) => hw.wipe(),
+            Lane::Software(aes) => aes.wipe(),
         }
     }
 
     /// The underlying key size (for cost accounting).
     pub fn key_size(&self) -> KeySize {
-        self.aes.key_size()
+        match &self.0 {
+            Lane::Hardware(hw) => hw.key_size(),
+            Lane::Software(aes) => aes.key_size(),
+        }
     }
 
     /// XOR `data` in place with the keystream generated from `iv`.
@@ -127,11 +128,6 @@ impl AesCtr {
     /// `apply_at(iv, n, data)` produces exactly the bytes `apply(iv, buf)`
     /// would have placed at offset `16 * n` of a longer buffer.
     pub fn apply_at(&self, iv: [u8; 16], start_block: u64, data: &mut [u8]) {
-        if self.reference {
-            // The reference path has no offset entry; pre-advancing the
-            // counter half of the IV is the same stream by definition.
-            return self.apply_ref(Self::iv_at(iv, start_block), data);
-        }
         let whole = data.len() & !15;
         let (blocks, tail) = data.split_at_mut(whole);
         self.xor_keystream(iv, start_block, blocks);
@@ -163,58 +159,36 @@ impl AesCtr {
             data.len().is_multiple_of(16),
             "apply_blocks requires whole blocks"
         );
-        if self.reference {
-            return self.apply_ref(iv, data);
-        }
         self.xor_keystream(iv, 0, data);
     }
 
     /// The keystream block at `block_index` counter steps past `iv`.
     fn keystream_block(&self, iv: [u8; 16], block_index: u64) -> [u8; 16] {
         let mut block = Self::iv_at(iv, block_index);
-        if let Some(hw) = &self.hw {
-            hw.encrypt_block(&mut block);
-        } else {
-            self.aes.encrypt_block(&mut block);
+        match &self.0 {
+            Lane::Hardware(hw) => hw.encrypt_block(&mut block),
+            Lane::Software(aes) => aes.encrypt_block(&mut block),
         }
         block
     }
 
     /// XOR whole blocks of `data` (`len % 16 == 0`) with the keystream
-    /// starting `start_block` counter steps past `iv`. The IV's word
-    /// lanes are set up once here — per block only the counter lanes
-    /// change — then 64-byte chunks run four counter blocks through
-    /// [`Aes::encrypt_words_x4`] at once (round keys loaded once per
-    /// round, four chains in flight), with a scalar loop for the last
-    /// 1–3 blocks. The XOR runs over u128 lanes either way.
-    ///
-    /// When the instance resolved to the hardware backend, the whole
-    /// call is handed to [`AesNi::ctr_xor_blocks`] instead: 8 counter
-    /// blocks at a time through AESENC, SSE2 XOR.
+    /// starting `start_block` counter steps past `iv`. The hardware lane
+    /// hands the whole call to [`AesNi::ctr_xor_blocks`] (8 counter blocks
+    /// at a time through AESENC, SSE2 XOR). The software lane sets the
+    /// IV's word lanes up once — per block only the counter lanes change
+    /// — and XORs each keystream block in as one u128.
     fn xor_keystream(&self, iv: [u8; 16], start_block: u64, data: &mut [u8]) {
-        if let Some(hw) = &self.hw {
-            return hw.ctr_xor_blocks(iv, start_block, data);
-        }
+        let aes = match &self.0 {
+            Lane::Hardware(hw) => return hw.ctr_xor_blocks(iv, start_block, data),
+            Lane::Software(aes) => aes,
+        };
         let hi = u32::from_be_bytes(iv[0..4].try_into().expect("4 bytes"));
         let lo = u32::from_be_bytes(iv[4..8].try_into().expect("4 bytes"));
         let mut counter =
             u64::from_be_bytes(iv[8..16].try_into().expect("8 bytes")).wrapping_add(start_block);
-        let mut chunks4 = data.chunks_exact_mut(64);
-        for quad in chunks4.by_ref() {
-            let mut states = [[0u32; 4]; 4];
-            for state in states.iter_mut() {
-                *state = [hi, lo, (counter >> 32) as u32, counter as u32];
-                counter = counter.wrapping_add(1);
-            }
-            let ks4 = self.aes.encrypt_words_x4(states);
-            for (chunk, ks) in quad.chunks_exact_mut(16).zip(ks4) {
-                Self::xor_block(chunk, ks);
-            }
-        }
-        for chunk in chunks4.into_remainder().chunks_exact_mut(16) {
-            let ks = self
-                .aes
-                .encrypt_words([hi, lo, (counter >> 32) as u32, counter as u32]);
+        for chunk in data.chunks_exact_mut(16) {
+            let ks = aes.encrypt_words([hi, lo, (counter >> 32) as u32, counter as u32]);
             Self::xor_block(chunk, ks);
             counter = counter.wrapping_add(1);
         }
@@ -225,30 +199,10 @@ impl AesCtr {
     #[inline]
     fn xor_block(chunk: &mut [u8], ks: [u32; 4]) {
         let mut ks_bytes = [0u8; 16];
-        for (c, w) in ks.into_iter().enumerate() {
-            ks_bytes[4 * c..4 * c + 4].copy_from_slice(&w.to_be_bytes());
-        }
+        Aes::store_words(ks, &mut ks_bytes);
         let lane = u128::from_ne_bytes(chunk[..16].try_into().expect("16 bytes"))
             ^ u128::from_ne_bytes(ks_bytes);
         chunk.copy_from_slice(&lane.to_ne_bytes());
-    }
-
-    /// The retained byte-oriented CTR path: reference AES rounds and
-    /// byte-at-a-time XOR, exactly the pre-T-table implementation. The
-    /// crypto-equivalence gate holds [`apply`](AesCtr::apply) to this
-    /// output on unaligned lengths and random IVs.
-    pub fn apply_ref(&self, iv: [u8; 16], data: &mut [u8]) {
-        let mut counter_block = iv;
-        let mut counter = u64::from_be_bytes(iv[8..16].try_into().expect("8 bytes"));
-        for chunk in data.chunks_mut(16) {
-            counter_block[8..16].copy_from_slice(&counter.to_be_bytes());
-            let mut ks = counter_block;
-            self.aes.encrypt_block_ref(&mut ks);
-            for (d, k) in chunk.iter_mut().zip(ks.iter()) {
-                *d ^= k;
-            }
-            counter = counter.wrapping_add(1);
-        }
     }
 
     /// Derive a deterministic IV from a 64-bit nonce (e.g. a tuple id or a
@@ -264,36 +218,34 @@ impl AesCtr {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn hex(s: &str) -> Vec<u8> {
-        (0..s.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
-            .collect()
-    }
+    use crate::test_vectors::hex;
 
     #[test]
     fn sp800_38a_f5_1_ctr_aes128() {
-        // NIST SP 800-38A F.5.1 CTR-AES128.Encrypt
+        // NIST SP 800-38A F.5.1 CTR-AES128.Encrypt, on both lanes and
+        // the oracle.
         let key = hex("2b7e151628aed2a6abf7158809cf4f3c");
         let iv: [u8; 16] = hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff").try_into().unwrap();
-        let mut data = hex(concat!(
+        let plain = hex(concat!(
             "6bc1bee22e409f96e93d7e117393172a",
             "ae2d8a571e03ac9c9eb76fac45af8e51",
             "30c81c46a35ce411e5fbc1191a0a52ef",
             "f69f2445df4f9b17ad2b417be66c3710"
         ));
-        let ctr = AesCtr::from_key(KeySize::Aes128, &key);
-        ctr.apply(iv, &mut data);
-        assert_eq!(
-            data,
-            hex(concat!(
-                "874d6191b620e3261bef6864990db6ce",
-                "9806f66b7970fdff8617187bb9fffdff",
-                "5ae4df3edbd5d35e5b4f09020db03eab",
-                "1e031dda2fbe03d1792170a0f3009cee"
-            ))
-        );
+        let expect = hex(concat!(
+            "874d6191b620e3261bef6864990db6ce",
+            "9806f66b7970fdff8617187bb9fffdff",
+            "5ae4df3edbd5d35e5b4f09020db03eab",
+            "1e031dda2fbe03d1792170a0f3009cee"
+        ));
+        let mut slow = plain.clone();
+        crate::reference::apply_ctr(KeySize::Aes128, &key, iv, &mut slow);
+        assert_eq!(slow, expect, "oracle");
+        for backend in [CryptoBackend::Auto, CryptoBackend::Software] {
+            let mut data = plain.clone();
+            AesCtr::expand(KeySize::Aes128, &key, backend).apply(iv, &mut data);
+            assert_eq!(data, expect, "{backend}");
+        }
     }
 
     #[test]
@@ -308,18 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn ctr_is_involution() {
-        let ctr = AesCtr::from_key(KeySize::Aes128, &[9u8; 16]);
-        let iv = AesCtr::iv_from_nonce(12345);
-        let original: Vec<u8> = (0..100).map(|i| i as u8).collect();
-        let mut data = original.clone();
-        ctr.apply(iv, &mut data);
-        assert_ne!(data, original);
-        ctr.apply(iv, &mut data);
-        assert_eq!(data, original);
-    }
-
-    #[test]
     fn different_nonces_give_different_streams() {
         let ctr = AesCtr::from_key(KeySize::Aes128, &[1u8; 16]);
         let mut a = vec![0u8; 32];
@@ -330,30 +270,34 @@ mod tests {
     }
 
     #[test]
-    fn partial_block_handled() {
-        let ctr = AesCtr::from_key(KeySize::Aes256, &[3u8; 32]);
-        let iv = AesCtr::iv_from_nonce(7);
-        let mut data = vec![0xAA; 5];
-        ctr.apply(iv, &mut data);
-        ctr.apply(iv, &mut data);
-        assert_eq!(data, vec![0xAA; 5]);
+    fn with_backend_moves_the_same_key_onto_the_other_lane() {
+        for size in [KeySize::Aes128, KeySize::Aes192, KeySize::Aes256] {
+            let auto = AesCtr::from_key(size, &[7u8; 32][..size.key_len()]);
+            let forced = auto.clone().with_backend(CryptoBackend::Software);
+            assert_eq!(forced.active_backend(), ActiveBackend::Software);
+            assert_eq!(forced.key_size(), size);
+            // ...and back again (a no-op on hosts without AES-NI).
+            let back = forced.clone().with_backend(CryptoBackend::Auto);
+            assert_eq!(back.active_backend(), auto.active_backend());
+            let iv = [0xFF; 16]; // counter at u64::MAX: the stream wraps it
+            let plain: Vec<u8> = (0..200).map(|i| i as u8).collect();
+            let [mut a, mut b, mut c] = [plain.clone(), plain.clone(), plain];
+            auto.apply_at(iv, 5, &mut a);
+            forced.apply_at(iv, 5, &mut b);
+            back.apply_at(iv, 5, &mut c);
+            assert_eq!(a, b, "{size:?}: the lanes produce identical ciphertext");
+            assert_eq!(a, c, "{size:?}: the round trip kept the key");
+        }
     }
 
     #[test]
-    fn reference_mode_is_per_instance_and_byte_identical() {
-        let fast = AesCtr::from_key(KeySize::Aes128, &[7u8; 16]);
-        let slow = fast.clone().with_backend(CryptoBackend::Reference);
-        assert!(
-            !fast.is_reference(),
-            "the flag must not leak across instances"
-        );
-        assert!(slow.is_reference());
-        let iv = AesCtr::iv_from_nonce(11);
-        let mut a: Vec<u8> = (0..100).map(|i| i as u8).collect();
-        let mut b = a.clone();
-        fast.apply(iv, &mut a);
-        slow.apply(iv, &mut b);
-        assert_eq!(a, b, "the two paths produce identical ciphertext");
+    fn destroyed_schedule_is_wiped_before_it_is_freed() {
+        for backend in [CryptoBackend::Auto, CryptoBackend::Software] {
+            let mut ctr = AesCtr::from_key(KeySize::Aes256, &[0xA5; 32]).with_backend(backend);
+            assert_ne!(ctr.round_keys(), [[0u8; 16]; MAX_ROUND_KEYS]);
+            ctr.wipe();
+            assert_eq!(ctr.round_keys(), [[0u8; 16]; MAX_ROUND_KEYS], "{backend}");
+        }
     }
 
     #[test]
@@ -381,18 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_at_reference_mode_agrees_with_fast_path() {
-        let fast = AesCtr::from_key(KeySize::Aes128, &[0x66; 16]);
-        let slow = fast.clone().with_backend(CryptoBackend::Reference);
-        let iv = [0xFF; 16]; // counter at u64::MAX: the offset wraps it
-        let mut a: Vec<u8> = (0..75).map(|i| i as u8).collect();
-        let mut b = a.clone();
-        fast.apply_at(iv, 5, &mut a);
-        slow.apply_at(iv, 5, &mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     #[should_panic(expected = "whole blocks")]
     fn apply_blocks_rejects_partial_blocks() {
         let ctr = AesCtr::from_key(KeySize::Aes128, &[1u8; 16]);
@@ -404,12 +336,15 @@ mod tests {
         #[test]
         fn involution_property(nonce in proptest::prelude::any::<u64>(),
                                data in proptest::collection::vec(0u8..=255, 0..200)) {
-            let ctr = AesCtr::from_key(KeySize::Aes128, &[0x42; 16]);
             let iv = AesCtr::iv_from_nonce(nonce);
-            let mut buf = data.clone();
-            ctr.apply(iv, &mut buf);
-            ctr.apply(iv, &mut buf);
-            proptest::prop_assert_eq!(buf, data);
+            for size in [KeySize::Aes128, KeySize::Aes192, KeySize::Aes256] {
+                let ctr = AesCtr::from_key(size, &[0x42; 32][..size.key_len()]);
+                let mut buf = data.clone();
+                ctr.apply(iv, &mut buf);
+                proptest::prop_assert!(data.len() < 16 || buf != data);
+                ctr.apply(iv, &mut buf);
+                proptest::prop_assert_eq!(&buf, &data);
+            }
         }
 
         #[test]
@@ -419,12 +354,14 @@ mod tests {
             // sub-block, block-aligned and straddling buffers.
             let iv: [u8; 16] = iv.try_into().unwrap();
             for size in [KeySize::Aes128, KeySize::Aes192, KeySize::Aes256] {
-                let ctr = AesCtr::from_key(size, &[0x5C; 32][..size.key_len()]);
-                let mut fast = data.clone();
+                let key = &[0x5C; 32][..size.key_len()];
                 let mut slow = data.clone();
-                ctr.apply(iv, &mut fast);
-                ctr.apply_ref(iv, &mut slow);
-                proptest::prop_assert_eq!(&fast, &slow);
+                crate::reference::apply_ctr(size, key, iv, &mut slow);
+                for backend in [CryptoBackend::Auto, CryptoBackend::Software] {
+                    let mut fast = data.clone();
+                    AesCtr::expand(size, key, backend).apply(iv, &mut fast);
+                    proptest::prop_assert_eq!(&fast, &slow, "{:?} {}", size, backend);
+                }
             }
         }
     }

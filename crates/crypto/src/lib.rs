@@ -14,22 +14,23 @@
 //! behaviour of encrypted data paths inside a simulator, not to protect real
 //! secrets.
 //!
-//! The hot path is throughput-oriented and **backend-dispatched**: the
+//! Every cipher in the system is CTR, so AES exists in the encrypt
+//! direction only, as two lanes plus an oracle: the
 //! [`backend::CryptoBackend`] selector picks between hardware AES-NI
-//! ([`aesni`], runtime-detected on x86_64), the software fused-T-table
-//! path with x4-batched keystream and u128-lane XOR ([`aes`]/[`ctr`]),
-//! and the retained byte-oriented reference rounds (`*_ref` entry
-//! points) that a property-based equivalence gate pins both fast paths
-//! against — see the workspace `tests/prop_crypto.rs`. The per-unit
-//! [`vault`] caches expanded key schedules (hardware round keys
-//! included) per live unit.
+//! ([`aesni`], runtime-detected on x86_64) and the software fused-T-table
+//! fallback ([`aes`]), and a property-based equivalence gate pins both
+//! against the byte-oriented FIPS-197 rounds in [`mod@reference`] — see the
+//! workspace `tests/prop_crypto.rs`. A cipher ([`ctr::AesCtr`]) *is* the
+//! one schedule of the lane it resolved to; the per-unit [`vault`] owns
+//! one per live unit and wipes it on destroy.
 //!
 //! Modules:
-//! * [`aes`] — AES-128/192/256 block cipher (encrypt + decrypt).
+//! * [`aes`] — AES-128/192/256 key expansion and the T-table encrypt rounds.
 //! * [`aesni`] — hardware AES via `std::arch` intrinsics; the crate's
 //!   only `unsafe`.
-//! * [`backend`] — the `Auto`/`Software`/`Hardware`/`Reference` selector.
+//! * [`backend`] — the `Auto`/`Software` selector.
 //! * [`ctr`] — AES-CTR stream mode used for tuple- and page-level encryption.
+//! * [`mod@reference`] — the byte-oriented test oracle, addressed by key.
 //! * [`sha256`] — SHA-256 digest.
 //! * [`hmac`] — HMAC-SHA-256.
 //! * [`kdf`] — a LUKS-flavoured iterated-hash key-derivation shim.
@@ -45,6 +46,7 @@ pub mod backend;
 pub mod ctr;
 pub mod hmac;
 pub mod kdf;
+pub mod reference;
 pub mod sector;
 pub mod sha256;
 pub mod vault;
@@ -74,6 +76,41 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
         diff |= x ^ y;
     }
     std::hint::black_box(diff) == 0
+}
+
+/// Known-answer material shared by the per-implementation tests.
+#[cfg(test)]
+pub(crate) mod test_vectors {
+    use crate::aes::KeySize;
+
+    pub fn hex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// The FIPS-197 Appendix C plaintext block.
+    pub const FIPS197_PT: &str = "00112233445566778899aabbccddeeff";
+
+    /// FIPS-197 Appendix C.1–C.3: key and the ciphertext of [`FIPS197_PT`].
+    pub const FIPS197_C: [(KeySize, &str, &str); 3] = [
+        (
+            KeySize::Aes128,
+            "000102030405060708090a0b0c0d0e0f",
+            "69c4e0d86a7b0430d8cdb78070b4c55a",
+        ),
+        (
+            KeySize::Aes192,
+            "000102030405060708090a0b0c0d0e0f1011121314151617",
+            "dda97ca4864cdfe06eaf70a0ec0d7191",
+        ),
+        (
+            KeySize::Aes256,
+            "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+            "8ea2b7ca516745bfeafc49904b496089",
+        ),
+    ];
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! the sector number (ESSIV-flavoured: we hash the sector with the key).
 
 use crate::aes::KeySize;
-use crate::backend::{ActiveBackend, CryptoBackend};
+use crate::backend::CryptoBackend;
 use crate::ctr::AesCtr;
 use crate::sha256::Sha256;
 
@@ -42,10 +42,10 @@ impl SectorCipher {
         self.ctr.key_size()
     }
 
-    /// Rebuild this cipher under `backend` (see [`AesCtr::with_backend`])
-    /// — per-instance, for A/B bench engines that must not affect other
-    /// engines in the process. Key material and sector-IV binding are
-    /// unchanged; only the round implementation differs.
+    /// Move this cipher onto `backend` (see [`AesCtr::with_backend`]) —
+    /// per-instance, so one engine's selector cannot reroute another's.
+    /// Key material and sector-IV binding are unchanged; only the round
+    /// implementation differs.
     pub fn with_backend(self, backend: CryptoBackend) -> SectorCipher {
         SectorCipher {
             ctr: self.ctr.with_backend(backend),
@@ -53,16 +53,12 @@ impl SectorCipher {
         }
     }
 
-    /// The implementation the underlying cipher resolved to (see
-    /// [`AesCtr::active_backend`]).
-    pub fn active_backend(&self) -> ActiveBackend {
-        self.ctr.active_backend()
-    }
-
     /// The ESSIV-flavoured IV binding `sector` to this cipher's key: the
     /// key-bound hash midstate (salt absorbed once at construction) is
-    /// cloned and fed only the sector number.
-    fn sector_iv(&self, sector: u64) -> [u8; 16] {
+    /// cloned and fed only the sector number. Public so the
+    /// crypto-equivalence gate can run the [`crate::reference`] oracle
+    /// under the same binding.
+    pub fn sector_iv(&self, sector: u64) -> [u8; 16] {
         let mut h = self.iv_midstate.clone();
         h.update(&sector.to_be_bytes());
         let d = h.finalize();
@@ -84,13 +80,6 @@ impl SectorCipher {
         } else {
             self.ctr.apply(iv, data);
         }
-    }
-
-    /// The retained reference path ([`AesCtr::apply_ref`]) under the same
-    /// sector-IV binding — the crypto-equivalence gate's oracle and the
-    /// "before" series of the sector-substrate throughput bench.
-    pub fn apply_ref(&self, sector: u64, data: &mut [u8]) {
-        self.ctr.apply_ref(self.sector_iv(sector), data);
     }
 }
 

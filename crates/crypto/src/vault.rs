@@ -9,7 +9,6 @@
 //! compares this against VACUUM FULL + drive sanitisation.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 use crate::aes::KeySize;
 use crate::backend::CryptoBackend;
@@ -25,14 +24,11 @@ pub enum VaultError {
 
 impl std::fmt::Display for VaultError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            VaultError::KeyUnavailable(id) => {
-                write!(
-                    f,
-                    "no live key for data unit {id} (destroyed or never created)"
-                )
-            }
-        }
+        let VaultError::KeyUnavailable(id) = self;
+        write!(
+            f,
+            "no live key for data unit {id} (destroyed or never created)"
+        )
     }
 }
 
@@ -50,43 +46,42 @@ struct KeystreamEntry {
     keystream: Vec<u8>,
 }
 
-/// State of a unit's key, kept for audit purposes after destruction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KeyState {
-    /// Key material is live and usable.
-    Live,
-    /// Key material has been destroyed (crypto-erased).
-    Destroyed,
+/// Everything the vault knows about one data unit.
+#[derive(Debug)]
+struct UnitKey {
+    /// Monotonic key generation, bumped by every
+    /// [`destroy_key`](KeyVault::destroy_key) and hashed into the
+    /// derivation — so no destroyed generation's material can ever be
+    /// re-derived, no matter how many destroy/recreate cycles a unit
+    /// goes through. Outlives the key as its tombstone.
+    generation: u64,
+    /// The unit's cipher while its key is live. The expanded schedule is
+    /// the only long-lived copy of the key the vault keeps, and it is
+    /// boxed so it never moves when the map grows: no stale copy is left
+    /// in a freed table, and the in-place wipe reaches the one there is.
+    live: Option<Box<AesCtr>>,
 }
 
 /// A vault holding one symmetric key per data unit.
 ///
-/// Keys are derived deterministically from a vault master secret and the
-/// unit id, then stored; destroying a key removes the material and records
-/// a tombstone so audits can prove *when* erasure became irreversible.
-///
-/// The vault also owns each live key's **expanded schedule**: the
-/// [`AesCtr`] is built once when the key materialises and handed out as a
-/// shared [`Arc`] by [`cipher`](KeyVault::cipher), so per-operation crypto
-/// never re-runs key expansion. [`destroy_key`](KeyVault::destroy_key)
-/// drops the cached schedule together with the key material — after it,
-/// no path through the vault can reach a working cipher, which is what
-/// keeps crypto-erasure semantics intact under caching.
+/// Keys are derived deterministically from a vault master secret, the
+/// unit id and the unit's key generation, and expanded straight into the
+/// unit's [`AesCtr`]: the schedule is built once when the key
+/// materialises and lent out by [`cipher`](KeyVault::cipher), so
+/// per-operation crypto never re-runs key expansion, and no raw key is
+/// stored beside it. [`destroy_key`](KeyVault::destroy_key) zeroes that
+/// one heap schedule before freeing it — after it, no path through the
+/// vault can reach a working cipher. Not covered: stack temporaries of
+/// derivation and expansion are not scrubbed, cached keystream is dropped
+/// rather than overwritten, and the vault keeps its master secret, which
+/// with the old generation number re-derives the destroyed key.
 #[derive(Debug)]
 pub struct KeyVault {
     master: [u8; 32],
     size: KeySize,
-    keys: HashMap<u64, Vec<u8>>,
-    schedules: HashMap<u64, Arc<AesCtr>>,
-    states: HashMap<u64, KeyState>,
-    /// Monotonic per-unit key generation, bumped by every
-    /// [`destroy_key`](KeyVault::destroy_key) and hashed into the
-    /// derivation — so no destroyed generation's material can ever be
-    /// re-derived, no matter how many destroy/recreate cycles a unit
-    /// goes through.
-    generations: HashMap<u64, u64>,
+    units: HashMap<u64, UnitKey>,
     /// The backend every schedule in this vault is expanded under — a
-    /// **construction-time invariant**: the builder asserts no schedule
+    /// **construction-time invariant**: the builder asserts no unit
     /// exists yet, so a vault can never hold mixed-backend schedules.
     backend: CryptoBackend,
     /// Bounded keystream cache for repeated same-IV re-reads (zipfian
@@ -105,10 +100,7 @@ impl KeyVault {
         KeyVault {
             master: Sha256::digest(master_secret),
             size,
-            keys: HashMap::new(),
-            schedules: HashMap::new(),
-            states: HashMap::new(),
-            generations: HashMap::new(),
+            units: HashMap::new(),
             backend: CryptoBackend::Auto,
             ks_cache: HashMap::new(),
             ks_order: VecDeque::new(),
@@ -125,7 +117,7 @@ impl KeyVault {
     }
 
     /// Expand every schedule in this vault under `backend` — per-vault,
-    /// so one bench engine's A/B cannot reroute any other engine in the
+    /// so one engine's selector cannot reroute any other engine in the
     /// process. Derived key *material* is unchanged (the backends are
     /// byte-identical); only expansion and round implementation differ.
     ///
@@ -137,7 +129,7 @@ impl KeyVault {
     /// Panics if any schedule has already been expanded.
     pub fn with_backend(mut self, backend: CryptoBackend) -> KeyVault {
         assert!(
-            self.schedules.is_empty(),
+            self.units.is_empty(),
             "KeyVault backend is a construction-time invariant: set it \
              before the first ensure_key, not after schedules exist"
         );
@@ -145,77 +137,55 @@ impl KeyVault {
         self
     }
 
-    /// The backend this vault expands schedules under.
-    pub fn backend(&self) -> CryptoBackend {
-        self.backend
-    }
-
     /// The configured key size.
     pub fn key_size(&self) -> KeySize {
         self.size
     }
 
-    /// Create (or return the existing) key for `unit`, expanding its
-    /// cipher schedule into the cache alongside.
-    pub fn ensure_key(&mut self, unit: u64) -> &[u8] {
-        // A destroyed key must never be silently recreated with the same
-        // material: every destroy bumped the unit's generation, and the
-        // generation is hashed into the derivation.
-        let generation = self.generations.get(&unit).copied().unwrap_or(0);
-        self.states.insert(unit, KeyState::Live);
-        if !self.keys.contains_key(&unit) {
-            let key = Self::derive_raw(&self.master, self.size, unit, generation);
-            self.schedules.insert(
-                unit,
-                Arc::new(AesCtr::from_key(self.size, &key).with_backend(self.backend)),
-            );
-            self.keys.insert(unit, key);
+    /// Make sure `unit` has a live key, deriving it and expanding its
+    /// cipher schedule if it has none (never created, or destroyed).
+    pub fn ensure_key(&mut self, unit: u64) {
+        let slot = self.units.entry(unit).or_insert(UnitKey {
+            generation: 0,
+            live: None,
+        });
+        if slot.live.is_none() {
+            // A destroyed key must never be silently recreated with the
+            // same material: every destroy bumped the generation, and the
+            // generation is hashed into the derivation.
+            let key = Self::derive_raw(&self.master, self.size, unit, slot.generation);
+            slot.live = Some(Box::new(AesCtr::expand(
+                self.size,
+                &key[..self.size.key_len()],
+                self.backend,
+            )));
         }
-        self.keys.get(&unit).expect("just ensured")
     }
 
-    fn derive_raw(master: &[u8; 32], size: KeySize, unit: u64, generation: u64) -> Vec<u8> {
+    /// The unit's raw key in the first `key_len` bytes.
+    fn derive_raw(master: &[u8; 32], size: KeySize, unit: u64, generation: u64) -> [u8; 32] {
         let mut h = Sha256::new();
         h.update(master);
         h.update(&unit.to_be_bytes());
         h.update(&generation.to_be_bytes());
-        let d = h.finalize();
-        match size {
-            KeySize::Aes128 => d[..16].to_vec(),
-            KeySize::Aes192 => d[..24].to_vec(),
-            KeySize::Aes256 => {
-                let mut h2 = Sha256::new();
-                h2.update(&d);
-                h2.update(b"ext");
-                let d2 = h2.finalize();
-                let mut k = d.to_vec();
-                k.truncate(16);
-                k.extend_from_slice(&d2[..16]);
-                k
-            }
+        let mut key = h.finalize();
+        if size == KeySize::Aes256 {
+            let mut h2 = Sha256::new();
+            h2.update(&key);
+            h2.update(b"ext");
+            key[16..].copy_from_slice(&h2.finalize()[..16]);
         }
+        key
     }
 
-    /// The unit's CTR cipher, if its key is live — a shared handle to the
-    /// schedule expanded once at [`ensure_key`](KeyVault::ensure_key)
-    /// time, cheap enough to hand to every operation (and to worker
-    /// threads: the handle is `Send + Sync`).
-    pub fn cipher(&self, unit: u64) -> Result<Arc<AesCtr>, VaultError> {
-        match self.schedules.get(&unit) {
-            Some(c) => {
-                // The construction-time invariant makes a mismatch
-                // unreachable; the assertion guards against future
-                // refactors reintroducing post-construction rerouting
-                // (mixed-backend streams are a silent perf lie).
-                debug_assert_eq!(
-                    c.active_backend(),
-                    self.backend.resolve(),
-                    "cached schedule was built by a different backend"
-                );
-                Ok(Arc::clone(c))
-            }
-            None => Err(VaultError::KeyUnavailable(unit)),
-        }
+    /// The unit's CTR cipher, if its key is live — the schedule expanded
+    /// once at [`ensure_key`](KeyVault::ensure_key) time, lent for the
+    /// length of one operation.
+    pub fn cipher(&self, unit: u64) -> Result<&AesCtr, VaultError> {
+        self.units
+            .get(&unit)
+            .and_then(|slot| slot.live.as_deref())
+            .ok_or(VaultError::KeyUnavailable(unit))
     }
 
     /// Apply the unit's CTR stream for `iv` to `data` via the keystream
@@ -244,18 +214,13 @@ impl KeyVault {
         if self.ks_capacity == 0 {
             return Ok(false);
         }
-        let cipher = match self.schedules.get(&unit) {
-            Some(c) => {
-                debug_assert_eq!(
-                    c.active_backend(),
-                    self.backend.resolve(),
-                    "cached schedule was built by a different backend"
-                );
-                Arc::clone(c)
-            }
-            None => return Err(VaultError::KeyUnavailable(unit)),
+        let (generation, cipher) = match self.units.get(&unit) {
+            Some(UnitKey {
+                generation,
+                live: Some(cipher),
+            }) => (*generation, cipher),
+            _ => return Err(VaultError::KeyUnavailable(unit)),
         };
-        let generation = self.generations.get(&unit).copied().unwrap_or(0);
         let needed = data.len().next_multiple_of(16);
         let key = (unit, iv);
         let stale = self
@@ -313,32 +278,23 @@ impl KeyVault {
     /// Destroy the key for `unit` — the crypto-erasure system-action.
     ///
     /// Returns true if a live key existed. After this call, ciphertexts of
-    /// the unit are permanently unreadable through the vault: both the key
-    /// material and its cached cipher schedule are dropped. (Handles
-    /// already held by in-flight work finish their operation — exactly
-    /// like sequential execution, where the erase only takes effect after
-    /// the preceding operation completed.)
+    /// the unit are permanently unreadable through the vault: the heap
+    /// schedule that held the key is overwritten in place, then freed,
+    /// and the unit's generation moves on so `ensure_key` derives a
+    /// different key from here on.
     pub fn destroy_key(&mut self, unit: u64) -> bool {
-        let existed = self.keys.remove(&unit).is_some();
-        self.schedules.remove(&unit);
         // Cached keystream goes with the key: XORing it with ciphertext
         // would reveal plaintext, so erasure must not leave it behind.
         self.purge_unit(unit);
-        if existed {
-            self.states.insert(unit, KeyState::Destroyed);
-            *self.generations.entry(unit).or_insert(0) += 1;
-        }
-        existed
-    }
-
-    /// Audit view: the key state for `unit`, if it was ever created.
-    pub fn key_state(&self, unit: u64) -> Option<KeyState> {
-        self.states.get(&unit).copied()
-    }
-
-    /// Number of live keys (contributes to metadata space accounting).
-    pub fn live_keys(&self) -> usize {
-        self.keys.len()
+        let Some(slot) = self.units.get_mut(&unit) else {
+            return false;
+        };
+        let Some(mut cipher) = slot.live.take() else {
+            return false;
+        };
+        cipher.wipe();
+        slot.generation += 1;
+        true
     }
 }
 
@@ -346,6 +302,18 @@ impl KeyVault {
 mod tests {
     use super::*;
     use crate::ctr::AesCtr;
+    use proptest::prelude::*;
+
+    /// The first 32 keystream bytes of `unit`'s live key under a fixed IV
+    /// — a fingerprint of the key, now that the vault never hands the raw
+    /// bytes out.
+    fn stream(v: &KeyVault, unit: u64) -> Vec<u8> {
+        let mut out = vec![0u8; 32];
+        v.cipher(unit)
+            .expect("live key")
+            .apply(AesCtr::iv_from_nonce(0), &mut out);
+        out
+    }
 
     #[test]
     fn roundtrip_through_unit_cipher() {
@@ -362,106 +330,54 @@ mod tests {
     #[test]
     fn destroy_makes_cipher_unavailable() {
         let mut v = KeyVault::new(b"master", KeySize::Aes256);
+        assert_eq!(v.cipher(1).unwrap_err(), VaultError::KeyUnavailable(1));
         v.ensure_key(1);
         assert!(v.destroy_key(1));
         assert_eq!(v.cipher(1).unwrap_err(), VaultError::KeyUnavailable(1));
-        assert_eq!(v.key_state(1), Some(KeyState::Destroyed));
         assert!(!v.destroy_key(1), "double destroy reports no live key");
-    }
-
-    #[test]
-    fn recreated_key_differs_from_destroyed_one() {
-        let mut v = KeyVault::new(b"master", KeySize::Aes128);
-        let k1 = v.ensure_key(9).to_vec();
-        v.destroy_key(9);
-        let k2 = v.ensure_key(9).to_vec();
-        assert_ne!(k1, k2, "a destroyed key must never come back");
+        assert!(!v.destroy_key(2), "never-created unit has no live key");
     }
 
     #[test]
     fn distinct_units_have_distinct_keys() {
         let mut v = KeyVault::new(b"master", KeySize::Aes256);
-        let a = v.ensure_key(1).to_vec();
-        let b = v.ensure_key(2).to_vec();
-        assert_ne!(a, b);
-        assert_eq!(a.len(), 32);
+        v.ensure_key(1);
+        v.ensure_key(2);
+        assert_ne!(stream(&v, 1), stream(&v, 2));
     }
 
     #[test]
     fn key_sizes_respected() {
-        for (size, len) in [
-            (KeySize::Aes128, 16),
-            (KeySize::Aes192, 24),
-            (KeySize::Aes256, 32),
-        ] {
+        for size in [KeySize::Aes128, KeySize::Aes192, KeySize::Aes256] {
             let mut v = KeyVault::new(b"m", size);
-            assert_eq!(v.ensure_key(1).len(), len);
+            v.ensure_key(1);
+            assert_eq!(v.cipher(1).unwrap().key_size(), size);
         }
     }
 
     #[test]
-    fn destroy_drops_cached_schedule_and_blocks_reencryption() {
-        let mut v = KeyVault::new(b"master", KeySize::Aes128);
-        v.ensure_key(5);
-        let cipher = v.cipher(5).unwrap();
-        let mut data = b"unit-5-plaintext".to_vec();
-        cipher.apply(AesCtr::iv_from_nonce(5), &mut data);
-        v.destroy_key(5);
-        // The cached schedule went with the key: any attempt to encrypt
-        // or decrypt through the vault now fails typed.
-        assert_eq!(v.cipher(5).unwrap_err(), VaultError::KeyUnavailable(5));
-        // A handle obtained before the destroy still works (in-flight
-        // operations complete, like sequential execution), but the vault
-        // itself can never mint another.
-        cipher.apply(AesCtr::iv_from_nonce(5), &mut data);
-        assert_eq!(&data, b"unit-5-plaintext");
-    }
-
-    #[test]
-    fn destroyed_generations_never_return_across_cycles() {
-        // The generation counter is monotonic: a second (third, …)
-        // destroy/recreate cycle must not resurrect any previously
-        // destroyed generation's material.
-        let mut v = KeyVault::new(b"master", KeySize::Aes128);
-        let mut seen: Vec<Vec<u8>> = Vec::new();
-        for cycle in 0..4 {
-            let key = v.ensure_key(11).to_vec();
-            assert!(
-                !seen.contains(&key),
-                "cycle {cycle} re-derived a destroyed generation's key"
-            );
-            seen.push(key);
-            v.destroy_key(11);
-        }
-    }
-
-    #[test]
-    fn cached_schedule_is_shared_not_reexpanded() {
+    fn cipher_lends_the_one_schedule_and_it_never_moves() {
         let mut v = KeyVault::new(b"master", KeySize::Aes256);
         v.ensure_key(3);
-        let a = v.cipher(3).unwrap();
-        let b = v.cipher(3).unwrap();
-        assert!(
-            Arc::ptr_eq(&a, &b),
-            "cipher() must hand out the one cached schedule"
-        );
+        let at = v.cipher(3).unwrap() as *const AesCtr;
+        // A second ensure is a no-op, and growing the map around it does
+        // not relocate the schedule: `destroy_key`'s in-place wipe
+        // reaches the only place the key has ever been.
+        for unit in 0..1000 {
+            v.ensure_key(unit);
+        }
+        assert!(std::ptr::eq(at, v.cipher(3).unwrap()));
     }
 
     #[test]
-    fn recreated_key_gets_fresh_schedule() {
-        let mut v = KeyVault::new(b"master", KeySize::Aes128);
-        v.ensure_key(9);
-        let old = v.cipher(9).unwrap();
-        v.destroy_key(9);
-        v.ensure_key(9);
-        let new = v.cipher(9).unwrap();
-        assert!(!Arc::ptr_eq(&old, &new));
-        // And the fresh schedule encrypts under the *new* generation.
-        let mut a = b"x".repeat(32);
-        let mut b = a.clone();
-        old.apply(AesCtr::iv_from_nonce(9), &mut a);
-        new.apply(AesCtr::iv_from_nonce(9), &mut b);
-        assert_ne!(a, b, "destroyed-generation keystream must not return");
+    fn size_of_a_cipher_is_one_schedule() {
+        // 15 round keys x 16 B = 240 B, plus the lane's bookkeeping. Two
+        // more schedules or a `Vec` header beside it would not fit.
+        assert!(
+            std::mem::size_of::<AesCtr>() <= 320,
+            "AesCtr is {} B",
+            std::mem::size_of::<AesCtr>()
+        );
     }
 
     #[test]
@@ -573,7 +489,6 @@ mod tests {
     fn backend_is_a_construction_time_invariant() {
         // Setting the backend before any key exists is fine…
         let mut v = KeyVault::new(b"m", KeySize::Aes128).with_backend(CryptoBackend::Software);
-        assert_eq!(v.backend(), CryptoBackend::Software);
         v.ensure_key(1);
         assert_eq!(
             v.cipher(1).unwrap().active_backend(),
@@ -587,34 +502,104 @@ mod tests {
         let mut v = KeyVault::new(b"m", KeySize::Aes128);
         v.ensure_key(1);
         // A schedule exists: rerouting now would silently mix backends.
-        let _ = v.with_backend(CryptoBackend::Reference);
+        let _ = v.with_backend(CryptoBackend::Software);
     }
 
     #[test]
     fn all_backends_derive_identical_key_material() {
-        for backend in [
-            CryptoBackend::Auto,
-            CryptoBackend::Software,
-            CryptoBackend::Hardware,
-            CryptoBackend::Reference,
-        ] {
-            let mut v = KeyVault::new(b"master", KeySize::Aes256).with_backend(backend);
-            let mut base = KeyVault::new(b"master", KeySize::Aes256);
-            assert_eq!(
-                v.ensure_key(3),
-                base.ensure_key(3),
-                "backend {backend} changed derived key material"
-            );
-        }
+        let mut auto = KeyVault::new(b"master", KeySize::Aes256);
+        let mut forced =
+            KeyVault::new(b"master", KeySize::Aes256).with_backend(CryptoBackend::Software);
+        auto.ensure_key(3);
+        forced.ensure_key(3);
+        assert_eq!(stream(&auto, 3), stream(&forced, 3));
     }
 
-    #[test]
-    fn live_key_count_tracks_lifecycle() {
-        let mut v = KeyVault::new(b"m", KeySize::Aes128);
-        v.ensure_key(1);
-        v.ensure_key(2);
-        assert_eq!(v.live_keys(), 2);
-        v.destroy_key(1);
-        assert_eq!(v.live_keys(), 1);
+    /// What a caller does per tuple: the cache if it serves, the unit's
+    /// cipher otherwise.
+    fn apply(v: &mut KeyVault, unit: u64, data: &mut [u8]) -> Result<(), VaultError> {
+        let iv = AesCtr::iv_from_nonce(unit);
+        if !v.keystream_apply(unit, iv, data)? {
+            v.cipher(unit)?.apply(iv, data);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Random ensure / destroy / cipher / keystream_apply / purge_unit
+        /// sequences over 8 units, with the keystream cache off and at 4
+        /// entries, against a `unit -> (generation, live)` model plus the
+        /// cache's expected FIFO occupancy: the invariants one record per
+        /// unit now keeps by construction.
+        #[test]
+        fn vault_lifecycle_matches_a_model(
+            ops in proptest::collection::vec((0u8..5, 0u64..8, 0usize..70), 1..80),
+        ) {
+            let mut plain = KeyVault::new(b"model", KeySize::Aes128);
+            let mut cached = KeyVault::new(b"model", KeySize::Aes128).with_keystream_cache(4);
+            let mut model: HashMap<u64, (u64, bool)> = HashMap::new();
+            // Per unit, the key fingerprint of every generation so far.
+            let mut seen: HashMap<u64, Vec<Vec<u8>>> = HashMap::new();
+            // Units with a cached segment, oldest first (one IV per unit).
+            let mut segments: VecDeque<u64> = VecDeque::new();
+            for (op, unit, len) in ops {
+                let (generation, live) = *model.get(&unit).unwrap_or(&(0, false));
+                match op {
+                    0 => {
+                        plain.ensure_key(unit);
+                        cached.ensure_key(unit);
+                        model.insert(unit, (generation, true));
+                        let fingerprint = stream(&plain, unit);
+                        prop_assert_eq!(&fingerprint, &stream(&cached, unit));
+                        let earlier = seen.entry(unit).or_default();
+                        if live {
+                            prop_assert_eq!(earlier.last(), Some(&fingerprint),
+                                            "ensure re-keyed live unit {}", unit);
+                        } else {
+                            prop_assert!(!earlier.contains(&fingerprint),
+                                         "unit {} generation {} reuses a destroyed key",
+                                         unit, generation);
+                            earlier.push(fingerprint);
+                        }
+                    }
+                    1 => {
+                        prop_assert_eq!(plain.destroy_key(unit), live);
+                        prop_assert_eq!(cached.destroy_key(unit), live);
+                        segments.retain(|u| *u != unit);
+                        if live {
+                            model.insert(unit, (generation + 1, false));
+                        }
+                    }
+                    2 => {
+                        prop_assert_eq!(plain.cipher(unit).is_ok(), live);
+                        prop_assert_eq!(cached.cipher(unit).is_ok(), live);
+                    }
+                    3 => {
+                        let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
+                        let (mut a, mut b) = (data.clone(), data);
+                        let expect = if live { Ok(()) } else { Err(VaultError::KeyUnavailable(unit)) };
+                        prop_assert_eq!(&apply(&mut plain, unit, &mut a), &expect);
+                        prop_assert_eq!(&apply(&mut cached, unit, &mut b), &expect);
+                        prop_assert_eq!(a, b, "cache on and off diverged on unit {}", unit);
+                        if live && !segments.contains(&unit) {
+                            if segments.len() == 4 {
+                                segments.pop_front();
+                            }
+                            segments.push_back(unit);
+                        }
+                    }
+                    _ => {
+                        plain.purge_unit(unit);
+                        cached.purge_unit(unit);
+                        segments.retain(|u| *u != unit);
+                    }
+                }
+                prop_assert_eq!(cached.cached_keystreams(), segments.len());
+            }
+            for (unit, (_, live)) in model {
+                prop_assert_eq!(plain.cipher(unit).is_ok(), live);
+                prop_assert_eq!(cached.cipher(unit).is_ok(), live);
+            }
+        }
     }
 }

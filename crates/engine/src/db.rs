@@ -427,21 +427,22 @@ impl CompliantDb {
 
     fn decrypt_payload(&mut self, unit: UnitId, stored: Vec<u8>) -> Vec<u8> {
         match &mut self.vault {
-            Some(vault) => match vault.cipher(unit.0) {
-                Ok(cipher) => {
-                    let bits = cipher.key_size().bits();
-                    self.clock
-                        .charge(self.clock.model().aes_cost(bits, stored.len()));
-                    Meter::bump(&self.meter.crypto_bytes, stored.len() as u64);
-                    let mut buf = stored;
-                    let iv = AesCtr::iv_from_nonce(unit.0);
-                    if !matches!(vault.keystream_apply(unit.0, iv, &mut buf), Ok(true)) {
-                        cipher.apply(iv, &mut buf);
-                    }
-                    buf
+            Some(vault) => {
+                if vault.cipher(unit.0).is_err() {
+                    return Vec::new(); // crypto-erased: unreadable
                 }
-                Err(_) => Vec::new(), // crypto-erased: unreadable
-            },
+                let bits = vault.key_size().bits();
+                self.clock
+                    .charge(self.clock.model().aes_cost(bits, stored.len()));
+                Meter::bump(&self.meter.crypto_bytes, stored.len() as u64);
+                let mut buf = stored;
+                let iv = AesCtr::iv_from_nonce(unit.0);
+                if !matches!(vault.keystream_apply(unit.0, iv, &mut buf), Ok(true)) {
+                    let cipher = vault.cipher(unit.0).expect("checked live");
+                    cipher.apply(iv, &mut buf);
+                }
+                buf
+            }
             None => stored,
         }
     }

@@ -105,9 +105,8 @@ pub struct EngineConfig {
     /// Which AES implementation every crypto path this engine constructs
     /// (tuple vault, sector cipher, encrypted audit log) runs on:
     /// [`CryptoBackend::Auto`] (the default) detects hardware AES-NI and
-    /// falls back to the software T-table path; `Software`/`Hardware`
-    /// force one implementation and `Reference` is the byte-oriented
-    /// FIPS-197 test oracle. Scoped to this engine instance: selecting a
+    /// falls back to the software T-table path; `Software` forces the
+    /// fallback. Scoped to this engine instance: selecting a
     /// backend for one engine cannot reroute concurrent engines (or
     /// shards) in the same process. Ciphertext is byte-identical across
     /// backends; only wall-clock changes.

@@ -9,9 +9,9 @@
 //!
 //! Every encrypted page read/write routes through
 //! [`SectorCipher::apply`], whose page-sized buffers take the
-//! whole-block T-table fast path (`AesCtr::apply_blocks`) — the sector
-//! layer is the biggest per-byte AES consumer in the system, so this is
-//! where the crypto overhaul pays the most.
+//! whole-block entry (`AesCtr::apply_blocks`: AES-NI where the host has
+//! it, the T-table fallback elsewhere) — the sector layer is the biggest
+//! per-byte AES consumer in the system.
 //!
 //! # Sector life cycle
 //!

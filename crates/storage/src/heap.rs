@@ -44,8 +44,9 @@ pub struct HeapConfig {
     /// fsync the WAL at every statement commit.
     pub fsync_per_commit: bool,
     /// Which AES implementation the sector cipher runs
-    /// ([`CryptoBackend::Auto`] detects hardware AES at construction;
-    /// per-instance bench A/B; ciphertext bytes are unchanged).
+    /// ([`CryptoBackend::Auto`] detects hardware AES at construction,
+    /// `Software` forces the fallback; per-instance; ciphertext bytes
+    /// are unchanged).
     pub crypto_backend: CryptoBackend,
     /// Crash-injection plane shared with the engine (chaos harness).
     /// The disabled default makes every tap a single `None` check.

@@ -1,24 +1,20 @@
-//! Crypto-equivalence gate: the throughput-oriented crypto hot path must
-//! be byte-identical to the retained byte-oriented reference
-//! implementation.
+//! Crypto-equivalence gate: both AES lanes a cipher can run on must be
+//! byte-identical to the byte-oriented reference oracle.
 //!
-//! The fast path — fused-T-table AES rounds, the equivalent inverse
-//! cipher, and the u128-lane CTR XOR — and the reference path — the
-//! original FIPS-197 byte rounds and byte-at-a-time XOR — coexist in
-//! `datacase_crypto`. This suite pins them together on random keys, IVs
-//! and *unaligned* lengths for all three key sizes, so any future round
-//! tweak that diverges from FIPS-197 fails here, by name, instead of
-//! silently corrupting ciphertexts. The FIPS/NIST known vectors live next
-//! to the implementations in `crates/crypto`.
-
-//! PR 9 extends the gate across the **backend cross-product**: every
-//! property also pins hardware (AES-NI, when the host has it) ≡ software
-//! ≡ reference under the `CryptoBackend` selector — the `backend_`-named
-//! properties below, over block/CTR/sector × 128/192/256-bit keys ×
-//! unaligned lengths × nonzero offsets, plus the keystream-cache ×
-//! backend interaction. A forced `Software` run keeps the dispatch path
-//! covered on hosts without AES-NI, where `Hardware` resolves to the same
-//! software stream.
+//! The lanes — AES-NI where the host has it, fused-T-table rounds with
+//! the u128-lane CTR XOR elsewhere — live behind the `CryptoBackend`
+//! selector; the oracle — the FIPS-197 byte rounds and byte-at-a-time
+//! XOR in `datacase_crypto::reference` — is a function of the key. This
+//! suite pins them together on random keys, IVs and *unaligned* lengths
+//! for all three key sizes, so any future round tweak that diverges from
+//! FIPS-197 fails here, by name, instead of silently corrupting
+//! ciphertexts. The FIPS/NIST known vectors live next to the
+//! implementations in `crates/crypto`.
+//!
+//! The `backend_`-named properties run the **selector cross-product**:
+//! block/CTR/sector × 128/192/256-bit keys × unaligned lengths × nonzero
+//! offsets, plus the keystream-cache × backend interaction. The forced
+//! `Software` run is what covers the fallback lane on hosts with AES-NI.
 
 use proptest::prelude::*;
 
@@ -26,40 +22,28 @@ use data_case::crypto::aes::{Aes, KeySize};
 use data_case::crypto::ctr::AesCtr;
 use data_case::crypto::sector::SectorCipher;
 use data_case::crypto::vault::KeyVault;
-use data_case::crypto::{aesni, ActiveBackend, CryptoBackend};
+use data_case::crypto::{aesni, kdf, reference, ActiveBackend, CryptoBackend};
 
 const ALL_SIZES: [KeySize; 3] = [KeySize::Aes128, KeySize::Aes192, KeySize::Aes256];
 
 /// The full selector cross-product every `backend_` property runs:
-/// `Hardware` resolves to AES-NI exactly on capable hosts (elsewhere it
-/// is a second software run — the forced-fallback coverage runners
-/// without AES-NI need), `Software` forces the T-table path everywhere, and
-/// `Reference` is the byte-oriented oracle.
-const ALL_BACKENDS: [CryptoBackend; 4] = [
-    CryptoBackend::Auto,
-    CryptoBackend::Software,
-    CryptoBackend::Hardware,
-    CryptoBackend::Reference,
-];
+/// `Auto` resolves to AES-NI exactly on capable hosts (elsewhere it is a
+/// second software run), `Software` forces the T-table path everywhere.
+const ALL_BACKENDS: [CryptoBackend; 2] = [CryptoBackend::Auto, CryptoBackend::Software];
 
 proptest! {
-    /// Block level: T-table encrypt/decrypt ≡ reference rounds, and the
-    /// pair still round-trips.
+    /// Block level: T-table encrypt ≡ reference rounds.
     #[test]
     fn block_paths_agree(key in proptest::collection::vec(0u8..=255, 32),
                          pt in proptest::collection::vec(0u8..=255, 16)) {
         let block: [u8; 16] = pt.try_into().unwrap();
         for size in ALL_SIZES {
-            let aes = Aes::new(size, &key[..size.key_len()]);
+            let key = &key[..size.key_len()];
             let mut fast = block;
             let mut slow = block;
-            aes.encrypt_block(&mut fast);
-            aes.encrypt_block_ref(&mut slow);
+            Aes::new(size, key).encrypt_block(&mut fast);
+            reference::encrypt_block(size, key, &mut slow);
             prop_assert_eq!(fast, slow, "{:?} encrypt diverged", size);
-            aes.decrypt_block(&mut fast);
-            aes.decrypt_block_ref(&mut slow);
-            prop_assert_eq!(fast, slow, "{:?} decrypt diverged", size);
-            prop_assert_eq!(fast, block, "{:?} round-trip broken", size);
         }
     }
 
@@ -72,11 +56,12 @@ proptest! {
                        data in proptest::collection::vec(0u8..=255, 0..300)) {
         let iv: [u8; 16] = iv.try_into().unwrap();
         for size in ALL_SIZES {
-            let ctr = AesCtr::from_key(size, &key[..size.key_len()]);
+            let key = &key[..size.key_len()];
+            let ctr = AesCtr::from_key(size, key);
             let mut fast = data.clone();
             let mut slow = data.clone();
             ctr.apply(iv, &mut fast);
-            ctr.apply_ref(iv, &mut slow);
+            reference::apply_ctr(size, key, iv, &mut slow);
             prop_assert_eq!(&fast, &slow, "{:?} CTR diverged", size);
             // Involution through the fast path alone.
             ctr.apply(iv, &mut fast);
@@ -100,13 +85,12 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// Offset entry: the four-lane batched keystream reached through
-    /// `apply_at` must agree, at every key size, with the reference path
-    /// applied over a longer buffer that *contains* the offset region —
-    /// i.e. starting `start_block` blocks into the stream is the same as
-    /// skipping that prefix. Lengths are ragged so the x4 bulk loop, the
-    /// scalar block remainder, and the partial tail are all crossed with
-    /// nonzero block offsets.
+    /// Offset entry: the keystream reached through `apply_at` must agree,
+    /// at every key size, with the reference path applied over a longer
+    /// buffer that *contains* the offset region — i.e. starting
+    /// `start_block` blocks into the stream is the same as skipping that
+    /// prefix. Lengths are ragged so the bulk loop and the partial tail
+    /// are both crossed with nonzero block offsets.
     #[test]
     fn batched_offset_keystream_agrees_with_reference(
         key in proptest::collection::vec(0u8..=255, 32),
@@ -116,7 +100,8 @@ proptest! {
     ) {
         let iv: [u8; 16] = iv.try_into().unwrap();
         for size in ALL_SIZES {
-            let ctr = AesCtr::from_key(size, &key[..size.key_len()]);
+            let key = &key[..size.key_len()];
+            let ctr = AesCtr::from_key(size, key);
             let mut fast = data.clone();
             ctr.apply_at(iv, start_block, &mut fast);
             // Oracle: reference-encrypt a zero prefix plus the data and
@@ -124,7 +109,7 @@ proptest! {
             let prefix = start_block as usize * 16;
             let mut whole = vec![0u8; prefix];
             whole.extend_from_slice(&data);
-            ctr.apply_ref(iv, &mut whole);
+            reference::apply_ctr(size, key, iv, &mut whole);
             prop_assert_eq!(&fast, &whole[prefix..], "{:?} offset keystream diverged", size);
             // Involution through the offset entry alone.
             ctr.apply_at(iv, start_block, &mut fast);
@@ -132,8 +117,8 @@ proptest! {
         }
     }
 
-    /// Sector level: the page fast path under the ESSIV-flavoured IV
-    /// binding matches its reference twin.
+    /// Sector level: the page fast path is the reference CTR of the
+    /// LUKS-derived key under the ESSIV-flavoured IV binding.
     #[test]
     fn sector_paths_agree(pass in proptest::collection::vec(0u8..=255, 1..24),
                           sector in any::<u64>(),
@@ -143,7 +128,7 @@ proptest! {
             let mut fast = data.clone();
             let mut slow = data.clone();
             sc.apply(sector, &mut fast);
-            sc.apply_ref(sector, &mut slow);
+            sector_oracle(&sc, &pass, sector, &mut slow);
             prop_assert_eq!(&fast, &slow, "{:?} sector cipher diverged", size);
         }
     }
@@ -151,8 +136,7 @@ proptest! {
     // ---- Hardware ≡ software ≡ reference: the backend cross-product ----
 
     /// Block level across backends: the AES-NI rounds (when the host has
-    /// them) must agree with the T-table rounds on encrypt *and* the
-    /// equivalent-inverse-cipher decrypt, for all three key sizes.
+    /// them) must agree with the T-table rounds, for all three key sizes.
     #[test]
     fn backend_block_paths_agree(key in proptest::collection::vec(0u8..=255, 32),
                                  pt in proptest::collection::vec(0u8..=255, 16)) {
@@ -165,8 +149,6 @@ proptest! {
                 let mut got = block;
                 hw.encrypt_block(&mut got);
                 prop_assert_eq!(got, expect, "{:?} hw encrypt diverged", size);
-                hw.decrypt_block(&mut got);
-                prop_assert_eq!(got, block, "{:?} hw decrypt diverged", size);
             } else {
                 prop_assert!(!CryptoBackend::hardware_available(),
                              "AesNi::new must only fail without AES-NI");
@@ -185,11 +167,11 @@ proptest! {
                                         data in proptest::collection::vec(0u8..=255, 0..300)) {
         let iv: [u8; 16] = iv.try_into().unwrap();
         for size in ALL_SIZES {
-            let oracle = AesCtr::from_key(size, &key[..size.key_len()]);
+            let key = &key[..size.key_len()];
             let mut expect = data.clone();
-            oracle.apply_ref(iv, &mut expect);
+            reference::apply_ctr(size, key, iv, &mut expect);
             for backend in ALL_BACKENDS {
-                let ctr = AesCtr::from_key(size, &key[..size.key_len()]).with_backend(backend);
+                let ctr = AesCtr::from_key(size, key).with_backend(backend);
                 let mut got = data.clone();
                 ctr.apply(iv, &mut got);
                 prop_assert_eq!(&got, &expect, "{:?} {} CTR diverged", size, backend);
@@ -212,13 +194,13 @@ proptest! {
     ) {
         let iv: [u8; 16] = iv.try_into().unwrap();
         for size in ALL_SIZES {
+            let key = &key[..size.key_len()];
             let prefix = start_block as usize * 16;
-            let oracle = AesCtr::from_key(size, &key[..size.key_len()]);
             let mut whole = vec![0u8; prefix];
             whole.extend_from_slice(&data);
-            oracle.apply_ref(iv, &mut whole);
+            reference::apply_ctr(size, key, iv, &mut whole);
             for backend in ALL_BACKENDS {
-                let ctr = AesCtr::from_key(size, &key[..size.key_len()]).with_backend(backend);
+                let ctr = AesCtr::from_key(size, key).with_backend(backend);
                 let mut got = data.clone();
                 ctr.apply_at(iv, start_block, &mut got);
                 prop_assert_eq!(&got, &whole[prefix..],
@@ -238,7 +220,7 @@ proptest! {
         for size in ALL_SIZES {
             let oracle = SectorCipher::from_passphrase(&pass, size);
             let mut expect = data.clone();
-            oracle.apply_ref(sector, &mut expect);
+            sector_oracle(&oracle, &pass, sector, &mut expect);
             for backend in ALL_BACKENDS {
                 let sc = SectorCipher::from_passphrase(&pass, size).with_backend(backend);
                 let mut got = data.clone();
@@ -249,27 +231,28 @@ proptest! {
     }
 }
 
-/// Dispatch sanity for the gate: forced selectors resolve to themselves,
-/// `Auto` and `Hardware` track detection, and a constructed cipher
-/// reports the backend it actually runs.
+/// The sector cipher's oracle: reference CTR under the LUKS-derived key
+/// and the cipher's own sector-bound IV.
+fn sector_oracle(sc: &SectorCipher, pass: &[u8], sector: u64, data: &mut [u8]) {
+    let size = sc.key_size();
+    let key = kdf::luks_derive_key(pass, size.key_len());
+    reference::apply_ctr(size, &key, sc.sector_iv(sector), data);
+}
+
+/// Dispatch sanity for the gate: forced `Software` resolves to itself,
+/// `Auto` tracks detection, and a constructed cipher reports the lane it
+/// actually runs.
 #[test]
 fn backend_dispatch_resolves_and_reports_consistently() {
     let hw = CryptoBackend::hardware_available();
     for backend in ALL_BACKENDS {
         let ctr = AesCtr::from_key(KeySize::Aes128, &[0x42; 16]).with_backend(backend);
         let expect = match backend {
-            CryptoBackend::Reference => ActiveBackend::Reference,
-            CryptoBackend::Software => ActiveBackend::Software,
-            CryptoBackend::Auto | CryptoBackend::Hardware => {
-                if hw {
-                    ActiveBackend::Hardware
-                } else {
-                    ActiveBackend::Software
-                }
-            }
+            CryptoBackend::Auto if hw => ActiveBackend::Hardware,
+            CryptoBackend::Auto | CryptoBackend::Software => ActiveBackend::Software,
         };
         assert_eq!(ctr.active_backend(), expect, "{backend} misreported");
-        assert_eq!(ctr.backend(), backend);
+        assert_eq!(backend.resolve(), expect, "{backend} resolved elsewhere");
     }
 }
 

@@ -148,8 +148,8 @@ proptest! {
     /// simulated clock, the forensic-residual count, **and the audit
     /// chain's bytes** all agree between single-request submissions on
     /// the default (`Auto`) AES path and arbitrary batch sizes on the
-    /// hardware-or-software, forced-software and byte-oriented reference
-    /// paths. Erase batches obey the same contract (next property).
+    /// hardware-or-software and forced-software paths. Erase batches obey
+    /// the same contract (next property).
     #[test]
     fn batch_submit_matches_sequential_execute(
         seed in 0u64..10_000,
@@ -159,11 +159,7 @@ proptest! {
         for backend in BackendKind::ALL {
             for profile in ProfileKind::PAPER {
                 let sequential = run(backend, profile, seed, txns, 1, CryptoBackend::Auto);
-                for crypto in [
-                    CryptoBackend::Auto,
-                    CryptoBackend::Software,
-                    CryptoBackend::Reference,
-                ] {
+                for crypto in [CryptoBackend::Auto, CryptoBackend::Software] {
                     let batched = run(backend, profile, seed, txns, batch_size, crypto);
                     let cell = format!("{backend:?}/{profile:?}/{crypto} (batch={batch_size})");
                     prop_assert_eq!(&sequential.0, &batched.0, "{}: reply streams", cell);
