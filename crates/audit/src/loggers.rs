@@ -1,11 +1,18 @@
 //! The three logging backends of the compliance profiles.
+//!
+//! Every backend keeps its records in one `LogCore`: a `Vec` of the
+//! packed stored form ([`crate::record`]) — a record's facts once, its
+//! payload in an allocation of exactly the bytes the backend decided to
+//! keep (the truncated row, the query text plus response, the ciphertext)
+//! — under one HMAC chain. `bytes()` is computed from what is stored, so
+//! what Table 2 accounts is what the process holds.
 
 use datacase_core::ids::UnitId;
 use datacase_crypto::aes::KeySize;
 use datacase_crypto::ctr::AesCtr;
 use datacase_sim::{Meter, SimClock};
 
-use crate::record::{HmacChain, LogRecord};
+use crate::record::{HmacChain, LogRecord, Stored};
 
 /// A logging backend: persists records, accounts bytes, stays
 /// tamper-evident, and supports per-unit redaction.
@@ -48,7 +55,7 @@ pub trait AuditLogger: Send {
 /// Without this, per-delete redaction would re-MAC the whole log —
 /// quadratic work under delete-heavy workloads.
 struct LogCore {
-    records: Vec<LogRecord>,
+    records: Vec<Stored>,
     by_unit: std::collections::HashMap<UnitId, Vec<u32>>,
     bytes: u64,
     chain: HmacChain,
@@ -75,13 +82,15 @@ impl LogCore {
     /// Pay for `rec` as stored (clock + meter + space accounting), then
     /// commit it to the store and the chain.
     fn append(&mut self, rec: LogRecord) {
+        let unit = rec.unit;
+        let rec = Stored::from(rec);
         let size = rec.size();
         self.clock.charge(self.clock.model().log_cost(size));
         Meter::bump(&self.meter.log_records, 1);
         Meter::bump(&self.meter.log_bytes, size as u64);
         self.bytes += size as u64;
-        self.chain.extend(&rec.chain_bytes());
-        if let Some(unit) = rec.unit {
+        self.chain.extend(&rec);
+        if let Some(unit) = unit {
             self.by_unit
                 .entry(unit)
                 .or_default()
@@ -93,7 +102,7 @@ impl LogCore {
     fn reseal(&mut self) {
         let mut chain = HmacChain::new(&self.chain_key);
         for r in &self.records {
-            chain.extend(&r.chain_bytes());
+            chain.extend(r);
         }
         self.chain = chain;
     }
@@ -110,7 +119,7 @@ impl LogCore {
             if !r.redacted {
                 freed += r.payload.len() as u64;
                 touched += r.size();
-                r.payload = Vec::new();
+                r.payload = Box::default();
                 r.redacted = true;
                 n += 1;
             }
@@ -140,10 +149,7 @@ impl LogCore {
             self.reseal();
             self.chain_dirty = false;
         }
-        self.chain.verify(
-            &self.chain_key,
-            self.records.iter().map(|r| r.chain_bytes()),
-        )
+        self.chain.verify(&self.chain_key, self.records.iter())
     }
 
     fn head(&mut self) -> [u8; 32] {
@@ -179,10 +185,13 @@ impl AuditLogger for CsvRowLogger {
     }
 
     fn log(&mut self, mut rec: LogRecord) {
-        // Row-level: only a truncated response row is stored — and owned:
-        // the rest of the caller's buffer goes back to the allocator.
-        rec.payload.truncate(CSV_ROW_CAP);
-        rec.payload.shrink_to_fit();
+        // Row-level: only a truncated response row is stored — copied
+        // out, so that the caller's row buffer goes back to the allocator
+        // whole. Shrinking it in place would pin every retained 48 bytes
+        // at the head of a hole one row wide that the next row cannot fit.
+        if rec.payload.len() > CSV_ROW_CAP {
+            rec.payload = rec.payload[..CSV_ROW_CAP].to_vec();
+        }
         self.core.append(rec);
     }
 
@@ -242,7 +251,9 @@ impl AuditLogger for FullQueryLogger {
     fn log(&mut self, mut rec: LogRecord) {
         // The stored payload is the synthesised query text plus the
         // response payload.
-        let mut payload = query_text(&rec).into_bytes();
+        let query = query_text(&rec);
+        let mut payload = Vec::with_capacity(query.len() + rec.payload.len());
+        payload.extend_from_slice(query.as_bytes());
         payload.extend_from_slice(&rec.payload);
         rec.payload = payload;
         self.core.append(rec);
@@ -373,7 +384,7 @@ mod tests {
             unit: Some(UnitId(unit)),
             entity: EntityId(1),
             purpose: wk::billing(),
-            op: "read".into(),
+            op: "read",
             payload: payload.to_vec(),
             redacted: false,
         }
@@ -387,6 +398,75 @@ mod tests {
             Box::new(FullQueryLogger::new(b"k", clock.clone(), meter.clone())),
             Box::new(EncryptedLogger::new(b"k", clock, meter)),
         ]
+    }
+
+    /// Five records over two units and a unit-less one, five labels, an
+    /// empty payload and one over the CSV row cap.
+    fn golden_sequence() -> Vec<LogRecord> {
+        fn r(
+            seq: u64,
+            unit: Option<u64>,
+            entity: u32,
+            purpose: datacase_core::purpose::PurposeId,
+            op: &'static str,
+            payload: &[u8],
+        ) -> LogRecord {
+            LogRecord {
+                seq,
+                at: Ts::from_secs(seq),
+                unit: unit.map(UnitId),
+                entity: EntityId(entity),
+                purpose,
+                op,
+                payload: payload.to_vec(),
+                redacted: false,
+            }
+        }
+        let row: Vec<u8> = (0..100u8).collect();
+        vec![
+            r(1, Some(7), 1, wk::billing(), "INSERT", b"unit7-first-row"),
+            r(2, Some(8), 2, wk::subject_access(), "SELECT", &row),
+            r(3, None, 0, wk::audit(), "DENIED", b""),
+            r(4, Some(7), 1, wk::billing(), "UPDATE", b"unit7-second"),
+            r(5, Some(8), 3, wk::retention(), "read", b"x"),
+        ]
+    }
+
+    #[test]
+    fn golden_chain_heads() {
+        // Heads and retained bytes printed by the build before the store
+        // was packed and the HMAC streamed (PR 22's tree, same sequence,
+        // unit 7 redacted): one chained byte moving in any backend — a
+        // field's width, the unit-less sentinel, the redaction flag, the
+        // pads — changes a hex string here.
+        let golden = [
+            (
+                "1382707f21ca0a1dc96bf551f78974d3c15acff8ca3beb91481eec15ccd2afd3",
+                277,
+            ),
+            (
+                "49ff227d2083ed55fcab4728379b33affbff011d181ca3ae633993d9da5d8ce2",
+                454,
+            ),
+            (
+                "dca03daedcc9a7feb7fbc780eb3eb4386ff341198653629e90fac62e2f4146aa",
+                329,
+            ),
+        ];
+        for (mut b, (head, bytes)) in backends().into_iter().zip(golden) {
+            for rec in golden_sequence() {
+                b.log(rec);
+            }
+            assert_eq!(b.redact_unit(UnitId(7)), 2, "{}", b.name());
+            assert_eq!(
+                datacase_crypto::sha256::to_hex(&b.chain_head()),
+                head,
+                "{}",
+                b.name()
+            );
+            assert_eq!(b.bytes(), bytes, "{}", b.name());
+            assert!(b.verify_chain(), "{}", b.name());
+        }
     }
 
     #[test]
@@ -453,10 +533,10 @@ mod tests {
     }
 
     #[test]
-    fn stored_records_own_no_more_than_they_keep() {
+    fn stored_records_own_exactly_what_they_account() {
         // A read hands the logger the whole decrypted row; what the store
-        // retains per record must be the bytes it charged for, not the
-        // capacity the row arrived in.
+        // retains per record is the bytes it charged for — a boxed slice
+        // has no spare capacity to hide the rest of the row in.
         let clock = SimClock::commodity();
         let meter = Arc::new(Meter::new());
         let row = vec![9u8; 1024];
@@ -466,15 +546,14 @@ mod tests {
         csv.log(rec(1, 1, &row));
         full.log(rec(1, 1, &row));
         enc.log(rec(1, 1, &row));
-        assert_eq!(csv.core.records[0].payload.len(), CSV_ROW_CAP);
-        for (name, core) in [("csv", &csv.core), ("full", &full.core), ("enc", &enc.core)] {
-            let p = &core.records[0].payload;
-            assert!(
-                p.capacity() <= p.len() + 16,
-                "{name}: {} bytes kept behind a {}-byte payload",
-                p.capacity(),
-                p.len()
-            );
+        let query = query_text(&rec(1, 1, &row)).len();
+        for (name, core, kept) in [
+            ("csv", &csv.core, CSV_ROW_CAP),
+            ("full", &full.core, query + 1024),
+            ("enc", &enc.core, 1024),
+        ] {
+            assert_eq!(core.records[0].payload.len(), kept, "{name}");
+            assert_eq!(core.bytes, (40 + "read".len() + kept) as u64, "{name}");
         }
     }
 

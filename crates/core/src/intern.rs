@@ -13,39 +13,49 @@ use std::sync::{Mutex, OnceLock};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
 
-struct Interner {
-    map: HashMap<&'static str, u32>,
-    strings: Vec<&'static str>,
+/// String → symbol: the write side, taken only by [`Symbol::intern`].
+fn interner() -> &'static Mutex<HashMap<&'static str, u32>> {
+    static INTERNER: OnceLock<Mutex<HashMap<&'static str, u32>>> = OnceLock::new();
+    INTERNER.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-fn interner() -> &'static Mutex<Interner> {
-    static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        Mutex::new(Interner {
-            map: HashMap::new(),
-            strings: Vec::new(),
-        })
-    })
+/// Symbol → string: append-only and read without a lock — resolving a
+/// name is on every shard thread's audit path. Chunk `k` holds `2^k`
+/// slots, so 32 chunks cover every `u32` and no slot ever moves.
+static STRINGS: [OnceLock<Box<[OnceLock<&'static str>]>>; 32] = [const { OnceLock::new() }; 32];
+
+/// Where symbol `id` lives in [`STRINGS`]: `(chunk, offset)`.
+fn slot(id: u32) -> (usize, usize) {
+    let n = u64::from(id) + 1;
+    let chunk = n.ilog2();
+    (chunk as usize, (n - (1 << chunk)) as usize)
 }
 
 impl Symbol {
     /// Intern `s`, returning its symbol (idempotent per string).
     pub fn intern(s: &str) -> Symbol {
-        let mut g = interner().lock().expect("interner poisoned");
-        if let Some(&id) = g.map.get(s) {
+        let mut map = interner().lock().expect("interner poisoned");
+        if let Some(&id) = map.get(s) {
             return Symbol(id);
         }
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let id = g.strings.len() as u32;
-        g.strings.push(leaked);
-        g.map.insert(leaked, id);
+        let id = u32::try_from(map.len()).expect("interner full");
+        let (chunk, at) = slot(id);
+        let slots =
+            STRINGS[chunk].get_or_init(|| (0..1usize << chunk).map(|_| OnceLock::new()).collect());
+        slots[at].set(leaked).expect("a slot is written once");
+        map.insert(leaked, id);
         Symbol(id)
     }
 
-    /// Resolve back to the string.
+    /// Resolve back to the string. Lock-free: a `Symbol` exists only
+    /// after its slot was written.
     pub fn as_str(self) -> &'static str {
-        let g = interner().lock().expect("interner poisoned");
-        g.strings[self.0 as usize]
+        let (chunk, at) = slot(self.0);
+        STRINGS[chunk]
+            .get()
+            .and_then(|slots| slots[at].get())
+            .expect("a symbol's string is published before the symbol")
     }
 
     /// The raw symbol index (for compact serialization in logs).
@@ -92,6 +102,32 @@ mod tests {
         let s = Symbol::intern("retention");
         assert_eq!(format!("{s}"), "retention");
         assert!(format!("{s:?}").contains("retention"));
+    }
+
+    #[test]
+    fn slots_tile_the_symbol_space() {
+        assert_eq!(slot(0), (0, 0));
+        assert_eq!(slot(1), (1, 0));
+        assert_eq!(slot(2), (1, 1));
+        assert_eq!(slot(3), (2, 0));
+        assert_eq!(slot(6), (2, 3));
+        assert_eq!(slot(u32::MAX - 1), (31, (1 << 31) - 1));
+    }
+
+    #[test]
+    fn symbols_resolve_across_chunk_boundaries() {
+        // Enough fresh strings to cross several chunk boundaries whatever
+        // the other tests of this process interned first.
+        let syms: Vec<(Symbol, String)> = (0..300)
+            .map(|i| {
+                let s = format!("chunk-walk-{i}");
+                (Symbol::intern(&s), s)
+            })
+            .collect();
+        for (sym, s) in &syms {
+            assert_eq!(sym.as_str(), s);
+            assert_eq!(Symbol::intern(s), *sym);
+        }
     }
 
     #[test]

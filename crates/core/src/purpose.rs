@@ -41,47 +41,45 @@ impl std::fmt::Display for PurposeId {
 }
 
 /// Well-known purposes used throughout the paper's examples and the
-/// benchmark workloads.
+/// benchmark workloads. Each is interned once and cached: the engine asks
+/// for several per operation on every shard thread, and the interner's
+/// lock must not be on that path.
 pub mod well_known {
     use super::PurposeId;
+    use std::sync::OnceLock;
 
-    /// Billing / payment processing (the Netflix running example).
-    pub fn billing() -> PurposeId {
-        PurposeId::new("billing")
+    macro_rules! well_known {
+        ($($(#[$doc:meta])* $name:ident = $text:literal;)*) => {$(
+            $(#[$doc])*
+            pub fn $name() -> PurposeId {
+                static ID: OnceLock<PurposeId> = OnceLock::new();
+                *ID.get_or_init(|| PurposeId::new($text))
+            }
+        )*};
     }
-    /// Retention by a storage processor (the AWS running example).
-    pub fn retention() -> PurposeId {
-        PurposeId::new("retention")
-    }
-    /// Targeted advertising.
-    pub fn advertising() -> PurposeId {
-        PurposeId::new("advertising")
-    }
-    /// Analytics over (possibly derived) data.
-    pub fn analytics() -> PurposeId {
-        PurposeId::new("analytics")
-    }
-    /// The special purpose G17 hinges on: erase-by-deadline obligations.
-    pub fn compliance_erase() -> PurposeId {
-        PurposeId::new("compliance-erase")
-    }
-    /// Contract formation / consent capture ("comp" in the paper's
-    /// action-history example).
-    pub fn contract() -> PurposeId {
-        PurposeId::new("contract")
-    }
-    /// Audit access by a supervisory authority or internal auditor.
-    pub fn audit() -> PurposeId {
-        PurposeId::new("audit")
-    }
-    /// Smart-space service provision (the MetaSpace example).
-    pub fn smart_space() -> PurposeId {
-        PurposeId::new("smart-space")
-    }
-    /// The data-subject exercising their own rights (access, rectification,
-    /// erasure requests) — what invariant II requires storage to support.
-    pub fn subject_access() -> PurposeId {
-        PurposeId::new("subject-access")
+
+    well_known! {
+        /// Billing / payment processing (the Netflix running example).
+        billing = "billing";
+        /// Retention by a storage processor (the AWS running example).
+        retention = "retention";
+        /// Targeted advertising.
+        advertising = "advertising";
+        /// Analytics over (possibly derived) data.
+        analytics = "analytics";
+        /// The special purpose G17 hinges on: erase-by-deadline obligations.
+        compliance_erase = "compliance-erase";
+        /// Contract formation / consent capture ("comp" in the paper's
+        /// action-history example).
+        contract = "contract";
+        /// Audit access by a supervisory authority or internal auditor.
+        audit = "audit";
+        /// Smart-space service provision (the MetaSpace example).
+        smart_space = "smart-space";
+        /// The data-subject exercising their own rights (access,
+        /// rectification, erasure requests) — what invariant II requires
+        /// storage to support.
+        subject_access = "subject-access";
     }
 }
 

@@ -15,8 +15,13 @@ use crate::value::Value;
 ///
 /// This is Data-CASE's *abstract* view of a system — engines (the heap or
 /// LSM backends) hold the physical bytes, and the compliance checker
-/// compares the two. The state is also directly usable on its own, which is
-/// how the examples demonstrate the framework without a storage engine.
+/// compares the two. An engine therefore collects its units as
+/// [`Value::Stored`]: the state knows every version's time and size
+/// ([`personal_bytes`](DatabaseState::personal_bytes) is Table 2's
+/// denominator) and never its content, so there is no second copy of a
+/// payload to erase, leak or pay memory for. The state is also directly
+/// usable on its own, with content-carrying values, which is how the
+/// examples demonstrate the framework without a storage engine.
 #[derive(Clone, Debug, Default)]
 pub struct DatabaseState {
     units: HashMap<UnitId, DataUnit>,

@@ -1,5 +1,14 @@
 //! The `V` aspect of a data unit: a time-ordered sequence of values
 //! `{(v₁,t₁), (v₂,t₂), …}` (paper §2.1).
+//!
+//! The model is abstract: it has to know *that* a version exists, when it
+//! was written and how large it is — Table 2's denominator, the version
+//! count, whether content is still alive — never *what* it says. A system
+//! grounded on a store of its own records [`Value::Stored`]: the store
+//! holds the bytes (encrypted, erasable, forensically scannable), the
+//! model holds the books, and no second plaintext copy exists to leak or
+//! to outlive an erasure. The content-carrying variants serve the
+//! model-only examples, which have no store.
 
 use datacase_sim::time::Ts;
 
@@ -12,6 +21,12 @@ pub enum Value {
     Text(String),
     /// A numeric reading (e.g. Mall sensor values).
     Number(i64),
+    /// A value whose content lives in the system's store, not in the
+    /// model: only its size is on the books.
+    Stored {
+        /// Payload length in bytes.
+        len: usize,
+    },
     /// The value after erasure: nothing recoverable.
     Erased,
 }
@@ -23,11 +38,13 @@ impl Value {
             Value::Bytes(b) => b.len(),
             Value::Text(s) => s.len(),
             Value::Number(_) => 8,
+            Value::Stored { len } => *len,
             Value::Erased => 0,
         }
     }
 
-    /// View as bytes where possible.
+    /// View as bytes where the model carries them ([`Value::Stored`]
+    /// never does).
     pub fn as_bytes(&self) -> Option<&[u8]> {
         match self {
             Value::Bytes(b) => Some(b),
@@ -36,7 +53,8 @@ impl Value {
         }
     }
 
-    /// Whether the value carries recoverable content.
+    /// Whether the value was erased ([`Value::Stored`] content is
+    /// recoverable — from the store).
     pub fn is_erased(&self) -> bool {
         matches!(self, Value::Erased)
     }
@@ -182,5 +200,18 @@ mod tests {
         assert_eq!(Value::from(vec![1u8, 2]).as_bytes(), Some(&[1u8, 2][..]));
         assert_eq!(Value::from(7i64), Value::Number(7));
         assert_eq!(Value::Number(7).as_bytes(), None);
+    }
+
+    #[test]
+    fn stored_values_carry_a_size_and_no_content() {
+        let mut v = VersionedValue::initial(t(0), Value::Stored { len: 1024 });
+        v.write(t(1), Value::Stored { len: 100 });
+        assert_eq!(v.total_size(), 1124);
+        assert_eq!(v.current().unwrap().size(), 100);
+        assert!(v.versions().iter().all(|(_, x)| x.as_bytes().is_none()));
+        assert!(!v.current().unwrap().is_erased());
+        v.erase_contents();
+        assert_eq!(v.total_size(), 0);
+        assert!(v.versions().iter().all(|(_, x)| x.is_erased()));
     }
 }

@@ -349,7 +349,7 @@ impl CompliantDb {
         unit: Option<UnitId>,
         entity: EntityId,
         purpose: PurposeId,
-        op: &str,
+        op: &'static str,
         payload: Vec<u8>,
     ) {
         self.log_seq += 1;
@@ -359,7 +359,7 @@ impl CompliantDb {
             unit,
             entity,
             purpose,
-            op: op.to_owned(),
+            op,
             payload,
             redacted: false,
         };
@@ -567,7 +567,7 @@ impl CompliantDb {
         let unit = self.state.collect(
             subject_e,
             Origin::Device(format!("dev-{}", metadata.origin_device)),
-            Value::Bytes(payload.to_vec()),
+            Value::Stored { len: payload.len() },
             now,
         );
         // Base policy set (also the model's ground truth for G6/G17).
@@ -585,9 +585,7 @@ impl CompliantDb {
         ];
         {
             let u = self.state.unit_mut(unit).expect("just collected");
-            for p in &base_policies {
-                u.policies.grant(*p, now);
-            }
+            u.policies.grant_all(&base_policies, now);
             u.encrypted_at_rest = self.config.encryption_at_rest();
         }
         // The enforcer sees base policies plus profile-dependent padding
@@ -700,7 +698,7 @@ impl CompliantDb {
         }
         let now = self.clock.now();
         if let Some(u) = self.state.unit_mut(meta.unit) {
-            u.value.write(now, Value::Bytes(payload.to_vec()));
+            u.value.write(now, Value::Stored { len: payload.len() });
         }
         self.history.record(HistoryTuple {
             unit: meta.unit,

@@ -660,7 +660,7 @@ impl Forensic<'_> {
             how,
             identifying,
             invertible,
-            Value::Bytes(payload.to_vec()),
+            Value::Stored { len: payload.len() },
             now,
         );
         self.db

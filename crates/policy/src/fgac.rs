@@ -114,10 +114,13 @@ impl FgacEnforcer {
 
     fn add_policy(&mut self, unit: UnitId, policy: Policy) {
         self.index_insert(unit, &policy);
-        self.by_unit.entry(unit).or_default().push(StoredPolicy {
-            policy,
-            revoked_at: None,
-        });
+        datacase_core::policy::push_row(
+            self.by_unit.entry(unit).or_default(),
+            StoredPolicy {
+                policy,
+                revoked_at: None,
+            },
+        );
         self.policies += 1;
     }
 }
@@ -132,6 +135,11 @@ impl PolicyEnforcer for FgacEnforcer {
         let model = self.clock.model().clone();
         self.clock
             .charge_nanos((model.index_maintain + model.policy_check_fine) * policies.len() as u64);
+        // A unit arrives with its whole policy list: exact-sized rows.
+        self.by_unit
+            .entry(unit)
+            .or_default()
+            .reserve_exact(policies.len());
         for p in policies {
             self.add_policy(unit, *p);
         }
@@ -285,6 +293,24 @@ mod tests {
             assert!(!e.check(&req(1, 2, t(50))).is_allow());
             assert!(!e.check(&req(2, 1, t(50))).is_allow());
         }
+    }
+
+    #[test]
+    fn registered_units_hold_exactly_their_rows() {
+        let mut e = mk(true);
+        let policies: Vec<Policy> = (0..10)
+            .map(|i| Policy::new(wk::billing(), EntityId(i), t(0), t(100)))
+            .collect();
+        e.register_unit(UnitId(1), &policies);
+        assert_eq!(e.by_unit[&UnitId(1)].len(), 10);
+        assert_eq!(e.by_unit[&UnitId(1)].capacity(), 10);
+        // One later grant costs two more slots, not ten.
+        e.grant(
+            UnitId(1),
+            Policy::open_ended(wk::audit(), EntityId(1), t(0)),
+        );
+        assert_eq!(e.policy_count(), 11);
+        assert_eq!(e.by_unit[&UnitId(1)].capacity(), 12);
     }
 
     #[test]

@@ -111,8 +111,8 @@ fn delete_leaves_online_residuals_strong_delete_clears_file() {
             let versions = fe2.state().unit(unit).unwrap().value.versions();
             assert_eq!(versions.len(), 3, "create, update, erase stay on record");
             assert!(
-                versions.iter().all(|(_, v)| v.as_bytes().is_none()),
-                "{backend:?}/{interp}: erased plaintext survives in the model: {versions:?}"
+                versions.iter().all(|(_, v)| v.is_erased()),
+                "{backend:?}/{interp}: an erased unit's version still has content: {versions:?}"
             );
             let report = fe2.compliance_report(&Regulation::gdpr());
             assert!(
@@ -120,6 +120,112 @@ fn delete_leaves_online_residuals_strong_delete_clears_file() {
                 "{backend:?}/{interp}: {:?}",
                 report.violations
             );
+        }
+    }
+}
+
+#[test]
+fn the_model_never_holds_payload_bytes() {
+    use data_case::engine::space::SpaceReport;
+    const V2: &[u8] = b"INTEGRATION-ERASE-TARGET-v2";
+    // `[personal, policy, log, index, wal, overhead]` as measured by the
+    // tree that still kept a plaintext copy of every version in the model
+    // (PR 22), same script: recording sizes moved no accounted byte.
+    let report = |r: [u64; 6]| SpaceReport {
+        personal_bytes: r[0],
+        policy_bytes: r[1],
+        log_bytes: r[2],
+        index_bytes: r[3],
+        wal_bytes: r[4],
+        heap_overhead_bytes: r[5],
+    };
+    let before = [[94, 3720, 229, 96, 246, 8098], [94, 3720, 229, 0, 0, 0]];
+    let after = [
+        [
+            [94, 3720, 229, 112, 305, 8098],
+            [67, 3720, 229, 64, 310, 8125],
+            [40, 3720, 229, 48, 342, 8152],
+            [40, 3720, 178, 48, 374, 8152],
+        ],
+        [
+            [94, 3720, 229, 0, 0, 0],
+            [67, 3720, 229, 0, 0, 74],
+            [40, 3720, 229, 0, 0, 25],
+            [40, 3720, 178, 0, 0, 25],
+        ],
+    ];
+    for (backend, (before, after)) in BackendKind::ALL
+        .into_iter()
+        .zip(before.into_iter().zip(after))
+    {
+        for (interp, after) in ErasureInterpretation::ALL.into_iter().zip(after) {
+            let mut fe = seeded_frontend_on(backend);
+            let controller = Session::new(Actor::Controller);
+            let metadata = GdprMetadata {
+                subject: 6,
+                purpose: data_case::core::purpose::well_known::billing(),
+                ttl: Ts::from_secs(1_000_000),
+                origin_device: 3,
+                objects_to_sharing: false,
+            };
+            let bystander = vec![b'b'; 40];
+            assert!(fe
+                .run(
+                    &controller,
+                    Request::Create {
+                        key: 2,
+                        payload: bystander.clone(),
+                        metadata,
+                    },
+                )
+                .is_done());
+            assert!(fe
+                .run(
+                    &controller,
+                    Request::Update {
+                        key: 1,
+                        payload: V2.to_vec(),
+                    },
+                )
+                .is_done());
+            let unit = fe.unit_of_key(1).unwrap();
+            let mirror = fe
+                .forensic()
+                .plant_derived(&[unit], "mirror", true, true, V2, 3);
+            let content_free = |fe: &Frontend| {
+                fe.state()
+                    .units()
+                    .flat_map(|u| u.value.versions())
+                    .all(|(_, v)| v.as_bytes().is_none())
+            };
+            assert!(
+                content_free(&fe),
+                "{backend:?}: a write put bytes in the model"
+            );
+            assert_eq!(fe.state().unit(unit).unwrap().value.len(), 2);
+            assert_eq!(SpaceReport::measure(&fe), report(before), "{backend:?}");
+            assert_eq!(before[0] as usize, 2 * V2.len() + bystander.len());
+
+            assert!(erase(&mut fe, 1, interp));
+            assert!(content_free(&fe), "{backend:?}/{interp}");
+            let live: usize = [(unit, V2.len()), (mirror, V2.len())]
+                .into_iter()
+                .filter(|&(u, _)| fe.state().content_alive(u))
+                .map(|(_, len)| len)
+                .sum::<usize>()
+                + bystander.len();
+            assert_eq!(
+                fe.state().personal_bytes(),
+                live as u64,
+                "{backend:?}/{interp}"
+            );
+            assert_eq!(
+                SpaceReport::measure(&fe),
+                report(after),
+                "{backend:?}/{interp}"
+            );
+            // The bytes are where they belong: the store still serves them.
+            assert_eq!(fe.forensic().raw_read(2, false), Some(bystander));
         }
     }
 }
