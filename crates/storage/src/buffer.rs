@@ -4,6 +4,13 @@
 //! I/O via [`crate::disk::Disk`]. Dirty frames are written back on
 //! eviction and on `flush_all`, so the disk image converges to the logical
 //! state — which matters because forensics reads the *disk*.
+//!
+//! A frame holds the page's shared image (see [`crate::page`]): on a
+//! plaintext drive a clean frame *is* the drive's buffer, not a copy of it.
+//! The first mutation through [`BufferPool::page_mut`] copies the image, so
+//! the drive keeps the old bytes until write-back hands it the new image —
+//! and the old one becomes its remanence ghost. An encrypted drive never
+//! shares: it decrypts into a fresh image and encrypts a copy on write.
 
 use std::collections::HashMap;
 
@@ -82,7 +89,7 @@ impl BufferPool {
         self.frames.insert(
             id,
             Frame {
-                page: Page::from_bytes(data),
+                page: Page::from_image(data),
                 dirty: false,
                 last_used: self.tick,
             },
@@ -92,7 +99,7 @@ impl BufferPool {
     fn evict(&mut self, disk: &mut Disk, id: u32) {
         if let Some(f) = self.frames.remove(&id) {
             if f.dirty {
-                disk.write_page(id, f.page.as_bytes());
+                disk.write_page(id, f.page.image());
             }
         }
     }
@@ -143,7 +150,7 @@ impl BufferPool {
         ids.sort_unstable();
         for id in ids {
             let f = self.frames.get_mut(&id).expect("listed");
-            disk.write_page(id, f.page.as_bytes());
+            disk.write_page(id, f.page.image());
             f.dirty = false;
         }
     }
@@ -241,5 +248,54 @@ mod tests {
         pool.discard(a);
         pool.flush_all(&mut disk);
         assert!(disk.scan_raw(b"gone").is_empty());
+    }
+
+    #[test]
+    fn clean_pages_share_the_drive_image_until_written() {
+        let (mut pool, mut disk, _, _) = setup(4);
+        let a = disk.allocate();
+        pool.page_mut(&mut disk, a).insert(b"old-bytes").unwrap();
+        pool.flush_all(&mut disk);
+        pool.crash();
+        // Loaded from a written sector, the frame is the drive's image.
+        let image = Arc::clone(pool.page(&mut disk, a).image());
+        assert!(
+            Arc::ptr_eq(&image, &disk.read_page(a)),
+            "one buffer, not two"
+        );
+        // A mutation copies it: the drive still holds the old bytes…
+        let before = disk.raw(a).into_owned();
+        pool.page_mut(&mut disk, a).tuple_mut(0).unwrap()[..3].copy_from_slice(b"new");
+        assert_eq!(*disk.raw(a), before[..]);
+        assert!(Arc::ptr_eq(&image, &disk.read_page(a)));
+        // …so a crash before write-back reloads them.
+        pool.crash();
+        assert_eq!(pool.page(&mut disk, a).tuple(0).unwrap(), b"old-bytes");
+        // Write-back stores the new image and leaves the old as the ghost.
+        pool.page_mut(&mut disk, a).tuple_mut(0).unwrap()[..3].copy_from_slice(b"new");
+        pool.flush_all(&mut disk);
+        assert!(Arc::ptr_eq(
+            pool.page(&mut disk, a).image(),
+            &disk.read_page(a)
+        ));
+        assert_eq!(disk.scan_raw(b"new-bytes"), vec![a]);
+        assert_eq!(disk.scan_remanent(b"old-bytes"), vec![a]);
+
+        // An encrypted drive never lends its buffer to the pool.
+        let clock = SimClock::commodity();
+        let meter = Arc::new(Meter::new());
+        let cipher = datacase_crypto::sector::SectorCipher::from_passphrase(
+            b"pool",
+            datacase_crypto::aes::KeySize::Aes256,
+        );
+        let mut luks = Disk::encrypted(clock.clone(), meter.clone(), cipher);
+        let mut pool = BufferPool::new(4, clock, meter);
+        let b = luks.allocate();
+        pool.page_mut(&mut luks, b).insert(b"secret").unwrap();
+        pool.flush_all(&mut luks);
+        let frame = Arc::clone(pool.page(&mut luks, b).image());
+        assert!(!Arc::ptr_eq(&frame, &luks.read_page(b)));
+        assert_eq!(luks.read_page(b)[..], frame[..]);
+        assert_ne!(*luks.raw(b), frame[..]);
     }
 }

@@ -26,13 +26,10 @@ use crate::buffer::BufferPool;
 use crate::disk::Disk;
 use crate::error::{Result, StorageError};
 use crate::fsm::FreeSpaceMap;
-use crate::page::{Page, SlotState, LP_SIZE, MAX_TUPLE, PAGE_SIZE};
+use crate::page::{zero_image, Page, SlotState, LP_SIZE, MAX_TUPLE, PAGE_SIZE};
 use crate::tuple::{self, Tid, TupleHeader, FLAG_HIDDEN};
 use crate::txn::TxnManager;
 use crate::wal::{Wal, WalRecord};
-
-/// What VACUUM FULL overwrites every old page with.
-static ZERO_PAGE: [u8; PAGE_SIZE] = [0u8; PAGE_SIZE];
 
 /// Heap engine configuration.
 #[derive(Clone, Debug)]
@@ -463,7 +460,7 @@ impl HeapDb {
             // Vacuum writes its cleaned pages back sequentially (ring
             // buffer), rather than leaving them for random write-back.
             let cleaned = self.buffer.page(&mut self.disk, disk_id);
-            self.disk.write_page_seq(disk_id, cleaned.as_bytes());
+            self.disk.write_page_seq(disk_id, cleaned.image());
             self.buffer.mark_clean(disk_id);
             for (key, tid) in to_remove {
                 if self.index.remove(key, tid) {
@@ -531,9 +528,10 @@ impl HeapDb {
         self.clock
             .charge_nanos(self.clock.model().compaction_per_byte * moved_bytes);
         // Zero old pages (file-level erase; drive remanence persists).
+        let zeros = zero_image();
         for &disk_id in &old_pages {
             self.buffer.discard(disk_id);
-            self.disk.write_page(disk_id, &ZERO_PAGE);
+            self.disk.write_page(disk_id, &zeros);
         }
         self.retired_pages.extend(old_pages);
         self.dead = 0;
@@ -568,7 +566,7 @@ impl HeapDb {
         for &disk_id in &self.pages {
             let page = self.buffer.page(&mut self.disk, disk_id);
             self.disk.sanitize_page(disk_id, passes);
-            self.disk.write_page(disk_id, page.as_bytes());
+            self.disk.write_page(disk_id, page.image());
             // The restore write must not itself create remanence of zeros —
             // it does not, since the sanitized state was all-zero.
         }
@@ -682,7 +680,7 @@ impl HeapDb {
 /// the table's next page.
 fn write_fresh_page(disk: &mut Disk, pages: &mut Vec<u32>, fsm: &mut FreeSpaceMap, page: &Page) {
     let disk_id = disk.allocate();
-    disk.write_page(disk_id, page.as_bytes());
+    disk.write_page(disk_id, page.image());
     pages.push(disk_id);
     fsm.add_page(page.free_space());
 }

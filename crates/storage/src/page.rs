@@ -20,6 +20,17 @@
 //! stay where they are until VACUUM. That gap between logical and physical
 //! deletion is precisely the compliance hazard the paper discusses, and the
 //! forensic scanner reads these raw bytes to detect it.
+//!
+//! # One image per page
+//!
+//! A [`Page`] holds its bytes as a shared *image* (`Arc<[u8]>`), and every
+//! mutation goes through one private copy-on-write accessor. A plaintext
+//! drive hands the buffer pool the very image it stores and keeps a
+//! reference to the image it is given back, so a clean page costs one
+//! buffer between the two of them; the first write to a shared page copies
+//! it, which is also what keeps an unflushed change off the drive.
+
+use std::sync::Arc;
 
 /// Page size in bytes (PostgreSQL default).
 pub const PAGE_SIZE: usize = 8192;
@@ -59,10 +70,10 @@ impl SlotState {
     }
 }
 
-/// An 8 KiB slotted page.
+/// An 8 KiB slotted page over a shared, copy-on-write image.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Page {
-    bytes: Vec<u8>,
+    bytes: Arc<[u8]>,
 }
 
 impl std::fmt::Debug for Page {
@@ -83,25 +94,21 @@ impl Default for Page {
 impl Page {
     /// A fresh, empty page.
     pub fn new() -> Page {
-        let mut bytes = vec![0u8; PAGE_SIZE];
-        write_u16(&mut bytes, 0, 0); // slot_count
-        write_u16(&mut bytes, 2, HEADER_SIZE as u16); // free_lower
-        write_u16(&mut bytes, 4, PAGE_SIZE as u16); // free_upper
-        Page { bytes }
+        Page::from_image(zero_image())
     }
 
-    /// Rehydrate a page from raw bytes (disk read). An all-zero page (as
-    /// freshly allocated or zeroed by VACUUM FULL) is initialised to a
-    /// valid empty page, as PostgreSQL does on first touch.
+    /// Rehydrate a page from its image (disk read) without copying it. An
+    /// all-zero page (as freshly allocated or zeroed by VACUUM FULL) is
+    /// initialised to a valid empty page, as PostgreSQL does on first touch.
     ///
     /// # Panics
-    /// Panics if `bytes` is not exactly [`PAGE_SIZE`] long.
-    pub fn from_bytes(bytes: Vec<u8>) -> Page {
-        assert_eq!(bytes.len(), PAGE_SIZE, "page must be {PAGE_SIZE} bytes");
-        let mut page = Page { bytes };
+    /// Panics if `image` is not exactly [`PAGE_SIZE`] long.
+    pub(crate) fn from_image(image: Arc<[u8]>) -> Page {
+        assert_eq!(image.len(), PAGE_SIZE, "page must be {PAGE_SIZE} bytes");
+        let mut page = Page { bytes: image };
         if page.slot_count() == 0 && page.free_upper() == 0 {
-            write_u16(&mut page.bytes, 2, HEADER_SIZE as u16);
-            write_u16(&mut page.bytes, 4, PAGE_SIZE as u16);
+            write_u16(page.bytes_mut(), 2, HEADER_SIZE as u16); // free_lower
+            write_u16(page.bytes_mut(), 4, PAGE_SIZE as u16); // free_upper
         }
         page
     }
@@ -109,6 +116,16 @@ impl Page {
     /// The raw on-page bytes.
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
+    }
+
+    /// The shared image itself, for the drive to keep (or encrypt a copy of).
+    pub(crate) fn image(&self) -> &Arc<[u8]> {
+        &self.bytes
+    }
+
+    /// The one mutable view: copies the image first if anyone else holds it.
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        Arc::make_mut(&mut self.bytes)
     }
 
     /// Number of line pointers ever allocated on this page.
@@ -147,9 +164,10 @@ impl Page {
 
     fn set_slot(&mut self, slot: u16, offset: u16, len: u16, state: SlotState) {
         let at = Self::lp_offset(slot);
-        write_u16(&mut self.bytes, at, offset);
-        write_u16(&mut self.bytes, at + 2, len);
-        write_u16(&mut self.bytes, at + 4, state.to_u16());
+        let bytes = self.bytes_mut();
+        write_u16(bytes, at, offset);
+        write_u16(bytes, at + 2, len);
+        write_u16(bytes, at + 4, state.to_u16());
     }
 
     fn slot_entry(&self, slot: u16) -> (u16, u16, SlotState) {
@@ -181,17 +199,14 @@ impl Page {
             return None;
         }
         let new_upper = self.free_upper() as usize - len;
-        self.bytes[new_upper..new_upper + len].copy_from_slice(tuple);
-        write_u16(&mut self.bytes, 4, new_upper as u16);
-        let slot = match reuse {
-            Some(s) => s,
-            None => {
-                let s = self.slot_count();
-                write_u16(&mut self.bytes, 0, s + 1);
-                write_u16(&mut self.bytes, 2, (Self::lp_offset(s + 1)) as u16);
-                s
-            }
-        };
+        let slot = reuse.unwrap_or_else(|| self.slot_count());
+        let bytes = self.bytes_mut();
+        bytes[new_upper..new_upper + len].copy_from_slice(tuple);
+        write_u16(bytes, 4, new_upper as u16);
+        if reuse.is_none() {
+            write_u16(bytes, 0, slot + 1);
+            write_u16(bytes, 2, Self::lp_offset(slot + 1) as u16);
+        }
         self.set_slot(slot, new_upper as u16, len as u16, SlotState::Normal);
         Some(slot)
     }
@@ -219,21 +234,7 @@ impl Page {
         if state == SlotState::Unused {
             return None;
         }
-        Some(&mut self.bytes[off as usize..(off + len) as usize])
-    }
-
-    /// Overwrite the tuple bytes at `slot` in place (same length only);
-    /// used for flag updates (hidden attribute, xmax stamping).
-    pub fn overwrite(&mut self, slot: u16, tuple: &[u8]) -> bool {
-        if slot >= self.slot_count() {
-            return false;
-        }
-        let (off, len, state) = self.slot_entry(slot);
-        if state == SlotState::Unused || len as usize != tuple.len() {
-            return false;
-        }
-        self.bytes[off as usize..(off + len) as usize].copy_from_slice(tuple);
-        true
+        Some(&mut self.bytes_mut()[off as usize..(off + len) as usize])
     }
 
     /// Flip a slot to DEAD (logical delete; bytes remain).
@@ -268,15 +269,13 @@ impl Page {
         let mut upper = PAGE_SIZE;
         // Zero the whole data area first: vacuumed bytes must not linger.
         let lower = Self::lp_offset(count);
-        for b in &mut self.bytes[lower..] {
-            *b = 0;
-        }
+        self.bytes_mut()[lower..].fill(0);
         for (slot, bytes) in &live {
             upper -= bytes.len();
-            self.bytes[upper..upper + bytes.len()].copy_from_slice(bytes);
+            self.bytes_mut()[upper..upper + bytes.len()].copy_from_slice(bytes);
             self.set_slot(*slot, upper as u16, bytes.len() as u16, SlotState::Normal);
         }
-        write_u16(&mut self.bytes, 4, upper as u16);
+        write_u16(self.bytes_mut(), 4, upper as u16);
         (reclaimed, wiped)
     }
 
@@ -284,13 +283,11 @@ impl Page {
     pub fn slots(&self) -> impl Iterator<Item = (u16, SlotState)> + '_ {
         (0..self.slot_count()).map(move |s| (s, self.slot_state(s)))
     }
+}
 
-    /// Zero the entire page (VACUUM FULL drops old pages; sanitisation).
-    pub fn zero(&mut self) {
-        self.bytes.fill(0);
-        write_u16(&mut self.bytes, 2, HEADER_SIZE as u16);
-        write_u16(&mut self.bytes, 4, PAGE_SIZE as u16);
-    }
+/// A fresh all-zero page image.
+pub(crate) fn zero_image() -> Arc<[u8]> {
+    std::iter::repeat_n(0, PAGE_SIZE).collect()
 }
 
 fn read_u16(b: &[u8], at: usize) -> u16 {
@@ -388,15 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn overwrite_same_length_only() {
-        let mut p = Page::new();
-        let s = p.insert(b"12345").unwrap();
-        assert!(p.overwrite(s, b"abcde"));
-        assert_eq!(p.tuple(s).unwrap(), b"abcde");
-        assert!(!p.overwrite(s, b"too-long-for-slot"));
-    }
-
-    #[test]
     fn free_space_accounting_after_vacuum() {
         let mut p = Page::new();
         let before = p.free_space();
@@ -409,20 +397,26 @@ mod tests {
     }
 
     #[test]
-    fn zero_wipes_everything() {
+    fn roundtrip_from_image() {
         let mut p = Page::new();
-        p.insert(b"secret").unwrap();
-        p.zero();
-        assert_eq!(p.slot_count(), 0);
-        assert!(!p.as_bytes().windows(6).any(|w| w == b"secret"));
+        p.insert(b"persisted").unwrap();
+        let restored = Page::from_image(Arc::clone(p.image()));
+        assert_eq!(restored.tuple(0).unwrap(), b"persisted");
     }
 
     #[test]
-    fn roundtrip_from_bytes() {
+    fn mutation_copies_a_shared_image_first() {
         let mut p = Page::new();
-        p.insert(b"persisted").unwrap();
-        let restored = Page::from_bytes(p.as_bytes().to_vec());
-        assert_eq!(restored.tuple(0).unwrap(), b"persisted");
+        p.insert(b"before").unwrap();
+        let held = Arc::clone(p.image());
+        p.tuple_mut(0).unwrap().copy_from_slice(b"after!");
+        assert!(!Arc::ptr_eq(&held, p.image()), "copied on write");
+        assert_eq!(p.tuple(0).unwrap(), b"after!");
+        assert!(held.windows(6).any(|w| w == b"before"), "holder unchanged");
+        // An unshared image is mutated in place.
+        let own = Arc::as_ptr(p.image());
+        p.insert(b"more").unwrap();
+        assert_eq!(own, Arc::as_ptr(p.image()));
     }
 
     proptest::proptest! {
