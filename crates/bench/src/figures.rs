@@ -25,7 +25,7 @@ pub struct Scale(pub u64);
 impl Scale {
     /// Paper-faithful sizes.
     pub const FULL: Scale = Scale(1);
-    /// 10× smaller, for smoke runs and criterion.
+    /// 10× smaller, for smoke runs (`repro --quick`) and tests.
     pub const QUICK: Scale = Scale(10);
 
     fn div(&self, n: u64) -> u64 {

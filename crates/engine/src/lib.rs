@@ -55,7 +55,7 @@ pub use concurrent::{
 };
 pub use datacase_storage::backend::{BackendKind, BackendStats};
 pub use db::Actor;
-pub use driver::{run_ops, run_ops_batched, RunStats};
+pub use driver::{run_ops, RunStats};
 pub use erasure::{probe, probe_on};
 pub use error::EngineError;
 pub use frontend::{AuditRef, Batch, Forensic, Frontend, Reply, Request, Response, Session};

@@ -71,11 +71,6 @@ impl SimClock {
             }
         }
     }
-
-    /// Simulated time elapsed since `start`.
-    pub fn elapsed_since(&self, start: Ts) -> Dur {
-        self.now().since(start)
-    }
 }
 
 /// Counters of mechanical work, reported alongside simulated times.

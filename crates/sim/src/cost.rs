@@ -96,26 +96,6 @@ impl CostModel {
         }
     }
 
-    /// A model where all cryptographic work is free — used by the
-    /// crypto-cost ablation.
-    pub fn free_crypto(mut self) -> CostModel {
-        self.aes128_per_byte = 0;
-        self.aes256_per_byte = 0;
-        self.sha256_per_byte = 0;
-        self
-    }
-
-    /// A model with a spinning-disk latency profile (an order of magnitude
-    /// slower random I/O) — used to show figure shapes are I/O-robust.
-    pub fn spinning_disk(mut self) -> CostModel {
-        self.page_read_disk = 8_000_000;
-        self.page_read_seq = 400_000;
-        self.page_write_disk = 9_000_000;
-        self.page_write_seq = 500_000;
-        self.fsync = 10_000_000;
-        self
-    }
-
     /// Cost of encrypting/decrypting `n` bytes with AES of the given key
     /// size in bits (128 or 256; 192 priced between).
     pub fn aes_cost(&self, key_bits: u32, n: usize) -> Dur {
@@ -125,11 +105,6 @@ impl CostModel {
             _ => self.aes256_per_byte,
         };
         Dur(per.saturating_mul(n as u64))
-    }
-
-    /// Cost of hashing `n` bytes with SHA-256.
-    pub fn sha_cost(&self, n: usize) -> Dur {
-        Dur(self.sha256_per_byte.saturating_mul(n as u64))
     }
 
     /// Cost of appending one log record with an `n`-byte payload.
@@ -179,14 +154,6 @@ mod tests {
     fn fine_policy_check_dominates_coarse() {
         let m = CostModel::commodity();
         assert!(m.policy_check_fine > 5 * m.policy_check_coarse);
-    }
-
-    #[test]
-    fn free_crypto_zeroes_crypto_only() {
-        let m = CostModel::commodity().free_crypto();
-        assert_eq!(m.aes_cost(256, 100), Dur(0));
-        assert_eq!(m.sha_cost(100), Dur(0));
-        assert_eq!(m.page_read_disk, CostModel::commodity().page_read_disk);
     }
 
     #[test]

@@ -19,16 +19,14 @@
 //! * [`fault`] — the deterministic crash-injection plane the chaos
 //!   harness arms (free when disabled);
 //! * [`zipf::Zipfian`] — the YCSB-style skewed key sampler;
-//! * [`stats`] — Welford online stats and percentile helpers;
-//! * [`report`] — minimal fixed-width / markdown / CSV table rendering used
-//!   by the `repro` harness (no serialization dependency needed).
+//! * [`report`] — minimal fixed-width table rendering used by the `repro`
+//!   harness (no serialization dependency needed).
 
 pub mod clock;
 pub mod cost;
 pub mod fault;
 pub mod report;
 pub mod rng;
-pub mod stats;
 pub mod zipf;
 
 pub use clock::{Meter, MeterSnapshot, SimClock};

@@ -1,8 +1,7 @@
-//! Minimal table rendering for the `repro` harness and EXPERIMENTS.md.
+//! Minimal table rendering for the `repro` harness.
 //!
 //! We deliberately avoid a serialization dependency: figures are reported as
-//! fixed-width text tables (for the terminal), pipe-markdown tables (for
-//! EXPERIMENTS.md), and CSV (for external plotting).
+//! fixed-width text tables, the form `PAPER_SHAPES.md` records.
 
 use std::fmt::Write as _;
 
@@ -86,52 +85,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as a GitHub-flavoured markdown table.
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "**{}**", self.title);
-        let _ = writeln!(out);
-        let _ = writeln!(out, "| {} |", self.headers.join(" | "));
-        let _ = writeln!(
-            out,
-            "|{}|",
-            self.headers
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        );
-        for row in &self.rows {
-            let _ = writeln!(out, "| {} |", row.join(" | "));
-        }
-        out
-    }
-
-    /// Render as CSV (headers first; naive quoting of commas).
-    pub fn render_csv(&self) -> String {
-        let quote = |s: &String| -> String {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.clone()
-            }
-        };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            self.headers.iter().map(quote).collect::<Vec<_>>().join(",")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                row.iter().map(quote).collect::<Vec<_>>().join(",")
-            );
-        }
-        out
-    }
 }
 
 /// Format a float with three significant decimals, trimming noise.
@@ -171,21 +124,6 @@ mod tests {
         assert!(s.contains("== demo =="));
         assert!(s.contains(" bb "));
         assert!(s.lines().count() >= 4);
-    }
-
-    #[test]
-    fn markdown_render_has_separator() {
-        let s = sample().render_markdown();
-        assert!(s.contains("|---|---|"));
-        assert!(s.contains("| a | 1 |"));
-    }
-
-    #[test]
-    fn csv_quotes_commas() {
-        let mut t = Table::new("q", &["a"]);
-        t.row(vec!["x,y".into()]);
-        let s = t.render_csv();
-        assert!(s.contains("\"x,y\""));
     }
 
     #[test]

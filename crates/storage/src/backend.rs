@@ -397,11 +397,6 @@ impl LsmBackend {
         &self.tree
     }
 
-    /// Mutable access to the wrapped tree.
-    pub fn tree_mut(&mut self) -> &mut LsmTree {
-        &mut self.tree
-    }
-
     fn encode(hidden: bool, payload: &[u8]) -> Vec<u8> {
         let mut v = Vec::with_capacity(1 + payload.len());
         v.push(if hidden { LSM_FLAG_HIDDEN } else { 0 });

@@ -146,12 +146,6 @@ impl Page {
         (self.free_upper() - self.free_lower()) as usize
     }
 
-    /// Free space available to a new tuple (accounts for a possibly-new
-    /// line pointer).
-    pub fn usable_space(&self) -> usize {
-        self.free_space().saturating_sub(LP_SIZE)
-    }
-
     fn lp_offset(slot: u16) -> usize {
         HEADER_SIZE + slot as usize * LP_SIZE
     }
