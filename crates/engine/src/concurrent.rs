@@ -35,11 +35,9 @@
 //! the final states.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use datacase_crypto::sha256::Sha256;
-use datacase_sim::{Meter, SimClock};
 
 use crate::exec;
 use crate::frontend::{Frontend, Reply, Request, Response, Session};
@@ -134,21 +132,11 @@ impl Ticket {
         }
         stamps.sort_unstable();
         partial.sort_by_key(|(global, shard, _)| (*global, *shard));
-        let mut run: Vec<(usize, Response)> = Vec::new();
-        let flush = |slots: &mut Vec<Option<Response>>, run: &mut Vec<(usize, Response)>| {
-            if let Some((global, _)) = run.first() {
-                let global = *global;
-                slots[global] = Some(merge_scan(global, std::mem::take(run)));
-            }
-        };
-        for (global, shard, response) in partial {
-            if run.first().is_some_and(|(g, _)| *g != global) {
-                flush(&mut slots, &mut run);
-            }
-            run.push((global, response));
-            let _ = shard;
+        for parts in partial.chunk_by(|a, b| a.0 == b.0) {
+            let global = parts[0].0;
+            let parts = parts.iter().map(|(_, _, r)| r.clone()).collect();
+            slots[global] = Some(merge_scan(global, parts));
         }
-        flush(&mut slots, &mut run);
         let responses = slots
             .into_iter()
             .map(|slot| slot.expect("every request index answered"))
@@ -161,13 +149,13 @@ impl Ticket {
 /// into one: row counts sum; the first error in shard order wins; the
 /// audit reference is the lowest shard's (each shard logged its own scan
 /// record — the merged ref is a representative, not a global cursor).
-fn merge_scan(global: usize, parts: Vec<(usize, Response)>) -> Response {
+fn merge_scan(global: usize, parts: Vec<Response>) -> Response {
     let audit = parts
         .first()
-        .map(|(_, r)| r.audit)
+        .map(|r| r.audit)
         .expect("merge of at least one shard response");
     let mut rows = 0usize;
-    for (_, response) in parts {
+    for response in parts {
         match response.outcome {
             Err(e) => {
                 return Response {
@@ -285,11 +273,7 @@ impl ConcurrentEngine {
             let cfg = config.clone();
             let worker = std::thread::Builder::new()
                 .name(format!("datacase-shard-{shard}"))
-                .spawn(move || {
-                    let fe =
-                        Frontend::with_clock(cfg, SimClock::commodity(), Arc::new(Meter::new()));
-                    shard_loop(shard, rx, fe)
-                })
+                .spawn(move || shard_loop(shard, rx, Frontend::new(cfg)))
                 .expect("spawn shard worker");
             txs.push(tx);
             workers.push(worker);
@@ -344,7 +328,7 @@ impl ConcurrentEngine {
 fn shard_loop(shard: usize, rx: Receiver<ShardMsg>, mut fe: Frontend) -> Frontend {
     let mut seq: u64 = 0;
     while let Ok(ShardMsg::Batch(submission)) = rx.recv() {
-        let responses = exec::execute(fe.db_mut(), &submission.session, &submission.requests);
+        let responses = exec::execute(&mut fe, &submission.session, &submission.requests);
         seq += 1;
         // A client that dropped its ticket no longer cares; the work is
         // already accounted and audited either way.
@@ -372,8 +356,7 @@ pub fn merged_chain_head(shards: &mut [Frontend]) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::Actor;
-    use crate::frontend::Batch;
+    use crate::frontend::{Actor, Batch};
     use crate::profiles::EngineConfig;
     use datacase_core::purpose::well_known as wk;
     use datacase_sim::time::{Dur, Ts};

@@ -11,9 +11,8 @@ use datacase_sim::time::Dur;
 use datacase_sim::MeterSnapshot;
 use datacase_workloads::opstream::Op;
 
-use crate::db::Actor;
 use crate::error::EngineError;
-use crate::frontend::{Frontend, Response, Session};
+use crate::frontend::{Actor, Frontend, Response, Session};
 
 /// Statistics of one workload run, tallied from the typed
 /// [`EngineError`] taxonomy (not sentinel reply values).

@@ -4,7 +4,7 @@
 //!
 //! This is step ③ of Figure 2 made concrete: each
 //! [`ErasureInterpretation`] maps to a
-//! [`StorageBackend`](datacase_storage::backend::StorageBackend) plan of
+//! [`StorageBackend`] plan of
 //! Table 1 — heap mechanics (hide / DELETE+VACUUM / VACUUM FULL / WAL
 //! scrub + sanitise) or LSM mechanics (flagged version / tombstone+flush /
 //! compaction / run purge) — and after execution the [`probe`] verifies
@@ -19,13 +19,13 @@ use datacase_core::action::Action;
 use datacase_core::grounding::erasure::ErasureInterpretation;
 use datacase_core::grounding::properties::{ErasureProperties, PropertyProbe};
 use datacase_core::history::HistoryTuple;
-use datacase_core::ids::UnitId;
+use datacase_core::ids::{EntityId, UnitId};
 use datacase_core::purpose::well_known as wk;
 use datacase_core::unit::ErasureStatus;
 use datacase_sim::fault::CrashPoint;
-use datacase_storage::backend::{BackendKind, MaintenanceDepth};
+use datacase_storage::backend::{BackendKind, MaintenanceDepth, StorageBackend};
 
-use crate::db::CompliantDb;
+use crate::frontend::Frontend;
 
 /// Execute the full system-action plan for `interp` on the unit stored at
 /// `key`, immediately (right-to-erasure handling, Table 1 row). The
@@ -35,100 +35,110 @@ use crate::db::CompliantDb;
 ///
 /// Returns false if the key is unknown.
 pub(crate) fn erase_now(
-    db: &mut CompliantDb,
+    fe: &mut Frontend,
     key: u64,
     interp: ErasureInterpretation,
-    entity: datacase_core::ids::EntityId,
+    entity: EntityId,
 ) -> bool {
-    let Some(unit) = db.unit_of_key(key) else {
+    let Some(unit) = fe.keys.unit_of(key) else {
         return false;
     };
-    let now = db.clock().now();
-    let controller = db.controller();
+    let now = fe.clock.now();
+    let Frontend {
+        config,
+        substrate,
+        model,
+        keys,
+        clock,
+        ..
+    } = fe;
     // Escalation support (the Figure-3 staged timeline): a unit already
     // deleted at a weaker interpretation can be erased "harder" — the row
     // removal is then a no-op and only the stronger plan steps run.
-    let already_rank = db.state().unit(unit).map(|u| u.erasure.rank()).unwrap_or(0);
+    let already_rank = model
+        .state
+        .unit(unit)
+        .map(|u| u.erasure.rank())
+        .unwrap_or(0);
 
     // Cascade first (strong/permanent): identifying descendants go too.
     let mut descendants = Vec::new();
     if interp.implies(ErasureInterpretation::StronglyDeleted) {
-        descendants = db.state().provenance().identifying_descendants(unit);
+        descendants = model.state.provenance().identifying_descendants(unit);
         for &d in &descendants {
-            if let Some(dkey) = db.key_of_unit(d) {
-                let _ = db.backend_mut().delete(dkey);
+            if let Some(dkey) = keys.key_of(d) {
+                let _ = substrate.backend.delete(dkey);
             }
-            let at = db.clock().now();
-            let already = db
-                .state()
+            let at = clock.now();
+            let already = model
+                .state
                 .unit(d)
                 .map(|u| u.erasure.rank() >= 2)
                 .unwrap_or(true);
             if !already {
-                db.state_mut()
+                model
+                    .state
                     .mark_erased(d, ErasureStatus::Deleted { since: at }, at);
-                db.record_history(HistoryTuple {
-                    unit: d,
-                    purpose: wk::compliance_erase(),
-                    entity: controller,
-                    action: Action::Erase(ErasureInterpretation::Deleted),
+                model.record(
+                    d,
+                    wk::compliance_erase(),
+                    model.controller,
+                    Action::Erase(ErasureInterpretation::Deleted),
                     at,
-                });
+                );
             }
         }
     }
 
-    let remove_row = |db: &mut CompliantDb| -> bool {
-        if already_rank >= 2 {
-            true // the row is already physically gone or dead
-        } else {
-            // A reversibly-inaccessible (rank 1) row still exists on the
-            // backend; delete it like a live one.
-            db.backend_mut().delete(key).is_ok()
-        }
+    let remove_row = |backend: &mut dyn StorageBackend| -> bool {
+        // The row is already physically gone or dead from rank 2 on; a
+        // reversibly-inaccessible (rank 1) row still exists on the
+        // backend and is deleted like a live one.
+        already_rank >= 2 || backend.delete(key).is_ok()
     };
 
+    let backend = substrate.backend.as_mut();
     let status = match interp {
         ErasureInterpretation::ReversiblyInaccessible => {
-            if db.backend_mut().set_hidden(key, true).is_err() {
+            if backend.set_hidden(key, true).is_err() {
                 return false;
             }
             ErasureStatus::ReversiblyInaccessible { since: now }
         }
         ErasureInterpretation::Deleted => {
-            if !remove_row(db) {
+            if !remove_row(backend) {
                 return false;
             }
-            db.backend_mut().maintain(MaintenanceDepth::Lazy);
+            backend.maintain(MaintenanceDepth::Lazy);
             ErasureStatus::Deleted { since: now }
         }
         ErasureInterpretation::StronglyDeleted => {
-            if !remove_row(db) {
+            if !remove_row(backend) {
                 return false;
             }
-            db.backend_mut().maintain(MaintenanceDepth::Full);
+            backend.maintain(MaintenanceDepth::Full);
             ErasureStatus::StronglyDeleted { since: now }
         }
         ErasureInterpretation::PermanentlyDeleted => {
-            if !remove_row(db) {
+            if !remove_row(backend) {
                 return false;
             }
-            db.backend_mut().maintain(MaintenanceDepth::Full);
-            db.backend_mut().purge_unit(unit.0);
-            db.logger_mut().redact_unit(unit);
+            backend.maintain(MaintenanceDepth::Full);
+            backend.purge_unit(unit.0);
+            substrate.logger.redact_unit(unit);
             // Descendants erased by the cascade get their retained log
             // copies purged too — permanent deletion leaves no trail of
             // the subject in any log-shaped layer.
             for &d in &descendants {
-                db.backend_mut().purge_unit(d.0);
-                db.logger_mut().redact_unit(d);
+                backend.purge_unit(d.0);
+                substrate.logger.redact_unit(d);
             }
-            db.backend_mut().sanitize(3);
+            backend.sanitize(3);
             // Chaos tap: crash between purging the unit's rows/logs and
             // destroying its key — recovery must still converge to zero
             // residuals under crypto-erasure.
-            db.config().fault.hit(CrashPoint::DestroyKey);
-            if let Some(vault) = db.vault_mut() {
+            config.fault.hit(CrashPoint::DestroyKey);
+            if let Some(vault) = &mut substrate.vault {
                 vault.destroy_key(unit.0);
                 for &d in &descendants {
                     vault.destroy_key(d.0);
@@ -139,29 +149,23 @@ pub(crate) fn erase_now(
     };
 
     // Consent is withdrawn wholesale with the erasure request.
-    let at = db.clock().now();
-    if let Some(u) = db.state_mut().unit_mut(unit) {
+    let at = clock.now();
+    if let Some(u) = model.state.unit_mut(unit) {
         u.policies.revoke_all(at);
     }
     // Revocation through the versioned enforcer bumps the policy epoch.
-    db.enforcer_mut().revoke_all(unit, at);
-    db.state_mut().mark_erased(unit, status, at);
-    db.record_history(HistoryTuple {
+    substrate.enforcer.revoke_all(unit, at);
+    model.state.mark_erased(unit, status, at);
+    model.record(
         unit,
-        purpose: wk::compliance_erase(),
+        wk::compliance_erase(),
         entity,
-        action: Action::Erase(interp),
+        Action::Erase(interp),
         at,
-    });
+    );
     if interp == ErasureInterpretation::PermanentlyDeleted {
-        let at2 = db.clock().now();
-        db.record_history(HistoryTuple {
-            unit,
-            purpose: wk::compliance_erase(),
-            entity,
-            action: Action::Sanitize,
-            at: at2,
-        });
+        let at2 = clock.now();
+        model.record(unit, wk::compliance_erase(), entity, Action::Sanitize, at2);
     }
     true
 }
@@ -169,31 +173,31 @@ pub(crate) fn erase_now(
 /// Restore a reversibly-inaccessible unit (the inverse action that makes
 /// the interpretation *invertible* in Table 1). Returns false if the unit
 /// is not in the reversible state.
-pub(crate) fn restore_now(db: &mut CompliantDb, key: u64) -> bool {
-    let Some(unit) = db.unit_of_key(key) else {
+pub(crate) fn restore_now(fe: &mut Frontend, key: u64) -> bool {
+    let Some(unit) = fe.keys.unit_of(key) else {
         return false;
     };
-    let restorable = db
-        .state()
+    let restorable = fe
+        .model
+        .state
         .unit(unit)
         .map(|u| matches!(u.erasure, ErasureStatus::ReversiblyInaccessible { .. }))
         .unwrap_or(false);
     if !restorable {
         return false;
     }
-    if db.backend_mut().set_hidden(key, false).is_err() {
+    if fe.substrate.backend.set_hidden(key, false).is_err() {
         return false;
     }
-    let at = db.clock().now();
-    let controller = db.controller();
-    db.state_mut().unit_mut(unit).expect("checked").restore();
-    db.record_history(HistoryTuple {
+    let at = fe.clock.now();
+    fe.model.state.unit_mut(unit).expect("checked").restore();
+    fe.model.record(
         unit,
-        purpose: wk::subject_access(),
-        entity: controller,
-        action: Action::Restore,
+        wk::subject_access(),
+        fe.model.controller,
+        Action::Restore,
         at,
-    });
+    );
     true
 }
 
@@ -218,8 +222,7 @@ pub fn probe(interp: ErasureInterpretation) -> PropertyProbe {
 /// grounded properties hold *independently of the underlying system*,
 /// measured per backend.
 pub fn probe_on(backend: BackendKind, interp: ErasureInterpretation) -> PropertyProbe {
-    use crate::db::Actor;
-    use crate::frontend::{Frontend, Reply, Request, Session};
+    use crate::frontend::{Actor, Reply, Request, Session};
     use datacase_workloads::record::GdprMetadata;
 
     let mut config = crate::profiles::EngineConfig::p_sys().with_backend(backend);
@@ -246,7 +249,7 @@ pub fn probe_on(backend: BackendKind, interp: ErasureInterpretation) -> Property
         )
         .is_done());
     let unit = fe.unit_of_key(1).expect("created");
-    let processor_entity = fe.db().processor();
+    let processor_entity = fe.model.processor;
 
     // Derived identifying, invertible copy (e.g. an analytics mirror).
     let derived = fe
@@ -333,8 +336,7 @@ pub fn probe_on(backend: BackendKind, interp: ErasureInterpretation) -> Property
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::Actor;
-    use crate::frontend::{Frontend, Request, Session};
+    use crate::frontend::{Actor, Request, Session};
     use datacase_core::grounding::properties::ErasureProperties;
     use datacase_workloads::record::GdprMetadata;
 

@@ -20,24 +20,25 @@
 //! audit chain's bytes are independent of batch size (the
 //! `prop_frontend` batch-parity property holds the engine to this).
 
+use datacase_audit::record::LogRecord;
+use datacase_core::action::ActionKind;
+use datacase_core::ids::{EntityId, UnitId};
+use datacase_core::purpose::PurposeId;
+use datacase_policy::enforcer::{AccessRequest, Decision};
 use datacase_sim::fault::CrashPoint;
 
-use crate::db::CompliantDb;
 use crate::error::EngineError;
-use crate::frontend::{AuditRef, Request, Response, Session};
+use crate::frontend::{Actor, AuditRef, Frontend, Reply, Request, Response, Session};
+use crate::profiles::ProfileKind;
 
 /// Execute a batch under `session`, returning one [`Response`] per
 /// request in submission order.
-pub(crate) fn execute(
-    db: &mut CompliantDb,
-    session: &Session,
-    requests: &[Request],
-) -> Vec<Response> {
-    db.config().fault.hit(CrashPoint::Plan);
+pub(crate) fn execute(fe: &mut Frontend, session: &Session, requests: &[Request]) -> Vec<Response> {
+    fe.config.fault.hit(CrashPoint::Plan);
     requests
         .iter()
         .enumerate()
-        .map(|(i, request)| run_one(db, session, request, i))
+        .map(|(i, request)| run_one(fe, session, request, i))
         .collect()
 }
 
@@ -45,10 +46,10 @@ pub(crate) fn execute(
 /// touching enforcement — checked per request, so a deadline crossing
 /// mid-batch behaves exactly like it would across single-request
 /// submissions.
-fn admitted(db: &CompliantDb, session: &Session) -> bool {
+fn admitted(fe: &Frontend, session: &Session) -> bool {
     session
         .deadline()
-        .map(|d| db.clock().now() <= d)
+        .map(|d| fe.clock.now() <= d)
         .unwrap_or(true)
 }
 
@@ -64,29 +65,133 @@ fn in_scope(session: &Session, request: &Request) -> bool {
     }
 }
 
-/// Execute one request to completion: decide, apply, account.
-fn run_one(db: &mut CompliantDb, session: &Session, request: &Request, index: usize) -> Response {
-    db.config().fault.hit(CrashPoint::Decide);
-    let seq_before = db.log_seq();
+/// Execute one request to completion: decide, apply, account. The
+/// request's audit records are the ones the log gained meanwhile.
+fn run_one(fe: &mut Frontend, session: &Session, request: &Request, index: usize) -> Response {
+    fe.config.fault.hit(CrashPoint::Decide);
+    let records_before = fe.audit_records() as u64;
     let outcome = if !in_scope(session, request) {
         Err(EngineError::Denied {
             reason: "key outside session scope".into(),
         })
-    } else if admitted(db, session) {
-        db.apply(request, session.actor(), session.purpose(), session.scope())
+    } else if admitted(fe, session) {
+        fe.apply(request, session.actor(), session.purpose(), session.scope())
     } else {
         Err(EngineError::Denied {
             reason: "session deadline passed".into(),
         })
     };
-    let seq_after = db.log_seq();
     Response {
         index,
         outcome,
         audit: AuditRef {
-            start: seq_before + 1,
-            records: seq_after - seq_before,
-            at: db.clock().now(),
+            start: records_before + 1,
+            records: fe.audit_records() as u64 - records_before,
+            at: fe.clock.now(),
         },
+    }
+}
+
+impl Frontend {
+    /// Apply one admitted request as `actor` under an optional declared
+    /// purpose, after advancing the checkpoint cadence.
+    fn apply(
+        &mut self,
+        request: &Request,
+        actor: Actor,
+        purpose: Option<PurposeId>,
+        scope: Option<datacase_core::tenant::KeyRange>,
+    ) -> Result<Reply, EngineError> {
+        /// Checkpoint (flush + WAL recycle) after this many operations.
+        const CHECKPOINT_EVERY: u64 = 20_000;
+        self.config.fault.hit(CrashPoint::Apply);
+        if !matches!(request, Request::Erase { .. } | Request::Restore { .. }) {
+            // Workload ops drive the checkpoint cadence; the compliance
+            // path (erase/restore) never did and still does not.
+            self.ops_since_checkpoint += 1;
+            if self.ops_since_checkpoint >= CHECKPOINT_EVERY {
+                self.ops_since_checkpoint = 0;
+                self.substrate.backend.checkpoint();
+                self.substrate.backend.recycle_logs();
+            }
+        }
+        match request {
+            Request::Create {
+                key,
+                payload,
+                metadata,
+            } => self.op_create(*key, payload, metadata),
+            Request::Read { key } => self.op_read(*key, actor, purpose),
+            Request::Update { key, payload } => self.op_update(*key, payload, actor, purpose),
+            Request::Delete { key } => self.op_delete(*key, actor),
+            Request::ReadMeta { key } => self.op_read_meta(*key, actor, purpose),
+            Request::UpdateMeta { key, field } => self.op_update_meta(*key, *field, actor),
+            Request::ReadByMeta { selector } => self.op_read_by_meta(*selector, purpose, scope),
+            Request::Erase {
+                key,
+                interpretation,
+            } => self.op_erase(*key, *interpretation, actor),
+            Request::Restore { key } => self.op_restore(*key, actor),
+        }
+    }
+
+    /// The decide step for one access: ask the profile's enforcer. A
+    /// denial is audited (a DENIED record) before it is returned.
+    pub(crate) fn check(
+        &mut self,
+        unit: UnitId,
+        entity: EntityId,
+        purpose: PurposeId,
+        action: ActionKind,
+    ) -> Result<(), EngineError> {
+        if self.config.profile == ProfileKind::Stock {
+            return Ok(()); // vanilla engine: no enforcement at all
+        }
+        let req = AccessRequest {
+            unit,
+            entity,
+            purpose,
+            action,
+            at: self.clock.now(),
+        };
+        match self.substrate.enforcer.check(&req) {
+            Decision::Allow => Ok(()),
+            Decision::Deny(reason) => {
+                self.log(
+                    Some(unit),
+                    entity,
+                    purpose,
+                    "DENIED",
+                    reason.clone().into_bytes(),
+                );
+                Err(EngineError::Denied { reason })
+            }
+        }
+    }
+
+    /// The account step: sequence, charge and append one audit record.
+    /// Synchronous — the record is in the log store, under the
+    /// tamper-evidence chain, before the request that produced it is
+    /// answered. A record's sequence number is its position in the log.
+    pub(crate) fn log(
+        &mut self,
+        unit: Option<UnitId>,
+        entity: EntityId,
+        purpose: PurposeId,
+        op: &'static str,
+        payload: Vec<u8>,
+    ) {
+        let rec = LogRecord {
+            seq: self.audit_records() as u64 + 1,
+            at: self.clock.now(),
+            unit,
+            entity,
+            purpose,
+            op,
+            payload,
+            redacted: false,
+        };
+        self.config.fault.hit(CrashPoint::Account);
+        self.substrate.logger.log(rec);
     }
 }

@@ -36,430 +36,75 @@
 //! clearly-marked guard for tests, probes, and seized-disk simulations.
 //! It bypasses enforcement and must never appear on a production path.
 
-use datacase_core::grounding::erasure::ErasureInterpretation;
-use datacase_core::history::HistoryTuple;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use datacase_core::checker::ComplianceReport;
+use datacase_core::entity::EntityRegistry;
+use datacase_core::history::{ActionHistory, HistoryTuple};
 use datacase_core::ids::UnitId;
-use datacase_core::purpose::PurposeId;
+use datacase_core::invariants::EvidenceFlags;
+use datacase_core::purpose::PurposeRegistry;
+use datacase_core::regulation::Regulation;
+use datacase_core::state::DatabaseState;
 use datacase_core::value::Value;
-use datacase_sim::time::Ts;
-use datacase_storage::backend::DurableSnapshot;
+use datacase_policy::enforcer::PolicyEpoch;
+use datacase_sim::{Meter, SimClock};
+use datacase_storage::backend::{BackendStats, DurableSnapshot};
 use datacase_storage::forensic::ForensicFindings;
-use datacase_workloads::opstream::{MetaField, MetaSelector, Op};
-use datacase_workloads::record::GdprMetadata;
+use datacase_workloads::opstream::Op;
 
-use crate::db::{Actor, CompliantDb};
-use crate::error::EngineError;
+use crate::keys::KeyIndex;
+use crate::model::Model;
 use crate::profiles::EngineConfig;
+use crate::substrate::Substrate;
 
-// ---------------------------------------------------------------------
-// Requests and batches
-// ---------------------------------------------------------------------
+pub use crate::request::{Actor, AuditRef, Batch, Reply, Request, Response, Session};
 
-/// One typed request to the engine.
+/// The compliant engine: the system substrate, the Data-CASE model kept
+/// next to it, and the key index binding the two, executing [`Batch`]es
+/// of [`Request`]s through a single enforcement choke point.
 ///
-/// The first seven variants mirror the workload vocabulary
-/// ([`Op`]); the last two are the compliance path (right to erasure,
-/// Table 1) that previously required reaching into the engine's internals.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Request {
-    /// Insert a new record with GDPR metadata (consent capture).
-    Create {
-        /// Record key.
-        key: u64,
-        /// Personal-data payload.
-        payload: Vec<u8>,
-        /// GDPR metadata attached at collection.
-        metadata: GdprMetadata,
-    },
-    /// Point read of the record's payload.
-    Read {
-        /// Record key.
-        key: u64,
-    },
-    /// Replace the record's payload.
-    Update {
-        /// Record key.
-        key: u64,
-        /// New payload.
-        payload: Vec<u8>,
-    },
-    /// Workload-path delete (grounded per the engine's
-    /// [`DeleteStrategy`](crate::profiles::DeleteStrategy)).
-    Delete {
-        /// Record key.
-        key: u64,
-    },
-    /// Read the record's metadata row (policies, purpose, TTL).
-    ReadMeta {
-        /// Record key.
-        key: u64,
-    },
-    /// Update one metadata field (policy change + subject notification).
-    UpdateMeta {
-        /// Record key.
-        key: u64,
-        /// Which field.
-        field: MetaField,
-    },
-    /// Read data *via* metadata (e.g. "all records for purpose X").
-    ReadByMeta {
-        /// The selector.
-        selector: MetaSelector,
-    },
-    /// Execute a grounded erasure interpretation immediately (the
-    /// compliance path: an Art. 17 request, not a workload delete).
-    Erase {
-        /// Record key.
-        key: u64,
-        /// The grounding to execute.
-        interpretation: ErasureInterpretation,
-    },
-    /// Restore a reversibly-inaccessible record (the inverse action that
-    /// makes that grounding invertible).
-    Restore {
-        /// Record key.
-        key: u64,
-    },
-}
-
-impl Request {
-    /// Short label for statistics.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Request::Create { .. } => "create",
-            Request::Read { .. } => "read",
-            Request::Update { .. } => "update",
-            Request::Delete { .. } => "delete",
-            Request::ReadMeta { .. } => "read-meta",
-            Request::UpdateMeta { .. } => "update-meta",
-            Request::ReadByMeta { .. } => "read-by-meta",
-            Request::Erase { .. } => "erase",
-            Request::Restore { .. } => "restore",
-        }
-    }
-
-    /// The key the request targets, when key-addressed.
-    pub fn key(&self) -> Option<u64> {
-        match self {
-            Request::Create { key, .. }
-            | Request::Read { key }
-            | Request::Update { key, .. }
-            | Request::Delete { key }
-            | Request::ReadMeta { key }
-            | Request::UpdateMeta { key, .. }
-            | Request::Erase { key, .. }
-            | Request::Restore { key } => Some(*key),
-            Request::ReadByMeta { .. } => None,
-        }
-    }
-}
-
-impl From<&Op> for Request {
-    fn from(op: &Op) -> Request {
-        match op {
-            Op::Create {
-                key,
-                payload,
-                metadata,
-            } => Request::Create {
-                key: *key,
-                payload: payload.clone(),
-                metadata: metadata.clone(),
-            },
-            Op::ReadData { key } => Request::Read { key: *key },
-            Op::UpdateData { key, payload } => Request::Update {
-                key: *key,
-                payload: payload.clone(),
-            },
-            Op::DeleteData { key } => Request::Delete { key: *key },
-            Op::ReadMeta { key } => Request::ReadMeta { key: *key },
-            Op::UpdateMeta { key, field } => Request::UpdateMeta {
-                key: *key,
-                field: *field,
-            },
-            Op::ReadByMetadata { selector } => Request::ReadByMeta {
-                selector: *selector,
-            },
-        }
-    }
-}
-
-impl From<Op> for Request {
-    fn from(op: Op) -> Request {
-        Request::from(&op)
-    }
-}
-
-/// An ordered batch of [`Request`]s submitted as one unit.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Batch {
-    requests: Vec<Request>,
-}
-
-impl Batch {
-    /// An empty batch.
-    pub fn new() -> Batch {
-        Batch::default()
-    }
-
-    /// Append a request, builder-style.
-    pub fn with(mut self, request: Request) -> Batch {
-        self.requests.push(request);
-        self
-    }
-
-    /// Append a request.
-    pub fn push(&mut self, request: Request) {
-        self.requests.push(request);
-    }
-
-    /// Convert a workload op stream into a batch.
-    pub fn from_ops(ops: &[Op]) -> Batch {
-        ops.iter().map(Request::from).collect()
-    }
-
-    /// The requests, in submission order.
-    pub fn requests(&self) -> &[Request] {
-        &self.requests
-    }
-
-    /// Number of requests in the batch.
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// Is the batch empty?
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-}
-
-impl From<Vec<Request>> for Batch {
-    fn from(requests: Vec<Request>) -> Batch {
-        Batch { requests }
-    }
-}
-
-impl FromIterator<Request> for Batch {
-    fn from_iter<I: IntoIterator<Item = Request>>(iter: I) -> Batch {
-        Batch {
-            requests: iter.into_iter().collect(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Replies and responses
-// ---------------------------------------------------------------------
-
-/// The successful outcome of one request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Reply {
-    /// Mutation applied.
-    Done,
-    /// Read returned this many payload bytes.
-    Value(usize),
-    /// Metadata-based read returned this many rows.
-    Rows(usize),
-    /// The erasure grounding executed.
-    Erased(ErasureInterpretation),
-    /// The record was restored from reversible inaccessibility.
-    Restored,
-}
-
-/// A pointer into the audit log: the records one request produced.
-///
-/// Sequence numbers are the engine's global, monotonically increasing
-/// audit sequence; `records == 0` means the request wrote no audit
-/// records (e.g. it failed before reaching the logging layer).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AuditRef {
-    /// First audit sequence number written by the request.
-    pub start: u64,
-    /// How many audit records the request wrote.
-    pub records: u64,
-    /// Engine time when the response was produced.
-    pub at: Ts,
-}
-
-impl AuditRef {
-    /// Did the request write any audit records?
-    pub fn is_empty(&self) -> bool {
-        self.records == 0
-    }
-
-    /// Last audit sequence number covered, if any.
-    pub fn last(&self) -> Option<u64> {
-        (self.records > 0).then(|| self.start + self.records - 1)
-    }
-}
-
-/// The engine's answer to one [`Request`] of a batch.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Response {
-    /// Position of the request within its batch.
-    pub index: usize,
-    /// What happened: a typed reply, or a typed error.
-    pub outcome: Result<Reply, EngineError>,
-    /// The audit-log records this request produced.
-    pub audit: AuditRef,
-}
-
-impl Response {
-    /// The reply, if the request succeeded.
-    pub fn reply(&self) -> Option<Reply> {
-        self.outcome.as_ref().ok().copied()
-    }
-
-    /// The error, if the request failed.
-    pub fn err(&self) -> Option<&EngineError> {
-        self.outcome.as_ref().err()
-    }
-
-    /// Did the request succeed with [`Reply::Done`]?
-    pub fn is_done(&self) -> bool {
-        matches!(self.outcome, Ok(Reply::Done))
-    }
-
-    /// Bytes returned, when the reply is a [`Reply::Value`].
-    pub fn value(&self) -> Option<usize> {
-        match self.outcome {
-            Ok(Reply::Value(n)) => Some(n),
-            _ => None,
-        }
-    }
-
-    /// Rows returned, when the reply is a [`Reply::Rows`].
-    pub fn rows(&self) -> Option<usize> {
-        match self.outcome {
-            Ok(Reply::Rows(n)) => Some(n),
-            _ => None,
-        }
-    }
-
-    /// Was the request denied by policy enforcement?
-    pub fn is_denied(&self) -> bool {
-        self.err().is_some_and(EngineError::is_denied)
-    }
-
-    /// Did the request target a key that never existed?
-    pub fn is_not_found(&self) -> bool {
-        self.err().is_some_and(EngineError::is_not_found)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sessions
-// ---------------------------------------------------------------------
-
-/// Who is asking, for what declared purpose, and until when.
-///
-/// A session is the unit of authentication and intent: every batch is
-/// submitted under exactly one session, and the frontend's single
-/// enforcement choke point derives entities, purposes, and deadline
-/// gating from it. Sessions are cheap descriptors — build one per actor
-/// and reuse it across batches.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Session {
-    actor: Actor,
-    purpose: Option<PurposeId>,
-    deadline: Option<Ts>,
-    scope: Option<datacase_core::tenant::KeyRange>,
-}
-
-impl Session {
-    /// A session for `actor` with no declared purpose (each request's
-    /// purpose is derived from the actor and the record's collection
-    /// metadata, as workload streams expect), no deadline, and no
-    /// key-scope.
-    pub fn new(actor: Actor) -> Session {
-        Session {
-            actor,
-            purpose: None,
-            deadline: None,
-            scope: None,
-        }
-    }
-
-    /// Declare a processing purpose: data-access requests in this session
-    /// are checked against `purpose` instead of the per-record default —
-    /// purpose limitation made explicit at the boundary.
-    pub fn for_purpose(mut self, purpose: PurposeId) -> Session {
-        self.purpose = Some(purpose);
-        self
-    }
-
-    /// Gate the session with a deadline: batches submitted after
-    /// `deadline` (engine time) are denied wholesale at admission.
-    pub fn until(mut self, deadline: Ts) -> Session {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// The authenticated actor.
-    pub fn actor(&self) -> Actor {
-        self.actor
-    }
-
-    /// The declared purpose, if any.
-    pub fn purpose(&self) -> Option<PurposeId> {
-        self.purpose
-    }
-
-    /// Confine the session to a half-open block of the keyspace: any
-    /// key-addressed request outside `scope` is denied at admission, and
-    /// metadata scans only see records inside it. This is how the
-    /// multi-tenant gateway pins each tenant's sessions to the tenant's
-    /// own keyspace block.
-    pub fn scoped(mut self, scope: datacase_core::tenant::KeyRange) -> Session {
-        self.scope = Some(scope);
-        self
-    }
-
-    /// The admission deadline, if any.
-    pub fn deadline(&self) -> Option<Ts> {
-        self.deadline
-    }
-
-    /// The key-scope, if any.
-    pub fn scope(&self) -> Option<datacase_core::tenant::KeyRange> {
-        self.scope
-    }
-}
-
-// ---------------------------------------------------------------------
-// The frontend
-// ---------------------------------------------------------------------
-
-/// The compliant engine's public face: owns the (crate-internal)
-/// `CompliantDb` and executes [`Batch`]es of [`Request`]s through a
-/// single enforcement choke point.
+/// The request handlers live in `ops`, the erasure plans in
+/// [`erasure`](crate::erasure); both work on the holders directly.
 pub struct Frontend {
-    db: CompliantDb,
+    pub(crate) config: EngineConfig,
+    pub(crate) substrate: Substrate,
+    pub(crate) model: Model,
+    pub(crate) keys: KeyIndex,
+    pub(crate) clock: SimClock,
+    pub(crate) meter: Arc<Meter>,
+    /// Workload deletes since the delete strategy's last maintenance run.
+    pub(crate) deletes_since_maintenance: u64,
+    /// Workload requests since the last checkpoint.
+    pub(crate) ops_since_checkpoint: u64,
 }
 
 impl std::fmt::Debug for Frontend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Frontend").field("db", &self.db).finish()
+        f.debug_struct("Frontend")
+            .field("profile", &self.config.profile)
+            .field("keys", &self.keys.len())
+            .finish()
     }
 }
 
 impl Frontend {
-    /// Build a frontend over a fresh engine for `config`.
+    /// Build an engine for `config` on a fresh clock and meter.
     pub fn new(config: EngineConfig) -> Frontend {
+        let clock = SimClock::commodity();
+        let meter = Arc::new(Meter::new());
+        let model = Model::new(clock.now());
+        let substrate = Substrate::new(&config, &model, &clock, &meter);
         Frontend {
-            db: CompliantDb::new(config),
-        }
-    }
-
-    /// Build a frontend sharing an existing clock/meter (sharded runs).
-    pub fn with_clock(
-        config: EngineConfig,
-        clock: datacase_sim::SimClock,
-        meter: std::sync::Arc<datacase_sim::Meter>,
-    ) -> Frontend {
-        Frontend {
-            db: CompliantDb::with_clock(config, clock, meter),
+            config,
+            substrate,
+            model,
+            keys: KeyIndex::default(),
+            clock,
+            meter,
+            deletes_since_maintenance: 0,
+            ops_since_checkpoint: 0,
         }
     }
 
@@ -479,12 +124,12 @@ impl Frontend {
     /// is evaluated per request: a deadline crossing mid-batch denies
     /// the tail exactly as single-request submissions would.
     pub fn submit(&mut self, session: &Session, batch: &Batch) -> Vec<Response> {
-        crate::exec::execute(&mut self.db, session, batch.requests())
+        crate::exec::execute(self, session, batch.requests())
     }
 
     /// Submit a single request (a one-element batch).
     pub fn run(&mut self, session: &Session, request: Request) -> Response {
-        crate::exec::execute(&mut self.db, session, std::slice::from_ref(&request))
+        crate::exec::execute(self, session, std::slice::from_ref(&request))
             .pop()
             .expect("one request in, one response out")
     }
@@ -503,7 +148,7 @@ impl Frontend {
             let requests: Vec<Request> = chunk.iter().map(Request::from).collect();
             let offset = chunk_idx * SUBMIT_CHUNK;
             responses.extend(
-                crate::exec::execute(&mut self.db, session, &requests)
+                crate::exec::execute(self, session, &requests)
                     .into_iter()
                     .map(|mut r| {
                         r.index += offset;
@@ -516,88 +161,84 @@ impl Frontend {
 
     // -- read-only surface -------------------------------------------------
 
-    /// The shared simulated clock.
-    pub fn clock(&self) -> &datacase_sim::SimClock {
-        self.db.clock()
+    /// The engine's simulated clock.
+    pub fn clock(&self) -> &SimClock {
+        &self.clock
     }
 
-    /// The shared work meter.
-    pub fn meter(&self) -> &std::sync::Arc<datacase_sim::Meter> {
-        self.db.meter()
+    /// The engine's work meter.
+    pub fn meter(&self) -> &Arc<Meter> {
+        &self.meter
     }
 
     /// Engine configuration.
     pub fn config(&self) -> &EngineConfig {
-        self.db.config()
+        &self.config
     }
 
     /// The abstract Data-CASE state.
-    pub fn state(&self) -> &datacase_core::state::DatabaseState {
-        self.db.state()
+    pub fn state(&self) -> &DatabaseState {
+        &self.model.state
     }
 
     /// The action history.
-    pub fn history(&self) -> &datacase_core::history::ActionHistory {
-        self.db.history()
+    pub fn history(&self) -> &ActionHistory {
+        &self.model.history
     }
 
     /// The entity registry.
-    pub fn entities(&self) -> &datacase_core::entity::EntityRegistry {
-        self.db.entities()
+    pub fn entities(&self) -> &EntityRegistry {
+        &self.model.entities
     }
 
     /// The purpose registry.
-    pub fn purposes(&self) -> &datacase_core::purpose::PurposeRegistry {
-        self.db.purposes()
+    pub fn purposes(&self) -> &PurposeRegistry {
+        &self.model.purposes
     }
 
-    /// Number of requests denied by policy enforcement so far.
+    /// Number of requests denied by policy enforcement so far: the
+    /// meter's count, which every enforcer bumps once per denial.
     pub fn denied(&self) -> u64 {
-        self.db.denied()
+        self.meter.denials.load(Ordering::Relaxed)
     }
 
     /// The engine's current policy epoch: bumped by every policy-mutating
-    /// action (grant, revocation, erasure, metadata update).
-    pub fn policy_epoch(&self) -> datacase_policy::enforcer::PolicyEpoch {
-        self.db.policy_epoch()
+    /// action (grant, revocation, erasure, metadata update) — the version
+    /// of the policy state a decision was taken against.
+    pub fn policy_epoch(&self) -> PolicyEpoch {
+        self.substrate.enforcer.epoch()
     }
 
     /// Unit id stored under a key.
     pub fn unit_of_key(&self, key: u64) -> Option<UnitId> {
-        self.db.unit_of_key(key)
+        self.keys.unit_of(key)
     }
 
     /// Key a unit is stored under.
     pub fn key_of_unit(&self, unit: UnitId) -> Option<u64> {
-        self.db.key_of_unit(unit)
+        self.keys.key_of(unit)
     }
 
     /// Backend statistics on the substrate-independent vocabulary.
-    pub fn backend_stats(&self) -> datacase_storage::backend::BackendStats {
-        self.db.backend_stats()
+    pub fn backend_stats(&self) -> BackendStats {
+        self.substrate.backend.stats()
     }
 
-    /// Number of audit-log records written so far.
+    /// Number of audit-log records written so far — also the sequence
+    /// number of the latest one.
     pub fn audit_records(&self) -> usize {
-        self.db.logger().records()
+        self.substrate.logger.records()
     }
 
-    /// Run the compliance checker against this engine's model.
-    pub fn compliance_report(
-        &mut self,
-        regulation: &datacase_core::regulation::Regulation,
-    ) -> datacase_core::checker::ComplianceReport {
-        self.db.compliance_report(regulation)
-    }
-
-    /// The raw engine, for in-crate subsystems (sweeper, space, PIA).
-    pub(crate) fn db(&self) -> &CompliantDb {
-        &self.db
-    }
-
-    /// Mutable raw engine, for in-crate subsystems only.
-    pub(crate) fn db_mut(&mut self) -> &mut CompliantDb {
-        &mut self.db
+    /// Run the compliance checker against this engine's model, with the
+    /// audit chain's verification and the configuration's encryption at
+    /// rest as evidence.
+    pub fn compliance_report(&mut self, regulation: &Regulation) -> ComplianceReport {
+        let evidence = EvidenceFlags {
+            audit_log_tamper_evident: self.substrate.logger.verify_chain(),
+            encryption_at_rest_default: self.config.encryption_at_rest(),
+        };
+        self.model.check(regulation, evidence, self.clock.now())
     }
 
     /// The forensic / test-only escape hatch.
@@ -607,7 +248,7 @@ impl Frontend {
     /// see and do. Production paths must never call it — the compliant
     /// write path is [`Frontend::submit`].
     pub fn forensic(&mut self) -> Forensic<'_> {
-        Forensic { db: &mut self.db }
+        Forensic { fe: self }
     }
 }
 
@@ -616,31 +257,31 @@ impl Frontend {
 /// Intended for tests, property probes, and the seized-disk scenarios in
 /// the examples; clearly not part of the compliant request path.
 pub struct Forensic<'f> {
-    db: &'f mut CompliantDb,
+    fe: &'f mut Frontend,
 }
 
 impl Forensic<'_> {
     /// Scan all persistent layers (pages, WAL, runs, audit logs) for
     /// `needle`, checkpointing first so buffered state is visible.
     pub fn scan(&mut self, needle: &[u8]) -> ForensicFindings {
-        self.db.forensic(needle)
+        self.fe.substrate.scan(needle)
     }
 
     /// Read a record's stored bytes directly off the substrate,
     /// optionally including reversibly-hidden versions.
     pub fn raw_read(&mut self, key: u64, include_hidden: bool) -> Option<Vec<u8>> {
-        self.db.backend_mut().read(key, include_hidden)
+        self.fe.substrate.backend.read(key, include_hidden)
     }
 
     /// Force a checkpoint (flush + WAL recycle) now.
     pub fn checkpoint(&mut self) {
-        self.db.backend_mut().checkpoint();
+        self.fe.substrate.backend.checkpoint();
     }
 
     /// Inject a history tuple as if enforcement had been bypassed (the
     /// violation-injection scenarios feeding the compliance checker).
     pub fn inject_history(&mut self, tuple: HistoryTuple) {
-        self.db.record_history(tuple);
+        self.fe.model.history.record(tuple);
     }
 
     /// Derive a unit from `sources` (a mirror/backup copy), store its
@@ -654,8 +295,8 @@ impl Forensic<'_> {
         payload: &[u8],
         key: u64,
     ) -> UnitId {
-        let now = self.db.clock().now();
-        let unit = self.db.state_mut().derive(
+        let now = self.fe.clock.now();
+        let unit = self.fe.model.state.derive(
             sources,
             how,
             identifying,
@@ -663,21 +304,23 @@ impl Forensic<'_> {
             Value::Stored { len: payload.len() },
             now,
         );
-        self.db
-            .backend_mut()
+        self.fe
+            .substrate
+            .backend
             .insert(key, unit.0, payload)
             .expect("derived insert");
-        self.db.bind_derived_key(unit, key);
+        self.fe.keys.bind_derived(unit, key);
         unit
     }
 
     /// Destroy a unit's encryption key (crypto-erasure). Returns false
     /// when tuple encryption is off or the key is already gone.
     pub fn destroy_key(&mut self, unit: UnitId) -> bool {
-        match self.db.vault_mut() {
-            Some(vault) => vault.destroy_key(unit.0),
-            None => false,
-        }
+        self.fe
+            .substrate
+            .vault
+            .as_mut()
+            .is_some_and(|vault| vault.destroy_key(unit.0))
     }
 
     /// How many keystream entries the tuple vault currently caches —
@@ -685,14 +328,16 @@ impl Forensic<'_> {
     /// erasure harnesses assert the cache actually warmed before an
     /// erasure, and actually emptied after one.
     pub fn cached_keystreams(&mut self) -> usize {
-        self.db
-            .vault_mut()
+        self.fe
+            .substrate
+            .vault
+            .as_ref()
             .map_or(0, |vault| vault.cached_keystreams())
     }
 
     /// Verify the audit log's tamper-evident chain.
     pub fn verify_chain(&mut self) -> bool {
-        self.db.logger_mut().verify_chain()
+        self.fe.substrate.logger.verify_chain()
     }
 
     /// The audit chain's head MAC — a 32-byte digest over every record's
@@ -700,7 +345,7 @@ impl Forensic<'_> {
     /// audit chains (the batch-parity and serial-replay properties
     /// compare runs through this).
     pub fn chain_head(&mut self) -> [u8; 32] {
-        self.db.logger_mut().chain_head()
+        self.fe.substrate.logger.chain_head()
     }
 
     /// Salvage the storage substrate's durable state — exactly what
@@ -710,15 +355,20 @@ impl Forensic<'_> {
     /// was caught) and rebuilds from it via
     /// [`recover_backend`](datacase_storage::backend::recover_backend).
     pub fn durable_snapshot(&mut self) -> DurableSnapshot {
-        self.db.backend_mut().durable_snapshot()
+        self.fe.substrate.backend.durable_snapshot()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::EngineError;
+    use datacase_core::grounding::erasure::ErasureInterpretation;
     use datacase_core::purpose::well_known as wk;
+    use datacase_sim::time::Ts;
     use datacase_workloads::gdprbench::{GdprBench, Mix};
+    use datacase_workloads::opstream::MetaField;
+    use datacase_workloads::record::GdprMetadata;
 
     fn meta(subject: u32) -> GdprMetadata {
         GdprMetadata {
@@ -836,10 +486,11 @@ mod tests {
             }
             next = Some(r.audit.start + r.audit.records);
         }
-        assert_eq!(
-            next.unwrap() - 1,
-            rs.last().unwrap().audit.last().unwrap_or(next.unwrap() - 1)
-        );
+        let end = next.unwrap() - 1;
+        assert_eq!(end, rs.last().unwrap().audit.last().unwrap_or(end));
+        // Sequence numbers are the log's own record count: the last ref
+        // ends at the latest record the log holds.
+        assert_eq!(end, fe.audit_records() as u64);
     }
 
     #[test]

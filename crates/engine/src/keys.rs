@@ -1,0 +1,128 @@
+//! The key index: which unit each record key is bound to, and the two
+//! metadata indexes a `ReadByMeta` scan reads.
+//!
+//! Every entry follows from the creates (and planted derived copies) the
+//! engine executed, so the index is derived state: a restart can rebuild
+//! it instead of persisting it.
+
+use std::collections::{BTreeSet, HashMap};
+
+use datacase_core::ids::UnitId;
+use datacase_core::purpose::{well_known as wk, PurposeId};
+use datacase_core::tenant::KeyRange;
+use datacase_sim::time::Ts;
+use datacase_workloads::opstream::MetaSelector;
+
+/// Per-key bookkeeping the executor needs without touching the model.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct KeyMeta {
+    pub(crate) unit: UnitId,
+    pub(crate) subject: u32,
+    pub(crate) purpose: PurposeId,
+    pub(crate) ttl: Ts,
+}
+
+/// Key ↔ unit bindings plus the purpose and subject scan indexes.
+#[derive(Default)]
+pub(crate) struct KeyIndex {
+    meta: HashMap<u64, KeyMeta>,
+    unit_key: HashMap<UnitId, u64>,
+    // Ordered, so a metadata scan reads the same keys in the same order
+    // on every run (the simulated clock depends on which pages it hits).
+    by_purpose: HashMap<PurposeId, BTreeSet<u64>>,
+    by_subject: HashMap<u32, BTreeSet<u64>>,
+}
+
+impl KeyIndex {
+    /// The bookkeeping of `key`, if it was ever bound.
+    pub(crate) fn get(&self, key: u64) -> Option<KeyMeta> {
+        self.meta.get(&key).copied()
+    }
+
+    /// Number of bound keys.
+    pub(crate) fn len(&self) -> usize {
+        self.meta.len()
+    }
+
+    /// Unit id stored under a key.
+    pub(crate) fn unit_of(&self, key: u64) -> Option<UnitId> {
+        self.meta.get(&key).map(|m| m.unit)
+    }
+
+    /// Key a unit is stored under.
+    pub(crate) fn key_of(&self, unit: UnitId) -> Option<u64> {
+        self.unit_key.get(&unit).copied()
+    }
+
+    /// Bind a freshly created record: its key, its unit, and both scan
+    /// indexes.
+    pub(crate) fn insert(&mut self, key: u64, meta: KeyMeta) {
+        self.meta.insert(key, meta);
+        self.unit_key.insert(meta.unit, key);
+        self.by_purpose.entry(meta.purpose).or_default().insert(key);
+        self.by_subject.entry(meta.subject).or_default().insert(key);
+    }
+
+    /// Bind a heap key to a *derived* unit created through
+    /// `DatabaseState::derive`, so erasure cascades can find its row. A
+    /// derived copy belongs to no subject and no scan.
+    pub(crate) fn bind_derived(&mut self, unit: UnitId, key: u64) {
+        self.meta.insert(
+            key,
+            KeyMeta {
+                unit,
+                subject: u32::MAX,
+                purpose: wk::analytics(),
+                ttl: Ts::MAX,
+            },
+        );
+        self.unit_key.insert(unit, key);
+    }
+
+    /// Move a key's retention deadline.
+    pub(crate) fn set_ttl(&mut self, key: u64, ttl: Ts) {
+        if let Some(meta) = self.meta.get_mut(&key) {
+            meta.ttl = ttl;
+        }
+    }
+
+    /// A workload delete: the metadata scans forget the key. The binding
+    /// itself is deliberately kept — a real database does not know a key
+    /// is gone until it probes the index and heap, so post-delete reads
+    /// must pay that path (the Figure-4a mechanism).
+    pub(crate) fn unscan(&mut self, key: u64) {
+        let Some(meta) = self.meta.get(&key) else {
+            return;
+        };
+        if let Some(s) = self.by_purpose.get_mut(&meta.purpose) {
+            s.remove(&key);
+        }
+        if let Some(s) = self.by_subject.get_mut(&meta.subject) {
+            s.remove(&key);
+        }
+    }
+
+    /// The first `cap` keys matching `selector`, in key order, like an
+    /// index range scan. A scoped session only ever sees its own block of
+    /// the keyspace: candidates outside `scope` are filtered before the
+    /// cap, so another tenant's records are invisible even to metadata
+    /// probes.
+    pub(crate) fn scan(
+        &self,
+        selector: MetaSelector,
+        scope: Option<KeyRange>,
+        cap: usize,
+    ) -> Vec<u64> {
+        let matching = match selector {
+            MetaSelector::ByPurpose(p) => self.by_purpose.get(&p),
+            MetaSelector::BySubject(s) => self.by_subject.get(&s),
+        };
+        matching
+            .into_iter()
+            .flatten()
+            .copied()
+            .filter(|&key| scope.is_none_or(|r| r.contains(key)))
+            .take(cap)
+            .collect()
+    }
+}

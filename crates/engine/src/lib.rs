@@ -17,7 +17,7 @@
 //!   expensive.
 //!
 //! The **only public write path** is the [`frontend`] module: a
-//! [`Frontend`] owns the engine, a [`Session`] carries the authenticated
+//! [`Frontend`] is the engine, a [`Session`] carries the authenticated
 //! [`Actor`], declared purpose, and deadline, and typed [`Request`]s are
 //! submitted as [`Batch`]es — each answered with a [`Response`] whose
 //! outcome is `Result<Reply, EngineError>` plus an [`AuditRef`] into the
@@ -36,8 +36,15 @@
 //! [`EngineConfig::backend`](profiles::EngineConfig) — the full
 //! configuration space is `ProfileKind` × `DeleteStrategy` ×
 //! [`BackendKind`].
-
-mod db;
+//!
+//! Inside, the engine is cut along its state into three holders, each in
+//! its own module next to its methods: the **substrate** (backend, tuple
+//! key vault, audit logger, policy enforcer), the Data-CASE **model**
+//! (state, history, purpose and entity registries), and the **key
+//! index** binding record keys to units (derived state, rebuildable from
+//! the other two). Config, clock, meter and the two cadence counters sit
+//! on the [`Frontend`] itself. The per-request handlers share one module
+//! (`ops`), which execution (`exec`) drives.
 
 pub mod concurrent;
 pub mod driver;
@@ -45,20 +52,24 @@ pub mod erasure;
 pub mod error;
 mod exec;
 pub mod frontend;
+mod keys;
+mod model;
+mod ops;
 pub mod pia;
 pub mod profiles;
+mod request;
 pub mod space;
+mod substrate;
 pub mod sweeper;
 
 pub use concurrent::{
     merged_chain_head, shard_of, ConcurrentEngine, EngineHandle, SubmitStamp, Ticket,
 };
 pub use datacase_storage::backend::{BackendKind, BackendStats};
-pub use db::Actor;
 pub use driver::{run_ops, RunStats};
 pub use erasure::{probe, probe_on};
 pub use error::EngineError;
-pub use frontend::{AuditRef, Batch, Forensic, Frontend, Reply, Request, Response, Session};
+pub use frontend::{Actor, AuditRef, Batch, Forensic, Frontend, Reply, Request, Response, Session};
 pub use pia::{assess, certify, Certificate, PiaReport};
 pub use profiles::{DeleteStrategy, EngineConfig, ProfileKind};
 pub use space::SpaceReport;

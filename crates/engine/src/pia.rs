@@ -85,7 +85,7 @@ pub fn assess(config: &EngineConfig) -> PiaReport {
         | DeleteStrategy::DeleteVacuum
         | DeleteStrategy::DeleteVacuumFull => ErasureInterpretation::Deleted,
     };
-    let encrypted = config.tuple_encryption.is_some() || config.heap.disk_passphrase.is_some();
+    let encrypted = config.encryption_at_rest();
     let mut risks = Vec::new();
     if config.delete_strategy == DeleteStrategy::DeleteOnly {
         risks.push(Risk {
@@ -188,8 +188,8 @@ pub fn certify(frontend: &mut Frontend, regulation: &Regulation) -> Certificate 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::Actor;
-    use crate::frontend::Session;
+    use crate::frontend::{Actor, Session};
+    use datacase_storage::backend::BackendKind;
     use datacase_workloads::gdprbench::GdprBench;
 
     #[test]
@@ -207,6 +207,26 @@ mod tests {
         assert!(sys.risks.len() < base.risks.len());
         assert!(sys.acceptable_for(&Regulation::gdpr()));
         assert!(sys.logs_redacted_on_erase);
+    }
+
+    #[test]
+    fn luks_counts_as_encryption_at_rest_only_on_the_heap() {
+        // P_GBench's at-rest encryption is a heap disk feature: on the LSM
+        // the assessment must flag plaintext at rest, as the live
+        // checker's invariant VI does for the same configuration.
+        let heap = assess(&EngineConfig::p_gbench());
+        assert!(heap.encrypted_at_rest);
+        let lsm_config = EngineConfig::p_gbench().with_backend(BackendKind::Lsm);
+        let lsm = assess(&lsm_config);
+        assert!(!lsm.encrypted_at_rest);
+        assert!(!lsm.acceptable_for(&Regulation::gdpr()));
+        assert!(lsm.risks.iter().any(|r| r.title == "plaintext at rest"));
+
+        let mut fe = Frontend::new(lsm_config);
+        let mut bench = GdprBench::new(5, 50);
+        fe.submit_ops(&Session::new(Actor::Controller), &bench.load_phase(10));
+        let report = fe.compliance_report(&Regulation::gdpr());
+        assert!(!report.of_invariant("VI").is_empty());
     }
 
     #[test]

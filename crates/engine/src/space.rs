@@ -33,13 +33,13 @@ impl SpaceReport {
     ///
     /// [`BackendStats`]: datacase_storage::backend::BackendStats
     pub fn measure(frontend: &Frontend) -> SpaceReport {
-        let db = frontend.db();
-        let personal = db.state().personal_bytes();
-        let storage = db.backend_stats();
+        let personal = frontend.state().personal_bytes();
+        let storage = frontend.backend_stats();
+        let substrate = &frontend.substrate;
         SpaceReport {
             personal_bytes: personal,
-            policy_bytes: db.enforcer().metadata_bytes(),
-            log_bytes: db.logger().bytes(),
+            policy_bytes: substrate.enforcer.inner().metadata_bytes(),
+            log_bytes: substrate.logger.bytes(),
             index_bytes: storage.index_bytes,
             wal_bytes: storage.log_bytes,
             heap_overhead_bytes: storage.disk_bytes.saturating_sub(personal),
@@ -99,8 +99,7 @@ impl SpaceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::Actor;
-    use crate::frontend::Session;
+    use crate::frontend::{Actor, Session};
     use crate::profiles::{EngineConfig, ProfileKind};
     use datacase_workloads::gdprbench::GdprBench;
 

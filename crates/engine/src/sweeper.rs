@@ -12,6 +12,7 @@
 use datacase_core::grounding::erasure::ErasureInterpretation;
 use datacase_core::ids::UnitId;
 use datacase_core::purpose::well_known as wk;
+use datacase_core::unit::DataUnit;
 use datacase_sim::time::{Dur, Ts};
 
 use crate::erasure::erase_now;
@@ -55,42 +56,44 @@ impl SweepReport {
     }
 }
 
+/// A unit's retention deadline: the earliest `until` among its
+/// `compliance-erase` policies. `None` if no policy schedules its erasure.
+fn erase_deadline(unit: &DataUnit) -> Option<Ts> {
+    unit.policies
+        .records()
+        .iter()
+        .filter(|r| r.policy.purpose == wk::compliance_erase())
+        .map(|r| r.policy.until)
+        .min()
+}
+
 /// Find every personal unit whose earliest `compliance-erase` deadline is
 /// within `config.lead` of `now` (or past), and erase the live ones.
 pub fn sweep(frontend: &mut Frontend, config: SweeperConfig) -> SweepReport {
-    let db = frontend.db_mut();
-    let now = db.clock().now();
-    let horizon = now + config.lead;
+    let state = &frontend.model.state;
+    let horizon = frontend.clock.now() + config.lead;
     // Collect due units first (the erase mutates state).
     let mut due: Vec<(UnitId, bool)> = Vec::new();
-    for id in db.state().unit_ids_sorted() {
-        let unit = db.state().unit(id).expect("listed");
+    for id in state.unit_ids_sorted() {
+        let unit = state.unit(id).expect("listed");
         if !unit.is_personal() {
             continue;
         }
-        let deadline = unit
-            .policies
-            .records()
-            .iter()
-            .filter(|r| r.policy.purpose == wk::compliance_erase())
-            .map(|r| r.policy.until)
-            .min();
-        let Some(deadline) = deadline else { continue };
-        if deadline <= horizon {
+        if erase_deadline(unit).is_some_and(|deadline| deadline <= horizon) {
             due.push((id, unit.erasure.is_erased()));
         }
     }
     let mut report = SweepReport::default();
     // Retention erasure is the controller's duty; sweeps are attributed
     // to it in the action history.
-    let controller = db.controller();
+    let controller = frontend.model.controller;
     for (unit, already) in due {
         if already {
             report.already_erased += 1;
             continue;
         }
-        match db.key_of_unit(unit) {
-            Some(key) if erase_now(db, key, config.interpretation, controller) => {
+        match frontend.keys.key_of(unit) {
+            Some(key) if erase_now(frontend, key, config.interpretation, controller) => {
                 report.erased.push(unit);
             }
             _ => report.failed.push(unit),
@@ -103,35 +106,20 @@ pub fn sweep(frontend: &mut Frontend, config: SweeperConfig) -> SweepReport {
 /// deadline among live personal units, minus the lead. `None` if nothing
 /// is scheduled for erasure.
 pub fn next_due(frontend: &Frontend, config: SweeperConfig) -> Option<Ts> {
-    let db = frontend.db();
-    let mut earliest: Option<Ts> = None;
-    for id in db.state().unit_ids_sorted() {
-        let unit = db.state().unit(id).expect("listed");
-        if !unit.is_personal() || unit.erasure.is_erased() {
-            continue;
-        }
-        let deadline = unit
-            .policies
-            .records()
-            .iter()
-            .filter(|r| r.policy.purpose == wk::compliance_erase())
-            .map(|r| r.policy.until)
-            .min();
-        if let Some(d) = deadline {
-            earliest = Some(match earliest {
-                Some(e) => e.min(d),
-                None => d,
-            });
-        }
-    }
-    earliest.map(|d| Ts(d.0.saturating_sub(config.lead.0)))
+    frontend
+        .model
+        .state
+        .units()
+        .filter(|unit| unit.is_personal() && !unit.erasure.is_erased())
+        .filter_map(erase_deadline)
+        .min()
+        .map(|d| Ts(d.0.saturating_sub(config.lead.0)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::Actor;
-    use crate::frontend::{Request, Session};
+    use crate::frontend::{Actor, Request, Session};
     use crate::profiles::EngineConfig;
     use datacase_core::regulation::Regulation;
     use datacase_workloads::record::GdprMetadata;
