@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # datacase-audit
 //!
 //! Record keeping and accountability substrates (paper Figure 1's

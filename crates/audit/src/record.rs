@@ -136,7 +136,7 @@ impl HmacChain {
         for rec in records {
             fresh.extend(rec);
         }
-        fresh.links == self.links && fresh.head == self.head
+        fresh.links == self.links && datacase_crypto::ct_eq(&fresh.head, &self.head)
     }
 }
 

@@ -18,6 +18,8 @@
 //! with `--quick` it crashes at the first hit of each reachable point
 //! only.
 
+#![forbid(unsafe_code)]
+
 use datacase_bench::figures::{self, Scale};
 
 /// Every target, in the order `all` prints them.

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # datacase-bench
 //!
 //! The paper's record: the harness that regenerates every table and

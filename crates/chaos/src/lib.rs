@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # datacase-chaos
 //!
 //! Deterministic chaos harness for the Data-CASE reproduction: seeded

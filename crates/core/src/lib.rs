@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # datacase-core
 //!
 //! The Data-CASE model (paper §2–§3): a small set of data-processing

@@ -55,19 +55,6 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
     mac.finalize()
 }
 
-/// Constant-shape comparison of two MACs (length + bytes).
-pub fn verify(key: &[u8], data: &[u8], mac: &[u8]) -> bool {
-    let computed = hmac_sha256(key, data);
-    if mac.len() != computed.len() {
-        return false;
-    }
-    let mut diff = 0u8;
-    for (a, b) in computed.iter().zip(mac.iter()) {
-        diff |= a ^ b;
-    }
-    diff == 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,14 +115,5 @@ mod tests {
             mac.update(&msg[split..]);
             assert_eq!(mac.finalize(), hmac_sha256(b"chain-key", &msg), "{split}");
         }
-    }
-
-    #[test]
-    fn verify_accepts_and_rejects() {
-        let mac = hmac_sha256(b"k", b"msg");
-        assert!(verify(b"k", b"msg", &mac));
-        assert!(!verify(b"k", b"msg!", &mac));
-        assert!(!verify(b"k2", b"msg", &mac));
-        assert!(!verify(b"k", b"msg", &mac[..31]));
     }
 }

@@ -4,20 +4,30 @@
 //! implement PBKDF2-HMAC-SHA-256 (RFC 2898 / RFC 6070-style) with a small
 //! default iteration count since the derived keys only feed the simulator.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacSha256;
 
 /// PBKDF2-HMAC-SHA-256, producing `dk_len` bytes.
+///
+/// The password is keyed into one [`HmacSha256`] up front and cloned per
+/// iteration, so each iteration costs the two message compressions, not
+/// two more for re-absorbing the pads.
 pub fn pbkdf2_sha256(password: &[u8], salt: &[u8], iterations: u32, dk_len: usize) -> Vec<u8> {
     assert!(iterations > 0, "iterations must be positive");
+    let key = HmacSha256::new(password);
+    let mac = |parts: &[&[u8]]| {
+        let mut mac = key.clone();
+        for part in parts {
+            mac.update(part);
+        }
+        mac.finalize()
+    };
     let mut out = Vec::with_capacity(dk_len);
     let mut block_index: u32 = 1;
     while out.len() < dk_len {
-        let mut msg = salt.to_vec();
-        msg.extend_from_slice(&block_index.to_be_bytes());
-        let mut u = hmac_sha256(password, &msg);
+        let mut u = mac(&[salt, &block_index.to_be_bytes()]);
         let mut t = u;
         for _ in 1..iterations {
-            u = hmac_sha256(password, &u);
+            u = mac(&[&u]);
             for (ti, ui) in t.iter_mut().zip(u.iter()) {
                 *ti ^= ui;
             }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 //! # datacase-crypto
 //!
 //! From-scratch cryptographic primitives for the Data-CASE reproduction.
@@ -26,12 +27,14 @@
 //!
 //! Modules:
 //! * [`aes`] — AES-128/192/256 key expansion and the T-table encrypt rounds.
-//! * [`aesni`] — hardware AES via `std::arch` intrinsics; the crate's
-//!   only `unsafe`.
+//! * [`aesni`] — hardware AES via `std::arch` intrinsics.
+//! * [`shani`] — hardware SHA-256 via `std::arch` intrinsics, the lane
+//!   every [`Sha256`] resolves to where the host has SHA-NI.
 //! * [`backend`] — the `Auto`/`Software` selector.
 //! * [`ctr`] — AES-CTR stream mode used for tuple- and page-level encryption.
 //! * [`mod@reference`] — the byte-oriented test oracle, addressed by key.
-//! * [`sha256`] — SHA-256 digest.
+//! * [`sha256`] — SHA-256 digest; its scalar rounds are the fallback
+//!   lane and the oracle [`shani`] is tested against.
 //! * [`hmac`] — HMAC-SHA-256.
 //! * [`kdf`] — a LUKS-flavoured iterated-hash key-derivation shim.
 //! * [`vault`] — per-data-unit key vault enabling *crypto-erasure* (destroy
@@ -39,8 +42,12 @@
 //!   grounding of permanent deletion discussed in the paper's related work.
 //! * [`sector`] — sector/page encryption helper emulating LUKS-style
 //!   disk-layer encryption for the P_GBench profile.
+//!
+//! [`aesni`] and [`shani`] are the crate's only `unsafe`: the crate root
+//! denies `unsafe_code` and exactly these two modules allow it.
 
 pub mod aes;
+#[allow(unsafe_code)]
 pub mod aesni;
 pub mod backend;
 pub mod ctr;
@@ -49,6 +56,8 @@ pub mod kdf;
 pub mod reference;
 pub mod sector;
 pub mod sha256;
+#[allow(unsafe_code)]
+pub mod shani;
 pub mod vault;
 
 pub use aes::{Aes, KeySize};

@@ -1,6 +1,10 @@
 //! SHA-256 (FIPS-180-4).
 
-const K: [u32; 64] = [
+use crate::shani::ShaNi;
+
+/// The round constants, `pub(crate)` so the hardware lane reads the same
+/// table.
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -16,12 +20,17 @@ const H0: [u32; 8] = [
 ];
 
 /// Incremental SHA-256 hasher.
+///
+/// Runs on the SHA-NI lane ([`ShaNi`]) where the host has it and on the
+/// scalar rounds elsewhere; the lane is resolved once, in
+/// [`new`](Sha256::new), and the digests are identical either way.
 #[derive(Clone, Debug)]
 pub struct Sha256 {
     state: [u32; 8],
     buffer: [u8; 64],
     buffered: usize,
     length_bits: u64,
+    lane: Option<ShaNi>,
 }
 
 impl Default for Sha256 {
@@ -33,11 +42,16 @@ impl Default for Sha256 {
 impl Sha256 {
     /// A fresh hasher.
     pub fn new() -> Sha256 {
+        Sha256::on_lane(ShaNi::detect())
+    }
+
+    fn on_lane(lane: Option<ShaNi>) -> Sha256 {
         Sha256 {
             state: H0,
             buffer: [0u8; 64],
             buffered: 0,
             length_bits: 0,
+            lane,
         }
     }
 
@@ -58,89 +72,91 @@ impl Sha256 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
             self.buffered += take;
             data = &data[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            compress_blocks(self.lane, &mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        while data.len() >= 64 {
-            let block: [u8; 64] = data[..64].try_into().expect("64 bytes");
-            self.compress(&block);
-            data = &data[64..];
+        let (whole, tail) = data.split_at(data.len() / 64 * 64);
+        if !whole.is_empty() {
+            compress_blocks(self.lane, &mut self.state, whole);
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffered = data.len();
-        }
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
     }
 
     /// Finish and produce the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
-        let len_bits = self.length_bits;
         // Append 0x80, pad with zeros to 56 mod 64, then the 64-bit length.
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        let pad_len = if self.buffered < 56 {
-            56 - self.buffered
-        } else {
-            120 - self.buffered
-        };
-        self.update(&pad[..pad_len]);
-        // update() changed length_bits; we only care about the block flush.
-        debug_assert_eq!(self.buffered, 56);
-        let mut block = self.buffer;
-        block[56..64].copy_from_slice(&len_bits.to_be_bytes());
-        self.compress(&block.clone());
+        let n = self.buffered;
+        self.buffer[n] = 0x80;
+        self.buffer[n + 1..].fill(0);
+        if n >= 56 {
+            compress_blocks(self.lane, &mut self.state, &self.buffer);
+            self.buffer = [0u8; 64];
+        }
+        self.buffer[56..].copy_from_slice(&self.length_bits.to_be_bytes());
+        compress_blocks(self.lane, &mut self.state, &self.buffer);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("4 bytes"));
+/// Every 64-byte block of `blocks` through `lane`, or through the scalar
+/// [`compress`] when there is none.
+fn compress_blocks(lane: Option<ShaNi>, state: &mut [u32; 8], blocks: &[u8]) {
+    match lane {
+        Some(hw) => hw.compress_blocks(state, blocks),
+        None => {
+            for block in blocks.chunks_exact(64) {
+                compress(state, block.try_into().expect("64 bytes"));
+            }
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    }
+}
+
+/// The FIPS-180-4 compression function, one block: the fallback lane, and
+/// the oracle the hardware lane is tested against.
+pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for i in 0..16 {
+        w[i] = u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("4 bytes"));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -230,5 +246,28 @@ mod tests {
             h.update(&data[split..]);
             proptest::prop_assert_eq!(h.finalize(), Sha256::digest(&data));
         }
+
+        /// Lane equivalence: the resolved lane, fed in random splits,
+        /// equals a scalar-only hasher fed in one piece.
+        #[test]
+        fn resolved_lane_matches_scalar(data in proptest::collection::vec(0u8..=255, 0..2048),
+                                        cuts in proptest::collection::vec(0usize..2048, 0..6)) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+            cuts.sort_unstable();
+            let mut h = Sha256::new();
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([data.len()]) {
+                h.update(&data[at..cut]);
+                at = cut;
+            }
+            let mut scalar = Sha256::on_lane(None);
+            scalar.update(&data);
+            proptest::prop_assert_eq!(h.finalize(), scalar.finalize());
+        }
+    }
+
+    #[test]
+    fn lane_resolves_to_scalar_without_sha_ni() {
+        assert_eq!(Sha256::new().lane.is_some(), crate::shani::available());
     }
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # datacase-engine
 //!
 //! The compliant engine: the paper's three GDPR-compliance profiles

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # datacase-policy
 //!
 //! The three policy-enforcement substrates behind the paper's compliance

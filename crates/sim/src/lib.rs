@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # datacase-sim
 //!
 //! Deterministic simulation substrate for the Data-CASE reproduction.

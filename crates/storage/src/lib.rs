@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # datacase-storage
 //!
 //! The storage substrates of the Data-CASE reproduction — everything the

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # datacase-workloads
 //!
 //! The benchmark workloads of the paper's evaluation (§4):

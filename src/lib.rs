@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # data-case
 //!
 //! Umbrella crate for the Data-CASE reproduction (EDBT 2024,
