@@ -3,12 +3,11 @@
 use datacase_core::checker::ComplianceReport;
 use datacase_core::grounding::erasure::ErasureInterpretation;
 use datacase_core::grounding::properties::ErasureProperties;
-use datacase_core::grounding::table::{Backend, GroundingTable};
 use datacase_core::invariants::full_catalog;
 use datacase_core::regulation::Regulation;
 use datacase_core::timeline::ErasureTimeline;
 use datacase_engine::driver::{run_ops, RunStats};
-use datacase_engine::erasure::probe;
+use datacase_engine::erasure::{describe, probe, probe_config};
 use datacase_engine::frontend::{Batch, Frontend, Request, Session};
 use datacase_engine::profiles::{DeleteStrategy, EngineConfig, ProfileKind};
 use datacase_engine::space::SpaceReport;
@@ -359,9 +358,10 @@ pub fn backend_matrix(scale: Scale) -> Table {
 // the system-action plans.
 // ---------------------------------------------------------------------
 
-/// Table 1: the grounding table plus empirical property probes.
+/// Table 1: empirical property probes plus the erasure plan the probed
+/// configuration executes on the heap.
 pub fn table1() -> Table {
-    let groundings = GroundingTable::standard();
+    let config = probe_config(BackendKind::Heap);
     let mut table = Table::new(
         "Table 1 — interpretations of erasure (expected vs measured)",
         &[
@@ -377,16 +377,12 @@ pub fn table1() -> Table {
         let measured = probe(interp);
         let e = expected.cells();
         let m = measured.measured.cells();
-        let plan = groundings
-            .plan(Backend::Heap, interp)
-            .map(|p| p.describe())
-            .unwrap_or_else(|| "ungrounded".into());
         table.row(vec![
             interp.label().into(),
             format!("{}/{}", e[0], m[0]),
             format!("{}/{}", e[1], m[1]),
             format!("{}/{}", e[2], m[2]),
-            plan,
+            describe(&config, interp),
         ]);
     }
     table

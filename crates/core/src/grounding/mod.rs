@@ -4,15 +4,15 @@
 //! The paper works erasure end to end; this module does the same:
 //! * [`erasure`] — the four interpretations and their restrictiveness order;
 //! * [`properties`] — the three characterising properties (IR, II, Inv) and
-//!   the expected matrix of Table 1;
-//! * [`table`] — per-backend system-action plans implementing each
-//!   interpretation (Table 1's last column), for the PostgreSQL-style heap,
-//!   the LSM backend, and the crypto-erasure alternative.
+//!   the expected matrix of Table 1.
+//!
+//! The last step, interpretation → system-actions (Table 1's last column),
+//! is system dependent, so it lives with the system: the engine's
+//! `datacase_engine::erasure::plan` maps each interpretation to the steps
+//! a configured engine executes on its backend.
 
 pub mod erasure;
 pub mod properties;
-pub mod table;
 
 pub use erasure::ErasureInterpretation;
 pub use properties::{ErasureProperties, PropertyProbe};
-pub use table::{Backend, GroundingTable, SystemAction, SystemActionPlan};

@@ -25,9 +25,11 @@
 //! over a [`state::DatabaseState`] + [`history::ActionHistory`].
 //!
 //! Grounding (paper §3): [`grounding`] defines the four erasure
-//! interpretations, their restrictiveness order, the IR/II/Inv property
-//! matrix of Table 1, and the mapping to per-backend system-action plans.
-//! [`timeline`] reproduces Figure 3's erasure timeline.
+//! interpretations, their restrictiveness order and the IR/II/Inv
+//! property matrix of Table 1. The mapping to system-action plans is
+//! system dependent and lives with the engine
+//! (`datacase_engine::erasure::plan`). [`timeline`] reproduces Figure 3's
+//! erasure timeline.
 
 pub mod action;
 pub mod checker;

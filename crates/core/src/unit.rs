@@ -63,6 +63,20 @@ pub enum ErasureStatus {
 }
 
 impl ErasureStatus {
+    /// The status an erasure under `interp` leaves, effective `since`.
+    pub fn of(interp: ErasureInterpretation, since: Ts) -> ErasureStatus {
+        match interp {
+            ErasureInterpretation::ReversiblyInaccessible => {
+                ErasureStatus::ReversiblyInaccessible { since }
+            }
+            ErasureInterpretation::Deleted => ErasureStatus::Deleted { since },
+            ErasureInterpretation::StronglyDeleted => ErasureStatus::StronglyDeleted { since },
+            ErasureInterpretation::PermanentlyDeleted => {
+                ErasureStatus::PermanentlyDeleted { since }
+            }
+        }
+    }
+
     /// Restrictiveness rank: Active=0 … PermanentlyDeleted=4. Mirrors the
     /// ordering of interpretations (strong delete ⇒ delete, paper §3.1).
     pub fn rank(self) -> u8 {
@@ -276,6 +290,15 @@ mod tests {
             ErasureStatus::StronglyDeleted { since: t(0) }.rank()
                 < ErasureStatus::PermanentlyDeleted { since: t(0) }.rank()
         );
+    }
+
+    #[test]
+    fn status_of_an_interpretation_has_its_rank() {
+        for interp in ErasureInterpretation::ALL {
+            let s = ErasureStatus::of(interp, t(7));
+            assert_eq!(s.rank(), interp.rank());
+            assert_eq!(s.since(), Some(t(7)));
+        }
     }
 
     #[test]

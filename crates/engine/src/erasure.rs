@@ -1,15 +1,23 @@
-//! The erasure executor: grounded interpretations → system-action plans,
-//! executed immediately (the compliance path, as opposed to the workload
-//! path's periodic maintenance).
+//! The erasure executor: the one mapping from grounded interpretations to
+//! system-actions (paper Figure 2 step ③, Table 1's last column), and the
+//! loop that runs it immediately (the compliance path, as opposed to the
+//! workload path's periodic maintenance).
 //!
-//! This is step ③ of Figure 2 made concrete: each
-//! [`ErasureInterpretation`] maps to a
-//! [`StorageBackend`] plan of
-//! Table 1 — heap mechanics (hide / DELETE+VACUUM / VACUUM FULL / WAL
-//! scrub + sanitise) or LSM mechanics (flagged version / tombstone+flush /
-//! compaction / run purge) — and after execution the [`probe`] verifies
-//! the IR / II / Inv properties *empirically* against the forensic
-//! scanner and the provenance graph, on either backend.
+//! [`plan`] maps an [`ErasureInterpretation`] under an [`EngineConfig`]
+//! to an ordered list of [`Step`]s. The mapping is system dependent, as
+//! the paper says: a step names one [`StorageBackend`] hook (or the
+//! audit logger / key vault) and renders per backend — heap mechanics
+//! (hidden attribute / DELETE / VACUUM / VACUUM FULL / WAL scrub /
+//! sanitise) or LSM mechanics (flagged version / tombstone / memtable
+//! flush / compaction / run purge). [`describe`] renders a plan as
+//! Table 1 prints it.
+//!
+//! `erase_now` executes exactly that plan: it loops over the steps in
+//! order, then revokes consent and records the erasure in the model. No
+//! other code decides which backend calls an interpretation makes, so the
+//! plan a report declares is the plan that runs. After execution the
+//! [`probe`] verifies the IR / II / Inv properties *empirically* against
+//! the forensic scanner and the provenance graph, on either backend.
 //!
 //! The executor itself is crate-internal: callers reach it through
 //! [`Request::Erase`](crate::frontend::Request::Erase) and
@@ -26,14 +34,102 @@ use datacase_sim::fault::CrashPoint;
 use datacase_storage::backend::{BackendKind, MaintenanceDepth, StorageBackend};
 
 use crate::frontend::Frontend;
+use crate::profiles::EngineConfig;
 
-/// Execute the full system-action plan for `interp` on the unit stored at
-/// `key`, immediately (right-to-erasure handling, Table 1 row). The
-/// erase is attributed to `entity` in the action history — the actor the
-/// frontend authenticated (or the controller, for sweeper-initiated
-/// retention erasure).
+/// One system-action of an erasure [`plan`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// Set the row's hidden attribute ([`StorageBackend::set_hidden`]).
+    Hide,
+    /// Logically delete the row ([`StorageBackend::delete`]). A no-op on
+    /// a unit already deleted (rank ≥ 2), so an erasure can escalate.
+    Delete,
+    /// Delete the identifying derived units the provenance graph names.
+    Cascade,
+    /// A maintenance pass ([`StorageBackend::maintain`]).
+    Maintain(MaintenanceDepth),
+    /// Purge the retained copies of the unit and its cascaded
+    /// descendants: [`StorageBackend::purge_unit`] plus the audit
+    /// logger's redaction.
+    PurgeLogs,
+    /// Multi-pass overwrite of drive remanence ([`StorageBackend::sanitize`]).
+    Sanitize,
+    /// Destroy the per-unit tuple keys of the unit and its cascaded
+    /// descendants (crypto-erasure).
+    DestroyKey,
+}
+
+impl Step {
+    /// The system-action this step is on `backend`, as Table 1 names it.
+    pub fn label(self, backend: BackendKind) -> &'static str {
+        use BackendKind::{Heap, Lsm};
+        use MaintenanceDepth::{Full, Lazy};
+        match (self, backend) {
+            (Step::Hide, _) => "ADD/SET hidden attribute",
+            (Step::Delete, Heap) => "DELETE",
+            (Step::Delete, Lsm) => "INSERT tombstone",
+            (Step::Cascade, _) => "CASCADE to identifying derived units",
+            (Step::Maintain(Lazy), Heap) => "VACUUM",
+            (Step::Maintain(Lazy), Lsm) => "FLUSH memtable",
+            (Step::Maintain(Full), Heap) => "VACUUM FULL",
+            (Step::Maintain(Full), Lsm) => "FORCE compaction",
+            (Step::PurgeLogs, Heap) => "DELETE unit's logs",
+            (Step::PurgeLogs, Lsm) => "DELETE unit's logs (run rewrite)",
+            (Step::Sanitize, _) => "SANITIZE (multi-pass overwrite)",
+            (Step::DestroyKey, _) => "DESTROY per-unit key",
+        }
+    }
+}
+
+/// The system-action plan grounding `interp` on an engine built from
+/// `config`, in execution order. `Sanitize` appears only on the heap (the
+/// LSM has no sub-run remanence) and `DestroyKey` only when tuple
+/// encryption is on (there is no key otherwise).
+pub fn plan(config: &EngineConfig, interp: ErasureInterpretation) -> Vec<Step> {
+    use MaintenanceDepth::{Full, Lazy};
+    let mut steps = match interp {
+        ErasureInterpretation::ReversiblyInaccessible => return vec![Step::Hide],
+        ErasureInterpretation::Deleted => return vec![Step::Delete, Step::Maintain(Lazy)],
+        ErasureInterpretation::StronglyDeleted | ErasureInterpretation::PermanentlyDeleted => {
+            vec![Step::Delete, Step::Cascade, Step::Maintain(Full)]
+        }
+    };
+    if interp == ErasureInterpretation::PermanentlyDeleted {
+        steps.push(Step::PurgeLogs);
+        if config.backend == BackendKind::Heap {
+            steps.push(Step::Sanitize);
+        }
+        if config.tuple_encryption.is_some() {
+            steps.push(Step::DestroyKey);
+        }
+    }
+    steps
+}
+
+/// Table 1's system-action column: [`plan`] rendered for the configured
+/// backend. Permanent deletion is marked as a retrofit — the paper notes
+/// stock PostgreSQL does not support it.
+pub fn describe(config: &EngineConfig, interp: ErasureInterpretation) -> String {
+    let joined = plan(config, interp)
+        .iter()
+        .map(|step| step.label(config.backend))
+        .collect::<Vec<_>>()
+        .join(" + ");
+    if interp == ErasureInterpretation::PermanentlyDeleted {
+        format!("{joined} (requires retrofit)")
+    } else {
+        joined
+    }
+}
+
+/// Execute the [`plan`] for `interp` on the unit stored at `key`,
+/// immediately (right-to-erasure handling, Table 1 row). The erase is
+/// attributed to `entity` in the action history — the actor the frontend
+/// authenticated (or the controller, for sweeper-initiated retention
+/// erasure).
 ///
-/// Returns false if the key is unknown.
+/// Returns false if the key is unknown or its row cannot be hidden or
+/// deleted.
 pub(crate) fn erase_now(
     fe: &mut Frontend,
     key: u64,
@@ -44,6 +140,7 @@ pub(crate) fn erase_now(
         return false;
     };
     let now = fe.clock.now();
+    let steps = plan(&fe.config, interp);
     let Frontend {
         config,
         substrate,
@@ -61,92 +158,72 @@ pub(crate) fn erase_now(
         .map(|u| u.erasure.rank())
         .unwrap_or(0);
 
-    // Cascade first (strong/permanent): identifying descendants go too.
+    let backend: &mut dyn StorageBackend = substrate.backend.as_mut();
     let mut descendants = Vec::new();
-    if interp.implies(ErasureInterpretation::StronglyDeleted) {
-        descendants = model.state.provenance().identifying_descendants(unit);
-        for &d in &descendants {
-            if let Some(dkey) = keys.key_of(d) {
-                let _ = substrate.backend.delete(dkey);
+    for step in steps {
+        match step {
+            Step::Hide => {
+                if backend.set_hidden(key, true).is_err() {
+                    return false;
+                }
             }
-            let at = clock.now();
-            let already = model
-                .state
-                .unit(d)
-                .map(|u| u.erasure.rank() >= 2)
-                .unwrap_or(true);
-            if !already {
-                model
-                    .state
-                    .mark_erased(d, ErasureStatus::Deleted { since: at }, at);
-                model.record(
-                    d,
-                    wk::compliance_erase(),
-                    model.controller,
-                    Action::Erase(ErasureInterpretation::Deleted),
-                    at,
-                );
+            Step::Delete => {
+                // The row is already physically gone or dead from rank 2
+                // on; a reversibly-inaccessible (rank 1) row still exists
+                // on the backend and is deleted like a live one.
+                if already_rank < 2 && backend.delete(key).is_err() {
+                    return false;
+                }
+            }
+            Step::Cascade => {
+                descendants = model.state.provenance().identifying_descendants(unit);
+                for &d in &descendants {
+                    if let Some(dkey) = keys.key_of(d) {
+                        let _ = backend.delete(dkey);
+                    }
+                    let at = clock.now();
+                    let already = model
+                        .state
+                        .unit(d)
+                        .map(|u| u.erasure.rank() >= 2)
+                        .unwrap_or(true);
+                    if !already {
+                        model
+                            .state
+                            .mark_erased(d, ErasureStatus::Deleted { since: at }, at);
+                        model.record(
+                            d,
+                            wk::compliance_erase(),
+                            model.controller,
+                            Action::Erase(ErasureInterpretation::Deleted),
+                            at,
+                        );
+                    }
+                }
+            }
+            Step::Maintain(depth) => {
+                backend.maintain(depth);
+            }
+            Step::PurgeLogs => {
+                for &u in std::iter::once(&unit).chain(&descendants) {
+                    backend.purge_unit(u.0);
+                    substrate.logger.redact_unit(u);
+                }
+            }
+            Step::Sanitize => backend.sanitize(3),
+            Step::DestroyKey => {
+                // Chaos tap: crash between purging the unit's rows/logs
+                // and destroying its key — recovery must still converge
+                // to zero residuals under crypto-erasure.
+                config.fault.hit(CrashPoint::DestroyKey);
+                if let Some(vault) = &mut substrate.vault {
+                    for &u in std::iter::once(&unit).chain(&descendants) {
+                        vault.destroy_key(u.0);
+                    }
+                }
             }
         }
     }
-
-    let remove_row = |backend: &mut dyn StorageBackend| -> bool {
-        // The row is already physically gone or dead from rank 2 on; a
-        // reversibly-inaccessible (rank 1) row still exists on the
-        // backend and is deleted like a live one.
-        already_rank >= 2 || backend.delete(key).is_ok()
-    };
-
-    let backend = substrate.backend.as_mut();
-    let status = match interp {
-        ErasureInterpretation::ReversiblyInaccessible => {
-            if backend.set_hidden(key, true).is_err() {
-                return false;
-            }
-            ErasureStatus::ReversiblyInaccessible { since: now }
-        }
-        ErasureInterpretation::Deleted => {
-            if !remove_row(backend) {
-                return false;
-            }
-            backend.maintain(MaintenanceDepth::Lazy);
-            ErasureStatus::Deleted { since: now }
-        }
-        ErasureInterpretation::StronglyDeleted => {
-            if !remove_row(backend) {
-                return false;
-            }
-            backend.maintain(MaintenanceDepth::Full);
-            ErasureStatus::StronglyDeleted { since: now }
-        }
-        ErasureInterpretation::PermanentlyDeleted => {
-            if !remove_row(backend) {
-                return false;
-            }
-            backend.maintain(MaintenanceDepth::Full);
-            backend.purge_unit(unit.0);
-            substrate.logger.redact_unit(unit);
-            // Descendants erased by the cascade get their retained log
-            // copies purged too — permanent deletion leaves no trail of
-            // the subject in any log-shaped layer.
-            for &d in &descendants {
-                backend.purge_unit(d.0);
-                substrate.logger.redact_unit(d);
-            }
-            backend.sanitize(3);
-            // Chaos tap: crash between purging the unit's rows/logs and
-            // destroying its key — recovery must still converge to zero
-            // residuals under crypto-erasure.
-            config.fault.hit(CrashPoint::DestroyKey);
-            if let Some(vault) = &mut substrate.vault {
-                vault.destroy_key(unit.0);
-                for &d in &descendants {
-                    vault.destroy_key(d.0);
-                }
-            }
-            ErasureStatus::PermanentlyDeleted { since: now }
-        }
-    };
 
     // Consent is withdrawn wholesale with the erasure request.
     let at = clock.now();
@@ -155,7 +232,9 @@ pub(crate) fn erase_now(
     }
     // Revocation through the versioned enforcer bumps the policy epoch.
     substrate.enforcer.revoke_all(unit, at);
-    model.state.mark_erased(unit, status, at);
+    model
+        .state
+        .mark_erased(unit, ErasureStatus::of(interp, now), at);
     model.record(
         unit,
         wk::compliance_erase(),
@@ -218,6 +297,15 @@ pub fn probe(interp: ErasureInterpretation) -> PropertyProbe {
     probe_on(BackendKind::Heap, interp)
 }
 
+/// The configuration the probes run: P_SYS over `backend` with
+/// stock-engine-like plaintext tuple storage. Table 1's system-action
+/// column is [`describe`]d for it on the heap.
+pub fn probe_config(backend: BackendKind) -> EngineConfig {
+    let mut config = EngineConfig::p_sys().with_backend(backend);
+    config.tuple_encryption = None;
+    config
+}
+
 /// [`probe`] over a chosen storage substrate: the paper's claim that the
 /// grounded properties hold *independently of the underlying system*,
 /// measured per backend.
@@ -225,9 +313,7 @@ pub fn probe_on(backend: BackendKind, interp: ErasureInterpretation) -> Property
     use crate::frontend::{Actor, Reply, Request, Session};
     use datacase_workloads::record::GdprMetadata;
 
-    let mut config = crate::profiles::EngineConfig::p_sys().with_backend(backend);
-    config.tuple_encryption = None; // stock-engine-like storage for the probe
-    let mut fe = Frontend::new(config);
+    let mut fe = Frontend::new(probe_config(backend));
     let controller = Session::new(Actor::Controller);
 
     let payload = b"PROBE-SENSITIVE-PAYLOAD-0001".to_vec();
@@ -340,6 +426,25 @@ mod tests {
     use datacase_core::grounding::properties::ErasureProperties;
     use datacase_workloads::record::GdprMetadata;
 
+    fn create(fe: &mut Frontend, key: u64, payload: &[u8]) {
+        let metadata = GdprMetadata {
+            subject: 1,
+            purpose: wk::smart_space(),
+            ttl: datacase_sim::time::Ts::from_secs(1_000_000),
+            origin_device: 0,
+            objects_to_sharing: false,
+        };
+        let created = fe.run(
+            &Session::new(Actor::Controller),
+            Request::Create {
+                key,
+                payload: payload.to_vec(),
+                metadata,
+            },
+        );
+        assert!(created.is_done());
+    }
+
     fn erase(fe: &mut Frontend, key: u64, interp: ErasureInterpretation) -> bool {
         fe.run(
             &Session::new(Actor::Controller),
@@ -368,25 +473,104 @@ mod tests {
     }
 
     #[test]
-    fn permanent_delete_clears_all_forensic_layers() {
-        let mut config = crate::profiles::EngineConfig::p_sys();
-        config.tuple_encryption = None;
-        let mut fe = Frontend::new(config);
-        let meta = GdprMetadata {
-            subject: 1,
-            purpose: wk::smart_space(),
-            ttl: datacase_sim::time::Ts::from_secs(1_000_000),
-            origin_device: 0,
-            objects_to_sharing: false,
-        };
-        fe.run(
-            &Session::new(Actor::Controller),
-            Request::Create {
-                key: 9,
-                payload: b"PERMANENT-TARGET-XYZ".to_vec(),
-                metadata: meta,
-            },
+    fn paper_heap_column_is_the_probe_plan() {
+        let config = probe_config(BackendKind::Heap);
+        assert_eq!(
+            describe(&config, ErasureInterpretation::ReversiblyInaccessible),
+            "ADD/SET hidden attribute"
         );
+        assert_eq!(
+            describe(&config, ErasureInterpretation::Deleted),
+            "DELETE + VACUUM"
+        );
+        assert_eq!(
+            describe(&config, ErasureInterpretation::StronglyDeleted),
+            "DELETE + CASCADE to identifying derived units + VACUUM FULL"
+        );
+        // Paper: "permanently delete: Not supported" in stock PSQL — the
+        // engine retrofits it with log deletion and a sanitisation pass.
+        assert_eq!(
+            describe(&config, ErasureInterpretation::PermanentlyDeleted),
+            "DELETE + CASCADE to identifying derived units + VACUUM FULL + \
+             DELETE unit's logs + SANITIZE (multi-pass overwrite) (requires retrofit)"
+        );
+    }
+
+    #[test]
+    fn lsm_plans_use_tombstones_and_never_sanitize() {
+        let config = probe_config(BackendKind::Lsm);
+        assert_eq!(
+            describe(&config, ErasureInterpretation::Deleted),
+            "INSERT tombstone + FLUSH memtable"
+        );
+        assert!(
+            describe(&config, ErasureInterpretation::StronglyDeleted).ends_with("FORCE compaction")
+        );
+        assert!(!plan(&config, ErasureInterpretation::PermanentlyDeleted).contains(&Step::Sanitize));
+    }
+
+    #[test]
+    fn only_permanent_deletion_destroys_keys_and_only_when_encrypted() {
+        for backend in BackendKind::ALL {
+            let encrypted = EngineConfig::p_sys().with_backend(backend);
+            let plaintext = probe_config(backend);
+            for interp in ErasureInterpretation::ALL {
+                let permanent = interp == ErasureInterpretation::PermanentlyDeleted;
+                assert_eq!(
+                    plan(&encrypted, interp).contains(&Step::DestroyKey),
+                    permanent
+                );
+                assert!(!plan(&plaintext, interp).contains(&Step::DestroyKey));
+            }
+        }
+    }
+
+    /// The plan a report declares is the plan that runs: every step with a
+    /// crash tap is reached exactly when the plan holds it, for every
+    /// backend × interpretation × tuple-encryption cell.
+    #[test]
+    fn declared_plan_is_the_executed_plan() {
+        for backend in BackendKind::ALL {
+            for encrypted in [false, true] {
+                for interp in ErasureInterpretation::ALL {
+                    let fault = datacase_sim::fault::FaultInjector::counting();
+                    let mut config = probe_config(backend).with_fault(fault.clone());
+                    if encrypted {
+                        config.tuple_encryption = EngineConfig::p_sys().tuple_encryption;
+                    }
+                    let steps = plan(&config, interp);
+                    let mut fe = Frontend::new(config);
+                    create(&mut fe, 1, b"PLAN-TARGET");
+                    // One create reaches none of the three taps below.
+                    assert!(erase(&mut fe, 1, interp));
+                    let reached = |point: CrashPoint| fault.count(point) > 0;
+                    let cell = format!("{backend:?}/{interp}/encrypted={encrypted}: {steps:?}");
+                    assert_eq!(
+                        reached(CrashPoint::PurgeUnit),
+                        steps.contains(&Step::PurgeLogs),
+                        "purge-unit, {cell}"
+                    );
+                    assert_eq!(
+                        reached(CrashPoint::DestroyKey),
+                        steps.contains(&Step::DestroyKey),
+                        "destroy-key, {cell}"
+                    );
+                    if backend == BackendKind::Lsm {
+                        assert_eq!(
+                            reached(CrashPoint::Compaction),
+                            steps.contains(&Step::Maintain(MaintenanceDepth::Full)),
+                            "compaction, {cell}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn permanent_delete_clears_all_forensic_layers() {
+        let mut fe = Frontend::new(probe_config(BackendKind::Heap));
+        create(&mut fe, 9, b"PERMANENT-TARGET-XYZ");
         assert!(erase(&mut fe, 9, ErasureInterpretation::PermanentlyDeleted));
         let f = fe.forensic().scan(b"PERMANENT-TARGET-XYZ");
         assert!(!f.any(), "residuals: {}", f.describe());
@@ -394,22 +578,8 @@ mod tests {
 
     #[test]
     fn reversible_then_restore_roundtrip() {
-        let mut fe = Frontend::new(crate::profiles::EngineConfig::p_base());
-        let meta = GdprMetadata {
-            subject: 2,
-            purpose: wk::billing(),
-            ttl: datacase_sim::time::Ts::from_secs(1_000_000),
-            origin_device: 0,
-            objects_to_sharing: false,
-        };
-        fe.run(
-            &Session::new(Actor::Controller),
-            Request::Create {
-                key: 3,
-                payload: vec![1, 2, 3],
-                metadata: meta,
-            },
-        );
+        let mut fe = Frontend::new(EngineConfig::p_base());
+        create(&mut fe, 3, &[1, 2, 3]);
         assert!(erase(
             &mut fe,
             3,
@@ -430,24 +600,8 @@ mod tests {
 
     #[test]
     fn strong_delete_cascades_to_identifying_derived() {
-        let mut config = crate::profiles::EngineConfig::p_sys();
-        config.tuple_encryption = None;
-        let mut fe = Frontend::new(config);
-        let meta = GdprMetadata {
-            subject: 5,
-            purpose: wk::analytics(),
-            ttl: datacase_sim::time::Ts::from_secs(1_000_000),
-            origin_device: 0,
-            objects_to_sharing: false,
-        };
-        fe.run(
-            &Session::new(Actor::Controller),
-            Request::Create {
-                key: 1,
-                payload: b"base-data".to_vec(),
-                metadata: meta,
-            },
-        );
+        let mut fe = Frontend::new(probe_config(BackendKind::Heap));
+        create(&mut fe, 1, b"base-data");
         let unit = fe.unit_of_key(1).unwrap();
         let derived = fe
             .forensic()

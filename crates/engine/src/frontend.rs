@@ -214,11 +214,6 @@ impl Frontend {
         self.keys.unit_of(key)
     }
 
-    /// Key a unit is stored under.
-    pub fn key_of_unit(&self, unit: UnitId) -> Option<u64> {
-        self.keys.key_of(unit)
-    }
-
     /// Backend statistics on the substrate-independent vocabulary.
     pub fn backend_stats(&self) -> BackendStats {
         self.substrate.backend.stats()

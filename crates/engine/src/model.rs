@@ -18,7 +18,6 @@ use datacase_core::purpose::{well_known as wk, PurposeId, PurposeRegistry};
 use datacase_core::regulation::Regulation;
 use datacase_core::state::DatabaseState;
 use datacase_core::tenant::{TenantDirectory, TenantId};
-use datacase_core::unit::ErasureStatus;
 use datacase_policy::enforcer::VersionedEnforcer;
 use datacase_sim::time::Ts;
 
@@ -108,13 +107,7 @@ impl Model {
 
     /// When the unit left the live state, if it did.
     pub(crate) fn erased_since(&self, unit: UnitId) -> Option<Ts> {
-        match self.state.unit(unit)?.erasure {
-            ErasureStatus::Active => None,
-            ErasureStatus::ReversiblyInaccessible { since }
-            | ErasureStatus::Deleted { since }
-            | ErasureStatus::StronglyDeleted { since }
-            | ErasureStatus::PermanentlyDeleted { since } => Some(since),
-        }
+        self.state.unit(unit)?.erasure.since()
     }
 
     /// Run the compliance checker against the model at `now`.

@@ -14,14 +14,12 @@ use datacase_core::unit::{ErasureStatus, Origin};
 use datacase_core::value::Value;
 use datacase_sim::time::Ts;
 use datacase_sim::Meter;
-use datacase_storage::backend::MaintenanceDepth;
 use datacase_workloads::opstream::{MetaField, MetaSelector};
 use datacase_workloads::record::GdprMetadata;
 
 use crate::error::EngineError;
 use crate::frontend::{Actor, Frontend, Reply};
 use crate::keys::KeyMeta;
-use crate::profiles::DeleteStrategy;
 
 impl Frontend {
     fn actor_entity(&mut self, actor: Actor, subject: u32) -> EntityId {
@@ -243,25 +241,20 @@ impl Frontend {
         let meta = self.keys.get(key).ok_or(EngineError::NotFound { key })?;
         let entity = self.actor_entity(actor, meta.subject);
         self.check(meta.unit, entity, wk::compliance_erase(), ActionKind::Erase)?;
+        let interp = self.config.delete_strategy.interpretation();
         let backend = &mut self.substrate.backend;
-        let (interp, ok) = match self.config.delete_strategy {
-            DeleteStrategy::TombstoneAttribute => (
-                ErasureInterpretation::ReversiblyInaccessible,
-                backend.set_hidden(key, true).is_ok(),
-            ),
-            _ => (ErasureInterpretation::Deleted, backend.delete(key).is_ok()),
+        let applied = if interp == ErasureInterpretation::ReversiblyInaccessible {
+            backend.set_hidden(key, true)
+        } else {
+            backend.delete(key)
         };
-        if !ok {
+        if applied.is_err() {
             return Err(self.gone(key, meta.unit));
         }
         let now = self.clock.now();
-        let status = match interp {
-            ErasureInterpretation::ReversiblyInaccessible => {
-                ErasureStatus::ReversiblyInaccessible { since: now }
-            }
-            _ => ErasureStatus::Deleted { since: now },
-        };
-        self.model.state.mark_erased(meta.unit, status, now);
+        self.model
+            .state
+            .mark_erased(meta.unit, ErasureStatus::of(interp, now), now);
         if let Some(u) = self.model.state.unit_mut(meta.unit) {
             u.policies.revoke_all(now);
         }
@@ -296,14 +289,8 @@ impl Frontend {
     /// full compaction).
     fn run_maintenance(&mut self) {
         self.deletes_since_maintenance = 0;
-        match self.config.delete_strategy {
-            DeleteStrategy::DeleteVacuum => {
-                self.substrate.backend.maintain(MaintenanceDepth::Lazy);
-            }
-            DeleteStrategy::DeleteVacuumFull => {
-                self.substrate.backend.maintain(MaintenanceDepth::Full);
-            }
-            DeleteStrategy::DeleteOnly | DeleteStrategy::TombstoneAttribute => {}
+        if let Some(depth) = self.config.delete_strategy.maintenance() {
+            self.substrate.backend.maintain(depth);
         }
     }
 
@@ -470,7 +457,7 @@ impl Frontend {
 mod tests {
     use super::*;
     use crate::frontend::{Request, Session};
-    use crate::profiles::{EngineConfig, ProfileKind};
+    use crate::profiles::{DeleteStrategy, EngineConfig, ProfileKind};
     use datacase_core::regulation::Regulation;
     use datacase_storage::backend::BackendKind;
     use datacase_workloads::gdprbench::{GdprBench, Mix};

@@ -14,10 +14,10 @@
 
 use datacase_core::grounding::erasure::ErasureInterpretation;
 use datacase_core::grounding::properties::ErasureProperties;
-use datacase_core::grounding::table::{Backend, GroundingTable};
 use datacase_core::regulation::Regulation;
 use datacase_sim::report::Table;
 
+use crate::erasure::describe;
 use crate::frontend::Frontend;
 use crate::profiles::{DeleteStrategy, EngineConfig, ProfileKind};
 
@@ -79,12 +79,7 @@ impl PiaReport {
 
 /// Assess an engine configuration before deployment.
 pub fn assess(config: &EngineConfig) -> PiaReport {
-    let workload_erasure = match config.delete_strategy {
-        DeleteStrategy::TombstoneAttribute => ErasureInterpretation::ReversiblyInaccessible,
-        DeleteStrategy::DeleteOnly
-        | DeleteStrategy::DeleteVacuum
-        | DeleteStrategy::DeleteVacuumFull => ErasureInterpretation::Deleted,
-    };
+    let workload_erasure = config.delete_strategy.interpretation();
     let encrypted = config.encryption_at_rest();
     let mut risks = Vec::new();
     if config.delete_strategy == DeleteStrategy::DeleteOnly {
@@ -156,7 +151,8 @@ impl Certificate {
 }
 
 /// Certify a live engine: invariant check + empirical erasure probes +
-/// declared groundings.
+/// declared groundings, the erasure plans the engine's own configuration
+/// executes.
 pub fn certify(frontend: &mut Frontend, regulation: &Regulation) -> Certificate {
     let report = frontend.compliance_report(regulation);
     let mut probes_passed = 0;
@@ -167,14 +163,9 @@ pub fn certify(frontend: &mut Frontend, regulation: &Regulation) -> Certificate 
             probes_passed += 1;
         }
     }
-    let table = GroundingTable::standard();
     let declared = ErasureInterpretation::ALL
         .into_iter()
-        .filter_map(|i| {
-            table
-                .plan(Backend::Heap, i)
-                .map(|p| format!("{} -> {}", i.label(), p.describe()))
-        })
+        .map(|i| format!("{} -> {}", i.label(), describe(&frontend.config, i)))
         .collect();
     Certificate {
         regulation: regulation.name.clone(),
@@ -255,6 +246,8 @@ mod tests {
         assert!(cert.granted(), "{cert:?}");
         assert_eq!(cert.probes_passed, cert.probes_total);
         assert_eq!(cert.declared_groundings.len(), 4);
+        // P_SYS encrypts tuples, so its permanent plan ends in crypto-erasure.
+        assert!(cert.declared_groundings[3].contains("DESTROY per-unit key"));
     }
 
     #[test]

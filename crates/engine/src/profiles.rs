@@ -5,10 +5,11 @@
 //! how workload deletes are grounded, and which storage substrate the
 //! compliant engine composes over.
 
+use datacase_core::grounding::erasure::ErasureInterpretation;
 use datacase_crypto::aes::KeySize;
 use datacase_crypto::CryptoBackend;
 use datacase_sim::fault::FaultInjector;
-use datacase_storage::backend::BackendKind;
+use datacase_storage::backend::{BackendKind, MaintenanceDepth};
 use datacase_storage::heap::HeapConfig;
 use datacase_storage::lsm::LsmConfig;
 
@@ -68,6 +69,26 @@ impl DeleteStrategy {
             DeleteStrategy::DeleteVacuum => "DELETE + VACUUM",
             DeleteStrategy::DeleteVacuumFull => "DELETE and VACUUM FULL",
             DeleteStrategy::TombstoneAttribute => "Tombstones (Indexing)",
+        }
+    }
+
+    /// The interpretation a workload delete under this strategy grounds.
+    pub fn interpretation(self) -> ErasureInterpretation {
+        match self {
+            DeleteStrategy::TombstoneAttribute => ErasureInterpretation::ReversiblyInaccessible,
+            DeleteStrategy::DeleteOnly
+            | DeleteStrategy::DeleteVacuum
+            | DeleteStrategy::DeleteVacuumFull => ErasureInterpretation::Deleted,
+        }
+    }
+
+    /// The periodic maintenance pass the strategy runs every
+    /// [`EngineConfig::maintenance_every`] deletes, if any.
+    pub fn maintenance(self) -> Option<MaintenanceDepth> {
+        match self {
+            DeleteStrategy::DeleteVacuum => Some(MaintenanceDepth::Lazy),
+            DeleteStrategy::DeleteVacuumFull => Some(MaintenanceDepth::Full),
+            DeleteStrategy::DeleteOnly | DeleteStrategy::TombstoneAttribute => None,
         }
     }
 

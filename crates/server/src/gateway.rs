@@ -630,14 +630,6 @@ impl Client {
         Ok(self.call_stamped(requests)?.0)
     }
 
-    /// Send one raw pre-encoded frame and read back the next frame —
-    /// test hook for protocol-error behaviour.
-    pub fn raw_round_trip(&mut self, bytes: &[u8]) -> Result<Frame, WireError> {
-        self.stream.write_all(bytes)?;
-        self.stream.flush()?;
-        read_decoded(&mut self.stream)
-    }
-
     /// Orderly close: tell the server this client is done.
     pub fn goodbye(mut self) -> Result<(), WireError> {
         write_frame(&mut self.stream, &Frame::Goodbye)

@@ -38,8 +38,6 @@ pub struct HeapConfig {
     pub buffer_pages: usize,
     /// LUKS-style sector encryption passphrase (None = plaintext disk).
     pub disk_passphrase: Option<Vec<u8>>,
-    /// fsync the WAL at every statement commit.
-    pub fsync_per_commit: bool,
     /// Which AES implementation the sector cipher runs
     /// ([`CryptoBackend::Auto`] detects hardware AES at construction,
     /// `Software` forces the fallback; per-instance; ciphertext bytes
@@ -55,7 +53,6 @@ impl Default for HeapConfig {
         HeapConfig {
             buffer_pages: 256,
             disk_passphrase: None,
-            fsync_per_commit: true,
             crypto_backend: CryptoBackend::Auto,
             fault: FaultInjector::disabled(),
         }
@@ -184,9 +181,7 @@ impl HeapDb {
 
     fn commit(&mut self) {
         self.clock.charge_nanos(self.clock.model().txn_overhead);
-        if self.config.fsync_per_commit {
-            self.wal.flush();
-        }
+        self.wal.flush();
     }
 
     /// Append a WAL record through the crash-injection tap: an armed

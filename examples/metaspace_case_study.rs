@@ -7,8 +7,8 @@
 //! cargo run --release --example metaspace_case_study
 //! ```
 
-use data_case::core::grounding::table::{Backend, GroundingTable};
 use data_case::engine::driver::run_ops;
+use data_case::engine::erasure::describe;
 use data_case::prelude::*;
 use data_case::workloads::gdprbench::{GdprBench, Mix};
 
@@ -19,12 +19,10 @@ fn main() {
         "MetaSpace customer workload: {records} records, {txns} txns (20% deletes / 80% reads)\n"
     );
 
-    let groundings = GroundingTable::standard();
+    let stock = EngineConfig::stock(DeleteStrategy::DeleteVacuum);
     println!("candidate groundings (Table 1):");
     for interp in ErasureInterpretation::ALL {
-        if let Some(plan) = groundings.plan(Backend::Heap, interp) {
-            println!("  {:<24} -> {}", interp.label(), plan.describe());
-        }
+        println!("  {:<24} -> {}", interp.label(), describe(&stock, interp));
     }
     println!();
 

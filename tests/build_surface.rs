@@ -1,9 +1,9 @@
 //! Smoke tests for the build surface itself.
 //!
 //! `cargo test` compiles every example, which proves they *build*; these
-//! tests pin the example set, the workspace members and the vendored
-//! stand-ins, so a renamed or dropped file fails `cargo test` loudly
-//! instead of silently shrinking the built surface.
+//! tests pin the example set, the exact set of `crates/*` members and the
+//! vendored stand-ins, so a renamed, dropped or added file fails `cargo
+//! test` loudly instead of silently changing the built surface.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -12,12 +12,23 @@ fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
-fn rs_stems(dir: &Path) -> BTreeSet<String> {
+fn entries(dir: &Path) -> impl Iterator<Item = PathBuf> {
     std::fs::read_dir(dir)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", dir.display()))
         .map(|entry| entry.expect("dir entry").path())
+}
+
+fn rs_stems(dir: &Path) -> BTreeSet<String> {
+    entries(dir)
         .filter(|p| p.extension().is_some_and(|ext| ext == "rs"))
         .map(|p| p.file_stem().expect("stem").to_string_lossy().into_owned())
+        .collect()
+}
+
+fn subdirs(dir: &Path) -> BTreeSet<String> {
+    entries(dir)
+        .filter(|p| p.is_dir())
+        .map(|p| p.file_name().expect("name").to_string_lossy().into_owned())
         .collect()
 }
 
@@ -42,22 +53,33 @@ fn all_examples_present() {
     );
 }
 
+const CRATES: &[&str] = &[
+    "audit",
+    "bench",
+    "chaos",
+    "core",
+    "crypto",
+    "engine",
+    "policy",
+    "server",
+    "sim",
+    "storage",
+    "workloads",
+];
+
 #[test]
 fn workspace_members_and_vendored_deps_exist() {
     let root = repo_root();
-    for krate in [
-        "audit",
-        "bench",
-        "core",
-        "crypto",
-        "engine",
-        "policy",
-        "server",
-        "sim",
-        "storage",
-        "workloads",
-    ] {
-        let manifest = root.join("crates").join(krate).join("Cargo.toml");
+    let crates_dir = root.join("crates");
+    let expected: BTreeSet<String> = CRATES.iter().map(|s| s.to_string()).collect();
+    assert_eq!(
+        subdirs(&crates_dir),
+        expected,
+        "crates/ drifted from the documented crate set; update \
+         tests/build_surface.rs and the README together"
+    );
+    for krate in CRATES {
+        let manifest = crates_dir.join(krate).join("Cargo.toml");
         assert!(
             manifest.is_file(),
             "missing manifest {}",
