@@ -77,6 +77,9 @@ fn main() {
     });
     let scale = if quick { Scale::QUICK } else { Scale::FULL };
     let want = |name: &str| targets.contains(&name);
+    // `checks` reads the series of fig4a, fig4b and table2: kept here so
+    // each is computed at most once per invocation.
+    let (mut fig4a, mut fig4b, mut table2) = (None, None, None);
 
     println!("Data-CASE reproduction harness (scale = 1/{})\n", scale.0);
 
@@ -91,21 +94,24 @@ fn main() {
         println!("== Figure 3 — data erasure timeline ==\n{rendered}");
     }
     if want("fig4a") {
-        let (table, _) = figures::fig4a(scale);
+        let (table, series) = figures::fig4a(scale);
         println!("{}", table.render_text());
         println!("{}", figures::fig4a_delete_only(scale).render_text());
+        fig4a = Some(series);
     }
     if want("fig4b") {
-        let (table, _) = figures::fig4b(scale);
+        let (table, raw) = figures::fig4b(scale);
         println!("{}", table.render_text());
+        fig4b = Some(raw);
     }
     if want("fig4c") {
         let (table, _) = figures::fig4c(scale);
         println!("{}", table.render_text());
     }
     if want("table2") {
-        let (table, _) = figures::table2(scale);
+        let (table, spaces) = figures::table2(scale);
         println!("{}", table.render_text());
+        table2 = Some(spaces);
     }
     if want("backends") {
         println!("{}", figures::backend_matrix(scale).render_text());
@@ -162,8 +168,11 @@ fn main() {
     }
     if want("checks") {
         println!("== Shape checks (paper-claim verification) ==");
+        let fig4a = fig4a.unwrap_or_else(|| figures::fig4a(scale).1);
+        let fig4b = fig4b.unwrap_or_else(|| figures::fig4b(scale).1);
+        let table2 = table2.unwrap_or_else(|| figures::table2(scale).1);
         let mut all_ok = true;
-        for (name, ok) in figures::shape_checks(scale) {
+        for (name, ok) in figures::shape_checks(&fig4a, &fig4b, &table2) {
             println!("  [{}] {}", if ok { "PASS" } else { "FAIL" }, name);
             all_ok &= ok;
         }

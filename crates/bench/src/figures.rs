@@ -48,14 +48,24 @@ fn buffer_pages_for(records: u64) -> usize {
     ((records / 390) as usize).max(32)
 }
 
-fn load_db(profile: ProfileKind, records: u64, seed: u64) -> (Frontend, GdprBench) {
-    let mut config = EngineConfig::for_profile(profile);
-    config.heap.buffer_pages = buffer_pages_for(records);
+/// Load `records` GDPRBench rows (generator seed `seed`) into a fresh
+/// engine built from `config` as the controller, then run `txns`
+/// transactions of `mix` as `actor`. The stats cover the transactions only.
+fn gdpr_run(
+    config: EngineConfig,
+    seed: u64,
+    records: u64,
+    txns: u64,
+    mix: Mix,
+    actor: Actor,
+) -> (RunStats, Frontend) {
     let mut fe = Frontend::new(config);
     let mut bench = GdprBench::new(seed, 1000);
     let load = bench.load_phase(records as usize);
     fe.submit_ops(&Session::new(Actor::Controller), &load);
-    (fe, bench)
+    let ops = bench.ops(txns as usize, mix);
+    let stats = run_ops(&mut fe, &ops, actor);
+    (stats, fe)
 }
 
 // ---------------------------------------------------------------------
@@ -70,12 +80,8 @@ pub fn fig4a_cell(strategy: DeleteStrategy, records: u64, txns: u64, seed: u64) 
     let mut config = EngineConfig::stock(strategy);
     config.maintenance_every = (txns / 35).max(20);
     config.heap.buffer_pages = buffer_pages_for(records);
-    let mut fe = Frontend::new(config);
-    let mut bench = GdprBench::new(seed, 1000);
-    let load = bench.load_phase(records as usize);
-    fe.submit_ops(&Session::new(Actor::Controller), &load);
-    let ops = bench.ops(txns as usize, Mix::fig4a_customer());
-    run_ops(&mut fe, &ops, Actor::Subject)
+    let mix = Mix::fig4a_customer();
+    gdpr_run(config, seed, records, txns, mix, Actor::Subject).0
 }
 
 /// Figure 4a: all four strategies over the transaction sweep.
@@ -115,14 +121,7 @@ pub fn fig4a_delete_only(scale: Scale) -> Table {
     for strategy in [DeleteStrategy::DeleteOnly, DeleteStrategy::DeleteVacuum] {
         let mut config = EngineConfig::stock(strategy);
         config.maintenance_every = 1000;
-        let mut fe = Frontend::new(config);
-        let mut bench = GdprBench::new(7, 1000);
-        fe.submit_ops(
-            &Session::new(Actor::Controller),
-            &bench.load_phase(records as usize),
-        );
-        let ops = bench.ops(txns as usize, Mix::delete_only());
-        let stats = run_ops(&mut fe, &ops, Actor::Subject);
+        let (stats, _) = gdpr_run(config, 7, records, txns, Mix::delete_only(), Actor::Subject);
         table.row(vec![
             strategy.label().into(),
             f3(stats.simulated.as_secs_f64()),
@@ -304,14 +303,7 @@ pub fn backend_cell(
     config.delete_strategy = strategy;
     config.maintenance_every = (txns / 35).max(20);
     config.heap.buffer_pages = buffer_pages_for(records);
-    let mut fe = Frontend::new(config);
-    let mut bench = GdprBench::new(seed, 1000);
-    fe.submit_ops(
-        &Session::new(Actor::Controller),
-        &bench.load_phase(records as usize),
-    );
-    let ops = bench.ops(txns as usize, Mix::wcus());
-    run_ops(&mut fe, &ops, Actor::Subject)
+    gdpr_run(config, seed, records, txns, Mix::wcus(), Actor::Subject).0
 }
 
 /// The backend matrix: one row per (profile, backend, delete-strategy)
@@ -487,9 +479,9 @@ pub fn fig1() -> Table {
 /// violations (an unauthorised read recorded into history, an overdue
 /// unerased unit) and return the failing report.
 pub fn invariants_demo() -> (ComplianceReport, ComplianceReport) {
-    let (mut fe, mut bench) = load_db(ProfileKind::PSys, 200, 5);
-    let ops = bench.ops(300, Mix::wcus());
-    run_ops(&mut fe, &ops, Actor::Subject);
+    let mut config = EngineConfig::for_profile(ProfileKind::PSys);
+    config.heap.buffer_pages = buffer_pages_for(200);
+    let (_, mut fe) = gdpr_run(config, 5, 200, 300, Mix::wcus(), Actor::Subject);
     let clean = fe.compliance_report(&Regulation::gdpr());
 
     // Violation injection: an action recorded with no covering policy
@@ -524,14 +516,7 @@ pub fn ablation_policy_index(scale: Scale) -> Table {
     for use_index in [true, false] {
         let mut config = EngineConfig::p_sys();
         config.fgac_index = use_index;
-        let mut fe = Frontend::new(config);
-        let mut bench = GdprBench::new(31, 1000);
-        fe.submit_ops(
-            &Session::new(Actor::Controller),
-            &bench.load_phase(records as usize),
-        );
-        let ops = bench.ops(txns as usize, Mix::wpro());
-        let stats = run_ops(&mut fe, &ops, Actor::Processor);
+        let (stats, _) = gdpr_run(config, 31, records, txns, Mix::wpro(), Actor::Processor);
         table.row(vec![
             if use_index {
                 "Sieve index"
@@ -556,14 +541,8 @@ pub fn ablation_vacuum_period(scale: Scale) -> Table {
     for period in [100u64, 500, 1000, 2000, 5000, u64::MAX] {
         let mut config = EngineConfig::stock(DeleteStrategy::DeleteVacuum);
         config.maintenance_every = period;
-        let mut fe = Frontend::new(config);
-        let mut bench = GdprBench::new(13, 1000);
-        fe.submit_ops(
-            &Session::new(Actor::Controller),
-            &bench.load_phase(records as usize),
-        );
-        let ops = bench.ops(txns as usize, Mix::fig4a_customer());
-        let stats = run_ops(&mut fe, &ops, Actor::Subject);
+        let mix = Mix::fig4a_customer();
+        let (stats, _) = gdpr_run(config, 13, records, txns, mix, Actor::Subject);
         let label = if period == u64::MAX {
             "never (DELETE only)".to_string()
         } else {
@@ -602,31 +581,16 @@ pub fn ablation_lsm_retention() -> Table {
         tree.flush();
         tree.delete(0, 0);
         let mut erased_at: Option<usize> = None;
+        let mut residual_at_1000 = 0;
         for i in 1..=5000usize {
             tree.put(i as u64, i as u64, &[0x55u8; 64]);
+            if i == 1000 {
+                residual_at_1000 = tree.scan_physical(b"LSM-RETAINED-VICTIM");
+            }
             if erased_at.is_none() && tree.scan_physical(b"LSM-RETAINED-VICTIM") == 0 {
                 erased_at = Some(i);
             }
         }
-        let residual_at_1000 = {
-            // Rebuild to measure the 1000-op mark deterministically.
-            let mut t2 = LsmTree::new(
-                LsmConfig {
-                    memtable_bytes: 8 * 1024,
-                    runs_per_level,
-                    ..LsmConfig::default()
-                },
-                datacase_sim::SimClock::commodity(),
-                std::sync::Arc::new(datacase_sim::Meter::new()),
-            );
-            t2.put(0, 0, b"LSM-RETAINED-VICTIM");
-            t2.flush();
-            t2.delete(0, 0);
-            for i in 1..=1000usize {
-                t2.put(i as u64, i as u64, &[0x55u8; 64]);
-            }
-            t2.scan_physical(b"LSM-RETAINED-VICTIM")
-        };
         table.row(vec![
             runs_per_level.to_string(),
             erased_at
@@ -739,12 +703,16 @@ pub fn ablation_aes_strength(scale: Scale) -> Table {
     table
 }
 
-/// Shape assertions shared by tests and the repro binary: returns a list
-/// of (check, passed) pairs so violations are visible in reports.
-pub fn shape_checks(scale: Scale) -> Vec<(String, bool)> {
+/// Shape assertions shared by tests and the repro binary, over the
+/// series [`fig4a`], [`fig4b`] and [`table2`] return: a list of
+/// (check, passed) pairs so violations are visible in reports.
+pub fn shape_checks(
+    series: &[(DeleteStrategy, Vec<SeriesPoint>)],
+    raw: &[(BenchWorkload, ProfileKind, f64)],
+    spaces: &[(ProfileKind, SpaceReport)],
+) -> Vec<(String, bool)> {
     let mut checks = Vec::new();
     // Fig 4a shape at the largest sweep point.
-    let (_, series) = fig4a(scale);
     let at_max = |s: DeleteStrategy| -> f64 {
         series
             .iter()
@@ -762,7 +730,6 @@ pub fn shape_checks(scale: Scale) -> Vec<(String, bool)> {
     ));
     checks.push(("fig4a: DELETE+VACUUM beats DELETE on WCus".into(), dv < del));
     // Fig 4b profile ordering on every workload.
-    let (_, raw) = fig4b(scale);
     for w in BenchWorkload::ALL {
         let get = |p: ProfileKind| {
             raw.iter()
@@ -778,7 +745,6 @@ pub fn shape_checks(scale: Scale) -> Vec<(String, bool)> {
         ));
     }
     // Table 2 factor ordering.
-    let (_, spaces) = table2(scale);
     let factor = |p: ProfileKind| {
         spaces
             .iter()
@@ -850,7 +816,9 @@ mod tests {
         // harness keeps buffer-pool ratio and maintenance cadence
         // scale-invariant). `repro checks` verifies the same claims at
         // paper scale in release mode.
-        let failures: Vec<String> = shape_checks(Scale(20))
+        let scale = Scale(20);
+        let checks = shape_checks(&fig4a(scale).1, &fig4b(scale).1, &table2(scale).1);
+        let failures: Vec<String> = checks
             .into_iter()
             .filter(|(_, ok)| !ok)
             .map(|(name, _)| name)

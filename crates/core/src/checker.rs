@@ -52,11 +52,6 @@ impl ComplianceReport {
             .collect()
     }
 
-    /// Worst severity in the whole report.
-    pub fn worst_severity(&self) -> Option<Severity> {
-        self.violations.iter().map(|v| v.severity).max()
-    }
-
     /// Render a summary table (one row per invariant).
     pub fn render(&self) -> String {
         let mut t = Table::new(
@@ -247,7 +242,6 @@ mod tests {
         assert!(!report.is_compliant());
         assert_eq!(report.of_invariant("G6").len(), 1);
         assert_eq!(report.of_invariant("IV").len(), 1);
-        assert_eq!(report.worst_severity(), Some(Severity::Critical));
     }
 
     #[test]

@@ -90,11 +90,6 @@ impl EntityRegistry {
         self.by_name.get(name).and_then(|id| self.get(*id))
     }
 
-    /// All entities of a given kind.
-    pub fn of_kind(&self, kind: EntityKind) -> impl Iterator<Item = &Entity> {
-        self.entities.iter().filter(move |e| e.kind == kind)
-    }
-
     /// Number of registered entities.
     pub fn len(&self) -> usize {
         self.entities.len()
@@ -123,16 +118,6 @@ mod tests {
         assert_eq!(r.get(netflix).unwrap().name, "Netflix");
         assert_eq!(r.by_name("AWS").unwrap().id, aws);
         assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn of_kind_filters() {
-        let mut r = EntityRegistry::new();
-        r.register("u1", EntityKind::DataSubject);
-        r.register("u2", EntityKind::DataSubject);
-        r.register("corp", EntityKind::Controller);
-        assert_eq!(r.of_kind(EntityKind::DataSubject).count(), 2);
-        assert_eq!(r.of_kind(EntityKind::Auditor).count(), 0);
     }
 
     #[test]

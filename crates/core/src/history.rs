@@ -83,28 +83,6 @@ impl ActionHistory {
             .unwrap_or_default()
     }
 
-    /// The last tuple for `unit`, if any.
-    pub fn last_of_unit(&self, unit: UnitId) -> Option<&HistoryTuple> {
-        self.by_unit
-            .get(&unit)
-            .and_then(|idxs| idxs.last())
-            .map(|&i| &self.tuples[i as usize])
-    }
-
-    /// The last tuple for `unit` matching `pred`.
-    pub fn last_matching(
-        &self,
-        unit: UnitId,
-        pred: impl Fn(&HistoryTuple) -> bool,
-    ) -> Option<&HistoryTuple> {
-        self.by_unit.get(&unit).and_then(|idxs| {
-            idxs.iter()
-                .rev()
-                .map(|&i| &self.tuples[i as usize])
-                .find(|t| pred(t))
-        })
-    }
-
     /// All tuples, in time order.
     pub fn iter(&self) -> impl Iterator<Item = &HistoryTuple> {
         self.tuples.iter()
@@ -145,20 +123,6 @@ impl ActionHistory {
             .authorises(tuple.purpose, tuple.entity, tuple.at)
             && purposes.authorises(tuple.purpose, tuple.action.kind())
     }
-
-    /// Are **all** actions on `unit` policy-consistent (the per-unit form
-    /// used by G6)?
-    pub fn unit_policy_consistent(
-        &self,
-        unit: UnitId,
-        state: &DatabaseState,
-        purposes: &PurposeRegistry,
-        regulation: &Regulation,
-    ) -> bool {
-        self.of_unit(unit)
-            .iter()
-            .all(|t| Self::policy_consistent(t, state, purposes, regulation))
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +155,6 @@ mod tests {
         h.record(tup(1, wk::billing(), 1, Action::Read, t(3)));
         assert_eq!(h.of_unit(UnitId(1)).len(), 2);
         assert_eq!(h.of_unit(UnitId(2)).len(), 1);
-        assert_eq!(h.last_of_unit(UnitId(1)).unwrap().action, Action::Read);
         assert!(h.of_unit(UnitId(9)).is_empty());
         assert_eq!(h.len(), 3);
     }
@@ -202,16 +165,6 @@ mod tests {
         let mut h = ActionHistory::new();
         h.record(tup(1, wk::billing(), 1, Action::Create, t(5)));
         h.record(tup(1, wk::billing(), 1, Action::Read, t(4)));
-    }
-
-    #[test]
-    fn last_matching_filters() {
-        let mut h = ActionHistory::new();
-        h.record(tup(1, wk::billing(), 1, Action::Create, t(1)));
-        h.record(tup(1, wk::billing(), 1, Action::Read, t(2)));
-        h.record(tup(1, wk::billing(), 1, Action::Read, t(3)));
-        let last_create = h.last_matching(UnitId(1), |t| t.action == Action::Create);
-        assert_eq!(last_create.unwrap().at, t(1));
     }
 
     #[test]
@@ -290,24 +243,6 @@ mod tests {
             &purposes,
             &regulation
         ));
-    }
-
-    #[test]
-    fn unit_policy_consistency_is_conjunction() {
-        let mut state = DatabaseState::new();
-        let purposes = PurposeRegistry::with_defaults();
-        let regulation = Regulation::gdpr();
-        let uid = state.collect(EntityId(7), Origin::Subject(EntityId(7)), "cc".into(), t(0));
-        state
-            .unit_mut(uid)
-            .unwrap()
-            .policies
-            .grant(Policy::new(wk::billing(), EntityId(1), t(0), t(100)), t(0));
-        let mut h = ActionHistory::new();
-        h.record(tup(uid.0, wk::billing(), 1, Action::Read, t(10)));
-        assert!(h.unit_policy_consistent(uid, &state, &purposes, &regulation));
-        h.record(tup(uid.0, wk::billing(), 2, Action::Read, t(20))); // e2 unauthorised
-        assert!(!h.unit_policy_consistent(uid, &state, &purposes, &regulation));
     }
 
     #[test]

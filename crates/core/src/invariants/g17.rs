@@ -45,7 +45,7 @@ impl Invariant for G17TimelyErasure {
             if !unit.is_personal() {
                 continue;
             }
-            if !unit.policies.has_erase_policy() {
+            let Some(deadline) = unit.policies.erase_deadline() else {
                 out.push(Violation::on_unit(
                     "G17",
                     id,
@@ -54,17 +54,7 @@ impl Invariant for G17TimelyErasure {
                     "no compliance-erase policy: the unit could be stored eternally",
                 ));
                 continue;
-            }
-            // The deadline is t_f of the erase policy as granted (query it
-            // at grant time so an already-passed window still yields one).
-            let deadline = unit
-                .policies
-                .records()
-                .iter()
-                .filter(|r| r.policy.purpose == crate::purpose::well_known::compliance_erase())
-                .map(|r| r.policy.until)
-                .min()
-                .expect("has_erase_policy implies a record");
+            };
             let due = deadline + grace;
             if ctx.now <= due {
                 continue; // not yet due

@@ -201,21 +201,18 @@ impl PolicySet {
         !self.records.iter().any(|r| r.active_at(t))
     }
 
-    /// The earliest deadline of an active `compliance-erase` policy at `t`,
-    /// i.e. the `t_f` by which the unit must be erased (G17).
-    pub fn erase_deadline(&self, t: Ts) -> Option<Ts> {
+    /// The unit's retention deadline: the `t_f` by which it must be erased
+    /// (G17), the earliest `until` of every `compliance-erase` policy ever
+    /// granted. Revoked and expired policies count — a deadline, once
+    /// granted, still binds. `None` if no such policy was ever granted. The
+    /// one definition G17 and the retention sweeper both use.
+    pub fn erase_deadline(&self) -> Option<Ts> {
         let ce = crate::purpose::well_known::compliance_erase();
         self.records
             .iter()
-            .filter(|r| r.active_at(t) && r.policy.purpose == ce)
+            .filter(|r| r.policy.purpose == ce)
             .map(|r| r.policy.until)
             .min()
-    }
-
-    /// Whether any (even inactive) `compliance-erase` policy was ever granted.
-    pub fn has_erase_policy(&self) -> bool {
-        let ce = crate::purpose::well_known::compliance_erase();
-        self.records.iter().any(|r| r.policy.purpose == ce)
     }
 
     /// All records (for audit and space accounting).
@@ -344,16 +341,17 @@ mod tests {
             Policy::new(wk::compliance_erase(), EntityId(0), t(0), t(300)),
             t(0),
         );
-        assert_eq!(p.erase_deadline(t(10)), Some(t(300)));
-        assert!(p.has_erase_policy());
+        assert_eq!(p.erase_deadline(), Some(t(300)));
+        // Revocation (an erasure request) does not move the deadline.
+        p.revoke_all(t(20));
+        assert_eq!(p.erase_deadline(), Some(t(300)));
     }
 
     #[test]
     fn no_erase_policy_means_no_deadline() {
         let mut p = PolicySet::new();
         p.grant(Policy::open_ended(wk::billing(), EntityId(1), t(0)), t(0));
-        assert_eq!(p.erase_deadline(t(10)), None);
-        assert!(!p.has_erase_policy());
+        assert_eq!(p.erase_deadline(), None);
     }
 
     #[test]

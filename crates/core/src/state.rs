@@ -155,18 +155,6 @@ impl DatabaseState {
             .unwrap_or(false)
     }
 
-    /// All personal (base/derived, subject-identifying) units of `subject`.
-    pub fn units_of_subject(&self, subject: EntityId) -> Vec<UnitId> {
-        let mut ids: Vec<UnitId> = self
-            .units
-            .values()
-            .filter(|u| u.is_personal() && u.identifies(subject))
-            .map(|u| u.id)
-            .collect();
-        ids.sort();
-        ids
-    }
-
     /// Mark a unit erased at the model level and blank its value.
     /// Delegates the regression check to [`DataUnit::escalate_erasure`].
     pub fn mark_erased(&mut self, id: UnitId, status: ErasureStatus, now: Ts) {
@@ -261,15 +249,6 @@ mod tests {
         s.mark_erased(a, ErasureStatus::Deleted { since: t(2) }, t(2));
         assert!(!s.content_alive(a));
         assert!(s.unit(a).unwrap().value.current().unwrap().is_erased());
-    }
-
-    #[test]
-    fn units_of_subject_filters_and_sorts() {
-        let mut s = DatabaseState::new();
-        let a = s.collect(EntityId(1), Origin::Subject(EntityId(1)), "a".into(), t(0));
-        let _b = s.collect(EntityId(2), Origin::Subject(EntityId(2)), "b".into(), t(0));
-        let c = s.collect(EntityId(1), Origin::Subject(EntityId(1)), "c".into(), t(0));
-        assert_eq!(s.units_of_subject(EntityId(1)), vec![a, c]);
     }
 
     #[test]

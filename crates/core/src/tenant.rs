@@ -81,12 +81,6 @@ impl TenantId {
             .then_some((self.0 << TENANT_SUBJECT_BITS) | local)
     }
 
-    /// Map a namespaced subject id back into this tenant's local space.
-    /// `None` when the subject belongs to a different tenant.
-    pub fn local_subject(self, global: u32) -> Option<u32> {
-        (TenantId::of_subject(global) == self).then_some(global & MAX_LOCAL_SUBJECT)
-    }
-
     /// The half-open block of the global keyspace this tenant owns —
     /// what a tenant-scoped engine session is confined to.
     pub fn key_range(self) -> KeyRange {
@@ -197,8 +191,6 @@ mod tests {
         let s = t.global_subject(9).unwrap();
         assert_eq!(s, (7 << 16) | 9);
         assert_eq!(TenantId::of_subject(s), t);
-        assert_eq!(t.local_subject(s), Some(9));
-        assert_eq!(TenantId(1).local_subject(s), None);
         assert!(t.global_subject(MAX_LOCAL_SUBJECT + 1).is_none());
         assert!(TenantId(MAX_TENANT + 1).global_subject(0).is_none());
     }

@@ -143,11 +143,6 @@ impl VersionedValue {
     pub fn is_empty(&self) -> bool {
         self.versions.is_empty()
     }
-
-    /// Total payload bytes across versions (space accounting).
-    pub fn total_size(&self) -> usize {
-        self.versions.iter().map(|(_, v)| v.size()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -190,7 +185,8 @@ mod tests {
         let mut v = VersionedValue::initial(t(0), Value::Bytes(vec![0; 100]));
         v.write(t(1), Value::Number(5));
         v.write(t(2), Value::Erased);
-        assert_eq!(v.total_size(), 108);
+        let sizes: Vec<usize> = v.versions().iter().map(|(_, x)| x.size()).collect();
+        assert_eq!(sizes, [100, 8, 0]);
         assert!(v.current().unwrap().is_erased());
     }
 
@@ -206,12 +202,10 @@ mod tests {
     fn stored_values_carry_a_size_and_no_content() {
         let mut v = VersionedValue::initial(t(0), Value::Stored { len: 1024 });
         v.write(t(1), Value::Stored { len: 100 });
-        assert_eq!(v.total_size(), 1124);
         assert_eq!(v.current().unwrap().size(), 100);
         assert!(v.versions().iter().all(|(_, x)| x.as_bytes().is_none()));
         assert!(!v.current().unwrap().is_erased());
         v.erase_contents();
-        assert_eq!(v.total_size(), 0);
         assert!(v.versions().iter().all(|(_, x)| x.is_erased()));
     }
 }

@@ -13,7 +13,8 @@
 //! Table 1 prints it.
 //!
 //! `erase_now` executes exactly that plan: it loops over the steps in
-//! order, then revokes consent and records the erasure in the model. No
+//! order, then ends with the epilogue a workload `DELETE` ends with too
+//! (`Model::finish_erasure`: revoke consent, mark and record the erasure). No
 //! other code decides which backend calls an interpretation makes, so the
 //! plan a report declares is the plan that runs. After execution the
 //! [`probe`] verifies the IR / II / Inv properties *empirically* against
@@ -225,23 +226,8 @@ pub(crate) fn erase_now(
         }
     }
 
-    // Consent is withdrawn wholesale with the erasure request.
     let at = clock.now();
-    if let Some(u) = model.state.unit_mut(unit) {
-        u.policies.revoke_all(at);
-    }
-    // Revocation through the versioned enforcer bumps the policy epoch.
-    substrate.enforcer.revoke_all(unit, at);
-    model
-        .state
-        .mark_erased(unit, ErasureStatus::of(interp, now), at);
-    model.record(
-        unit,
-        wk::compliance_erase(),
-        entity,
-        Action::Erase(interp),
-        at,
-    );
+    model.finish_erasure(&mut substrate.enforcer, unit, interp, entity, now, at);
     if interp == ErasureInterpretation::PermanentlyDeleted {
         let at2 = clock.now();
         model.record(unit, wk::compliance_erase(), entity, Action::Sanitize, at2);

@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use datacase_core::action::Action;
 use datacase_core::checker::{ComplianceChecker, ComplianceReport};
 use datacase_core::entity::{EntityKind, EntityRegistry};
+use datacase_core::grounding::erasure::ErasureInterpretation;
 use datacase_core::history::{ActionHistory, HistoryTuple};
 use datacase_core::ids::{EntityId, UnitId};
 use datacase_core::invariants::EvidenceFlags;
@@ -18,6 +19,7 @@ use datacase_core::purpose::{well_known as wk, PurposeId, PurposeRegistry};
 use datacase_core::regulation::Regulation;
 use datacase_core::state::DatabaseState;
 use datacase_core::tenant::{TenantDirectory, TenantId};
+use datacase_core::unit::ErasureStatus;
 use datacase_policy::enforcer::VersionedEnforcer;
 use datacase_sim::time::Ts;
 
@@ -103,6 +105,35 @@ impl Model {
         self.subject_entities.insert(subject, e);
         enforcer.on_new_subject(e);
         e
+    }
+
+    /// The epilogue every erasure ends with, workload `DELETE` and
+    /// compliance erase alike: consent is withdrawn wholesale in the model
+    /// and the enforcer (bumping the policy epoch), the unit is marked
+    /// erased under `interp` since `since`, and the erase is recorded for
+    /// `entity`. Everything but the status's `since` happens at `at`.
+    pub(crate) fn finish_erasure(
+        &mut self,
+        enforcer: &mut VersionedEnforcer,
+        unit: UnitId,
+        interp: ErasureInterpretation,
+        entity: EntityId,
+        since: Ts,
+        at: Ts,
+    ) {
+        if let Some(u) = self.state.unit_mut(unit) {
+            u.policies.revoke_all(at);
+        }
+        enforcer.revoke_all(unit, at);
+        self.state
+            .mark_erased(unit, ErasureStatus::of(interp, since), at);
+        self.record(
+            unit,
+            wk::compliance_erase(),
+            entity,
+            Action::Erase(interp),
+            at,
+        );
     }
 
     /// When the unit left the live state, if it did.

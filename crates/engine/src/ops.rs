@@ -10,7 +10,7 @@ use datacase_core::ids::{EntityId, UnitId};
 use datacase_core::policy::Policy;
 use datacase_core::purpose::{well_known as wk, PurposeId};
 use datacase_core::tenant::KeyRange;
-use datacase_core::unit::{ErasureStatus, Origin};
+use datacase_core::unit::Origin;
 use datacase_core::value::Value;
 use datacase_sim::time::Ts;
 use datacase_sim::Meter;
@@ -252,23 +252,17 @@ impl Frontend {
             return Err(self.gone(key, meta.unit));
         }
         let now = self.clock.now();
-        self.model
-            .state
-            .mark_erased(meta.unit, ErasureStatus::of(interp, now), now);
-        if let Some(u) = self.model.state.unit_mut(meta.unit) {
-            u.policies.revoke_all(now);
-        }
-        self.substrate.enforcer.revoke_all(meta.unit, now);
+        self.model.finish_erasure(
+            &mut self.substrate.enforcer,
+            meta.unit,
+            interp,
+            entity,
+            now,
+            now,
+        );
         if self.config.redacts_logs_on_delete() {
             self.substrate.logger.redact_unit(meta.unit);
         }
-        self.model.record(
-            meta.unit,
-            wk::compliance_erase(),
-            entity,
-            Action::Erase(interp),
-            now,
-        );
         self.log(
             Some(meta.unit),
             entity,

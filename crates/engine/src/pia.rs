@@ -13,7 +13,6 @@
 //!   only if both pass.
 
 use datacase_core::grounding::erasure::ErasureInterpretation;
-use datacase_core::grounding::properties::ErasureProperties;
 use datacase_core::regulation::Regulation;
 use datacase_sim::report::Table;
 
@@ -155,14 +154,11 @@ impl Certificate {
 /// executes.
 pub fn certify(frontend: &mut Frontend, regulation: &Regulation) -> Certificate {
     let report = frontend.compliance_report(regulation);
-    let mut probes_passed = 0;
+    let probes_passed = ErasureInterpretation::ALL
+        .into_iter()
+        .filter(|&interp| crate::erasure::probe(interp).matches_expected())
+        .count();
     let probes_total = ErasureInterpretation::ALL.len();
-    for interp in ErasureInterpretation::ALL {
-        let p = crate::erasure::probe(interp);
-        if p.measured == ErasureProperties::expected(interp) {
-            probes_passed += 1;
-        }
-    }
     let declared = ErasureInterpretation::ALL
         .into_iter()
         .map(|i| format!("{} -> {}", i.label(), describe(&frontend.config, i)))

@@ -11,8 +11,6 @@
 
 use datacase_core::grounding::erasure::ErasureInterpretation;
 use datacase_core::ids::UnitId;
-use datacase_core::purpose::well_known as wk;
-use datacase_core::unit::DataUnit;
 use datacase_sim::time::{Dur, Ts};
 
 use crate::erasure::erase_now;
@@ -49,26 +47,9 @@ pub struct SweepReport {
     pub failed: Vec<UnitId>,
 }
 
-impl SweepReport {
-    /// Did the sweep leave any due unit unerased?
-    pub fn fully_swept(&self) -> bool {
-        self.failed.is_empty()
-    }
-}
-
-/// A unit's retention deadline: the earliest `until` among its
-/// `compliance-erase` policies. `None` if no policy schedules its erasure.
-fn erase_deadline(unit: &DataUnit) -> Option<Ts> {
-    unit.policies
-        .records()
-        .iter()
-        .filter(|r| r.policy.purpose == wk::compliance_erase())
-        .map(|r| r.policy.until)
-        .min()
-}
-
-/// Find every personal unit whose earliest `compliance-erase` deadline is
-/// within `config.lead` of `now` (or past), and erase the live ones.
+/// Find every personal unit whose retention deadline
+/// ([`PolicySet::erase_deadline`](datacase_core::policy::PolicySet::erase_deadline))
+/// is within `config.lead` of `now` (or past), and erase the live ones.
 pub fn sweep(frontend: &mut Frontend, config: SweeperConfig) -> SweepReport {
     let state = &frontend.model.state;
     let horizon = frontend.clock.now() + config.lead;
@@ -79,7 +60,11 @@ pub fn sweep(frontend: &mut Frontend, config: SweeperConfig) -> SweepReport {
         if !unit.is_personal() {
             continue;
         }
-        if erase_deadline(unit).is_some_and(|deadline| deadline <= horizon) {
+        if unit
+            .policies
+            .erase_deadline()
+            .is_some_and(|deadline| deadline <= horizon)
+        {
             due.push((id, unit.erasure.is_erased()));
         }
     }
@@ -111,7 +96,7 @@ pub fn next_due(frontend: &Frontend, config: SweeperConfig) -> Option<Ts> {
         .state
         .units()
         .filter(|unit| unit.is_personal() && !unit.erasure.is_erased())
-        .filter_map(erase_deadline)
+        .filter_map(|unit| unit.policies.erase_deadline())
         .min()
         .map(|d| Ts(d.0.saturating_sub(config.lead.0)))
 }
@@ -121,6 +106,7 @@ mod tests {
     use super::*;
     use crate::frontend::{Actor, Request, Session};
     use crate::profiles::EngineConfig;
+    use datacase_core::purpose::well_known as wk;
     use datacase_core::regulation::Regulation;
     use datacase_workloads::record::GdprMetadata;
 
@@ -153,7 +139,7 @@ mod tests {
         fe.clock().advance_to(Ts::from_secs(200));
         let report = sweep(&mut fe, SweeperConfig::default());
         assert_eq!(report.erased.len(), 1);
-        assert!(report.fully_swept());
+        assert!(report.failed.is_empty());
         let early = fe.unit_of_key(0).unwrap();
         let late = fe.unit_of_key(1).unwrap();
         assert!(fe.state().unit(early).unwrap().erasure.is_erased());
@@ -202,6 +188,40 @@ mod tests {
     }
 
     #[test]
+    fn extended_ttl_keeps_sweeper_and_g17_on_one_deadline() {
+        use datacase_workloads::opstream::MetaField;
+        let mut fe = fe_with_ttls(&[3600, 7200, 10_800, 14_400]);
+        // Extending a TTL grants a later erase-by policy next to the first;
+        // both the sweeper and G17 must read the same deadline from it.
+        let extended = fe.run(
+            &Session::new(Actor::Controller),
+            Request::UpdateMeta {
+                key: 1,
+                field: MetaField::Ttl,
+            },
+        );
+        assert!(extended.outcome.is_ok(), "{:?}", extended.outcome);
+        let config = SweeperConfig {
+            lead: Dur::from_secs(600),
+            ..SweeperConfig::default()
+        };
+        let mut sweeps = 0;
+        while let Some(due) = next_due(&fe, config) {
+            fe.clock().advance_to(due);
+            let swept = sweep(&mut fe, config);
+            assert!(!swept.erased.is_empty() && swept.failed.is_empty());
+            sweeps += 1;
+            let report = fe.compliance_report(&Regulation::gdpr());
+            assert!(
+                report.of_invariant("G17").is_empty(),
+                "G17 must hold after sweep {sweeps}: {:?}",
+                report.of_invariant("G17")
+            );
+        }
+        assert_eq!(next_due(&fe, config), None, "everything erased");
+    }
+
+    #[test]
     fn second_sweep_is_idempotent() {
         let mut fe = fe_with_ttls(&[100]);
         fe.clock().advance_to(Ts::from_secs(5000));
@@ -235,7 +255,7 @@ mod tests {
         fe.clock().advance_to(Ts::from_secs(5000));
         let report = sweep(&mut fe, SweeperConfig::default());
         assert_eq!(report.erased.len(), 1);
-        assert!(report.fully_swept());
+        assert!(report.failed.is_empty());
         let unit = fe.unit_of_key(0).unwrap();
         assert!(fe.state().unit(unit).unwrap().erasure.is_erased());
         let read_back = fe.run(&controller, Request::Read { key: 0 });

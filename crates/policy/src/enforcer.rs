@@ -89,24 +89,16 @@ pub trait PolicyEnforcer: Send {
     /// withdrawal); returns how many were revoked.
     fn revoke_all(&mut self, unit: UnitId, at: Ts) -> usize;
 
-    /// Remove every trace of the unit from policy metadata (after
-    /// erasure). Returns the bytes freed.
-    fn forget_unit(&mut self, unit: UnitId) -> u64;
-
     /// Evaluate an access request.
     fn check(&mut self, req: &AccessRequest) -> Decision;
 
     /// Metadata bytes this mechanism occupies (policies + indexes).
     fn metadata_bytes(&self) -> u64;
-
-    /// Number of live policies tracked.
-    fn policy_count(&self) -> usize;
 }
 
 /// An enforcer wrapped with epoch versioning. One rule: every
 /// [`grant`](VersionedEnforcer::grant) /
-/// [`revoke_all`](VersionedEnforcer::revoke_all) /
-/// [`forget_unit`](VersionedEnforcer::forget_unit) routed through the
+/// [`revoke_all`](VersionedEnforcer::revoke_all) routed through the
 /// wrapper bumps the [`PolicyEpoch`], whatever the mechanism made of it.
 pub struct VersionedEnforcer {
     inner: Box<dyn PolicyEnforcer>,
@@ -166,13 +158,6 @@ impl VersionedEnforcer {
         self.inner.revoke_all(unit, at)
     }
 
-    /// Remove every trace of the unit from policy metadata
-    /// (policy-mutating).
-    pub fn forget_unit(&mut self, unit: UnitId) -> u64 {
-        self.epoch = self.epoch.next();
-        self.inner.forget_unit(unit)
-    }
-
     /// The wrapped mechanism, read-only.
     pub fn inner(&self) -> &dyn PolicyEnforcer {
         self.inner.as_ref()
@@ -221,8 +206,6 @@ mod tests {
             assert_eq!(v.epoch(), PolicyEpoch(1), "{v:?}");
             v.revoke_all(UnitId(1), Ts::from_secs(20));
             assert_eq!(v.epoch(), PolicyEpoch(2), "{v:?}");
-            v.forget_unit(UnitId(1));
-            assert_eq!(v.epoch(), PolicyEpoch(3), "{v:?}");
         }
     }
 }

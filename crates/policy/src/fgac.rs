@@ -165,21 +165,6 @@ impl PolicyEnforcer for FgacEnforcer {
         n
     }
 
-    fn forget_unit(&mut self, unit: UnitId) -> u64 {
-        let Some(rows) = self.by_unit.remove(&unit) else {
-            return 0;
-        };
-        for row in &rows {
-            if let Some(postings) = self.index.get_mut(&(row.policy.entity, row.policy.purpose)) {
-                if let Ok(pos) = postings.binary_search(&unit) {
-                    postings.remove(pos);
-                }
-            }
-        }
-        self.policies -= rows.len();
-        rows.len() as u64 * (64 + self.config.guard_bytes_per_policy)
-    }
-
     fn check(&mut self, req: &AccessRequest) -> Decision {
         let model = self.clock.model().clone();
         Meter::bump(&self.meter.policy_checks, 1);
@@ -241,10 +226,6 @@ impl PolicyEnforcer for FgacEnforcer {
         let guards = self.policies as u64 * self.config.guard_bytes_per_policy;
         let index: u64 = self.index.values().map(|p| 24 + p.len() as u64 * 8).sum();
         policy_rows + guards + index
-    }
-
-    fn policy_count(&self) -> usize {
-        self.policies
     }
 }
 
@@ -309,7 +290,6 @@ mod tests {
             UnitId(1),
             Policy::open_ended(wk::audit(), EntityId(1), t(0)),
         );
-        assert_eq!(e.policy_count(), 11);
         assert_eq!(e.by_unit[&UnitId(1)].capacity(), 12);
     }
 
@@ -322,21 +302,6 @@ mod tests {
         );
         assert_eq!(e.revoke_all(UnitId(1), t(10)), 1);
         assert!(!e.check(&req(1, 1, t(11))).is_allow());
-    }
-
-    #[test]
-    fn forget_unit_cleans_index_and_bytes() {
-        let mut e = mk(true);
-        e.register_unit(
-            UnitId(1),
-            &[Policy::open_ended(wk::billing(), EntityId(1), t(0))],
-        );
-        let before = e.metadata_bytes();
-        let freed = e.forget_unit(UnitId(1));
-        assert!(freed > 0);
-        assert!(e.metadata_bytes() < before);
-        assert!(!e.check(&req(1, 1, t(5))).is_allow());
-        assert_eq!(e.policy_count(), 0);
     }
 
     #[test]
@@ -401,7 +366,6 @@ mod tests {
                 ],
             );
         }
-        assert_eq!(e.policy_count(), 200);
         // 200 policies × (64 + 96 guard bytes) plus index postings.
         assert!(e.metadata_bytes() > 200 * 160);
     }

@@ -81,15 +81,6 @@ impl PolicyEnforcer for MetaTableEnforcer {
         n
     }
 
-    fn forget_unit(&mut self, unit: UnitId) -> u64 {
-        if let Some(rows) = self.table.remove(&unit) {
-            self.policies -= rows.len();
-            16 + rows.len() as u64 * 32
-        } else {
-            0
-        }
-    }
-
     fn check(&mut self, req: &AccessRequest) -> Decision {
         let model = self.clock.model().clone();
         // The join against the separate table.
@@ -121,10 +112,6 @@ impl PolicyEnforcer for MetaTableEnforcer {
     fn metadata_bytes(&self) -> u64 {
         // Rows + the per-unit index on the policy table.
         self.policies as u64 * 32 + self.table.len() as u64 * 24
-    }
-
-    fn policy_count(&self) -> usize {
-        self.policies
     }
 }
 
@@ -180,20 +167,6 @@ mod tests {
         assert!(!e.check(&req(1, 1, t(21))).is_allow());
         // Paper semantics: the policy row records its own end.
         assert!(e.check(&req(1, 1, t(20))).is_allow(), "inclusive end");
-    }
-
-    #[test]
-    fn forget_unit_frees_metadata() {
-        let mut e = mk();
-        e.register_unit(
-            UnitId(1),
-            &[Policy::open_ended(wk::billing(), EntityId(1), t(0))],
-        );
-        let before = e.metadata_bytes();
-        let freed = e.forget_unit(UnitId(1));
-        assert!(freed > 0);
-        assert!(e.metadata_bytes() < before);
-        assert_eq!(e.policy_count(), 0);
     }
 
     #[test]

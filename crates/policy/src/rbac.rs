@@ -47,7 +47,6 @@ pub struct RbacEnforcer {
     roles: Vec<Role>,
     membership: HashMap<EntityId, HashSet<usize>>,
     subject_role: Option<usize>,
-    units: usize,
     clock: SimClock,
     meter: std::sync::Arc<Meter>,
 }
@@ -68,7 +67,6 @@ impl RbacEnforcer {
             roles: Vec::new(),
             membership: HashMap::new(),
             subject_role: None,
-            units: 0,
             clock,
             meter,
         }
@@ -91,13 +89,6 @@ impl RbacEnforcer {
         assert!(role_id < self.roles.len(), "unknown role id");
         self.membership.entry(entity).or_default().insert(role_id);
     }
-
-    /// Remove an entity from a role.
-    pub fn remove_member(&mut self, entity: EntityId, role_id: usize) {
-        if let Some(rs) = self.membership.get_mut(&entity) {
-            rs.remove(&role_id);
-        }
-    }
 }
 
 impl PolicyEnforcer for RbacEnforcer {
@@ -107,7 +98,6 @@ impl PolicyEnforcer for RbacEnforcer {
 
     fn register_unit(&mut self, _unit: UnitId, _policies: &[Policy]) {
         // RBAC keeps no per-unit state — that is exactly its coarseness.
-        self.units += 1;
     }
 
     fn on_new_subject(&mut self, entity: EntityId) {
@@ -119,11 +109,6 @@ impl PolicyEnforcer for RbacEnforcer {
     fn grant(&mut self, _unit: UnitId, _policy: Policy) {}
 
     fn revoke_all(&mut self, _unit: UnitId, _at: Ts) -> usize {
-        0
-    }
-
-    fn forget_unit(&mut self, _unit: UnitId) -> u64 {
-        self.units = self.units.saturating_sub(1);
         0
     }
 
@@ -163,10 +148,6 @@ impl PolicyEnforcer for RbacEnforcer {
             .map(|s| 16 + s.len() as u64 * 8)
             .sum();
         roles + members
-    }
-
-    fn policy_count(&self) -> usize {
-        self.roles.iter().map(|r| r.grants.len()).sum()
     }
 }
 
@@ -222,19 +203,6 @@ mod tests {
         assert!(e
             .check(&req(1, wk::compliance_erase(), ActionKind::Erase))
             .is_allow());
-    }
-
-    #[test]
-    fn membership_revocation() {
-        let mut e = mk();
-        let r = e.define_role(Role::new(
-            "reader",
-            vec![(wk::billing(), vec![ActionKind::Read])],
-        ));
-        e.add_member(EntityId(1), r);
-        assert!(e.check(&req(1, wk::billing(), ActionKind::Read)).is_allow());
-        e.remove_member(EntityId(1), r);
-        assert!(!e.check(&req(1, wk::billing(), ActionKind::Read)).is_allow());
     }
 
     #[test]

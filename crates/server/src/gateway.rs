@@ -287,9 +287,10 @@ impl Server {
         self.addr
     }
 
-    /// A direct in-process submission port into the shared engine (used
-    /// by benches to measure the wire layer's overhead against the same
-    /// engine).
+    /// A direct in-process submission port into the shared engine,
+    /// bypassing the wire and the gateway. Its one caller is the server
+    /// integration test that holds engine scoping even for a raw handle:
+    /// a tenant-scoped session cannot reach another tenant's keys.
     pub fn engine_handle(&self) -> EngineHandle {
         self.engine.handle()
     }

@@ -87,11 +87,6 @@ impl CrashPoint {
         }
     }
 
-    /// Parse a stable name back into a crash point.
-    pub fn from_name(name: &str) -> Option<CrashPoint> {
-        CrashPoint::ALL.into_iter().find(|p| p.name() == name)
-    }
-
     fn index(self) -> usize {
         CrashPoint::ALL
             .iter()
@@ -183,11 +178,6 @@ impl FaultInjector {
         FaultInjector(Some(Arc::new(FaultPlane::new(Some((point, nth.max(1)))))))
     }
 
-    /// Is this handle attached to a plane at all?
-    pub fn is_active(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Record an arrival at `point`; panics with a [`CrashSignal`] if the
     /// plane is armed for this arrival. The disabled handle returns
     /// immediately.
@@ -228,19 +218,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_roundtrip() {
-        for point in CrashPoint::ALL {
-            assert_eq!(CrashPoint::from_name(point.name()), Some(point));
-        }
-        assert_eq!(CrashPoint::from_name("nonsense"), None);
-    }
-
-    #[test]
     fn disabled_injector_is_inert() {
         let f = FaultInjector::disabled();
         f.hit(CrashPoint::Plan);
         assert_eq!(f.count(CrashPoint::Plan), 0);
-        assert!(!f.is_active());
         assert!(!f.fired());
     }
 

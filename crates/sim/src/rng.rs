@@ -54,19 +54,6 @@ impl SplitMix64 {
         // Multiply-shift reduction; bias is negligible for our uses.
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
-
-    /// Fill a byte slice with pseudo-random data.
-    pub fn fill_bytes(&mut self, out: &mut [u8]) {
-        let mut chunks = out.chunks_exact_mut(8);
-        for c in &mut chunks {
-            c.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let w = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&w[..rem.len()]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -114,13 +101,5 @@ mod tests {
         assert_ne!(child_seed(1, "a"), child_seed(1, "b"));
         assert_eq!(child_seed(1, "a"), child_seed(1, "a"));
         assert_ne!(child_seed(1, "a"), child_seed(2, "a"));
-    }
-
-    #[test]
-    fn fill_bytes_covers_remainder() {
-        let mut s = SplitMix64::new(3);
-        let mut buf = [0u8; 13];
-        s.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

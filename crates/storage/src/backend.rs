@@ -3,7 +3,7 @@
 //! Data-CASE's central claim is that regulation groundings must hold
 //! *independently of the underlying data processing system*. This module
 //! is that claim made into a Rust trait: [`StorageBackend`] names the
-//! workload surface (insert/read/update/delete/hide/scan) **and** the
+//! workload surface (insert/read/update/delete/hide) **and** the
 //! compliance hooks every grounding plan needs — maintenance that turns
 //! logical deletes physical, per-unit purging of retained log/run copies,
 //! drive sanitisation, and the forensic
@@ -34,13 +34,13 @@
 //!     b.delete(1).unwrap();
 //!     b.checkpoint();
 //!     // A logical delete physically retains the bytes on *both* backends…
-//!     assert!(b.scan_physical(b"subject-pii").online(), "{:?}", b.kind());
+//!     assert!(b.scan_physical(b"subject-pii").online());
 //!     // …until maintenance plus a per-unit log purge ground the erasure.
 //!     b.maintain(MaintenanceDepth::Full);
 //!     b.purge_unit(100);
 //!     b.sanitize(3);
 //!     b.checkpoint();
-//!     assert!(!b.scan_physical(b"subject-pii").any(), "{:?}", b.kind());
+//!     assert!(!b.scan_physical(b"subject-pii").any());
 //! }
 //! ```
 
@@ -138,16 +138,6 @@ pub enum DurableSnapshot {
     Lsm(RunManifest),
 }
 
-impl DurableSnapshot {
-    /// Which substrate this snapshot came from.
-    pub fn kind(&self) -> BackendKind {
-        match self {
-            DurableSnapshot::Heap(_) => BackendKind::Heap,
-            DurableSnapshot::Lsm(_) => BackendKind::Lsm,
-        }
-    }
-}
-
 /// Rebuild a live backend from a salvaged [`DurableSnapshot`]: WAL replay
 /// for the heap, manifest reopen for the LSM. Purely deterministic — two
 /// recoveries from the same snapshot yield identical physical state.
@@ -168,17 +158,16 @@ pub fn recover_backend(
 
 /// The storage contract the compliant engine composes over.
 ///
-/// Workload methods mirror the op vocabulary; compliance hooks are the
-/// per-backend mechanics that erasure groundings (Table 1) map onto. A
+/// The contract is exactly what the engine and the erasure plan call, and
+/// nothing more. Workload methods mirror the op vocabulary; compliance
+/// hooks are the per-backend mechanics that erasure groundings (Table 1)
+/// map onto. A
 /// backend must satisfy the erasure contract: after `delete` +
 /// `maintain(Full)` + `purge_unit` + `sanitize`, [`scan_physical`] finds
 /// no residual of the unit's payloads at any layer.
 ///
 /// [`scan_physical`]: StorageBackend::scan_physical
 pub trait StorageBackend: Send {
-    /// Which substrate this is.
-    fn kind(&self) -> BackendKind;
-
     /// INSERT a new record. Fails with [`StorageError::DuplicateKey`] on a
     /// visible duplicate.
     fn insert(&mut self, key: u64, unit_id: u64, payload: &[u8]) -> Result<()>;
@@ -197,12 +186,6 @@ pub trait StorageBackend: Send {
     /// Reversible inaccessibility: set/clear the hidden attribute by
     /// writing a new flagged version.
     fn set_hidden(&mut self, key: u64, hidden: bool) -> Result<()>;
-
-    /// The unit id stored under `key`, hidden versions included.
-    fn unit_of(&mut self, key: u64) -> Option<u64>;
-
-    /// Sequential scan over visible, non-hidden records.
-    fn seq_scan(&mut self, f: &mut dyn FnMut(u64, u64, &[u8]));
 
     // ------------------------------------------------------------------
     // Compliance hooks
@@ -249,10 +232,6 @@ pub trait StorageBackend: Send {
 // ---------------------------------------------------------------------
 
 impl StorageBackend for HeapDb {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Heap
-    }
-
     fn insert(&mut self, key: u64, unit_id: u64, payload: &[u8]) -> Result<()> {
         HeapDb::insert(self, key, unit_id, payload).map(|_| ())
     }
@@ -271,14 +250,6 @@ impl StorageBackend for HeapDb {
 
     fn set_hidden(&mut self, key: u64, hidden: bool) -> Result<()> {
         HeapDb::set_hidden(self, key, hidden).map(|_| ())
-    }
-
-    fn unit_of(&mut self, key: u64) -> Option<u64> {
-        HeapDb::unit_of(self, key)
-    }
-
-    fn seq_scan(&mut self, f: &mut dyn FnMut(u64, u64, &[u8])) {
-        HeapDb::seq_scan(self, |k, u, p| f(k, u, p));
     }
 
     fn maintain(&mut self, depth: MaintenanceDepth) -> MaintenanceStats {
@@ -392,23 +363,11 @@ impl LsmBackend {
         backend
     }
 
-    /// The wrapped tree (ablations, forensics).
-    pub fn tree(&self) -> &LsmTree {
-        &self.tree
-    }
-
     fn encode(hidden: bool, payload: &[u8]) -> Vec<u8> {
         let mut v = Vec::with_capacity(1 + payload.len());
         v.push(if hidden { LSM_FLAG_HIDDEN } else { 0 });
         v.extend_from_slice(payload);
         v
-    }
-
-    fn decode(value: &[u8]) -> (bool, &[u8]) {
-        match value.split_first() {
-            Some((flags, payload)) => (flags & LSM_FLAG_HIDDEN != 0, payload),
-            None => (false, &[]),
-        }
     }
 
     /// The current live version of `key`: (unit, hidden, payload). The
@@ -431,10 +390,6 @@ impl LsmBackend {
 }
 
 impl StorageBackend for LsmBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Lsm
-    }
-
     fn insert(&mut self, key: u64, unit_id: u64, payload: &[u8]) -> Result<()> {
         if self.live_version(key).is_some() {
             return Err(StorageError::DuplicateKey(key));
@@ -476,19 +431,6 @@ impl StorageBackend for LsmBackend {
         };
         self.tree.put(key, unit, &Self::encode(hidden, &payload));
         Ok(())
-    }
-
-    fn unit_of(&mut self, key: u64) -> Option<u64> {
-        self.live_version(key).map(|(unit, _, _)| unit)
-    }
-
-    fn seq_scan(&mut self, f: &mut dyn FnMut(u64, u64, &[u8])) {
-        for (key, unit, value) in self.tree.range_units(0, u64::MAX) {
-            let (hidden, payload) = Self::decode(&value);
-            if !hidden {
-                f(key, unit, payload);
-            }
-        }
     }
 
     fn maintain(&mut self, depth: MaintenanceDepth) -> MaintenanceStats {
@@ -562,17 +504,16 @@ impl StorageBackend for LsmBackend {
 mod tests {
     use super::*;
 
-    fn both() -> Vec<Box<dyn StorageBackend>> {
+    fn both() -> Vec<(BackendKind, Box<dyn StorageBackend>)> {
         vec![
-            Box::new(HeapDb::default_single()),
-            Box::new(LsmBackend::default_single()),
+            (BackendKind::Heap, Box::new(HeapDb::default_single())),
+            (BackendKind::Lsm, Box::new(LsmBackend::default_single())),
         ]
     }
 
     #[test]
     fn workload_surface_parity() {
-        for mut b in both() {
-            let kind = b.kind();
+        for (kind, mut b) in both() {
             b.insert(1, 100, b"alpha").unwrap();
             b.insert(2, 200, b"beta").unwrap();
             assert_eq!(
@@ -583,7 +524,6 @@ mod tests {
             assert_eq!(b.read(1, false).unwrap(), b"alpha", "{kind:?}");
             b.update(1, b"alpha-v2").unwrap();
             assert_eq!(b.read(1, false).unwrap(), b"alpha-v2", "{kind:?}");
-            assert_eq!(b.unit_of(2), Some(200), "{kind:?}");
             b.delete(2).unwrap();
             assert_eq!(b.read(2, false), None, "{kind:?}");
             assert_eq!(
@@ -594,14 +534,13 @@ mod tests {
             assert_eq!(b.delete(2), Err(StorageError::KeyNotFound(2)), "{kind:?}");
             // Reinsert after delete works on both substrates.
             b.insert(2, 201, b"beta-2").unwrap();
-            assert_eq!(b.unit_of(2), Some(201), "{kind:?}");
+            assert_eq!(b.read(2, false).unwrap(), b"beta-2", "{kind:?}");
         }
     }
 
     #[test]
     fn hidden_attribute_parity() {
-        for mut b in both() {
-            let kind = b.kind();
+        for (kind, mut b) in both() {
             b.insert(7, 70, b"pii").unwrap();
             b.set_hidden(7, true).unwrap();
             assert_eq!(b.read(7, false), None, "{kind:?}: hidden from reads");
@@ -610,7 +549,6 @@ mod tests {
                 b"pii",
                 "{kind:?}: controller view"
             );
-            assert_eq!(b.unit_of(7), Some(70), "{kind:?}: unit still resolvable");
             // Updates preserve the hidden attribute, as SQL UPDATE would.
             b.update(7, b"pii-v2").unwrap();
             assert_eq!(b.read(7, false), None, "{kind:?}");
@@ -620,24 +558,8 @@ mod tests {
     }
 
     #[test]
-    fn seq_scan_skips_deleted_and_hidden() {
-        for mut b in both() {
-            let kind = b.kind();
-            b.insert(1, 10, b"a").unwrap();
-            b.insert(2, 20, b"b").unwrap();
-            b.insert(3, 30, b"c").unwrap();
-            b.delete(2).unwrap();
-            b.set_hidden(3, true).unwrap();
-            let mut seen = Vec::new();
-            b.seq_scan(&mut |k, u, p| seen.push((k, u, p.to_vec())));
-            assert_eq!(seen, vec![(1, 10, b"a".to_vec())], "{kind:?}");
-        }
-    }
-
-    #[test]
     fn erasure_contract_holds_on_both_backends() {
-        for mut b in both() {
-            let kind = b.kind();
+        for (kind, mut b) in both() {
             b.insert(1, 100, b"erase-contract-target").unwrap();
             // Data at rest first: an LSM delete before any flush would
             // supersede the value in the memtable itself.
@@ -659,8 +581,7 @@ mod tests {
 
     #[test]
     fn stats_track_live_and_dead() {
-        for mut b in both() {
-            let kind = b.kind();
+        for (kind, mut b) in both() {
             for i in 0..20u64 {
                 b.insert(i, i, &[0x5A; 32]).unwrap();
             }

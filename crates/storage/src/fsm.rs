@@ -50,11 +50,6 @@ impl FreeSpaceMap {
     pub fn truncate(&mut self, n: usize) {
         self.free.truncate(n);
     }
-
-    /// Total free bytes across all pages (bloat statistics).
-    pub fn total_free(&self) -> u64 {
-        self.free.iter().map(|&f| f as u64).sum()
-    }
 }
 
 #[cfg(test)]
@@ -79,7 +74,7 @@ mod tests {
         f.add_page(1000);
         f.set(0, 10);
         assert_eq!(f.find(100), None);
-        assert_eq!(f.total_free(), 10);
+        assert_eq!(f.find(10), Some(0));
     }
 
     #[test]

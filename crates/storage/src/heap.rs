@@ -282,11 +282,6 @@ impl HeapDb {
         Some(payload.to_vec())
     }
 
-    /// The unit id stored under `key`, if visible.
-    pub fn unit_of(&mut self, key: u64) -> Option<u64> {
-        self.find_visible(key).map(|(_, h)| h.unit_id)
-    }
-
     /// `flags`: `Some(bits)` sets the new version's flags explicitly;
     /// `None` inherits the old version's flags (a plain UPDATE does not
     /// touch the hidden attribute).
@@ -696,7 +691,6 @@ mod tests {
         assert_eq!(db.read(1, false).unwrap(), b"alice-data");
         assert_eq!(db.read(2, false).unwrap(), b"bob-data");
         assert_eq!(db.read(3, false), None);
-        assert_eq!(db.unit_of(1), Some(100));
         assert_eq!(db.stats().live_tuples, 2);
     }
 
@@ -955,7 +949,6 @@ mod tests {
         db.vacuum();
         db.insert(1, 200, b"second-life").unwrap();
         assert_eq!(db.read(1, false).unwrap(), b"second-life");
-        assert_eq!(db.unit_of(1), Some(200));
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl MallReading {
         }
         s
     }
-
-    /// The forensic needle identifying this person's readings.
-    pub fn person_needle(person: u32) -> Vec<u8> {
-        format!("person={person:06}").into_bytes()
-    }
 }
 
 /// Seeded generator of Mall readings and their GDPR metadata.
@@ -152,8 +147,8 @@ mod tests {
         };
         let p = r.to_payload(100);
         assert_eq!(p.len(), 100);
-        let needle = MallReading::person_needle(42);
-        assert!(p.windows(needle.len()).any(|w| w == needle.as_slice()));
+        let needle = b"person=000042";
+        assert!(p.windows(needle.len()).any(|w| w == needle));
     }
 
     #[test]

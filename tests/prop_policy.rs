@@ -84,38 +84,6 @@ proptest! {
         }
     }
 
-    /// Forgetting a unit removes all its grants from every mechanism.
-    #[test]
-    fn forget_unit_is_complete(
-        grants in proptest::collection::vec((0u64..4, 0u32..3), 1..15),
-        victim in 0u64..4,
-    ) {
-        let p = PurposeId::new("prop-forget");
-        for idx in [true, false] {
-            let mut e = FgacEnforcer::new(
-                FgacConfig { use_index: idx, ..FgacConfig::default() },
-                SimClock::commodity(),
-                Arc::new(Meter::new()),
-            );
-            for &(unit, entity) in &grants {
-                e.grant(UnitId(unit), Policy::open_ended(p, EntityId(entity), Ts::ZERO));
-            }
-            e.forget_unit(UnitId(victim));
-            for &(unit, entity) in &grants {
-                let req = AccessRequest {
-                    unit: UnitId(unit),
-                    entity: EntityId(entity),
-                    purpose: p,
-                    action: ActionKind::Read,
-                    at: Ts::from_secs(1),
-                };
-                if unit == victim {
-                    prop_assert!(!e.check(&req).is_allow(), "forgotten unit still grants");
-                }
-            }
-        }
-    }
-
     /// Metadata footprint is monotone in the number of live policies.
     #[test]
     fn metadata_bytes_monotone(n in 1usize..60) {
