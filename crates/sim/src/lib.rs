@@ -16,7 +16,8 @@
 //!   magnitudes;
 //! * [`clock::Meter`] — event counters (page I/O, tuple CPU, crypto bytes …)
 //!   that benches report next to times;
-//! * [`rng`] — seeded RNG helpers so every experiment is reproducible;
+//! * [`rng`] — the one seeded RNG (SplitMix64) every generator draws
+//!   from, so every experiment is reproducible;
 //! * [`fault`] — the deterministic crash-injection plane the chaos
 //!   harness arms (free when disabled);
 //! * [`zipf::Zipfian`] — the YCSB-style skewed key sampler;

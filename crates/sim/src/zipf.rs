@@ -4,7 +4,7 @@
 //! approximation as used by the original YCSB `ZipfianGenerator`, including
 //! the incremental re-computation of `zeta(n)` when the item count grows.
 
-use rand::Rng;
+use crate::rng::SplitMix64;
 
 const ZIPF_CONSTANT: f64 = 0.99;
 
@@ -66,8 +66,8 @@ impl Zipfian {
     }
 
     /// Draw a rank in `0..items`; rank 0 is the hottest.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let u: f64 = rng.random();
+    pub fn sample(&self, rng: &mut SplitMix64) -> u64 {
+        let u = rng.next_f64();
         let uz = u * self.zeta_n;
         if uz < 1.0 {
             return 0;
@@ -97,7 +97,7 @@ impl ScrambledZipfian {
     }
 
     /// Draw a key in `0..items`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    pub fn sample(&self, rng: &mut SplitMix64) -> u64 {
         let rank = self.inner.sample(rng);
         fnv1a_64(rank) % self.inner.items()
     }
@@ -116,12 +116,11 @@ pub fn fnv1a_64(v: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::seeded;
 
     #[test]
     fn samples_stay_in_range() {
         let z = Zipfian::new(1000);
-        let mut rng = seeded(1);
+        let mut rng = SplitMix64::new(1);
         for _ in 0..10_000 {
             assert!(z.sample(&mut rng) < 1000);
         }
@@ -130,7 +129,7 @@ mod tests {
     #[test]
     fn distribution_is_skewed_toward_low_ranks() {
         let z = Zipfian::new(1000);
-        let mut rng = seeded(2);
+        let mut rng = SplitMix64::new(2);
         let mut head = 0u64;
         let n = 50_000;
         for _ in 0..n {
@@ -150,7 +149,7 @@ mod tests {
     #[test]
     fn scrambled_spreads_hot_keys() {
         let z = ScrambledZipfian::new(1000);
-        let mut rng = seeded(3);
+        let mut rng = SplitMix64::new(3);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..2_000 {
             seen.insert(z.sample(&mut rng));
@@ -167,7 +166,7 @@ mod tests {
         let mut z = Zipfian::new(10);
         z.grow(1000);
         assert_eq!(z.items(), 1000);
-        let mut rng = seeded(4);
+        let mut rng = SplitMix64::new(4);
         let any_large = (0..20_000).any(|_| z.sample(&mut rng) >= 10);
         assert!(any_large);
     }
@@ -176,7 +175,7 @@ mod tests {
     fn uniform_theta_zero_like_behaviour() {
         // Low theta should be much flatter than default.
         let flat = Zipfian::with_theta(1000, 0.01);
-        let mut rng = seeded(5);
+        let mut rng = SplitMix64::new(5);
         let mut head = 0u64;
         let n = 50_000;
         for _ in 0..n {

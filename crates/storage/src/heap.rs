@@ -15,7 +15,6 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
 use datacase_crypto::sector::SectorCipher;
 use datacase_crypto::CryptoBackend;
 use datacase_sim::fault::{CrashPoint, FaultInjector};
@@ -263,7 +262,7 @@ impl HeapDb {
             xid,
             key,
             unit_id,
-            payload: Bytes::copy_from_slice(payload),
+            payload: payload.into(),
         });
         self.live += 1;
         self.commit();
@@ -314,7 +313,7 @@ impl HeapDb {
             xid,
             key,
             unit_id: old_header.unit_id,
-            payload: Bytes::copy_from_slice(payload),
+            payload: payload.into(),
             hidden: header.flags & FLAG_HIDDEN != 0,
         });
         self.commit();

@@ -6,7 +6,6 @@
 //! long-gone tuples persist in the log. The forensic scanner therefore
 //! scans it, and the permanent-deletion plan scrubs it per unit.
 
-use bytes::Bytes;
 use datacase_sim::{Meter, SimClock};
 
 /// One WAL record.
@@ -21,7 +20,7 @@ pub enum WalRecord {
         /// Data-CASE unit id.
         unit_id: u64,
         /// Tuple payload (cleartext unless the engine encrypted upstream).
-        payload: Bytes,
+        payload: Box<[u8]>,
     },
     /// A tuple delete.
     Delete {
@@ -41,7 +40,7 @@ pub enum WalRecord {
         /// Data-CASE unit id.
         unit_id: u64,
         /// New payload.
-        payload: Bytes,
+        payload: Box<[u8]>,
         /// Whether the new version carries the HIDDEN flag.
         hidden: bool,
     },
@@ -173,9 +172,9 @@ impl Wal {
             if rec.unit_id() == Some(unit) {
                 match rec {
                     WalRecord::Insert { payload, .. } | WalRecord::Update { payload, .. } => {
-                        let len = payload.len();
-                        self.clock.charge(self.clock.model().log_cost(len));
-                        *payload = Bytes::from(vec![0u8; len]);
+                        self.clock
+                            .charge(self.clock.model().log_cost(payload.len()));
+                        payload.fill(0);
                         scrubbed += 1;
                     }
                     _ => {
@@ -220,7 +219,7 @@ mod tests {
             xid: 1,
             key,
             unit_id: key,
-            payload: Bytes::copy_from_slice(payload),
+            payload: payload.into(),
         }
     }
 

@@ -8,8 +8,7 @@
 //! * **Fig4a customer mix** — 20 % deletes on data, rest reads (§4.1).
 
 use datacase_core::purpose::well_known as wk;
-use datacase_sim::rng::seeded;
-use rand::Rng;
+use datacase_sim::rng::{child_seed, SplitMix64};
 
 use crate::opstream::{MetaField, MetaSelector, Op};
 use crate::record::MallGenerator;
@@ -119,7 +118,7 @@ impl Mix {
 /// dead tuples cluster on contiguous heap pages — the locality PostgreSQL's
 /// visibility map exploits and Figure 4a depends on.
 pub struct GdprBench {
-    rng: rand::rngs::StdRng,
+    rng: SplitMix64,
     mall: MallGenerator,
     live_keys: std::collections::VecDeque<u64>,
     next_key: u64,
@@ -139,8 +138,8 @@ impl GdprBench {
     /// A bench over `people` subjects with the given seed.
     pub fn new(seed: u64, people: u32) -> GdprBench {
         GdprBench {
-            rng: seeded(datacase_sim::rng::child_seed(seed, "gdprbench-ops")),
-            mall: MallGenerator::new(datacase_sim::rng::child_seed(seed, "mall"), people, 64),
+            rng: SplitMix64::new(child_seed(seed, "gdprbench-ops")),
+            mall: MallGenerator::new(child_seed(seed, "mall"), people, 64),
             live_keys: std::collections::VecDeque::new(),
             next_key: 0,
             payload_size: 100,
@@ -172,7 +171,7 @@ impl GdprBench {
         if self.live_keys.is_empty() {
             return None;
         }
-        let idx = self.rng.random_range(0..self.live_keys.len());
+        let idx = self.rng.next_below(self.live_keys.len() as u64) as usize;
         self.live_keys.get(idx).copied()
     }
 
@@ -188,7 +187,7 @@ impl GdprBench {
         if self.next_key == 0 {
             return None;
         }
-        Some(self.rng.random_range(0..self.next_key))
+        Some(self.rng.next_below(self.next_key))
     }
 
     /// Generate `n` transaction-phase operations with the given mix.
@@ -219,7 +218,7 @@ impl GdprBench {
         };
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            let roll: u32 = self.rng.random_range(0..100);
+            let roll = self.rng.next_below(100) as u32;
             let tag = thresholds
                 .iter()
                 .find(|(cum, _)| roll < *cum)
@@ -251,7 +250,7 @@ impl GdprBench {
                 },
                 5 => match self.pick_live() {
                     Some(key) => {
-                        let field = match self.rng.random_range(0..3u8) {
+                        let field = match self.rng.next_below(3) {
                             0 => MetaField::Ttl,
                             1 => MetaField::Purpose,
                             _ => MetaField::Objection,
@@ -261,10 +260,12 @@ impl GdprBench {
                     None => self.fresh_create(),
                 },
                 _ => {
-                    let selector = if self.rng.random_range(0..2u8) == 0 {
-                        MetaSelector::BySubject(self.rng.random_range(0..self.mall.people()))
+                    let selector = if self.rng.next_below(2) == 0 {
+                        MetaSelector::BySubject(
+                            self.rng.next_below(self.mall.people() as u64) as u32
+                        )
                     } else {
-                        let p = match self.rng.random_range(0..4u8) {
+                        let p = match self.rng.next_below(4) {
                             0 => wk::billing(),
                             1 => wk::analytics(),
                             2 => wk::advertising(),

@@ -9,9 +9,8 @@
 //! fixed-size payload.
 
 use datacase_core::purpose::{well_known as wk, PurposeId};
-use datacase_sim::rng::seeded;
+use datacase_sim::rng::SplitMix64;
 use datacase_sim::time::Ts;
-use rand::Rng;
 
 /// The GDPR metadata GDPRBench attaches to every record.
 #[derive(Clone, Debug, PartialEq)]
@@ -64,7 +63,7 @@ impl MallReading {
 /// Seeded generator of Mall readings and their GDPR metadata.
 #[derive(Debug)]
 pub struct MallGenerator {
-    rng: rand::rngs::StdRng,
+    rng: SplitMix64,
     devices: u32,
     people: u32,
     zones: u16,
@@ -78,7 +77,7 @@ impl MallGenerator {
     pub fn new(seed: u64, people: u32, devices: u32) -> MallGenerator {
         assert!(people > 0 && devices > 0);
         MallGenerator {
-            rng: seeded(seed),
+            rng: SplitMix64::new(seed),
             devices,
             people,
             zones: 64,
@@ -103,9 +102,9 @@ impl MallGenerator {
     pub fn reading(&mut self) -> MallReading {
         self.now += self.clock_step;
         MallReading {
-            device: self.rng.random_range(0..self.devices),
-            person: self.rng.random_range(0..self.people),
-            zone: self.rng.random_range(0..self.zones),
+            device: self.rng.next_below(self.devices as u64) as u32,
+            person: self.rng.next_below(self.people as u64) as u32,
+            zone: self.rng.next_below(self.zones as u64) as u16,
             at: Ts(self.now),
         }
     }
@@ -114,19 +113,19 @@ impl MallGenerator {
     /// smart-space purposes, TTL a few simulated days out).
     pub fn record(&mut self) -> (MallReading, GdprMetadata, Vec<u8>) {
         let reading = self.reading();
-        let purpose = match self.rng.random_range(0..4u8) {
+        let purpose = match self.rng.next_below(4) {
             0 => wk::billing(),
             1 => wk::analytics(),
             2 => wk::advertising(),
             _ => wk::smart_space(),
         };
-        let ttl_days = self.rng.random_range(30..365u64);
+        let ttl_days = 30 + self.rng.next_below(365 - 30);
         let meta = GdprMetadata {
             subject: reading.person,
             purpose,
             ttl: reading.at + datacase_sim::time::Dur::from_secs(ttl_days * 24 * 3600),
             origin_device: reading.device,
-            objects_to_sharing: self.rng.random_range(0..100u8) < 30,
+            objects_to_sharing: self.rng.next_below(100) < 30,
         };
         let payload = reading.to_payload(self.payload_size);
         (reading, meta, payload)

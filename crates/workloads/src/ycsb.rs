@@ -2,9 +2,8 @@
 //! baseline. Workload C (100 % reads) is what Figure 4b/4c use; A and B
 //! are included for ablations.
 
-use datacase_sim::rng::seeded;
+use datacase_sim::rng::{child_seed, SplitMix64};
 use datacase_sim::zipf::ScrambledZipfian;
-use rand::Rng;
 
 use crate::opstream::Op;
 use crate::record::MallGenerator;
@@ -42,7 +41,7 @@ impl YcsbWorkload {
 
 /// The YCSB generator: uniform load phase + zipfian request phase.
 pub struct Ycsb {
-    rng: rand::rngs::StdRng,
+    rng: SplitMix64,
     zipf: ScrambledZipfian,
     records: u64,
     mall: MallGenerator,
@@ -66,10 +65,10 @@ impl Ycsb {
     pub fn new(seed: u64, records: u64) -> Ycsb {
         assert!(records > 0);
         Ycsb {
-            rng: seeded(datacase_sim::rng::child_seed(seed, "ycsb-ops")),
+            rng: SplitMix64::new(child_seed(seed, "ycsb-ops")),
             zipf: ScrambledZipfian::new(records),
             records,
-            mall: MallGenerator::new(datacase_sim::rng::child_seed(seed, "ycsb-mall"), 1000, 64),
+            mall: MallGenerator::new(child_seed(seed, "ycsb-mall"), 1000, 64),
             payload_size: 100,
             load_payload_size: None,
         }
@@ -108,7 +107,7 @@ impl Ycsb {
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             let key = self.zipf.sample(&mut self.rng);
-            if self.rng.random_range(0..100u8) < read_pct {
+            if self.rng.next_below(100) < read_pct as u64 {
                 out.push(Op::ReadData { key });
             } else {
                 let reading = self.mall.reading();
