@@ -219,6 +219,7 @@ impl AesCtr {
 mod tests {
     use super::*;
     use crate::test_vectors::hex;
+    use datacase_sim::check::check;
 
     #[test]
     fn sp800_38a_f5_1_ctr_aes128() {
@@ -332,26 +333,30 @@ mod tests {
         ctr.apply_blocks(AesCtr::iv_from_nonce(1), &mut data);
     }
 
-    proptest::proptest! {
-        #[test]
-        fn involution_property(nonce in proptest::prelude::any::<u64>(),
-                               data in proptest::collection::vec(0u8..=255, 0..200)) {
+    #[test]
+    fn involution_property() {
+        check("involution_property", 64, |s| {
+            let nonce = s.u64();
+            let data = s.vec(0..200, |s| s.range(0u8..=255));
             let iv = AesCtr::iv_from_nonce(nonce);
             for size in [KeySize::Aes128, KeySize::Aes192, KeySize::Aes256] {
                 let ctr = AesCtr::from_key(size, &[0x42; 32][..size.key_len()]);
                 let mut buf = data.clone();
                 ctr.apply(iv, &mut buf);
-                proptest::prop_assert!(data.len() < 16 || buf != data);
+                assert!(data.len() < 16 || buf != data);
                 ctr.apply(iv, &mut buf);
-                proptest::prop_assert_eq!(&buf, &data);
+                assert_eq!(&buf, &data);
             }
-        }
+        });
+    }
 
-        #[test]
-        fn lane_xor_path_matches_reference(iv in proptest::collection::vec(0u8..=255, 16),
-                                           data in proptest::collection::vec(0u8..=255, 0..260)) {
+    #[test]
+    fn lane_xor_path_matches_reference() {
+        check("lane_xor_path_matches_reference", 64, |s| {
             // Random IVs exercise counter carries; lengths cover empty,
             // sub-block, block-aligned and straddling buffers.
+            let iv = s.vec(16..=16, |s| s.range(0u8..=255));
+            let data = s.vec(0..260, |s| s.range(0u8..=255));
             let iv: [u8; 16] = iv.try_into().unwrap();
             for size in [KeySize::Aes128, KeySize::Aes192, KeySize::Aes256] {
                 let key = &[0x5C; 32][..size.key_len()];
@@ -360,9 +365,9 @@ mod tests {
                 for backend in [CryptoBackend::Auto, CryptoBackend::Software] {
                     let mut fast = data.clone();
                     AesCtr::expand(size, key, backend).apply(iv, &mut fast);
-                    proptest::prop_assert_eq!(&fast, &slow, "{:?} {}", size, backend);
+                    assert_eq!(&fast, &slow, "{size:?} {backend}");
                 }
             }
-        }
+        });
     }
 }

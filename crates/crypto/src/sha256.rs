@@ -168,6 +168,7 @@ pub fn to_hex(digest: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datacase_sim::check::check;
 
     #[test]
     fn empty_string_vector() {
@@ -231,27 +232,33 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        #[test]
-        fn deterministic(data in proptest::collection::vec(0u8..=255, 0..300)) {
-            proptest::prop_assert_eq!(Sha256::digest(&data), Sha256::digest(&data));
-        }
+    #[test]
+    fn deterministic() {
+        check("deterministic", 64, |s| {
+            let data = s.vec(0..300, |s| s.range(0u8..=255));
+            assert_eq!(Sha256::digest(&data), Sha256::digest(&data));
+        });
+    }
 
-        #[test]
-        fn split_invariance(data in proptest::collection::vec(0u8..=255, 0..300),
-                            split in 0usize..300) {
-            let split = split.min(data.len());
+    #[test]
+    fn split_invariance() {
+        check("split_invariance", 64, |s| {
+            let data = s.vec(0..300, |s| s.range(0u8..=255));
+            let split = s.range(0usize..300).min(data.len());
             let mut h = Sha256::new();
             h.update(&data[..split]);
             h.update(&data[split..]);
-            proptest::prop_assert_eq!(h.finalize(), Sha256::digest(&data));
-        }
+            assert_eq!(h.finalize(), Sha256::digest(&data));
+        });
+    }
 
-        /// Lane equivalence: the resolved lane, fed in random splits,
-        /// equals a scalar-only hasher fed in one piece.
-        #[test]
-        fn resolved_lane_matches_scalar(data in proptest::collection::vec(0u8..=255, 0..2048),
-                                        cuts in proptest::collection::vec(0usize..2048, 0..6)) {
+    /// Lane equivalence: the resolved lane, fed in random splits,
+    /// equals a scalar-only hasher fed in one piece.
+    #[test]
+    fn resolved_lane_matches_scalar() {
+        check("resolved_lane_matches_scalar", 64, |s| {
+            let data = s.vec(0..2048, |s| s.range(0u8..=255));
+            let cuts = s.vec(0..6, |s| s.range(0usize..2048));
             let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
             cuts.sort_unstable();
             let mut h = Sha256::new();
@@ -262,8 +269,8 @@ mod tests {
             }
             let mut scalar = Sha256::on_lane(None);
             scalar.update(&data);
-            proptest::prop_assert_eq!(h.finalize(), scalar.finalize());
-        }
+            assert_eq!(h.finalize(), scalar.finalize());
+        });
     }
 
     #[test]

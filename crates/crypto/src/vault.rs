@@ -302,7 +302,7 @@ impl KeyVault {
 mod tests {
     use super::*;
     use crate::ctr::AesCtr;
-    use proptest::prelude::*;
+    use datacase_sim::check::check;
 
     /// The first 32 keystream bytes of `unit`'s live key under a fixed IV
     /// — a fingerprint of the key, now that the vault never hands the raw
@@ -525,16 +525,17 @@ mod tests {
         Ok(())
     }
 
-    proptest! {
-        /// Random ensure / destroy / cipher / keystream_apply / purge_unit
-        /// sequences over 8 units, with the keystream cache off and at 4
-        /// entries, against a `unit -> (generation, live)` model plus the
-        /// cache's expected FIFO occupancy: the invariants one record per
-        /// unit now keeps by construction.
-        #[test]
-        fn vault_lifecycle_matches_a_model(
-            ops in proptest::collection::vec((0u8..5, 0u64..8, 0usize..70), 1..80),
-        ) {
+    /// Random ensure / destroy / cipher / keystream_apply / purge_unit
+    /// sequences over 8 units, with the keystream cache off and at 4
+    /// entries, against a `unit -> (generation, live)` model plus the
+    /// cache's expected FIFO occupancy: the invariants one record per
+    /// unit now keeps by construction.
+    #[test]
+    fn vault_lifecycle_matches_a_model() {
+        check("vault_lifecycle_matches_a_model", 64, |s| {
+            let ops = s.vec(1..80, |s| {
+                (s.range(0u8..5), s.range(0u64..8), s.range(0usize..70))
+            });
             let mut plain = KeyVault::new(b"model", KeySize::Aes128);
             let mut cached = KeyVault::new(b"model", KeySize::Aes128).with_keystream_cache(4);
             let mut model: HashMap<u64, (u64, bool)> = HashMap::new();
@@ -550,37 +551,48 @@ mod tests {
                         cached.ensure_key(unit);
                         model.insert(unit, (generation, true));
                         let fingerprint = stream(&plain, unit);
-                        prop_assert_eq!(&fingerprint, &stream(&cached, unit));
+                        assert_eq!(&fingerprint, &stream(&cached, unit));
                         let earlier = seen.entry(unit).or_default();
                         if live {
-                            prop_assert_eq!(earlier.last(), Some(&fingerprint),
-                                            "ensure re-keyed live unit {}", unit);
+                            assert_eq!(
+                                earlier.last(),
+                                Some(&fingerprint),
+                                "ensure re-keyed live unit {}",
+                                unit
+                            );
                         } else {
-                            prop_assert!(!earlier.contains(&fingerprint),
-                                         "unit {} generation {} reuses a destroyed key",
-                                         unit, generation);
+                            assert!(
+                                !earlier.contains(&fingerprint),
+                                "unit {} generation {} reuses a destroyed key",
+                                unit,
+                                generation
+                            );
                             earlier.push(fingerprint);
                         }
                     }
                     1 => {
-                        prop_assert_eq!(plain.destroy_key(unit), live);
-                        prop_assert_eq!(cached.destroy_key(unit), live);
+                        assert_eq!(plain.destroy_key(unit), live);
+                        assert_eq!(cached.destroy_key(unit), live);
                         segments.retain(|u| *u != unit);
                         if live {
                             model.insert(unit, (generation + 1, false));
                         }
                     }
                     2 => {
-                        prop_assert_eq!(plain.cipher(unit).is_ok(), live);
-                        prop_assert_eq!(cached.cipher(unit).is_ok(), live);
+                        assert_eq!(plain.cipher(unit).is_ok(), live);
+                        assert_eq!(cached.cipher(unit).is_ok(), live);
                     }
                     3 => {
                         let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
                         let (mut a, mut b) = (data.clone(), data);
-                        let expect = if live { Ok(()) } else { Err(VaultError::KeyUnavailable(unit)) };
-                        prop_assert_eq!(&apply(&mut plain, unit, &mut a), &expect);
-                        prop_assert_eq!(&apply(&mut cached, unit, &mut b), &expect);
-                        prop_assert_eq!(a, b, "cache on and off diverged on unit {}", unit);
+                        let expect = if live {
+                            Ok(())
+                        } else {
+                            Err(VaultError::KeyUnavailable(unit))
+                        };
+                        assert_eq!(&apply(&mut plain, unit, &mut a), &expect);
+                        assert_eq!(&apply(&mut cached, unit, &mut b), &expect);
+                        assert_eq!(a, b, "cache on and off diverged on unit {}", unit);
                         if live && !segments.contains(&unit) {
                             if segments.len() == 4 {
                                 segments.pop_front();
@@ -594,12 +606,12 @@ mod tests {
                         segments.retain(|u| *u != unit);
                     }
                 }
-                prop_assert_eq!(cached.cached_keystreams(), segments.len());
+                assert_eq!(cached.cached_keystreams(), segments.len());
             }
             for (unit, (_, live)) in model {
-                prop_assert_eq!(plain.cipher(unit).is_ok(), live);
-                prop_assert_eq!(cached.cipher(unit).is_ok(), live);
+                assert_eq!(plain.cipher(unit).is_ok(), live);
+                assert_eq!(cached.cipher(unit).is_ok(), live);
             }
-        }
+        });
     }
 }

@@ -18,12 +18,16 @@
 //!   that benches report next to times;
 //! * [`rng`] — the one seeded RNG (SplitMix64) every generator draws
 //!   from, so every experiment is reproducible;
+//! * [`check`] — the property runner the workspace's property tests use:
+//!   seeded cases from [`rng`], and a shrinker that reduces a failing
+//!   case to a short choice sequence [`check::replay`] re-runs;
 //! * [`fault`] — the deterministic crash-injection plane the chaos
 //!   harness arms (free when disabled);
 //! * [`zipf::Zipfian`] — the YCSB-style skewed key sampler;
 //! * [`report`] — minimal fixed-width table rendering used by the `repro`
 //!   harness (no serialization dependency needed).
 
+pub mod check;
 pub mod clock;
 pub mod cost;
 pub mod fault;

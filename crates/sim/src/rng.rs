@@ -2,8 +2,8 @@
 //!
 //! Every generator in the reproduction takes an explicit `u64` seed so runs
 //! are bit-for-bit reproducible. One dependency-free SplitMix64 serves them
-//! all: workload sampling, Zipfian ranks, chaos scenarios and seed
-//! derivation.
+//! all: workload sampling, Zipfian ranks, chaos scenarios, property-test
+//! cases ([`crate::check`]) and seed derivation.
 
 /// Derive a child seed from a parent seed and a stream label, so different
 /// components of one experiment draw from independent streams.

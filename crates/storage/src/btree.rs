@@ -300,6 +300,7 @@ impl BTreeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datacase_sim::check::check;
     use std::sync::Arc;
 
     fn mk() -> BTreeIndex {
@@ -446,14 +447,12 @@ mod tests {
         assert!(clock.now().0 > 0);
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn behaves_like_reference_multimap(
-            ops in proptest::collection::vec(
-                (0u64..200, 0u32..50, proptest::bool::ANY), 1..400)
-        ) {
+    #[test]
+    fn behaves_like_reference_multimap() {
+        check("behaves_like_reference_multimap", 64, |s| {
+            let ops = s.vec(1..400, |s| {
+                (s.range(0u64..200), s.range(0u32..50), s.bool())
+            });
             let mut ix = mk();
             let mut model: std::collections::BTreeSet<(u64, Tid)> = Default::default();
             for (key, t, is_insert) in ops {
@@ -466,18 +465,27 @@ mod tests {
                     }
                 } else {
                     let expected = model.remove(&(key, tv));
-                    proptest::prop_assert_eq!(ix.remove(key, tv), expected);
+                    assert_eq!(ix.remove(key, tv), expected);
                 }
             }
-            proptest::prop_assert_eq!(ix.len(), model.len());
+            assert_eq!(ix.len(), model.len());
             for key in 0u64..200 {
                 let got = ix.get(key);
                 let want: Vec<Tid> = model
-                    .range((key, TID_MIN)..=(key, Tid { page: u32::MAX, slot: u16::MAX }))
+                    .range(
+                        (key, TID_MIN)
+                            ..=(
+                                key,
+                                Tid {
+                                    page: u32::MAX,
+                                    slot: u16::MAX,
+                                },
+                            ),
+                    )
                     .map(|&(_, t)| t)
                     .collect();
-                proptest::prop_assert_eq!(&got, &want, "key {}", key);
+                assert_eq!(&got, &want, "key {}", key);
             }
-        }
+        });
     }
 }

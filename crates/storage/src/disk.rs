@@ -401,6 +401,7 @@ impl Disk {
 mod tests {
     use super::*;
     use datacase_crypto::aes::KeySize;
+    use datacase_sim::check::check;
 
     fn cipher() -> SectorCipher {
         SectorCipher::from_passphrase(b"test", KeySize::Aes256)
@@ -666,14 +667,13 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn drive_matches_a_reference_model(
-            ops in proptest::collection::vec((0u8..5, 0u32..8, 0u8..4), 1..40),
-            encrypted in proptest::bool::ANY,
-        ) {
+    #[test]
+    fn drive_matches_a_reference_model() {
+        check("drive_matches_a_reference_model", 48, |s| {
+            let ops = s.vec(1..40, |s| {
+                (s.range(0u8..5), s.range(0u32..8), s.range(0u8..4))
+            });
+            let encrypted = s.bool();
             let mut d = mk_disk(encrypted);
             let mut m = Model {
                 sectors: Vec::new(),
@@ -687,13 +687,17 @@ mod tests {
                 match (op, target) {
                     (0, _) | (_, None) => {
                         if m.sectors.len() < 8 || !m.free.is_empty() {
-                            proptest::prop_assert_eq!(d.allocate(), m.allocate());
+                            assert_eq!(d.allocate(), m.allocate());
                         }
                     }
                     (1 | 2, Some(id)) => {
                         // Content 0 is the all-zero page (VACUUM FULL's retirement).
                         let marker = format!("step-{step}-content-{content}");
-                        let page = if content == 0 { zero_image() } else { page_with(marker.as_bytes()) };
+                        let page = if content == 0 {
+                            zero_image()
+                        } else {
+                            page_with(marker.as_bytes())
+                        };
                         d.write_page(id, &page);
                         m.write(id, &page);
                         needles.push(marker.into_bytes());
@@ -708,13 +712,13 @@ mod tests {
                         m.free.push(id);
                     }
                 }
-                proptest::prop_assert_eq!(d.len(), m.sectors.len());
-                proptest::prop_assert_eq!(d.free_len(), m.free.len());
+                assert_eq!(d.len(), m.sectors.len());
+                assert_eq!(d.free_len(), m.free.len());
                 let in_use = m.in_use();
                 for &id in &in_use {
                     let (raw, ghost) = &m.sectors[id as usize];
-                    proptest::prop_assert!(*d.raw(id) == raw[..], "raw bytes of sector {}", id);
-                    proptest::prop_assert_eq!(d.remanent(id).map(|g| g.into_owned()), ghost.clone());
+                    assert!(*d.raw(id) == raw[..], "raw bytes of sector {}", id);
+                    assert_eq!(d.remanent(id).map(|g| g.into_owned()), ghost.clone());
                     needles.push(raw[200..232].to_vec());
                     if let Some(g) = ghost {
                         needles.push(g[..32].to_vec());
@@ -722,16 +726,22 @@ mod tests {
                 }
                 for needle in needles.iter().rev().take(12) {
                     let found = |g: &Vec<u8>| g.windows(needle.len()).any(|w| w == &needle[..]);
-                    let raw_hits: Vec<u32> = in_use.iter().copied()
-                        .filter(|&id| found(&m.sectors[id as usize].0)).collect();
-                    let ghost_hits: Vec<u32> = in_use.iter().copied()
-                        .filter(|&id| m.sectors[id as usize].1.as_ref().is_some_and(found)).collect();
-                    proptest::prop_assert_eq!(d.scan_raw(needle), raw_hits);
-                    proptest::prop_assert_eq!(d.scan_remanent(needle), ghost_hits);
+                    let raw_hits: Vec<u32> = in_use
+                        .iter()
+                        .copied()
+                        .filter(|&id| found(&m.sectors[id as usize].0))
+                        .collect();
+                    let ghost_hits: Vec<u32> = in_use
+                        .iter()
+                        .copied()
+                        .filter(|&id| m.sectors[id as usize].1.as_ref().is_some_and(found))
+                        .collect();
+                    assert_eq!(d.scan_raw(needle), raw_hits);
+                    assert_eq!(d.scan_remanent(needle), ghost_hits);
                 }
                 // Exactly one page of memory per content generation.
-                proptest::prop_assert_eq!(d.held_bytes(), m.images() * PAGE_SIZE);
+                assert_eq!(d.held_bytes(), m.images() * PAGE_SIZE);
             }
-        }
+        });
     }
 }

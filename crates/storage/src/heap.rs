@@ -677,6 +677,7 @@ fn write_fresh_page(disk: &mut Disk, pages: &mut Vec<u32>, fsm: &mut FreeSpaceMa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datacase_sim::check::check;
 
     fn mk() -> HeapDb {
         HeapDb::default_single()
@@ -975,13 +976,16 @@ mod tests {
         assert_eq!(db.read(1, false).unwrap(), b"plaintext-pii");
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
-
-        #[test]
-        fn heap_matches_reference_map(
-            ops in proptest::collection::vec((0u64..40, 0u8..6, proptest::collection::vec(1u8..=255, 1..40)), 1..150)
-        ) {
+    #[test]
+    fn heap_matches_reference_map() {
+        check("heap_matches_reference_map", 24, |s| {
+            let ops = s.vec(1..150, |s| {
+                (
+                    s.range(0u64..40),
+                    s.range(0u8..6),
+                    s.vec(1..40, |s| s.range(1u8..=255)),
+                )
+            });
             let mut db = mk();
             let mut model: std::collections::HashMap<u64, Vec<u8>> = Default::default();
             for (i, (key, op, payload)) in ops.into_iter().enumerate() {
@@ -989,24 +993,25 @@ mod tests {
                     0 => {
                         let r = db.insert(key, key, &payload);
                         if let std::collections::hash_map::Entry::Vacant(e) = model.entry(key) {
-                            proptest::prop_assert!(r.is_ok());
+                            assert!(r.is_ok());
                             e.insert(payload);
                         } else {
-                            proptest::prop_assert!(r.is_err());
+                            assert!(r.is_err());
                         }
                     }
                     1 => {
                         let r = db.update(key, &payload);
-                        if let std::collections::hash_map::Entry::Occupied(mut e) = model.entry(key) {
-                            proptest::prop_assert!(r.is_ok());
+                        if let std::collections::hash_map::Entry::Occupied(mut e) = model.entry(key)
+                        {
+                            assert!(r.is_ok());
                             e.insert(payload);
                         } else {
-                            proptest::prop_assert!(r.is_err());
+                            assert!(r.is_err());
                         }
                     }
                     2 => {
                         let r = db.delete(key);
-                        proptest::prop_assert_eq!(r.is_ok(), model.remove(&key).is_some());
+                        assert_eq!(r.is_ok(), model.remove(&key).is_some());
                     }
                     3 => {
                         if i % 3 == 0 {
@@ -1021,23 +1026,24 @@ mod tests {
                         // inserts and rewrites after it land on reused
                         // sectors and must still read back.
                         db.sanitize_drive(1);
-                        proptest::prop_assert!(db.retired_pages.is_empty());
+                        assert!(db.retired_pages.is_empty());
                     }
                 }
                 // Every sector has exactly one owner: the table, the
                 // retired list, or the drive's free list.
-                proptest::prop_assert_eq!(
+                assert_eq!(
                     db.disk.len(),
                     db.pages.len() + db.retired_pages.len() + db.disk.free_len(),
-                    "{:?}", db
+                    "{:?}",
+                    db
                 );
             }
             for (k, v) in &model {
-                proptest::prop_assert_eq!(db.read(*k, false).unwrap(), v.clone());
+                assert_eq!(db.read(*k, false).unwrap(), v.clone());
             }
             let mut scanned = 0usize;
             db.seq_scan(|_, _, _| scanned += 1);
-            proptest::prop_assert_eq!(scanned, model.len());
-        }
+            assert_eq!(scanned, model.len());
+        });
     }
 }

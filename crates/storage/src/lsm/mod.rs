@@ -431,6 +431,7 @@ impl BloomAlias for Meter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datacase_sim::check::check;
 
     fn mk() -> LsmTree {
         LsmTree::default_single()
@@ -652,16 +653,22 @@ mod tests {
         assert!(t0.as_millis_f64() < 10.0, "tombstone deletes are fast");
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn lsm_matches_reference_map(
-            ops in proptest::collection::vec(
-                (0u64..30, proptest::bool::ANY, proptest::collection::vec(1u8..=255, 1..30)), 1..200)
-        ) {
+    #[test]
+    fn lsm_matches_reference_map() {
+        check("lsm_matches_reference_map", 32, |s| {
+            let ops = s.vec(1..200, |s| {
+                (
+                    s.range(0u64..30),
+                    s.bool(),
+                    s.vec(1..30, |s| s.range(1u8..=255)),
+                )
+            });
             let mut t = LsmTree::new(
-                LsmConfig { memtable_bytes: 512, runs_per_level: 2, ..LsmConfig::default() },
+                LsmConfig {
+                    memtable_bytes: 512,
+                    runs_per_level: 2,
+                    ..LsmConfig::default()
+                },
                 SimClock::commodity(),
                 Arc::new(Meter::new()),
             );
@@ -676,10 +683,10 @@ mod tests {
                 }
             }
             for key in 0u64..30 {
-                proptest::prop_assert_eq!(t.get(key), model.get(&key).cloned(), "key {}", key);
+                assert_eq!(t.get(key), model.get(&key).cloned(), "key {}", key);
             }
             let live = t.range(0, 30);
-            proptest::prop_assert_eq!(live.len(), model.len());
-        }
+            assert_eq!(live.len(), model.len());
+        });
     }
 }

@@ -295,6 +295,7 @@ fn write_u16(b: &mut [u8], at: usize, v: u16) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datacase_sim::check::check;
 
     #[test]
     fn fresh_page_is_empty() {
@@ -413,12 +414,10 @@ mod tests {
         assert_eq!(own, Arc::as_ptr(p.image()));
     }
 
-    proptest::proptest! {
-        #[test]
-        fn inserted_tuples_always_readable(
-            payloads in proptest::collection::vec(
-                proptest::collection::vec(1u8..=255, 1..300), 1..20)
-        ) {
+    #[test]
+    fn inserted_tuples_always_readable() {
+        check("inserted_tuples_always_readable", 64, |s| {
+            let payloads = s.vec(1..20, |s| s.vec(1..300, |s| s.range(1u8..=255)));
             let mut p = Page::new();
             let mut stored: Vec<(u16, Vec<u8>)> = Vec::new();
             for pl in &payloads {
@@ -427,14 +426,15 @@ mod tests {
                 }
             }
             for (slot, pl) in &stored {
-                proptest::prop_assert_eq!(p.tuple(*slot).unwrap(), pl.as_slice());
+                assert_eq!(p.tuple(*slot).unwrap(), pl.as_slice());
             }
-        }
+        });
+    }
 
-        #[test]
-        fn vacuum_never_loses_live_tuples(
-            kill in proptest::collection::vec(proptest::bool::ANY, 10)
-        ) {
+    #[test]
+    fn vacuum_never_loses_live_tuples() {
+        check("vacuum_never_loses_live_tuples", 64, |s| {
+            let kill = s.vec(10..=10, |s| s.bool());
             let mut p = Page::new();
             let mut slots = Vec::new();
             for i in 0..10u8 {
@@ -450,11 +450,11 @@ mod tests {
             for (i, &dead) in kill.iter().enumerate() {
                 let (slot, ref payload) = slots[i];
                 if dead {
-                    proptest::prop_assert!(p.tuple(slot).is_none());
+                    assert!(p.tuple(slot).is_none());
                 } else {
-                    proptest::prop_assert_eq!(p.tuple(slot).unwrap(), payload.as_slice());
+                    assert_eq!(p.tuple(slot).unwrap(), payload.as_slice());
                 }
             }
-        }
+        });
     }
 }

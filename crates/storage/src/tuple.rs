@@ -118,6 +118,7 @@ pub fn patch_header(bytes: &mut [u8], header: &TupleHeader) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datacase_sim::check::check;
 
     #[test]
     fn encode_decode_roundtrip() {
@@ -170,18 +171,17 @@ mod tests {
         assert_eq!(format!("{}", Tid { page: 3, slot: 9 }), "(3,9)");
     }
 
-    proptest::proptest! {
-        #[test]
-        fn roundtrip_any_payload(
-            xmin in proptest::prelude::any::<u64>(),
-            key in proptest::prelude::any::<u64>(),
-            payload in proptest::collection::vec(0u8..=255, 0..1000)
-        ) {
+    #[test]
+    fn roundtrip_any_payload() {
+        check("roundtrip_any_payload", 64, |s| {
+            let xmin = s.u64();
+            let key = s.u64();
+            let payload = s.vec(0..1000, |s| s.range(0u8..=255));
             let h = TupleHeader::new(xmin, key ^ 1, key);
             let bytes = encode(&h, &payload);
             let (h2, p2) = decode(&bytes);
-            proptest::prop_assert_eq!(h, h2);
-            proptest::prop_assert_eq!(p2, payload.as_slice());
-        }
+            assert_eq!(h, h2);
+            assert_eq!(p2, payload.as_slice());
+        });
     }
 }

@@ -1,9 +1,10 @@
 //! Smoke tests for the build surface itself.
 //!
 //! `cargo test` compiles every example, which proves they *build*; these
-//! tests pin the example set, the exact set of `crates/*` members and the
-//! vendored stand-in, so a renamed, dropped or added file fails `cargo
-//! test` loudly instead of silently changing the built surface.
+//! tests pin the example set and the exact set of `crates/*` members, so a
+//! renamed, dropped or added file fails `cargo test` loudly instead of
+//! silently changing the built surface, and they hold the workspace to
+//! depending on nothing outside itself.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -68,7 +69,7 @@ const CRATES: &[&str] = &[
 ];
 
 #[test]
-fn workspace_members_and_vendored_deps_exist() {
+fn workspace_members_exist() {
     let root = repo_root();
     let crates_dir = root.join("crates");
     let expected: BTreeSet<String> = CRATES.iter().map(|s| s.to_string()).collect();
@@ -86,19 +87,35 @@ fn workspace_members_and_vendored_deps_exist() {
             manifest.display()
         );
     }
-    // The offline test build depends on the one in-tree stand-in; see
-    // [workspace.dependencies] in the root manifest.
-    assert_eq!(
-        subdirs(&root.join("vendor")),
-        BTreeSet::from(["proptest".to_string()]),
-        "vendor/ drifted from the one vendored stand-in"
-    );
-    assert!(
-        root.join("vendor/proptest/Cargo.toml").is_file(),
-        "missing vendored dep proptest"
-    );
     assert!(
         root.join("rust-toolchain.toml").is_file(),
         "rust-toolchain.toml pin missing"
+    );
+}
+
+/// The workspace builds offline because it depends on nothing outside
+/// itself: no vendored stand-in, and no package in the lockfile that is
+/// not one of ours.
+#[test]
+fn no_external_dependency() {
+    let root = repo_root();
+    assert!(!root.join("vendor").exists(), "vendor/ is back");
+    let lock = std::fs::read_to_string(root.join("Cargo.lock")).expect("read Cargo.lock");
+    let packages: Vec<&str> = lock
+        .lines()
+        .filter_map(|line| line.strip_prefix("name = \""))
+        .map(|rest| rest.trim_end_matches('"'))
+        .collect();
+    assert!(
+        packages.contains(&"data-case"),
+        "Cargo.lock lists no data-case"
+    );
+    let external: Vec<&&str> = packages
+        .iter()
+        .filter(|name| **name != "data-case" && !name.starts_with("datacase-"))
+        .collect();
+    assert!(
+        external.is_empty(),
+        "Cargo.lock lists external packages: {external:?}"
     );
 }

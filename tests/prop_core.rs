@@ -1,6 +1,6 @@
 //! Property-based tests over the Data-CASE model.
 
-use proptest::prelude::*;
+use data_case::sim::check::check;
 
 use data_case::core::action::Action;
 use data_case::core::grounding::erasure::ErasureInterpretation;
@@ -11,23 +11,22 @@ use data_case::core::purpose::PurposeId;
 use data_case::core::timeline::ErasureTimeline;
 use data_case::sim::time::Ts;
 
-fn interp_strategy() -> impl Strategy<Value = ErasureInterpretation> {
-    prop_oneof![
-        Just(ErasureInterpretation::ReversiblyInaccessible),
-        Just(ErasureInterpretation::Deleted),
-        Just(ErasureInterpretation::StronglyDeleted),
-        Just(ErasureInterpretation::PermanentlyDeleted),
-    ]
-}
+const INTERPRETATIONS: [ErasureInterpretation; 4] = [
+    ErasureInterpretation::ReversiblyInaccessible,
+    ErasureInterpretation::Deleted,
+    ErasureInterpretation::StronglyDeleted,
+    ErasureInterpretation::PermanentlyDeleted,
+];
 
-proptest! {
-    /// `P(t)` is exactly the set of granted, unexpired, unrevoked windows.
-    #[test]
-    fn active_policy_set_matches_window_algebra(
-        grants in proptest::collection::vec((0u64..100, 0u64..100, 0u32..4), 1..20),
-        revoke_at in proptest::option::of(0u64..120),
-        query in 0u64..140,
-    ) {
+/// `P(t)` is exactly the set of granted, unexpired, unrevoked windows.
+#[test]
+fn active_policy_set_matches_window_algebra() {
+    check("active_policy_set_matches_window_algebra", 64, |s| {
+        let grants = s.vec(1..20, |s| {
+            (s.range(0u64..100), s.range(0u64..100), s.range(0u32..4))
+        });
+        let revoke_at = s.option(|s| s.range(0u64..120));
+        let query = s.range(0u64..140);
         let e = EntityId(1);
         let p = PurposeId::new("prop-core-purpose");
         let mut set = PolicySet::new();
@@ -56,23 +55,28 @@ proptest! {
                 None => true,
             }
         });
-        prop_assert_eq!(set.authorises(p, e, q), expected);
-    }
+        assert_eq!(set.authorises(p, e, q), expected);
+    });
+}
 
-    /// Restrictiveness is a total order: for any two interpretations one
-    /// implies the other, and implication agrees with rank.
-    #[test]
-    fn erasure_lattice_total_order(a in interp_strategy(), b in interp_strategy()) {
-        prop_assert!(a.implies(b) || b.implies(a));
-        prop_assert_eq!(a.implies(b), a.rank() >= b.rank());
-    }
+/// Restrictiveness is a total order: for any two interpretations one
+/// implies the other, and implication agrees with rank.
+#[test]
+fn erasure_lattice_total_order() {
+    check("erasure_lattice_total_order", 64, |s| {
+        let a = s.pick(&INTERPRETATIONS);
+        let b = s.pick(&INTERPRETATIONS);
+        assert!(a.implies(b) || b.implies(a));
+        assert_eq!(a.implies(b), a.rank() >= b.rank());
+    });
+}
 
-    /// Timelines reconstructed from arbitrary erase sequences are always
-    /// monotone, and a stricter erase stamps all weaker stages.
-    #[test]
-    fn timelines_are_monotone(
-        stages in proptest::collection::vec((interp_strategy(), 1u64..1000), 1..8)
-    ) {
+/// Timelines reconstructed from arbitrary erase sequences are always
+/// monotone, and a stricter erase stamps all weaker stages.
+#[test]
+fn timelines_are_monotone() {
+    check("timelines_are_monotone", 64, |s| {
+        let stages = s.vec(1..8, |s| (s.pick(&INTERPRETATIONS), s.range(1u64..1000)));
         let unit = data_case::core::ids::UnitId(1);
         let mut h = ActionHistory::new();
         h.record(HistoryTuple {
@@ -94,39 +98,49 @@ proptest! {
             });
         }
         let tl = ErasureTimeline::from_history(&h, unit);
-        prop_assert!(tl.is_monotone());
+        assert!(tl.is_monotone());
         if tl.permanently_deleted.is_some() {
-            prop_assert!(tl.strongly_deleted.is_some());
-            prop_assert!(tl.deleted.is_some());
-            prop_assert!(tl.reversibly_inaccessible.is_some());
+            assert!(tl.strongly_deleted.is_some());
+            assert!(tl.deleted.is_some());
+            assert!(tl.reversibly_inaccessible.is_some());
         }
-    }
+    });
+}
 
-    /// Derived policy sets never grant more than every parent allows.
-    #[test]
-    fn derivation_restricts_policies(
-        parent_windows in proptest::collection::vec(
-            proptest::collection::vec((0u64..50, 50u64..100), 0..4), 1..4),
-        query in 0u64..120,
-    ) {
+/// Derived policy sets never grant more than every parent allows.
+#[test]
+fn derivation_restricts_policies() {
+    check("derivation_restricts_policies", 64, |s| {
+        let parent_windows = s.vec(1..4, |s| {
+            s.vec(0..4, |s| (s.range(0u64..50), s.range(50u64..100)))
+        });
+        let query = s.range(0u64..120);
         let e = EntityId(3);
         let p = PurposeId::new("prop-derive-purpose");
         let now = Ts::from_secs(60);
-        let sets: Vec<PolicySet> = parent_windows.iter().map(|ws| {
-            let mut s = PolicySet::new();
-            for (a, b) in ws {
-                s.grant(Policy::new(p, e, Ts::from_secs(*a), Ts::from_secs(*b)), Ts::ZERO);
-            }
-            s
-        }).collect();
+        let sets: Vec<PolicySet> = parent_windows
+            .iter()
+            .map(|ws| {
+                let mut s = PolicySet::new();
+                for (a, b) in ws {
+                    s.grant(
+                        Policy::new(p, e, Ts::from_secs(*a), Ts::from_secs(*b)),
+                        Ts::ZERO,
+                    );
+                }
+                s
+            })
+            .collect();
         let refs: Vec<&PolicySet> = sets.iter().collect();
         let derived = PolicySet::restrict_for_derivation(&refs, now);
         let q = Ts::from_secs(query);
         if derived.authorises(p, e, q) {
             for s in &sets {
-                prop_assert!(s.authorises(p, e, q),
-                    "derived policy must be within every parent's grants");
+                assert!(
+                    s.authorises(p, e, q),
+                    "derived policy must be within every parent's grants"
+                );
             }
         }
-    }
+    });
 }

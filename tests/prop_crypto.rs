@@ -16,7 +16,7 @@
 //! offsets, plus the keystream-cache × backend interaction. The forced
 //! `Software` run is what covers the fallback lane on hosts with AES-NI.
 
-use proptest::prelude::*;
+use data_case::sim::check::check;
 
 use data_case::crypto::aes::{Aes, KeySize};
 use data_case::crypto::ctr::AesCtr;
@@ -31,11 +31,12 @@ const ALL_SIZES: [KeySize; 3] = [KeySize::Aes128, KeySize::Aes192, KeySize::Aes2
 /// second software run), `Software` forces the T-table path everywhere.
 const ALL_BACKENDS: [CryptoBackend; 2] = [CryptoBackend::Auto, CryptoBackend::Software];
 
-proptest! {
-    /// Block level: T-table encrypt ≡ reference rounds.
-    #[test]
-    fn block_paths_agree(key in proptest::collection::vec(0u8..=255, 32),
-                         pt in proptest::collection::vec(0u8..=255, 16)) {
+/// Block level: T-table encrypt ≡ reference rounds.
+#[test]
+fn block_paths_agree() {
+    check("block_paths_agree", 64, |s| {
+        let key = s.vec(32..=32, |s| s.range(0u8..=255));
+        let pt = s.vec(16..=16, |s| s.range(0u8..=255));
         let block: [u8; 16] = pt.try_into().unwrap();
         for size in ALL_SIZES {
             let key = &key[..size.key_len()];
@@ -43,17 +44,20 @@ proptest! {
             let mut slow = block;
             Aes::new(size, key).encrypt_block(&mut fast);
             reference::encrypt_block(size, key, &mut slow);
-            prop_assert_eq!(fast, slow, "{:?} encrypt diverged", size);
+            assert_eq!(fast, slow, "{:?} encrypt diverged", size);
         }
-    }
+    });
+}
 
-    /// Stream level: lane-XOR CTR ≡ reference CTR on random IVs (counter
-    /// carries included) and ragged lengths — empty, sub-block, aligned,
-    /// and straddling buffers.
-    #[test]
-    fn ctr_paths_agree(key in proptest::collection::vec(0u8..=255, 32),
-                       iv in proptest::collection::vec(0u8..=255, 16),
-                       data in proptest::collection::vec(0u8..=255, 0..300)) {
+/// Stream level: lane-XOR CTR ≡ reference CTR on random IVs (counter
+/// carries included) and ragged lengths — empty, sub-block, aligned,
+/// and straddling buffers.
+#[test]
+fn ctr_paths_agree() {
+    check("ctr_paths_agree", 64, |s| {
+        let key = s.vec(32..=32, |s| s.range(0u8..=255));
+        let iv = s.vec(16..=16, |s| s.range(0u8..=255));
+        let data = s.vec(0..300, |s| s.range(0u8..=255));
         let iv: [u8; 16] = iv.try_into().unwrap();
         for size in ALL_SIZES {
             let key = &key[..size.key_len()];
@@ -62,19 +66,22 @@ proptest! {
             let mut slow = data.clone();
             ctr.apply(iv, &mut fast);
             reference::apply_ctr(size, key, iv, &mut slow);
-            prop_assert_eq!(&fast, &slow, "{:?} CTR diverged", size);
+            assert_eq!(&fast, &slow, "{:?} CTR diverged", size);
             // Involution through the fast path alone.
             ctr.apply(iv, &mut fast);
-            prop_assert_eq!(&fast, &data, "{:?} CTR involution broken", size);
+            assert_eq!(&fast, &data, "{:?} CTR involution broken", size);
         }
-    }
+    });
+}
 
-    /// The whole-block entry used for page work must agree with the
-    /// general entry (and therefore with the reference).
-    #[test]
-    fn apply_blocks_agrees_with_apply(key in proptest::collection::vec(0u8..=255, 16),
-                                      nonce in any::<u64>(),
-                                      blocks in 0usize..20) {
+/// The whole-block entry used for page work must agree with the
+/// general entry (and therefore with the reference).
+#[test]
+fn apply_blocks_agrees_with_apply() {
+    check("apply_blocks_agrees_with_apply", 64, |s| {
+        let key = s.vec(16..=16, |s| s.range(0u8..=255));
+        let nonce = s.u64();
+        let blocks = s.range(0usize..20);
         let ctr = AesCtr::from_key(KeySize::Aes128, &key);
         let iv = AesCtr::iv_from_nonce(nonce);
         let data: Vec<u8> = (0..blocks * 16).map(|i| i as u8).collect();
@@ -82,22 +89,23 @@ proptest! {
         let mut b = data;
         ctr.apply(iv, &mut a);
         ctr.apply_blocks(iv, &mut b);
-        prop_assert_eq!(a, b);
-    }
+        assert_eq!(a, b);
+    });
+}
 
-    /// Offset entry: the keystream reached through `apply_at` must agree,
-    /// at every key size, with the reference path applied over a longer
-    /// buffer that *contains* the offset region — i.e. starting
-    /// `start_block` blocks into the stream is the same as skipping that
-    /// prefix. Lengths are ragged so the bulk loop and the partial tail
-    /// are both crossed with nonzero block offsets.
-    #[test]
-    fn batched_offset_keystream_agrees_with_reference(
-        key in proptest::collection::vec(0u8..=255, 32),
-        iv in proptest::collection::vec(0u8..=255, 16),
-        start_block in 0u64..40,
-        data in proptest::collection::vec(0u8..=255, 0..300),
-    ) {
+/// Offset entry: the keystream reached through `apply_at` must agree,
+/// at every key size, with the reference path applied over a longer
+/// buffer that *contains* the offset region — i.e. starting
+/// `start_block` blocks into the stream is the same as skipping that
+/// prefix. Lengths are ragged so the bulk loop and the partial tail
+/// are both crossed with nonzero block offsets.
+#[test]
+fn batched_offset_keystream_agrees_with_reference() {
+    check("batched_offset_keystream_agrees_with_reference", 64, |s| {
+        let key = s.vec(32..=32, |s| s.range(0u8..=255));
+        let iv = s.vec(16..=16, |s| s.range(0u8..=255));
+        let start_block = s.range(0u64..40);
+        let data = s.vec(0..300, |s| s.range(0u8..=255));
         let iv: [u8; 16] = iv.try_into().unwrap();
         for size in ALL_SIZES {
             let key = &key[..size.key_len()];
@@ -110,36 +118,47 @@ proptest! {
             let mut whole = vec![0u8; prefix];
             whole.extend_from_slice(&data);
             reference::apply_ctr(size, key, iv, &mut whole);
-            prop_assert_eq!(&fast, &whole[prefix..], "{:?} offset keystream diverged", size);
+            assert_eq!(
+                &fast,
+                &whole[prefix..],
+                "{:?} offset keystream diverged",
+                size
+            );
             // Involution through the offset entry alone.
             ctr.apply_at(iv, start_block, &mut fast);
-            prop_assert_eq!(&fast, &data, "{:?} offset involution broken", size);
+            assert_eq!(&fast, &data, "{:?} offset involution broken", size);
         }
-    }
+    });
+}
 
-    /// Sector level: the page fast path is the reference CTR of the
-    /// LUKS-derived key under the ESSIV-flavoured IV binding.
-    #[test]
-    fn sector_paths_agree(pass in proptest::collection::vec(0u8..=255, 1..24),
-                          sector in any::<u64>(),
-                          data in proptest::collection::vec(0u8..=255, 0..300)) {
+/// Sector level: the page fast path is the reference CTR of the
+/// LUKS-derived key under the ESSIV-flavoured IV binding.
+#[test]
+fn sector_paths_agree() {
+    check("sector_paths_agree", 64, |s| {
+        let pass = s.vec(1..24, |s| s.range(0u8..=255));
+        let sector = s.u64();
+        let data = s.vec(0..300, |s| s.range(0u8..=255));
         for size in ALL_SIZES {
             let sc = SectorCipher::from_passphrase(&pass, size);
             let mut fast = data.clone();
             let mut slow = data.clone();
             sc.apply(sector, &mut fast);
             sector_oracle(&sc, &pass, sector, &mut slow);
-            prop_assert_eq!(&fast, &slow, "{:?} sector cipher diverged", size);
+            assert_eq!(&fast, &slow, "{:?} sector cipher diverged", size);
         }
-    }
+    });
+}
 
-    // ---- Hardware ≡ software ≡ reference: the backend cross-product ----
+// ---- Hardware ≡ software ≡ reference: the backend cross-product ----
 
-    /// Block level across backends: the AES-NI rounds (when the host has
-    /// them) must agree with the T-table rounds, for all three key sizes.
-    #[test]
-    fn backend_block_paths_agree(key in proptest::collection::vec(0u8..=255, 32),
-                                 pt in proptest::collection::vec(0u8..=255, 16)) {
+/// Block level across backends: the AES-NI rounds (when the host has
+/// them) must agree with the T-table rounds, for all three key sizes.
+#[test]
+fn backend_block_paths_agree() {
+    check("backend_block_paths_agree", 64, |s| {
+        let key = s.vec(32..=32, |s| s.range(0u8..=255));
+        let pt = s.vec(16..=16, |s| s.range(0u8..=255));
         let block: [u8; 16] = pt.try_into().unwrap();
         for size in ALL_SIZES {
             let sw = Aes::new(size, &key[..size.key_len()]);
@@ -148,23 +167,28 @@ proptest! {
             if let Some(hw) = aesni::AesNi::new(size, &key[..size.key_len()]) {
                 let mut got = block;
                 hw.encrypt_block(&mut got);
-                prop_assert_eq!(got, expect, "{:?} hw encrypt diverged", size);
+                assert_eq!(got, expect, "{:?} hw encrypt diverged", size);
             } else {
-                prop_assert!(!CryptoBackend::hardware_available(),
-                             "AesNi::new must only fail without AES-NI");
+                assert!(
+                    !CryptoBackend::hardware_available(),
+                    "AesNi::new must only fail without AES-NI"
+                );
             }
         }
-    }
+    });
+}
 
-    /// Stream level across the full selector cross-product: every
-    /// backend's CTR output is pinned to the reference oracle on random
-    /// IVs (counter carries included) and ragged lengths, for all three
-    /// key sizes. `Software` is always a forced run, so dispatch coverage
-    /// survives CI hosts without AES-NI.
-    #[test]
-    fn backend_ctr_cross_product_agrees(key in proptest::collection::vec(0u8..=255, 32),
-                                        iv in proptest::collection::vec(0u8..=255, 16),
-                                        data in proptest::collection::vec(0u8..=255, 0..300)) {
+/// Stream level across the full selector cross-product: every
+/// backend's CTR output is pinned to the reference oracle on random
+/// IVs (counter carries included) and ragged lengths, for all three
+/// key sizes. `Software` is always a forced run, so dispatch coverage
+/// survives CI hosts without AES-NI.
+#[test]
+fn backend_ctr_cross_product_agrees() {
+    check("backend_ctr_cross_product_agrees", 64, |s| {
+        let key = s.vec(32..=32, |s| s.range(0u8..=255));
+        let iv = s.vec(16..=16, |s| s.range(0u8..=255));
+        let data = s.vec(0..300, |s| s.range(0u8..=255));
         let iv: [u8; 16] = iv.try_into().unwrap();
         for size in ALL_SIZES {
             let key = &key[..size.key_len()];
@@ -174,24 +198,25 @@ proptest! {
                 let ctr = AesCtr::from_key(size, key).with_backend(backend);
                 let mut got = data.clone();
                 ctr.apply(iv, &mut got);
-                prop_assert_eq!(&got, &expect, "{:?} {} CTR diverged", size, backend);
+                assert_eq!(&got, &expect, "{:?} {} CTR diverged", size, backend);
                 ctr.apply(iv, &mut got);
-                prop_assert_eq!(&got, &data, "{:?} {} involution broken", size, backend);
+                assert_eq!(&got, &data, "{:?} {} involution broken", size, backend);
             }
         }
-    }
+    });
+}
 
-    /// Offset entry across backends: nonzero `apply_at` block offsets —
-    /// crossing the hardware 8-wide loop, its scalar remainder, and the
-    /// partial tail — must equal skipping the same prefix of a reference
-    /// stream, for every backend and key size.
-    #[test]
-    fn backend_offset_keystream_cross_product(
-        key in proptest::collection::vec(0u8..=255, 32),
-        iv in proptest::collection::vec(0u8..=255, 16),
-        start_block in 1u64..40,
-        data in proptest::collection::vec(0u8..=255, 0..300),
-    ) {
+/// Offset entry across backends: nonzero `apply_at` block offsets —
+/// crossing the hardware 8-wide loop, its scalar remainder, and the
+/// partial tail — must equal skipping the same prefix of a reference
+/// stream, for every backend and key size.
+#[test]
+fn backend_offset_keystream_cross_product() {
+    check("backend_offset_keystream_cross_product", 64, |s| {
+        let key = s.vec(32..=32, |s| s.range(0u8..=255));
+        let iv = s.vec(16..=16, |s| s.range(0u8..=255));
+        let start_block = s.range(1u64..40);
+        let data = s.vec(0..300, |s| s.range(0u8..=255));
         let iv: [u8; 16] = iv.try_into().unwrap();
         for size in ALL_SIZES {
             let key = &key[..size.key_len()];
@@ -203,20 +228,32 @@ proptest! {
                 let ctr = AesCtr::from_key(size, key).with_backend(backend);
                 let mut got = data.clone();
                 ctr.apply_at(iv, start_block, &mut got);
-                prop_assert_eq!(&got, &whole[prefix..],
-                                "{:?} {} offset keystream diverged", size, backend);
+                assert_eq!(
+                    &got,
+                    &whole[prefix..],
+                    "{:?} {} offset keystream diverged",
+                    size,
+                    backend
+                );
                 ctr.apply_at(iv, start_block, &mut got);
-                prop_assert_eq!(&got, &data, "{:?} {} offset involution broken", size, backend);
+                assert_eq!(
+                    &got, &data,
+                    "{:?} {} offset involution broken",
+                    size, backend
+                );
             }
         }
-    }
+    });
+}
 
-    /// Sector level across backends: the ESSIV IV binding and the page
-    /// fast path agree with the reference twin under every selector.
-    #[test]
-    fn backend_sector_cross_product(pass in proptest::collection::vec(0u8..=255, 1..24),
-                                    sector in any::<u64>(),
-                                    data in proptest::collection::vec(0u8..=255, 0..300)) {
+/// Sector level across backends: the ESSIV IV binding and the page
+/// fast path agree with the reference twin under every selector.
+#[test]
+fn backend_sector_cross_product() {
+    check("backend_sector_cross_product", 64, |s| {
+        let pass = s.vec(1..24, |s| s.range(0u8..=255));
+        let sector = s.u64();
+        let data = s.vec(0..300, |s| s.range(0u8..=255));
         for size in ALL_SIZES {
             let oracle = SectorCipher::from_passphrase(&pass, size);
             let mut expect = data.clone();
@@ -225,10 +262,14 @@ proptest! {
                 let sc = SectorCipher::from_passphrase(&pass, size).with_backend(backend);
                 let mut got = data.clone();
                 sc.apply(sector, &mut got);
-                prop_assert_eq!(&got, &expect, "{:?} {} sector cipher diverged", size, backend);
+                assert_eq!(
+                    &got, &expect,
+                    "{:?} {} sector cipher diverged",
+                    size, backend
+                );
             }
         }
-    }
+    });
 }
 
 /// The sector cipher's oracle: reference CTR under the LUKS-derived key

@@ -19,7 +19,7 @@
 //!   audit chain byte for byte. This is the linearizability gate for the
 //!   concurrent frontend.
 
-use proptest::prelude::*;
+use data_case::sim::check::check;
 
 use data_case::crypto::CryptoBackend;
 use data_case::prelude::*;
@@ -140,46 +140,44 @@ fn run(
     (outcomes, work, now, residuals, chain)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Batch-submit ≡ sequential-execute, on all three paper profiles,
-    /// heap and LSM, under every crypto backend: the reply stream, the meter snapshot, the
-    /// simulated clock, the forensic-residual count, **and the audit
-    /// chain's bytes** all agree between single-request submissions on
-    /// the default (`Auto`) AES path and arbitrary batch sizes on the
-    /// hardware-or-software and forced-software paths. Erase batches obey
-    /// the same contract (next property).
-    #[test]
-    fn batch_submit_matches_sequential_execute(
-        seed in 0u64..10_000,
-        batch_size in 2usize..96,
-        txns in 40usize..120,
-    ) {
+/// Batch-submit ≡ sequential-execute, on all three paper profiles,
+/// heap and LSM, under every crypto backend: the reply stream, the meter snapshot, the
+/// simulated clock, the forensic-residual count, **and the audit
+/// chain's bytes** all agree between single-request submissions on
+/// the default (`Auto`) AES path and arbitrary batch sizes on the
+/// hardware-or-software and forced-software paths. Erase batches obey
+/// the same contract (next property).
+#[test]
+fn batch_submit_matches_sequential_execute() {
+    check("batch_submit_matches_sequential_execute", 6, |s| {
+        let seed = s.range(0u64..10_000);
+        let batch_size = s.range(2usize..96);
+        let txns = s.range(40usize..120);
         for backend in BackendKind::ALL {
             for profile in ProfileKind::PAPER {
                 let sequential = run(backend, profile, seed, txns, 1, CryptoBackend::Auto);
                 for crypto in [CryptoBackend::Auto, CryptoBackend::Software] {
                     let batched = run(backend, profile, seed, txns, batch_size, crypto);
                     let cell = format!("{backend:?}/{profile:?}/{crypto} (batch={batch_size})");
-                    prop_assert_eq!(&sequential.0, &batched.0, "{}: reply streams", cell);
-                    prop_assert_eq!(sequential.1, batched.1, "{}: meter snapshots", cell);
-                    prop_assert_eq!(sequential.2, batched.2, "{}: simulated clocks", cell);
-                    prop_assert_eq!(sequential.3, batched.3, "{}: forensic residuals", cell);
-                    prop_assert_eq!(sequential.4, batched.4, "{}: audit chain bytes", cell);
+                    assert_eq!(&sequential.0, &batched.0, "{}: reply streams", cell);
+                    assert_eq!(sequential.1, batched.1, "{}: meter snapshots", cell);
+                    assert_eq!(sequential.2, batched.2, "{}: simulated clocks", cell);
+                    assert_eq!(sequential.3, batched.3, "{}: forensic residuals", cell);
+                    assert_eq!(sequential.4, batched.4, "{}: audit chain bytes", cell);
                 }
             }
         }
-    }
+    });
+}
 
-    /// The erasure compliance path obeys the same parity: a batch of
-    /// erase requests equals one-by-one erasure, down to the forensic
-    /// residual count.
-    #[test]
-    fn erase_batches_match_sequential_erasure(
-        seed in 0u64..10_000,
-        erased_keys in proptest::collection::vec(0u64..40, 1..12),
-    ) {
+/// The erasure compliance path obeys the same parity: a batch of
+/// erase requests equals one-by-one erasure, down to the forensic
+/// residual count.
+#[test]
+fn erase_batches_match_sequential_erasure() {
+    check("erase_batches_match_sequential_erasure", 6, |s| {
+        let seed = s.range(0u64..10_000);
+        let erased_keys = s.vec(1..12, |s| s.range(0u64..40));
         for backend in BackendKind::ALL {
             let mk = || {
                 let mut config = EngineConfig::p_sys().with_backend(backend);
@@ -211,7 +209,7 @@ proptest! {
                 .into_iter()
                 .map(|r| r.outcome)
                 .collect();
-            prop_assert_eq!(
+            assert_eq!(
                 fe_seq.forensic().chain_head(),
                 fe_batch.forensic().chain_head(),
                 "{:?}: erase audit chains diverged",
@@ -219,58 +217,54 @@ proptest! {
             );
             let batch_residuals = fe_batch.forensic().scan(b"person=").total();
 
-            prop_assert_eq!(&seq, &batch, "{:?}: erase outcomes diverged", backend);
-            prop_assert_eq!(
-                seq_residuals,
-                batch_residuals,
+            assert_eq!(&seq, &batch, "{:?}: erase outcomes diverged", backend);
+            assert_eq!(
+                seq_residuals, batch_residuals,
                 "{:?}: erase residuals diverged",
                 backend
             );
         }
-    }
+    });
+}
 
-    /// Multi-session parity: ≥3 sessions firing interleaved sub-batches
-    /// into the sharded concurrent engine — tickets outstanding
-    /// simultaneously, submissions queued behind the shard workers — must
-    /// be indistinguishable from replaying the same per-shard arrival order
-    /// one submission at a time: same replies, same (shard, seq) stamps,
-    /// same per-shard simulated clocks (how sessions interleave moves wall
-    /// time only), same forensic residuals, and a byte-identical merged
-    /// audit chain. On heap and LSM both.
-    #[test]
-    fn multi_session_interleavings_replay_serially(
-        seed in 0u64..10_000,
-        sessions in 3usize..6,
-        schedule in proptest::collection::vec(0usize..6, 10..24),
-    ) {
+/// Multi-session parity: ≥3 sessions firing interleaved sub-batches
+/// into the sharded concurrent engine — tickets outstanding
+/// simultaneously, submissions queued behind the shard workers — must
+/// be indistinguishable from replaying the same per-shard arrival order
+/// one submission at a time: same replies, same (shard, seq) stamps,
+/// same per-shard simulated clocks (how sessions interleave moves wall
+/// time only), same forensic residuals, and a byte-identical merged
+/// audit chain. On heap and LSM both.
+#[test]
+fn multi_session_interleavings_replay_serially() {
+    check("multi_session_interleavings_replay_serially", 6, |s| {
+        let seed = s.range(0u64..10_000);
+        let sessions = s.range(3usize..6);
+        let schedule = s.vec(10..24, |s| s.range(0usize..6));
         for backend in BackendKind::ALL {
             let schedule: Vec<usize> = schedule.iter().map(|&s| s % sessions).collect();
             let concurrent = concurrent_run(backend, seed, sessions, 3, &schedule, true);
             let serial = concurrent_run(backend, seed, sessions, 3, &schedule, false);
-            prop_assert_eq!(
-                &concurrent.0,
-                &serial.0,
+            assert_eq!(
+                &concurrent.0, &serial.0,
                 "{:?}: concurrent replies or stamps diverged from serial replay",
                 backend
             );
-            prop_assert_eq!(
-                &concurrent.1,
-                &serial.1,
+            assert_eq!(
+                &concurrent.1, &serial.1,
                 "{:?}: per-shard simulated clocks diverged",
                 backend
             );
-            prop_assert_eq!(
-                concurrent.2,
-                serial.2,
+            assert_eq!(
+                concurrent.2, serial.2,
                 "{:?}: forensic residuals diverged",
                 backend
             );
-            prop_assert_eq!(
-                concurrent.3,
-                serial.3,
+            assert_eq!(
+                concurrent.3, serial.3,
                 "{:?}: merged audit chains are not byte-identical",
                 backend
             );
         }
-    }
+    });
 }

@@ -6,7 +6,7 @@
 //! framing: interpretations differ in system-actions and overheads, while
 //! a fixed grounding fixes the semantics.
 
-use proptest::prelude::*;
+use data_case::sim::check::check;
 use std::sync::Arc;
 
 use data_case::core::action::ActionKind;
@@ -27,24 +27,39 @@ fn purposes() -> Vec<PurposeId> {
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn unit_scoped_enforcers_are_decision_equivalent(
-        grants in proptest::collection::vec(
-            (0u64..6, 0u32..4, 0usize..3, 0u64..50, 50u64..100), 0..25),
-        checks in proptest::collection::vec(
-            (0u64..6, 0u32..4, 0usize..3, 0u64..120), 1..40),
-        revoke in proptest::option::of((0u64..6, 0u64..110)),
-    ) {
+#[test]
+fn unit_scoped_enforcers_are_decision_equivalent() {
+    check("unit_scoped_enforcers_are_decision_equivalent", 48, |s| {
+        let grants = s.vec(0..25, |s| {
+            (
+                s.range(0u64..6),
+                s.range(0u32..4),
+                s.range(0usize..3),
+                s.range(0u64..50),
+                s.range(50u64..100),
+            )
+        });
+        let checks = s.vec(1..40, |s| {
+            (
+                s.range(0u64..6),
+                s.range(0u32..4),
+                s.range(0usize..3),
+                s.range(0u64..120),
+            )
+        });
+        let revoke = s.option(|s| (s.range(0u64..6), s.range(0u64..110)));
         let ps = purposes();
         let mk_meta = || MetaTableEnforcer::new(SimClock::commodity(), Arc::new(Meter::new()));
-        let mk_fgac = |idx: bool| FgacEnforcer::new(
-            FgacConfig { use_index: idx, ..FgacConfig::default() },
-            SimClock::commodity(),
-            Arc::new(Meter::new()),
-        );
+        let mk_fgac = |idx: bool| {
+            FgacEnforcer::new(
+                FgacConfig {
+                    use_index: idx,
+                    ..FgacConfig::default()
+                },
+                SimClock::commodity(),
+                Arc::new(Meter::new()),
+            )
+        };
         let mut meta = mk_meta();
         let mut fgac_i = mk_fgac(true);
         let mut fgac_l = mk_fgac(false);
@@ -65,8 +80,8 @@ proptest! {
             let a = meta.revoke_all(UnitId(unit), at);
             let b = fgac_i.revoke_all(UnitId(unit), at);
             let c = fgac_l.revoke_all(UnitId(unit), at);
-            prop_assert_eq!(a, b);
-            prop_assert_eq!(b, c);
+            assert_eq!(a, b);
+            assert_eq!(b, c);
         }
         for &(unit, entity, pi, at) in &checks {
             let req = AccessRequest {
@@ -79,14 +94,17 @@ proptest! {
             let m = meta.check(&req).is_allow();
             let fi = fgac_i.check(&req).is_allow();
             let fl = fgac_l.check(&req).is_allow();
-            prop_assert_eq!(m, fi, "metatable vs indexed FGAC on {:?}", req);
-            prop_assert_eq!(fi, fl, "indexed vs linear FGAC on {:?}", req);
+            assert_eq!(m, fi, "metatable vs indexed FGAC on {:?}", req);
+            assert_eq!(fi, fl, "indexed vs linear FGAC on {:?}", req);
         }
-    }
+    });
+}
 
-    /// Metadata footprint is monotone in the number of live policies.
-    #[test]
-    fn metadata_bytes_monotone(n in 1usize..60) {
+/// Metadata footprint is monotone in the number of live policies.
+#[test]
+fn metadata_bytes_monotone() {
+    check("metadata_bytes_monotone", 48, |s| {
+        let n = s.range(1usize..60);
         let p = PurposeId::new("prop-bytes");
         let mut e = FgacEnforcer::new(
             FgacConfig::default(),
@@ -100,8 +118,8 @@ proptest! {
                 Policy::open_ended(p, EntityId(1), Ts::ZERO),
             );
             let now = e.metadata_bytes();
-            prop_assert!(now > last);
+            assert!(now > last);
             last = now;
         }
-    }
+    });
 }

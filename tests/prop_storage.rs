@@ -1,24 +1,26 @@
 //! Property-based tests over the storage substrates at workspace level.
 
-use proptest::prelude::*;
+use data_case::sim::check::check;
 
 use data_case::sim::{Meter, SimClock};
 use data_case::storage::heap::HeapDb;
 use data_case::storage::lsm::{LsmConfig, LsmTree};
 use std::sync::Arc;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The heap equals a reference map under arbitrary interleavings of
-    /// insert/update/delete/hide/vacuum/vacuum-full, and the forensic
-    /// invariant holds: after VACUUM, no deleted payload remains on file
-    /// pages.
-    #[test]
-    fn heap_model_equivalence_with_maintenance(
-        ops in proptest::collection::vec(
-            (0u64..30, 0u8..6, proptest::collection::vec(1u8..=255, 8..32)), 1..120)
-    ) {
+/// The heap equals a reference map under arbitrary interleavings of
+/// insert/update/delete/hide/vacuum/vacuum-full, and the forensic
+/// invariant holds: after VACUUM, no deleted payload remains on file
+/// pages.
+#[test]
+fn heap_model_equivalence_with_maintenance() {
+    check("heap_model_equivalence_with_maintenance", 24, |s| {
+        let ops = s.vec(1..120, |s| {
+            (
+                s.range(0u64..30),
+                s.range(0u8..6),
+                s.vec(8..32, |s| s.range(1u8..=255)),
+            )
+        });
         let mut db = HeapDb::default_single();
         let mut model: std::collections::HashMap<u64, (Vec<u8>, bool)> = Default::default();
         for (key, op, payload) in ops {
@@ -26,34 +28,34 @@ proptest! {
                 0 => {
                     let r = db.insert(key, key, &payload);
                     if let std::collections::hash_map::Entry::Vacant(e) = model.entry(key) {
-                        prop_assert!(r.is_ok());
+                        assert!(r.is_ok());
                         e.insert((payload, false));
                     } else {
-                        prop_assert!(r.is_err());
+                        assert!(r.is_err());
                     }
                 }
                 1 => {
                     let r = db.update(key, &payload);
                     match model.get_mut(&key) {
                         Some(entry) => {
-                            prop_assert!(r.is_ok());
+                            assert!(r.is_ok());
                             entry.0 = payload;
                         }
-                        None => prop_assert!(r.is_err()),
+                        None => assert!(r.is_err()),
                     }
                 }
                 2 => {
                     let r = db.delete(key);
-                    prop_assert_eq!(r.is_ok(), model.remove(&key).is_some());
+                    assert_eq!(r.is_ok(), model.remove(&key).is_some());
                 }
                 3 => {
                     let r = db.set_hidden(key, true);
                     match model.get_mut(&key) {
                         Some(entry) => {
-                            prop_assert!(r.is_ok());
+                            assert!(r.is_ok());
                             entry.1 = true;
                         }
-                        None => prop_assert!(r.is_err()),
+                        None => assert!(r.is_err()),
                     }
                 }
                 4 => {
@@ -67,23 +69,26 @@ proptest! {
         for (k, (v, hidden)) in &model {
             let visible = db.read(*k, false);
             let any = db.read(*k, true);
-            prop_assert_eq!(any.as_deref(), Some(v.as_slice()), "key {}", k);
+            assert_eq!(any.as_deref(), Some(v.as_slice()), "key {}", k);
             if *hidden {
-                prop_assert_eq!(visible, None);
+                assert_eq!(visible, None);
             } else {
-                prop_assert_eq!(visible.as_deref(), Some(v.as_slice()));
+                assert_eq!(visible.as_deref(), Some(v.as_slice()));
             }
         }
         let visible_count = model.values().filter(|(_, h)| !h).count();
         let mut scanned = 0usize;
         db.seq_scan(|_, _, _| scanned += 1);
-        prop_assert_eq!(scanned, visible_count);
-    }
+        assert_eq!(scanned, visible_count);
+    });
+}
 
-    /// Vacuum after deletes always wipes the deleted payloads from the
-    /// file level (WAL retention is separate and expected).
-    #[test]
-    fn vacuum_wipes_deleted_payloads(keys in proptest::collection::vec(0u64..50, 1..40)) {
+/// Vacuum after deletes always wipes the deleted payloads from the
+/// file level (WAL retention is separate and expected).
+#[test]
+fn vacuum_wipes_deleted_payloads() {
+    check("vacuum_wipes_deleted_payloads", 24, |s| {
+        let keys = s.vec(1..40, |s| s.range(0u64..50));
         let mut db = HeapDb::default_single();
         let marker = b"WIPE-MARKER-";
         let mut inserted = std::collections::HashSet::new();
@@ -99,17 +104,24 @@ proptest! {
         }
         db.vacuum();
         db.checkpoint();
-        prop_assert!(db.disk().scan_raw(marker).is_empty(),
-            "vacuumed payloads must not remain on pages");
-    }
+        assert!(
+            db.disk().scan_raw(marker).is_empty(),
+            "vacuumed payloads must not remain on pages"
+        );
+    });
+}
 
-    /// LSM full compaction removes every tombstoned payload physically.
-    #[test]
-    fn lsm_compaction_drops_all_shadowed(
-        ops in proptest::collection::vec((0u64..20, any::<bool>()), 1..100)
-    ) {
+/// LSM full compaction removes every tombstoned payload physically.
+#[test]
+fn lsm_compaction_drops_all_shadowed() {
+    check("lsm_compaction_drops_all_shadowed", 24, |s| {
+        let ops = s.vec(1..100, |s| (s.range(0u64..20), s.bool()));
         let mut t = LsmTree::new(
-            LsmConfig { memtable_bytes: 256, runs_per_level: 2, ..LsmConfig::default() },
+            LsmConfig {
+                memtable_bytes: 256,
+                runs_per_level: 2,
+                ..LsmConfig::default()
+            },
             SimClock::commodity(),
             Arc::new(Meter::new()),
         );
@@ -128,10 +140,13 @@ proptest! {
         }
         t.compact_all();
         let residuals = t.scan_physical(marker);
-        prop_assert_eq!(residuals, live.len(),
-            "only live values may remain after full compaction");
+        assert_eq!(
+            residuals,
+            live.len(),
+            "only live values may remain after full compaction"
+        );
         for k in 0..20u64 {
-            prop_assert_eq!(t.get(k).is_some(), live.contains(&k), "key {}", k);
+            assert_eq!(t.get(k).is_some(), live.contains(&k), "key {}", k);
         }
-    }
+    });
 }

@@ -14,7 +14,7 @@
 //!   the length prefix alone delimits frames, so one poisoned payload
 //!   cannot eat its successors.
 
-use proptest::prelude::*;
+use data_case::sim::check::check;
 
 use data_case::core::grounding::erasure::ErasureInterpretation;
 use data_case::core::purpose::PurposeId;
@@ -117,33 +117,31 @@ fn all_responses(key: u64, n: u64, aux: u8) -> Vec<Response> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Every Request variant round-trips byte-exactly for arbitrary
-    /// field values, in one Batch frame.
-    #[test]
-    fn every_request_variant_round_trips(
-        key in any::<u64>(),
-        subject in any::<u32>(),
-        aux in any::<u8>(),
-        payload_len in 0usize..64,
-    ) {
+/// Every Request variant round-trips byte-exactly for arbitrary
+/// field values, in one Batch frame.
+#[test]
+fn every_request_variant_round_trips() {
+    check("every_request_variant_round_trips", 64, |s| {
+        let key = s.u64();
+        let subject = s.range::<u32>(..);
+        let aux = s.range::<u8>(..);
+        let payload_len = s.range(0usize..64);
         let frame = Frame::Batch(all_requests(key, subject, aux, payload_len));
         let bytes = frame.encode();
         let decoded = wire::read_frame(&mut bytes.as_slice()).expect("round trip");
-        prop_assert_eq!(decoded, frame);
-    }
+        assert_eq!(decoded, frame);
+    });
+}
 
-    /// Every Reply and EngineError variant round-trips inside a Replies
-    /// frame, along with the submit stamps.
-    #[test]
-    fn every_outcome_variant_round_trips(
-        key in any::<u64>(),
-        n in 0u64..(1 << 40),
-        aux in any::<u8>(),
-        shards in proptest::collection::vec((0usize..16, any::<u64>()), 0..5),
-    ) {
+/// Every Reply and EngineError variant round-trips inside a Replies
+/// frame, along with the submit stamps.
+#[test]
+fn every_outcome_variant_round_trips() {
+    check("every_outcome_variant_round_trips", 64, |s| {
+        let key = s.u64();
+        let n = s.range(0u64..(1 << 40));
+        let aux = s.range::<u8>(..);
+        let shards = s.vec(0..5, |s| (s.range(0usize..16), s.u64()));
         let frame = Frame::Replies {
             responses: all_responses(key, n, aux),
             stamps: shards
@@ -153,18 +151,19 @@ proptest! {
         };
         let bytes = frame.encode();
         let decoded = wire::read_frame(&mut bytes.as_slice()).expect("round trip");
-        prop_assert_eq!(decoded, frame);
-    }
+        assert_eq!(decoded, frame);
+    });
+}
 
-    /// Control frames (handshake and errors) round-trip for arbitrary
-    /// string contents and ids.
-    #[test]
-    fn control_frames_round_trip(
-        a in any::<u64>(),
-        b in any::<u32>(),
-        c in any::<u16>(),
-        actor_tag in 0u8..3,
-    ) {
+/// Control frames (handshake and errors) round-trip for arbitrary
+/// string contents and ids.
+#[test]
+fn control_frames_round_trip() {
+    check("control_frames_round_trip", 64, |s| {
+        let a = s.u64();
+        let b = s.range::<u32>(..);
+        let c = s.range::<u16>(..);
+        let actor_tag = s.range(0u8..3);
         let actor = [Actor::Controller, Actor::Processor, Actor::Subject][actor_tag as usize];
         for frame in [
             Frame::Hello {
@@ -172,7 +171,10 @@ proptest! {
                 token: format!("token-{b}"),
                 actor,
             },
-            Frame::Welcome { tenant_id: b, shards: c },
+            Frame::Welcome {
+                tenant_id: b,
+                shards: c,
+            },
             Frame::ProtocolError {
                 code: format!("code-{c}"),
                 detail: format!("detail-{a}"),
@@ -181,21 +183,22 @@ proptest! {
         ] {
             let bytes = frame.encode();
             let decoded = wire::read_frame(&mut bytes.as_slice()).expect("round trip");
-            prop_assert_eq!(decoded, frame);
+            assert_eq!(decoded, frame);
         }
-    }
+    });
+}
 
-    /// Seeded payload corruption never panics, and — because the length
-    /// prefix alone delimits frames — never desynchronizes: whatever the
-    /// corrupted frame decodes to (or fails to), the next frame on the
-    /// stream still parses cleanly.
-    #[test]
-    fn corrupted_payloads_neither_panic_nor_desync(
-        key in any::<u64>(),
-        subject in any::<u32>(),
-        aux in any::<u8>(),
-        flips in proptest::collection::vec((any::<u32>(), any::<u8>()), 1..8),
-    ) {
+/// Seeded payload corruption never panics, and — because the length
+/// prefix alone delimits frames — never desynchronizes: whatever the
+/// corrupted frame decodes to (or fails to), the next frame on the
+/// stream still parses cleanly.
+#[test]
+fn corrupted_payloads_neither_panic_nor_desync() {
+    check("corrupted_payloads_neither_panic_nor_desync", 64, |s| {
+        let key = s.u64();
+        let subject = s.range::<u32>(..);
+        let aux = s.range::<u8>(..);
+        let flips = s.vec(1..8, |s| (s.range::<u32>(..), s.range::<u8>(..)));
         let mut bytes = Frame::Batch(all_requests(key, subject, aux, 16)).encode();
         let payload_len = bytes.len() - HEADER_LEN;
         for &(pos, value) in &flips {
@@ -205,71 +208,86 @@ proptest! {
         let mut stream = bytes.as_slice();
         match wire::read_frame(&mut stream) {
             Ok(_) => {}
-            Err(err) => prop_assert!(
+            Err(err) => assert!(
                 !err.is_fatal(),
                 "payload-level corruption must stay recoverable, got {err:?}"
             ),
         }
         // The stream is still on a frame boundary.
-        prop_assert_eq!(wire::read_frame(&mut stream).expect("resync"), Frame::Goodbye);
-        prop_assert!(stream.is_empty());
-    }
+        assert_eq!(
+            wire::read_frame(&mut stream).expect("resync"),
+            Frame::Goodbye
+        );
+        assert!(stream.is_empty());
+    });
+}
 
-    /// Truncating a frame at any point yields a clean error, never a
-    /// panic: header truncation and payload truncation both surface as
-    /// fatal transport errors.
-    #[test]
-    fn truncated_streams_error_cleanly(
-        key in any::<u64>(),
-        subject in any::<u32>(),
-        aux in any::<u8>(),
-        cut in any::<u32>(),
-    ) {
+/// Truncating a frame at any point yields a clean error, never a
+/// panic: header truncation and payload truncation both surface as
+/// fatal transport errors.
+#[test]
+fn truncated_streams_error_cleanly() {
+    check("truncated_streams_error_cleanly", 64, |s| {
+        let key = s.u64();
+        let subject = s.range::<u32>(..);
+        let aux = s.range::<u8>(..);
+        let cut = s.range::<u32>(..);
         let bytes = Frame::Batch(all_requests(key, subject, aux, 16)).encode();
         let cut = cut as usize % bytes.len();
         let err = wire::read_frame(&mut &bytes[..cut]).expect_err("truncated stream");
-        prop_assert!(err.is_fatal(), "mid-frame EOF loses sync, got {err:?}");
-    }
+        assert!(err.is_fatal(), "mid-frame EOF loses sync, got {err:?}");
+    });
+}
 
-    /// Header-level garbage — bad magic, bad version, oversized declared
-    /// length — is rejected as fatal before any payload allocation.
-    #[test]
-    fn bad_headers_are_fatal(
-        magic in any::<u8>(),
-        version in 2u8..=u8::MAX,
-        oversize in (MAX_FRAME + 1)..=u32::MAX,
-    ) {
+/// Header-level garbage — bad magic, bad version, oversized declared
+/// length — is rejected as fatal before any payload allocation.
+#[test]
+fn bad_headers_are_fatal() {
+    check("bad_headers_are_fatal", 64, |s| {
+        let magic = s.range::<u8>(..);
+        let version = s.range(2u8..=u8::MAX);
+        let oversize = s.range((MAX_FRAME + 1)..=u32::MAX);
         let good = Frame::Goodbye.encode();
 
         let mut bad_magic = good.clone();
         bad_magic[0] = magic | 0x80; // high bit set, so never b'D'
         let err = wire::read_frame(&mut bad_magic.as_slice()).expect_err("bad magic");
-        prop_assert_eq!(&err, &WireError::BadMagic);
-        prop_assert!(err.is_fatal());
+        assert_eq!(&err, &WireError::BadMagic);
+        assert!(err.is_fatal());
 
         let mut bad_version = good.clone();
         bad_version[2] = version;
         let err = wire::read_frame(&mut bad_version.as_slice()).expect_err("bad version");
-        prop_assert_eq!(&err, &WireError::BadVersion(version));
-        prop_assert!(err.is_fatal());
+        assert_eq!(&err, &WireError::BadVersion(version));
+        assert!(err.is_fatal());
 
         let mut oversized = good;
         oversized[4..8].copy_from_slice(&oversize.to_be_bytes());
         let err = wire::read_frame(&mut oversized.as_slice()).expect_err("oversized");
-        prop_assert_eq!(&err, &WireError::Oversized(oversize));
-        prop_assert!(err.is_fatal());
-    }
+        assert_eq!(&err, &WireError::Oversized(oversize));
+        assert!(err.is_fatal());
+    });
+}
 
-    /// Unknown enum tags inside a well-framed payload are typed,
-    /// recoverable errors.
-    #[test]
-    fn unknown_tags_are_recoverable(tag in 9u8..=u8::MAX, key in any::<u64>()) {
+/// Unknown enum tags inside a well-framed payload are typed,
+/// recoverable errors.
+#[test]
+fn unknown_tags_are_recoverable() {
+    check("unknown_tags_are_recoverable", 64, |s| {
+        let tag = s.range(9u8..=u8::MAX);
+        let key = s.u64();
         // A Batch of one request whose leading variant tag is unknown.
         let mut payload = 1u32.to_be_bytes().to_vec();
         payload.push(tag);
         payload.extend_from_slice(&key.to_be_bytes());
         let err = Frame::decode(0x03, &payload).expect_err("unknown tag");
-        prop_assert_eq!(&err, &WireError::UnknownTag { what: "request", tag });
-        prop_assert!(!err.is_fatal());
-    }
+        assert_eq!(
+            &err,
+            &WireError::UnknownTag {
+                what: "request",
+                tag
+            }
+        );
+        assert!(!err.is_fatal());
+    });
 }
