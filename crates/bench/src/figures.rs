@@ -3,7 +3,7 @@
 use datacase_core::checker::ComplianceReport;
 use datacase_core::grounding::erasure::ErasureInterpretation;
 use datacase_core::grounding::properties::ErasureProperties;
-use datacase_core::invariants::full_catalog;
+use datacase_core::invariants::CATALOG;
 use datacase_core::regulation::Regulation;
 use datacase_core::timeline::ErasureTimeline;
 use datacase_engine::driver::{run_ops, RunStats};
@@ -451,21 +451,22 @@ pub fn fig3() -> (String, ErasureTimeline) {
 // Figure 1 — the invariant catalog.
 // ---------------------------------------------------------------------
 
-/// Figure 1: the nine requirement groups and their article coverage.
+/// Figure 1: the invariant catalog — the nine requirement groups, the
+/// deployment invariant X and the formal G6/G17 — with article coverage.
 pub fn fig1() -> Table {
     let mut table = Table::new(
         "Figure 1 — GDPR requirements as informal invariants",
         &["id", "articles", "statement"],
     );
-    for inv in full_catalog() {
+    for inv in CATALOG {
         table.row(vec![
-            inv.id().into(),
-            inv.articles()
+            inv.id.into(),
+            inv.articles
                 .iter()
                 .map(|a| a.to_string())
                 .collect::<Vec<_>>()
                 .join(","),
-            inv.statement().into(),
+            inv.statement.into(),
         ]);
     }
     table
@@ -779,13 +780,12 @@ mod tests {
         // Enumerate the live catalog rather than hard-coding its size:
         // the figure must grow with the catalog, never silently lag it.
         let t = fig1();
-        let catalog = datacase_core::invariants::full_catalog();
-        assert_eq!(t.len(), catalog.len());
-        for invariant in &catalog {
+        assert_eq!(t.len(), CATALOG.len());
+        for invariant in &CATALOG {
             assert!(
-                t.rows().iter().any(|row| row[0] == invariant.id()),
+                t.rows().iter().any(|row| row[0] == invariant.id),
                 "figure 1 is missing invariant {}",
-                invariant.id()
+                invariant.id
             );
         }
     }

@@ -5,11 +5,7 @@
 use datacase_sim::report::Table;
 use datacase_sim::time::Ts;
 
-use crate::history::ActionHistory;
-use crate::invariants::{full_catalog, CheckContext, EvidenceFlags, Invariant};
-use crate::purpose::PurposeRegistry;
-use crate::regulation::Regulation;
-use crate::state::DatabaseState;
+use crate::invariants::{CheckContext, CATALOG};
 use crate::violation::{Severity, Violation};
 
 /// Per-invariant outcome.
@@ -81,98 +77,38 @@ impl ComplianceReport {
     }
 }
 
-/// Evaluates the invariants a regulation enforces.
-pub struct ComplianceChecker {
-    regulation: Regulation,
-    invariants: Vec<Box<dyn Invariant>>,
-    evidence: EvidenceFlags,
-    tenants: Option<crate::tenant::TenantDirectory>,
-}
-
-impl ComplianceChecker {
-    /// A checker for `regulation`, enforcing its configured invariants.
-    pub fn new(regulation: Regulation) -> ComplianceChecker {
-        let invariants = full_catalog()
-            .into_iter()
-            .filter(|i| regulation.enforces(i.id()))
-            .collect();
-        ComplianceChecker {
-            regulation,
-            invariants,
-            evidence: EvidenceFlags::default(),
-            tenants: None,
-        }
+/// Run the catalog rows `ctx.regulation` enforces, in catalog order.
+pub fn check(ctx: &CheckContext<'_>) -> ComplianceReport {
+    let mut report = ComplianceReport {
+        at: ctx.now,
+        regulation: ctx.regulation.name.clone(),
+        ..ComplianceReport::default()
+    };
+    for inv in CATALOG.iter().filter(|i| ctx.regulation.enforces(i.id)) {
+        let vs = (inv.check)(ctx, inv.id);
+        report.outcomes.push(InvariantOutcome {
+            id: inv.id,
+            statement: inv.statement,
+            violations: vs.len(),
+            worst: vs.iter().map(|v| v.severity).max(),
+        });
+        report.violations.extend(vs);
     }
-
-    /// Supply external evidence (audit integrity, encryption defaults).
-    pub fn with_evidence(mut self, evidence: EvidenceFlags) -> ComplianceChecker {
-        self.evidence = evidence;
-        self
-    }
-
-    /// Supply the entity → tenant directory of a served multi-tenant
-    /// deployment, arming the tenant-isolation invariant (X). Without it
-    /// — or with an empty directory — X holds vacuously.
-    pub fn with_tenants(mut self, tenants: crate::tenant::TenantDirectory) -> ComplianceChecker {
-        self.tenants = Some(tenants);
-        self
-    }
-
-    /// The regulation under check.
-    pub fn regulation(&self) -> &Regulation {
-        &self.regulation
-    }
-
-    /// Ids of the enforced invariants, in catalog order.
-    pub fn enforced(&self) -> Vec<&'static str> {
-        self.invariants.iter().map(|i| i.id()).collect()
-    }
-
-    /// Run the check.
-    pub fn check(
-        &self,
-        state: &DatabaseState,
-        history: &ActionHistory,
-        purposes: &PurposeRegistry,
-        now: Ts,
-    ) -> ComplianceReport {
-        let ctx = CheckContext {
-            state,
-            history,
-            purposes,
-            regulation: &self.regulation,
-            now,
-            evidence: self.evidence,
-            tenants: self.tenants.as_ref(),
-        };
-        let mut report = ComplianceReport {
-            at: now,
-            regulation: self.regulation.name.clone(),
-            outcomes: Vec::with_capacity(self.invariants.len()),
-            violations: Vec::new(),
-        };
-        for inv in &self.invariants {
-            let vs = inv.check(&ctx);
-            report.outcomes.push(InvariantOutcome {
-                id: inv.id(),
-                statement: inv.statement(),
-                violations: vs.len(),
-                worst: vs.iter().map(|v| v.severity).max(),
-            });
-            report.violations.extend(vs);
-        }
-        report
-    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::action::Action;
-    use crate::history::HistoryTuple;
+    use crate::history::{ActionHistory, HistoryTuple};
     use crate::ids::EntityId;
+    use crate::invariants::EvidenceFlags;
     use crate::policy::Policy;
-    use crate::purpose::well_known as wk;
+    use crate::purpose::{well_known as wk, PurposeRegistry};
+    use crate::regulation::Regulation;
+    use crate::state::DatabaseState;
+    use crate::tenant::TenantDirectory;
     use crate::unit::Origin;
 
     fn t(s: u64) -> Ts {
@@ -211,14 +147,29 @@ mod tests {
         (state, history, PurposeRegistry::with_defaults())
     }
 
+    /// Check `regulation` over a world whose audit log verified.
+    fn check_world(
+        (state, history, purposes): &(DatabaseState, ActionHistory, PurposeRegistry),
+        regulation: &Regulation,
+        now: Ts,
+    ) -> ComplianceReport {
+        check(&CheckContext {
+            state,
+            history,
+            purposes,
+            regulation,
+            now,
+            evidence: EvidenceFlags {
+                audit_log_tamper_evident: true,
+                encryption_at_rest_default: false,
+            },
+            tenants: &TenantDirectory::new(),
+        })
+    }
+
     #[test]
     fn compliant_world_passes_everything() {
-        let (state, history, purposes) = compliant_world();
-        let checker = ComplianceChecker::new(Regulation::gdpr()).with_evidence(EvidenceFlags {
-            audit_log_tamper_evident: true,
-            encryption_at_rest_default: false,
-        });
-        let report = checker.check(&state, &history, &purposes, t(100));
+        let report = check_world(&compliant_world(), &Regulation::gdpr(), t(100));
         assert!(report.is_compliant(), "violations: {:?}", report.violations);
         assert_eq!(report.outcomes.len(), 12);
         assert!(report.render().contains("COMPLIANT"));
@@ -226,19 +177,15 @@ mod tests {
 
     #[test]
     fn illegal_read_surfaces_in_g6_and_iv() {
-        let (state, mut history, purposes) = compliant_world();
-        history.record(HistoryTuple {
+        let mut world = compliant_world();
+        world.1.record(HistoryTuple {
             unit: crate::ids::UnitId(0),
             purpose: wk::billing(),
             entity: EntityId(66),
             action: Action::Read,
             at: t(10),
         });
-        let checker = ComplianceChecker::new(Regulation::gdpr()).with_evidence(EvidenceFlags {
-            audit_log_tamper_evident: true,
-            encryption_at_rest_default: false,
-        });
-        let report = checker.check(&state, &history, &purposes, t(100));
+        let report = check_world(&world, &Regulation::gdpr(), t(100));
         assert!(!report.is_compliant());
         assert_eq!(report.of_invariant("G6").len(), 1);
         assert_eq!(report.of_invariant("IV").len(), 1);
@@ -246,21 +193,20 @@ mod tests {
 
     #[test]
     fn ccpa_checker_enforces_fewer_invariants() {
-        let gdpr = ComplianceChecker::new(Regulation::gdpr());
-        let ccpa = ComplianceChecker::new(Regulation::ccpa());
-        assert!(gdpr.enforced().contains(&"III"));
-        assert!(!ccpa.enforced().contains(&"III"));
-        assert!(ccpa.enforced().len() < gdpr.enforced().len());
+        let world = compliant_world();
+        let enforced = |regulation: Regulation| -> Vec<&'static str> {
+            let report = check_world(&world, &regulation, t(100));
+            report.outcomes.iter().map(|o| o.id).collect()
+        };
+        let (gdpr, ccpa) = (enforced(Regulation::gdpr()), enforced(Regulation::ccpa()));
+        assert!(gdpr.contains(&"III"));
+        assert!(!ccpa.contains(&"III"));
+        assert!(ccpa.len() < gdpr.len());
     }
 
     #[test]
     fn report_render_lists_all_invariants() {
-        let (state, history, purposes) = compliant_world();
-        let checker = ComplianceChecker::new(Regulation::gdpr()).with_evidence(EvidenceFlags {
-            audit_log_tamper_evident: true,
-            encryption_at_rest_default: false,
-        });
-        let report = checker.check(&state, &history, &purposes, t(5));
+        let report = check_world(&compliant_world(), &Regulation::gdpr(), t(5));
         let rendered = report.render();
         for id in ["I", "V", "IX", "G6", "G17"] {
             assert!(

@@ -1,6 +1,7 @@
-//! The nine informal invariants of Figure 1, each given one concrete
-//! grounding (other groundings are possible — that is the framework's
-//! point; ours are documented on each type).
+//! The groundings of Figure 1's informal invariants, one function each
+//! (other groundings are possible — that is the framework's point; ours
+//! are documented on each function). [`super::CATALOG`] names them; IV
+//! and V are grounded as the formal G6 and G17.
 //!
 //! | id   | group                        | GDPR articles |
 //! |------|------------------------------|---------------|
@@ -18,56 +19,43 @@
 //! Figure 1 row: **X — Tenant isolation** (arts. 28, 32), introduced
 //! with the served multi-tenant engine. It is vacuous for single-tenant
 //! deployments and becomes checkable once the engine supplies a
-//! [`crate::tenant::TenantDirectory`].
+//! non-empty [`crate::tenant::TenantDirectory`].
 
 use crate::action::ActionKind;
 use crate::purpose::well_known as wk;
 use crate::tenant::TenantId;
 use crate::violation::{Severity, Violation};
 
-use super::{g17::G17TimelyErasure, g6::G6PolicyConsistency, CheckContext, Invariant};
+use super::CheckContext;
 
 /// **I — Disclosure**: "Keep data subjects informed when collecting data."
 ///
 /// Grounding: every personal base unit's history must contain a
 /// `contract`-purposed tuple (consent/contract capture) at or before its
 /// creation instant — the paper's `CtrC1234` contract example.
-pub struct Disclosure;
-
-impl Invariant for Disclosure {
-    fn id(&self) -> &'static str {
-        "I"
-    }
-    fn statement(&self) -> &'static str {
-        "Keep data subjects informed when collecting data."
-    }
-    fn articles(&self) -> &'static [u8] {
-        &[13, 14]
-    }
-    fn check(&self, ctx: &CheckContext<'_>) -> Vec<Violation> {
-        let mut out = Vec::new();
-        for id in ctx.state.unit_ids_sorted() {
-            let unit = ctx.state.unit(id).expect("listed");
-            if !unit.is_personal() || unit.category != crate::unit::Category::Base {
-                continue;
-            }
-            let informed = ctx
-                .history
-                .of_unit(id)
-                .iter()
-                .any(|t| t.purpose == wk::contract() && t.at <= unit.created_at);
-            if !informed {
-                out.push(Violation::on_unit(
-                    "I",
-                    id,
-                    ctx.now,
-                    Severity::Breach,
-                    "collected without a contract/consent disclosure tuple at collection time",
-                ));
-            }
+pub fn disclosure(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for id in ctx.state.unit_ids_sorted() {
+        let unit = ctx.state.unit(id).expect("listed");
+        if !unit.is_personal() || unit.category != crate::unit::Category::Base {
+            continue;
         }
-        out
+        let informed = ctx
+            .history
+            .of_unit(id)
+            .iter()
+            .any(|t| t.purpose == wk::contract() && t.at <= unit.created_at);
+        if !informed {
+            out.push(Violation::on_unit(
+                invariant,
+                id,
+                ctx.now,
+                Severity::Breach,
+                "collected without a contract/consent disclosure tuple at collection time",
+            ));
+        }
     }
+    out
 }
 
 /// **II — Storage**: "Store data such that data subjects can exercise
@@ -76,41 +64,28 @@ impl Invariant for Disclosure {
 /// Grounding: every *live* personal unit must carry an active
 /// `subject-access` policy naming one of its subjects, so access /
 /// rectification / erasure requests have an authorised path.
-pub struct Storage;
-
-impl Invariant for Storage {
-    fn id(&self) -> &'static str {
-        "II"
-    }
-    fn statement(&self) -> &'static str {
-        "Store data such that data subjects can exercise their rights."
-    }
-    fn articles(&self) -> &'static [u8] {
-        &[12, 15, 16, 17, 18, 20, 21, 23]
-    }
-    fn check(&self, ctx: &CheckContext<'_>) -> Vec<Violation> {
-        let mut out = Vec::new();
-        for id in ctx.state.unit_ids_sorted() {
-            let unit = ctx.state.unit(id).expect("listed");
-            if !unit.is_personal() || unit.erasure.is_erased() {
-                continue;
-            }
-            let reachable = unit
-                .subjects
-                .iter()
-                .any(|&s| unit.policies.authorises(wk::subject_access(), s, ctx.now));
-            if !reachable {
-                out.push(Violation::on_unit(
-                    "II",
-                    id,
-                    ctx.now,
-                    Severity::Breach,
-                    "no active subject-access policy: the subject cannot exercise their rights",
-                ));
-            }
+pub fn storage(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for id in ctx.state.unit_ids_sorted() {
+        let unit = ctx.state.unit(id).expect("listed");
+        if !unit.is_personal() || unit.erasure.is_erased() {
+            continue;
         }
-        out
+        let reachable = unit
+            .subjects
+            .iter()
+            .any(|&s| unit.policies.authorises(wk::subject_access(), s, ctx.now));
+        if !reachable {
+            out.push(Violation::on_unit(
+                invariant,
+                id,
+                ctx.now,
+                Severity::Breach,
+                "no active subject-access policy: the subject cannot exercise their rights",
+            ));
+        }
     }
+    out
 }
 
 /// **III — Pre-processing**: "Consult and assess prior to processing data."
@@ -118,121 +93,53 @@ impl Invariant for Storage {
 /// Grounding: for every purpose under which personal data was processed
 /// (read/derive/share), an `Assess` tuple for that purpose must exist at or
 /// before the first such processing action (our DPIA evidence).
-pub struct PreProcessing;
-
-impl Invariant for PreProcessing {
-    fn id(&self) -> &'static str {
-        "III"
+pub fn pre_processing(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
+    if !ctx.regulation.require_assessment {
+        return Vec::new();
     }
-    fn statement(&self) -> &'static str {
-        "Consult and assess prior to processing data."
-    }
-    fn articles(&self) -> &'static [u8] {
-        &[35, 36]
-    }
-    fn check(&self, ctx: &CheckContext<'_>) -> Vec<Violation> {
-        if !ctx.regulation.require_assessment {
-            return Vec::new();
-        }
-        use std::collections::HashMap;
-        let mut first_use: HashMap<crate::purpose::PurposeId, &crate::history::HistoryTuple> =
-            HashMap::new();
-        let mut assessed_at: HashMap<crate::purpose::PurposeId, datacase_sim::time::Ts> =
-            HashMap::new();
-        for t in ctx.history.iter() {
-            match t.action.kind() {
-                ActionKind::Assess => {
-                    assessed_at.entry(t.purpose).or_insert(t.at);
-                }
-                ActionKind::Read | ActionKind::Derive | ActionKind::Share => {
-                    let personal = ctx
-                        .state
-                        .unit(t.unit)
-                        .map(|u| u.is_personal())
-                        .unwrap_or(false);
-                    if personal {
-                        first_use.entry(t.purpose).or_insert(t);
-                    }
-                }
-                _ => {}
+    use std::collections::HashMap;
+    let mut first_use: HashMap<crate::purpose::PurposeId, &crate::history::HistoryTuple> =
+        HashMap::new();
+    let mut assessed_at: HashMap<crate::purpose::PurposeId, datacase_sim::time::Ts> =
+        HashMap::new();
+    for t in ctx.history.iter() {
+        match t.action.kind() {
+            ActionKind::Assess => {
+                assessed_at.entry(t.purpose).or_insert(t.at);
             }
-        }
-        let mut out = Vec::new();
-        let mut purposes: Vec<_> = first_use.keys().copied().collect();
-        purposes.sort();
-        for p in purposes {
-            let first = first_use[&p];
-            let ok = assessed_at.get(&p).map(|&a| a <= first.at).unwrap_or(false);
-            if !ok {
-                out.push(Violation {
-                    invariant: "III",
-                    unit: Some(first.unit),
-                    entity: Some(first.entity),
-                    at: first.at,
-                    severity: Severity::Breach,
-                    message: format!(
-                        "personal data processed for purpose {p} without a prior assessment"
-                    ),
-                });
+            ActionKind::Read | ActionKind::Derive | ActionKind::Share => {
+                let personal = ctx
+                    .state
+                    .unit(t.unit)
+                    .map(|u| u.is_personal())
+                    .unwrap_or(false);
+                if personal {
+                    first_use.entry(t.purpose).or_insert(t);
+                }
             }
+            _ => {}
         }
-        out
     }
-}
-
-/// **IV — Sharing and Processing**: "Do not process data indiscriminately."
-///
-/// Grounding: delegates to the formal G6 — every action policy-consistent —
-/// reported under this catalog id.
-pub struct SharingProcessing;
-
-impl Invariant for SharingProcessing {
-    fn id(&self) -> &'static str {
-        "IV"
+    let mut out = Vec::new();
+    let mut purposes: Vec<_> = first_use.keys().copied().collect();
+    purposes.sort();
+    for p in purposes {
+        let first = first_use[&p];
+        let ok = assessed_at.get(&p).map(|&a| a <= first.at).unwrap_or(false);
+        if !ok {
+            out.push(Violation {
+                invariant,
+                unit: Some(first.unit),
+                entity: Some(first.entity),
+                at: first.at,
+                severity: Severity::Breach,
+                message: format!(
+                    "personal data processed for purpose {p} without a prior assessment"
+                ),
+            });
+        }
     }
-    fn statement(&self) -> &'static str {
-        "Do not process data indiscriminately (all actions policy-consistent)."
-    }
-    fn articles(&self) -> &'static [u8] {
-        &[5, 6, 7, 8, 9, 10, 11, 22, 26, 27, 28, 29, 44, 45]
-    }
-    fn check(&self, ctx: &CheckContext<'_>) -> Vec<Violation> {
-        G6PolicyConsistency
-            .check(ctx)
-            .into_iter()
-            .map(|mut v| {
-                v.invariant = "IV";
-                v
-            })
-            .collect()
-    }
-}
-
-/// **V — Erasure**: "Do not store data eternally."
-///
-/// Grounding: delegates to the formal G17, reported under this catalog id.
-pub struct Erasure;
-
-impl Invariant for Erasure {
-    fn id(&self) -> &'static str {
-        "V"
-    }
-    fn statement(&self) -> &'static str {
-        "Do not store data eternally (erase-by policies honoured)."
-    }
-    fn articles(&self) -> &'static [u8] {
-        &[17]
-    }
-    fn check(&self, ctx: &CheckContext<'_>) -> Vec<Violation> {
-        G17TimelyErasure
-            .check(ctx)
-            .into_iter()
-            .map(|mut v| {
-                v.invariant = "V";
-                v
-            })
-            .collect()
-    }
+    out
 }
 
 /// **VI — Design and Security**: "Build and design data protective systems."
@@ -240,37 +147,24 @@ impl Invariant for Erasure {
 /// Grounding: when the regulation requires it, every live personal unit is
 /// stored encrypted at rest (per-unit flag, or the deployment-wide default
 /// evidenced by the engine).
-pub struct DesignSecurity;
-
-impl Invariant for DesignSecurity {
-    fn id(&self) -> &'static str {
-        "VI"
+pub fn design_security(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
+    if !ctx.regulation.require_encryption_at_rest || ctx.evidence.encryption_at_rest_default {
+        return Vec::new();
     }
-    fn statement(&self) -> &'static str {
-        "Build and design data-protective systems (encryption at rest)."
-    }
-    fn articles(&self) -> &'static [u8] {
-        &[25, 32]
-    }
-    fn check(&self, ctx: &CheckContext<'_>) -> Vec<Violation> {
-        if !ctx.regulation.require_encryption_at_rest || ctx.evidence.encryption_at_rest_default {
-            return Vec::new();
+    let mut out = Vec::new();
+    for id in ctx.state.unit_ids_sorted() {
+        let unit = ctx.state.unit(id).expect("listed");
+        if unit.is_personal() && !unit.erasure.is_erased() && !unit.encrypted_at_rest {
+            out.push(Violation::on_unit(
+                invariant,
+                id,
+                ctx.now,
+                Severity::Breach,
+                "personal data stored unencrypted at rest",
+            ));
         }
-        let mut out = Vec::new();
-        for id in ctx.state.unit_ids_sorted() {
-            let unit = ctx.state.unit(id).expect("listed");
-            if unit.is_personal() && !unit.erasure.is_erased() && !unit.encrypted_at_rest {
-                out.push(Violation::on_unit(
-                    "VI",
-                    id,
-                    ctx.now,
-                    Severity::Breach,
-                    "personal data stored unencrypted at rest",
-                ));
-            }
-        }
-        out
     }
+    out
 }
 
 /// **VII — Record keeping**: "Keep records of all data-operations."
@@ -279,64 +173,51 @@ impl Invariant for DesignSecurity {
 /// mutation tuple (create / update-value / erase), and every unit has a
 /// Create tuple. A history thinner than the state means operations escaped
 /// the record.
-pub struct RecordKeeping;
-
-impl Invariant for RecordKeeping {
-    fn id(&self) -> &'static str {
-        "VII"
-    }
-    fn statement(&self) -> &'static str {
-        "Keep records of all data-operations."
-    }
-    fn articles(&self) -> &'static [u8] {
-        &[30]
-    }
-    fn check(&self, ctx: &CheckContext<'_>) -> Vec<Violation> {
-        let mut out = Vec::new();
-        for id in ctx.state.unit_ids_sorted() {
-            let unit = ctx.state.unit(id).expect("listed");
-            let tuples = ctx.history.of_unit(id);
-            let has_create = tuples
-                .iter()
-                .any(|t| matches!(t.action.kind(), ActionKind::Create | ActionKind::Derive));
-            if !has_create {
-                out.push(Violation::on_unit(
-                    "VII",
-                    id,
-                    ctx.now,
-                    Severity::Breach,
-                    "unit exists but its creation was never recorded",
-                ));
-                continue;
-            }
-            let mutations = tuples
-                .iter()
-                .filter(|t| {
-                    matches!(
-                        t.action.kind(),
-                        ActionKind::Create
-                            | ActionKind::UpdateValue
-                            | ActionKind::Erase
-                            | ActionKind::Derive
-                    )
-                })
-                .count();
-            if unit.value.len() > mutations {
-                out.push(Violation::on_unit(
-                    "VII",
-                    id,
-                    ctx.now,
-                    Severity::Breach,
-                    format!(
-                        "{} value versions but only {} recorded mutations",
-                        unit.value.len(),
-                        mutations
-                    ),
-                ));
-            }
+pub fn record_keeping(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for id in ctx.state.unit_ids_sorted() {
+        let unit = ctx.state.unit(id).expect("listed");
+        let tuples = ctx.history.of_unit(id);
+        let has_create = tuples
+            .iter()
+            .any(|t| matches!(t.action.kind(), ActionKind::Create | ActionKind::Derive));
+        if !has_create {
+            out.push(Violation::on_unit(
+                invariant,
+                id,
+                ctx.now,
+                Severity::Breach,
+                "unit exists but its creation was never recorded",
+            ));
+            continue;
         }
-        out
+        let mutations = tuples
+            .iter()
+            .filter(|t| {
+                matches!(
+                    t.action.kind(),
+                    ActionKind::Create
+                        | ActionKind::UpdateValue
+                        | ActionKind::Erase
+                        | ActionKind::Derive
+                )
+            })
+            .count();
+        if unit.value.len() > mutations {
+            out.push(Violation::on_unit(
+                invariant,
+                id,
+                ctx.now,
+                Severity::Breach,
+                format!(
+                    "{} value versions but only {} recorded mutations",
+                    unit.value.len(),
+                    mutations
+                ),
+            ));
+        }
     }
+    out
 }
 
 /// **VIII — Obligations & Accountability**: "Inform the user of changes and
@@ -345,52 +226,39 @@ impl Invariant for RecordKeeping {
 /// Grounding: every policy-change (`UpdatePolicy`) on a personal unit must
 /// be followed by a `Notify` tuple for the same unit within the
 /// regulation's notification window.
-pub struct Obligations;
-
-impl Invariant for Obligations {
-    fn id(&self) -> &'static str {
-        "VIII"
-    }
-    fn statement(&self) -> &'static str {
-        "Inform the user of changes and unauthorised access to their data."
-    }
-    fn articles(&self) -> &'static [u8] {
-        &[19, 33, 34]
-    }
-    fn check(&self, ctx: &CheckContext<'_>) -> Vec<Violation> {
-        let window = ctx.regulation.notification_window;
-        let mut out = Vec::new();
-        for id in ctx.state.unit_ids_sorted() {
-            let unit = ctx.state.unit(id).expect("listed");
-            if !unit.is_personal() {
+pub fn obligations(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
+    let window = ctx.regulation.notification_window;
+    let mut out = Vec::new();
+    for id in ctx.state.unit_ids_sorted() {
+        let unit = ctx.state.unit(id).expect("listed");
+        if !unit.is_personal() {
+            continue;
+        }
+        let tuples = ctx.history.of_unit(id);
+        for (i, t) in tuples.iter().enumerate() {
+            if t.action.kind() != ActionKind::UpdatePolicy {
                 continue;
             }
-            let tuples = ctx.history.of_unit(id);
-            for (i, t) in tuples.iter().enumerate() {
-                if t.action.kind() != ActionKind::UpdatePolicy {
-                    continue;
-                }
-                // Skip the initial consent capture (contract purpose).
-                if t.purpose == wk::contract() {
-                    continue;
-                }
-                let deadline = t.at + window;
-                let notified = tuples[i..]
-                    .iter()
-                    .any(|n| n.action.kind() == ActionKind::Notify && n.at <= deadline);
-                if !notified && ctx.now > deadline {
-                    out.push(Violation::on_unit(
-                        "VIII",
-                        id,
-                        t.at,
-                        Severity::Breach,
-                        "policy change without subject notification inside the window",
-                    ));
-                }
+            // Skip the initial consent capture (contract purpose).
+            if t.purpose == wk::contract() {
+                continue;
+            }
+            let deadline = t.at + window;
+            let notified = tuples[i..]
+                .iter()
+                .any(|n| n.action.kind() == ActionKind::Notify && n.at <= deadline);
+            if !notified && ctx.now > deadline {
+                out.push(Violation::on_unit(
+                    invariant,
+                    id,
+                    t.at,
+                    Severity::Breach,
+                    "policy change without subject notification inside the window",
+                ));
             }
         }
-        out
     }
+    out
 }
 
 /// **IX — Demonstrate compliance**: "Demonstrate compliance."
@@ -399,49 +267,36 @@ impl Invariant for Obligations {
 /// non-empty action history and (b) tamper-evident audit evidence (the
 /// audit layer's HMAC chain verified), supplied via
 /// [`super::EvidenceFlags::audit_log_tamper_evident`].
-pub struct Demonstrate;
-
-impl Invariant for Demonstrate {
-    fn id(&self) -> &'static str {
-        "IX"
+pub fn demonstrate(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
+    let has_personal = ctx.state.units().any(|u| u.is_personal());
+    if !has_personal {
+        return Vec::new();
     }
-    fn statement(&self) -> &'static str {
-        "Demonstrate compliance (auditable, tamper-evident records)."
+    let mut out = Vec::new();
+    if ctx.history.is_empty() {
+        out.push(Violation::systemic(
+            invariant,
+            ctx.now,
+            Severity::Critical,
+            "personal data present but the action history is empty",
+        ));
     }
-    fn articles(&self) -> &'static [u8] {
-        &[24, 31]
+    if !ctx.evidence.audit_log_tamper_evident {
+        out.push(Violation::systemic(
+            invariant,
+            ctx.now,
+            Severity::Breach,
+            "audit log integrity not demonstrated (no verified HMAC chain)",
+        ));
     }
-    fn check(&self, ctx: &CheckContext<'_>) -> Vec<Violation> {
-        let has_personal = ctx.state.units().any(|u| u.is_personal());
-        if !has_personal {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        if ctx.history.is_empty() {
-            out.push(Violation::systemic(
-                "IX",
-                ctx.now,
-                Severity::Critical,
-                "personal data present but the action history is empty",
-            ));
-        }
-        if !ctx.evidence.audit_log_tamper_evident {
-            out.push(Violation::systemic(
-                "IX",
-                ctx.now,
-                Severity::Breach,
-                "audit log integrity not demonstrated (no verified HMAC chain)",
-            ));
-        }
-        out
-    }
+    out
 }
 
 /// **X — Tenant isolation**: "One tenant's probes must never surface
 /// another tenant's tuples, residuals, or audit records."
 ///
-/// Grounding (served multi-tenant deployments; vacuous when no
-/// [`crate::tenant::TenantDirectory`] is supplied in the context): the
+/// Grounding (served multi-tenant deployments; vacuous when the
+/// context's [`crate::tenant::TenantDirectory`] is empty): the
 /// tenant partition must hold over the *whole* model, erased residuals
 /// and audit records included —
 ///
@@ -454,72 +309,59 @@ impl Invariant for Demonstrate {
 ///   are infrastructure principals (the serving platform's shared
 ///   controller/processor/auditor) and are exempt: the gateway's
 ///   key-scoped sessions are what confine those to one tenant's block.
-pub struct TenantIsolation;
-
-impl Invariant for TenantIsolation {
-    fn id(&self) -> &'static str {
-        "X"
+pub fn tenant_isolation(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
+    let dir = ctx.tenants;
+    if dir.is_empty() {
+        return Vec::new();
     }
-    fn statement(&self) -> &'static str {
-        "Isolate tenants: no probe surfaces another tenant's data or records."
-    }
-    fn articles(&self) -> &'static [u8] {
-        &[28, 32]
-    }
-    fn check(&self, ctx: &CheckContext<'_>) -> Vec<Violation> {
-        let dir = match ctx.tenants {
-            Some(d) if !d.is_empty() => d,
-            _ => return Vec::new(),
-        };
-        let mut out = Vec::new();
-        let mut unit_tenant: std::collections::HashMap<crate::ids::UnitId, TenantId> =
-            std::collections::HashMap::new();
-        for id in ctx.state.unit_ids_sorted() {
-            let unit = ctx.state.unit(id).expect("listed");
-            let mut tenants: Vec<TenantId> = unit
-                .subjects
-                .iter()
-                .filter_map(|&s| dir.tenant_of(s))
-                .collect();
-            tenants.sort_unstable();
-            tenants.dedup();
-            match tenants.as_slice() {
-                [] => {}
-                [one] => {
-                    unit_tenant.insert(id, *one);
-                }
-                many => {
-                    out.push(Violation::on_unit(
-                        "X",
-                        id,
-                        ctx.now,
-                        Severity::Critical,
-                        format!(
-                            "unit's subjects span {} tenants — the tenant partition is breached",
-                            many.len()
-                        ),
-                    ));
-                }
+    let mut out = Vec::new();
+    let mut unit_tenant: std::collections::HashMap<crate::ids::UnitId, TenantId> =
+        std::collections::HashMap::new();
+    for id in ctx.state.unit_ids_sorted() {
+        let unit = ctx.state.unit(id).expect("listed");
+        let mut tenants: Vec<TenantId> = unit
+            .subjects
+            .iter()
+            .filter_map(|&s| dir.tenant_of(s))
+            .collect();
+        tenants.sort_unstable();
+        tenants.dedup();
+        match tenants.as_slice() {
+            [] => {}
+            [one] => {
+                unit_tenant.insert(id, *one);
+            }
+            many => {
+                out.push(Violation::on_unit(
+                    invariant,
+                    id,
+                    ctx.now,
+                    Severity::Critical,
+                    format!(
+                        "unit's subjects span {} tenants — the tenant partition is breached",
+                        many.len()
+                    ),
+                ));
             }
         }
-        for t in ctx.history.iter() {
-            let owner = unit_tenant.get(&t.unit).copied();
-            let actor = dir.tenant_of(t.entity);
-            if let (Some(owner), Some(actor)) = (owner, actor) {
-                if actor != owner {
-                    out.push(Violation {
-                        invariant: "X",
-                        unit: Some(t.unit),
-                        entity: Some(t.entity),
-                        at: t.at,
-                        severity: Severity::Critical,
-                        message: format!("{actor} acted on a unit owned by {owner}"),
-                    });
-                }
+    }
+    for t in ctx.history.iter() {
+        let owner = unit_tenant.get(&t.unit).copied();
+        let actor = dir.tenant_of(t.entity);
+        if let (Some(owner), Some(actor)) = (owner, actor) {
+            if actor != owner {
+                out.push(Violation {
+                    invariant,
+                    unit: Some(t.unit),
+                    entity: Some(t.entity),
+                    at: t.at,
+                    severity: Severity::Critical,
+                    message: format!("{actor} acted on a unit owned by {owner}"),
+                });
             }
         }
-        out
     }
+    out
 }
 
 #[cfg(test)]
@@ -528,7 +370,7 @@ mod tests {
     use crate::action::Action;
     use crate::history::{ActionHistory, HistoryTuple};
     use crate::ids::{EntityId, UnitId};
-    use crate::invariants::EvidenceFlags;
+    use crate::invariants::{EvidenceFlags, CATALOG};
     use crate::policy::Policy;
     use crate::purpose::PurposeRegistry;
     use crate::regulation::Regulation;
@@ -585,7 +427,8 @@ mod tests {
             uid
         }
 
-        fn check(&self, inv: &dyn Invariant, now: Ts) -> Vec<Violation> {
+        /// Run the catalog row `id` over the fixture.
+        fn check(&self, id: &str, now: Ts) -> Vec<Violation> {
             let ctx = CheckContext {
                 state: &self.state,
                 history: &self.history,
@@ -593,9 +436,10 @@ mod tests {
                 regulation: &self.regulation,
                 now,
                 evidence: self.evidence,
-                tenants: (!self.tenants.is_empty()).then_some(&self.tenants),
+                tenants: &self.tenants,
             };
-            inv.check(&ctx)
+            let row = CATALOG.iter().find(|i| i.id == id).expect("catalog row");
+            (row.check)(&ctx, row.id)
         }
     }
 
@@ -610,7 +454,7 @@ mod tests {
             "pii".into(),
             t(1),
         );
-        let v = fx.check(&Disclosure, t(5));
+        let v = fx.check("I", t(5));
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("consent"));
     }
@@ -625,7 +469,7 @@ mod tests {
             "pii".into(),
             t(1),
         );
-        let v = fx.check(&Storage, t(5));
+        let v = fx.check("II", t(5));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].unit, Some(bad));
     }
@@ -649,7 +493,7 @@ mod tests {
             action: Action::Read,
             at: t(10),
         });
-        assert!(fx.check(&PreProcessing, t(20)).is_empty());
+        assert!(fx.check("III", t(20)).is_empty());
         // Billing used with no assessment: violation.
         fx.history.record(HistoryTuple {
             unit: uid,
@@ -658,7 +502,7 @@ mod tests {
             action: Action::Read,
             at: t(15),
         });
-        let v = fx.check(&PreProcessing, t(20));
+        let v = fx.check("III", t(20));
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("billing"));
     }
@@ -675,11 +519,13 @@ mod tests {
             action: Action::Read,
             at: t(15),
         });
-        assert!(fx.check(&PreProcessing, t(20)).is_empty());
+        assert!(fx.check("III", t(20)).is_empty());
     }
 
     #[test]
     fn sharing_processing_relabels_g6() {
+        // IV and V are grounded as G6 and G17: each row reports exactly the
+        // formal invariant's violations, under the row's own id.
         let mut fx = Fx::new();
         let uid = fx.collect_with_consent(1, t(0));
         fx.history.record(HistoryTuple {
@@ -689,9 +535,19 @@ mod tests {
             action: Action::Read,
             at: t(10),
         });
-        let v = fx.check(&SharingProcessing, t(20));
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].invariant, "IV");
+        for (row, formal) in [("IV", "G6"), ("V", "G17")] {
+            let got = fx.check(row, t(20));
+            let relabelled: Vec<Violation> = fx
+                .check(formal, t(20))
+                .into_iter()
+                .map(|v| Violation {
+                    invariant: row,
+                    ..v
+                })
+                .collect();
+            assert_eq!(got.len(), 1, "{row}");
+            assert_eq!(got, relabelled, "{row} must report {formal}'s violations");
+        }
     }
 
     #[test]
@@ -699,24 +555,24 @@ mod tests {
         let mut fx = Fx::new();
         fx.evidence.encryption_at_rest_default = false;
         let uid = fx.collect_with_consent(1, t(0));
-        let v = fx.check(&DesignSecurity, t(5));
+        let v = fx.check("VI", t(5));
         assert_eq!(v.len(), 1, "unit not flagged encrypted");
         fx.state.unit_mut(uid).unwrap().encrypted_at_rest = true;
-        assert!(fx.check(&DesignSecurity, t(5)).is_empty());
+        assert!(fx.check("VI", t(5)).is_empty());
     }
 
     #[test]
     fn record_keeping_flags_unrecorded_mutations() {
         let mut fx = Fx::new();
         let uid = fx.collect_with_consent(1, t(0));
-        assert!(fx.check(&RecordKeeping, t(5)).is_empty());
+        assert!(fx.check("VII", t(5)).is_empty());
         // Mutate the value without recording history.
         fx.state
             .unit_mut(uid)
             .unwrap()
             .value
             .write(t(3), "changed".into());
-        let v = fx.check(&RecordKeeping, t(5));
+        let v = fx.check("VII", t(5));
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("versions"));
     }
@@ -730,7 +586,7 @@ mod tests {
             "pii".into(),
             t(0),
         );
-        let v = fx.check(&RecordKeeping, t(5));
+        let v = fx.check("VII", t(5));
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("creation"));
     }
@@ -747,10 +603,10 @@ mod tests {
             at: t(10),
         });
         // Window is 72h; inside it, no violation yet.
-        assert!(fx.check(&Obligations, t(20)).is_empty());
+        assert!(fx.check("VIII", t(20)).is_empty());
         // Far beyond, with no Notify: violation.
         let far = t(10 + 73 * 3600);
-        let v = fx.check(&Obligations, far);
+        let v = fx.check("VIII", far);
         assert_eq!(v.len(), 1);
     }
 
@@ -773,7 +629,7 @@ mod tests {
             at: t(20),
         });
         let far = t(10 + 100 * 3600);
-        assert!(fx.check(&Obligations, far).is_empty());
+        assert!(fx.check("VIII", far).is_empty());
     }
 
     #[test]
@@ -786,7 +642,7 @@ mod tests {
             t(0),
         );
         fx.evidence.audit_log_tamper_evident = false;
-        let v = fx.check(&Demonstrate, t(5));
+        let v = fx.check("IX", t(5));
         assert_eq!(v.len(), 2, "empty history + no evidence");
         assert!(v.iter().any(|x| x.severity == Severity::Critical));
     }
@@ -794,14 +650,14 @@ mod tests {
     #[test]
     fn demonstrate_passes_on_empty_database() {
         let fx = Fx::new();
-        assert!(fx.check(&Demonstrate, t(5)).is_empty());
+        assert!(fx.check("IX", t(5)).is_empty());
     }
 
     #[test]
     fn tenant_isolation_vacuous_without_directory() {
         let mut fx = Fx::new();
         let _ = fx.collect_with_consent(1, t(0));
-        assert!(fx.check(&TenantIsolation, t(5)).is_empty());
+        assert!(fx.check("X", t(5)).is_empty());
     }
 
     #[test]
@@ -811,7 +667,7 @@ mod tests {
         let _b = fx.collect_with_consent(2, t(0));
         fx.tenants.assign(EntityId(1), TenantId(1));
         fx.tenants.assign(EntityId(2), TenantId(2));
-        assert!(fx.check(&TenantIsolation, t(5)).is_empty());
+        assert!(fx.check("X", t(5)).is_empty());
     }
 
     #[test]
@@ -822,7 +678,7 @@ mod tests {
         fx.state.unit_mut(uid).unwrap().subjects.push(EntityId(2));
         fx.tenants.assign(EntityId(1), TenantId(1));
         fx.tenants.assign(EntityId(2), TenantId(2));
-        let v = fx.check(&TenantIsolation, t(5));
+        let v = fx.check("X", t(5));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].severity, Severity::Critical);
         assert!(v[0].message.contains("span"));
@@ -843,7 +699,7 @@ mod tests {
             action: Action::Read,
             at: t(3),
         });
-        let v = fx.check(&TenantIsolation, t(5));
+        let v = fx.check("X", t(5));
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("tenant-2"));
         // The same action by an infrastructure entity (unassigned) is the
@@ -858,6 +714,6 @@ mod tests {
             action: Action::Read,
             at: t(3),
         });
-        assert!(ok.check(&TenantIsolation, t(5)).is_empty());
+        assert!(ok.check("X", t(5)).is_empty());
     }
 }

@@ -18,80 +18,64 @@
 use crate::action::ActionKind;
 use crate::violation::{Severity, Violation};
 
-use super::{CheckContext, Invariant};
+use super::CheckContext;
 
-/// The formal G17 invariant.
-pub struct G17TimelyErasure;
-
-impl Invariant for G17TimelyErasure {
-    fn id(&self) -> &'static str {
-        "G17"
-    }
-
-    fn statement(&self) -> &'static str {
-        "Every personal unit has an erase-by policy and is erased (at the \
-         regulation's minimum interpretation) by its deadline."
-    }
-
-    fn articles(&self) -> &'static [u8] {
-        &[17]
-    }
-
-    fn check(&self, ctx: &CheckContext<'_>) -> Vec<Violation> {
-        let mut out = Vec::new();
-        let grace = ctx.regulation.erase_grace;
-        for id in ctx.state.unit_ids_sorted() {
-            let unit = ctx.state.unit(id).expect("listed unit exists");
-            if !unit.is_personal() {
-                continue;
-            }
-            let Some(deadline) = unit.policies.erase_deadline() else {
-                out.push(Violation::on_unit(
-                    "G17",
-                    id,
-                    ctx.now,
-                    Severity::Breach,
-                    "no compliance-erase policy: the unit could be stored eternally",
-                ));
-                continue;
-            };
-            let due = deadline + grace;
-            if ctx.now <= due {
-                continue; // not yet due
-            }
-            // Past due: status must satisfy the regulation's minimum…
-            if !unit.erasure.satisfies(ctx.regulation.min_erasure) {
-                out.push(Violation::on_unit(
-                    "G17",
-                    id,
-                    ctx.now,
-                    Severity::Critical,
-                    format!(
-                        "erase deadline {deadline} passed but unit is {:?} (regulation requires ≥ {})",
-                        unit.erasure, ctx.regulation.min_erasure
-                    ),
-                ));
-                continue;
-            }
-            // …and an erase action must have been recorded in time.
-            let erased_in_time = ctx
-                .history
-                .of_unit(id)
-                .iter()
-                .any(|t| t.action.kind() == ActionKind::Erase && t.at <= due);
-            if !erased_in_time {
-                out.push(Violation::on_unit(
-                    "G17",
-                    id,
-                    ctx.now,
-                    Severity::Breach,
-                    "unit marked erased but no erase action recorded before the deadline \
-                     (record-keeping gap)",
-                ));
-            }
+/// The formal G17 invariant, grounded as the module docs state. Catalog
+/// row V (erasure) is grounded as this same check.
+pub fn timely_erasure(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let grace = ctx.regulation.erase_grace;
+    for id in ctx.state.unit_ids_sorted() {
+        let unit = ctx.state.unit(id).expect("listed unit exists");
+        if !unit.is_personal() {
+            continue;
         }
-        out
+        let Some(deadline) = unit.policies.erase_deadline() else {
+            out.push(Violation::on_unit(
+                invariant,
+                id,
+                ctx.now,
+                Severity::Breach,
+                "no compliance-erase policy: the unit could be stored eternally",
+            ));
+            continue;
+        };
+        let due = deadline + grace;
+        if ctx.now <= due {
+            continue; // not yet due
+        }
+        // Past due: status must satisfy the regulation's minimum…
+        if !unit.erasure.satisfies(ctx.regulation.min_erasure) {
+            out.push(Violation::on_unit(
+                invariant,
+                id,
+                ctx.now,
+                Severity::Critical,
+                format!(
+                    "erase deadline {deadline} passed but unit is {:?} (regulation requires ≥ {})",
+                    unit.erasure, ctx.regulation.min_erasure
+                ),
+            ));
+            continue;
+        }
+        // …and an erase action must have been recorded in time.
+        let erased_in_time = ctx
+            .history
+            .of_unit(id)
+            .iter()
+            .any(|t| t.action.kind() == ActionKind::Erase && t.at <= due);
+        if !erased_in_time {
+            out.push(Violation::on_unit(
+                invariant,
+                id,
+                ctx.now,
+                Severity::Breach,
+                "unit marked erased but no erase action recorded before the deadline \
+                 (record-keeping gap)",
+            ));
+        }
     }
+    out
 }
 
 #[cfg(test)]
@@ -106,6 +90,7 @@ mod tests {
     use crate::purpose::{well_known as wk, PurposeRegistry};
     use crate::regulation::Regulation;
     use crate::state::DatabaseState;
+    use crate::tenant::TenantDirectory;
     use crate::unit::{ErasureStatus, Origin};
     use datacase_sim::time::{Dur, Ts};
 
@@ -149,9 +134,9 @@ mod tests {
             regulation: &f.regulation,
             now,
             evidence: EvidenceFlags::default(),
-            tenants: None,
+            tenants: &TenantDirectory::new(),
         };
-        G17TimelyErasure.check(&ctx)
+        timely_erasure(&ctx, "G17")
     }
 
     #[test]

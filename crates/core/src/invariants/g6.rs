@@ -6,43 +6,29 @@
 use crate::history::ActionHistory;
 use crate::violation::{Severity, Violation};
 
-use super::{CheckContext, Invariant};
+use super::CheckContext;
 
-/// The formal G6 invariant.
-pub struct G6PolicyConsistency;
-
-impl Invariant for G6PolicyConsistency {
-    fn id(&self) -> &'static str {
-        "G6"
-    }
-
-    fn statement(&self) -> &'static str {
-        "Every action on every data unit is policy-consistent."
-    }
-
-    fn articles(&self) -> &'static [u8] {
-        &[6]
-    }
-
-    fn check(&self, ctx: &CheckContext<'_>) -> Vec<Violation> {
-        let mut out = Vec::new();
-        for tuple in ctx.history.iter() {
-            if !ActionHistory::policy_consistent(tuple, ctx.state, ctx.purposes, ctx.regulation) {
-                out.push(Violation {
-                    invariant: "G6",
-                    unit: Some(tuple.unit),
-                    entity: Some(tuple.entity),
-                    at: tuple.at,
-                    severity: Severity::Critical,
-                    message: format!(
-                        "action {} for purpose {} by {} not covered by any active policy",
-                        tuple.action, tuple.purpose, tuple.entity
-                    ),
-                });
-            }
+/// The formal G6 invariant: every history tuple must be
+/// policy-consistent ([`ActionHistory::policy_consistent`]). Catalog row
+/// IV (sharing and processing) is grounded as this same check.
+pub fn policy_consistency(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for tuple in ctx.history.iter() {
+        if !ActionHistory::policy_consistent(tuple, ctx.state, ctx.purposes, ctx.regulation) {
+            out.push(Violation {
+                invariant,
+                unit: Some(tuple.unit),
+                entity: Some(tuple.entity),
+                at: tuple.at,
+                severity: Severity::Critical,
+                message: format!(
+                    "action {} for purpose {} by {} not covered by any active policy",
+                    tuple.action, tuple.purpose, tuple.entity
+                ),
+            });
         }
-        out
     }
+    out
 }
 
 #[cfg(test)]
@@ -56,6 +42,7 @@ mod tests {
     use crate::purpose::{well_known as wk, PurposeRegistry};
     use crate::regulation::Regulation;
     use crate::state::DatabaseState;
+    use crate::tenant::TenantDirectory;
     use crate::unit::Origin;
     use datacase_sim::time::Ts;
 
@@ -97,9 +84,9 @@ mod tests {
             regulation: &reg,
             now: t(50),
             evidence: EvidenceFlags::default(),
-            tenants: None,
+            tenants: &TenantDirectory::new(),
         };
-        assert!(G6PolicyConsistency.check(&ctx).is_empty());
+        assert!(policy_consistency(&ctx, "G6").is_empty());
     }
 
     #[test]
@@ -120,9 +107,9 @@ mod tests {
             regulation: &reg,
             now: t(50),
             evidence: EvidenceFlags::default(),
-            tenants: None,
+            tenants: &TenantDirectory::new(),
         };
-        let v = G6PolicyConsistency.check(&ctx);
+        let v = policy_consistency(&ctx, "G6");
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].severity, Severity::Critical);
         assert_eq!(v[0].unit, Some(uid));
@@ -147,8 +134,8 @@ mod tests {
             regulation: &reg,
             now: t(200),
             evidence: EvidenceFlags::default(),
-            tenants: None,
+            tenants: &TenantDirectory::new(),
         };
-        assert_eq!(G6PolicyConsistency.check(&ctx).len(), 1);
+        assert_eq!(policy_consistency(&ctx, "G6").len(), 1);
     }
 }

@@ -4,10 +4,12 @@
 //! Figure 1 groups the GDPR's system-relevant articles into nine informal
 //! invariants (I Disclosure … IX Demonstrate compliance); §2.2 formalises
 //! two of them — G6 (lawful processing = policy consistency) and G17
-//! (timely erasure). Each invariant here documents the *grounding* we chose
-//! for its informal text: what exactly is checked against the model state
-//! and history. Different groundings are possible — that is the paper's
-//! point — and each struct's docs state ours precisely.
+//! (timely erasure). [`CATALOG`] is that list as one table: each row is an
+//! id, a statement, the articles it covers and the *grounding* we chose
+//! for its informal text — what exactly is checked against the model
+//! state and history. Different groundings are possible — that is the
+//! paper's point — and each grounding function's docs state ours
+//! precisely. A regulation selects the rows it enforces by id.
 
 pub mod catalog;
 pub mod g17;
@@ -48,39 +50,103 @@ pub struct CheckContext<'a> {
     /// External evidence flags.
     pub evidence: EvidenceFlags,
     /// Entity → tenant assignments for served multi-tenant deployments
-    /// (`None` or empty for single-tenant, in-process deployments).
-    pub tenants: Option<&'a TenantDirectory>,
+    /// (empty for single-tenant, in-process deployments, which makes X
+    /// vacuous).
+    pub tenants: &'a TenantDirectory,
 }
 
-/// A checkable invariant.
-pub trait Invariant: Send + Sync {
+/// One row of the catalog: a checkable invariant and its grounding.
+#[derive(Clone, Copy, Debug)]
+pub struct Invariant {
     /// Stable identifier ("I".."X", "G6", "G17").
-    fn id(&self) -> &'static str;
+    pub id: &'static str,
     /// Short human-readable statement.
-    fn statement(&self) -> &'static str;
+    pub statement: &'static str,
     /// GDPR articles the invariant covers (Figure 1's bracketed lists).
-    fn articles(&self) -> &'static [u8];
-    /// Evaluate; empty result means the invariant holds.
-    fn check(&self, ctx: &CheckContext<'_>) -> Vec<Violation>;
+    pub articles: &'static [u8],
+    /// The grounding: evaluates the context and reports each violation
+    /// under the id it is passed; an empty result means the invariant
+    /// holds.
+    pub check: fn(&CheckContext<'_>, &'static str) -> Vec<Violation>,
 }
 
-/// All invariants of the catalog plus the formal G6/G17, in display order.
-pub fn full_catalog() -> Vec<Box<dyn Invariant>> {
-    vec![
-        Box::new(catalog::Disclosure),
-        Box::new(catalog::Storage),
-        Box::new(catalog::PreProcessing),
-        Box::new(catalog::SharingProcessing),
-        Box::new(catalog::Erasure),
-        Box::new(catalog::DesignSecurity),
-        Box::new(catalog::RecordKeeping),
-        Box::new(catalog::Obligations),
-        Box::new(catalog::Demonstrate),
-        Box::new(catalog::TenantIsolation),
-        Box::new(g6::G6PolicyConsistency),
-        Box::new(g17::G17TimelyErasure),
-    ]
-}
+/// Figure 1's invariants plus the deployment invariant X and the formal
+/// G6/G17, in display order. IV and V are grounded as G6 and G17.
+pub const CATALOG: [Invariant; 12] = [
+    Invariant {
+        id: "I",
+        statement: "Keep data subjects informed when collecting data.",
+        articles: &[13, 14],
+        check: catalog::disclosure,
+    },
+    Invariant {
+        id: "II",
+        statement: "Store data such that data subjects can exercise their rights.",
+        articles: &[12, 15, 16, 17, 18, 20, 21, 23],
+        check: catalog::storage,
+    },
+    Invariant {
+        id: "III",
+        statement: "Consult and assess prior to processing data.",
+        articles: &[35, 36],
+        check: catalog::pre_processing,
+    },
+    Invariant {
+        id: "IV",
+        statement: "Do not process data indiscriminately (all actions policy-consistent).",
+        articles: &[5, 6, 7, 8, 9, 10, 11, 22, 26, 27, 28, 29, 44, 45],
+        check: g6::policy_consistency,
+    },
+    Invariant {
+        id: "V",
+        statement: "Do not store data eternally (erase-by policies honoured).",
+        articles: &[17],
+        check: g17::timely_erasure,
+    },
+    Invariant {
+        id: "VI",
+        statement: "Build and design data-protective systems (encryption at rest).",
+        articles: &[25, 32],
+        check: catalog::design_security,
+    },
+    Invariant {
+        id: "VII",
+        statement: "Keep records of all data-operations.",
+        articles: &[30],
+        check: catalog::record_keeping,
+    },
+    Invariant {
+        id: "VIII",
+        statement: "Inform the user of changes and unauthorised access to their data.",
+        articles: &[19, 33, 34],
+        check: catalog::obligations,
+    },
+    Invariant {
+        id: "IX",
+        statement: "Demonstrate compliance (auditable, tamper-evident records).",
+        articles: &[24, 31],
+        check: catalog::demonstrate,
+    },
+    Invariant {
+        id: "X",
+        statement: "Isolate tenants: no probe surfaces another tenant's data or records.",
+        articles: &[28, 32],
+        check: catalog::tenant_isolation,
+    },
+    Invariant {
+        id: "G6",
+        statement: "Every action on every data unit is policy-consistent.",
+        articles: &[6],
+        check: g6::policy_consistency,
+    },
+    Invariant {
+        id: "G17",
+        statement: "Every personal unit has an erase-by policy and is erased (at the \
+                    regulation's minimum interpretation) by its deadline.",
+        articles: &[17],
+        check: g17::timely_erasure,
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -88,8 +154,7 @@ mod tests {
 
     #[test]
     fn catalog_ids_are_unique_and_complete() {
-        let cat = full_catalog();
-        let ids: Vec<&str> = cat.iter().map(|i| i.id()).collect();
+        let ids: Vec<&str> = CATALOG.iter().map(|i| i.id).collect();
         let expected = [
             "I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "G6", "G17",
         ];
@@ -102,9 +167,28 @@ mod tests {
 
     #[test]
     fn every_invariant_names_articles_and_statement() {
-        for inv in full_catalog() {
-            assert!(!inv.statement().is_empty(), "{}", inv.id());
-            assert!(!inv.articles().is_empty(), "{}", inv.id());
+        for inv in CATALOG {
+            assert!(!inv.statement.is_empty(), "{}", inv.id);
+            assert!(!inv.articles.is_empty(), "{}", inv.id);
+        }
+    }
+
+    #[test]
+    fn every_regulation_enforces_only_catalog_rows() {
+        // A misspelt id would silently disable the invariant it meant.
+        for reg in [
+            Regulation::gdpr(),
+            Regulation::gdpr_strict_member_state(),
+            Regulation::pipeda(),
+            Regulation::ccpa(),
+        ] {
+            for id in &reg.invariants {
+                assert!(
+                    CATALOG.iter().any(|i| i.id == *id),
+                    "{} enforces {id}, which names no catalog row",
+                    reg.name
+                );
+            }
         }
     }
 }

@@ -19,10 +19,12 @@
 //! * **policy-consistent processing** — the formalisation of lawful
 //!   processing ([`history::ActionHistory::policy_consistent`]).
 //!
-//! Invariants (paper §2.2, Figure 1): the nine requirement groups I–IX and
-//! the two formal examples G6 (lawful processing) and G17 (timely erasure)
-//! live in [`invariants`]; [`checker::ComplianceChecker`] evaluates them
-//! over a [`state::DatabaseState`] + [`history::ActionHistory`].
+//! Invariants (paper §2.2, Figure 1): the nine requirement groups I–IX,
+//! the deployment invariant X (tenant isolation) and the two formal
+//! examples G6 (lawful processing) and G17 (timely erasure) are the rows
+//! of [`invariants::CATALOG`]; [`checker::check`] runs the rows a
+//! regulation enforces over a [`state::DatabaseState`] +
+//! [`history::ActionHistory`].
 //!
 //! Grounding (paper §3): [`grounding`] defines the four erasure
 //! interpretations, their restrictiveness order and the IR/II/Inv
@@ -51,7 +53,7 @@ pub mod value;
 pub mod violation;
 
 pub use action::{Action, ActionKind};
-pub use checker::{ComplianceChecker, ComplianceReport};
+pub use checker::ComplianceReport;
 pub use entity::{Entity, EntityKind, EntityRegistry};
 pub use grounding::erasure::ErasureInterpretation;
 pub use history::{ActionHistory, HistoryTuple};

@@ -6,9 +6,9 @@
 //! This module is the **single source of truth for the partition
 //! scheme**: the gateway applies it when it rewrites tenant-local
 //! requests into the shared keyspace, the engine enforces it through
-//! session key-scopes, and the [`TenantIsolation`]
-//! invariant checks it over the abstract model — all three layers agree
-//! because they share these functions.
+//! session key-scopes, and the tenant-isolation invariant X
+//! ([`tenant_isolation`]) checks it over the abstract model — all three
+//! layers agree because they share these functions.
 //!
 //! The scheme is purely arithmetic, so it needs no shared mutable state:
 //!
@@ -23,7 +23,7 @@
 //! tenant 0 and single-tenant deployments are a degenerate (and
 //! automatically isolated) case of the same scheme.
 //!
-//! [`TenantIsolation`]: crate::invariants::catalog::TenantIsolation
+//! [`tenant_isolation`]: crate::invariants::catalog::tenant_isolation
 
 use std::collections::BTreeMap;
 

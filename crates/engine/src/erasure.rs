@@ -14,9 +14,10 @@
 //!
 //! `erase_now` executes exactly that plan: it loops over the steps in
 //! order, then ends with the epilogue a workload `DELETE` ends with too
-//! (`Model::finish_erasure`: revoke consent, mark and record the erasure). No
-//! other code decides which backend calls an interpretation makes, so the
-//! plan a report declares is the plan that runs. After execution the
+//! (`Model::finish_erasure`: revoke consent, mark and record the erasure;
+//! then the metadata scans forget the key, which `restore_now` puts
+//! back). No other code decides which backend calls an interpretation
+//! makes, so the plan a report declares is the plan that runs. After execution the
 //! [`probe`] verifies the IR / II / Inv properties *empirically* against
 //! the forensic scanner and the provenance graph, on either backend.
 //!
@@ -228,6 +229,7 @@ pub(crate) fn erase_now(
 
     let at = clock.now();
     model.finish_erasure(&mut substrate.enforcer, unit, interp, entity, now, at);
+    keys.unscan(key);
     if interp == ErasureInterpretation::PermanentlyDeleted {
         let at2 = clock.now();
         model.record(unit, wk::compliance_erase(), entity, Action::Sanitize, at2);
@@ -239,9 +241,10 @@ pub(crate) fn erase_now(
 /// the interpretation *invertible* in Table 1). Returns false if the unit
 /// is not in the reversible state.
 pub(crate) fn restore_now(fe: &mut Frontend, key: u64) -> bool {
-    let Some(unit) = fe.keys.unit_of(key) else {
+    let Some(meta) = fe.keys.get(key) else {
         return false;
     };
+    let unit = meta.unit;
     let restorable = fe
         .model
         .state
@@ -254,6 +257,7 @@ pub(crate) fn restore_now(fe: &mut Frontend, key: u64) -> bool {
     if fe.substrate.backend.set_hidden(key, false).is_err() {
         return false;
     }
+    fe.keys.insert(key, meta);
     let at = fe.clock.now();
     fe.model.state.unit_mut(unit).expect("checked").restore();
     fe.model.record(

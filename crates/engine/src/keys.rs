@@ -54,8 +54,8 @@ impl KeyIndex {
         self.unit_key.get(&unit).copied()
     }
 
-    /// Bind a freshly created record: its key, its unit, and both scan
-    /// indexes.
+    /// Bind a record: its key, its unit, and both scan indexes. A create
+    /// binds a fresh record; a restore re-binds a hidden one.
     pub(crate) fn insert(&mut self, key: u64, meta: KeyMeta) {
         self.meta.insert(key, meta);
         self.unit_key.insert(meta.unit, key);
@@ -86,10 +86,10 @@ impl KeyIndex {
         }
     }
 
-    /// A workload delete: the metadata scans forget the key. The binding
-    /// itself is deliberately kept — a real database does not know a key
-    /// is gone until it probes the index and heap, so post-delete reads
-    /// must pay that path (the Figure-4a mechanism).
+    /// A delete or an erasure: the metadata scans forget the key. The
+    /// binding itself is deliberately kept — a real database does not know
+    /// a key is gone until it probes the index and heap, so post-delete
+    /// reads must pay that path (the Figure-4a mechanism).
     pub(crate) fn unscan(&mut self, key: u64) {
         let Some(meta) = self.meta.get(&key) else {
             return;

@@ -9,12 +9,12 @@
 use std::collections::HashMap;
 
 use datacase_core::action::Action;
-use datacase_core::checker::{ComplianceChecker, ComplianceReport};
+use datacase_core::checker::{self, ComplianceReport};
 use datacase_core::entity::{EntityKind, EntityRegistry};
 use datacase_core::grounding::erasure::ErasureInterpretation;
 use datacase_core::history::{ActionHistory, HistoryTuple};
 use datacase_core::ids::{EntityId, UnitId};
-use datacase_core::invariants::EvidenceFlags;
+use datacase_core::invariants::{CheckContext, EvidenceFlags};
 use datacase_core::purpose::{well_known as wk, PurposeId, PurposeRegistry};
 use datacase_core::regulation::Regulation;
 use datacase_core::state::DatabaseState;
@@ -158,9 +158,14 @@ impl Model {
         for (&subject, &entity) in &self.subject_entities {
             tenants.assign(entity, TenantId::of_subject(subject));
         }
-        ComplianceChecker::new(regulation.clone())
-            .with_evidence(evidence)
-            .with_tenants(tenants)
-            .check(&self.state, &self.history, &self.purposes, now)
+        checker::check(&CheckContext {
+            state: &self.state,
+            history: &self.history,
+            purposes: &self.purposes,
+            regulation,
+            now,
+            evidence,
+            tenants: &tenants,
+        })
     }
 }

@@ -715,6 +715,49 @@ mod tests {
     }
 
     #[test]
+    fn erase_drops_the_key_from_metadata_scans() {
+        // An erased record must leave the scans exactly as a workload
+        // delete does: the scan neither reaches it nor audits a denial
+        // naming it.
+        let scan_after = |request: Request| {
+            let (mut fe, mut bench) = small_db(ProfileKind::PSys);
+            load(&mut fe, &mut bench, 200);
+            let subject = fe.keys.get(3).unwrap().subject;
+            let r = fe.run(&Session::new(Actor::Controller), request);
+            assert!(r.outcome.is_ok(), "{:?}", r.outcome);
+            let selector = MetaSelector::BySubject(subject);
+            assert!(!fe.keys.scan(selector, None, usize::MAX).contains(&3));
+            let scan = Request::ReadByMeta { selector };
+            fe.run(&Session::new(Actor::Processor), scan).audit.records
+        };
+        let erase = Request::Erase {
+            key: 3,
+            interpretation: ErasureInterpretation::Deleted,
+        };
+        assert_eq!(scan_after(erase), scan_after(Request::Delete { key: 3 }));
+    }
+
+    #[test]
+    fn restore_puts_the_key_back_into_metadata_scans() {
+        let mut config = EngineConfig::stock(DeleteStrategy::TombstoneAttribute);
+        config.maintenance_every = u64::MAX;
+        let mut fe = Frontend::new(config);
+        let mut bench = GdprBench::new(42, 50);
+        load(&mut fe, &mut bench, 200);
+        let controller = Session::new(Actor::Controller);
+        let scan = Request::ReadByMeta {
+            selector: MetaSelector::BySubject(fe.keys.get(3).unwrap().subject),
+        };
+        let before = fe.run(&Session::new(Actor::Processor), scan.clone()).rows();
+        assert!(fe.run(&controller, Request::Delete { key: 3 }).is_done());
+        let r = fe.run(&controller, Request::Restore { key: 3 });
+        assert_eq!(r.outcome, Ok(Reply::Restored));
+        let after = fe.run(&Session::new(Actor::Processor), scan).rows();
+        assert!(before.is_some_and(|rows| rows > 1), "{before:?}");
+        assert_eq!(after, before, "the restored record must scan again");
+    }
+
+    #[test]
     fn update_meta_records_policy_change_and_notify() {
         let (mut fe, mut bench) = small_db(ProfileKind::PBase);
         load(&mut fe, &mut bench, 10);

@@ -213,7 +213,9 @@ impl LsmTree {
         for level in &self.levels {
             for run in level.iter().rev() {
                 self.clock.charge_nanos(model.bloom_probe);
-                Meter::bump(self.meter.bloom_probes_alias(), 1);
+                // The meter has no bloom-probe field: bloom probes count
+                // as index probes.
+                Meter::bump(&self.meter.index_probes, 1);
                 if !run.might_contain(key) {
                     continue;
                 }
@@ -413,18 +415,6 @@ impl LsmTree {
     /// Shared clock.
     pub fn clock(&self) -> &SimClock {
         &self.clock
-    }
-}
-
-/// Bloom-probe alias: the shared [`Meter`] has no dedicated field for bloom
-/// probes, so they are counted as index probes.
-trait BloomAlias {
-    fn bloom_probes_alias(&self) -> &std::sync::atomic::AtomicU64;
-}
-
-impl BloomAlias for Meter {
-    fn bloom_probes_alias(&self) -> &std::sync::atomic::AtomicU64 {
-        &self.index_probes
     }
 }
 
