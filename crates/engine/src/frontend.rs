@@ -268,7 +268,8 @@ impl Forensic<'_> {
         self.fe.substrate.backend.read(key, include_hidden)
     }
 
-    /// Force a checkpoint (flush + WAL recycle) now.
+    /// Force a checkpoint now: flush buffered pages (heap) or the memtable
+    /// (LSM). The WAL is not recycled.
     pub fn checkpoint(&mut self) {
         self.fe.substrate.backend.checkpoint();
     }
@@ -344,8 +345,11 @@ impl Forensic<'_> {
     }
 
     /// Salvage the storage substrate's durable state — exactly what
-    /// survives a crash: the heap's WAL records or the LSM's committed
-    /// run manifest. The chaos harness calls this on a wrecked engine
+    /// survives a crash: the heap's retained WAL records (only the tail
+    /// once the engine's checkpoint cadence has recycled the log) or the
+    /// LSM's committed run manifest (flushed runs only; the memtable is
+    /// lost). See [`DurableSnapshot`] for what recovery then restores.
+    /// The chaos harness calls this on a wrecked engine
     /// (after a [`CrashSignal`](datacase_sim::fault::CrashSignal) panic
     /// was caught) and rebuilds from it via
     /// [`recover_backend`](datacase_storage::backend::recover_backend).

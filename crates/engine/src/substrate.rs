@@ -147,12 +147,9 @@ impl Substrate {
     pub(crate) fn scan(&mut self, needle: &[u8]) -> ForensicFindings {
         self.backend.checkpoint();
         let mut findings = self.backend.scan_physical(needle);
-        // The audit logs are a persistence layer too; fold their hits into
-        // the WAL bucket: both are log-shaped retention.
-        let log_hits = self.logger.scan(needle);
-        findings
-            .wal_lsns
-            .extend(std::iter::repeat_n(u64::MAX, log_hits));
+        // The audit logs are a persistence layer too, with a bucket of
+        // their own.
+        findings.audit_records = self.logger.scan(needle);
         findings
     }
 }

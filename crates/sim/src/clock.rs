@@ -73,69 +73,84 @@ impl SimClock {
     }
 }
 
-/// Counters of mechanical work, reported alongside simulated times.
-///
-/// Every counter is monotonically increasing and atomically updated, so one
-/// `Meter` can be shared by all substrates of an engine instance.
-#[derive(Debug, Default)]
-pub struct Meter {
-    /// Pages read from simulated disk (buffer-pool misses).
-    pub pages_read_disk: AtomicU64,
-    /// Pages served from the buffer pool.
-    pub pages_read_cached: AtomicU64,
-    /// Pages written back to simulated disk.
-    pub pages_written: AtomicU64,
-    /// Live tuples examined by scans.
-    pub tuples_scanned: AtomicU64,
-    /// Dead tuples / tombstones skipped by scans.
-    pub dead_tuples_skipped: AtomicU64,
-    /// Index probes performed.
-    pub index_probes: AtomicU64,
-    /// Bytes pushed through AES.
-    pub crypto_bytes: AtomicU64,
-    /// Log records appended.
-    pub log_records: AtomicU64,
-    /// Bytes appended to logs.
-    pub log_bytes: AtomicU64,
-    /// Policy checks evaluated (coarse + fine).
-    pub policy_checks: AtomicU64,
-    /// Operations denied by policy enforcement.
-    pub denials: AtomicU64,
-    /// Bytes rewritten by vacuum-full / compaction.
-    pub compaction_bytes: AtomicU64,
-    /// WAL records appended.
-    pub wal_records: AtomicU64,
+/// Declares the work counters once. Each `/// doc` + `name` row becomes a
+/// [`Meter`] field, a [`MeterSnapshot`] field, and a line each in
+/// [`Meter::snapshot`], [`MeterSnapshot::merge`] and [`MeterSnapshot::diff`].
+macro_rules! meter_counters {
+    ($($(#[doc = $doc:expr])+ $name:ident,)+) => {
+        /// Counters of mechanical work, reported alongside simulated times.
+        ///
+        /// Every counter is monotonically increasing and atomically updated, so one
+        /// `Meter` can be shared by all substrates of an engine instance.
+        #[derive(Debug, Default)]
+        pub struct Meter {
+            $($(#[doc = $doc])+ pub $name: AtomicU64,)+
+        }
+
+        /// An owned snapshot of a [`Meter`], for diffing before/after a workload.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct MeterSnapshot {
+            $(#[doc = concat!("See [`Meter::", stringify!($name), "`].")] pub $name: u64,)+
+        }
+
+        impl Meter {
+            /// Capture the current values of all counters.
+            pub fn snapshot(&self) -> MeterSnapshot {
+                MeterSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)+
+                }
+            }
+        }
+
+        impl MeterSnapshot {
+            /// Component-wise saturating sum `self + other` — the aggregation step
+            /// for per-shard meters. Sharded drivers give every worker its own
+            /// [`Meter`] (so counters never race across threads) and merge the
+            /// snapshots afterwards; addition is commutative and associative, so
+            /// the aggregate is deterministic regardless of worker interleaving.
+            pub fn merge(&self, other: &MeterSnapshot) -> MeterSnapshot {
+                MeterSnapshot {
+                    $($name: self.$name.saturating_add(other.$name),)+
+                }
+            }
+
+            /// Component-wise saturating difference `self - earlier`.
+            pub fn diff(&self, earlier: &MeterSnapshot) -> MeterSnapshot {
+                MeterSnapshot {
+                    $($name: self.$name.saturating_sub(earlier.$name),)+
+                }
+            }
+        }
+    };
 }
 
-/// An owned snapshot of a [`Meter`], for diffing before/after a workload.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MeterSnapshot {
-    /// See [`Meter::pages_read_disk`].
-    pub pages_read_disk: u64,
-    /// See [`Meter::pages_read_cached`].
-    pub pages_read_cached: u64,
-    /// See [`Meter::pages_written`].
-    pub pages_written: u64,
-    /// See [`Meter::tuples_scanned`].
-    pub tuples_scanned: u64,
-    /// See [`Meter::dead_tuples_skipped`].
-    pub dead_tuples_skipped: u64,
-    /// See [`Meter::index_probes`].
-    pub index_probes: u64,
-    /// See [`Meter::crypto_bytes`].
-    pub crypto_bytes: u64,
-    /// See [`Meter::log_records`].
-    pub log_records: u64,
-    /// See [`Meter::log_bytes`].
-    pub log_bytes: u64,
-    /// See [`Meter::policy_checks`].
-    pub policy_checks: u64,
-    /// See [`Meter::denials`].
-    pub denials: u64,
-    /// See [`Meter::compaction_bytes`].
-    pub compaction_bytes: u64,
-    /// See [`Meter::wal_records`].
-    pub wal_records: u64,
+meter_counters! {
+    /// Pages read from simulated disk (buffer-pool misses).
+    pages_read_disk,
+    /// Pages served from the buffer pool.
+    pages_read_cached,
+    /// Pages written back to simulated disk.
+    pages_written,
+    /// Live tuples examined by scans.
+    tuples_scanned,
+    /// Dead tuples / tombstones skipped by scans.
+    dead_tuples_skipped,
+    /// Index probes performed.
+    index_probes,
+    /// Bytes pushed through AES.
+    crypto_bytes,
+    /// Log records appended.
+    log_records,
+    /// Bytes appended to logs.
+    log_bytes,
+    /// Policy checks evaluated (coarse + fine).
+    policy_checks,
+    /// Operations denied by policy enforcement.
+    denials,
+    /// Bytes rewritten by vacuum-full / compaction.
+    compaction_bytes,
+    /// WAL records appended.
+    wal_records,
 }
 
 impl Meter {
@@ -147,79 +162,6 @@ impl Meter {
     /// Add `n` to a counter.
     pub fn bump(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Capture the current values of all counters.
-    pub fn snapshot(&self) -> MeterSnapshot {
-        MeterSnapshot {
-            pages_read_disk: self.pages_read_disk.load(Ordering::Relaxed),
-            pages_read_cached: self.pages_read_cached.load(Ordering::Relaxed),
-            pages_written: self.pages_written.load(Ordering::Relaxed),
-            tuples_scanned: self.tuples_scanned.load(Ordering::Relaxed),
-            dead_tuples_skipped: self.dead_tuples_skipped.load(Ordering::Relaxed),
-            index_probes: self.index_probes.load(Ordering::Relaxed),
-            crypto_bytes: self.crypto_bytes.load(Ordering::Relaxed),
-            log_records: self.log_records.load(Ordering::Relaxed),
-            log_bytes: self.log_bytes.load(Ordering::Relaxed),
-            policy_checks: self.policy_checks.load(Ordering::Relaxed),
-            denials: self.denials.load(Ordering::Relaxed),
-            compaction_bytes: self.compaction_bytes.load(Ordering::Relaxed),
-            wal_records: self.wal_records.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl MeterSnapshot {
-    /// Component-wise saturating sum `self + other` — the aggregation step
-    /// for per-shard meters. Sharded drivers give every worker its own
-    /// [`Meter`] (so counters never race across threads) and merge the
-    /// snapshots afterwards; addition is commutative and associative, so
-    /// the aggregate is deterministic regardless of worker interleaving.
-    pub fn merge(&self, other: &MeterSnapshot) -> MeterSnapshot {
-        MeterSnapshot {
-            pages_read_disk: self.pages_read_disk.saturating_add(other.pages_read_disk),
-            pages_read_cached: self
-                .pages_read_cached
-                .saturating_add(other.pages_read_cached),
-            pages_written: self.pages_written.saturating_add(other.pages_written),
-            tuples_scanned: self.tuples_scanned.saturating_add(other.tuples_scanned),
-            dead_tuples_skipped: self
-                .dead_tuples_skipped
-                .saturating_add(other.dead_tuples_skipped),
-            index_probes: self.index_probes.saturating_add(other.index_probes),
-            crypto_bytes: self.crypto_bytes.saturating_add(other.crypto_bytes),
-            log_records: self.log_records.saturating_add(other.log_records),
-            log_bytes: self.log_bytes.saturating_add(other.log_bytes),
-            policy_checks: self.policy_checks.saturating_add(other.policy_checks),
-            denials: self.denials.saturating_add(other.denials),
-            compaction_bytes: self.compaction_bytes.saturating_add(other.compaction_bytes),
-            wal_records: self.wal_records.saturating_add(other.wal_records),
-        }
-    }
-
-    /// Component-wise saturating difference `self - earlier`.
-    pub fn diff(&self, earlier: &MeterSnapshot) -> MeterSnapshot {
-        MeterSnapshot {
-            pages_read_disk: self.pages_read_disk.saturating_sub(earlier.pages_read_disk),
-            pages_read_cached: self
-                .pages_read_cached
-                .saturating_sub(earlier.pages_read_cached),
-            pages_written: self.pages_written.saturating_sub(earlier.pages_written),
-            tuples_scanned: self.tuples_scanned.saturating_sub(earlier.tuples_scanned),
-            dead_tuples_skipped: self
-                .dead_tuples_skipped
-                .saturating_sub(earlier.dead_tuples_skipped),
-            index_probes: self.index_probes.saturating_sub(earlier.index_probes),
-            crypto_bytes: self.crypto_bytes.saturating_sub(earlier.crypto_bytes),
-            log_records: self.log_records.saturating_sub(earlier.log_records),
-            log_bytes: self.log_bytes.saturating_sub(earlier.log_bytes),
-            policy_checks: self.policy_checks.saturating_sub(earlier.policy_checks),
-            denials: self.denials.saturating_sub(earlier.denials),
-            compaction_bytes: self
-                .compaction_bytes
-                .saturating_sub(earlier.compaction_bytes),
-            wal_records: self.wal_records.saturating_sub(earlier.wal_records),
-        }
     }
 }
 

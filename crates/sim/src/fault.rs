@@ -45,7 +45,7 @@ pub enum CrashPoint {
     Account,
     /// Storage: before a WAL record is appended.
     WalAppend,
-    /// Storage: before a checkpoint (flush + WAL recycle) runs.
+    /// Storage: before a checkpoint (a buffer or memtable flush) runs.
     Checkpoint,
     /// Erasure: before the unit's encryption key is destroyed.
     DestroyKey,

@@ -49,7 +49,7 @@ use std::sync::Arc;
 use datacase_sim::{Meter, SimClock};
 
 use crate::error::{Result, StorageError};
-use crate::forensic::{scan_heap, ForensicFindings};
+use crate::forensic::ForensicFindings;
 use crate::heap::{HeapConfig, HeapDb};
 use crate::lsm::{Entry, LsmConfig, LsmTree, RunManifest};
 use crate::wal::WalRecord;
@@ -125,11 +125,18 @@ pub struct BackendStats {
 /// A backend's durable layer, cloned out for crash recovery.
 ///
 /// What survives a crash differs per substrate — the heap's truth is its
-/// retained WAL (replayed logically by [`HeapDb::recover`]), the LSM's is
-/// its committed [`RunManifest`] (reopened by [`LsmTree::recover`]) — but
-/// the chaos harness salvages either through one typed value, taken from
-/// a wrecked engine via [`StorageBackend::durable_snapshot`] and turned
-/// back into a live substrate with [`recover_backend`].
+/// retained WAL, replayed logically; the LSM's is its committed
+/// [`RunManifest`], reopened as the tree's levels — but the chaos harness
+/// salvages either through one typed value, taken from a wrecked engine
+/// via [`StorageBackend::durable_snapshot`] and turned back into a live
+/// substrate with [`recover_backend`].
+///
+/// Neither variant is a full durable image yet (ROADMAP item 3(b)):
+/// the heap's WAL is all there is, so after a
+/// [`recycle_logs`](StorageBackend::recycle_logs) only rows the retained
+/// tail replays come back; the LSM's manifest covers flushed runs only, so
+/// acknowledged writes still in the memtable are lost unless a
+/// [`checkpoint`](StorageBackend::checkpoint) flushed them first.
 #[derive(Clone, Debug)]
 pub enum DurableSnapshot {
     /// The heap's retained WAL records, in LSN order.
@@ -139,8 +146,9 @@ pub enum DurableSnapshot {
 }
 
 /// Rebuild a live backend from a salvaged [`DurableSnapshot`]: WAL replay
-/// for the heap, manifest reopen for the LSM. Purely deterministic — two
-/// recoveries from the same snapshot yield identical physical state.
+/// for the heap, manifest reopen for the LSM. The one public recovery
+/// entry. Purely deterministic — two recoveries from the same snapshot
+/// yield identical physical state.
 pub fn recover_backend(
     snapshot: DurableSnapshot,
     heap: HeapConfig,
@@ -210,8 +218,9 @@ pub trait StorageBackend: Send {
     /// state (forensics and recovery both start from here).
     fn checkpoint(&mut self);
 
-    /// Drop recovery-log records already covered by a checkpoint.
-    /// Returns the number of records dropped.
+    /// Drop recovery-log records that precede the latest checkpoint.
+    /// Returns the number of records dropped. Nothing else holds what they
+    /// held: see [`DurableSnapshot`] for what recovery still finds.
     fn recycle_logs(&mut self) -> usize;
 
     /// Forensic scan of every persistent layer for `needle` — the
@@ -223,82 +232,9 @@ pub trait StorageBackend: Send {
     fn stats(&self) -> BackendStats;
 
     /// Clone out the substrate's durable layer (retained WAL / committed
-    /// run manifest) for crash recovery. See [`DurableSnapshot`].
+    /// run manifest) for crash recovery. See [`DurableSnapshot`] for what
+    /// it does and does not hold.
     fn durable_snapshot(&self) -> DurableSnapshot;
-}
-
-// ---------------------------------------------------------------------
-// Heap implementation
-// ---------------------------------------------------------------------
-
-impl StorageBackend for HeapDb {
-    fn insert(&mut self, key: u64, unit_id: u64, payload: &[u8]) -> Result<()> {
-        HeapDb::insert(self, key, unit_id, payload).map(|_| ())
-    }
-
-    fn read(&mut self, key: u64, include_hidden: bool) -> Option<Vec<u8>> {
-        HeapDb::read(self, key, include_hidden)
-    }
-
-    fn update(&mut self, key: u64, payload: &[u8]) -> Result<()> {
-        HeapDb::update(self, key, payload).map(|_| ())
-    }
-
-    fn delete(&mut self, key: u64) -> Result<()> {
-        HeapDb::delete(self, key)
-    }
-
-    fn set_hidden(&mut self, key: u64, hidden: bool) -> Result<()> {
-        HeapDb::set_hidden(self, key, hidden).map(|_| ())
-    }
-
-    fn maintain(&mut self, depth: MaintenanceDepth) -> MaintenanceStats {
-        let stats = match depth {
-            MaintenanceDepth::Lazy => self.vacuum(),
-            MaintenanceDepth::Full => self.vacuum_full(),
-        };
-        MaintenanceStats {
-            reclaimed: stats.tuples_reclaimed,
-            bytes_wiped: stats.bytes_wiped as u64,
-        }
-    }
-
-    fn purge_unit(&mut self, unit_id: u64) -> usize {
-        self.scrub_wal_unit(unit_id)
-    }
-
-    fn sanitize(&mut self, passes: u32) {
-        self.sanitize_drive(passes);
-    }
-
-    fn checkpoint(&mut self) {
-        HeapDb::checkpoint(self);
-    }
-
-    fn recycle_logs(&mut self) -> usize {
-        self.recycle_wal()
-    }
-
-    fn scan_physical(&self, needle: &[u8]) -> ForensicFindings {
-        scan_heap(self, needle)
-    }
-
-    fn stats(&self) -> BackendStats {
-        let s = HeapDb::stats(self);
-        BackendStats {
-            live_entries: s.live_tuples,
-            dead_entries: s.dead_tuples,
-            disk_bytes: s.disk_bytes,
-            drive_bytes: self.disk().bytes(),
-            index_bytes: s.index_bytes,
-            log_bytes: s.wal_bytes,
-            segments: s.pages,
-        }
-    }
-
-    fn durable_snapshot(&self) -> DurableSnapshot {
-        DurableSnapshot::Heap(self.wal_records())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -349,7 +285,7 @@ impl LsmBackend {
     /// Rebuild a backend from a durable [`RunManifest`] (crash recovery).
     /// The live-row counter is recomputed from the recovered runs, so it
     /// reflects exactly what survived.
-    pub fn recover(
+    pub(crate) fn recover(
         manifest: RunManifest,
         config: LsmConfig,
         clock: SimClock,

@@ -1,16 +1,17 @@
-//! The forensic residual scanner: the independent observer that checks
-//! whether "erased" personal data physically persists anywhere.
+//! The forensic residual findings: what the independent observer reports
+//! when it checks whether "erased" personal data physically persists
+//! anywhere.
 //!
-//! This is what turns Table 1 from a claimed matrix into a *measured* one:
-//! after each erasure grounding executes, the scanner inspects
+//! This is what turns Table 1 from a claimed matrix into a *measured* one.
+//! Each backend's [`scan_physical`](crate::backend::StorageBackend::scan_physical)
+//! fills the buckets of the layers it has:
 //!
 //! * heap pages as they are on disk (dead tuples, unvacuumed versions),
 //! * the WAL (payloads of old records),
 //! * drive remanence (overwritten sectors not yet sanitised),
-//! * LSM runs (shadowed versions under tombstones).
-
-use crate::heap::HeapDb;
-use crate::lsm::LsmTree;
+//! * LSM runs (shadowed versions under tombstones);
+//!
+//! and the engine adds the audit logs' hits on top.
 
 /// Where residuals of a needle were found.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -23,14 +24,20 @@ pub struct ForensicFindings {
     pub remanent_pages: Vec<u32>,
     /// LSM entries (across runs + memtable) containing the needle.
     pub lsm_entries: usize,
+    /// Audit-log records containing the needle (filled by the engine,
+    /// which owns the logs; a storage backend leaves it at zero).
+    pub audit_records: usize,
 }
 
 impl ForensicFindings {
     /// Residuals reachable through *online* storage (file pages, WAL, LSM
-    /// runs) — what an attacker with filesystem access gets. This is the
-    /// evidence relevant to the illegal-inference (II) probe.
+    /// runs, audit logs) — what an attacker with filesystem access gets.
+    /// This is the evidence relevant to the illegal-inference (II) probe.
     pub fn online(&self) -> bool {
-        !self.file_pages.is_empty() || !self.wal_lsns.is_empty() || self.lsm_entries > 0
+        !self.file_pages.is_empty()
+            || !self.wal_lsns.is_empty()
+            || self.lsm_entries > 0
+            || self.audit_records > 0
     }
 
     /// Residuals at any layer, including drive remanence — what a
@@ -42,45 +49,31 @@ impl ForensicFindings {
     /// Total residual hits across every layer — the per-backend count
     /// erasure evidence reports lead with.
     pub fn total(&self) -> usize {
-        self.file_pages.len() + self.wal_lsns.len() + self.remanent_pages.len() + self.lsm_entries
+        self.file_pages.len()
+            + self.wal_lsns.len()
+            + self.remanent_pages.len()
+            + self.lsm_entries
+            + self.audit_records
     }
 
     /// One-line description for probe notes.
     pub fn describe(&self) -> String {
         format!(
-            "file_pages={} wal_records={} remanent_sectors={} lsm_entries={}",
+            "file_pages={} wal_records={} remanent_sectors={} lsm_entries={} audit_records={}",
             self.file_pages.len(),
             self.wal_lsns.len(),
             self.remanent_pages.len(),
-            self.lsm_entries
+            self.lsm_entries,
+            self.audit_records
         )
-    }
-}
-
-/// Scan a heap database for residuals of `needle`.
-///
-/// The caller should `checkpoint()` first so buffered state has reached
-/// the disk; the scanner reads only the persistent layers.
-pub fn scan_heap(db: &HeapDb, needle: &[u8]) -> ForensicFindings {
-    ForensicFindings {
-        file_pages: db.disk().scan_raw(needle),
-        wal_lsns: db.wal().scan(needle),
-        remanent_pages: db.disk().scan_remanent(needle),
-        lsm_entries: 0,
-    }
-}
-
-/// Scan an LSM tree for residuals of `needle`.
-pub fn scan_lsm(tree: &LsmTree, needle: &[u8]) -> ForensicFindings {
-    ForensicFindings {
-        lsm_entries: tree.scan_physical(needle),
-        ..ForensicFindings::default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{LsmBackend, MaintenanceDepth, StorageBackend};
+    use crate::heap::HeapDb;
 
     #[test]
     fn delete_only_leaves_online_residuals() {
@@ -88,7 +81,7 @@ mod tests {
         db.insert(1, 1, b"forensic-target").unwrap();
         db.delete(1).unwrap();
         db.checkpoint();
-        let f = scan_heap(&db, b"forensic-target");
+        let f = db.scan_physical(b"forensic-target");
         assert!(f.online(), "{}", f.describe());
         assert!(!f.file_pages.is_empty());
         assert!(!f.wal_lsns.is_empty());
@@ -99,9 +92,9 @@ mod tests {
         let mut db = HeapDb::default_single();
         db.insert(1, 1, b"forensic-target").unwrap();
         db.delete(1).unwrap();
-        db.vacuum();
+        db.maintain(MaintenanceDepth::Lazy);
         db.checkpoint();
-        let f = scan_heap(&db, b"forensic-target");
+        let f = db.scan_physical(b"forensic-target");
         assert!(f.file_pages.is_empty(), "{}", f.describe());
         assert!(!f.wal_lsns.is_empty(), "WAL still retains it");
         assert!(f.online());
@@ -112,24 +105,24 @@ mod tests {
         let mut db = HeapDb::default_single();
         db.insert(1, 77, b"forensic-target").unwrap();
         db.delete(1).unwrap();
-        db.vacuum_full();
-        db.scrub_wal_unit(77);
-        db.sanitize_drive(3);
+        db.maintain(MaintenanceDepth::Full);
+        db.purge_unit(77);
+        db.sanitize(3);
         db.checkpoint();
-        let f = scan_heap(&db, b"forensic-target");
+        let f = db.scan_physical(b"forensic-target");
         assert!(!f.any(), "{}", f.describe());
     }
 
     #[test]
     fn lsm_residuals_until_compaction() {
-        let mut t = LsmTree::default_single();
-        t.put(1, 1, b"lsm-target");
-        t.flush();
-        t.delete(1, 1);
-        let f = scan_lsm(&t, b"lsm-target");
+        let mut b = LsmBackend::default_single();
+        b.insert(1, 1, b"lsm-target").unwrap();
+        b.checkpoint();
+        b.delete(1).unwrap();
+        let f = b.scan_physical(b"lsm-target");
         assert!(f.online());
-        t.compact_all();
-        let f2 = scan_lsm(&t, b"lsm-target");
+        b.maintain(MaintenanceDepth::Full);
+        let f2 = b.scan_physical(b"lsm-target");
         assert!(!f2.any(), "{}", f2.describe());
     }
 
@@ -138,11 +131,22 @@ mod tests {
         let f = ForensicFindings {
             file_pages: vec![1, 2],
             wal_lsns: vec![9],
-            remanent_pages: vec![],
-            lsm_entries: 0,
+            audit_records: 3,
+            ..ForensicFindings::default()
         };
         let d = f.describe();
         assert!(d.contains("file_pages=2"));
         assert!(d.contains("wal_records=1"));
+        assert!(d.contains("audit_records=3"));
+    }
+
+    #[test]
+    fn audit_hits_count_as_online_residuals() {
+        let f = ForensicFindings {
+            audit_records: 2,
+            ..ForensicFindings::default()
+        };
+        assert!(f.online() && f.any());
+        assert_eq!(f.total(), 2);
     }
 }

@@ -20,10 +20,14 @@ use datacase_crypto::CryptoBackend;
 use datacase_sim::fault::{CrashPoint, FaultInjector};
 use datacase_sim::{Meter, SimClock};
 
+use crate::backend::{
+    BackendStats, DurableSnapshot, MaintenanceDepth, MaintenanceStats, StorageBackend,
+};
 use crate::btree::BTreeIndex;
 use crate::buffer::BufferPool;
 use crate::disk::Disk;
 use crate::error::{Result, StorageError};
+use crate::forensic::ForensicFindings;
 use crate::fsm::FreeSpaceMap;
 use crate::page::{zero_image, Page, SlotState, LP_SIZE, MAX_TUPLE, PAGE_SIZE};
 use crate::tuple::{self, Tid, TupleHeader, FLAG_HIDDEN};
@@ -58,39 +62,10 @@ impl Default for HeapConfig {
     }
 }
 
-/// Statistics after a vacuum pass.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VacuumStats {
-    /// Pages examined.
-    pub pages_scanned: usize,
-    /// Dead tuples reclaimed.
-    pub tuples_reclaimed: usize,
-    /// Residual payload bytes wiped.
-    pub bytes_wiped: usize,
-    /// Index entries removed.
-    pub index_entries_removed: usize,
-}
-
-/// Table-level statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HeapStats {
-    /// Pages in the table.
-    pub pages: usize,
-    /// Visible (live) tuples.
-    pub live_tuples: u64,
-    /// Dead (deleted/superseded, unvacuumed) tuples.
-    pub dead_tuples: u64,
-    /// Bytes the table occupies on disk.
-    pub disk_bytes: u64,
-    /// Index size in bytes.
-    pub index_bytes: u64,
-    /// Retained WAL bytes.
-    pub wal_bytes: u64,
-}
-
 /// The heap database: one table + primary-key B+tree + WAL + buffer pool.
 ///
 /// ```
+/// use datacase_storage::backend::{MaintenanceDepth, StorageBackend};
 /// use datacase_storage::heap::HeapDb;
 ///
 /// let mut db = HeapDb::default_single();
@@ -98,11 +73,11 @@ pub struct HeapStats {
 /// db.delete(1).unwrap();
 /// db.checkpoint();
 /// // DELETE is logical: the bytes remain on the page…
-/// assert!(!db.disk().scan_raw(b"personal-data").is_empty());
+/// assert!(!db.scan_physical(b"personal-data").file_pages.is_empty());
 /// // …until VACUUM physically reclaims them.
-/// db.vacuum();
+/// db.maintain(MaintenanceDepth::Lazy);
 /// db.checkpoint();
-/// assert!(db.disk().scan_raw(b"personal-data").is_empty());
+/// assert!(db.scan_physical(b"personal-data").file_pages.is_empty());
 /// ```
 pub struct HeapDb {
     disk: Disk,
@@ -248,39 +223,6 @@ impl HeapDb {
         Ok(Tid { page: pos, slot })
     }
 
-    /// INSERT: add a new record. Fails on a visible duplicate key.
-    pub fn insert(&mut self, key: u64, unit_id: u64, payload: &[u8]) -> Result<Tid> {
-        if self.find_visible(key).is_some() {
-            return Err(StorageError::DuplicateKey(key));
-        }
-        let xid = self.txn.begin();
-        let header = TupleHeader::new(xid, unit_id, key);
-        let encoded = tuple::encode(&header, payload);
-        let tid = self.place_tuple(&encoded)?;
-        self.index.insert(key, tid);
-        self.log(WalRecord::Insert {
-            xid,
-            key,
-            unit_id,
-            payload: payload.into(),
-        });
-        self.live += 1;
-        self.commit();
-        Ok(tid)
-    }
-
-    /// SELECT by key. Hidden versions return `None` unless `include_hidden`.
-    pub fn read(&mut self, key: u64, include_hidden: bool) -> Option<Vec<u8>> {
-        let (tid, header) = self.find_visible(key)?;
-        if header.is_hidden() && !include_hidden {
-            return None;
-        }
-        let disk_id = self.disk_page(tid.page);
-        let page = self.buffer.page(&mut self.disk, disk_id);
-        let (_, payload) = tuple::decode(page.tuple(tid.slot).expect("visible tuple"));
-        Some(payload.to_vec())
-    }
-
     /// `flags`: `Some(bits)` sets the new version's flags explicitly;
     /// `None` inherits the old version's flags (a plain UPDATE does not
     /// touch the hidden attribute).
@@ -320,54 +262,6 @@ impl HeapDb {
         Ok(tid)
     }
 
-    /// UPDATE: write a new version of `key` (MVCC: the old one goes
-    /// dead). Flags — including the hidden attribute — carry over, as a
-    /// SQL UPDATE that does not mention the attribute would behave.
-    pub fn update(&mut self, key: u64, payload: &[u8]) -> Result<Tid> {
-        self.new_version(key, payload, None)
-    }
-
-    /// The *hidden attribute* update: reversible inaccessibility. Keeps the
-    /// payload, sets/clears the flag — at MVCC-update cost and bloat.
-    pub fn set_hidden(&mut self, key: u64, hidden: bool) -> Result<Tid> {
-        let Some((tid, header)) = self.find_visible(key) else {
-            return Err(StorageError::KeyNotFound(key));
-        };
-        let disk_id = self.disk_page(tid.page);
-        let page = self.buffer.page(&mut self.disk, disk_id);
-        let (_, payload) = tuple::decode(page.tuple(tid.slot).expect("visible"));
-        let payload = payload.to_vec();
-        let flags = if hidden {
-            header.flags | FLAG_HIDDEN
-        } else {
-            header.flags & !FLAG_HIDDEN
-        };
-        self.new_version(key, &payload, Some(flags))
-    }
-
-    /// DELETE: stamp `xmax`; bytes remain on the page until VACUUM.
-    pub fn delete(&mut self, key: u64) -> Result<()> {
-        let Some((tid, mut header)) = self.find_visible(key) else {
-            return Err(StorageError::KeyNotFound(key));
-        };
-        let xid = self.txn.begin();
-        header.xmax = xid;
-        let disk_id = self.disk_page(tid.page);
-        let page = self.buffer.page_mut(&mut self.disk, disk_id);
-        let bytes = page.tuple_mut(tid.slot).expect("visible tuple");
-        tuple::patch_header(bytes, &header);
-        self.dead_pages.insert(tid.page);
-        self.log(WalRecord::Delete {
-            xid,
-            key,
-            unit_id: header.unit_id,
-        });
-        self.live = self.live.saturating_sub(1);
-        self.dead += 1;
-        self.commit();
-        Ok(())
-    }
-
     /// Sequential scan over visible, non-hidden tuples.
     pub fn seq_scan(&mut self, mut f: impl FnMut(u64, u64, &[u8])) {
         let snap = self.txn.snapshot();
@@ -405,10 +299,10 @@ impl HeapDb {
     /// Lazy VACUUM: reclaim dead tuples in place, clean index entries.
     /// Only pages flagged in the visibility map are visited (all-visible
     /// pages are skipped for free, as PostgreSQL does).
-    pub fn vacuum(&mut self) -> VacuumStats {
+    fn vacuum(&mut self) -> MaintenanceStats {
         let horizon = self.txn.vacuum_horizon();
         let xid = self.txn.begin();
-        let mut stats = VacuumStats::default();
+        let mut stats = MaintenanceStats::default();
         let candidates: Vec<u32> = std::mem::take(&mut self.dead_pages).into_iter().collect();
         for pos in candidates {
             let pos = pos as usize;
@@ -433,7 +327,6 @@ impl HeapDb {
                     }
                 }
             }
-            stats.pages_scanned += 1;
             if to_remove.is_empty() {
                 continue;
             }
@@ -443,8 +336,8 @@ impl HeapDb {
             }
             let (reclaimed, wiped) = page.vacuum();
             let free = page.free_space();
-            stats.tuples_reclaimed += reclaimed;
-            stats.bytes_wiped += wiped;
+            stats.reclaimed += reclaimed;
+            stats.bytes_wiped += wiped as u64;
             self.fsm.set(pos as u32, free);
             // Vacuum writes its cleaned pages back sequentially (ring
             // buffer), rather than leaving them for random write-back.
@@ -452,12 +345,10 @@ impl HeapDb {
             self.disk.write_page_seq(disk_id, cleaned.image());
             self.buffer.mark_clean(disk_id);
             for (key, tid) in to_remove {
-                if self.index.remove(key, tid) {
-                    stats.index_entries_removed += 1;
-                }
+                self.index.remove(key, tid);
             }
         }
-        self.dead = self.dead.saturating_sub(stats.tuples_reclaimed as u64);
+        self.dead = self.dead.saturating_sub(stats.reclaimed as u64);
         self.log(WalRecord::Vacuum { xid, full: false });
         self.commit();
         stats
@@ -466,19 +357,16 @@ impl HeapDb {
     /// VACUUM FULL: rewrite the table compactly into fresh pages, zero the
     /// old ones (their content survives only as drive remanence), rebuild
     /// the index. The old pages are retired, not freed: the drive takes
-    /// them back only once [`sanitize_drive`](HeapDb::sanitize_drive) has
+    /// them back only once [`sanitize`](StorageBackend::sanitize) has
     /// destroyed that remanence.
-    pub fn vacuum_full(&mut self) -> VacuumStats {
+    fn vacuum_full(&mut self) -> MaintenanceStats {
         // Write through first: the rewrite must observe (and the zeroing
         // must physically overwrite) the real on-disk state.
         self.buffer.flush_all(&mut self.disk);
         let horizon = self.txn.vacuum_horizon();
         let xid = self.txn.begin();
         let old_pages = std::mem::take(&mut self.pages);
-        let mut stats = VacuumStats {
-            pages_scanned: old_pages.len(),
-            ..VacuumStats::default()
-        };
+        let mut stats = MaintenanceStats::default();
         self.fsm = FreeSpaceMap::new();
         self.index.clear();
         // Move live tuples into fresh pages as the scan meets them.
@@ -493,8 +381,8 @@ impl HeapDb {
                 let bytes = page.tuple(slot).expect("normal");
                 let (header, _) = tuple::decode(bytes);
                 if horizon.dead_for_all(&header) {
-                    stats.tuples_reclaimed += 1;
-                    stats.bytes_wiped += bytes.len();
+                    stats.reclaimed += 1;
+                    stats.bytes_wiped += bytes.len() as u64;
                     continue;
                 }
                 moved_bytes += bytes.len() as u64;
@@ -527,92 +415,13 @@ impl HeapDb {
         self.dead_pages.clear();
         self.log(WalRecord::Vacuum { xid, full: true });
         self.commit();
-        stats.index_entries_removed = stats.tuples_reclaimed;
         stats
     }
 
-    /// Checkpoint: flush dirty buffers so the disk matches the logical
-    /// state (forensics and recovery both start from here).
-    pub fn checkpoint(&mut self) {
-        self.config.fault.hit(CrashPoint::Checkpoint);
-        self.buffer.flush_all(&mut self.disk);
-        self.wal.append(WalRecord::Checkpoint);
-        self.wal.flush();
-    }
-
-    /// Sanitise the drive: multi-pass overwrite of all current and retired
-    /// pages' free regions and remanence. The table's live content is
-    /// untouched (live pages are rewritten from their logical content).
-    pub fn sanitize_drive(&mut self, passes: u32) {
-        self.checkpoint();
-        // Retired pages: hard-wipe, then hand back to the drive — the
-        // next rewrite (or table growth) reuses them.
-        for disk_id in std::mem::take(&mut self.retired_pages) {
-            self.disk.sanitize_and_release(disk_id, passes);
-        }
-        // Live pages: rewrite in place to destroy remanence of previous
-        // generations, then sanitize-and-restore.
-        for &disk_id in &self.pages {
-            let page = self.buffer.page(&mut self.disk, disk_id);
-            self.disk.sanitize_page(disk_id, passes);
-            self.disk.write_page(disk_id, page.image());
-            // The restore write must not itself create remanence of zeros —
-            // it does not, since the sanitized state was all-zero.
-        }
-    }
-
-    /// Recycle the WAL: drop everything before the latest checkpoint
-    /// (the data files already reflect it). Crash recovery then starts
-    /// from the checkpointed disk image plus the WAL tail, as real systems
-    /// do. Returns the number of records dropped.
-    pub fn recycle_wal(&mut self) -> usize {
-        match self.wal.last_checkpoint() {
-            Some(lsn) => self.wal.truncate_before(lsn),
-            None => 0,
-        }
-    }
-
-    /// Scrub one unit's WAL payloads (permanent deletion's log step).
-    pub fn scrub_wal_unit(&mut self, unit: u64) -> usize {
-        self.config.fault.hit(CrashPoint::PurgeUnit);
-        self.wal.scrub_unit(unit)
-    }
-
-    /// Table statistics.
-    pub fn stats(&self) -> HeapStats {
-        HeapStats {
-            pages: self.pages.len(),
-            live_tuples: self.live,
-            dead_tuples: self.dead,
-            disk_bytes: (self.pages.len() * PAGE_SIZE) as u64,
-            index_bytes: self.index.size_bytes(),
-            wal_bytes: self.wal.bytes(),
-        }
-    }
-
-    /// The underlying disk (forensics).
-    pub fn disk(&self) -> &Disk {
-        &self.disk
-    }
-
-    /// The WAL (forensics, recovery).
-    pub fn wal(&self) -> &Wal {
-        &self.wal
-    }
-
-    /// The shared clock.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
-
-    /// The shared meter.
-    pub fn meter(&self) -> &Arc<Meter> {
-        &self.meter
-    }
-
     /// Rebuild a heap from a WAL (crash recovery). Logical replay: inserts,
-    /// updates and deletes are re-executed in LSN order.
-    pub fn recover(
+    /// updates and deletes are re-executed in LSN order. Reached through
+    /// [`recover_backend`](crate::backend::recover_backend).
+    pub(crate) fn recover(
         wal_records: Vec<WalRecord>,
         config: HeapConfig,
         clock: SimClock,
@@ -654,14 +463,178 @@ impl HeapDb {
         db
     }
 
-    /// Clone the retained WAL records (to feed [`HeapDb::recover`]).
-    pub fn wal_records(&self) -> Vec<WalRecord> {
-        self.wal.iter().map(|(_, r)| r.clone()).collect()
-    }
-
     /// Simulate a crash: drop all cached (unflushed) pages.
     pub fn crash(&mut self) {
         self.buffer.crash();
+    }
+}
+
+impl StorageBackend for HeapDb {
+    /// INSERT: add a new record. Fails on a visible duplicate key.
+    fn insert(&mut self, key: u64, unit_id: u64, payload: &[u8]) -> Result<()> {
+        if self.find_visible(key).is_some() {
+            return Err(StorageError::DuplicateKey(key));
+        }
+        let xid = self.txn.begin();
+        let header = TupleHeader::new(xid, unit_id, key);
+        let encoded = tuple::encode(&header, payload);
+        let tid = self.place_tuple(&encoded)?;
+        self.index.insert(key, tid);
+        self.log(WalRecord::Insert {
+            xid,
+            key,
+            unit_id,
+            payload: payload.into(),
+        });
+        self.live += 1;
+        self.commit();
+        Ok(())
+    }
+
+    /// SELECT by key. Hidden versions return `None` unless `include_hidden`.
+    fn read(&mut self, key: u64, include_hidden: bool) -> Option<Vec<u8>> {
+        let (tid, header) = self.find_visible(key)?;
+        if header.is_hidden() && !include_hidden {
+            return None;
+        }
+        let disk_id = self.disk_page(tid.page);
+        let page = self.buffer.page(&mut self.disk, disk_id);
+        let (_, payload) = tuple::decode(page.tuple(tid.slot).expect("visible tuple"));
+        Some(payload.to_vec())
+    }
+
+    /// UPDATE: write a new version of `key` (MVCC: the old one goes
+    /// dead). Flags — including the hidden attribute — carry over, as a
+    /// SQL UPDATE that does not mention the attribute would behave.
+    fn update(&mut self, key: u64, payload: &[u8]) -> Result<()> {
+        self.new_version(key, payload, None).map(|_| ())
+    }
+
+    /// DELETE: stamp `xmax`; bytes remain on the page until VACUUM.
+    fn delete(&mut self, key: u64) -> Result<()> {
+        let Some((tid, mut header)) = self.find_visible(key) else {
+            return Err(StorageError::KeyNotFound(key));
+        };
+        let xid = self.txn.begin();
+        header.xmax = xid;
+        let disk_id = self.disk_page(tid.page);
+        let page = self.buffer.page_mut(&mut self.disk, disk_id);
+        let bytes = page.tuple_mut(tid.slot).expect("visible tuple");
+        tuple::patch_header(bytes, &header);
+        self.dead_pages.insert(tid.page);
+        self.log(WalRecord::Delete {
+            xid,
+            key,
+            unit_id: header.unit_id,
+        });
+        self.live = self.live.saturating_sub(1);
+        self.dead += 1;
+        self.commit();
+        Ok(())
+    }
+
+    /// The *hidden attribute* update: reversible inaccessibility. Keeps the
+    /// payload, sets/clears the flag — at MVCC-update cost and bloat.
+    fn set_hidden(&mut self, key: u64, hidden: bool) -> Result<()> {
+        let Some((tid, header)) = self.find_visible(key) else {
+            return Err(StorageError::KeyNotFound(key));
+        };
+        let disk_id = self.disk_page(tid.page);
+        let page = self.buffer.page(&mut self.disk, disk_id);
+        let (_, payload) = tuple::decode(page.tuple(tid.slot).expect("visible"));
+        let payload = payload.to_vec();
+        let flags = if hidden {
+            header.flags | FLAG_HIDDEN
+        } else {
+            header.flags & !FLAG_HIDDEN
+        };
+        self.new_version(key, &payload, Some(flags)).map(|_| ())
+    }
+
+    fn maintain(&mut self, depth: MaintenanceDepth) -> MaintenanceStats {
+        match depth {
+            MaintenanceDepth::Lazy => self.vacuum(),
+            MaintenanceDepth::Full => self.vacuum_full(),
+        }
+    }
+
+    /// Scrub one unit's WAL payloads (permanent deletion's log step).
+    fn purge_unit(&mut self, unit_id: u64) -> usize {
+        self.config.fault.hit(CrashPoint::PurgeUnit);
+        self.wal.scrub_unit(unit_id)
+    }
+
+    /// Sanitise the drive: multi-pass overwrite of all current and retired
+    /// pages' free regions and remanence. The table's live content is
+    /// untouched (live pages are rewritten from their logical content).
+    fn sanitize(&mut self, passes: u32) {
+        self.checkpoint();
+        // Retired pages: hard-wipe, then hand back to the drive — the
+        // next rewrite (or table growth) reuses them.
+        for disk_id in std::mem::take(&mut self.retired_pages) {
+            self.disk.sanitize_and_release(disk_id, passes);
+        }
+        // Live pages: rewrite in place to destroy remanence of previous
+        // generations, then sanitize-and-restore.
+        for &disk_id in &self.pages {
+            let page = self.buffer.page(&mut self.disk, disk_id);
+            self.disk.sanitize_page(disk_id, passes);
+            self.disk.write_page(disk_id, page.image());
+            // The restore write must not itself create remanence of zeros —
+            // it does not, since the sanitized state was all-zero.
+        }
+    }
+
+    /// Checkpoint: flush dirty buffers so the disk matches the logical
+    /// state the forensic scan reads. Recovery replays the WAL, not the
+    /// pages.
+    fn checkpoint(&mut self) {
+        self.config.fault.hit(CrashPoint::Checkpoint);
+        self.buffer.flush_all(&mut self.disk);
+        self.wal.append(WalRecord::Checkpoint);
+        self.wal.flush();
+    }
+
+    /// Recycle the WAL: drop everything before the latest checkpoint.
+    /// The heap keeps no durable disk image to pair with the tail (ROADMAP
+    /// item 3(b)), so after a recycle [`durable_snapshot`] holds the WAL
+    /// tail alone and recovery rebuilds only what that tail replays: rows
+    /// whose inserts were dropped are lost. Returns the number of records
+    /// dropped.
+    ///
+    /// [`durable_snapshot`]: StorageBackend::durable_snapshot
+    fn recycle_logs(&mut self) -> usize {
+        match self.wal.last_checkpoint() {
+            Some(lsn) => self.wal.truncate_before(lsn),
+            None => 0,
+        }
+    }
+
+    /// Pages and WAL as they are on disk, plus the drive's remanence.
+    fn scan_physical(&self, needle: &[u8]) -> ForensicFindings {
+        ForensicFindings {
+            file_pages: self.disk.scan_raw(needle),
+            wal_lsns: self.wal.scan(needle),
+            remanent_pages: self.disk.scan_remanent(needle),
+            ..ForensicFindings::default()
+        }
+    }
+
+    fn stats(&self) -> BackendStats {
+        BackendStats {
+            live_entries: self.live,
+            dead_entries: self.dead,
+            disk_bytes: (self.pages.len() * PAGE_SIZE) as u64,
+            drive_bytes: self.disk.bytes(),
+            index_bytes: self.index.size_bytes(),
+            log_bytes: self.wal.bytes(),
+            segments: self.pages.len(),
+        }
+    }
+
+    /// The retained WAL records, in LSN order.
+    fn durable_snapshot(&self) -> DurableSnapshot {
+        DurableSnapshot::Heap(self.wal.iter().map(|(_, r)| r.clone()).collect())
     }
 }
 
@@ -677,6 +650,8 @@ fn write_fresh_page(disk: &mut Disk, pages: &mut Vec<u32>, fsm: &mut FreeSpaceMa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::recover_backend;
+    use crate::lsm::LsmConfig;
     use datacase_sim::check::check;
 
     fn mk() -> HeapDb {
@@ -691,7 +666,7 @@ mod tests {
         assert_eq!(db.read(1, false).unwrap(), b"alice-data");
         assert_eq!(db.read(2, false).unwrap(), b"bob-data");
         assert_eq!(db.read(3, false), None);
-        assert_eq!(db.stats().live_tuples, 2);
+        assert_eq!(db.stats().live_entries, 2);
     }
 
     #[test]
@@ -711,10 +686,10 @@ mod tests {
         db.checkpoint();
         // DELETE leaves residual bytes on the page.
         assert!(
-            !db.disk().scan_raw(b"sensitive-payload").is_empty(),
+            !db.disk.scan_raw(b"sensitive-payload").is_empty(),
             "dead tuple bytes must persist before vacuum"
         );
-        assert_eq!(db.stats().dead_tuples, 1);
+        assert_eq!(db.stats().dead_entries, 1);
     }
 
     #[test]
@@ -723,20 +698,20 @@ mod tests {
         db.insert(1, 100, b"sensitive-payload").unwrap();
         db.delete(1).unwrap();
         let stats = db.vacuum();
-        assert_eq!(stats.tuples_reclaimed, 1);
+        assert_eq!(stats.reclaimed, 1);
         assert!(stats.bytes_wiped > 0);
-        assert_eq!(stats.index_entries_removed, 1);
+        assert!(db.index.get(1).is_empty(), "index entry removed");
         db.checkpoint();
         assert!(
-            db.disk().scan_raw(b"sensitive-payload").is_empty(),
+            db.disk.scan_raw(b"sensitive-payload").is_empty(),
             "vacuum wipes page residuals"
         );
         // But the WAL still remembers!
         assert!(
-            !db.wal().scan(b"sensitive-payload").is_empty(),
+            !db.wal.scan(b"sensitive-payload").is_empty(),
             "WAL retains the payload (the paper's log-retention hazard)"
         );
-        assert_eq!(db.stats().dead_tuples, 0);
+        assert_eq!(db.stats().dead_entries, 0);
     }
 
     #[test]
@@ -745,15 +720,15 @@ mod tests {
         db.insert(1, 100, b"version-one").unwrap();
         db.update(1, b"version-two").unwrap();
         assert_eq!(db.read(1, false).unwrap(), b"version-two");
-        assert_eq!(db.stats().dead_tuples, 1);
+        assert_eq!(db.stats().dead_entries, 1);
         db.checkpoint();
         assert!(
-            !db.disk().scan_raw(b"version-one").is_empty(),
+            !db.disk.scan_raw(b"version-one").is_empty(),
             "old version bytes persist until vacuum"
         );
         db.vacuum();
         db.checkpoint();
-        assert!(db.disk().scan_raw(b"version-one").is_empty());
+        assert!(db.disk.scan_raw(b"version-one").is_empty());
         assert_eq!(db.read(1, false).unwrap(), b"version-two");
     }
 
@@ -771,7 +746,7 @@ mod tests {
         db.set_hidden(1, false).unwrap();
         assert_eq!(db.read(1, false).unwrap(), b"pii", "restored");
         // Two hidden-flag updates = two dead versions (tombstone bloat).
-        assert_eq!(db.stats().dead_tuples, 2);
+        assert_eq!(db.stats().dead_entries, 2);
     }
 
     #[test]
@@ -784,12 +759,12 @@ mod tests {
         for i in 0..1000u64 {
             db.delete(i).unwrap();
         }
-        let pages_before = db.stats().pages;
+        let pages_before = db.stats().segments;
         let stats = db.vacuum_full();
-        assert_eq!(stats.tuples_reclaimed, 1000);
+        assert_eq!(stats.reclaimed, 1000);
         let s = db.stats();
-        assert!(s.pages < pages_before, "table shrank");
-        assert_eq!(s.dead_tuples, 0);
+        assert!(s.segments < pages_before, "table shrank");
+        assert_eq!(s.dead_entries, 0);
         // Reads still work after index rebuild.
         for i in 1000..2000u64 {
             assert_eq!(
@@ -801,23 +776,23 @@ mod tests {
             assert_eq!(db.read(i, false), None);
         }
         // File-level residuals gone; drive remanence remains.
-        assert!(db.disk().scan_raw(b"payload-00003").is_empty());
+        assert!(db.disk.scan_raw(b"payload-00003").is_empty());
         assert!(
-            !db.disk().scan_remanent(b"payload-00003").is_empty(),
+            !db.disk.scan_remanent(b"payload-00003").is_empty(),
             "vacuum full leaves drive remanence (needs sanitisation)"
         );
     }
 
     #[test]
-    fn sanitize_drive_destroys_remanence() {
+    fn sanitize_destroys_remanence() {
         let mut db = mk();
         db.insert(1, 100, b"ghost-payload").unwrap();
         db.delete(1).unwrap();
         db.vacuum_full();
-        assert!(!db.disk().scan_remanent(b"ghost-payload").is_empty());
-        db.sanitize_drive(3);
-        assert!(db.disk().scan_remanent(b"ghost-payload").is_empty());
-        assert!(db.disk().scan_raw(b"ghost-payload").is_empty());
+        assert!(!db.disk.scan_remanent(b"ghost-payload").is_empty());
+        db.sanitize(3);
+        assert!(db.disk.scan_remanent(b"ghost-payload").is_empty());
+        assert!(db.disk.scan_raw(b"ghost-payload").is_empty());
     }
 
     #[test]
@@ -838,17 +813,17 @@ mod tests {
                     .unwrap();
                 db.delete(key).unwrap();
                 db.vacuum_full();
-                db.sanitize_drive(3);
+                db.sanitize(3);
                 // The drive holds the table plus the one rewrite behind it
                 // — not every table ever written.
-                let (drive, table) = (db.disk().len(), db.stats().pages);
+                let (drive, table) = (db.disk.len(), db.stats().segments);
                 assert!(
                     drive <= 2 * table + 2,
                     "round {round}: {drive} sectors for a {table}-page table ({db:?})"
                 );
                 let needle = format!("transient-{round:03}");
-                assert!(db.disk().scan_raw(needle.as_bytes()).is_empty());
-                assert!(db.disk().scan_remanent(needle.as_bytes()).is_empty());
+                assert!(db.disk.scan_raw(needle.as_bytes()).is_empty());
+                assert!(db.disk.scan_remanent(needle.as_bytes()).is_empty());
             }
             for i in (0..600u64).step_by(37) {
                 assert_eq!(
@@ -857,11 +832,11 @@ mod tests {
                 );
             }
             // Growth after the rewrites takes from the free list first.
-            let before = db.disk().len();
+            let before = db.disk.len();
             for i in 2000..2400u64 {
                 db.insert(i, i, format!("late-{i:05}").as_bytes()).unwrap();
             }
-            assert_eq!(db.disk().len(), before, "{db:?}");
+            assert_eq!(db.disk.len(), before, "{db:?}");
             assert_eq!(db.read(2399, false).unwrap(), b"late-02399");
         }
     }
@@ -880,8 +855,8 @@ mod tests {
         }
         db.vacuum_full();
         db.checkpoint();
-        assert_eq!(db.disk().free_len(), 0);
-        assert!(!db.disk().scan_remanent(b"ghost-payload").is_empty());
+        assert_eq!(db.disk.free_len(), 0);
+        assert!(!db.disk.scan_remanent(b"ghost-payload").is_empty());
     }
 
     #[test]
@@ -907,7 +882,7 @@ mod tests {
         for i in 0..400u64 {
             db.delete(i).unwrap();
         }
-        let clock = db.clock().clone();
+        let clock = db.clock.clone();
         let t0 = clock.now();
         db.seq_scan(|_, _, _| {});
         let bloated = clock.now().since(t0);
@@ -929,14 +904,13 @@ mod tests {
         db.update(1, b"keep-me-v2").unwrap();
         db.delete(2).unwrap();
         db.crash(); // unflushed buffers lost
-        let records = db.wal_records();
-        let recovered = HeapDb::recover(
-            records,
+        let mut r = recover_backend(
+            db.durable_snapshot(),
             HeapConfig::default(),
+            LsmConfig::default(),
             SimClock::commodity(),
             Arc::new(Meter::new()),
         );
-        let mut r = recovered;
         assert_eq!(r.read(1, false).unwrap(), b"keep-me-v2");
         assert_eq!(r.read(2, false), None);
     }
@@ -970,7 +944,7 @@ mod tests {
         db.insert(1, 100, b"plaintext-pii").unwrap();
         db.checkpoint();
         assert!(
-            db.disk().scan_raw(b"plaintext-pii").is_empty(),
+            db.disk.scan_raw(b"plaintext-pii").is_empty(),
             "sector encryption keeps plaintext off the disk"
         );
         assert_eq!(db.read(1, false).unwrap(), b"plaintext-pii");
@@ -1025,7 +999,7 @@ mod tests {
                         // Sanitise frees what the rewrites retired; the
                         // inserts and rewrites after it land on reused
                         // sectors and must still read back.
-                        db.sanitize_drive(1);
+                        db.sanitize(1);
                         assert!(db.retired_pages.is_empty());
                     }
                 }

@@ -23,8 +23,8 @@
 //!   drive sanitisation;
 //! * [`lsm`] — memtable + SSTables + bloom filters + tombstones + tiered
 //!   compaction (the Cassandra-style engine from the paper's intro);
-//! * [`forensic`] — the independent residual scanner that makes Table 1's
-//!   property matrix *measurable*;
+//! * [`forensic`] — the residual findings every backend's forensic scan
+//!   reports, which make Table 1's property matrix *measurable*;
 //! * [`backend`] — the [`backend::StorageBackend`] contract the
 //!   compliance layer composes over, implemented for the heap and (via
 //!   [`backend::LsmBackend`]) the LSM tree.
@@ -47,7 +47,6 @@ pub use backend::{
     BackendKind, BackendStats, LsmBackend, MaintenanceDepth, MaintenanceStats, StorageBackend,
 };
 pub use error::{Result, StorageError};
-pub use forensic::{scan_heap, scan_lsm, ForensicFindings};
-pub use heap::{HeapConfig, HeapDb, HeapStats, VacuumStats};
+pub use forensic::ForensicFindings;
+pub use heap::{HeapConfig, HeapDb};
 pub use lsm::{LsmConfig, LsmStats, LsmTree};
-pub use tuple::Tid;

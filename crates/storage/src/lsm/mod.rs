@@ -123,9 +123,9 @@ impl LsmTree {
 
     /// Rebuild a tree from a durable [`RunManifest`] (crash recovery):
     /// the manifest's runs become the levels, the memtable starts empty,
-    /// and sequence numbers continue from the highest durable one. The
-    /// LSM counterpart of [`HeapDb::recover`](crate::heap::HeapDb::recover).
-    pub fn recover(
+    /// and sequence numbers continue from the highest durable one.
+    /// Reached through [`recover_backend`](crate::backend::recover_backend).
+    pub(crate) fn recover(
         manifest: RunManifest,
         config: LsmConfig,
         clock: SimClock,
@@ -411,11 +411,6 @@ impl LsmTree {
         self.commit_manifest();
         purged
     }
-
-    /// Shared clock.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
 }
 
 #[cfg(test)]
@@ -634,11 +629,11 @@ mod tests {
             for i in 0..100u64 {
                 t.put(i, i, &[1u8; 100]);
             }
-            let start = t.clock().now();
+            let start = t.clock.now();
             for i in 0..100u64 {
                 t.delete(i, i);
             }
-            t0 = t.clock().now().since(start);
+            t0 = t.clock.now().since(start);
         }
         assert!(t0.as_millis_f64() < 10.0, "tombstone deletes are fast");
     }

@@ -1,7 +1,7 @@
 //! Write-ahead log.
 //!
 //! Besides its classic durability role (replayed by
-//! [`crate::heap::HeapDb::recover`]), the WAL is itself a *retention
+//! [`crate::backend::recover_backend`]), the WAL is itself a *retention
 //! hazard* the paper's record-keeping discussion points at: payloads of
 //! long-gone tuples persist in the log. The forensic scanner therefore
 //! scans it, and the permanent-deletion plan scrubs it per unit.

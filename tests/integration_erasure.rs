@@ -457,3 +457,42 @@ fn crypto_erasure_seals_ciphertext_forever() {
         other => panic!("expected unreadable content, got {other:?}"),
     }
 }
+
+#[test]
+fn audit_log_residuals_have_their_own_bucket() {
+    // Both profiles' audit logs keep the payload in cleartext. P_Base's
+    // WAL holds only tuple ciphertext; P_GBench's holds the plaintext.
+    for (name, config, wal_hits) in [
+        ("P_Base", EngineConfig::p_base(), 0),
+        ("P_GBench", EngineConfig::p_gbench(), 1),
+    ] {
+        let mut fe = Frontend::new(config);
+        let metadata = GdprMetadata {
+            subject: 3,
+            purpose: data_case::core::purpose::well_known::billing(),
+            ttl: Ts::from_secs(1_000_000),
+            origin_device: 0,
+            objects_to_sharing: false,
+        };
+        assert!(fe
+            .run(
+                &Session::new(Actor::Controller),
+                Request::Create {
+                    key: 1,
+                    payload: b"AUDIT-BUCKET-TARGET".to_vec(),
+                    metadata,
+                },
+            )
+            .is_done());
+        let f = fe.forensic().scan(b"AUDIT-BUCKET-TARGET");
+        assert_eq!(f.wal_lsns.len(), wal_hits, "{name}: {}", f.describe());
+        assert!(
+            !f.wal_lsns.contains(&u64::MAX),
+            "{name}: an audit hit posed as a WAL record: {}",
+            f.describe()
+        );
+        assert_eq!(f.audit_records, 1, "{name}: {}", f.describe());
+        assert!(f.describe().contains("audit_records=1"), "{name}");
+        assert_eq!(f.total(), wal_hits + f.file_pages.len() + 1, "{name}");
+    }
+}

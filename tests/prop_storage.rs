@@ -3,6 +3,7 @@
 use data_case::sim::check::check;
 
 use data_case::sim::{Meter, SimClock};
+use data_case::storage::backend::{MaintenanceDepth, StorageBackend};
 use data_case::storage::heap::HeapDb;
 use data_case::storage::lsm::{LsmConfig, LsmTree};
 use std::sync::Arc;
@@ -59,10 +60,10 @@ fn heap_model_equivalence_with_maintenance() {
                     }
                 }
                 4 => {
-                    db.vacuum();
+                    db.maintain(MaintenanceDepth::Lazy);
                 }
                 _ => {
-                    db.vacuum_full();
+                    db.maintain(MaintenanceDepth::Full);
                 }
             }
         }
@@ -102,10 +103,10 @@ fn vacuum_wipes_deleted_payloads() {
         for &k in &inserted {
             db.delete(k).unwrap();
         }
-        db.vacuum();
+        db.maintain(MaintenanceDepth::Lazy);
         db.checkpoint();
         assert!(
-            db.disk().scan_raw(marker).is_empty(),
+            db.scan_physical(marker).file_pages.is_empty(),
             "vacuumed payloads must not remain on pages"
         );
     });
