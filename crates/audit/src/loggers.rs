@@ -8,6 +8,7 @@
 //! what Table 2 accounts is what the process holds.
 
 use datacase_core::ids::UnitId;
+use datacase_core::invariants::AuditTrail;
 use datacase_crypto::aes::KeySize;
 use datacase_crypto::ctr::AesCtr;
 use datacase_sim::{Meter, SimClock};
@@ -45,6 +46,10 @@ pub trait AuditLogger: Send {
     /// Verify the tamper-evidence chain (invariant IX's input). Reseals
     /// any batched redactions first (an audit-time operation).
     fn verify_chain(&mut self) -> bool;
+
+    /// The retained records as a payload-free, per-unit view (invariant
+    /// IX's completeness input).
+    fn trail(&self) -> &dyn AuditTrail;
 }
 
 /// Shared storage + chain logic for the backends.
@@ -161,6 +166,20 @@ impl LogCore {
     }
 }
 
+/// Read straight off the per-unit index. Records are appended in time
+/// order (each carries its history tuple's time, and the history is
+/// time-ordered), so a unit's positions are sorted by `at`.
+impl AuditTrail for LogCore {
+    fn recorded(&self, unit: UnitId, at: datacase_sim::time::Ts) -> bool {
+        let Some(positions) = self.by_unit.get(&unit) else {
+            return false;
+        };
+        let at_of = |i: u32| self.records[i as usize].at;
+        let first = positions.partition_point(|&i| at_of(i) < at);
+        positions.get(first).is_some_and(|&i| at_of(i) == at)
+    }
+}
+
 /// Row cap for [`CsvRowLogger`]: only this many payload bytes are kept.
 const CSV_ROW_CAP: usize = 48;
 
@@ -213,6 +232,9 @@ impl AuditLogger for CsvRowLogger {
     }
     fn verify_chain(&mut self) -> bool {
         self.core.verify()
+    }
+    fn trail(&self) -> &dyn AuditTrail {
+        &self.core
     }
 }
 
@@ -277,6 +299,9 @@ impl AuditLogger for FullQueryLogger {
     }
     fn verify_chain(&mut self) -> bool {
         self.core.verify()
+    }
+    fn trail(&self) -> &dyn AuditTrail {
+        &self.core
     }
 }
 
@@ -366,6 +391,9 @@ impl AuditLogger for EncryptedLogger {
     }
     fn verify_chain(&mut self) -> bool {
         self.core.verify()
+    }
+    fn trail(&self) -> &dyn AuditTrail {
+        &self.core
     }
 }
 
@@ -520,6 +548,23 @@ mod tests {
             assert_eq!(b.scan(b"unit7"), 0, "{}", b.name());
             assert!(b.verify_chain(), "chain resealed: {}", b.name());
             assert_eq!(b.records(), 3, "records preserved, payloads blanked");
+        }
+    }
+
+    #[test]
+    fn trail_finds_each_record_by_unit_and_time() {
+        for mut b in backends() {
+            b.log(rec(1, 7, b"a"));
+            b.log(rec(2, 8, b"b"));
+            b.log(rec(3, 7, b"c"));
+            b.redact_unit(UnitId(7));
+            let trail = b.trail();
+            for (unit, secs, expected) in [(7, 1, true), (8, 2, true), (7, 3, true), (7, 2, false)]
+            {
+                let found = trail.recorded(UnitId(unit), Ts::from_secs(secs));
+                assert_eq!(found, expected, "{}: unit {unit} at {secs}s", b.name());
+            }
+            assert!(!trail.recorded(UnitId(9), Ts::from_secs(1)));
         }
     }
 

@@ -11,8 +11,9 @@ use datacase_core::purpose::PurposeId;
 use datacase_crypto::hmac::HmacSha256;
 use datacase_sim::time::Ts;
 
-/// One audit log record (the persisted mirror of an action-history tuple,
-/// possibly with response content), as submitted to a logger.
+/// One audit log record, as submitted to a logger: the chained mirror of
+/// one action-history tuple, possibly with response content. A denial,
+/// which changes nothing, is the one record with no tuple.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LogRecord {
     /// Sequence number within the log.
@@ -42,7 +43,7 @@ const NO_UNIT: u64 = u64::MAX;
 #[derive(Clone, Debug)]
 pub(crate) struct Stored {
     seq: u64,
-    at: Ts,
+    pub(crate) at: Ts,
     unit: u64,
     entity: EntityId,
     purpose: PurposeId,

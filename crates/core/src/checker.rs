@@ -164,6 +164,7 @@ mod tests {
                 encryption_at_rest_default: false,
             },
             tenants: &TenantDirectory::new(),
+            audit: None,
         })
     }
 

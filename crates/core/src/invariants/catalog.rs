@@ -264,9 +264,12 @@ pub fn obligations(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Viola
 /// **IX — Demonstrate compliance**: "Demonstrate compliance."
 ///
 /// Grounding: if the state holds personal data there must be (a) a
-/// non-empty action history and (b) tamper-evident audit evidence (the
+/// non-empty action history, (b) tamper-evident audit evidence (the
 /// audit layer's HMAC chain verified), supplied via
-/// [`super::EvidenceFlags::audit_log_tamper_evident`].
+/// [`super::EvidenceFlags::audit_log_tamper_evident`], and (c) a
+/// complete chain: every `Create`, `UpdateValue`, `Erase` and `Restore`
+/// tuple has a chained record with the same unit and time, looked up in
+/// the context's [`super::AuditTrail`] (vacuous without one).
 pub fn demonstrate(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
     let has_personal = ctx.state.units().any(|u| u.is_personal());
     if !has_personal {
@@ -288,6 +291,27 @@ pub fn demonstrate(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Viola
             Severity::Breach,
             "audit log integrity not demonstrated (no verified HMAC chain)",
         ));
+    }
+    if let Some(trail) = ctx.audit {
+        for t in ctx.history.iter() {
+            let audited = matches!(
+                t.action.kind(),
+                ActionKind::Create
+                    | ActionKind::UpdateValue
+                    | ActionKind::Erase
+                    | ActionKind::Restore
+            );
+            if audited && !trail.recorded(t.unit, t.at) {
+                out.push(Violation {
+                    invariant,
+                    unit: Some(t.unit),
+                    entity: Some(t.entity),
+                    at: t.at,
+                    severity: Severity::Breach,
+                    message: format!("{} has no chained audit record", t.action.kind().label()),
+                });
+            }
+        }
     }
     out
 }
@@ -389,6 +413,17 @@ mod tests {
         regulation: Regulation,
         evidence: EvidenceFlags,
         tenants: crate::tenant::TenantDirectory,
+        audit: Option<AuditLog>,
+    }
+
+    /// The `(unit, at)` pairs a chained log holds records for.
+    #[derive(Default)]
+    struct AuditLog(std::collections::HashSet<(UnitId, Ts)>);
+
+    impl crate::invariants::AuditTrail for AuditLog {
+        fn recorded(&self, unit: UnitId, at: Ts) -> bool {
+            self.0.contains(&(unit, at))
+        }
     }
 
     impl Fx {
@@ -403,6 +438,7 @@ mod tests {
                     encryption_at_rest_default: true,
                 },
                 tenants: crate::tenant::TenantDirectory::new(),
+                audit: None,
             }
         }
 
@@ -437,6 +473,10 @@ mod tests {
                 now,
                 evidence: self.evidence,
                 tenants: &self.tenants,
+                audit: self
+                    .audit
+                    .as_ref()
+                    .map(|a| a as &dyn crate::invariants::AuditTrail),
             };
             let row = CATALOG.iter().find(|i| i.id == id).expect("catalog row");
             (row.check)(&ctx, row.id)
@@ -645,6 +685,37 @@ mod tests {
         let v = fx.check("IX", t(5));
         assert_eq!(v.len(), 2, "empty history + no evidence");
         assert!(v.iter().any(|x| x.severity == Severity::Critical));
+    }
+
+    #[test]
+    fn demonstrate_flags_a_tuple_with_no_chained_record() {
+        let mut fx = Fx::new();
+        let uid = fx.collect_with_consent(1, t(0));
+        fx.history.record(HistoryTuple {
+            unit: uid,
+            purpose: wk::billing(),
+            entity: EntityId(0),
+            action: Action::UpdateValue,
+            at: t(3),
+        });
+        // A read needs no record for this clause; a mutation does.
+        fx.history.record(HistoryTuple {
+            unit: uid,
+            purpose: wk::billing(),
+            entity: EntityId(0),
+            action: Action::Read,
+            at: t(4),
+        });
+        assert!(fx.check("IX", t(5)).is_empty(), "no log: vacuous");
+        let mut log = AuditLog::default();
+        log.0.insert((uid, t(0)));
+        fx.audit = Some(log);
+        let v = fx.check("IX", t(5));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].unit, v[0].at), (Some(uid), t(3)));
+        assert!(v[0].message.contains("update-value"));
+        fx.audit.as_mut().unwrap().0.insert((uid, t(3)));
+        assert!(fx.check("IX", t(5)).is_empty());
     }
 
     #[test]

@@ -135,6 +135,7 @@ mod tests {
             now,
             evidence: EvidenceFlags::default(),
             tenants: &TenantDirectory::new(),
+            audit: None,
         };
         timely_erasure(&ctx, "G17")
     }

@@ -85,6 +85,7 @@ mod tests {
             now: t(50),
             evidence: EvidenceFlags::default(),
             tenants: &TenantDirectory::new(),
+            audit: None,
         };
         assert!(policy_consistency(&ctx, "G6").is_empty());
     }
@@ -108,6 +109,7 @@ mod tests {
             now: t(50),
             evidence: EvidenceFlags::default(),
             tenants: &TenantDirectory::new(),
+            audit: None,
         };
         let v = policy_consistency(&ctx, "G6");
         assert_eq!(v.len(), 1);
@@ -135,6 +137,7 @@ mod tests {
             now: t(200),
             evidence: EvidenceFlags::default(),
             tenants: &TenantDirectory::new(),
+            audit: None,
         };
         assert_eq!(policy_consistency(&ctx, "G6").len(), 1);
     }

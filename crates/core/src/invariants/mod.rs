@@ -18,6 +18,7 @@ pub mod g6;
 use datacase_sim::time::Ts;
 
 use crate::history::ActionHistory;
+use crate::ids::UnitId;
 use crate::purpose::PurposeRegistry;
 use crate::regulation::Regulation;
 use crate::state::DatabaseState;
@@ -32,6 +33,13 @@ pub struct EvidenceFlags {
     pub audit_log_tamper_evident: bool,
     /// The deployment encrypts personal data at rest by default.
     pub encryption_at_rest_default: bool,
+}
+
+/// A payload-free, per-unit view of the chained audit log: the records
+/// IX's completeness clause looks history tuples up in.
+pub trait AuditTrail {
+    /// Whether a chained record names `unit` at `at`.
+    fn recorded(&self, unit: UnitId, at: Ts) -> bool;
 }
 
 /// Everything an invariant may inspect.
@@ -53,6 +61,9 @@ pub struct CheckContext<'a> {
     /// (empty for single-tenant, in-process deployments, which makes X
     /// vacuous).
     pub tenants: &'a TenantDirectory,
+    /// The chained audit log, when the deployment keeps one (`None`
+    /// makes IX's completeness clause vacuous).
+    pub audit: Option<&'a dyn AuditTrail>,
 }
 
 /// One row of the catalog: a checkable invariant and its grounding.

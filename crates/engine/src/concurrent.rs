@@ -147,8 +147,8 @@ impl Ticket {
 
 /// Fold a broadcast scan's per-shard responses (pre-sorted by shard)
 /// into one: row counts sum; the first error in shard order wins; the
-/// audit reference is the lowest shard's (each shard logged its own scan
-/// record — the merged ref is a representative, not a global cursor).
+/// audit reference is the lowest shard's (each shard logged a record per
+/// row it read — the merged ref is a representative, not a cursor).
 fn merge_scan(global: usize, parts: Vec<Response>) -> Response {
     let audit = parts
         .first()

@@ -14,12 +14,13 @@
 //!
 //! `erase_now` executes exactly that plan: it loops over the steps in
 //! order, then ends with the epilogue a workload `DELETE` ends with too
-//! (`Model::finish_erasure`: revoke consent, mark and record the erasure;
-//! then the metadata scans forget the key, which `restore_now` puts
-//! back). No other code decides which backend calls an interpretation
-//! makes, so the plan a report declares is the plan that runs. After execution the
-//! [`probe`] verifies the IR / II / Inv properties *empirically* against
-//! the forensic scanner and the provenance graph, on either backend.
+//! (`Model::finish_erasure`: revoke consent, mark and record the erasure,
+//! receipt included; then the metadata scans forget the key, which
+//! `restore_now` puts back). No other code decides which backend calls an
+//! interpretation makes, so the plan a report declares is the plan that
+//! runs. After execution the [`probe`] verifies the IR / II / Inv
+//! properties *empirically* against the forensic scanner and the
+//! provenance graph, on either backend.
 //!
 //! The executor itself is crate-internal: callers reach it through
 //! [`Request::Erase`](crate::frontend::Request::Erase) and
@@ -126,9 +127,9 @@ pub fn describe(config: &EngineConfig, interp: ErasureInterpretation) -> String 
 
 /// Execute the [`plan`] for `interp` on the unit stored at `key`,
 /// immediately (right-to-erasure handling, Table 1 row). The erase is
-/// attributed to `entity` in the action history — the actor the frontend
-/// authenticated (or the controller, for sweeper-initiated retention
-/// erasure).
+/// attributed to `entity` in the history and on its receipt — the actor
+/// the frontend authenticated (or the controller, for sweeper-initiated
+/// retention erasure). Each cascaded descendant gets its own receipt.
 ///
 /// Returns false if the key is unknown or its row cannot be hidden or
 /// deleted.
@@ -154,11 +155,7 @@ pub(crate) fn erase_now(
     // Escalation support (the Figure-3 staged timeline): a unit already
     // deleted at a weaker interpretation can be erased "harder" — the row
     // removal is then a no-op and only the stronger plan steps run.
-    let already_rank = model
-        .state
-        .unit(unit)
-        .map(|u| u.erasure.rank())
-        .unwrap_or(0);
+    let already_rank = model.state.unit(unit).map_or(0, |u| u.erasure.rank());
 
     let backend: &mut dyn StorageBackend = substrate.backend.as_mut();
     let mut descendants = Vec::new();
@@ -184,11 +181,7 @@ pub(crate) fn erase_now(
                         let _ = backend.delete(dkey);
                     }
                     let at = clock.now();
-                    let already = model
-                        .state
-                        .unit(d)
-                        .map(|u| u.erasure.rank() >= 2)
-                        .unwrap_or(true);
+                    let already = model.state.unit(d).is_none_or(|u| u.erasure.rank() >= 2);
                     if !already {
                         model
                             .state
@@ -199,6 +192,7 @@ pub(crate) fn erase_now(
                             model.controller,
                             Action::Erase(ErasureInterpretation::Deleted),
                             at,
+                            Vec::new(),
                         );
                     }
                 }
@@ -209,7 +203,7 @@ pub(crate) fn erase_now(
             Step::PurgeLogs => {
                 for &u in std::iter::once(&unit).chain(&descendants) {
                     backend.purge_unit(u.0);
-                    substrate.logger.redact_unit(u);
+                    model.logger.redact_unit(u);
                 }
             }
             Step::Sanitize => backend.sanitize(3),
@@ -230,10 +224,6 @@ pub(crate) fn erase_now(
     let at = clock.now();
     model.finish_erasure(&mut substrate.enforcer, unit, interp, entity, now, at);
     keys.unscan(key);
-    if interp == ErasureInterpretation::PermanentlyDeleted {
-        let at2 = clock.now();
-        model.record(unit, wk::compliance_erase(), entity, Action::Sanitize, at2);
-    }
     true
 }
 
@@ -249,8 +239,7 @@ pub(crate) fn restore_now(fe: &mut Frontend, key: u64) -> bool {
         .model
         .state
         .unit(unit)
-        .map(|u| matches!(u.erasure, ErasureStatus::ReversiblyInaccessible { .. }))
-        .unwrap_or(false);
+        .is_some_and(|u| matches!(u.erasure, ErasureStatus::ReversiblyInaccessible { .. }));
     if !restorable {
         return false;
     }
@@ -266,6 +255,7 @@ pub(crate) fn restore_now(fe: &mut Frontend, key: u64) -> bool {
         fe.model.controller,
         Action::Restore,
         at,
+        Vec::new(),
     );
     true
 }
@@ -376,11 +366,7 @@ pub fn probe_on(backend: BackendKind, interp: ErasureInterpretation) -> Property
         .collect();
     let alive_fn = move |u: UnitId| alive.contains(&u);
     let illegal_inference = fe.state().provenance().reconstructable(unit, &alive_fn)
-        || fe
-            .state()
-            .unit(unit)
-            .map(|u| u.erasure.rank() <= 1)
-            .unwrap_or(false);
+        || fe.state().unit(unit).is_some_and(|u| u.erasure.rank() <= 1);
     let residuals = fe.forensic().scan(b"PROBE-SENSITIVE-PAYLOAD-0001");
     notes.push(format!("forensic: {}", residuals.describe()));
 
@@ -395,8 +381,7 @@ pub fn probe_on(backend: BackendKind, interp: ErasureInterpretation) -> Property
         && fe
             .state()
             .unit(unit)
-            .map(|u| !u.erasure.is_erased())
-            .unwrap_or(false);
+            .is_some_and(|u| !u.erasure.is_erased());
 
     PropertyProbe {
         interpretation: interp,

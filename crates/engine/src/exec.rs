@@ -11,16 +11,17 @@
 //! 2. **Apply** — the request touches the backend and the abstract
 //!    model; tuple payloads are encrypted before they reach the backend
 //!    and sectors before they reach the disk.
-//! 3. **Account** — the request's audit records are appended to the log
-//!    store, synchronously: a record is in the store (and under the
-//!    tamper-evidence chain) before its request's [`Response`] is built.
+//! 3. **Account** — every action the request took is recorded through
+//!    `Model::record`, which appends the history tuple and its chained
+//!    audit record in one call, synchronously: a record is in the store
+//!    (and under the tamper-evidence chain) before its request's
+//!    [`Response`] is built. A denial is recorded by `Model::deny`.
 //!
 //! One batch of *n* requests is therefore *n* single-request
 //! submissions: replies, meter counters, forensic residuals and the
 //! audit chain's bytes are independent of batch size (the
 //! `prop_frontend` batch-parity property holds the engine to this).
 
-use datacase_audit::record::LogRecord;
 use datacase_core::action::ActionKind;
 use datacase_core::ids::{EntityId, UnitId};
 use datacase_core::purpose::PurposeId;
@@ -47,10 +48,7 @@ pub(crate) fn execute(fe: &mut Frontend, session: &Session, requests: &[Request]
 /// mid-batch behaves exactly like it would across single-request
 /// submissions.
 fn admitted(fe: &Frontend, session: &Session) -> bool {
-    session
-        .deadline()
-        .map(|d| fe.clock.now() <= d)
-        .unwrap_or(true)
+    session.deadline().is_none_or(|d| fe.clock.now() <= d)
 }
 
 /// Key-scope admission: a scoped session may only address keys inside
@@ -136,7 +134,7 @@ impl Frontend {
     }
 
     /// The decide step for one access: ask the profile's enforcer. A
-    /// denial is audited (a DENIED record) before it is returned.
+    /// denial is audited (a `DENIED` record) before it is returned.
     pub(crate) fn check(
         &mut self,
         unit: UnitId,
@@ -157,41 +155,9 @@ impl Frontend {
         match self.substrate.enforcer.check(&req) {
             Decision::Allow => Ok(()),
             Decision::Deny(reason) => {
-                self.log(
-                    Some(unit),
-                    entity,
-                    purpose,
-                    "DENIED",
-                    reason.clone().into_bytes(),
-                );
+                self.model.deny(&req, &reason);
                 Err(EngineError::Denied { reason })
             }
         }
-    }
-
-    /// The account step: sequence, charge and append one audit record.
-    /// Synchronous — the record is in the log store, under the
-    /// tamper-evidence chain, before the request that produced it is
-    /// answered. A record's sequence number is its position in the log.
-    pub(crate) fn log(
-        &mut self,
-        unit: Option<UnitId>,
-        entity: EntityId,
-        purpose: PurposeId,
-        op: &'static str,
-        payload: Vec<u8>,
-    ) {
-        let rec = LogRecord {
-            seq: self.audit_records() as u64 + 1,
-            at: self.clock.now(),
-            unit,
-            entity,
-            purpose,
-            op,
-            payload,
-            redacted: false,
-        };
-        self.config.fault.hit(CrashPoint::Account);
-        self.substrate.logger.log(rec);
     }
 }

@@ -94,7 +94,8 @@ impl Frontend {
     pub fn new(config: EngineConfig) -> Frontend {
         let clock = SimClock::commodity();
         let meter = Arc::new(Meter::new());
-        let model = Model::new(clock.now());
+        let logger = crate::substrate::audit_logger(&config, &clock, &meter);
+        let model = Model::new(logger, config.fault.clone(), clock.now());
         let substrate = Substrate::new(&config, &model, &clock, &meter);
         Frontend {
             config,
@@ -111,18 +112,12 @@ impl Frontend {
     /// Submit a batch under `session`, returning one [`Response`] per
     /// request in order.
     ///
-    /// This is the single enforcement choke point: session admission
-    /// (deadline), purpose resolution, policy checks, audit-ref
-    /// assignment, and checkpoint cadence all happen here and nowhere
-    /// else. Each request runs to completion in submission order —
-    /// *decided* by the profile's enforcer, *applied* to
-    /// the backend, *accounted* with a synchronous audit append — before
-    /// the next one starts. Submitting one batch of *n* requests is
-    /// therefore identical to submitting *n* single-request batches,
-    /// down to the audit chain's bytes (the `prop_frontend` batch-parity
-    /// property holds the engine to it) — which is why the deadline gate
-    /// is evaluated per request: a deadline crossing mid-batch denies
-    /// the tail exactly as single-request submissions would.
+    /// The single enforcement choke point: each request is decided,
+    /// applied and accounted (see the [crate docs](crate)) before the next
+    /// starts, so one batch of *n* requests is *n* single-request batches
+    /// down to the audit chain's bytes — and the session deadline is
+    /// checked per request, denying a mid-batch tail exactly as
+    /// single-request submissions would.
     pub fn submit(&mut self, session: &Session, batch: &Batch) -> Vec<Response> {
         crate::exec::execute(self, session, batch.requests())
     }
@@ -222,7 +217,7 @@ impl Frontend {
     /// Number of audit-log records written so far — also the sequence
     /// number of the latest one.
     pub fn audit_records(&self) -> usize {
-        self.substrate.logger.records()
+        self.model.logger.records()
     }
 
     /// Run the compliance checker against this engine's model, with the
@@ -230,7 +225,7 @@ impl Frontend {
     /// rest as evidence.
     pub fn compliance_report(&mut self, regulation: &Regulation) -> ComplianceReport {
         let evidence = EvidenceFlags {
-            audit_log_tamper_evident: self.substrate.logger.verify_chain(),
+            audit_log_tamper_evident: self.model.logger.verify_chain(),
             encryption_at_rest_default: self.config.encryption_at_rest(),
         };
         self.model.check(regulation, evidence, self.clock.now())
@@ -259,7 +254,11 @@ impl Forensic<'_> {
     /// Scan all persistent layers (pages, WAL, runs, audit logs) for
     /// `needle`, checkpointing first so buffered state is visible.
     pub fn scan(&mut self, needle: &[u8]) -> ForensicFindings {
-        self.fe.substrate.scan(needle)
+        let backend = &mut self.fe.substrate.backend;
+        backend.checkpoint();
+        let mut findings = backend.scan_physical(needle);
+        findings.audit_records = self.fe.model.logger.scan(needle);
+        findings
     }
 
     /// Read a record's stored bytes directly off the substrate,
@@ -333,7 +332,7 @@ impl Forensic<'_> {
 
     /// Verify the audit log's tamper-evident chain.
     pub fn verify_chain(&mut self) -> bool {
-        self.fe.substrate.logger.verify_chain()
+        self.fe.model.logger.verify_chain()
     }
 
     /// The audit chain's head MAC — a 32-byte digest over every record's
@@ -341,7 +340,7 @@ impl Forensic<'_> {
     /// audit chains (the batch-parity and serial-replay properties
     /// compare runs through this).
     pub fn chain_head(&mut self) -> [u8; 32] {
-        self.fe.substrate.logger.chain_head()
+        self.fe.model.logger.chain_head()
     }
 
     /// Salvage the storage substrate's durable state — exactly what
@@ -704,6 +703,25 @@ mod tests {
             .run(&Session::new(Actor::Subject), Request::Restore { key: 1 })
             .outcome
             .is_ok());
+    }
+
+    /// Chaos arms the first arrival at every reachable crash point, and
+    /// builds its engines outside `catch_unwind`: building one must reach
+    /// no tap, the construction-time assessment records included.
+    #[test]
+    fn building_an_engine_reaches_no_crash_tap() {
+        use datacase_sim::fault::{FaultInjector, CRASH_POINTS};
+        for profile in crate::profiles::ProfileKind::PAPER {
+            for backend in datacase_storage::backend::BackendKind::ALL {
+                let fault = FaultInjector::counting();
+                let config = EngineConfig::for_profile(profile)
+                    .with_backend(backend)
+                    .with_fault(fault.clone());
+                let fe = Frontend::new(config);
+                assert!(fe.audit_records() > 0, "the assessments are on the log");
+                assert_eq!(fault.counts(), [0; CRASH_POINTS], "{profile:?}/{backend:?}");
+            }
+        }
     }
 
     #[test]

@@ -24,12 +24,13 @@
 //! outcome is `Result<Reply, EngineError>` plus an [`AuditRef`] into the
 //! audit log. Every request runs decide → apply → account to completion,
 //! in submission order: the policy check asks the profile's enforcer
-//! against the current policy state, and the audit record is appended
+//! against the current policy state, and the audit records are appended
 //! before the reply is built. The engine simultaneously maintains the
 //! Data-CASE *abstract model* (state + action history from
-//! `datacase-core`), so the compliance checker can audit any run; the
-//! erasure executor that maps grounded interpretations to system-action
-//! plans (Table 1) is driven by [`Request::Erase`] / [`Request::Restore`].
+//! `datacase-core`, written in one call with the chained log), so the
+//! compliance checker can audit any run; the erasure executor that maps
+//! grounded interpretations to system-action plans (Table 1) is driven
+//! by [`Request::Erase`] / [`Request::Restore`].
 //!
 //! Every profile composes over a pluggable
 //! [`StorageBackend`](datacase_storage::backend::StorageBackend): the
@@ -40,12 +41,12 @@
 //!
 //! Inside, the engine is cut along its state into three holders, each in
 //! its own module next to its methods: the **substrate** (backend, tuple
-//! key vault, audit logger, policy enforcer), the Data-CASE **model**
-//! (state, history, purpose and entity registries), and the **key
-//! index** binding record keys to units (derived state, rebuildable from
-//! the other two). Config, clock, meter and the two cadence counters sit
-//! on the [`Frontend`] itself. The per-request handlers share one module
-//! (`ops`), which execution (`exec`) drives.
+//! key vault, policy enforcer), the Data-CASE **model** (state, history,
+//! the audit log that chains it, purpose and entity registries), and the
+//! **key index** binding record keys to units (derived state, rebuildable
+//! from the other two). Config, clock, meter and the two cadence counters
+//! sit on the [`Frontend`] itself. The per-request handlers share one
+//! module (`ops`), which execution (`exec`) drives.
 
 pub mod concurrent;
 pub mod driver;

@@ -1,13 +1,17 @@
 //! The Data-CASE model the engine keeps next to its substrate: the
-//! abstract state, the action history, the purpose and entity
-//! registries, and the data-subject entities registered so far.
+//! abstract state, the action history and the chained audit log that
+//! records it, the purpose and entity registries, and the data-subject
+//! entities registered so far — what the compliance checker audits.
 //!
-//! This is what the compliance checker audits. It holds no payload bytes
-//! (a version is recorded as `Value::Stored { len }`), so nothing in it
-//! has to be erased with a unit.
+//! [`Model::record`] is the engine's one way to record an action, so the
+//! history and the log cannot disagree. The state holds no payload bytes
+//! (a version is `Value::Stored { len }`); the log keeps the profile's
+//! rendering of each response until an erasure redacts it.
 
 use std::collections::HashMap;
 
+use datacase_audit::loggers::AuditLogger;
+use datacase_audit::record::LogRecord;
 use datacase_core::action::Action;
 use datacase_core::checker::{self, ComplianceReport};
 use datacase_core::entity::{EntityKind, EntityRegistry};
@@ -20,13 +24,16 @@ use datacase_core::regulation::Regulation;
 use datacase_core::state::DatabaseState;
 use datacase_core::tenant::{TenantDirectory, TenantId};
 use datacase_core::unit::ErasureStatus;
-use datacase_policy::enforcer::VersionedEnforcer;
+use datacase_policy::enforcer::{AccessRequest, VersionedEnforcer};
+use datacase_sim::fault::{CrashPoint, FaultInjector};
 use datacase_sim::time::Ts;
 
-/// State + history + registries, and the four fixed entities.
+/// State + history + audit log + registries, and the four fixed entities.
 pub(crate) struct Model {
     pub(crate) state: DatabaseState,
     pub(crate) history: ActionHistory,
+    /// Appended to only by [`Model::record`] and [`Model::deny`].
+    pub(crate) logger: Box<dyn AuditLogger>,
     pub(crate) purposes: PurposeRegistry,
     pub(crate) entities: EntityRegistry,
     pub(crate) controller: EntityId,
@@ -34,12 +41,16 @@ pub(crate) struct Model {
     pub(crate) auditor: EntityId,
     pub(crate) third_party: EntityId,
     subject_entities: HashMap<u32, EntityId>,
+    /// The chaos taps' plane.
+    fault: FaultInjector,
 }
 
 impl Model {
-    /// A fresh model: the fixed entities registered, and (invariant III)
-    /// a DPIA per purpose recorded at `now`, before any processing.
-    pub(crate) fn new(now: Ts) -> Model {
+    /// A fresh model over the profile's audit `logger`: the fixed
+    /// entities registered, and (invariant III) a DPIA per purpose
+    /// recorded at `now`, before any processing. `fault` is armed once
+    /// the model is built, so building it reaches no crash tap.
+    pub(crate) fn new(logger: Box<dyn AuditLogger>, fault: FaultInjector, now: Ts) -> Model {
         let mut entities = EntityRegistry::new();
         let controller = entities.register("MetaSpace", EntityKind::Controller);
         let processor = entities.register("CloudProc", EntityKind::Processor);
@@ -48,6 +59,7 @@ impl Model {
         let mut model = Model {
             state: DatabaseState::new(),
             history: ActionHistory::new(),
+            logger,
             purposes: PurposeRegistry::with_defaults(),
             entities,
             controller,
@@ -55,6 +67,7 @@ impl Model {
             auditor,
             third_party,
             subject_entities: HashMap::new(),
+            fault: FaultInjector::disabled(),
         };
         for purpose in [
             wk::billing(),
@@ -65,12 +78,18 @@ impl Model {
             wk::subject_access(),
             wk::audit(),
         ] {
-            model.record(UnitId(u64::MAX), purpose, controller, Action::Assess, now);
+            let no_unit = UnitId(u64::MAX);
+            model.record(no_unit, purpose, controller, Action::Assess, now, vec![]);
         }
+        model.fault = fault;
         model
     }
 
-    /// Append one action to the history.
+    /// Record one action: append the history tuple and, with the same
+    /// unit, entity, purpose and time, its chained audit record carrying
+    /// `payload` (a tuple on no unit, `UnitId(u64::MAX)`, logs no unit).
+    /// Synchronous, so a request's records are under the tamper-evidence
+    /// chain before it is answered.
     pub(crate) fn record(
         &mut self,
         unit: UnitId,
@@ -78,13 +97,46 @@ impl Model {
         entity: EntityId,
         action: Action,
         at: Ts,
+        payload: Vec<u8>,
     ) {
+        let logged = (unit != UnitId(u64::MAX)).then_some(unit);
+        self.append(logged, entity, purpose, label(&action), at, payload);
         self.history.record(HistoryTuple {
             unit,
             purpose,
             entity,
             action,
             at,
+        });
+    }
+
+    /// Record a denied access: the one record with no history tuple, as
+    /// a denial changes nothing.
+    pub(crate) fn deny(&mut self, req: &AccessRequest, reason: &str) {
+        let (unit, reason) = (Some(req.unit), reason.as_bytes().to_vec());
+        self.append(unit, req.entity, req.purpose, "DENIED", req.at, reason);
+    }
+
+    /// Append one record, numbered by its position in the log.
+    fn append(
+        &mut self,
+        unit: Option<UnitId>,
+        entity: EntityId,
+        purpose: PurposeId,
+        op: &'static str,
+        at: Ts,
+        payload: Vec<u8>,
+    ) {
+        self.fault.hit(CrashPoint::Account);
+        self.logger.log(LogRecord {
+            seq: self.logger.records() as u64 + 1,
+            at,
+            unit,
+            entity,
+            purpose,
+            op,
+            payload,
+            redacted: false,
         });
     }
 
@@ -111,7 +163,8 @@ impl Model {
     /// compliance erase alike: consent is withdrawn wholesale in the model
     /// and the enforcer (bumping the policy epoch), the unit is marked
     /// erased under `interp` since `since`, and the erase is recorded for
-    /// `entity`. Everything but the status's `since` happens at `at`.
+    /// `entity`, its receipt on the chain (a permanent erasure's sanitise
+    /// pass too). Everything but the status's `since` happens at `at`.
     pub(crate) fn finish_erasure(
         &mut self,
         enforcer: &mut VersionedEnforcer,
@@ -127,13 +180,11 @@ impl Model {
         enforcer.revoke_all(unit, at);
         self.state
             .mark_erased(unit, ErasureStatus::of(interp, since), at);
-        self.record(
-            unit,
-            wk::compliance_erase(),
-            entity,
-            Action::Erase(interp),
-            at,
-        );
+        let ce = wk::compliance_erase();
+        self.record(unit, ce, entity, Action::Erase(interp), at, Vec::new());
+        if interp == ErasureInterpretation::PermanentlyDeleted {
+            self.record(unit, ce, entity, Action::Sanitize, at, Vec::new());
+        }
     }
 
     /// When the unit left the live state, if it did.
@@ -141,7 +192,8 @@ impl Model {
         self.state.unit(unit)?.erasure.since()
     }
 
-    /// Run the compliance checker against the model at `now`.
+    /// Run the compliance checker against the model at `now`, with the
+    /// chained log as IX's completeness input.
     ///
     /// The subject number carries its tenant (see
     /// [`TenantId::of_subject`]), so the model supplies a
@@ -166,6 +218,24 @@ impl Model {
             now,
             evidence,
             tenants: &tenants,
+            audit: Some(self.logger.trail()),
         })
+    }
+}
+
+/// The record label of `action`: the statement a workload action runs
+/// as, an erasure's interpretation, or else the action kind's label.
+fn label(action: &Action) -> &'static str {
+    use ErasureInterpretation::*;
+    match action {
+        Action::Create => "INSERT",
+        Action::Read => "SELECT",
+        Action::UpdateValue => "UPDATE",
+        Action::ReadMeta => "SELECT-META",
+        Action::Erase(ReversiblyInaccessible) => "HIDE",
+        Action::Erase(Deleted) => "DELETE",
+        Action::Erase(StronglyDeleted) => "DELETE-STRONG",
+        Action::Erase(PermanentlyDeleted) => "DELETE-PERMANENT",
+        other => other.kind().label(),
     }
 }

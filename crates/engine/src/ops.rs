@@ -168,14 +168,13 @@ impl Frontend {
                 ttl,
             },
         );
-        // Model + audit records (consent capture: the paper's CtrC tuple).
-        self.model
-            .record(unit, wk::contract(), controller, Action::Create, now);
-        self.log(
-            Some(unit),
-            controller,
+        // Consent capture: the paper's CtrC tuple.
+        self.model.record(
+            unit,
             wk::contract(),
-            "INSERT",
+            controller,
+            Action::Create,
+            now,
             payload.to_vec(),
         );
         Ok(Reply::Done)
@@ -201,9 +200,9 @@ impl Frontend {
             .substrate
             .decrypt_payload(meta.unit, stored, &self.clock, &self.meter);
         let len = plain.len();
+        let now = self.clock.now();
         self.model
-            .record(meta.unit, purpose, entity, Action::Read, self.clock.now());
-        self.log(Some(meta.unit), entity, purpose, "SELECT", plain);
+            .record(meta.unit, purpose, entity, Action::Read, now, plain);
         Ok(Reply::Value(len))
     }
 
@@ -231,9 +230,14 @@ impl Frontend {
         if let Some(u) = self.model.state.unit_mut(meta.unit) {
             u.value.write(now, Value::Stored { len: payload.len() });
         }
-        self.model
-            .record(meta.unit, purpose, entity, Action::UpdateValue, now);
-        self.log(Some(meta.unit), entity, purpose, "UPDATE", payload.to_vec());
+        self.model.record(
+            meta.unit,
+            purpose,
+            entity,
+            Action::UpdateValue,
+            now,
+            payload.to_vec(),
+        );
         Ok(Reply::Done)
     }
 
@@ -252,6 +256,9 @@ impl Frontend {
             return Err(self.gone(key, meta.unit));
         }
         let now = self.clock.now();
+        if self.config.redacts_logs_on_delete() {
+            self.model.logger.redact_unit(meta.unit);
+        }
         self.model.finish_erasure(
             &mut self.substrate.enforcer,
             meta.unit,
@@ -259,16 +266,6 @@ impl Frontend {
             entity,
             now,
             now,
-        );
-        if self.config.redacts_logs_on_delete() {
-            self.substrate.logger.redact_unit(meta.unit);
-        }
-        self.log(
-            Some(meta.unit),
-            entity,
-            wk::compliance_erase(),
-            "DELETE",
-            Vec::new(),
         );
         self.keys.unscan(key);
         self.deletes_since_maintenance += 1;
@@ -312,20 +309,18 @@ impl Frontend {
             .model
             .state
             .unit(meta.unit)
-            .map(|u| u.policies.active_at(now).len())
-            .unwrap_or(0);
-        self.model
-            .record(meta.unit, purpose, entity, Action::ReadMeta, now);
+            .map_or(0, |u| u.policies.active_at(now).len());
         let rendered = format!(
             "key={key} subject={} purpose={} ttl={} policies={policies}",
             meta.subject, meta.purpose, meta.ttl
         );
         let len = rendered.len();
-        self.log(
-            Some(meta.unit),
-            entity,
+        self.model.record(
+            meta.unit,
             purpose,
-            "SELECT-META",
+            entity,
+            Action::ReadMeta,
+            now,
             rendered.into_bytes(),
         );
         Ok(Reply::Value(len))
@@ -377,18 +372,23 @@ impl Frontend {
         let model = self.clock.model().clone();
         self.clock.charge(model.log_cost(64));
         self.clock.charge_nanos(model.txn_overhead + model.fsync);
-        self.model
-            .record(meta.unit, wk::contract(), entity, Action::UpdatePolicy, now);
+        self.model.record(
+            meta.unit,
+            wk::contract(),
+            entity,
+            Action::UpdatePolicy,
+            now,
+            format!("{field:?}").into_bytes(),
+        );
         // Invariant VIII: notify the subject of the policy change.
         let now2 = self.clock.now();
-        self.model
-            .record(meta.unit, wk::contract(), controller, Action::Notify, now2);
-        self.log(
-            Some(meta.unit),
-            entity,
+        self.model.record(
+            meta.unit,
             wk::contract(),
-            "UPDATE-META+NOTIFY",
-            format!("{field:?}").into_bytes(),
+            controller,
+            Action::Notify,
+            now2,
+            Vec::new(),
         );
         Ok(Reply::Done)
     }
@@ -422,27 +422,16 @@ impl Frontend {
                 continue;
             }
             if let Some(stored) = self.substrate.backend.read(key, false) {
-                // Decrypted (and charged) like any read; only the row
-                // count leaves the engine.
+                // Decrypted, charged and recorded like any read; only the
+                // row count leaves the engine, so the record holds none.
                 self.substrate
                     .decrypt_payload(meta.unit, stored, &self.clock, &self.meter);
-                self.model.record(
-                    meta.unit,
-                    purpose,
-                    processor,
-                    Action::Read,
-                    self.clock.now(),
-                );
+                let now = self.clock.now();
+                self.model
+                    .record(meta.unit, purpose, processor, Action::Read, now, Vec::new());
                 rows += 1;
             }
         }
-        self.log(
-            None,
-            processor,
-            wk::retention(),
-            "SELECT-BY-META",
-            format!("{selector:?} rows={rows}").into_bytes(),
-        );
         Ok(Reply::Rows(rows))
     }
 }
@@ -761,7 +750,7 @@ mod tests {
     fn update_meta_records_policy_change_and_notify() {
         let (mut fe, mut bench) = small_db(ProfileKind::PBase);
         load(&mut fe, &mut bench, 10);
-        fe.run(
+        let r = fe.run(
             &Session::new(Actor::Controller),
             Request::UpdateMeta {
                 key: 1,
@@ -770,9 +759,34 @@ mod tests {
         );
         let unit = fe.unit_of_key(1).unwrap();
         let tuples = fe.history().of_unit(unit);
-        assert!(tuples
-            .iter()
-            .any(|t| t.action.kind() == ActionKind::UpdatePolicy));
-        assert!(tuples.iter().any(|t| t.action.kind() == ActionKind::Notify));
+        let find = |kind| *tuples.iter().find(|t| t.action.kind() == kind).unwrap();
+        let (change, notify) = (find(ActionKind::UpdatePolicy), find(ActionKind::Notify));
+        // Each tuple has its own record on the chain.
+        assert_eq!(r.audit.records, 2, "{:?}", r.audit);
+        let trail = fe.model.logger.trail();
+        assert!(trail.recorded(unit, change.at), "policy change on the log");
+        assert!(trail.recorded(unit, notify.at), "notify on the log");
+    }
+
+    #[test]
+    fn read_by_meta_records_one_read_per_row() {
+        let (mut fe, mut bench) = small_db(ProfileKind::PSys);
+        load(&mut fe, &mut bench, 200);
+        let selector = MetaSelector::BySubject(fe.keys.get(3).unwrap().subject);
+        let before = fe.history().len();
+        let r = fe.run(
+            &Session::new(Actor::Processor),
+            Request::ReadByMeta { selector },
+        );
+        let rows = r.rows().expect("a scan answers rows");
+        assert!(rows > 1, "the subject must own several rows: {rows}");
+        assert_eq!(r.audit.records, rows as u64, "one record per row read");
+        let reads: Vec<_> = fe.history().iter().skip(before).collect();
+        assert_eq!(reads.len(), rows);
+        let trail = fe.model.logger.trail();
+        for t in reads {
+            assert_eq!(t.action, Action::Read);
+            assert!(trail.recorded(t.unit, t.at), "no record names {}", t.unit);
+        }
     }
 }

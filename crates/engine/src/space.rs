@@ -35,11 +35,10 @@ impl SpaceReport {
     pub fn measure(frontend: &Frontend) -> SpaceReport {
         let personal = frontend.state().personal_bytes();
         let storage = frontend.backend_stats();
-        let substrate = &frontend.substrate;
         SpaceReport {
             personal_bytes: personal,
-            policy_bytes: substrate.enforcer.inner().metadata_bytes(),
-            log_bytes: substrate.logger.bytes(),
+            policy_bytes: frontend.substrate.enforcer.inner().metadata_bytes(),
+            log_bytes: frontend.model.logger.bytes(),
             index_bytes: storage.index_bytes,
             wal_bytes: storage.log_bytes,
             heap_overhead_bytes: storage.disk_bytes.saturating_sub(personal),

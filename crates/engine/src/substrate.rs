@@ -1,9 +1,10 @@
 //! The system substrate a profile wires up: the storage backend, the
-//! tuple key vault, the audit logger and the policy enforcer.
+//! tuple key vault and the policy enforcer, plus the audit logger the
+//! [`Model`] owns.
 //!
 //! The compliance stack composes over any [`StorageBackend`]; this is the
 //! only place a concrete substrate type appears. Everything else reaches
-//! the four parts through the trait objects held here.
+//! the parts through the trait objects built here.
 
 use std::sync::Arc;
 
@@ -19,18 +20,16 @@ use datacase_policy::metatable::MetaTableEnforcer;
 use datacase_policy::rbac::{RbacEnforcer, Role};
 use datacase_sim::{Meter, SimClock};
 use datacase_storage::backend::{BackendKind, LsmBackend, StorageBackend};
-use datacase_storage::forensic::ForensicFindings;
 use datacase_storage::heap::HeapDb;
 
 use crate::model::Model;
 use crate::profiles::{EngineConfig, ProfileKind};
 
-/// Backend, vault, logger and enforcer of one engine.
+/// Backend, vault and enforcer of one engine.
 pub(crate) struct Substrate {
     pub(crate) backend: Box<dyn StorageBackend>,
     /// Present when tuple encryption is on.
     pub(crate) vault: Option<KeyVault>,
-    pub(crate) logger: Box<dyn AuditLogger>,
     /// Mutations through it bump the policy epoch.
     pub(crate) enforcer: VersionedEnforcer,
 }
@@ -62,23 +61,6 @@ impl Substrate {
             )),
         };
 
-        let logger: Box<dyn AuditLogger> = match config.profile {
-            ProfileKind::Stock | ProfileKind::PBase => Box::new(CsvRowLogger::new(
-                b"audit-key",
-                clock.clone(),
-                meter.clone(),
-            )),
-            ProfileKind::PGBench => Box::new(FullQueryLogger::new(
-                b"audit-key",
-                clock.clone(),
-                meter.clone(),
-            )),
-            ProfileKind::PSys => Box::new(
-                EncryptedLogger::new(b"audit-key", clock.clone(), meter.clone())
-                    .with_crypto_backend(config.crypto_backend),
-            ),
-        };
-
         let vault = config.tuple_encryption.map(|size| {
             KeyVault::new(b"engine-master-secret", size)
                 .with_backend(config.crypto_backend)
@@ -102,7 +84,6 @@ impl Substrate {
         Substrate {
             backend,
             vault,
-            logger,
             enforcer: VersionedEnforcer::new(enforcer),
         }
     }
@@ -140,17 +121,25 @@ impl Substrate {
         }
         stored
     }
+}
 
-    /// Forensic scan of all persistent layers for `needle` (checkpoints
-    /// the backend first so the scan sees buffered state — flushed pages
-    /// on the heap, a flushed memtable on the LSM).
-    pub(crate) fn scan(&mut self, needle: &[u8]) -> ForensicFindings {
-        self.backend.checkpoint();
-        let mut findings = self.backend.scan_physical(needle);
-        // The audit logs are a persistence layer too, with a bucket of
-        // their own.
-        findings.audit_records = self.logger.scan(needle);
-        findings
+/// The audit logger `config`'s profile keeps, charging `clock` and
+/// `meter`. The [`Model`] owns it: the log records what the engine did.
+pub(crate) fn audit_logger(
+    config: &EngineConfig,
+    clock: &SimClock,
+    meter: &Arc<Meter>,
+) -> Box<dyn AuditLogger> {
+    let (clock, meter) = (clock.clone(), meter.clone());
+    match config.profile {
+        ProfileKind::Stock | ProfileKind::PBase => {
+            Box::new(CsvRowLogger::new(b"audit-key", clock, meter))
+        }
+        ProfileKind::PGBench => Box::new(FullQueryLogger::new(b"audit-key", clock, meter)),
+        ProfileKind::PSys => Box::new(
+            EncryptedLogger::new(b"audit-key", clock, meter)
+                .with_crypto_backend(config.crypto_backend),
+        ),
     }
 }
 

@@ -119,3 +119,40 @@ fn no_external_dependency() {
         "Cargo.lock lists external packages: {external:?}"
     );
 }
+
+/// The engine records an action in one place: `Model::record` appends the
+/// history tuple and its chained audit record together (`Model::deny`
+/// logs a denial). A `LogRecord` built, or a logger appended to, anywhere
+/// else in the engine would be a second write path the history never
+/// sees.
+#[test]
+fn audit_records_are_written_only_by_the_model() {
+    let mut sources = Vec::new();
+    let mut dirs = vec![repo_root().join("crates/engine/src")];
+    while let Some(dir) = dirs.pop() {
+        for path in entries(&dir) {
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                sources.push(path);
+            }
+        }
+    }
+    let mut offenders = Vec::new();
+    for path in sources {
+        if path.file_name().is_some_and(|name| name == "model.rs") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("read engine source");
+        for (i, line) in text.lines().enumerate() {
+            if line.contains("LogRecord {") || line.contains(".log(") {
+                offenders.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "audit records written outside model.rs:\n{}",
+        offenders.join("\n")
+    );
+}

@@ -72,6 +72,58 @@ fn table1_probes_match_expected_matrix_end_to_end() {
     }
 }
 
+/// Erasure is on the tamper-evident record: on either backend, every
+/// interpretation's erase and a restore answer with a non-empty audit
+/// reference, a strong erase that cascades to a derived copy leaves one
+/// receipt per erased unit, and IX's completeness clause stays clean.
+#[test]
+fn every_erase_and_restore_leaves_a_receipt() {
+    let controller = Session::new(Actor::Controller);
+    for backend in BackendKind::ALL {
+        for interpretation in ErasureInterpretation::ALL {
+            let mut fe = seeded_frontend_on(backend);
+            let r = fe.run(
+                &controller,
+                Request::Erase {
+                    key: 1,
+                    interpretation,
+                },
+            );
+            assert_eq!(r.reply(), Some(Reply::Erased(interpretation)));
+            assert!(!r.audit.is_empty(), "{backend:?}/{interpretation}");
+            let ix = fe.compliance_report(&Regulation::gdpr());
+            assert!(
+                ix.of_invariant("IX").is_empty(),
+                "{backend:?}/{interpretation}"
+            );
+        }
+
+        let mut fe = seeded_frontend_on(backend);
+        assert!(erase(
+            &mut fe,
+            1,
+            ErasureInterpretation::ReversiblyInaccessible
+        ));
+        let r = fe.run(&controller, Request::Restore { key: 1 });
+        assert_eq!(r.reply(), Some(Reply::Restored));
+        assert_eq!(r.audit.records, 1, "{backend:?}: restore");
+
+        let mut fe = seeded_frontend_on(backend);
+        let unit = fe.unit_of_key(1).unwrap();
+        fe.forensic()
+            .plant_derived(&[unit], "mirror", true, true, b"MIRROR", 2);
+        let r = fe.run(
+            &controller,
+            Request::Erase {
+                key: 1,
+                interpretation: ErasureInterpretation::StronglyDeleted,
+            },
+        );
+        assert!(r.outcome.is_ok(), "{:?}", r.outcome);
+        assert_eq!(r.audit.records, 2, "{backend:?}: unit + mirror");
+    }
+}
+
 #[test]
 fn delete_leaves_online_residuals_strong_delete_clears_file() {
     let mut fe = seeded_frontend();
@@ -131,6 +183,10 @@ fn the_model_never_holds_payload_bytes() {
     // `[personal, policy, log, index, wal, overhead]` as measured by the
     // tree that still kept a plaintext copy of every version in the model
     // (PR 22), same script: recording sizes moved no accounted byte.
+    // The log column has since grown by the records every action leaves
+    // on the chain: the seven construction-time assessments (7 x 46 B)
+    // and each erase's receipts (the erase, a cascaded mirror's, and a
+    // permanent erase's sanitise record).
     let report = |r: [u64; 6]| SpaceReport {
         personal_bytes: r[0],
         policy_bytes: r[1],
@@ -139,19 +195,19 @@ fn the_model_never_holds_payload_bytes() {
         wal_bytes: r[4],
         heap_overhead_bytes: r[5],
     };
-    let before = [[94, 3720, 229, 96, 246, 8098], [94, 3720, 229, 0, 0, 0]];
+    let before = [[94, 3720, 551, 96, 246, 8098], [94, 3720, 551, 0, 0, 0]];
     let after = [
         [
-            [94, 3720, 229, 112, 305, 8098],
-            [67, 3720, 229, 64, 310, 8125],
-            [40, 3720, 229, 48, 342, 8152],
-            [40, 3720, 178, 48, 374, 8152],
+            [94, 3720, 595, 112, 305, 8098],
+            [67, 3720, 597, 64, 310, 8125],
+            [40, 3720, 650, 48, 342, 8152],
+            [40, 3720, 650, 48, 374, 8152],
         ],
         [
-            [94, 3720, 229, 0, 0, 0],
-            [67, 3720, 229, 0, 0, 74],
-            [40, 3720, 229, 0, 0, 25],
-            [40, 3720, 178, 0, 0, 25],
+            [94, 3720, 595, 0, 0, 0],
+            [67, 3720, 597, 0, 0, 74],
+            [40, 3720, 650, 0, 0, 25],
+            [40, 3720, 650, 0, 0, 25],
         ],
     ];
     for (backend, (before, after)) in BackendKind::ALL
