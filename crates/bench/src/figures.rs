@@ -7,7 +7,7 @@ use datacase_core::invariants::CATALOG;
 use datacase_core::regulation::Regulation;
 use datacase_core::timeline::ErasureTimeline;
 use datacase_engine::driver::{run_ops, RunStats};
-use datacase_engine::erasure::{describe, probe, probe_config};
+use datacase_engine::erasure::{describe, probe_config, probe_on};
 use datacase_engine::frontend::{Batch, Frontend, Request, Session};
 use datacase_engine::profiles::{DeleteStrategy, EngineConfig, ProfileKind};
 use datacase_engine::space::SpaceReport;
@@ -366,7 +366,7 @@ pub fn table1() -> Table {
     );
     for interp in ErasureInterpretation::ALL {
         let expected = ErasureProperties::expected(interp);
-        let measured = probe(interp);
+        let measured = probe_on(&config, interp);
         let e = expected.cells();
         let m = measured.measured.cells();
         table.row(vec![

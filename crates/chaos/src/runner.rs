@@ -34,9 +34,8 @@ use datacase_core::checker::ComplianceReport;
 use datacase_core::regulation::Regulation;
 use datacase_engine::frontend::{Frontend, Response};
 use datacase_engine::profiles::EngineConfig;
-use datacase_engine::sweeper::{sweep, SweeperConfig};
+use datacase_engine::sweeper::sweep;
 use datacase_sim::fault::{CrashPoint, CrashSignal, FaultInjector, CRASH_POINTS};
-use datacase_sim::time::Dur;
 use datacase_sim::{Meter, MeterSnapshot, SimClock};
 use datacase_storage::backend::{recover_backend, BackendKind, DurableSnapshot};
 
@@ -94,14 +93,8 @@ fn apply_op(fe: &mut Frontend, op: &TraceOp) -> Vec<Response> {
             fe.clock().advance_to(*to);
             Vec::new()
         }
-        TraceOp::Sweep { interpretation } => {
-            let _ = sweep(
-                fe,
-                SweeperConfig {
-                    interpretation: *interpretation,
-                    lead: Dur::from_secs(3600),
-                },
-            );
+        TraceOp::Sweep => {
+            let _ = sweep(fe);
             Vec::new()
         }
     }

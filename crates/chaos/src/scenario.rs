@@ -253,11 +253,8 @@ pub enum TraceOp {
         /// Target instant.
         to: Ts,
     },
-    /// Run the retention sweeper at the given grounding.
-    Sweep {
-        /// Grounding applied to expired units.
-        interpretation: ErasureInterpretation,
-    },
+    /// Run the retention sweeper.
+    Sweep,
 }
 
 impl TraceOp {
@@ -266,7 +263,7 @@ impl TraceOp {
         match self {
             TraceOp::Submit { batch, .. } => format!("submit[{}]", batch.len()),
             TraceOp::Advance { to } => format!("advance[{}]", to.0),
-            TraceOp::Sweep { interpretation } => format!("sweep[{interpretation:?}]"),
+            TraceOp::Sweep => "sweep".into(),
         }
     }
 }
@@ -523,9 +520,7 @@ impl Compiler {
                 // Jump past the horizon and sweep: G17 stays maintained.
                 self.cursor = ttl + Dur::from_secs(60);
                 self.ops.push(TraceOp::Advance { to: self.cursor });
-                self.ops.push(TraceOp::Sweep {
-                    interpretation: ErasureInterpretation::Deleted,
-                });
+                self.ops.push(TraceOp::Sweep);
                 self.drain_subject(s);
             }
             Step::RoleChurn { rounds } => {
@@ -644,12 +639,7 @@ mod tests {
                     (TraceOp::Advance { to: tx }, TraceOp::Advance { to: ty }) => {
                         assert_eq!(tx, ty)
                     }
-                    (
-                        TraceOp::Sweep { interpretation: ix },
-                        TraceOp::Sweep { interpretation: iy },
-                    ) => {
-                        assert_eq!(ix, iy)
-                    }
+                    (TraceOp::Sweep, TraceOp::Sweep) => {}
                     _ => panic!("op shapes diverge"),
                 }
             }
@@ -698,7 +688,7 @@ mod tests {
         for op in &c.ops {
             match op {
                 TraceOp::Advance { .. } => pending_advance = true,
-                TraceOp::Sweep { .. } => {
+                TraceOp::Sweep => {
                     assert!(pending_advance, "sweep follows its advance");
                     pending_advance = false;
                     sweeps += 1;

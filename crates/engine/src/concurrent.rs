@@ -406,6 +406,39 @@ mod tests {
         assert_eq!(frontends.len(), 3);
     }
 
+    /// A weaker erase after a stronger one is refused with a typed reply,
+    /// and the shard that owns the key keeps serving every session.
+    #[test]
+    fn a_refused_erase_leaves_its_shard_serving() {
+        use crate::error::EngineError;
+        use datacase_core::grounding::erasure::ErasureInterpretation::{Deleted, StronglyDeleted};
+        let engine = ConcurrentEngine::new(EngineConfig::p_sys(), 2);
+        let s = session();
+        let erase = |interpretation| Request::Erase {
+            key: 1,
+            interpretation,
+        };
+        let replies = engine
+            .handle()
+            .call(&s, &[create(1), erase(StronglyDeleted), erase(Deleted)]);
+        assert_eq!(replies[1].outcome, Ok(Reply::Erased(StronglyDeleted)));
+        assert!(
+            matches!(
+                replies[2].outcome,
+                Err(EngineError::RetentionExpired { key: 1, .. })
+            ),
+            "{:?}",
+            replies[2].outcome
+        );
+        // Key 3 lives on the same shard as key 1.
+        let later = engine
+            .handle()
+            .call(&s, &[create(3), Request::Read { key: 3 }]);
+        assert_eq!(later[0].outcome, Ok(Reply::Done));
+        assert_eq!(later[1].outcome, Ok(Reply::Value(64)));
+        assert_eq!(engine.shutdown().len(), 2);
+    }
+
     #[test]
     fn broadcast_scan_sums_rows_across_shards() {
         let engine = ConcurrentEngine::new(EngineConfig::p_base(), 4);

@@ -1,30 +1,28 @@
-//! The erasure executor: the one mapping from grounded interpretations to
+//! The erasure executor: the one mapping from erasure triggers to
 //! system-actions (paper Figure 2 step ③, Table 1's last column), and the
-//! loop that runs it immediately (the compliance path, as opposed to the
-//! workload path's periodic maintenance).
+//! one loop that runs them.
 //!
-//! [`plan`] maps an [`ErasureInterpretation`] under an [`EngineConfig`]
-//! to an ordered list of [`Step`]s. The mapping is system dependent, as
-//! the paper says: a step names one [`StorageBackend`] hook (or the
-//! audit logger / key vault) and renders per backend — heap mechanics
-//! (hidden attribute / DELETE / VACUUM / VACUUM FULL / WAL scrub /
-//! sanitise) or LSM mechanics (flagged version / tombstone / memtable
-//! flush / compaction / run purge). [`describe`] renders a plan as
-//! Table 1 prints it.
+//! A compliance erase (`Request::Erase`) runs [`plan`] for its
+//! [`ErasureInterpretation`], the retention [`sweep`](crate::sweeper::sweep)
+//! runs [`plan`] for [`ErasureInterpretation::Deleted`], and a workload
+//! `Request::Delete` runs [`workload_plan`]. The mapping is system
+//! dependent, as the paper says: a [`Step`] names one [`StorageBackend`]
+//! hook (or the audit logger / key vault) and renders per backend — heap
+//! mechanics (hidden attribute / DELETE / VACUUM / VACUUM FULL / WAL scrub
+//! / sanitise) or LSM mechanics (flagged version / tombstone / memtable
+//! flush / compaction / run purge). [`describe`] renders a plan as Table 1
+//! prints it.
 //!
-//! `erase_now` executes exactly that plan: it loops over the steps in
-//! order, then ends with the epilogue a workload `DELETE` ends with too
+//! `erase_now` runs every plan: it refuses an erasure the unit already
+//! satisfies, executes the steps in order, then ends with the epilogue
 //! (`Model::finish_erasure`: revoke consent, mark and record the erasure,
 //! receipt included; then the metadata scans forget the key, which
 //! `restore_now` puts back). No other code decides which backend calls an
-//! interpretation makes, so the plan a report declares is the plan that
-//! runs. After execution the [`probe`] verifies the IR / II / Inv
-//! properties *empirically* against the forensic scanner and the
-//! provenance graph, on either backend.
-//!
-//! The executor itself is crate-internal: callers reach it through
-//! [`Request::Erase`](crate::frontend::Request::Erase) and
-//! [`Request::Restore`](crate::frontend::Request::Restore) on a session.
+//! erasure makes, so the plan a report declares is the plan that runs.
+//! [`probe_on`] then verifies the IR / II / Inv properties *empirically*
+//! against the forensic scanner and the provenance graph, on any engine
+//! configuration. The executor itself is crate-internal: callers reach it
+//! through the requests above, `Request::Restore` and the sweeper.
 
 use datacase_core::action::Action;
 use datacase_core::grounding::erasure::ErasureInterpretation;
@@ -36,10 +34,11 @@ use datacase_core::unit::ErasureStatus;
 use datacase_sim::fault::CrashPoint;
 use datacase_storage::backend::{BackendKind, MaintenanceDepth, StorageBackend};
 
+use crate::error::EngineError;
 use crate::frontend::Frontend;
-use crate::profiles::EngineConfig;
+use crate::profiles::{DeleteStrategy, EngineConfig, ProfileKind};
 
-/// One system-action of an erasure [`plan`].
+/// One system-action of an erasure plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Step {
     /// Set the row's hidden attribute ([`StorageBackend::set_hidden`]).
@@ -51,6 +50,8 @@ pub enum Step {
     Cascade,
     /// A maintenance pass ([`StorageBackend::maintain`]).
     Maintain(MaintenanceDepth),
+    /// Redact the unit's audit records, leaving the backend's copies.
+    RedactLogs,
     /// Purge the retained copies of the unit and its cascaded
     /// descendants: [`StorageBackend::purge_unit`] plus the audit
     /// logger's redaction.
@@ -76,6 +77,7 @@ impl Step {
             (Step::Maintain(Lazy), Lsm) => "FLUSH memtable",
             (Step::Maintain(Full), Heap) => "VACUUM FULL",
             (Step::Maintain(Full), Lsm) => "FORCE compaction",
+            (Step::RedactLogs, _) => "REDACT unit's audit records",
             (Step::PurgeLogs, Heap) => "DELETE unit's logs",
             (Step::PurgeLogs, Lsm) => "DELETE unit's logs (run rewrite)",
             (Step::Sanitize, _) => "SANITIZE (multi-pass overwrite)",
@@ -109,6 +111,22 @@ pub fn plan(config: &EngineConfig, interp: ErasureInterpretation) -> Vec<Step> {
     steps
 }
 
+/// The plan a workload `DELETE` runs, grounding the delete strategy's
+/// [`interpretation`](DeleteStrategy::interpretation): the hidden
+/// attribute under [`DeleteStrategy::TombstoneAttribute`], a logical
+/// delete otherwise, and on P_SYS the redaction of the unit's audit
+/// records (§4.2). The strategy's maintenance is periodic, not per delete.
+pub fn workload_plan(config: &EngineConfig) -> Vec<Step> {
+    let mut steps = match config.delete_strategy {
+        DeleteStrategy::TombstoneAttribute => vec![Step::Hide],
+        _ => vec![Step::Delete],
+    };
+    if config.profile == ProfileKind::PSys {
+        steps.push(Step::RedactLogs);
+    }
+    steps
+}
+
 /// Table 1's system-action column: [`plan`] rendered for the configured
 /// backend. Permanent deletion is marked as a retrofit — the paper notes
 /// stock PostgreSQL does not support it.
@@ -125,25 +143,34 @@ pub fn describe(config: &EngineConfig, interp: ErasureInterpretation) -> String 
     }
 }
 
-/// Execute the [`plan`] for `interp` on the unit stored at `key`,
-/// immediately (right-to-erasure handling, Table 1 row). The erase is
-/// attributed to `entity` in the history and on its receipt — the actor
-/// the frontend authenticated (or the controller, for sweeper-initiated
-/// retention erasure). Each cascaded descendant gets its own receipt.
+/// Execute `steps`, the plan of an erasure grounding `interp`, on the
+/// unit stored at `key`, immediately. The erase is attributed to `entity`
+/// in the history and on its receipt — the actor the frontend
+/// authenticated (or the controller, for retention erasure). Each
+/// cascaded descendant gets its own receipt.
 ///
-/// Returns false if the key is unknown or its row cannot be hidden or
-/// deleted.
+/// An erasure the unit already satisfies (its status ranks at or above
+/// `interp`) is refused with [`EngineError::RetentionExpired`] before any
+/// step runs, so erasure never regresses and never repeats. A key that is
+/// unknown, or whose row cannot be hidden or deleted, is
+/// [`EngineError::NotFound`].
 pub(crate) fn erase_now(
     fe: &mut Frontend,
     key: u64,
     interp: ErasureInterpretation,
+    steps: Vec<Step>,
     entity: EntityId,
-) -> bool {
-    let Some(unit) = fe.keys.unit_of(key) else {
-        return false;
-    };
+) -> Result<(), EngineError> {
+    let unit = fe.keys.unit_of(key).ok_or(EngineError::NotFound { key })?;
+    let status = fe
+        .model
+        .state
+        .unit(unit)
+        .map_or(ErasureStatus::Active, |u| u.erasure);
+    if let (true, Some(since)) = (status.satisfies(interp), status.since()) {
+        return Err(EngineError::RetentionExpired { key, since });
+    }
     let now = fe.clock.now();
-    let steps = plan(&fe.config, interp);
     let Frontend {
         config,
         substrate,
@@ -152,28 +179,18 @@ pub(crate) fn erase_now(
         clock,
         ..
     } = fe;
-    // Escalation support (the Figure-3 staged timeline): a unit already
-    // deleted at a weaker interpretation can be erased "harder" — the row
-    // removal is then a no-op and only the stronger plan steps run.
-    let already_rank = model.state.unit(unit).map_or(0, |u| u.erasure.rank());
-
     let backend: &mut dyn StorageBackend = substrate.backend.as_mut();
+    let missing = |_| EngineError::NotFound { key };
     let mut descendants = Vec::new();
     for step in steps {
         match step {
-            Step::Hide => {
-                if backend.set_hidden(key, true).is_err() {
-                    return false;
-                }
-            }
-            Step::Delete => {
-                // The row is already physically gone or dead from rank 2
-                // on; a reversibly-inaccessible (rank 1) row still exists
-                // on the backend and is deleted like a live one.
-                if already_rank < 2 && backend.delete(key).is_err() {
-                    return false;
-                }
-            }
+            Step::Hide => backend.set_hidden(key, true).map_err(missing)?,
+            // Escalation support (the Figure-3 staged timeline): the row is
+            // already physically gone or dead from rank 2 on; a reversibly-
+            // inaccessible (rank 1) row still exists on the backend and is
+            // deleted like a live one.
+            Step::Delete if status.rank() < 2 => backend.delete(key).map_err(missing)?,
+            Step::Delete => {}
             Step::Cascade => {
                 descendants = model.state.provenance().identifying_descendants(unit);
                 for &d in &descendants {
@@ -200,9 +217,11 @@ pub(crate) fn erase_now(
             Step::Maintain(depth) => {
                 backend.maintain(depth);
             }
-            Step::PurgeLogs => {
+            Step::RedactLogs | Step::PurgeLogs => {
                 for &u in std::iter::once(&unit).chain(&descendants) {
-                    backend.purge_unit(u.0);
+                    if step == Step::PurgeLogs {
+                        backend.purge_unit(u.0);
+                    }
                     model.logger.redact_unit(u);
                 }
             }
@@ -224,7 +243,7 @@ pub(crate) fn erase_now(
     let at = clock.now();
     model.finish_erasure(&mut substrate.enforcer, unit, interp, entity, now, at);
     keys.unscan(key);
-    true
+    Ok(())
 }
 
 /// Restore a reversibly-inaccessible unit (the inverse action that makes
@@ -260,9 +279,19 @@ pub(crate) fn restore_now(fe: &mut Frontend, key: u64) -> bool {
     true
 }
 
+/// The configuration Table 1 is probed on: P_SYS over `backend` with
+/// stock-engine-like plaintext tuple storage. Table 1's system-action
+/// column is [`describe`]d for it on the heap.
+pub fn probe_config(backend: BackendKind) -> EngineConfig {
+    let mut config = EngineConfig::p_sys().with_backend(backend);
+    config.tuple_encryption = None;
+    config
+}
+
 /// Empirically measure (IR, II, Inv) for one interpretation on a fresh
-/// heap-backed engine — the measured side of Table 1. See [`probe_on`]
-/// for the backend-parameterised version.
+/// engine built from `config` — the measured side of Table 1, and the
+/// paper's claim that the grounded properties hold *independently of the
+/// underlying system*, measured on the configuration that runs.
 ///
 /// Scenario: a subject's record plus an *identifying, invertible* derived
 /// copy (an encrypted backup). After erasure:
@@ -273,27 +302,11 @@ pub(crate) fn restore_now(fe: &mut Frontend, key: u64) -> bool {
 /// * **II** — can the unit be inferred from dependent data (provenance
 ///   reconstruction from the surviving copy)?
 /// * **Inv** — does the restore action bring the unit back?
-pub fn probe(interp: ErasureInterpretation) -> PropertyProbe {
-    probe_on(BackendKind::Heap, interp)
-}
-
-/// The configuration the probes run: P_SYS over `backend` with
-/// stock-engine-like plaintext tuple storage. Table 1's system-action
-/// column is [`describe`]d for it on the heap.
-pub fn probe_config(backend: BackendKind) -> EngineConfig {
-    let mut config = EngineConfig::p_sys().with_backend(backend);
-    config.tuple_encryption = None;
-    config
-}
-
-/// [`probe`] over a chosen storage substrate: the paper's claim that the
-/// grounded properties hold *independently of the underlying system*,
-/// measured per backend.
-pub fn probe_on(backend: BackendKind, interp: ErasureInterpretation) -> PropertyProbe {
+pub fn probe_on(config: &EngineConfig, interp: ErasureInterpretation) -> PropertyProbe {
     use crate::frontend::{Actor, Reply, Request, Session};
     use datacase_workloads::record::GdprMetadata;
 
-    let mut fe = Frontend::new(probe_config(backend));
+    let mut fe = Frontend::new(config.clone());
     let controller = Session::new(Actor::Controller);
 
     let payload = b"PROBE-SENSITIVE-PAYLOAD-0001".to_vec();
@@ -436,7 +449,7 @@ mod tests {
     fn probes_match_table_1_expected_matrix_on_both_backends() {
         for backend in BackendKind::ALL {
             for interp in ErasureInterpretation::ALL {
-                let p = probe_on(backend, interp);
+                let p = probe_on(&probe_config(backend), interp);
                 assert_eq!(
                     p.measured,
                     ErasureProperties::expected(interp),
@@ -500,12 +513,51 @@ mod tests {
         }
     }
 
-    /// The plan a report declares is the plan that runs: every step with a
-    /// crash tap is reached exactly when the plan holds it, for every
-    /// backend × interpretation × tuple-encryption cell.
+    /// The plan a report declares is the plan that runs. For `Erase`,
+    /// every step with a crash tap is reached exactly when the plan holds
+    /// it, for every backend × interpretation × tuple-encryption cell. For
+    /// a workload `DELETE`, in every backend × strategy cell with and
+    /// without P_SYS's redaction, the row is left hidden exactly when the
+    /// plan hides it, the audit log holds no payload exactly when the plan
+    /// redacts it, and no tapped step runs.
     #[test]
     fn declared_plan_is_the_executed_plan() {
         for backend in BackendKind::ALL {
+            for profile in [EngineConfig::p_base(), probe_config(backend)] {
+                for strategy in DeleteStrategy::ALL {
+                    let fault = datacase_sim::fault::FaultInjector::counting();
+                    let mut config = profile
+                        .clone()
+                        .with_backend(backend)
+                        .with_fault(fault.clone());
+                    config.delete_strategy = strategy;
+                    let steps = workload_plan(&config);
+                    let mut fe = Frontend::new(config);
+                    create(&mut fe, 1, b"PLAN-TARGET");
+                    let deleted =
+                        fe.run(&Session::new(Actor::Controller), Request::Delete { key: 1 });
+                    assert!(deleted.is_done(), "{:?}", deleted.outcome);
+                    let cell = format!("{backend:?}/{strategy:?}: {steps:?}");
+                    let mut forensic = fe.forensic();
+                    assert_eq!(
+                        forensic.raw_read(1, true).is_some(),
+                        steps.contains(&Step::Hide),
+                        "hidden row, {cell}"
+                    );
+                    assert_eq!(
+                        forensic.scan(b"PLAN-TARGET").audit_records == 0,
+                        steps.contains(&Step::RedactLogs),
+                        "audit redaction, {cell}"
+                    );
+                    for point in [
+                        CrashPoint::PurgeUnit,
+                        CrashPoint::DestroyKey,
+                        CrashPoint::Compaction,
+                    ] {
+                        assert_eq!(fault.count(point), 0, "{}, {cell}", point.name());
+                    }
+                }
+            }
             for encrypted in [false, true] {
                 for interp in ErasureInterpretation::ALL {
                     let fault = datacase_sim::fault::FaultInjector::counting();
@@ -538,6 +590,46 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// An erasure the unit already satisfies is refused before any step
+    /// runs: a typed reply, no audit record, the status unchanged.
+    #[test]
+    fn an_erasure_the_unit_already_satisfies_is_refused() {
+        use ErasureInterpretation::{Deleted, PermanentlyDeleted, StronglyDeleted};
+        for backend in BackendKind::ALL {
+            for (first, second) in [
+                (StronglyDeleted, Deleted),
+                (PermanentlyDeleted, StronglyDeleted),
+                (PermanentlyDeleted, Deleted),
+                (Deleted, Deleted),
+            ] {
+                let mut fe = Frontend::new(EngineConfig::p_sys().with_backend(backend));
+                create(&mut fe, 1, b"REFUSED-TARGET");
+                assert!(erase(&mut fe, 1, first));
+                let unit = fe.unit_of_key(1).unwrap();
+                let status = fe.state().unit(unit).unwrap().erasure;
+                let records = fe.audit_records();
+                let refused = fe.run(
+                    &Session::new(Actor::Controller),
+                    Request::Erase {
+                        key: 1,
+                        interpretation: second,
+                    },
+                );
+                let cell = format!("{backend:?}/{first} then {second}");
+                assert_eq!(
+                    refused.outcome,
+                    Err(EngineError::RetentionExpired {
+                        key: 1,
+                        since: status.since().unwrap(),
+                    }),
+                    "{cell}"
+                );
+                assert_eq!(fe.audit_records(), records, "{cell}");
+                assert_eq!(fe.state().unit(unit).unwrap().erasure, status, "{cell}");
             }
         }
     }

@@ -28,9 +28,11 @@
 //! before the reply is built. The engine simultaneously maintains the
 //! Data-CASE *abstract model* (state + action history from
 //! `datacase-core`, written in one call with the chained log), so the
-//! compliance checker can audit any run; the erasure executor that maps
-//! grounded interpretations to system-action plans (Table 1) is driven
-//! by [`Request::Erase`] / [`Request::Restore`].
+//! compliance checker can audit any run. One erasure executor
+//! ([`erasure`]) maps every erasure trigger to a system-action plan
+//! (Table 1) and runs it: [`Request::Erase`], a workload
+//! [`Request::Delete`] and the retention [`sweep`] all go through it, and
+//! [`Request::Restore`] inverts the reversible plan.
 //!
 //! Every profile composes over a pluggable
 //! [`StorageBackend`](datacase_storage::backend::StorageBackend): the
@@ -69,10 +71,10 @@ pub use concurrent::{
 };
 pub use datacase_storage::backend::{BackendKind, BackendStats};
 pub use driver::{run_ops, RunStats};
-pub use erasure::{probe, probe_on};
+pub use erasure::{probe_config, probe_on};
 pub use error::EngineError;
 pub use frontend::{Actor, AuditRef, Batch, Forensic, Frontend, Reply, Request, Response, Session};
 pub use pia::{assess, certify, Certificate, PiaReport};
 pub use profiles::{DeleteStrategy, EngineConfig, ProfileKind};
 pub use space::SpaceReport;
-pub use sweeper::{sweep, SweepReport, SweeperConfig};
+pub use sweeper::{sweep, SweepReport};

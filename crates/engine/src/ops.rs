@@ -17,6 +17,7 @@ use datacase_sim::Meter;
 use datacase_workloads::opstream::{MetaField, MetaSelector};
 use datacase_workloads::record::GdprMetadata;
 
+use crate::erasure;
 use crate::error::EngineError;
 use crate::frontend::{Actor, Frontend, Reply};
 use crate::keys::KeyMeta;
@@ -62,11 +63,9 @@ impl Frontend {
         if actor == Actor::Processor {
             self.check(meta.unit, entity, wk::compliance_erase(), ActionKind::Erase)?;
         }
-        if crate::erasure::erase_now(self, key, interpretation, entity) {
-            Ok(Reply::Erased(interpretation))
-        } else {
-            Err(EngineError::NotFound { key })
-        }
+        let steps = erasure::plan(&self.config, interpretation);
+        erasure::erase_now(self, key, interpretation, steps, entity)?;
+        Ok(Reply::Erased(interpretation))
     }
 
     /// The inverse compliance action. Restoration cannot be checked
@@ -82,7 +81,7 @@ impl Frontend {
                 reason: "processors cannot restore erased records".into(),
             });
         }
-        if crate::erasure::restore_now(self, key) {
+        if erasure::restore_now(self, key) {
             Ok(Reply::Restored)
         } else {
             Err(EngineError::Denied {
@@ -246,28 +245,8 @@ impl Frontend {
         let entity = self.actor_entity(actor, meta.subject);
         self.check(meta.unit, entity, wk::compliance_erase(), ActionKind::Erase)?;
         let interp = self.config.delete_strategy.interpretation();
-        let backend = &mut self.substrate.backend;
-        let applied = if interp == ErasureInterpretation::ReversiblyInaccessible {
-            backend.set_hidden(key, true)
-        } else {
-            backend.delete(key)
-        };
-        if applied.is_err() {
-            return Err(self.gone(key, meta.unit));
-        }
-        let now = self.clock.now();
-        if self.config.redacts_logs_on_delete() {
-            self.model.logger.redact_unit(meta.unit);
-        }
-        self.model.finish_erasure(
-            &mut self.substrate.enforcer,
-            meta.unit,
-            interp,
-            entity,
-            now,
-            now,
-        );
-        self.keys.unscan(key);
+        let steps = erasure::workload_plan(&self.config);
+        erasure::erase_now(self, key, interp, steps, entity)?;
         self.deletes_since_maintenance += 1;
         if self.deletes_since_maintenance >= self.config.maintenance_every {
             self.run_maintenance();

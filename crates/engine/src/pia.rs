@@ -9,14 +9,17 @@
 //!   matrix, and the residual risks.
 //! * **Certification** — "regulatory agencies […] certify that a data
 //!   processing system is, indeed, compliant". [`certify`] runs the live
-//!   checker plus the empirical erasure probes and issues a certificate
-//!   only if both pass.
+//!   checker plus the empirical erasure probes, on a fresh engine of the
+//!   certified engine's own configuration, and issues a certificate only
+//!   if both pass.
 
 use datacase_core::grounding::erasure::ErasureInterpretation;
+use datacase_core::grounding::properties::PropertyProbe;
 use datacase_core::regulation::Regulation;
+use datacase_sim::fault::FaultInjector;
 use datacase_sim::report::Table;
 
-use crate::erasure::describe;
+use crate::erasure::{describe, probe_on, workload_plan, Step};
 use crate::frontend::Frontend;
 use crate::profiles::{DeleteStrategy, EngineConfig, ProfileKind};
 
@@ -79,6 +82,7 @@ impl PiaReport {
 /// Assess an engine configuration before deployment.
 pub fn assess(config: &EngineConfig) -> PiaReport {
     let workload_erasure = config.delete_strategy.interpretation();
+    let logs_redacted_on_erase = workload_plan(config).contains(&Step::RedactLogs);
     let encrypted = config.encryption_at_rest();
     let mut risks = Vec::new();
     if config.delete_strategy == DeleteStrategy::DeleteOnly {
@@ -102,7 +106,7 @@ pub fn assess(config: &EngineConfig) -> PiaReport {
             mitigation: "enable tuple encryption or LUKS-style disk encryption".into(),
         });
     }
-    if !config.redacts_logs_on_delete() {
+    if !logs_redacted_on_erase {
         risks.push(Risk {
             title: "log retention after erasure".into(),
             detail: "audit/WAL records keep erased units' payloads".into(),
@@ -122,7 +126,7 @@ pub fn assess(config: &EngineConfig) -> PiaReport {
         profile: config.profile,
         workload_erasure,
         encrypted_at_rest: encrypted,
-        logs_redacted_on_erase: config.redacts_logs_on_delete(),
+        logs_redacted_on_erase,
         risks,
     }
 }
@@ -134,10 +138,9 @@ pub struct Certificate {
     pub regulation: String,
     /// The checker's verdict.
     pub checker_compliant: bool,
-    /// Erasure probes that matched Table 1's expected matrix.
-    pub probes_passed: usize,
-    /// Probes run.
-    pub probes_total: usize,
+    /// One erasure probe per interpretation, run on the certified
+    /// engine's configuration.
+    pub probes: Vec<PropertyProbe>,
     /// Grounding descriptions the system declared (Figure 2's mapping).
     pub declared_groundings: Vec<String>,
 }
@@ -145,29 +148,31 @@ pub struct Certificate {
 impl Certificate {
     /// Is the certificate granted?
     pub fn granted(&self) -> bool {
-        self.checker_compliant && self.probes_passed == self.probes_total
+        self.checker_compliant && self.probes.iter().all(PropertyProbe::matches_expected)
     }
 }
 
-/// Certify a live engine: invariant check + empirical erasure probes +
-/// declared groundings, the erasure plans the engine's own configuration
-/// executes.
+/// Certify a live engine: invariant check + empirical erasure probes on
+/// a fresh engine of the same configuration (its fault plane disarmed) +
+/// declared groundings, the erasure plans that configuration executes.
 pub fn certify(frontend: &mut Frontend, regulation: &Regulation) -> Certificate {
     let report = frontend.compliance_report(regulation);
-    let probes_passed = ErasureInterpretation::ALL
+    let config = frontend
+        .config
+        .clone()
+        .with_fault(FaultInjector::disabled());
+    let probes = ErasureInterpretation::ALL
         .into_iter()
-        .filter(|&interp| crate::erasure::probe(interp).matches_expected())
-        .count();
-    let probes_total = ErasureInterpretation::ALL.len();
+        .map(|interp| probe_on(&config, interp))
+        .collect();
     let declared = ErasureInterpretation::ALL
         .into_iter()
-        .map(|i| format!("{} -> {}", i.label(), describe(&frontend.config, i)))
+        .map(|i| format!("{} -> {}", i.label(), describe(&config, i)))
         .collect();
     Certificate {
         regulation: regulation.name.clone(),
         checker_compliant: report.is_compliant(),
-        probes_passed,
-        probes_total,
+        probes,
         declared_groundings: declared,
     }
 }
@@ -240,10 +245,36 @@ mod tests {
         fe.submit_ops(&Session::new(Actor::Controller), &bench.load_phase(50));
         let cert = certify(&mut fe, &Regulation::gdpr());
         assert!(cert.granted(), "{cert:?}");
-        assert_eq!(cert.probes_passed, cert.probes_total);
+        assert_eq!(cert.probes.len(), 4);
         assert_eq!(cert.declared_groundings.len(), 4);
         // P_SYS encrypts tuples, so its permanent plan ends in crypto-erasure.
         assert!(cert.declared_groundings[3].contains("DESTROY per-unit key"));
+    }
+
+    /// Certification probes the engine it certifies: an LSM-backed
+    /// P_GBench engine stores plaintext tuples, so the deleted unit's
+    /// surviving derived copy shows up in the LSM runs.
+    #[test]
+    fn certification_probes_the_certified_backend() {
+        let mut fe = Frontend::new(EngineConfig::p_gbench().with_backend(BackendKind::Lsm));
+        let cert = certify(&mut fe, &Regulation::gdpr());
+        let deleted = cert
+            .probes
+            .iter()
+            .find(|p| p.interpretation == ErasureInterpretation::Deleted)
+            .expect("one probe per interpretation");
+        let forensic = deleted
+            .notes
+            .iter()
+            .find_map(|note| note.strip_prefix("forensic: "))
+            .expect("forensic note");
+        let lsm_entries: usize = forensic
+            .split_whitespace()
+            .find_map(|field| field.strip_prefix("lsm_entries="))
+            .and_then(|n| n.parse().ok())
+            .expect("lsm_entries field");
+        assert!(lsm_entries > 0, "{forensic}");
+        assert!(cert.probes.iter().all(PropertyProbe::matches_expected));
     }
 
     #[test]

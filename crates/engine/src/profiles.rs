@@ -257,24 +257,19 @@ impl EngineConfig {
         self.tuple_encryption.is_some()
             || (self.backend == BackendKind::Heap && self.heap.disk_passphrase.is_some())
     }
-
-    /// Does a workload delete also redact the unit's audit records? Only
-    /// P_SYS deletes logs (§4.2).
-    pub fn redacts_logs_on_delete(&self) -> bool {
-        self.profile == ProfileKind::PSys
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::erasure::{workload_plan, Step};
 
     #[test]
     fn profiles_match_paper_spec() {
         let base = EngineConfig::p_base();
         assert_eq!(base.tuple_encryption, Some(KeySize::Aes256));
         assert_eq!(base.delete_strategy, DeleteStrategy::DeleteVacuum);
-        assert!(!base.redacts_logs_on_delete());
+        assert!(!workload_plan(&base).contains(&Step::RedactLogs));
 
         let gbench = EngineConfig::p_gbench();
         assert!(gbench.heap.disk_passphrase.is_some(), "LUKS disk");
@@ -283,7 +278,7 @@ mod tests {
         let sys = EngineConfig::p_sys();
         assert_eq!(sys.tuple_encryption, Some(KeySize::Aes128));
         assert_eq!(sys.delete_strategy, DeleteStrategy::DeleteVacuumFull);
-        assert!(sys.redacts_logs_on_delete());
+        assert!(workload_plan(&sys).contains(&Step::RedactLogs));
         assert!(sys.policies_per_unit > gbench.policies_per_unit);
     }
 

@@ -7,7 +7,7 @@
 //! ```
 
 use data_case::engine::pia::{assess, certify};
-use data_case::engine::sweeper::{next_due, sweep, SweeperConfig};
+use data_case::engine::sweeper::{next_due, sweep};
 use data_case::prelude::*;
 
 fn main() {
@@ -50,14 +50,10 @@ fn main() {
     }
 
     // 3. Run the sweeper at each due instant: G17 never breaks.
-    let sweeper = SweeperConfig {
-        lead: Dur::from_secs(300),
-        ..SweeperConfig::default()
-    };
     println!("--- retention sweeping ---\n");
-    while let Some(due) = next_due(&fe, sweeper) {
+    while let Some(due) = next_due(&fe) {
         fe.clock().advance_to(due);
-        let report = sweep(&mut fe, sweeper);
+        let report = sweep(&mut fe);
         let check = fe.compliance_report(&Regulation::gdpr());
         println!(
             "sweep at {:>10}: erased {:?} | G17 violations: {}",
@@ -72,9 +68,12 @@ fn main() {
     //    declared groundings.
     println!("\n--- certification ---\n");
     let cert = certify(&mut fe, &Regulation::gdpr());
+    let passed = cert.probes.iter().filter(|p| p.matches_expected()).count();
     println!(
-        "regulation: {} | checker: {} | probes: {}/{}",
-        cert.regulation, cert.checker_compliant, cert.probes_passed, cert.probes_total
+        "regulation: {} | checker: {} | probes: {passed}/{}",
+        cert.regulation,
+        cert.checker_compliant,
+        cert.probes.len()
     );
     for g in &cert.declared_groundings {
         println!("  declared: {g}");

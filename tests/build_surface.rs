@@ -120,13 +120,9 @@ fn no_external_dependency() {
     );
 }
 
-/// The engine records an action in one place: `Model::record` appends the
-/// history tuple and its chained audit record together (`Model::deny`
-/// logs a denial). A `LogRecord` built, or a logger appended to, anywhere
-/// else in the engine would be a second write path the history never
-/// sees.
-#[test]
-fn audit_records_are_written_only_by_the_model() {
+/// Every engine source file with its text, found by walking
+/// `crates/engine/src`.
+fn engine_sources() -> Vec<(PathBuf, String)> {
     let mut sources = Vec::new();
     let mut dirs = vec![repo_root().join("crates/engine/src")];
     while let Some(dir) = dirs.pop() {
@@ -134,16 +130,30 @@ fn audit_records_are_written_only_by_the_model() {
             if path.is_dir() {
                 dirs.push(path);
             } else if path.extension().is_some_and(|ext| ext == "rs") {
-                sources.push(path);
+                let text = std::fs::read_to_string(&path).expect("read engine source");
+                sources.push((path, text));
             }
         }
     }
+    sources
+}
+
+fn is_file(path: &Path, name: &str) -> bool {
+    path.file_name().is_some_and(|n| n == name)
+}
+
+/// The engine records an action in one place: `Model::record` appends the
+/// history tuple and its chained audit record together (`Model::deny`
+/// logs a denial). A `LogRecord` built, or a logger appended to, anywhere
+/// else in the engine would be a second write path the history never
+/// sees.
+#[test]
+fn audit_records_are_written_only_by_the_model() {
     let mut offenders = Vec::new();
-    for path in sources {
-        if path.file_name().is_some_and(|name| name == "model.rs") {
+    for (path, text) in engine_sources() {
+        if is_file(&path, "model.rs") {
             continue;
         }
-        let text = std::fs::read_to_string(&path).expect("read engine source");
         for (i, line) in text.lines().enumerate() {
             if line.contains("LogRecord {") || line.contains(".log(") {
                 offenders.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
@@ -153,6 +163,41 @@ fn audit_records_are_written_only_by_the_model() {
     assert!(
         offenders.is_empty(),
         "audit records written outside model.rs:\n{}",
+        offenders.join("\n")
+    );
+}
+
+/// The engine erases in one place: the erasure executor (`erasure.rs`)
+/// runs every erasure plan, so it alone hides, deletes, purges, redacts,
+/// sanitises or ends an erasure. `model.rs` defines the epilogue, and the
+/// enforcement-bypassing `Forensic` hatch in `frontend.rs` is exempt.
+#[test]
+fn erasures_are_executed_only_by_the_executor() {
+    const CALLS: &[&str] = &[
+        "set_hidden(",
+        ".delete(",
+        "purge_unit(",
+        "redact_unit(",
+        "sanitize(",
+        "finish_erasure(",
+    ];
+    let mut offenders = Vec::new();
+    for (path, text) in engine_sources() {
+        if is_file(&path, "erasure.rs") || is_file(&path, "model.rs") {
+            continue;
+        }
+        let mut in_hatch = false;
+        for (i, line) in text.lines().enumerate() {
+            in_hatch |= is_file(&path, "frontend.rs") && line.starts_with("impl Forensic");
+            if !in_hatch && CALLS.iter().any(|call| line.contains(call)) {
+                offenders.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
+            }
+            in_hatch &= line != "}";
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "erasure steps run outside erasure.rs:\n{}",
         offenders.join("\n")
     );
 }

@@ -8,7 +8,7 @@
 //! holding fails here under its own name.
 
 use data_case::core::grounding::properties::ErasureProperties;
-use data_case::engine::probe;
+use data_case::engine::{probe_config, probe_on};
 use data_case::prelude::*;
 use data_case::storage::backend::BackendKind;
 use data_case::storage::lsm::LsmTree;
@@ -62,7 +62,7 @@ fn restore(fe: &mut Frontend, key: u64) -> bool {
 #[test]
 fn table1_probes_match_expected_matrix_end_to_end() {
     for interp in ErasureInterpretation::ALL {
-        let p = probe(interp);
+        let p = probe_on(&probe_config(BackendKind::Heap), interp);
         assert_eq!(
             p.measured,
             ErasureProperties::expected(interp),
