@@ -429,8 +429,7 @@ pub fn fig3() -> (String, ErasureTimeline) {
     let unit = fe.unit_of_key(1).expect("created");
     // Let the unit live a while, then stage the erasure.
     let mut stage = |at_secs: u64, interpretation: ErasureInterpretation| {
-        fe.clock()
-            .advance_to(datacase_sim::time::Ts::from_secs(at_secs));
+        fe.advance_to(datacase_sim::time::Ts::from_secs(at_secs));
         fe.run(
             &controller,
             Request::Erase {

@@ -34,7 +34,6 @@ use datacase_core::checker::ComplianceReport;
 use datacase_core::regulation::Regulation;
 use datacase_engine::frontend::{Frontend, Response};
 use datacase_engine::profiles::EngineConfig;
-use datacase_engine::sweeper::sweep;
 use datacase_sim::fault::{CrashPoint, CrashSignal, FaultInjector, CRASH_POINTS};
 use datacase_sim::{Meter, MeterSnapshot, SimClock};
 use datacase_storage::backend::{recover_backend, BackendKind, DurableSnapshot};
@@ -71,7 +70,7 @@ pub fn chaos_config(kind: BackendKind) -> EngineConfig {
 /// completed run.
 #[derive(Clone)]
 pub struct RunOutcome {
-    /// Replies per trace op (empty for advances and sweeps).
+    /// Replies per trace op (empty for advances).
     pub replies: Vec<Vec<Response>>,
     /// Final audit-chain head MAC.
     pub chain_head: [u8; 32],
@@ -90,11 +89,7 @@ fn apply_op(fe: &mut Frontend, op: &TraceOp) -> Vec<Response> {
     match op {
         TraceOp::Submit { session, batch } => fe.submit(session, batch),
         TraceOp::Advance { to } => {
-            fe.clock().advance_to(*to);
-            Vec::new()
-        }
-        TraceOp::Sweep => {
-            let _ = sweep(fe);
+            fe.advance_to(*to);
             Vec::new()
         }
     }
@@ -434,6 +429,38 @@ mod tests {
                 "{kind:?}: {:?}",
                 out.residuals
             );
+        }
+    }
+
+    /// G17 with zero grace, on the retention scenario's serial run on
+    /// both backends: after every trace op, every personal unit whose
+    /// erase deadline has come is deleted or beyond. A clock advance
+    /// alone keeps retention.
+    #[test]
+    fn retention_scenario_erases_every_unit_by_its_deadline() {
+        use datacase_core::grounding::erasure::ErasureInterpretation::Deleted;
+        let compiled = compile(9, &Scenario::retention());
+        for kind in BackendKind::ALL {
+            let mut fe = Frontend::new(chaos_config(kind));
+            let mut expired = 0;
+            for op in &compiled.ops {
+                apply_op(&mut fe, op);
+                let now = fe.clock().now();
+                expired = 0;
+                for unit in fe.state().units().filter(|u| u.is_personal()) {
+                    if unit.policies.erase_deadline().is_some_and(|d| d <= now) {
+                        assert!(
+                            unit.erasure.satisfies(Deleted),
+                            "{kind:?}: unit {:?} is {:?} after {} at {now}",
+                            unit.id,
+                            unit.erasure,
+                            op.label()
+                        );
+                        expired += 1;
+                    }
+                }
+            }
+            assert_eq!(expired, 10, "{kind:?}: both horizons expired");
         }
     }
 

@@ -6,7 +6,7 @@
 //! storms, retention horizons expiring
 //! mid-run, role churn, tenant churn. [`compile`] lowers the steps into
 //! a [`CompiledScenario`]: an ordered list of [`TraceOp`]s (engine
-//! submissions, clock advances, retention sweeps) whose every key,
+//! submissions and clock advances) whose every key,
 //! payload byte, and batch boundary is a pure function of
 //! `(seed, scenario)` — so any run, crashed or not, can be reproduced
 //! from those two values alone.
@@ -59,9 +59,9 @@ pub enum Step {
         rounds: u32,
     },
     /// Records collected with a short retention horizon; the clock then
-    /// jumps past the horizon and the retention sweeper runs (G17 is a
-    /// maintained invariant, so expiry without a sweep would be a
-    /// compliance violation, not a chaos finding).
+    /// advances past the horizon, and the retention drain erases each
+    /// record at its deadline on the way (G17 is a maintained invariant:
+    /// a clock advance alone keeps it).
     RetentionExpiry {
         /// Records created with the short horizon.
         records: u32,
@@ -161,7 +161,7 @@ impl Scenario {
         }
     }
 
-    /// Retention horizons expiring mid-run, swept on schedule.
+    /// Retention horizons expiring mid-run, drained at their deadlines.
     pub fn retention() -> Scenario {
         Scenario {
             name: "retention",
@@ -248,13 +248,13 @@ pub enum TraceOp {
         /// The ordered batch.
         batch: Batch,
     },
-    /// Advance the simulated clock to `to` (monotone; never backwards).
+    /// Advance the simulated clock to `to` (monotone; never backwards),
+    /// through [`Frontend::advance_to`](datacase_engine::Frontend::advance_to):
+    /// the retention drain erases every unit whose deadline it passes.
     Advance {
         /// Target instant.
         to: Ts,
     },
-    /// Run the retention sweeper.
-    Sweep,
 }
 
 impl TraceOp {
@@ -263,7 +263,6 @@ impl TraceOp {
         match self {
             TraceOp::Submit { batch, .. } => format!("submit[{}]", batch.len()),
             TraceOp::Advance { to } => format!("advance[{}]", to.0),
-            TraceOp::Sweep => "sweep".into(),
         }
     }
 }
@@ -517,10 +516,9 @@ impl Compiler {
                         selector: MetaSelector::BySubject(s),
                     }),
                 });
-                // Jump past the horizon and sweep: G17 stays maintained.
+                // Advance past the horizon: the drain keeps G17.
                 self.cursor = ttl + Dur::from_secs(60);
                 self.ops.push(TraceOp::Advance { to: self.cursor });
-                self.ops.push(TraceOp::Sweep);
                 self.drain_subject(s);
             }
             Step::RoleChurn { rounds } => {
@@ -639,7 +637,6 @@ mod tests {
                     (TraceOp::Advance { to: tx }, TraceOp::Advance { to: ty }) => {
                         assert_eq!(tx, ty)
                     }
-                    (TraceOp::Sweep, TraceOp::Sweep) => {}
                     _ => panic!("op shapes diverge"),
                 }
             }
@@ -678,24 +675,5 @@ mod tests {
         for needle in &c.erased_needles {
             assert!(needle.starts_with(b"CHAOS-S"));
         }
-    }
-
-    #[test]
-    fn retention_steps_pair_advance_with_sweep() {
-        let c = compile(9, &Scenario::retention());
-        let mut pending_advance = false;
-        let mut sweeps = 0;
-        for op in &c.ops {
-            match op {
-                TraceOp::Advance { .. } => pending_advance = true,
-                TraceOp::Sweep => {
-                    assert!(pending_advance, "sweep follows its advance");
-                    pending_advance = false;
-                    sweeps += 1;
-                }
-                _ => {}
-            }
-        }
-        assert_eq!(sweeps, 2);
     }
 }

@@ -205,7 +205,7 @@ impl PolicySet {
     /// (G17), the earliest `until` of every `compliance-erase` policy ever
     /// granted. Revoked and expired policies count — a deadline, once
     /// granted, still binds. `None` if no such policy was ever granted. The
-    /// one definition G17 and the retention sweeper both use.
+    /// one definition G17 and the engine's retention drain both use.
     pub fn erase_deadline(&self) -> Option<Ts> {
         let ce = crate::purpose::well_known::compliance_erase();
         self.records

@@ -3,9 +3,9 @@
 //! one loop that runs them.
 //!
 //! A compliance erase (`Request::Erase`) runs [`plan`] for its
-//! [`ErasureInterpretation`], the retention [`sweep`](crate::sweeper::sweep)
-//! runs [`plan`] for [`ErasureInterpretation::Deleted`], and a workload
-//! `Request::Delete` runs [`workload_plan`]. The mapping is system
+//! [`ErasureInterpretation`], the retention drain runs [`plan`] for
+//! [`ErasureInterpretation::Deleted`], and a workload `Request::Delete`
+//! runs [`workload_plan`]. The mapping is system
 //! dependent, as the paper says: a [`Step`] names one [`StorageBackend`]
 //! hook (or the audit logger / key vault) and renders per backend — heap
 //! mechanics (hidden attribute / DELETE / VACUUM / VACUUM FULL / WAL scrub
@@ -17,12 +17,15 @@
 //! satisfies, executes the steps in order, then ends with the epilogue
 //! (`Model::finish_erasure`: revoke consent, mark and record the erasure,
 //! receipt included; then the metadata scans forget the key, which
-//! `restore_now` puts back). No other code decides which backend calls an
+//! `restore_now` puts back, and a unit now deleted or beyond leaves the
+//! deadline index). No other code decides which backend calls an
 //! erasure makes, so the plan a report declares is the plan that runs.
 //! [`probe_on`] then verifies the IR / II / Inv properties *empirically*
 //! against the forensic scanner and the provenance graph, on any engine
 //! configuration. The executor itself is crate-internal: callers reach it
-//! through the requests above, `Request::Restore` and the sweeper.
+//! through the requests above, `Request::Restore` and the retention drain,
+//! which runs before every request and at every deadline
+//! [`Frontend::advance_to`] passes.
 
 use datacase_core::action::Action;
 use datacase_core::grounding::erasure::ErasureInterpretation;
@@ -197,6 +200,7 @@ pub(crate) fn erase_now(
                     if let Some(dkey) = keys.key_of(d) {
                         let _ = backend.delete(dkey);
                     }
+                    keys.unschedule(d, model.erase_deadline(d));
                     let at = clock.now();
                     let already = model.state.unit(d).is_none_or(|u| u.erasure.rank() >= 2);
                     if !already {
@@ -243,7 +247,27 @@ pub(crate) fn erase_now(
     let at = clock.now();
     model.finish_erasure(&mut substrate.enforcer, unit, interp, entity, now, at);
     keys.unscan(key);
+    if interp.implies(ErasureInterpretation::Deleted) {
+        keys.unschedule(unit, model.erase_deadline(unit));
+    }
     Ok(())
+}
+
+/// The retention drain: erase, as the controller and at
+/// [`ErasureInterpretation::Deleted`], every personal unit whose
+/// [`erase_deadline`](datacase_core::policy::PolicySet::erase_deadline)
+/// is at or before now, in (deadline, unit) order, so the engine's own
+/// actions keep G17. Each unit leaves the index as it is taken, so one the
+/// executor refuses or fails is not retried; one only hidden is
+/// escalated. With nothing due, it only reads the index's first entry.
+pub(crate) fn drain(fe: &mut Frontend) {
+    let interp = ErasureInterpretation::Deleted;
+    while let Some(unit) = fe.keys.pop_due(fe.clock.now()) {
+        let key = fe.keys.key_of(unit).expect("indexed units are bound");
+        let steps = plan(&fe.config, interp);
+        let controller = fe.model.controller;
+        let _ = erase_now(fe, key, interp, steps, controller);
+    }
 }
 
 /// Restore a reversibly-inaccessible unit (the inverse action that makes
@@ -265,7 +289,7 @@ pub(crate) fn restore_now(fe: &mut Frontend, key: u64) -> bool {
     if fe.substrate.backend.set_hidden(key, false).is_err() {
         return false;
     }
-    fe.keys.insert(key, meta);
+    fe.keys.insert(key, meta, fe.model.erase_deadline(unit));
     let at = fe.clock.now();
     fe.model.state.unit_mut(unit).expect("checked").restore();
     fe.model.record(
@@ -412,6 +436,8 @@ mod tests {
     use super::*;
     use crate::frontend::{Actor, Request, Session};
     use datacase_core::grounding::properties::ErasureProperties;
+    use datacase_core::regulation::Regulation;
+    use datacase_sim::time::Ts;
     use datacase_workloads::record::GdprMetadata;
 
     fn create(fe: &mut Frontend, key: u64, payload: &[u8]) {
@@ -662,6 +688,194 @@ mod tests {
                 .outcome
                 .is_err(),
             "already restored"
+        );
+    }
+
+    /// An engine holding one billing record per entry of `ttls`, key `i`
+    /// due at `ttls[i]` seconds.
+    fn fe_with_ttls(ttls: &[u64]) -> Frontend {
+        let mut fe = Frontend::new(EngineConfig::p_base());
+        let controller = Session::new(Actor::Controller);
+        for (i, &ttl) in ttls.iter().enumerate() {
+            let metadata = GdprMetadata {
+                subject: i as u32,
+                purpose: wk::billing(),
+                ttl: Ts::from_secs(ttl),
+                origin_device: 0,
+                objects_to_sharing: false,
+            };
+            let created = fe.run(
+                &controller,
+                Request::Create {
+                    key: i as u64,
+                    payload: format!("record-{i}").into_bytes(),
+                    metadata,
+                },
+            );
+            assert!(created.is_done(), "{:?}", created.outcome);
+        }
+        fe
+    }
+
+    fn status(fe: &Frontend, key: u64) -> ErasureStatus {
+        fe.state()
+            .unit(fe.unit_of_key(key).unwrap())
+            .unwrap()
+            .erasure
+    }
+
+    fn g17(fe: &mut Frontend) -> Vec<datacase_core::violation::Violation> {
+        let report = fe.compliance_report(&Regulation::gdpr());
+        report.of_invariant("G17").into_iter().cloned().collect()
+    }
+
+    #[test]
+    fn drain_erases_only_due_units() {
+        let mut fe = fe_with_ttls(&[100, 10_000_000]);
+        fe.advance_to(Ts::from_secs(200));
+        assert_eq!(
+            status(&fe, 0),
+            ErasureStatus::Deleted {
+                since: Ts::from_secs(100)
+            },
+            "erased at its deadline"
+        );
+        assert_eq!(status(&fe, 1), ErasureStatus::Active);
+    }
+
+    /// A raw clock jump drains nothing by itself; the next request's
+    /// drain erases every overdue unit, however late.
+    #[test]
+    fn the_next_request_drains_units_overdue_on_the_raw_clock() {
+        let mut fe = fe_with_ttls(&[100, 200, 300]);
+        fe.clock().advance_to(Ts::from_secs(40 * 24 * 3600));
+        assert!(!g17(&mut fe).is_empty());
+        let read = fe.run(&Session::new(Actor::Controller), Request::Read { key: 0 });
+        assert!(read.outcome.is_err(), "{:?}", read.outcome);
+        for key in 0..3 {
+            assert!(status(&fe, key).satisfies(ErasureInterpretation::Deleted));
+        }
+        assert!(g17(&mut fe)
+            .iter()
+            .all(|v| !v.message.contains("regulation requires")));
+    }
+
+    #[test]
+    fn hourly_advances_never_let_g17_break() {
+        let mut fe = fe_with_ttls(&[3600, 7200, 10_800]);
+        for hour in 1..=4 {
+            fe.advance_to(Ts::from_secs(hour * 3600));
+            let violations = g17(&mut fe);
+            assert!(
+                violations.is_empty(),
+                "G17 after hour {hour}: {violations:?}"
+            );
+        }
+        assert_eq!(fe.keys.next_deadline(), None, "everything erased");
+    }
+
+    /// Extending a TTL grants a later erase-by policy next to the first;
+    /// the drain and G17 both read the earliest, so the unit keeps one
+    /// deadline.
+    #[test]
+    fn extended_ttl_keeps_the_drain_and_g17_on_one_deadline() {
+        use datacase_workloads::opstream::MetaField;
+        let mut fe = fe_with_ttls(&[3600, 7200, 10_800, 14_400]);
+        let extended = fe.run(
+            &Session::new(Actor::Controller),
+            Request::UpdateMeta {
+                key: 1,
+                field: MetaField::Ttl,
+            },
+        );
+        assert!(extended.outcome.is_ok(), "{:?}", extended.outcome);
+        for hour in 1..=5 {
+            fe.advance_to(Ts::from_secs(hour * 3600));
+            let violations = g17(&mut fe);
+            assert!(
+                violations.is_empty(),
+                "G17 after hour {hour}: {violations:?}"
+            );
+        }
+        assert_eq!(
+            status(&fe, 1),
+            ErasureStatus::Deleted {
+                since: Ts::from_secs(7200)
+            }
+        );
+        assert_eq!(fe.keys.next_deadline(), None, "everything erased");
+    }
+
+    #[test]
+    fn a_second_advance_writes_no_second_receipt() {
+        let mut fe = fe_with_ttls(&[100]);
+        fe.advance_to(Ts::from_secs(5000));
+        let records = fe.audit_records();
+        fe.advance_to(Ts::from_secs(10_000));
+        let unit = fe.unit_of_key(0).unwrap();
+        let erases = fe
+            .history()
+            .of_unit(unit)
+            .iter()
+            .filter(|t| matches!(t.action, Action::Erase(_)))
+            .count();
+        assert_eq!(erases, 1);
+        assert_eq!(fe.audit_records(), records);
+    }
+
+    #[test]
+    fn drain_erases_due_units_on_lsm_backend() {
+        let mut fe = Frontend::new(EngineConfig::p_base().with_backend(BackendKind::Lsm));
+        let controller = Session::new(Actor::Controller);
+        let metadata = GdprMetadata {
+            subject: 1,
+            purpose: wk::billing(),
+            ttl: Ts::from_secs(100),
+            origin_device: 0,
+            objects_to_sharing: false,
+        };
+        fe.run(
+            &controller,
+            Request::Create {
+                key: 0,
+                payload: b"lsm-drained-record".to_vec(),
+                metadata,
+            },
+        );
+        fe.advance_to(Ts::from_secs(5000));
+        assert!(status(&fe, 0).satisfies(ErasureInterpretation::Deleted));
+        let read_back = fe.run(&controller, Request::Read { key: 0 });
+        assert!(
+            read_back.outcome.is_err(),
+            "erased record must be unreadable: {:?}",
+            read_back.outcome
+        );
+    }
+
+    /// A unit only hidden (reversibly inaccessible) is below G17's
+    /// minimum: it stays in the deadline index and is escalated to
+    /// deleted.
+    #[test]
+    fn drain_escalates_a_hidden_unit_to_deleted() {
+        let mut fe = fe_with_ttls(&[100, 10_000_000]);
+        assert!(erase(
+            &mut fe,
+            0,
+            ErasureInterpretation::ReversiblyInaccessible
+        ));
+        assert_eq!(
+            fe.keys.next_deadline(),
+            Some(Ts::from_secs(100)),
+            "the hidden unit is still due"
+        );
+        fe.advance_to(Ts::from_secs(40 * 24 * 3600));
+        assert!(status(&fe, 0).satisfies(ErasureInterpretation::Deleted));
+        let violations = g17(&mut fe);
+        assert!(
+            violations
+                .iter()
+                .all(|v| !v.message.contains("regulation requires")),
+            "{violations:?}"
         );
     }
 

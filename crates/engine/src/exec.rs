@@ -17,6 +17,9 @@
 //!    (and under the tamper-evidence chain) before its request's
 //!    [`Response`] is built. A denial is recorded by `Model::deny`.
 //!
+//! Before each request, the retention drain erases the units due; those
+//! records are the controller's, not the request's.
+//!
 //! One batch of *n* requests is therefore *n* single-request
 //! submissions: replies, meter counters, forensic residuals and the
 //! audit chain's bytes are independent of batch size (the
@@ -63,9 +66,11 @@ fn in_scope(session: &Session, request: &Request) -> bool {
     }
 }
 
-/// Execute one request to completion: decide, apply, account. The
-/// request's audit records are the ones the log gained meanwhile.
+/// Drain the units due, then execute one request to completion: decide,
+/// apply, account. The request's audit records are the ones the log
+/// gained meanwhile.
 fn run_one(fe: &mut Frontend, session: &Session, request: &Request, index: usize) -> Response {
+    crate::erasure::drain(fe);
     fe.config.fault.hit(CrashPoint::Decide);
     let records_before = fe.audit_records() as u64;
     let outcome = if !in_scope(session, request) {

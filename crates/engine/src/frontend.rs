@@ -49,6 +49,7 @@ use datacase_core::regulation::Regulation;
 use datacase_core::state::DatabaseState;
 use datacase_core::value::Value;
 use datacase_policy::enforcer::PolicyEpoch;
+use datacase_sim::time::Ts;
 use datacase_sim::{Meter, SimClock};
 use datacase_storage::backend::{BackendStats, DurableSnapshot};
 use datacase_storage::forensic::ForensicFindings;
@@ -152,6 +153,18 @@ impl Frontend {
             );
         }
         responses
+    }
+
+    /// Let idle time pass until `to` (a request charges the clock only its
+    /// own work). The clock stops at every retention deadline on the way,
+    /// where the retention drain erases the units due, then moves on to
+    /// `to`: a unit is erased at its deadline, not after the wait.
+    pub fn advance_to(&mut self, to: Ts) {
+        while let Some(deadline) = self.keys.next_deadline().filter(|&d| d <= to) {
+            self.clock.advance_to(deadline);
+            crate::erasure::drain(self);
+        }
+        self.clock.advance_to(to);
     }
 
     // -- read-only surface -------------------------------------------------
@@ -304,7 +317,8 @@ impl Forensic<'_> {
             .backend
             .insert(key, unit.0, payload)
             .expect("derived insert");
-        self.fe.keys.bind_derived(unit, key);
+        let deadline = self.fe.model.erase_deadline(unit);
+        self.fe.keys.bind_derived(unit, key, deadline);
         unit
     }
 
@@ -363,7 +377,6 @@ mod tests {
     use crate::error::EngineError;
     use datacase_core::grounding::erasure::ErasureInterpretation;
     use datacase_core::purpose::well_known as wk;
-    use datacase_sim::time::Ts;
     use datacase_workloads::gdprbench::{GdprBench, Mix};
     use datacase_workloads::opstream::MetaField;
     use datacase_workloads::record::GdprMetadata;
@@ -672,12 +685,13 @@ mod tests {
         let (mut fe, _) = loaded(EngineConfig::p_sys(), 5);
         // Way past every record's retention deadline: the unit policies
         // have lapsed, but retention execution must still be possible.
+        // The request's drain deletes the unit first, so escalate past it.
         fe.clock().advance_to(Ts::from_secs(400 * 24 * 3600));
         let r = fe.run(
             &Session::new(Actor::Controller),
             Request::Erase {
                 key: 1,
-                interpretation: ErasureInterpretation::Deleted,
+                interpretation: ErasureInterpretation::StronglyDeleted,
             },
         );
         assert!(r.outcome.is_ok(), "{:?}", r.outcome);

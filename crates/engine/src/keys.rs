@@ -1,9 +1,10 @@
-//! The key index: which unit each record key is bound to, and the two
-//! metadata indexes a `ReadByMeta` scan reads.
+//! The key index: which unit each record key is bound to, the two
+//! metadata indexes a `ReadByMeta` scan reads, and the deadline index the
+//! retention drain reads.
 //!
 //! Every entry follows from the creates (and planted derived copies) the
-//! engine executed, so the index is derived state: a restart can rebuild
-//! it instead of persisting it.
+//! engine executed, and the policies it granted, so the index is derived
+//! state: a restart can rebuild it instead of persisting it.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -22,7 +23,7 @@ pub(crate) struct KeyMeta {
     pub(crate) ttl: Ts,
 }
 
-/// Key ↔ unit bindings plus the purpose and subject scan indexes.
+/// Key ↔ unit bindings plus the purpose, subject and deadline indexes.
 #[derive(Default)]
 pub(crate) struct KeyIndex {
     meta: HashMap<u64, KeyMeta>,
@@ -31,6 +32,9 @@ pub(crate) struct KeyIndex {
     // on every run (the simulated clock depends on which pages it hits).
     by_purpose: HashMap<PurposeId, BTreeSet<u64>>,
     by_subject: HashMap<u32, BTreeSet<u64>>,
+    // Bound personal units not yet deleted, by (erase deadline, unit):
+    // the retention drain reads the first entry.
+    due: BTreeSet<(Ts, UnitId)>,
 }
 
 impl KeyIndex {
@@ -54,19 +58,22 @@ impl KeyIndex {
         self.unit_key.get(&unit).copied()
     }
 
-    /// Bind a record: its key, its unit, and both scan indexes. A create
-    /// binds a fresh record; a restore re-binds a hidden one.
-    pub(crate) fn insert(&mut self, key: u64, meta: KeyMeta) {
+    /// Bind a record: its key, its unit, both scan indexes, and its
+    /// retention `deadline` (`None` for a unit that is not personal). A
+    /// create binds a fresh record; a restore re-binds a hidden one.
+    pub(crate) fn insert(&mut self, key: u64, meta: KeyMeta, deadline: Option<Ts>) {
         self.meta.insert(key, meta);
         self.unit_key.insert(meta.unit, key);
         self.by_purpose.entry(meta.purpose).or_default().insert(key);
         self.by_subject.entry(meta.subject).or_default().insert(key);
+        self.due.extend(deadline.map(|d| (d, meta.unit)));
     }
 
     /// Bind a heap key to a *derived* unit created through
     /// `DatabaseState::derive`, so erasure cascades can find its row. A
-    /// derived copy belongs to no subject and no scan.
-    pub(crate) fn bind_derived(&mut self, unit: UnitId, key: u64) {
+    /// derived copy belongs to no subject and no scan; an identifying one
+    /// is personal and has a retention `deadline`.
+    pub(crate) fn bind_derived(&mut self, unit: UnitId, key: u64, deadline: Option<Ts>) {
         self.meta.insert(
             key,
             KeyMeta {
@@ -77,9 +84,37 @@ impl KeyIndex {
             },
         );
         self.unit_key.insert(unit, key);
+        self.due.extend(deadline.map(|d| (d, unit)));
     }
 
-    /// Move a key's retention deadline.
+    /// Re-key an indexed unit from deadline `from` to `to` after a grant.
+    pub(crate) fn reschedule(&mut self, unit: UnitId, from: Option<Ts>, to: Option<Ts>) {
+        if self.unschedule(unit, from) {
+            self.due.extend(to.map(|d| (d, unit)));
+        }
+    }
+
+    /// Take `unit`, filed under `deadline`, out of the deadline index;
+    /// false if it was not there.
+    pub(crate) fn unschedule(&mut self, unit: UnitId, deadline: Option<Ts>) -> bool {
+        deadline.is_some_and(|d| self.due.remove(&(d, unit)))
+    }
+
+    /// The earliest deadline in the index.
+    pub(crate) fn next_deadline(&self) -> Option<Ts> {
+        self.due.first().map(|&(d, _)| d)
+    }
+
+    /// Take the unit with the earliest deadline out of the index, if that
+    /// deadline is at or before `now`.
+    pub(crate) fn pop_due(&mut self, now: Ts) -> Option<UnitId> {
+        if self.next_deadline()? > now {
+            return None;
+        }
+        self.due.pop_first().map(|(_, unit)| unit)
+    }
+
+    /// Move a key's displayed TTL.
     pub(crate) fn set_ttl(&mut self, key: u64, ttl: Ts) {
         if let Some(meta) = self.meta.get_mut(&key) {
             meta.ttl = ttl;

@@ -31,8 +31,10 @@
 //! compliance checker can audit any run. One erasure executor
 //! ([`erasure`]) maps every erasure trigger to a system-action plan
 //! (Table 1) and runs it: [`Request::Erase`], a workload
-//! [`Request::Delete`] and the retention [`sweep`] all go through it, and
-//! [`Request::Restore`] inverts the reversible plan.
+//! [`Request::Delete`] and the retention drain all go through it, and
+//! [`Request::Restore`] inverts the reversible plan. The drain runs
+//! before every request and at every deadline [`Frontend::advance_to`]
+//! passes, so the engine keeps storage limitation (G17) itself.
 //!
 //! Every profile composes over a pluggable
 //! [`StorageBackend`](datacase_storage::backend::StorageBackend): the
@@ -64,7 +66,6 @@ pub mod profiles;
 mod request;
 pub mod space;
 mod substrate;
-pub mod sweeper;
 
 pub use concurrent::{
     merged_chain_head, shard_of, ConcurrentEngine, EngineHandle, SubmitStamp, Ticket,
@@ -77,4 +78,3 @@ pub use frontend::{Actor, AuditRef, Batch, Forensic, Frontend, Reply, Request, R
 pub use pia::{assess, certify, Certificate, PiaReport};
 pub use profiles::{DeleteStrategy, EngineConfig, ProfileKind};
 pub use space::SpaceReport;
-pub use sweeper::{sweep, SweepReport};

@@ -192,6 +192,13 @@ impl Model {
         self.state.unit(unit)?.erasure.since()
     }
 
+    /// The retention deadline of a personal unit, the key the deadline
+    /// index files it under; `None` for any other unit.
+    pub(crate) fn erase_deadline(&self, unit: UnitId) -> Option<Ts> {
+        let unit = self.state.unit(unit).filter(|u| u.is_personal())?;
+        unit.policies.erase_deadline()
+    }
+
     /// Run the compliance checker against the model at `now`, with the
     /// chained log as IX's completeness input.
     ///

@@ -166,6 +166,7 @@ impl Frontend {
                 purpose: metadata.purpose,
                 ttl,
             },
+            self.model.erase_deadline(unit),
         );
         // Consent capture: the paper's CtrC tuple.
         self.model.record(
@@ -341,10 +342,13 @@ impl Frontend {
                 Policy::new(wk::audit(), self.model.auditor, now, Ts::MAX)
             }
         };
+        let before = self.model.erase_deadline(meta.unit);
         if let Some(u) = self.model.state.unit_mut(meta.unit) {
             u.policies.grant(new_policy, now);
         }
         self.substrate.enforcer.grant(meta.unit, new_policy);
+        let after = self.model.erase_deadline(meta.unit);
+        self.keys.reschedule(meta.unit, before, after);
         // The metadata-row update is a durable write like any other
         // statement (the paper: "such operations require more metadata
         // access and logging").

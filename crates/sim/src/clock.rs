@@ -56,9 +56,9 @@ impl SimClock {
         }
     }
 
-    /// Jump the clock forward so that `now() >= at` (used to model idle
-    /// waiting, e.g. letting a retention deadline pass). Does nothing if the
-    /// clock is already past `at`.
+    /// Jump the clock forward so that `now() >= at` (idle waiting; an
+    /// engine waits through its own `advance_to`, which stops at every
+    /// retention deadline). Does nothing if the clock is already past `at`.
     pub fn advance_to(&self, at: Ts) {
         let mut cur = self.nanos.load(Ordering::Relaxed);
         while cur < at.0 {

@@ -44,7 +44,7 @@ fn main() {
         .outcome
         .is_ok());
     // Jump past the deadline plus every regulation's grace window.
-    fe.clock().advance_to(Ts::from_secs(60 * 24 * 3600));
+    fe.advance_to(Ts::from_secs(60 * 24 * 3600));
 
     let regulations = [
         Regulation::gdpr(),
@@ -91,7 +91,7 @@ fn main() {
         )
         .outcome
         .is_ok());
-    fe2.clock().advance_to(Ts::from_secs(60 * 24 * 3600));
+    fe2.advance_to(Ts::from_secs(60 * 24 * 3600));
     let strict = fe2.compliance_report(&Regulation::gdpr_strict_member_state());
     println!(
         "\nre-grounded erase as strong deletion → strict member state: {}",

@@ -110,7 +110,7 @@ fn main() {
     let mut fe = fresh_frontend(BackendKind::Heap);
     let unit = fe.unit_of_key(1).expect("created");
     let mut stage = |at_secs: u64, interpretation: ErasureInterpretation| {
-        fe.clock().advance_to(Ts::from_secs(at_secs));
+        fe.advance_to(Ts::from_secs(at_secs));
         fe.run(
             &controller,
             Request::Erase {

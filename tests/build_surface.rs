@@ -123,14 +123,18 @@ fn no_external_dependency() {
 /// Every engine source file with its text, found by walking
 /// `crates/engine/src`.
 fn engine_sources() -> Vec<(PathBuf, String)> {
+    rust_sources(vec![repo_root().join("crates/engine/src")])
+}
+
+/// Every `.rs` file under `dirs`, with its text.
+fn rust_sources(mut dirs: Vec<PathBuf>) -> Vec<(PathBuf, String)> {
     let mut sources = Vec::new();
-    let mut dirs = vec![repo_root().join("crates/engine/src")];
     while let Some(dir) = dirs.pop() {
         for path in entries(&dir) {
             if path.is_dir() {
                 dirs.push(path);
             } else if path.extension().is_some_and(|ext| ext == "rs") {
-                let text = std::fs::read_to_string(&path).expect("read engine source");
+                let text = std::fs::read_to_string(&path).expect("read source");
                 sources.push((path, text));
             }
         }
@@ -198,6 +202,42 @@ fn erasures_are_executed_only_by_the_executor() {
     assert!(
         offenders.is_empty(),
         "erasure steps run outside erasure.rs:\n{}",
+        offenders.join("\n")
+    );
+}
+
+/// Idle time passes in one place: `Frontend::advance_to` stops the clock
+/// at every retention deadline on the way and drains the units due there.
+/// A raw `SimClock::advance_to` anywhere else in the program (every crate,
+/// the umbrella crate, the examples; test code and `tests/` are exempt)
+/// would let a deadline pass with its unit still live.
+#[test]
+fn idle_time_passes_only_through_the_retention_drain() {
+    let root = repo_root();
+    let mut dirs = vec![root.join("src"), root.join("examples")];
+    dirs.extend(
+        CRATES
+            .iter()
+            .map(|krate| root.join("crates").join(krate).join("src")),
+    );
+    let mut offenders = Vec::new();
+    for (path, text) in rust_sources(dirs) {
+        let mut in_advance = false;
+        for (i, line) in text.lines().enumerate() {
+            if line.trim() == "#[cfg(test)]" {
+                break;
+            }
+            in_advance |= is_file(&path, "frontend.rs") && line.contains("pub fn advance_to(");
+            let raw = line.contains("clock().advance_to(") || line.contains("clock.advance_to(");
+            if raw && !in_advance {
+                offenders.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
+            }
+            in_advance &= line != "    }";
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "the clock advanced outside Frontend::advance_to:\n{}",
         offenders.join("\n")
     );
 }

@@ -421,6 +421,36 @@ fn restore_works_only_before_physical_deletion() {
     assert!(!restore(&mut fe, 1));
 }
 
+/// A hidden unit past its retention deadline cannot be restored: the
+/// restore request's retention drain escalates it to deleted first.
+#[test]
+fn restore_cannot_bring_back_an_overdue_hidden_unit() {
+    let mut fe = seeded_frontend();
+    assert!(erase(
+        &mut fe,
+        1,
+        ErasureInterpretation::ReversiblyInaccessible
+    ));
+    fe.clock().advance_to(Ts::from_secs(2_000_000));
+    let r = fe.run(
+        &Session::new(Actor::Controller),
+        Request::Restore { key: 1 },
+    );
+    assert_eq!(
+        r.outcome,
+        Err(EngineError::Denied {
+            reason: "unit is not reversibly inaccessible".into()
+        })
+    );
+    let unit = fe.unit_of_key(1).unwrap();
+    assert!(fe
+        .state()
+        .unit(unit)
+        .unwrap()
+        .erasure
+        .satisfies(ErasureInterpretation::Deleted));
+}
+
 #[test]
 fn tombstone_strategy_keeps_data_readable_by_controller_view() {
     let mut config = EngineConfig::stock(DeleteStrategy::TombstoneAttribute);

@@ -3,6 +3,7 @@
 
 use data_case::core::action::Action;
 use data_case::core::history::HistoryTuple;
+use data_case::engine::shard_of;
 use data_case::prelude::*;
 use data_case::workloads::gdprbench::{GdprBench, Mix};
 
@@ -66,32 +67,87 @@ fn overdue_erasure_breaks_g17() {
             metadata,
         },
     );
-    // Let the deadline + grace pass without erasing.
+    // Let the deadline + grace pass on the raw clock, with no request and
+    // so no retention drain.
     fe.clock().advance_to(Ts::from_secs(30 * 24 * 3600));
     let report = fe.compliance_report(&Regulation::gdpr());
     assert!(!report.is_compliant());
     assert!(!report.of_invariant("G17").is_empty());
-    // Erase and the violation clears.
-    assert!(fe
-        .run(
-            &controller,
-            Request::Erase {
-                key: 1,
-                interpretation: ErasureInterpretation::Deleted,
-            },
-        )
-        .outcome
-        .is_ok());
+    // The next request's drain erases the unit first, so the explicit
+    // erase finds it already deleted.
+    let erase = fe.run(
+        &controller,
+        Request::Erase {
+            key: 1,
+            interpretation: ErasureInterpretation::Deleted,
+        },
+    );
+    assert!(
+        matches!(
+            erase.outcome,
+            Err(EngineError::RetentionExpired { key: 1, .. })
+        ),
+        "{:?}",
+        erase.outcome
+    );
     let after = fe.compliance_report(&Regulation::gdpr());
-    // The erase happened after the grace window, so the record-keeping
-    // side is satisfied but G17 still flags lateness… unless the erase
-    // action stands. Our grounding accepts any erase ≤ now with status
-    // satisfied — the late erase leaves a breach of timeliness only if
-    // recorded later than due; assert the *status* violation cleared.
+    // The erase happened after the grace window, so G17 still flags its
+    // lateness as a record-keeping breach; the *status* violation cleared.
     assert!(after
         .of_invariant("G17")
         .iter()
         .all(|v| !v.message.contains("regulation requires")));
+}
+
+/// The served engine keeps retention by itself: units whose deadline has
+/// come on their shard's clock are deleted, as the controller, by the
+/// next batch that shard runs, with no caller running a retention pass.
+#[test]
+fn served_shards_erase_overdue_units_before_their_next_batch() {
+    let engine = ConcurrentEngine::new(EngineConfig::p_base(), 2);
+    let controller = Session::new(Actor::Controller);
+    // Keys 1..=4 land on both shards (key % 2), each due at 1 ns, which
+    // every shard clock has passed by the time the record is created.
+    let overdue: Vec<Request> = (1..=4u64)
+        .map(|key| Request::Create {
+            key,
+            payload: format!("overdue-{key}").into_bytes(),
+            metadata: GdprMetadata {
+                subject: key as u32,
+                purpose: data_case::core::purpose::well_known::billing(),
+                ttl: Ts(1),
+                origin_device: 0,
+                objects_to_sharing: false,
+            },
+        })
+        .collect();
+    let (created, _) = engine.submit(&controller, &overdue).wait();
+    assert!(created.iter().all(Response::is_done), "{created:?}");
+    // One more batch per shard: a read of a key that was never stored.
+    let (_, _) = engine
+        .submit(
+            &controller,
+            &[Request::Read { key: 100 }, Request::Read { key: 101 }],
+        )
+        .wait();
+    let shards = engine.shutdown();
+    for key in 1..=4u64 {
+        let fe = &shards[shard_of(&overdue[key as usize - 1], 2).expect("keyed")];
+        let unit = fe.unit_of_key(key).expect("created on its shard");
+        let status = fe.state().unit(unit).unwrap().erasure;
+        assert!(
+            status.satisfies(ErasureInterpretation::Deleted),
+            "key {key}: {status:?}"
+        );
+        let controller_id = fe.entities().by_name("MetaSpace").unwrap().id;
+        let receipt = fe
+            .history()
+            .of_unit(unit)
+            .into_iter()
+            .find(|t| t.action == Action::Erase(ErasureInterpretation::Deleted))
+            .expect("a retention receipt");
+        assert_eq!(receipt.entity, controller_id, "key {key}");
+    }
 }
 
 #[test]
