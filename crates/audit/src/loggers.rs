@@ -7,8 +7,8 @@
 //! — under one HMAC chain. `bytes()` is computed from what is stored, so
 //! what Table 2 accounts is what the process holds.
 
+use datacase_core::history::{History, HistoryTuple};
 use datacase_core::ids::UnitId;
-use datacase_core::invariants::AuditTrail;
 use datacase_crypto::aes::KeySize;
 use datacase_crypto::ctr::AesCtr;
 use datacase_sim::{Meter, SimClock};
@@ -47,9 +47,11 @@ pub trait AuditLogger: Send {
     /// any batched redactions first (an audit-time operation).
     fn verify_chain(&mut self) -> bool;
 
-    /// The retained records as a payload-free, per-unit view (invariant
-    /// IX's completeness input).
-    fn trail(&self) -> &dyn AuditTrail;
+    /// The action history the retained records mirror, read off the
+    /// chain's records: what the compliance checker audits. Redacted
+    /// records keep their facts, so they still project; denials project
+    /// nothing.
+    fn history(&self) -> &dyn History;
 }
 
 /// Shared storage + chain logic for the backends.
@@ -86,7 +88,19 @@ impl LogCore {
 
     /// Pay for `rec` as stored (clock + meter + space accounting), then
     /// commit it to the store and the chain.
+    ///
+    /// # Panics
+    /// Panics if `rec.at` precedes the last record's time: the log is the
+    /// action history, time-ordered evidence an audit reads in order.
     fn append(&mut self, rec: LogRecord) {
+        if let Some(last) = self.records.last() {
+            assert!(
+                last.at <= rec.at,
+                "history must be time-ordered: {:?} after {:?}",
+                rec.at,
+                last.at
+            );
+        }
         let unit = rec.unit;
         let rec = Stored::from(rec);
         let size = rec.size();
@@ -166,17 +180,19 @@ impl LogCore {
     }
 }
 
-/// Read straight off the per-unit index. Records are appended in time
-/// order (each carries its history tuple's time, and the history is
-/// time-ordered), so a unit's positions are sorted by `at`.
-impl AuditTrail for LogCore {
-    fn recorded(&self, unit: UnitId, at: datacase_sim::time::Ts) -> bool {
-        let Some(positions) = self.by_unit.get(&unit) else {
-            return false;
-        };
-        let at_of = |i: u32| self.records[i as usize].at;
-        let first = positions.partition_point(|&i| at_of(i) < at);
-        positions.get(first).is_some_and(|&i| at_of(i) == at)
+/// The history as a view of the stored records: `H(X)` reads the
+/// per-unit index, so nothing is materialised beyond the tuples asked for.
+impl History for LogCore {
+    fn tuples(&self) -> Box<dyn Iterator<Item = HistoryTuple> + '_> {
+        Box::new(self.records.iter().filter_map(Stored::tuple))
+    }
+
+    fn of_unit(&self, unit: UnitId) -> Vec<HistoryTuple> {
+        let positions = self.by_unit.get(&unit).map_or(&[][..], Vec::as_slice);
+        positions
+            .iter()
+            .filter_map(|&i| self.records[i as usize].tuple())
+            .collect()
     }
 }
 
@@ -233,20 +249,19 @@ impl AuditLogger for CsvRowLogger {
     fn verify_chain(&mut self) -> bool {
         self.core.verify()
     }
-    fn trail(&self) -> &dyn AuditTrail {
+    fn history(&self) -> &dyn History {
         &self.core
     }
 }
 
-/// The query text [`FullQueryLogger`] synthesises for a record.
+/// The query text [`FullQueryLogger`] synthesises for a record; a record
+/// that names no unit renders as `unit=-` (unit ids start at 0).
 fn query_text(rec: &LogRecord) -> String {
-    format!(
-        "{} unit={} purpose={} entity={};",
-        rec.op,
-        rec.unit.map(|u| u.0).unwrap_or(0),
-        rec.purpose,
-        rec.entity
-    )
+    let (op, purpose, entity) = (rec.op, rec.purpose, rec.entity);
+    match rec.unit {
+        Some(unit) => format!("{op} unit={} purpose={purpose} entity={entity};", unit.0),
+        None => format!("{op} unit=- purpose={purpose} entity={entity};"),
+    }
 }
 
 /// P_GBench: full query + response logging ("logging all queries and
@@ -300,7 +315,7 @@ impl AuditLogger for FullQueryLogger {
     fn verify_chain(&mut self) -> bool {
         self.core.verify()
     }
-    fn trail(&self) -> &dyn AuditTrail {
+    fn history(&self) -> &dyn History {
         &self.core
     }
 }
@@ -392,7 +407,7 @@ impl AuditLogger for EncryptedLogger {
     fn verify_chain(&mut self) -> bool {
         self.core.verify()
     }
-    fn trail(&self) -> &dyn AuditTrail {
+    fn history(&self) -> &dyn History {
         &self.core
     }
 }
@@ -400,6 +415,8 @@ impl AuditLogger for EncryptedLogger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datacase_core::action::Action;
+    use datacase_core::grounding::erasure::ErasureInterpretation;
     use datacase_core::ids::EntityId;
     use datacase_core::purpose::well_known as wk;
     use datacase_sim::time::Ts;
@@ -466,14 +483,16 @@ mod tests {
         // was packed and the HMAC streamed (PR 22's tree, same sequence,
         // unit 7 redacted): one chained byte moving in any backend — a
         // field's width, the unit-less sentinel, the redaction flag, the
-        // pads — changes a hex string here.
+        // pads — changes a hex string here. The P_GBench head moved once
+        // since, when its query text began to render a record that names
+        // no unit as `unit=-` instead of `unit=0` (same length, same bytes).
         let golden = [
             (
                 "1382707f21ca0a1dc96bf551f78974d3c15acff8ca3beb91481eec15ccd2afd3",
                 277,
             ),
             (
-                "49ff227d2083ed55fcab4728379b33affbff011d181ca3ae633993d9da5d8ce2",
+                "40e94f16c2e9438d17a7ca06edbc90af30cd749aa0411a5033bd7733b923e2fa",
                 454,
             ),
             (
@@ -552,20 +571,60 @@ mod tests {
     }
 
     #[test]
-    fn trail_finds_each_record_by_unit_and_time() {
+    fn history_projects_each_action_record_by_unit_and_time() {
+        let labelled = |seq: u64, unit: Option<u64>, op: &'static str| LogRecord {
+            unit: unit.map(UnitId),
+            op,
+            ..rec(seq, 0, b"payload")
+        };
         for mut b in backends() {
-            b.log(rec(1, 7, b"a"));
-            b.log(rec(2, 8, b"b"));
-            b.log(rec(3, 7, b"c"));
+            b.log(labelled(1, Some(7), "INSERT"));
+            b.log(labelled(2, Some(8), "SELECT"));
+            b.log(labelled(3, Some(7), "DENIED"));
+            b.log(labelled(4, None, "assess"));
+            b.log(labelled(5, Some(7), "DELETE"));
             b.redact_unit(UnitId(7));
-            let trail = b.trail();
-            for (unit, secs, expected) in [(7, 1, true), (8, 2, true), (7, 3, true), (7, 2, false)]
-            {
-                let found = trail.recorded(UnitId(unit), Ts::from_secs(secs));
-                assert_eq!(found, expected, "{}: unit {unit} at {secs}s", b.name());
-            }
-            assert!(!trail.recorded(UnitId(9), Ts::from_secs(1)));
+            let history = b.history();
+            let seen: Vec<(UnitId, Action, u64)> = history
+                .tuples()
+                .map(|t| (t.unit, t.action, t.at.0 / Ts::from_secs(1).0))
+                .collect();
+            let deleted = Action::Erase(ErasureInterpretation::Deleted);
+            assert_eq!(
+                seen,
+                [
+                    (UnitId(7), Action::Create, 1),
+                    (UnitId(8), Action::Read, 2),
+                    (UnitId(u64::MAX), Action::Assess, 4),
+                    (UnitId(7), deleted, 5),
+                ],
+                "{}: redacted records project, the denial does not",
+                b.name()
+            );
+            let of_seven: Vec<(Action, Ts)> = history
+                .of_unit(UnitId(7))
+                .into_iter()
+                .map(|t| (t.action, t.at))
+                .collect();
+            assert_eq!(
+                of_seven,
+                [
+                    (Action::Create, Ts::from_secs(1)),
+                    (deleted, Ts::from_secs(5))
+                ],
+                "{}",
+                b.name()
+            );
+            assert!(history.of_unit(UnitId(9)).is_empty());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "time-ordered")]
+    fn out_of_order_append_panics() {
+        let mut b = CsvRowLogger::new(b"k", SimClock::commodity(), Arc::new(Meter::new()));
+        b.log(rec(5, 1, b"later"));
+        b.log(rec(4, 1, b"earlier"));
     }
 
     #[test]

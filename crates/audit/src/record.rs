@@ -6,6 +6,8 @@
 //! canonical byte layout under the HMAC chain is defined once, in
 //! `Stored::feed`.
 
+use datacase_core::action::Action;
+use datacase_core::history::HistoryTuple;
 use datacase_core::ids::{EntityId, UnitId};
 use datacase_core::purpose::PurposeId;
 use datacase_crypto::hmac::HmacSha256;
@@ -68,6 +70,19 @@ impl From<LogRecord> for Stored {
 }
 
 impl Stored {
+    /// The history tuple the record mirrors, read off its facts: a record
+    /// that names no unit is a tuple on `UnitId(u64::MAX)`. `None` for a
+    /// label that names no action (a denial).
+    pub(crate) fn tuple(&self) -> Option<HistoryTuple> {
+        Some(HistoryTuple {
+            unit: UnitId(self.unit),
+            purpose: self.purpose,
+            entity: self.entity,
+            action: Action::from_label(self.op)?,
+            at: self.at,
+        })
+    }
+
     /// Serialized size estimate (for space accounting and log costs).
     pub(crate) fn size(&self) -> usize {
         40 + self.op.len() + self.payload.len()

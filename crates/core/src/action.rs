@@ -3,7 +3,6 @@
 //! plus reads, which regulations also constrain).
 
 use crate::grounding::erasure::ErasureInterpretation;
-use crate::ids::{EntityId, UnitId};
 
 /// The kind of an action, used for purpose groundings and statistics.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -63,7 +62,7 @@ impl ActionKind {
 }
 
 /// A concrete action `τ` on a data unit.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Action {
     /// Collect/create the unit.
     Create,
@@ -77,16 +76,11 @@ pub enum Action {
     UpdateMeta,
     /// Grant or revoke a policy.
     UpdatePolicy,
-    /// Derive `output` from this unit (and possibly others).
-    Derive {
-        /// The unit produced by the derivation.
-        output: UnitId,
-    },
-    /// Disclose the unit to `with`.
-    Share {
-        /// Recipient entity.
-        with: EntityId,
-    },
+    /// Derive a new unit from this one (the derived unit is in the
+    /// provenance graph).
+    Derive,
+    /// Disclose the unit to another entity.
+    Share,
     /// Erase under the given interpretation.
     Erase(ErasureInterpretation),
     /// Restore a reversibly-inaccessible unit.
@@ -109,8 +103,8 @@ impl Action {
             Action::ReadMeta => ActionKind::ReadMeta,
             Action::UpdateMeta => ActionKind::UpdateMeta,
             Action::UpdatePolicy => ActionKind::UpdatePolicy,
-            Action::Derive { .. } => ActionKind::Derive,
-            Action::Share { .. } => ActionKind::Share,
+            Action::Derive => ActionKind::Derive,
+            Action::Share => ActionKind::Share,
             Action::Erase(_) => ActionKind::Erase,
             Action::Restore => ActionKind::Restore,
             Action::Sanitize => ActionKind::Sanitize,
@@ -123,13 +117,55 @@ impl Action {
     pub fn is_mutation(&self) -> bool {
         self.kind().is_mutation()
     }
+
+    /// The audit-record label of the action: the statement a workload
+    /// action runs as, an erasure's interpretation, or else the action
+    /// kind's label. One label per action, so a chained record names its
+    /// action exactly ([`Action::from_label`]).
+    pub fn label(&self) -> &'static str {
+        use ErasureInterpretation::*;
+        match self {
+            Action::Create => "INSERT",
+            Action::Read => "SELECT",
+            Action::UpdateValue => "UPDATE",
+            Action::ReadMeta => "SELECT-META",
+            Action::Erase(ReversiblyInaccessible) => "HIDE",
+            Action::Erase(Deleted) => "DELETE",
+            Action::Erase(StronglyDeleted) => "DELETE-STRONG",
+            Action::Erase(PermanentlyDeleted) => "DELETE-PERMANENT",
+            other => other.kind().label(),
+        }
+    }
+
+    /// The action a record label names, the inverse of [`Action::label`];
+    /// `None` for a label that names no action (a denial's `DENIED`).
+    pub fn from_label(label: &str) -> Option<Action> {
+        use ErasureInterpretation::*;
+        Some(match label {
+            "INSERT" => Action::Create,
+            "SELECT" => Action::Read,
+            "UPDATE" => Action::UpdateValue,
+            "SELECT-META" => Action::ReadMeta,
+            "update-meta" => Action::UpdateMeta,
+            "update-policy" => Action::UpdatePolicy,
+            "derive" => Action::Derive,
+            "share" => Action::Share,
+            "HIDE" => Action::Erase(ReversiblyInaccessible),
+            "DELETE" => Action::Erase(Deleted),
+            "DELETE-STRONG" => Action::Erase(StronglyDeleted),
+            "DELETE-PERMANENT" => Action::Erase(PermanentlyDeleted),
+            "restore" => Action::Restore,
+            "sanitize" => Action::Sanitize,
+            "notify" => Action::Notify,
+            "assess" => Action::Assess,
+            _ => return None,
+        })
+    }
 }
 
 impl std::fmt::Display for Action {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Action::Derive { output } => write!(f, "derive->{output}"),
-            Action::Share { with } => write!(f, "share->{with}"),
             Action::Erase(i) => write!(f, "erase[{i}]"),
             other => f.write_str(other.kind().label()),
         }
@@ -143,10 +179,7 @@ mod tests {
     #[test]
     fn kinds_match_variants() {
         assert_eq!(Action::Create.kind(), ActionKind::Create);
-        assert_eq!(
-            Action::Derive { output: UnitId(1) }.kind(),
-            ActionKind::Derive
-        );
+        assert_eq!(Action::Derive.kind(), ActionKind::Derive);
         assert_eq!(
             Action::Erase(ErasureInterpretation::Deleted).kind(),
             ActionKind::Erase
@@ -164,11 +197,34 @@ mod tests {
     #[test]
     fn display_forms() {
         assert_eq!(format!("{}", Action::Read), "read");
-        assert_eq!(
-            format!("{}", Action::Share { with: EntityId(4) }),
-            "share->e4"
-        );
+        assert_eq!(format!("{}", Action::Share), "share");
         assert!(format!("{}", Action::Erase(ErasureInterpretation::Deleted)).contains("erase"));
+    }
+
+    #[test]
+    fn record_labels_round_trip_and_are_distinct() {
+        let mut actions = vec![
+            Action::Create,
+            Action::Read,
+            Action::UpdateValue,
+            Action::ReadMeta,
+            Action::UpdateMeta,
+            Action::UpdatePolicy,
+            Action::Derive,
+            Action::Share,
+            Action::Restore,
+            Action::Sanitize,
+            Action::Notify,
+            Action::Assess,
+        ];
+        actions.extend(ErasureInterpretation::ALL.map(Action::Erase));
+        let mut labels = std::collections::HashSet::new();
+        for a in &actions {
+            assert_eq!(Action::from_label(a.label()).as_ref(), Some(a), "{a}");
+            assert!(labels.insert(a.label()), "{a}: label {} reused", a.label());
+        }
+        assert_eq!(labels.len(), 16);
+        assert_eq!(Action::from_label("DENIED"), None);
     }
 
     #[test]

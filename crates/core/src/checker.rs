@@ -101,7 +101,7 @@ pub fn check(ctx: &CheckContext<'_>) -> ComplianceReport {
 mod tests {
     use super::*;
     use crate::action::Action;
-    use crate::history::{ActionHistory, HistoryTuple};
+    use crate::history::HistoryTuple;
     use crate::ids::EntityId;
     use crate::invariants::EvidenceFlags;
     use crate::policy::Policy;
@@ -117,12 +117,12 @@ mod tests {
 
     /// Build a fully compliant little world: consented collection, subject
     /// access, retention bound far in the future, tamper-evident logs.
-    fn compliant_world() -> (DatabaseState, ActionHistory, PurposeRegistry) {
+    fn compliant_world() -> (DatabaseState, Vec<HistoryTuple>, PurposeRegistry) {
         let mut state = DatabaseState::new();
-        let mut history = ActionHistory::new();
+        let mut history = Vec::new();
         let subject = EntityId(7);
         let uid = state.collect(subject, Origin::Subject(subject), "cc".into(), t(0));
-        history.record(HistoryTuple {
+        history.push(HistoryTuple {
             unit: uid,
             purpose: wk::contract(),
             entity: EntityId(1),
@@ -149,7 +149,7 @@ mod tests {
 
     /// Check `regulation` over a world whose audit log verified.
     fn check_world(
-        (state, history, purposes): &(DatabaseState, ActionHistory, PurposeRegistry),
+        (state, history, purposes): &(DatabaseState, Vec<HistoryTuple>, PurposeRegistry),
         regulation: &Regulation,
         now: Ts,
     ) -> ComplianceReport {
@@ -164,7 +164,6 @@ mod tests {
                 encryption_at_rest_default: false,
             },
             tenants: &TenantDirectory::new(),
-            audit: None,
         })
     }
 
@@ -179,7 +178,7 @@ mod tests {
     #[test]
     fn illegal_read_surfaces_in_g6_and_iv() {
         let mut world = compliant_world();
-        world.1.record(HistoryTuple {
+        world.1.push(HistoryTuple {
             unit: crate::ids::UnitId(0),
             purpose: wk::billing(),
             entity: EntityId(66),

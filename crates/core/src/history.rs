@@ -2,8 +2,6 @@
 //! (paper §2.1), plus the policy-consistency predicate (the formal core of
 //! G6).
 
-use std::collections::HashMap;
-
 use datacase_sim::time::Ts;
 
 use crate::action::Action;
@@ -38,67 +36,8 @@ impl std::fmt::Display for HistoryTuple {
     }
 }
 
-/// A collection of action-history tuples with a per-unit index.
-///
-/// `H(X)` is [`ActionHistory::of_unit`]. The history is append-only, in
-/// non-decreasing time order.
-#[derive(Clone, Debug, Default)]
-pub struct ActionHistory {
-    tuples: Vec<HistoryTuple>,
-    by_unit: HashMap<UnitId, Vec<u32>>,
-}
-
-impl ActionHistory {
-    /// An empty history.
-    pub fn new() -> ActionHistory {
-        ActionHistory::default()
-    }
-
-    /// Append a tuple.
-    ///
-    /// # Panics
-    /// Panics if `t.at` precedes the last recorded time (histories are
-    /// time-ordered evidence; out-of-order records would invalidate audits).
-    pub fn record(&mut self, t: HistoryTuple) {
-        if let Some(last) = self.tuples.last() {
-            assert!(
-                last.at <= t.at,
-                "history must be time-ordered: {:?} after {:?}",
-                t.at,
-                last.at
-            );
-        }
-        self.by_unit
-            .entry(t.unit)
-            .or_default()
-            .push(self.tuples.len() as u32);
-        self.tuples.push(t);
-    }
-
-    /// `H(X)`: all tuples for `unit`, in time order.
-    pub fn of_unit(&self, unit: UnitId) -> Vec<&HistoryTuple> {
-        self.by_unit
-            .get(&unit)
-            .map(|idxs| idxs.iter().map(|&i| &self.tuples[i as usize]).collect())
-            .unwrap_or_default()
-    }
-
-    /// All tuples, in time order.
-    pub fn iter(&self) -> impl Iterator<Item = &HistoryTuple> {
-        self.tuples.iter()
-    }
-
-    /// Number of tuples.
-    pub fn len(&self) -> usize {
-        self.tuples.len()
-    }
-
-    /// True if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
-    }
-
-    /// Policy-consistency of one tuple (paper §2.1):
+impl HistoryTuple {
+    /// Policy-consistency of the tuple (paper §2.1):
     ///
     /// a tuple `(X, p, e, τ(X), t)` is policy-consistent iff
     /// * there is a policy `⟨p, e, t_b, t_f⟩ ∈ P(t)` of `X` whose grounded
@@ -106,22 +45,44 @@ impl ActionHistory {
     /// * the action is required by the data regulation (e.g. erasure under
     ///   `compliance-erase`, breach notification).
     pub fn policy_consistent(
-        tuple: &HistoryTuple,
+        &self,
         state: &DatabaseState,
         purposes: &PurposeRegistry,
         regulation: &Regulation,
     ) -> bool {
-        if regulation.requires_action(tuple) {
+        if regulation.requires_action(self) {
             return true;
         }
-        let Some(unit) = state.unit(tuple.unit) else {
+        let Some(unit) = state.unit(self.unit) else {
             // An action on a unit the state never knew is inconsistent by
             // definition — there is no policy that could authorise it.
             return false;
         };
-        unit.policies
-            .authorises(tuple.purpose, tuple.entity, tuple.at)
-            && purposes.authorises(tuple.purpose, tuple.action.kind())
+        unit.policies.authorises(self.purpose, self.entity, self.at)
+            && purposes.authorises(self.purpose, self.action.kind())
+    }
+}
+
+/// An action history `H`: every tuple in time order, and `H(X)` per unit.
+///
+/// The engine's history is a read-only view of its chained audit log, so
+/// what the checker reads is the tamper-evident record; a `Vec` of tuples
+/// is the history of a hand-built fixture.
+pub trait History {
+    /// Every tuple, in time order.
+    fn tuples(&self) -> Box<dyn Iterator<Item = HistoryTuple> + '_>;
+
+    /// `H(X)`: the tuples on `unit`, in time order.
+    fn of_unit(&self, unit: UnitId) -> Vec<HistoryTuple>;
+}
+
+impl History for Vec<HistoryTuple> {
+    fn tuples(&self) -> Box<dyn Iterator<Item = HistoryTuple> + '_> {
+        Box::new(self.iter().cloned())
+    }
+
+    fn of_unit(&self, unit: UnitId) -> Vec<HistoryTuple> {
+        self.iter().filter(|t| t.unit == unit).cloned().collect()
     }
 }
 
@@ -148,23 +109,17 @@ mod tests {
     }
 
     #[test]
-    fn per_unit_index_works() {
-        let mut h = ActionHistory::new();
-        h.record(tup(1, wk::billing(), 1, Action::Create, t(1)));
-        h.record(tup(2, wk::billing(), 1, Action::Create, t(2)));
-        h.record(tup(1, wk::billing(), 1, Action::Read, t(3)));
-        assert_eq!(h.of_unit(UnitId(1)).len(), 2);
+    fn vec_history_selects_each_units_tuples_in_order() {
+        let h = vec![
+            tup(1, wk::billing(), 1, Action::Create, t(1)),
+            tup(2, wk::billing(), 1, Action::Create, t(2)),
+            tup(1, wk::billing(), 1, Action::Read, t(3)),
+        ];
+        let of_one: Vec<Ts> = h.of_unit(UnitId(1)).iter().map(|t| t.at).collect();
+        assert_eq!(of_one, [t(1), t(3)]);
         assert_eq!(h.of_unit(UnitId(2)).len(), 1);
         assert!(h.of_unit(UnitId(9)).is_empty());
-        assert_eq!(h.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "time-ordered")]
-    fn out_of_order_record_panics() {
-        let mut h = ActionHistory::new();
-        h.record(tup(1, wk::billing(), 1, Action::Create, t(5)));
-        h.record(tup(1, wk::billing(), 1, Action::Read, t(4)));
+        assert_eq!(h.tuples().count(), 3);
     }
 
     #[test]
@@ -182,45 +137,19 @@ mod tests {
 
         // Authorised read within window.
         let ok = tup(uid.0, wk::billing(), 1, Action::Read, t(10));
-        assert!(ActionHistory::policy_consistent(
-            &ok,
-            &state,
-            &purposes,
-            &regulation
-        ));
+        assert!(ok.policy_consistent(&state, &purposes, &regulation));
 
         // Outside the window: inconsistent.
         let late = tup(uid.0, wk::billing(), 1, Action::Read, t(150));
-        assert!(!ActionHistory::policy_consistent(
-            &late,
-            &state,
-            &purposes,
-            &regulation
-        ));
+        assert!(!late.policy_consistent(&state, &purposes, &regulation));
 
         // Right purpose+entity but the grounding forbids Share under billing.
-        let share = tup(
-            uid.0,
-            wk::billing(),
-            1,
-            Action::Share { with: EntityId(9) },
-            t(10),
-        );
-        assert!(!ActionHistory::policy_consistent(
-            &share,
-            &state,
-            &purposes,
-            &regulation
-        ));
+        let share = tup(uid.0, wk::billing(), 1, Action::Share, t(10));
+        assert!(!share.policy_consistent(&state, &purposes, &regulation));
 
         // Unknown unit: inconsistent.
         let ghost = tup(999, wk::billing(), 1, Action::Read, t(10));
-        assert!(!ActionHistory::policy_consistent(
-            &ghost,
-            &state,
-            &purposes,
-            &regulation
-        ));
+        assert!(!ghost.policy_consistent(&state, &purposes, &regulation));
     }
 
     #[test]
@@ -237,12 +166,7 @@ mod tests {
             Action::Erase(crate::grounding::erasure::ErasureInterpretation::Deleted),
             t(10),
         );
-        assert!(ActionHistory::policy_consistent(
-            &erase,
-            &state,
-            &purposes,
-            &regulation
-        ));
+        assert!(erase.policy_consistent(&state, &purposes, &regulation));
     }
 
     #[test]

@@ -98,11 +98,11 @@ pub fn pre_processing(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Vi
         return Vec::new();
     }
     use std::collections::HashMap;
-    let mut first_use: HashMap<crate::purpose::PurposeId, &crate::history::HistoryTuple> =
+    let mut first_use: HashMap<crate::purpose::PurposeId, crate::history::HistoryTuple> =
         HashMap::new();
     let mut assessed_at: HashMap<crate::purpose::PurposeId, datacase_sim::time::Ts> =
         HashMap::new();
-    for t in ctx.history.iter() {
+    for t in ctx.history.tuples() {
         match t.action.kind() {
             ActionKind::Assess => {
                 assessed_at.entry(t.purpose).or_insert(t.at);
@@ -124,7 +124,7 @@ pub fn pre_processing(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Vi
     let mut purposes: Vec<_> = first_use.keys().copied().collect();
     purposes.sort();
     for p in purposes {
-        let first = first_use[&p];
+        let first = &first_use[&p];
         let ok = assessed_at.get(&p).map(|&a| a <= first.at).unwrap_or(false);
         if !ok {
             out.push(Violation {
@@ -264,19 +264,19 @@ pub fn obligations(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Viola
 /// **IX — Demonstrate compliance**: "Demonstrate compliance."
 ///
 /// Grounding: if the state holds personal data there must be (a) a
-/// non-empty action history, (b) tamper-evident audit evidence (the
+/// non-empty action history and (b) tamper-evident audit evidence (the
 /// audit layer's HMAC chain verified), supplied via
-/// [`super::EvidenceFlags::audit_log_tamper_evident`], and (c) a
-/// complete chain: every `Create`, `UpdateValue`, `Erase` and `Restore`
-/// tuple has a chained record with the same unit and time, looked up in
-/// the context's [`super::AuditTrail`] (vacuous without one).
+/// [`super::EvidenceFlags::audit_log_tamper_evident`]. The engine's
+/// history is read off that chain, so (b) covers every tuple the checker
+/// reads. A denial is the one chained record with no tuple: it changes
+/// nothing, so no invariant reads it.
 pub fn demonstrate(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
     let has_personal = ctx.state.units().any(|u| u.is_personal());
     if !has_personal {
         return Vec::new();
     }
     let mut out = Vec::new();
-    if ctx.history.is_empty() {
+    if ctx.history.tuples().next().is_none() {
         out.push(Violation::systemic(
             invariant,
             ctx.now,
@@ -291,27 +291,6 @@ pub fn demonstrate(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Viola
             Severity::Breach,
             "audit log integrity not demonstrated (no verified HMAC chain)",
         ));
-    }
-    if let Some(trail) = ctx.audit {
-        for t in ctx.history.iter() {
-            let audited = matches!(
-                t.action.kind(),
-                ActionKind::Create
-                    | ActionKind::UpdateValue
-                    | ActionKind::Erase
-                    | ActionKind::Restore
-            );
-            if audited && !trail.recorded(t.unit, t.at) {
-                out.push(Violation {
-                    invariant,
-                    unit: Some(t.unit),
-                    entity: Some(t.entity),
-                    at: t.at,
-                    severity: Severity::Breach,
-                    message: format!("{} has no chained audit record", t.action.kind().label()),
-                });
-            }
-        }
     }
     out
 }
@@ -369,7 +348,7 @@ pub fn tenant_isolation(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<
             }
         }
     }
-    for t in ctx.history.iter() {
+    for t in ctx.history.tuples() {
         let owner = unit_tenant.get(&t.unit).copied();
         let actor = dir.tenant_of(t.entity);
         if let (Some(owner), Some(actor)) = (owner, actor) {
@@ -392,7 +371,7 @@ pub fn tenant_isolation(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<
 mod tests {
     use super::*;
     use crate::action::Action;
-    use crate::history::{ActionHistory, HistoryTuple};
+    use crate::history::HistoryTuple;
     use crate::ids::{EntityId, UnitId};
     use crate::invariants::{EvidenceFlags, CATALOG};
     use crate::policy::Policy;
@@ -408,29 +387,18 @@ mod tests {
 
     struct Fx {
         state: DatabaseState,
-        history: ActionHistory,
+        history: Vec<HistoryTuple>,
         purposes: PurposeRegistry,
         regulation: Regulation,
         evidence: EvidenceFlags,
         tenants: crate::tenant::TenantDirectory,
-        audit: Option<AuditLog>,
-    }
-
-    /// The `(unit, at)` pairs a chained log holds records for.
-    #[derive(Default)]
-    struct AuditLog(std::collections::HashSet<(UnitId, Ts)>);
-
-    impl crate::invariants::AuditTrail for AuditLog {
-        fn recorded(&self, unit: UnitId, at: Ts) -> bool {
-            self.0.contains(&(unit, at))
-        }
     }
 
     impl Fx {
         fn new() -> Fx {
             Fx {
                 state: DatabaseState::new(),
-                history: ActionHistory::new(),
+                history: Vec::new(),
                 purposes: PurposeRegistry::with_defaults(),
                 regulation: Regulation::gdpr(),
                 evidence: EvidenceFlags {
@@ -438,7 +406,6 @@ mod tests {
                     encryption_at_rest_default: true,
                 },
                 tenants: crate::tenant::TenantDirectory::new(),
-                audit: None,
             }
         }
 
@@ -449,7 +416,7 @@ mod tests {
                 "pii".into(),
                 at,
             );
-            self.history.record(HistoryTuple {
+            self.history.push(HistoryTuple {
                 unit: uid,
                 purpose: wk::contract(),
                 entity: EntityId(0),
@@ -473,10 +440,6 @@ mod tests {
                 now,
                 evidence: self.evidence,
                 tenants: &self.tenants,
-                audit: self
-                    .audit
-                    .as_ref()
-                    .map(|a| a as &dyn crate::invariants::AuditTrail),
             };
             let row = CATALOG.iter().find(|i| i.id == id).expect("catalog row");
             (row.check)(&ctx, row.id)
@@ -519,14 +482,14 @@ mod tests {
         let mut fx = Fx::new();
         let uid = fx.collect_with_consent(1, t(0));
         // Assess analytics at t=5, first use at t=10: fine.
-        fx.history.record(HistoryTuple {
+        fx.history.push(HistoryTuple {
             unit: uid,
             purpose: wk::analytics(),
             entity: EntityId(0),
             action: Action::Assess,
             at: t(5),
         });
-        fx.history.record(HistoryTuple {
+        fx.history.push(HistoryTuple {
             unit: uid,
             purpose: wk::analytics(),
             entity: EntityId(0),
@@ -535,7 +498,7 @@ mod tests {
         });
         assert!(fx.check("III", t(20)).is_empty());
         // Billing used with no assessment: violation.
-        fx.history.record(HistoryTuple {
+        fx.history.push(HistoryTuple {
             unit: uid,
             purpose: wk::billing(),
             entity: EntityId(0),
@@ -552,7 +515,7 @@ mod tests {
         let mut fx = Fx::new();
         fx.regulation = Regulation::ccpa();
         let uid = fx.collect_with_consent(1, t(0));
-        fx.history.record(HistoryTuple {
+        fx.history.push(HistoryTuple {
             unit: uid,
             purpose: wk::billing(),
             entity: EntityId(0),
@@ -568,7 +531,7 @@ mod tests {
         // formal invariant's violations, under the row's own id.
         let mut fx = Fx::new();
         let uid = fx.collect_with_consent(1, t(0));
-        fx.history.record(HistoryTuple {
+        fx.history.push(HistoryTuple {
             unit: uid,
             purpose: wk::billing(),
             entity: EntityId(42),
@@ -635,7 +598,7 @@ mod tests {
     fn obligations_require_notification_after_policy_change() {
         let mut fx = Fx::new();
         let uid = fx.collect_with_consent(1, t(0));
-        fx.history.record(HistoryTuple {
+        fx.history.push(HistoryTuple {
             unit: uid,
             purpose: wk::billing(),
             entity: EntityId(0),
@@ -654,14 +617,14 @@ mod tests {
     fn obligations_satisfied_by_timely_notify() {
         let mut fx = Fx::new();
         let uid = fx.collect_with_consent(1, t(0));
-        fx.history.record(HistoryTuple {
+        fx.history.push(HistoryTuple {
             unit: uid,
             purpose: wk::billing(),
             entity: EntityId(0),
             action: Action::UpdatePolicy,
             at: t(10),
         });
-        fx.history.record(HistoryTuple {
+        fx.history.push(HistoryTuple {
             unit: uid,
             purpose: wk::billing(),
             entity: EntityId(0),
@@ -685,37 +648,6 @@ mod tests {
         let v = fx.check("IX", t(5));
         assert_eq!(v.len(), 2, "empty history + no evidence");
         assert!(v.iter().any(|x| x.severity == Severity::Critical));
-    }
-
-    #[test]
-    fn demonstrate_flags_a_tuple_with_no_chained_record() {
-        let mut fx = Fx::new();
-        let uid = fx.collect_with_consent(1, t(0));
-        fx.history.record(HistoryTuple {
-            unit: uid,
-            purpose: wk::billing(),
-            entity: EntityId(0),
-            action: Action::UpdateValue,
-            at: t(3),
-        });
-        // A read needs no record for this clause; a mutation does.
-        fx.history.record(HistoryTuple {
-            unit: uid,
-            purpose: wk::billing(),
-            entity: EntityId(0),
-            action: Action::Read,
-            at: t(4),
-        });
-        assert!(fx.check("IX", t(5)).is_empty(), "no log: vacuous");
-        let mut log = AuditLog::default();
-        log.0.insert((uid, t(0)));
-        fx.audit = Some(log);
-        let v = fx.check("IX", t(5));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!((v[0].unit, v[0].at), (Some(uid), t(3)));
-        assert!(v[0].message.contains("update-value"));
-        fx.audit.as_mut().unwrap().0.insert((uid, t(3)));
-        assert!(fx.check("IX", t(5)).is_empty());
     }
 
     #[test]
@@ -763,7 +695,7 @@ mod tests {
         fx.tenants.assign(EntityId(9), TenantId(2));
         // Tenant 2's entity reads tenant 1's unit: an audit record leaked
         // across the partition.
-        fx.history.record(HistoryTuple {
+        fx.history.push(HistoryTuple {
             unit: uid,
             purpose: wk::analytics(),
             entity: EntityId(9),
@@ -778,7 +710,7 @@ mod tests {
         let mut ok = Fx::new();
         let uid2 = ok.collect_with_consent(1, t(0));
         ok.tenants.assign(EntityId(1), TenantId(1));
-        ok.history.record(HistoryTuple {
+        ok.history.push(HistoryTuple {
             unit: uid2,
             purpose: wk::analytics(),
             entity: EntityId(50),

@@ -83,7 +83,7 @@ mod tests {
     use super::*;
     use crate::action::Action;
     use crate::grounding::erasure::ErasureInterpretation;
-    use crate::history::{ActionHistory, HistoryTuple};
+    use crate::history::HistoryTuple;
     use crate::ids::EntityId;
     use crate::invariants::EvidenceFlags;
     use crate::policy::Policy;
@@ -100,7 +100,7 @@ mod tests {
 
     struct Fixture {
         state: DatabaseState,
-        history: ActionHistory,
+        history: Vec<HistoryTuple>,
         purposes: PurposeRegistry,
         regulation: Regulation,
     }
@@ -118,7 +118,7 @@ mod tests {
         (
             Fixture {
                 state,
-                history: ActionHistory::new(),
+                history: Vec::new(),
                 purposes: PurposeRegistry::with_defaults(),
                 regulation,
             },
@@ -135,7 +135,6 @@ mod tests {
             now,
             evidence: EvidenceFlags::default(),
             tenants: &TenantDirectory::new(),
-            audit: None,
         };
         timely_erasure(&ctx, "G17")
     }
@@ -153,7 +152,7 @@ mod tests {
         let _ = state.collect(EntityId(7), Origin::Subject(EntityId(7)), "cc".into(), t(0));
         let f = Fixture {
             state,
-            history: ActionHistory::new(),
+            history: Vec::new(),
             purposes: PurposeRegistry::with_defaults(),
             regulation: Regulation::gdpr(),
         };
@@ -174,7 +173,7 @@ mod tests {
     #[test]
     fn properly_erased_unit_passes() {
         let (mut f, uid) = fixture();
-        f.history.record(HistoryTuple {
+        f.history.push(HistoryTuple {
             unit: uid,
             purpose: wk::compliance_erase(),
             entity: EntityId(1),
@@ -199,7 +198,7 @@ mod tests {
     #[test]
     fn reversible_inaccessibility_insufficient_for_gdpr_minimum() {
         let (mut f, uid) = fixture();
-        f.history.record(HistoryTuple {
+        f.history.push(HistoryTuple {
             unit: uid,
             purpose: wk::compliance_erase(),
             entity: EntityId(1),

@@ -3,18 +3,17 @@
 //! > "For all data units X, and for all actions τ on X, it holds that τ is
 //! > policy-consistent."
 
-use crate::history::ActionHistory;
 use crate::violation::{Severity, Violation};
 
 use super::CheckContext;
 
 /// The formal G6 invariant: every history tuple must be
-/// policy-consistent ([`ActionHistory::policy_consistent`]). Catalog row
+/// policy-consistent ([`HistoryTuple::policy_consistent`](crate::history::HistoryTuple::policy_consistent)). Catalog row
 /// IV (sharing and processing) is grounded as this same check.
 pub fn policy_consistency(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
     let mut out = Vec::new();
-    for tuple in ctx.history.iter() {
-        if !ActionHistory::policy_consistent(tuple, ctx.state, ctx.purposes, ctx.regulation) {
+    for tuple in ctx.history.tuples() {
+        if !tuple.policy_consistent(ctx.state, ctx.purposes, ctx.regulation) {
             out.push(Violation {
                 invariant,
                 unit: Some(tuple.unit),
@@ -69,14 +68,13 @@ mod tests {
     #[test]
     fn consistent_history_passes() {
         let (state, purposes, reg, uid) = setup();
-        let mut h = ActionHistory::new();
-        h.record(HistoryTuple {
+        let h = vec![HistoryTuple {
             unit: uid,
             purpose: wk::billing(),
             entity: EntityId(1),
             action: Action::Read,
             at: t(10),
-        });
+        }];
         let ctx = CheckContext {
             state: &state,
             history: &h,
@@ -85,7 +83,6 @@ mod tests {
             now: t(50),
             evidence: EvidenceFlags::default(),
             tenants: &TenantDirectory::new(),
-            audit: None,
         };
         assert!(policy_consistency(&ctx, "G6").is_empty());
     }
@@ -93,14 +90,13 @@ mod tests {
     #[test]
     fn unauthorised_entity_flagged_critical() {
         let (state, purposes, reg, uid) = setup();
-        let mut h = ActionHistory::new();
-        h.record(HistoryTuple {
+        let h = vec![HistoryTuple {
             unit: uid,
             purpose: wk::billing(),
             entity: EntityId(99),
             action: Action::Read,
             at: t(10),
-        });
+        }];
         let ctx = CheckContext {
             state: &state,
             history: &h,
@@ -109,7 +105,6 @@ mod tests {
             now: t(50),
             evidence: EvidenceFlags::default(),
             tenants: &TenantDirectory::new(),
-            audit: None,
         };
         let v = policy_consistency(&ctx, "G6");
         assert_eq!(v.len(), 1);
@@ -121,14 +116,13 @@ mod tests {
     #[test]
     fn expired_policy_read_flagged() {
         let (state, purposes, reg, uid) = setup();
-        let mut h = ActionHistory::new();
-        h.record(HistoryTuple {
+        let h = vec![HistoryTuple {
             unit: uid,
             purpose: wk::billing(),
             entity: EntityId(1),
             action: Action::Read,
             at: t(150), // window ended at t(100)
-        });
+        }];
         let ctx = CheckContext {
             state: &state,
             history: &h,
@@ -137,7 +131,6 @@ mod tests {
             now: t(200),
             evidence: EvidenceFlags::default(),
             tenants: &TenantDirectory::new(),
-            audit: None,
         };
         assert_eq!(policy_consistency(&ctx, "G6").len(), 1);
     }

@@ -17,8 +17,7 @@ pub mod g6;
 
 use datacase_sim::time::Ts;
 
-use crate::history::ActionHistory;
-use crate::ids::UnitId;
+use crate::history::History;
 use crate::purpose::PurposeRegistry;
 use crate::regulation::Regulation;
 use crate::state::DatabaseState;
@@ -35,20 +34,14 @@ pub struct EvidenceFlags {
     pub encryption_at_rest_default: bool,
 }
 
-/// A payload-free, per-unit view of the chained audit log: the records
-/// IX's completeness clause looks history tuples up in.
-pub trait AuditTrail {
-    /// Whether a chained record names `unit` at `at`.
-    fn recorded(&self, unit: UnitId, at: Ts) -> bool;
-}
-
 /// Everything an invariant may inspect.
 #[derive(Clone, Copy)]
 pub struct CheckContext<'a> {
     /// The abstract database state.
     pub state: &'a DatabaseState,
-    /// The full action history.
-    pub history: &'a ActionHistory,
+    /// The full action history (the engine's: a view of its chained
+    /// audit log).
+    pub history: &'a dyn History,
     /// Grounded purposes.
     pub purposes: &'a PurposeRegistry,
     /// The regulation being checked against.
@@ -61,9 +54,6 @@ pub struct CheckContext<'a> {
     /// (empty for single-tenant, in-process deployments, which makes X
     /// vacuous).
     pub tenants: &'a TenantDirectory,
-    /// The chained audit log, when the deployment keeps one (`None`
-    /// makes IX's completeness clause vacuous).
-    pub audit: Option<&'a dyn AuditTrail>,
 }
 
 /// One row of the catalog: a checkable invariant and its grounding.

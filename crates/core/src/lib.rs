@@ -17,14 +17,14 @@
 //! * **action-history tuples** `(X, p, e, τ(X), t)` and histories `H(X)`
 //!   ([`history`]);
 //! * **policy-consistent processing** — the formalisation of lawful
-//!   processing ([`history::ActionHistory::policy_consistent`]).
+//!   processing ([`history::HistoryTuple::policy_consistent`]).
 //!
 //! Invariants (paper §2.2, Figure 1): the nine requirement groups I–IX,
 //! the deployment invariant X (tenant isolation) and the two formal
 //! examples G6 (lawful processing) and G17 (timely erasure) are the rows
 //! of [`invariants::CATALOG`]; [`checker::check`] runs the rows a
 //! regulation enforces over a [`state::DatabaseState`] +
-//! [`history::ActionHistory`].
+//! [`history::History`].
 //!
 //! Grounding (paper §3): [`grounding`] defines the four erasure
 //! interpretations, their restrictiveness order and the IR/II/Inv
@@ -56,7 +56,7 @@ pub use action::{Action, ActionKind};
 pub use checker::ComplianceReport;
 pub use entity::{Entity, EntityKind, EntityRegistry};
 pub use grounding::erasure::ErasureInterpretation;
-pub use history::{ActionHistory, HistoryTuple};
+pub use history::{History, HistoryTuple};
 pub use ids::{EntityId, UnitId};
 pub use policy::{Policy, PolicySet};
 pub use purpose::PurposeId;

@@ -4,9 +4,9 @@
 
 use datacase_sim::time::{Dur, Ts};
 
-use crate::action::ActionKind;
+use crate::action::Action;
 use crate::grounding::erasure::ErasureInterpretation;
-use crate::history::ActionHistory;
+use crate::history::History;
 use crate::ids::UnitId;
 
 /// The reconstructed erasure timeline of one unit.
@@ -32,23 +32,18 @@ impl ErasureTimeline {
     /// Each erase interpretation's first occurrence is taken; a stricter
     /// erase also stamps the weaker stages if they were skipped (deleting
     /// directly implies the data also became inaccessible then).
-    pub fn from_history(history: &ActionHistory, unit: UnitId) -> ErasureTimeline {
+    pub fn from_history(history: &dyn History, unit: UnitId) -> ErasureTimeline {
         let mut tl = ErasureTimeline {
             unit,
             ..ErasureTimeline::default()
         };
         for t in history.of_unit(unit) {
-            match &t.action {
-                crate::action::Action::Create => {
+            match t.action {
+                Action::Create => {
                     tl.collected.get_or_insert(t.at);
                 }
-                crate::action::Action::Derive { .. } => {}
-                a if a.kind() == ActionKind::Erase => {
-                    if let crate::action::Action::Erase(interp) = a {
-                        tl.stamp(*interp, t.at);
-                    }
-                }
-                crate::action::Action::Sanitize => {
+                Action::Erase(interp) => tl.stamp(interp, t.at),
+                Action::Sanitize => {
                     tl.stamp(ErasureInterpretation::PermanentlyDeleted, t.at);
                 }
                 _ => {}
@@ -156,8 +151,8 @@ mod tests {
         Ts::from_secs(s)
     }
 
-    fn record(h: &mut ActionHistory, unit: UnitId, action: Action, at: Ts) {
-        h.record(HistoryTuple {
+    fn record(h: &mut Vec<HistoryTuple>, unit: UnitId, action: Action, at: Ts) {
+        h.push(HistoryTuple {
             unit,
             purpose: wk::compliance_erase(),
             entity: EntityId(1),
@@ -169,7 +164,7 @@ mod tests {
     #[test]
     fn staged_erasure_reconstructs_figure3() {
         let u = UnitId(1);
-        let mut h = ActionHistory::new();
+        let mut h = Vec::new();
         record(&mut h, u, Action::Create, t(0));
         record(
             &mut h,
@@ -202,7 +197,7 @@ mod tests {
     #[test]
     fn direct_strong_delete_stamps_weaker_stages() {
         let u = UnitId(2);
-        let mut h = ActionHistory::new();
+        let mut h = Vec::new();
         record(&mut h, u, Action::Create, t(0));
         record(
             &mut h,
@@ -221,7 +216,7 @@ mod tests {
     #[test]
     fn unreached_stages_render_as_such() {
         let u = UnitId(3);
-        let mut h = ActionHistory::new();
+        let mut h = Vec::new();
         record(&mut h, u, Action::Create, t(0));
         let tl = ErasureTimeline::from_history(&h, u);
         let s = tl.render();
@@ -232,7 +227,7 @@ mod tests {
 
     #[test]
     fn empty_history_gives_empty_timeline() {
-        let h = ActionHistory::new();
+        let h: Vec<HistoryTuple> = Vec::new();
         let tl = ErasureTimeline::from_history(&h, UnitId(9));
         assert_eq!(tl.collected, None);
         assert!(tl.is_monotone());

@@ -355,15 +355,14 @@ pub fn probe_on(config: &EngineConfig, interp: ErasureInterpretation) -> Propert
     let processor_entity = fe.model.processor;
 
     // Derived identifying, invertible copy (e.g. an analytics mirror).
-    let derived = fe
-        .forensic()
+    fe.forensic()
         .plant_derived(&[unit], "mirror-copy", true, true, &payload, 2);
     let now = fe.clock().now();
     fe.forensic().inject_history(HistoryTuple {
         unit,
         purpose: wk::analytics(),
         entity: processor_entity,
-        action: Action::Derive { output: derived },
+        action: Action::Derive,
         at: now,
     });
 

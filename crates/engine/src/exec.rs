@@ -12,8 +12,8 @@
 //!    model; tuple payloads are encrypted before they reach the backend
 //!    and sectors before they reach the disk.
 //! 3. **Account** — every action the request took is recorded through
-//!    `Model::record`, which appends the history tuple and its chained
-//!    audit record in one call, synchronously: a record is in the store
+//!    `Model::record`, which appends the action's chained audit record
+//!    (the history reads it back) synchronously: a record is in the store
 //!    (and under the tamper-evidence chain) before its request's
 //!    [`Response`] is built. A denial is recorded by `Model::deny`.
 //!

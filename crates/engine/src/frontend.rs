@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use datacase_core::checker::ComplianceReport;
 use datacase_core::entity::EntityRegistry;
-use datacase_core::history::{ActionHistory, HistoryTuple};
+use datacase_core::history::{History, HistoryTuple};
 use datacase_core::ids::UnitId;
 use datacase_core::invariants::EvidenceFlags;
 use datacase_core::purpose::PurposeRegistry;
@@ -189,9 +189,10 @@ impl Frontend {
         &self.model.state
     }
 
-    /// The action history.
-    pub fn history(&self) -> &ActionHistory {
-        &self.model.history
+    /// The action history: a read-only view of the chained audit log,
+    /// one tuple per record that names an action (a denial names none).
+    pub fn history(&self) -> &dyn History {
+        self.model.logger.history()
     }
 
     /// The entity registry.
@@ -286,10 +287,21 @@ impl Forensic<'_> {
         self.fe.substrate.backend.checkpoint();
     }
 
-    /// Inject a history tuple as if enforcement had been bypassed (the
-    /// violation-injection scenarios feeding the compliance checker).
+    /// Record an action as if enforcement had been bypassed (the
+    /// violation-injection scenarios feeding the compliance checker): the
+    /// tuple goes on the chain through the model's one write path, with
+    /// an empty payload, like any other action.
     pub fn inject_history(&mut self, tuple: HistoryTuple) {
-        self.fe.model.history.record(tuple);
+        let HistoryTuple {
+            unit,
+            purpose,
+            entity,
+            action,
+            at,
+        } = tuple;
+        self.fe
+            .model
+            .record(unit, purpose, entity, action, at, Vec::new());
     }
 
     /// Derive a unit from `sources` (a mirror/backup copy), store its
@@ -736,6 +748,114 @@ mod tests {
                 assert_eq!(fault.counts(), [0; CRASH_POINTS], "{profile:?}/{backend:?}");
             }
         }
+    }
+
+    /// A P_SYS heap trace writing every record label the engine emits:
+    /// the construction-time assessments, create, read, read-meta,
+    /// update, update-meta (policy change plus notify), a processor
+    /// denial, a metadata scan, a workload delete, hide, restore, strong
+    /// and permanent erasure (with its sanitise pass).
+    fn every_label_trace() -> Frontend {
+        use datacase_workloads::opstream::MetaSelector;
+        let mut fe = Frontend::new(EngineConfig::p_sys());
+        let controller = Session::new(Actor::Controller);
+        let processor = Session::new(Actor::Processor);
+        let analyst = Session::new(Actor::Processor).for_purpose(wk::analytics());
+        let erase = |key, interpretation| Request::Erase {
+            key,
+            interpretation,
+        };
+        for key in 1..=5 {
+            let payload = format!("row-{key}").into_bytes();
+            let create = Request::Create {
+                key,
+                payload,
+                metadata: meta(1),
+            };
+            assert!(fe.run(&controller, create).is_done());
+        }
+        let payload = b"row-1-updated".to_vec();
+        let steps = [
+            (&processor, Request::Read { key: 1 }),
+            (&processor, Request::ReadMeta { key: 1 }),
+            (&controller, Request::Update { key: 1, payload }),
+            (
+                &controller,
+                Request::UpdateMeta {
+                    key: 1,
+                    field: MetaField::Ttl,
+                },
+            ),
+            (&analyst, Request::Read { key: 2 }),
+            (
+                &processor,
+                Request::ReadByMeta {
+                    selector: MetaSelector::BySubject(1),
+                },
+            ),
+            (&controller, Request::Delete { key: 2 }),
+            (
+                &controller,
+                erase(3, ErasureInterpretation::ReversiblyInaccessible),
+            ),
+            (&controller, Request::Restore { key: 3 }),
+            (
+                &controller,
+                erase(4, ErasureInterpretation::StronglyDeleted),
+            ),
+            (
+                &controller,
+                erase(5, ErasureInterpretation::PermanentlyDeleted),
+            ),
+        ];
+        for (session, request) in steps {
+            let r = fe.run(session, request.clone());
+            assert!(!r.audit.is_empty(), "{request:?}: {:?}", r.outcome);
+        }
+        fe
+    }
+
+    #[test]
+    fn the_label_table_keeps_every_chained_byte() {
+        // The head this trace's chain had while the record labels were
+        // still mapped in the engine: a byte of any label the engine
+        // writes moving changes it.
+        let mut fe = every_label_trace();
+        let labels: std::collections::BTreeSet<&str> =
+            fe.history().tuples().map(|t| t.action.label()).collect();
+        let expected = [
+            "DELETE",
+            "DELETE-PERMANENT",
+            "DELETE-STRONG",
+            "HIDE",
+            "INSERT",
+            "SELECT",
+            "SELECT-META",
+            "UPDATE",
+            "assess",
+            "notify",
+            "restore",
+            "sanitize",
+            "update-policy",
+        ];
+        assert_eq!(labels.into_iter().collect::<Vec<_>>(), expected);
+        assert_eq!(fe.denied(), 1, "the analyst's read is the one denial");
+        let head = fe.forensic().chain_head();
+        assert_eq!(
+            datacase_crypto::sha256::to_hex(&head),
+            "da8bd317fbcea74151d594b4bc4bc7f5cf740a233910c54bd76d8b2486a161bb"
+        );
+    }
+
+    #[test]
+    fn a_record_that_names_no_unit_names_no_unit_in_the_query_log() {
+        // P_GBench logs query text; its construction-time assessments name
+        // no unit and must not read as the first collected unit's (ids
+        // start at 0).
+        let mut fe = Frontend::new(EngineConfig::p_gbench());
+        assert_eq!(fe.audit_records(), 7, "one assessment per purpose");
+        assert_eq!(fe.forensic().scan(b"unit=0 ").audit_records, 0);
+        assert_eq!(fe.forensic().scan(b"unit=- ").audit_records, 7);
     }
 
     #[test]

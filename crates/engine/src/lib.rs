@@ -26,9 +26,10 @@
 //! in submission order: the policy check asks the profile's enforcer
 //! against the current policy state, and the audit records are appended
 //! before the reply is built. The engine simultaneously maintains the
-//! Data-CASE *abstract model* (state + action history from
-//! `datacase-core`, written in one call with the chained log), so the
-//! compliance checker can audit any run. One erasure executor
+//! Data-CASE *abstract model* (the state from `datacase-core` and the
+//! chained audit log, whose records the action history is read off), so
+//! the compliance checker can audit any run against the tamper-evident
+//! record. One erasure executor
 //! ([`erasure`]) maps every erasure trigger to a system-action plan
 //! (Table 1) and runs it: [`Request::Erase`], a workload
 //! [`Request::Delete`] and the retention drain all go through it, and
@@ -45,10 +46,10 @@
 //!
 //! Inside, the engine is cut along its state into three holders, each in
 //! its own module next to its methods: the **substrate** (backend, tuple
-//! key vault, policy enforcer), the Data-CASE **model** (state, history,
-//! the audit log that chains it, purpose and entity registries), and the
-//! **key index** binding record keys to units (derived state, rebuildable
-//! from the other two). Config, clock, meter and the two cadence counters
+//! key vault, policy enforcer), the Data-CASE **model** (state, the
+//! chained audit log that is its history, purpose and entity registries),
+//! and the **key index** binding record keys to units (derived state,
+//! rebuildable from the other two). Config, clock, meter and the two cadence counters
 //! sit on the [`Frontend`] itself. The per-request handlers share one
 //! module (`ops`), which execution (`exec`) drives.
 

@@ -1,12 +1,14 @@
 //! The Data-CASE model the engine keeps next to its substrate: the
-//! abstract state, the action history and the chained audit log that
-//! records it, the purpose and entity registries, and the data-subject
-//! entities registered so far — what the compliance checker audits.
+//! abstract state, the chained audit log, the purpose and entity
+//! registries, and the data-subject entities registered so far — what the
+//! compliance checker audits.
 //!
-//! [`Model::record`] is the engine's one way to record an action, so the
-//! history and the log cannot disagree. The state holds no payload bytes
-//! (a version is `Value::Stored { len }`); the log keeps the profile's
-//! rendering of each response until an erasure redacts it.
+//! The log is the one record of what happened: the action history the
+//! checker reads is a view of its records ([`AuditLogger::history`]), and
+//! [`Model::record`] is the engine's one way to record an action. The
+//! state holds no payload bytes (a version is `Value::Stored { len }`);
+//! the log keeps the profile's rendering of each response until an
+//! erasure redacts it.
 
 use std::collections::HashMap;
 
@@ -16,7 +18,6 @@ use datacase_core::action::Action;
 use datacase_core::checker::{self, ComplianceReport};
 use datacase_core::entity::{EntityKind, EntityRegistry};
 use datacase_core::grounding::erasure::ErasureInterpretation;
-use datacase_core::history::{ActionHistory, HistoryTuple};
 use datacase_core::ids::{EntityId, UnitId};
 use datacase_core::invariants::{CheckContext, EvidenceFlags};
 use datacase_core::purpose::{well_known as wk, PurposeId, PurposeRegistry};
@@ -28,10 +29,9 @@ use datacase_policy::enforcer::{AccessRequest, VersionedEnforcer};
 use datacase_sim::fault::{CrashPoint, FaultInjector};
 use datacase_sim::time::Ts;
 
-/// State + history + audit log + registries, and the four fixed entities.
+/// State + audit log + registries, and the four fixed entities.
 pub(crate) struct Model {
     pub(crate) state: DatabaseState,
-    pub(crate) history: ActionHistory,
     /// Appended to only by [`Model::record`] and [`Model::deny`].
     pub(crate) logger: Box<dyn AuditLogger>,
     pub(crate) purposes: PurposeRegistry,
@@ -58,7 +58,6 @@ impl Model {
         let third_party = entities.register("AdPartner", EntityKind::ThirdParty);
         let mut model = Model {
             state: DatabaseState::new(),
-            history: ActionHistory::new(),
             logger,
             purposes: PurposeRegistry::with_defaults(),
             entities,
@@ -85,11 +84,11 @@ impl Model {
         model
     }
 
-    /// Record one action: append the history tuple and, with the same
-    /// unit, entity, purpose and time, its chained audit record carrying
-    /// `payload` (a tuple on no unit, `UnitId(u64::MAX)`, logs no unit).
-    /// Synchronous, so a request's records are under the tamper-evidence
-    /// chain before it is answered.
+    /// Record one action: append its chained audit record, labelled with
+    /// the action and carrying `payload` — the history tuple, as the log
+    /// projects it (a tuple on no unit, `UnitId(u64::MAX)`, logs no
+    /// unit). Synchronous, so a request's records are under the
+    /// tamper-evidence chain before it is answered.
     pub(crate) fn record(
         &mut self,
         unit: UnitId,
@@ -100,18 +99,11 @@ impl Model {
         payload: Vec<u8>,
     ) {
         let logged = (unit != UnitId(u64::MAX)).then_some(unit);
-        self.append(logged, entity, purpose, label(&action), at, payload);
-        self.history.record(HistoryTuple {
-            unit,
-            purpose,
-            entity,
-            action,
-            at,
-        });
+        self.append(logged, entity, purpose, action.label(), at, payload);
     }
 
-    /// Record a denied access: the one record with no history tuple, as
-    /// a denial changes nothing.
+    /// Record a denied access: the one record whose label names no
+    /// action, so it projects no history tuple — a denial changes nothing.
     pub(crate) fn deny(&mut self, req: &AccessRequest, reason: &str) {
         let (unit, reason) = (Some(req.unit), reason.as_bytes().to_vec());
         self.append(unit, req.entity, req.purpose, "DENIED", req.at, reason);
@@ -199,8 +191,8 @@ impl Model {
         unit.policies.erase_deadline()
     }
 
-    /// Run the compliance checker against the model at `now`, with the
-    /// chained log as IX's completeness input.
+    /// Run the compliance checker against the model at `now`, over the
+    /// history the chained log holds.
     ///
     /// The subject number carries its tenant (see
     /// [`TenantId::of_subject`]), so the model supplies a
@@ -219,30 +211,12 @@ impl Model {
         }
         checker::check(&CheckContext {
             state: &self.state,
-            history: &self.history,
+            history: self.logger.history(),
             purposes: &self.purposes,
             regulation,
             now,
             evidence,
             tenants: &tenants,
-            audit: Some(self.logger.trail()),
         })
-    }
-}
-
-/// The record label of `action`: the statement a workload action runs
-/// as, an erasure's interpretation, or else the action kind's label.
-fn label(action: &Action) -> &'static str {
-    use ErasureInterpretation::*;
-    match action {
-        Action::Create => "INSERT",
-        Action::Read => "SELECT",
-        Action::UpdateValue => "UPDATE",
-        Action::ReadMeta => "SELECT-META",
-        Action::Erase(ReversiblyInaccessible) => "HIDE",
-        Action::Erase(Deleted) => "DELETE",
-        Action::Erase(StronglyDeleted) => "DELETE-STRONG",
-        Action::Erase(PermanentlyDeleted) => "DELETE-PERMANENT",
-        other => other.kind().label(),
     }
 }

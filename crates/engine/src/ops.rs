@@ -676,7 +676,7 @@ mod tests {
             fe.submit(&Session::new(Actor::Processor), &scans.into());
             let read_units: Vec<UnitId> = fe
                 .history()
-                .iter()
+                .tuples()
                 .filter(|t| t.action == Action::Read)
                 .map(|t| t.unit)
                 .collect();
@@ -733,6 +733,8 @@ mod tests {
     fn update_meta_records_policy_change_and_notify() {
         let (mut fe, mut bench) = small_db(ProfileKind::PBase);
         load(&mut fe, &mut bench, 10);
+        let unit = fe.unit_of_key(1).unwrap();
+        let before = fe.history().of_unit(unit).len();
         let r = fe.run(
             &Session::new(Actor::Controller),
             Request::UpdateMeta {
@@ -740,15 +742,14 @@ mod tests {
                 field: MetaField::Ttl,
             },
         );
-        let unit = fe.unit_of_key(1).unwrap();
-        let tuples = fe.history().of_unit(unit);
-        let find = |kind| *tuples.iter().find(|t| t.action.kind() == kind).unwrap();
-        let (change, notify) = (find(ActionKind::UpdatePolicy), find(ActionKind::Notify));
-        // Each tuple has its own record on the chain.
+        // Each tuple has its own record on the chain, and the history
+        // reads them back off it.
         assert_eq!(r.audit.records, 2, "{:?}", r.audit);
-        let trail = fe.model.logger.trail();
-        assert!(trail.recorded(unit, change.at), "policy change on the log");
-        assert!(trail.recorded(unit, notify.at), "notify on the log");
+        let actions: Vec<Action> = fe.history().of_unit(unit)[before..]
+            .iter()
+            .map(|t| t.action)
+            .collect();
+        assert_eq!(actions, [Action::UpdatePolicy, Action::Notify]);
     }
 
     #[test]
@@ -756,7 +757,7 @@ mod tests {
         let (mut fe, mut bench) = small_db(ProfileKind::PSys);
         load(&mut fe, &mut bench, 200);
         let selector = MetaSelector::BySubject(fe.keys.get(3).unwrap().subject);
-        let before = fe.history().len();
+        let before = fe.history().tuples().count();
         let r = fe.run(
             &Session::new(Actor::Processor),
             Request::ReadByMeta { selector },
@@ -764,12 +765,9 @@ mod tests {
         let rows = r.rows().expect("a scan answers rows");
         assert!(rows > 1, "the subject must own several rows: {rows}");
         assert_eq!(r.audit.records, rows as u64, "one record per row read");
-        let reads: Vec<_> = fe.history().iter().skip(before).collect();
-        assert_eq!(reads.len(), rows);
-        let trail = fe.model.logger.trail();
-        for t in reads {
-            assert_eq!(t.action, Action::Read);
-            assert!(trail.recorded(t.unit, t.at), "no record names {}", t.unit);
-        }
+        let reads: Vec<_> = fe.history().tuples().skip(before).collect();
+        assert!(reads.iter().all(|t| t.action == Action::Read));
+        let units: std::collections::HashSet<UnitId> = reads.iter().map(|t| t.unit).collect();
+        assert_eq!(units.len(), rows, "each row's read names its own unit");
     }
 }

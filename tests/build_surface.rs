@@ -146,11 +146,11 @@ fn is_file(path: &Path, name: &str) -> bool {
     path.file_name().is_some_and(|n| n == name)
 }
 
-/// The engine records an action in one place: `Model::record` appends the
-/// history tuple and its chained audit record together (`Model::deny`
+/// The engine records an action in one place: `Model::record` appends
+/// its chained audit record, which the history is read off (`Model::deny`
 /// logs a denial). A `LogRecord` built, or a logger appended to, anywhere
-/// else in the engine would be a second write path the history never
-/// sees.
+/// else in the engine would be a second write path past the one the
+/// checker audits.
 #[test]
 fn audit_records_are_written_only_by_the_model() {
     let mut offenders = Vec::new();
@@ -238,6 +238,39 @@ fn idle_time_passes_only_through_the_retention_drain() {
     assert!(
         offenders.is_empty(),
         "the clock advanced outside Frontend::advance_to:\n{}",
+        offenders.join("\n")
+    );
+}
+
+/// The history is kept in one place: the audit log's records, which the
+/// checker reads through the `History` view `crates/audit/src/loggers.rs`
+/// implements. Core's fixture impl over a `Vec` of tuples is the one
+/// other. A further impl anywhere in the program, the examples or the
+/// tests would be a second, unchained store of what happened.
+#[test]
+fn the_history_is_stored_only_by_the_audit_log() {
+    let implements =
+        |line: &str| line.trim_start().starts_with("impl") && line.contains("History for ");
+    let root = repo_root();
+    let mut dirs = vec![root.join("src"), root.join("examples"), root.join("tests")];
+    dirs.extend(
+        CRATES
+            .iter()
+            .map(|krate| root.join("crates").join(krate).join("src")),
+    );
+    let mut offenders = Vec::new();
+    for (path, text) in rust_sources(dirs) {
+        let allowed = path.starts_with(root.join("crates/core"))
+            || path == root.join("crates/audit/src/loggers.rs");
+        for (i, line) in text.lines().enumerate() {
+            if implements(line) && !allowed {
+                offenders.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "a history store outside the audit log:\n{}",
         offenders.join("\n")
     );
 }

@@ -75,7 +75,7 @@ fn table1_probes_match_expected_matrix_end_to_end() {
 /// Erasure is on the tamper-evident record: on either backend, every
 /// interpretation's erase and a restore answer with a non-empty audit
 /// reference, a strong erase that cascades to a derived copy leaves one
-/// receipt per erased unit, and IX's completeness clause stays clean.
+/// receipt per erased unit, and IX (a verified chain) stays clean.
 #[test]
 fn every_erase_and_restore_leaves_a_receipt() {
     let controller = Session::new(Actor::Controller);

@@ -49,6 +49,33 @@ fn injected_rogue_read_breaks_g6_and_iv_only() {
 }
 
 #[test]
+fn an_injected_action_is_chained_like_any_other() {
+    // The checker reads the history off the audit chain, so a bypassed
+    // action it reports is a chained record: the log grows by one and
+    // still verifies.
+    let mut fe = loaded(ProfileKind::PSys);
+    let unit = fe.unit_of_key(5).expect("loaded");
+    let rogue = fe.entities().by_name("AdPartner").unwrap().id;
+    let (records, at) = (fe.audit_records(), fe.clock().now());
+    fe.forensic().inject_history(HistoryTuple {
+        unit,
+        purpose: data_case::core::purpose::well_known::advertising(),
+        entity: rogue,
+        action: Action::Read,
+        at,
+    });
+    assert_eq!(fe.audit_records(), records + 1);
+    assert!(fe.forensic().verify_chain());
+    let report = fe.compliance_report(&Regulation::gdpr());
+    let g6 = report.of_invariant("G6");
+    assert_eq!(g6.len(), 1, "{g6:?}");
+    assert_eq!(
+        (g6[0].unit, g6[0].entity, g6[0].at),
+        (Some(unit), Some(rogue), at)
+    );
+}
+
+#[test]
 fn overdue_erasure_breaks_g17() {
     let mut fe = Frontend::new(EngineConfig::p_base());
     let controller = Session::new(Actor::Controller);

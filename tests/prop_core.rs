@@ -4,7 +4,7 @@ use data_case::sim::check::check;
 
 use data_case::core::action::Action;
 use data_case::core::grounding::erasure::ErasureInterpretation;
-use data_case::core::history::{ActionHistory, HistoryTuple};
+use data_case::core::history::HistoryTuple;
 use data_case::core::ids::EntityId;
 use data_case::core::policy::{Policy, PolicySet};
 use data_case::core::purpose::PurposeId;
@@ -78,8 +78,8 @@ fn timelines_are_monotone() {
     check("timelines_are_monotone", 64, |s| {
         let stages = s.vec(1..8, |s| (s.pick(&INTERPRETATIONS), s.range(1u64..1000)));
         let unit = data_case::core::ids::UnitId(1);
-        let mut h = ActionHistory::new();
-        h.record(HistoryTuple {
+        let mut h = Vec::new();
+        h.push(HistoryTuple {
             unit,
             purpose: data_case::core::purpose::well_known::contract(),
             entity: EntityId(0),
@@ -89,7 +89,7 @@ fn timelines_are_monotone() {
         let mut t = 0u64;
         for (interp, dt) in stages {
             t += dt;
-            h.record(HistoryTuple {
+            h.push(HistoryTuple {
                 unit,
                 purpose: data_case::core::purpose::well_known::compliance_erase(),
                 entity: EntityId(0),
