@@ -407,9 +407,7 @@ pub fn table2(scale: Scale) -> (Table, Vec<(ProfileKind, SpaceReport)>) {
 
 /// Figure 3: a unit staged through every erasure interpretation.
 pub fn fig3() -> (String, ErasureTimeline) {
-    let mut config = EngineConfig::p_sys();
-    config.tuple_encryption = None;
-    let mut fe = Frontend::new(config);
+    let mut fe = Frontend::new(probe_config(BackendKind::Heap));
     let controller = Session::new(Actor::Controller);
     let meta = datacase_workloads::record::GdprMetadata {
         subject: 1,

@@ -15,4 +15,4 @@ pub mod erasure;
 pub mod properties;
 
 pub use erasure::ErasureInterpretation;
-pub use properties::{ErasureProperties, PropertyProbe};
+pub use properties::ErasureProperties;

@@ -8,9 +8,11 @@
 //! * **Transformation invertibility (Inv)** — the transformation applied to
 //!   prevent reads (hiding, encryption, zeroing) is reversible.
 //!
-//! Table 1's characterisation is encoded in [`ErasureProperties::expected`];
-//! [`PropertyProbe`] carries the empirical result measured on a concrete
-//! backend so the `repro table1` harness can print expected vs measured.
+//! Table 1's characterisation is encoded in [`ErasureProperties::expected`],
+//! the paper's expected matrix. The measured side lives with the engine
+//! (`datacase_engine::erasure::probe_on`), which reads II off the forensic
+//! scanner's residuals and the provenance graph of a live engine, so the
+//! `repro table1` harness can print expected vs measured.
 
 use super::erasure::ErasureInterpretation;
 
@@ -75,24 +77,6 @@ impl ErasureProperties {
     }
 }
 
-/// An empirical measurement of the three properties on a live backend.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PropertyProbe {
-    /// The interpretation that was exercised.
-    pub interpretation: ErasureInterpretation,
-    /// Measured (IR, II, Inv).
-    pub measured: ErasureProperties,
-    /// Free-form notes from the probe (what residuals were found, etc.).
-    pub notes: Vec<String>,
-}
-
-impl PropertyProbe {
-    /// Does the measurement match Table 1's expectation?
-    pub fn matches_expected(&self) -> bool {
-        self.measured == ErasureProperties::expected(self.interpretation)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,25 +113,5 @@ mod tests {
     fn cells_render_checkmarks() {
         let p = ErasureProperties::expected(ErasureInterpretation::ReversiblyInaccessible);
         assert_eq!(p.cells(), ["×", "✓", "✓"]);
-    }
-
-    #[test]
-    fn probe_match_detection() {
-        let ok = PropertyProbe {
-            interpretation: ErasureInterpretation::Deleted,
-            measured: ErasureProperties::expected(ErasureInterpretation::Deleted),
-            notes: vec![],
-        };
-        assert!(ok.matches_expected());
-        let bad = PropertyProbe {
-            interpretation: ErasureInterpretation::StronglyDeleted,
-            measured: ErasureProperties {
-                illegal_read: false,
-                illegal_inference: true, // residuals found!
-                invertible: false,
-            },
-            notes: vec!["raw page residual at page 3".into()],
-        };
-        assert!(!bad.matches_expected());
     }
 }

@@ -73,7 +73,7 @@ pub use concurrent::{
 };
 pub use datacase_storage::backend::{BackendKind, BackendStats};
 pub use driver::{run_ops, RunStats};
-pub use erasure::{probe_config, probe_on};
+pub use erasure::{probe_config, probe_on, PropertyProbe};
 pub use error::EngineError;
 pub use frontend::{Actor, AuditRef, Batch, Forensic, Frontend, Reply, Request, Response, Session};
 pub use pia::{assess, certify, Certificate, PiaReport};

@@ -14,12 +14,11 @@
 //!   if both pass.
 
 use datacase_core::grounding::erasure::ErasureInterpretation;
-use datacase_core::grounding::properties::PropertyProbe;
 use datacase_core::regulation::Regulation;
 use datacase_sim::fault::FaultInjector;
 use datacase_sim::report::Table;
 
-use crate::erasure::{describe, probe_on, workload_plan, Step};
+use crate::erasure::{describe, probe_on, workload_plan, PropertyProbe, Step};
 use crate::frontend::Frontend;
 use crate::profiles::{DeleteStrategy, EngineConfig, ProfileKind};
 
@@ -263,17 +262,11 @@ mod tests {
             .iter()
             .find(|p| p.interpretation == ErasureInterpretation::Deleted)
             .expect("one probe per interpretation");
-        let forensic = deleted
-            .notes
-            .iter()
-            .find_map(|note| note.strip_prefix("forensic: "))
-            .expect("forensic note");
-        let lsm_entries: usize = forensic
-            .split_whitespace()
-            .find_map(|field| field.strip_prefix("lsm_entries="))
-            .and_then(|n| n.parse().ok())
-            .expect("lsm_entries field");
-        assert!(lsm_entries > 0, "{forensic}");
+        assert!(
+            deleted.residuals.lsm_entries > 0,
+            "{}",
+            deleted.residuals.describe()
+        );
         assert!(cert.probes.iter().all(PropertyProbe::matches_expected));
     }
 

@@ -32,7 +32,8 @@ pub struct ForensicFindings {
 impl ForensicFindings {
     /// Residuals reachable through *online* storage (file pages, WAL, LSM
     /// runs, audit logs) — what an attacker with filesystem access gets.
-    /// This is the evidence relevant to the illegal-inference (II) probe.
+    /// Table 1's probe counts any as an illegal inference (II), so strong
+    /// deletion must clear them all.
     pub fn online(&self) -> bool {
         !self.file_pages.is_empty()
             || !self.wal_lsns.is_empty()
@@ -56,7 +57,7 @@ impl ForensicFindings {
             + self.audit_records
     }
 
-    /// One-line description for probe notes.
+    /// One-line description, bucket by bucket.
     pub fn describe(&self) -> String {
         format!(
             "file_pages={} wal_records={} remanent_sectors={} lsm_entries={} audit_records={}",

@@ -13,13 +13,9 @@ use data_case::prelude::*;
 use data_case::storage::backend::BackendKind;
 use data_case::storage::lsm::LsmTree;
 
-fn seeded_frontend() -> Frontend {
-    seeded_frontend_on(BackendKind::Heap)
-}
-
-fn seeded_frontend_on(backend: BackendKind) -> Frontend {
-    let mut config = EngineConfig::p_sys().with_backend(backend);
-    config.tuple_encryption = None;
+/// An engine built from `config` holding one record, key 1, whose
+/// payload is `INTEGRATION-ERASE-TARGET`.
+fn seeded(config: EngineConfig) -> Frontend {
     let mut fe = Frontend::new(config);
     let metadata = GdprMetadata {
         subject: 5,
@@ -53,22 +49,72 @@ fn erase(fe: &mut Frontend, key: u64, interpretation: ErasureInterpretation) -> 
     .is_ok()
 }
 
+fn update(fe: &mut Frontend, key: u64, payload: &[u8]) -> bool {
+    fe.run(
+        &Session::new(Actor::Controller),
+        Request::Update {
+            key,
+            payload: payload.to_vec(),
+        },
+    )
+    .is_done()
+}
+
 fn restore(fe: &mut Frontend, key: u64) -> bool {
     fe.run(&Session::new(Actor::Controller), Request::Restore { key })
         .outcome
         .is_ok()
 }
 
+/// Table 1, measured: on the probe configuration and on every paper
+/// profile, over both backends, each interpretation's probe reads the
+/// paper's (IR, II, Inv) triple — II off the forensic residuals.
 #[test]
 fn table1_probes_match_expected_matrix_end_to_end() {
-    for interp in ErasureInterpretation::ALL {
-        let p = probe_on(&probe_config(BackendKind::Heap), interp);
-        assert_eq!(
-            p.measured,
-            ErasureProperties::expected(interp),
-            "{interp}: {:?}",
-            p.notes
-        );
+    for backend in BackendKind::ALL {
+        let profiles = ProfileKind::PAPER.map(|p| {
+            (
+                p.label(),
+                EngineConfig::for_profile(p).with_backend(backend),
+            )
+        });
+        for (name, config) in [("probe", probe_config(backend))]
+            .into_iter()
+            .chain(profiles)
+        {
+            for interp in ErasureInterpretation::ALL {
+                let p = probe_on(&config, interp);
+                assert_eq!(
+                    p.measured,
+                    ErasureProperties::expected(interp),
+                    "{name}/{backend:?}/{interp}: {}",
+                    p.residuals.describe()
+                );
+            }
+        }
+    }
+}
+
+/// Strong deletion leaves nothing an attacker with filesystem access can
+/// read: on every paper profile and both backends, erasing an updated unit
+/// with an identifying derived copy clears every version of the payload
+/// from pages, WAL, LSM runs and the audit log alike. (Table 1's probe
+/// never updates its unit, so the superseded version is covered here.)
+#[test]
+fn strong_erasure_leaves_no_online_residual() {
+    const PAYLOAD: &[u8] = b"INTEGRATION-ERASE-TARGET";
+    for backend in BackendKind::ALL {
+        for profile in ProfileKind::PAPER {
+            let mut fe = seeded(EngineConfig::for_profile(profile).with_backend(backend));
+            assert!(update(&mut fe, 1, b"INTEGRATION-ERASE-TARGET-v2"));
+            let unit = fe.unit_of_key(1).unwrap();
+            fe.forensic()
+                .plant_derived(&[unit], "mirror", true, true, PAYLOAD, 2);
+            assert!(erase(&mut fe, 1, ErasureInterpretation::StronglyDeleted));
+            let f = fe.forensic().scan(PAYLOAD);
+            let cell = format!("{}/{backend:?}", profile.label());
+            assert!(!f.online(), "{cell}: {}", f.describe());
+        }
     }
 }
 
@@ -81,7 +127,7 @@ fn every_erase_and_restore_leaves_a_receipt() {
     let controller = Session::new(Actor::Controller);
     for backend in BackendKind::ALL {
         for interpretation in ErasureInterpretation::ALL {
-            let mut fe = seeded_frontend_on(backend);
+            let mut fe = seeded(probe_config(backend));
             let r = fe.run(
                 &controller,
                 Request::Erase {
@@ -98,7 +144,7 @@ fn every_erase_and_restore_leaves_a_receipt() {
             );
         }
 
-        let mut fe = seeded_frontend_on(backend);
+        let mut fe = seeded(probe_config(backend));
         assert!(erase(
             &mut fe,
             1,
@@ -108,7 +154,7 @@ fn every_erase_and_restore_leaves_a_receipt() {
         assert_eq!(r.reply(), Some(Reply::Restored));
         assert_eq!(r.audit.records, 1, "{backend:?}: restore");
 
-        let mut fe = seeded_frontend_on(backend);
+        let mut fe = seeded(probe_config(backend));
         let unit = fe.unit_of_key(1).unwrap();
         fe.forensic()
             .plant_derived(&[unit], "mirror", true, true, b"MIRROR", 2);
@@ -126,7 +172,7 @@ fn every_erase_and_restore_leaves_a_receipt() {
 
 #[test]
 fn delete_leaves_online_residuals_strong_delete_clears_file() {
-    let mut fe = seeded_frontend();
+    let mut fe = seeded(probe_config(BackendKind::Heap));
     assert!(erase(&mut fe, 1, ErasureInterpretation::Deleted));
     let f = fe.forensic().scan(b"INTEGRATION-ERASE-TARGET");
     // Vacuum wiped the page, but the WAL retains the payload.
@@ -138,16 +184,8 @@ fn delete_leaves_online_residuals_strong_delete_clears_file() {
             ErasureInterpretation::StronglyDeleted,
             ErasureInterpretation::PermanentlyDeleted,
         ] {
-            let mut fe2 = seeded_frontend_on(backend);
-            assert!(fe2
-                .run(
-                    &Session::new(Actor::Controller),
-                    Request::Update {
-                        key: 1,
-                        payload: b"INTEGRATION-ERASE-TARGET-v2".to_vec(),
-                    },
-                )
-                .is_done());
+            let mut fe2 = seeded(probe_config(backend));
+            assert!(update(&mut fe2, 1, b"INTEGRATION-ERASE-TARGET-v2"));
             assert!(erase(&mut fe2, 1, interp));
             if interp == ErasureInterpretation::PermanentlyDeleted {
                 let f2 = fe2.forensic().scan(b"INTEGRATION-ERASE-TARGET");
@@ -186,7 +224,9 @@ fn the_model_never_holds_payload_bytes() {
     // The log column has since grown by the records every action leaves
     // on the chain: the seven construction-time assessments (7 x 46 B)
     // and each erase's receipts (the erase, a cascaded mirror's, and a
-    // permanent erase's sanitise record).
+    // permanent erase's sanitise record). A strong or permanent erase
+    // purges the unit's logs, so its create and update records lose their
+    // payloads (24 + 27 B).
     let report = |r: [u64; 6]| SpaceReport {
         personal_bytes: r[0],
         policy_bytes: r[1],
@@ -200,13 +240,13 @@ fn the_model_never_holds_payload_bytes() {
         [
             [94, 3720, 595, 112, 305, 8098],
             [67, 3720, 597, 64, 310, 8125],
-            [40, 3720, 650, 48, 342, 8152],
+            [40, 3720, 599, 48, 342, 8152],
             [40, 3720, 650, 48, 374, 8152],
         ],
         [
             [94, 3720, 595, 0, 0, 0],
             [67, 3720, 597, 0, 0, 74],
-            [40, 3720, 650, 0, 0, 25],
+            [40, 3720, 599, 0, 0, 25],
             [40, 3720, 650, 0, 0, 25],
         ],
     ];
@@ -215,7 +255,7 @@ fn the_model_never_holds_payload_bytes() {
         .zip(before.into_iter().zip(after))
     {
         for (interp, after) in ErasureInterpretation::ALL.into_iter().zip(after) {
-            let mut fe = seeded_frontend_on(backend);
+            let mut fe = seeded(probe_config(backend));
             let controller = Session::new(Actor::Controller);
             let metadata = GdprMetadata {
                 subject: 6,
@@ -235,15 +275,7 @@ fn the_model_never_holds_payload_bytes() {
                     },
                 )
                 .is_done());
-            assert!(fe
-                .run(
-                    &controller,
-                    Request::Update {
-                        key: 1,
-                        payload: V2.to_vec(),
-                    },
-                )
-                .is_done());
+            assert!(update(&mut fe, 1, V2));
             let unit = fe.unit_of_key(1).unwrap();
             let mirror = fe
                 .forensic()
@@ -288,7 +320,7 @@ fn the_model_never_holds_payload_bytes() {
 
 #[test]
 fn staged_escalation_reaches_permanent() {
-    let mut fe = seeded_frontend();
+    let mut fe = seeded(probe_config(BackendKind::Heap));
     assert!(erase(
         &mut fe,
         1,
@@ -410,7 +442,7 @@ fn permanent_erasures_recycle_the_drive_and_keep_their_groundings() {
 
 #[test]
 fn restore_works_only_before_physical_deletion() {
-    let mut fe = seeded_frontend();
+    let mut fe = seeded(probe_config(BackendKind::Heap));
     assert!(erase(
         &mut fe,
         1,
@@ -425,7 +457,7 @@ fn restore_works_only_before_physical_deletion() {
 /// restore request's retention drain escalates it to deleted first.
 #[test]
 fn restore_cannot_bring_back_an_overdue_hidden_unit() {
-    let mut fe = seeded_frontend();
+    let mut fe = seeded(probe_config(BackendKind::Heap));
     assert!(erase(
         &mut fe,
         1,
