@@ -15,7 +15,11 @@
 //!   support for deleting a unit's log records on erasure.
 //!
 //! All three maintain an HMAC hash chain ([`record::HmacChain`]) making the
-//! log tamper-evident — the evidence invariant IX asks for.
+//! log tamper-evident — the evidence invariant IX asks for. A link MACs a
+//! record's facts and a keyed commitment to its payload, so redaction,
+//! which swaps a payload for its commitment, never rewrites the chain: a
+//! record altered before or after an erase still fails verification, and
+//! a head taken before an erase still heads the same records after it.
 
 pub mod loggers;
 pub mod record;

@@ -6,6 +6,11 @@
 //! keep (the truncated row, the query text plus response, the ciphertext)
 //! — under one HMAC chain. `bytes()` is computed from what is stored, so
 //! what Table 2 accounts is what the process holds.
+//!
+//! The chain only grows. A link commits to a payload instead of holding
+//! it ([`HmacChain`]), so redaction swaps payloads for their commitments
+//! without touching a link, and a head handed out before an erase still
+//! heads the same records after it.
 
 use datacase_core::history::{History, HistoryTuple};
 use datacase_core::ids::UnitId;
@@ -18,17 +23,14 @@ use crate::record::{HmacChain, LogRecord, Stored};
 /// A logging backend: persists records, accounts bytes, stays
 /// tamper-evident, and supports per-unit redaction.
 pub trait AuditLogger: Send {
-    /// Backend display name.
-    fn name(&self) -> &'static str;
-
     /// Persist one record: pay its simulated costs (log bytes, AES work —
     /// driven by the stored length, never the content), then commit it to
     /// the store and the tamper-evidence chain in call order.
     fn log(&mut self, rec: LogRecord);
 
-    /// The chain's current head MAC, resealing pending redactions first —
-    /// a 32-byte digest two logs can be compared by.
-    fn chain_head(&mut self) -> [u8; 32];
+    /// The chain's current head MAC — a 32-byte digest two logs can be
+    /// compared by. Redaction does not move it.
+    fn chain_head(&self) -> [u8; 32];
 
     /// Retained records.
     fn records(&self) -> usize;
@@ -36,16 +38,17 @@ pub trait AuditLogger: Send {
     /// Retained bytes (Table 2 metadata accounting).
     fn bytes(&self) -> u64;
 
-    /// Redact all records of `unit` (zero payloads, reseal the chain).
-    /// Returns how many records were redacted.
+    /// Redact all records of `unit`: each non-empty payload becomes its
+    /// 32-byte commitment, and the chain is left as it is. Returns how
+    /// many records were redacted.
     fn redact_unit(&mut self, unit: UnitId) -> usize;
 
     /// Forensic scan of retained payloads.
     fn scan(&self, needle: &[u8]) -> usize;
 
-    /// Verify the tamper-evidence chain (invariant IX's input). Reseals
-    /// any batched redactions first (an audit-time operation).
-    fn verify_chain(&mut self) -> bool;
+    /// Verify the tamper-evidence chain (invariant IX's input): recompute
+    /// it over the retained records and compare heads.
+    fn verify_chain(&self) -> bool;
 
     /// The action history the retained records mirror, read off the
     /// chain's records: what the compliance checker audits. Redacted
@@ -55,19 +58,11 @@ pub trait AuditLogger: Send {
 }
 
 /// Shared storage + chain logic for the backends.
-///
-/// Redaction marks the chain *dirty* instead of resealing
-/// immediately: like real audit systems, redactions batch and the chain is
-/// resealed once, when the next verification (or audit export) happens.
-/// Without this, per-delete redaction would re-MAC the whole log —
-/// quadratic work under delete-heavy workloads.
 struct LogCore {
     records: Vec<Stored>,
     by_unit: std::collections::HashMap<UnitId, Vec<u32>>,
     bytes: u64,
     chain: HmacChain,
-    chain_key: Vec<u8>,
-    chain_dirty: bool,
     clock: SimClock,
     meter: std::sync::Arc<Meter>,
 }
@@ -79,8 +74,6 @@ impl LogCore {
             by_unit: std::collections::HashMap::new(),
             bytes: 0,
             chain: HmacChain::new(key),
-            chain_key: key.to_vec(),
-            chain_dirty: false,
             clock,
             meter,
         }
@@ -118,37 +111,28 @@ impl LogCore {
         self.records.push(rec);
     }
 
-    fn reseal(&mut self) {
-        let mut chain = HmacChain::new(&self.chain_key);
-        for r in &self.records {
-            chain.extend(r);
-        }
-        self.chain = chain;
-    }
-
     fn redact_unit(&mut self, unit: UnitId) -> usize {
         let Some(positions) = self.by_unit.get(&unit) else {
             return 0;
         };
         let mut n = 0;
-        let mut freed = 0u64;
         let mut touched = 0usize;
         for &i in positions {
             let r = &mut self.records[i as usize];
             if !r.redacted {
-                freed += r.payload.len() as u64;
                 touched += r.size();
-                r.payload = Box::default();
+                if !r.payload.is_empty() {
+                    let c = self.chain.commit(&r.payload);
+                    self.bytes = self.bytes + c.len() as u64 - r.payload.len() as u64;
+                    r.payload = Box::new(c);
+                }
                 r.redacted = true;
                 n += 1;
             }
         }
         if n > 0 {
-            self.bytes = self.bytes.saturating_sub(freed);
-            // Charge the indexed redaction (the unit's records only); the
-            // chain reseal batches until the next verification.
+            // Charge the indexed redaction: the unit's records only.
             self.clock.charge(self.clock.model().log_cost(touched));
-            self.chain_dirty = true;
         }
         n
     }
@@ -163,20 +147,8 @@ impl LogCore {
             .count()
     }
 
-    fn verify(&mut self) -> bool {
-        if self.chain_dirty {
-            self.reseal();
-            self.chain_dirty = false;
-        }
-        self.chain.verify(&self.chain_key, self.records.iter())
-    }
-
-    fn head(&mut self) -> [u8; 32] {
-        if self.chain_dirty {
-            self.reseal();
-            self.chain_dirty = false;
-        }
-        self.chain.head()
+    fn verify(&self) -> bool {
+        self.chain.verify(self.records.iter())
     }
 }
 
@@ -215,10 +187,6 @@ impl CsvRowLogger {
 }
 
 impl AuditLogger for CsvRowLogger {
-    fn name(&self) -> &'static str {
-        "csv row-level (P_Base)"
-    }
-
     fn log(&mut self, mut rec: LogRecord) {
         // Row-level: only a truncated response row is stored — copied
         // out, so that the caller's row buffer goes back to the allocator
@@ -230,8 +198,8 @@ impl AuditLogger for CsvRowLogger {
         self.core.append(rec);
     }
 
-    fn chain_head(&mut self) -> [u8; 32] {
-        self.core.head()
+    fn chain_head(&self) -> [u8; 32] {
+        self.core.chain.head()
     }
 
     fn records(&self) -> usize {
@@ -246,7 +214,7 @@ impl AuditLogger for CsvRowLogger {
     fn scan(&self, needle: &[u8]) -> usize {
         self.core.scan(needle)
     }
-    fn verify_chain(&mut self) -> bool {
+    fn verify_chain(&self) -> bool {
         self.core.verify()
     }
     fn history(&self) -> &dyn History {
@@ -281,10 +249,6 @@ impl FullQueryLogger {
 }
 
 impl AuditLogger for FullQueryLogger {
-    fn name(&self) -> &'static str {
-        "full query+response (P_GBench)"
-    }
-
     fn log(&mut self, mut rec: LogRecord) {
         // The stored payload is the synthesised query text plus the
         // response payload.
@@ -296,8 +260,8 @@ impl AuditLogger for FullQueryLogger {
         self.core.append(rec);
     }
 
-    fn chain_head(&mut self) -> [u8; 32] {
-        self.core.head()
+    fn chain_head(&self) -> [u8; 32] {
+        self.core.chain.head()
     }
 
     fn records(&self) -> usize {
@@ -312,7 +276,7 @@ impl AuditLogger for FullQueryLogger {
     fn scan(&self, needle: &[u8]) -> usize {
         self.core.scan(needle)
     }
-    fn verify_chain(&mut self) -> bool {
+    fn verify_chain(&self) -> bool {
         self.core.verify()
     }
     fn history(&self) -> &dyn History {
@@ -331,31 +295,12 @@ pub struct EncryptedLogger {
 
 impl EncryptedLogger {
     /// A fresh encrypted logger (AES-128, as P_SYS specifies), deriving
-    /// its payload key by hashing `key`. Construction-heavy call sites
-    /// (tests, benches constructing many loggers) can pre-expand once and
-    /// use [`with_cipher`](EncryptedLogger::with_cipher) instead.
+    /// its payload key by hashing `key`; `key` also seals the chain.
     pub fn new(key: &[u8], clock: SimClock, meter: std::sync::Arc<Meter>) -> EncryptedLogger {
         let digest = datacase_crypto::sha256::Sha256::digest(key);
-        Self::with_cipher(
-            AesCtr::from_key(KeySize::Aes128, &digest[..16]),
-            key,
-            clock,
-            meter,
-        )
-    }
-
-    /// A logger reusing an already-expanded payload cipher — no hashing,
-    /// no key expansion. `chain_key` seals the tamper-evidence chain
-    /// exactly as in [`new`](EncryptedLogger::new).
-    pub fn with_cipher(
-        cipher: AesCtr,
-        chain_key: &[u8],
-        clock: SimClock,
-        meter: std::sync::Arc<Meter>,
-    ) -> EncryptedLogger {
         EncryptedLogger {
-            cipher,
-            core: LogCore::new(chain_key, clock, meter),
+            cipher: AesCtr::from_key(KeySize::Aes128, &digest[..16]),
+            core: LogCore::new(key, clock, meter),
         }
     }
 
@@ -372,10 +317,6 @@ impl EncryptedLogger {
 }
 
 impl AuditLogger for EncryptedLogger {
-    fn name(&self) -> &'static str {
-        "encrypted AES-128 (P_SYS)"
-    }
-
     fn log(&mut self, mut rec: LogRecord) {
         let payload_len = rec.payload.len();
         self.core
@@ -388,8 +329,8 @@ impl AuditLogger for EncryptedLogger {
         self.core.append(rec);
     }
 
-    fn chain_head(&mut self) -> [u8; 32] {
-        self.core.head()
+    fn chain_head(&self) -> [u8; 32] {
+        self.core.chain.head()
     }
 
     fn records(&self) -> usize {
@@ -404,7 +345,7 @@ impl AuditLogger for EncryptedLogger {
     fn scan(&self, needle: &[u8]) -> usize {
         self.core.scan(needle)
     }
-    fn verify_chain(&mut self) -> bool {
+    fn verify_chain(&self) -> bool {
         self.core.verify()
     }
     fn history(&self) -> &dyn History {
@@ -435,7 +376,30 @@ mod tests {
         }
     }
 
-    fn backends() -> Vec<Box<dyn AuditLogger>> {
+    /// A logger the tests can name and reach into, as a forger with
+    /// write access to the store could.
+    trait Format: AuditLogger {
+        fn name(&self) -> &'static str;
+        fn core(&mut self) -> &mut LogCore;
+    }
+
+    macro_rules! format {
+        ($logger:ty, $name:literal) => {
+            impl Format for $logger {
+                fn name(&self) -> &'static str {
+                    $name
+                }
+                fn core(&mut self) -> &mut LogCore {
+                    &mut self.core
+                }
+            }
+        };
+    }
+    format!(CsvRowLogger, "csv");
+    format!(FullQueryLogger, "full");
+    format!(EncryptedLogger, "enc");
+
+    fn backends() -> Vec<Box<dyn Format>> {
         let clock = SimClock::commodity();
         let meter = Arc::new(Meter::new());
         vec![
@@ -479,32 +443,33 @@ mod tests {
 
     #[test]
     fn golden_chain_heads() {
-        // Heads and retained bytes printed by the build before the store
-        // was packed and the HMAC streamed (PR 22's tree, same sequence,
-        // unit 7 redacted): one chained byte moving in any backend — a
-        // field's width, the unit-less sentinel, the redaction flag, the
-        // pads — changes a hex string here. The P_GBench head moved once
-        // since, when its query text began to render a record that names
-        // no unit as `unit=-` instead of `unit=0` (same length, same bytes).
+        // Heads and retained bytes of this sequence with unit 7 redacted:
+        // one chained byte moving in any backend — a field's width, the
+        // unit-less sentinel, the commitment key's label, the pads —
+        // changes a hex string here. Recomputed once, when links began to
+        // MAC a payload's commitment instead of the payload and redaction
+        // began to keep the 32-byte commitment (2 x 32 B more per format).
         let golden = [
             (
-                "1382707f21ca0a1dc96bf551f78974d3c15acff8ca3beb91481eec15ccd2afd3",
-                277,
+                "daf143f27d158b4b2650fe03650317791401770d243783d0af38270a21452de2",
+                341,
             ),
             (
-                "40e94f16c2e9438d17a7ca06edbc90af30cd749aa0411a5033bd7733b923e2fa",
-                454,
+                "5c94f566d2da2e701d741fc06280849ba7a1248480e4ee864f3b2d600e38f5d2",
+                518,
             ),
             (
-                "dca03daedcc9a7feb7fbc780eb3eb4386ff341198653629e90fac62e2f4146aa",
-                329,
+                "a32ec9a6144777e6a155af820adc10f6edf4bf39b231f8a24699868cde70c47f",
+                393,
             ),
         ];
         for (mut b, (head, bytes)) in backends().into_iter().zip(golden) {
             for rec in golden_sequence() {
                 b.log(rec);
             }
+            let before = b.chain_head();
             assert_eq!(b.redact_unit(UnitId(7)), 2, "{}", b.name());
+            assert_eq!(b.chain_head(), before, "{}", b.name());
             assert_eq!(
                 datacase_crypto::sha256::to_hex(&b.chain_head()),
                 head,
@@ -513,6 +478,65 @@ mod tests {
             );
             assert_eq!(b.bytes(), bytes, "{}", b.name());
             assert!(b.verify_chain(), "{}", b.name());
+        }
+    }
+
+    #[test]
+    fn tampering_before_an_erase_is_still_caught() {
+        // Unit 8's first record is altered in the store, then unit 7 is
+        // erased: the erase must not absorb the forgery into the chain.
+        for mut b in backends() {
+            for rec in golden_sequence() {
+                b.log(rec);
+            }
+            b.core().records[1].payload[0] ^= 1;
+            assert!(!b.verify_chain(), "{}", b.name());
+            assert_eq!(b.redact_unit(UnitId(7)), 2, "{}", b.name());
+            assert!(!b.verify_chain(), "{}: erase hid the forgery", b.name());
+        }
+    }
+
+    #[test]
+    fn a_head_from_before_a_redaction_still_heads_its_prefix() {
+        for mut b in backends() {
+            let records = golden_sequence();
+            let (prefix, rest) = records.split_at(3);
+            for rec in prefix {
+                b.log(rec.clone());
+            }
+            let head = b.chain_head();
+            for rec in rest {
+                b.log(rec.clone());
+            }
+            b.redact_unit(UnitId(7));
+            b.redact_unit(UnitId(8));
+            let mut chain = HmacChain::new(b"k");
+            for rec in &b.core().records[..3] {
+                chain.extend(rec);
+            }
+            assert_eq!(chain.head(), head, "{}", b.name());
+            assert!(b.verify_chain(), "{}", b.name());
+        }
+    }
+
+    #[test]
+    fn redaction_keeps_bytes_the_sum_of_record_sizes() {
+        // Short and empty payloads: a commitment is longer than the first
+        // and is never swapped in for the second.
+        for mut b in backends() {
+            b.log(rec(1, 7, b"short"));
+            b.log(rec(2, 7, b""));
+            b.log(rec(3, 8, b"another payload"));
+            b.redact_unit(UnitId(7));
+            let name = b.name();
+            let core = b.core();
+            let sizes: usize = core.records.iter().map(Stored::size).sum();
+            assert_eq!(core.bytes, sizes as u64, "{name}");
+            // The query log stores query text even for an empty response.
+            let kept = if name == "full" { [32, 32] } else { [32, 0] };
+            assert_eq!(core.records[0].payload.len(), kept[0], "{name}");
+            assert_eq!(core.records[1].payload.len(), kept[1], "{name}");
+            assert!(b.verify_chain(), "{name}");
         }
     }
 
@@ -557,7 +581,7 @@ mod tests {
     }
 
     #[test]
-    fn redact_unit_blanks_and_reseals() {
+    fn redact_unit_hides_payloads_and_keeps_the_chain() {
         for mut b in backends() {
             b.log(rec(1, 7, b"unit7-first"));
             b.log(rec(2, 8, b"unit8-data"));
@@ -565,8 +589,8 @@ mod tests {
             let n = b.redact_unit(UnitId(7));
             assert_eq!(n, 2, "{}", b.name());
             assert_eq!(b.scan(b"unit7"), 0, "{}", b.name());
-            assert!(b.verify_chain(), "chain resealed: {}", b.name());
-            assert_eq!(b.records(), 3, "records preserved, payloads blanked");
+            assert!(b.verify_chain(), "{}", b.name());
+            assert_eq!(b.records(), 3, "records preserved, payloads committed");
         }
     }
 
@@ -659,22 +683,6 @@ mod tests {
             assert_eq!(core.records[0].payload.len(), kept, "{name}");
             assert_eq!(core.bytes, (40 + "read".len() + kept) as u64, "{name}");
         }
-    }
-
-    #[test]
-    fn with_cipher_matches_new() {
-        // The cheap constructor must be observationally identical to the
-        // hashing one: same ciphertext at rest, same chain.
-        let clock = SimClock::commodity();
-        let meter = Arc::new(Meter::new());
-        let digest = datacase_crypto::sha256::Sha256::digest(b"k");
-        let cipher = AesCtr::from_key(KeySize::Aes128, &digest[..16]);
-        let mut cheap = EncryptedLogger::with_cipher(cipher, b"k", clock.clone(), meter.clone());
-        let mut hashed = EncryptedLogger::new(b"k", clock, meter);
-        cheap.log(rec(1, 1, b"payload"));
-        hashed.log(rec(1, 1, b"payload"));
-        assert_eq!(cheap.chain_head(), hashed.chain_head());
-        assert_eq!(cheap.bytes(), hashed.bytes());
     }
 
     #[test]

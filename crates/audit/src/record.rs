@@ -5,12 +5,17 @@
 //! — and the stored form is what is sized, chained and redacted: the
 //! canonical byte layout under the HMAC chain is defined once, in
 //! `Stored::feed`.
+//!
+//! A link MACs a record's facts and a keyed commitment to its payload,
+//! never the payload itself. Redaction swaps the payload for that
+//! commitment, so the chained bytes of a record are the same before and
+//! after its unit is erased, and the chain only ever grows.
 
 use datacase_core::action::Action;
 use datacase_core::history::HistoryTuple;
 use datacase_core::ids::{EntityId, UnitId};
 use datacase_core::purpose::PurposeId;
-use datacase_crypto::hmac::HmacSha256;
+use datacase_crypto::hmac::{hmac_sha256, HmacSha256};
 use datacase_sim::time::Ts;
 
 /// One audit log record, as submitted to a logger: the chained mirror of
@@ -34,6 +39,7 @@ pub struct LogRecord {
     /// Logged content (response row, query text — backend-dependent).
     pub payload: Vec<u8>,
     /// Whether the payload was redacted after the fact (unit erasure).
+    /// A logger stores every record live, whatever this says.
     pub redacted: bool,
 }
 
@@ -50,6 +56,8 @@ pub(crate) struct Stored {
     entity: EntityId,
     purpose: PurposeId,
     op: &'static str,
+    /// Set once the payload was redacted: a non-empty payload is then its
+    /// own commitment.
     pub(crate) redacted: bool,
     pub(crate) payload: Box<[u8]>,
 }
@@ -63,7 +71,7 @@ impl From<LogRecord> for Stored {
             entity: rec.entity,
             purpose: rec.purpose,
             op: rec.op,
-            redacted: rec.redacted,
+            redacted: false,
             payload: rec.payload.into_boxed_slice(),
         }
     }
@@ -88,8 +96,10 @@ impl Stored {
         40 + self.op.len() + self.payload.len()
     }
 
-    /// Stream the record's canonical bytes into a chain link's MAC.
-    fn feed(&self, mac: &mut HmacSha256) {
+    /// Stream the record's canonical bytes into a chain link's MAC: its
+    /// facts, then its payload's commitment. A redacted payload already
+    /// is its commitment; an empty one is never swapped.
+    fn feed(&self, mac: &mut HmacSha256, chain: &HmacChain) {
         let purpose = self.purpose.name();
         mac.update(&self.seq.to_le_bytes());
         mac.update(&self.at.0.to_le_bytes());
@@ -98,19 +108,27 @@ impl Stored {
         mac.update(&(purpose.len() as u32).to_le_bytes());
         mac.update(purpose.as_bytes());
         mac.update(self.op.as_bytes());
-        mac.update(&[self.redacted as u8]);
-        mac.update(&self.payload);
+        if self.redacted && !self.payload.is_empty() {
+            mac.update(&self.payload);
+        } else {
+            mac.update(&chain.commit(&self.payload));
+        }
     }
 }
 
 /// An HMAC hash chain over log records: `mac_i = HMAC(key, mac_{i-1} ‖
-/// bytes_i)`. An auditor holding the key can verify that no record was
-/// altered or dropped — the "demonstrable compliance" evidence of
-/// invariant IX.
+/// facts_i ‖ c_i)`, where `c_i = HMAC(k_c, payload_i)` is a commitment
+/// under a key derived from the chain key. An auditor holding the key can
+/// verify that no record was altered or dropped — the "demonstrable
+/// compliance" evidence of invariant IX — whether or not a payload has
+/// since been redacted to its commitment. Without the key, a commitment
+/// admits no test of a guessed payload.
 #[derive(Clone, Debug)]
 pub struct HmacChain {
     /// The chain key with both HMAC pads absorbed; cloned per link.
     key: HmacSha256,
+    /// The commitment key, likewise primed.
+    commit: HmacSha256,
     head: [u8; 32],
     links: u64,
 }
@@ -118,18 +136,28 @@ pub struct HmacChain {
 impl HmacChain {
     /// A chain sealed under `key`.
     pub fn new(key: &[u8]) -> HmacChain {
+        let key = datacase_crypto::sha256::Sha256::digest(key);
         HmacChain {
-            key: HmacSha256::new(&datacase_crypto::sha256::Sha256::digest(key)),
+            key: HmacSha256::new(&key),
+            commit: HmacSha256::new(&hmac_sha256(&key, b"datacase-audit-commitment")),
             head: [0u8; 32],
             links: 0,
         }
+    }
+
+    /// The keyed commitment to `payload`: what a link MACs in its place,
+    /// and what redaction leaves behind.
+    pub(crate) fn commit(&self, payload: &[u8]) -> [u8; 32] {
+        let mut c = self.commit.clone();
+        c.update(payload);
+        c.finalize()
     }
 
     /// Extend the chain with a record; returns the new head MAC.
     pub(crate) fn extend(&mut self, rec: &Stored) -> [u8; 32] {
         let mut mac = self.key.clone();
         mac.update(&self.head);
-        rec.feed(&mut mac);
+        rec.feed(&mut mac, self);
         self.head = mac.finalize();
         self.links += 1;
         self.head
@@ -140,15 +168,15 @@ impl HmacChain {
         self.head
     }
 
-    /// Number of links.
-    pub fn links(&self) -> u64 {
-        self.links
-    }
-
-    /// Recompute the chain over `records` and compare with `self`'s head
-    /// (auditor-side verification).
-    pub(crate) fn verify<'a>(&self, key: &[u8], records: impl Iterator<Item = &'a Stored>) -> bool {
-        let mut fresh = HmacChain::new(key);
+    /// Recompute the chain over `records` under the same key and compare
+    /// with `self`'s head (auditor-side verification).
+    pub(crate) fn verify<'a>(&self, records: impl Iterator<Item = &'a Stored>) -> bool {
+        let mut fresh = HmacChain {
+            key: self.key.clone(),
+            commit: self.commit.clone(),
+            head: [0u8; 32],
+            links: 0,
+        };
         for rec in records {
             fresh.extend(rec);
         }
@@ -187,7 +215,7 @@ mod tests {
     fn chain_verifies_untampered_log() {
         let records = vec![rec(1, b"a"), rec(2, b"b"), rec(3, b"c")];
         let chain = sealed(b"audit-key", &records);
-        assert!(chain.verify(b"audit-key", records.iter()));
+        assert!(chain.verify(records.iter()));
     }
 
     #[test]
@@ -195,21 +223,23 @@ mod tests {
         let mut records = vec![rec(1, b"a"), rec(2, b"b")];
         let chain = sealed(b"audit-key", &records);
         records[0].payload = b"ALTERED".to_vec().into();
-        assert!(!chain.verify(b"audit-key", records.iter()));
+        assert!(!chain.verify(records.iter()));
     }
 
     #[test]
     fn chain_detects_dropped_record() {
         let records = vec![rec(1, b"a"), rec(2, b"b")];
         let chain = sealed(b"audit-key", &records);
-        assert!(!chain.verify(b"audit-key", records[..1].iter()));
+        assert!(!chain.verify(records[..1].iter()));
     }
 
     #[test]
-    fn chain_rejects_wrong_key() {
+    fn chain_depends_on_the_key() {
         let records = [rec(1, b"a")];
-        let chain = sealed(b"audit-key", &records);
-        assert!(!chain.verify(b"other-key", records.iter()));
+        assert_ne!(
+            sealed(b"audit-key", &records).head(),
+            sealed(b"other-key", &records).head()
+        );
     }
 
     #[test]
@@ -224,10 +254,28 @@ mod tests {
     }
 
     #[test]
-    fn redaction_changes_the_chain() {
-        let a = rec(1, b"x");
-        let mut b = a.clone();
-        b.redacted = true;
-        assert_ne!(sealed(b"k", &[a]).head(), sealed(b"k", &[b]).head());
+    fn redaction_keeps_the_chain() {
+        let live = [rec(1, b"x"), rec(2, b"")];
+        let chain = sealed(b"k", &live);
+        let mut redacted = live.clone();
+        for r in &mut redacted {
+            if !r.payload.is_empty() {
+                r.payload = Box::new(chain.commit(&r.payload));
+            }
+            r.redacted = true;
+        }
+        assert_eq!(sealed(b"k", &redacted).head(), chain.head());
+        assert!(chain.verify(redacted.iter()));
+    }
+
+    #[test]
+    fn a_commitment_is_keyed() {
+        let a = sealed(b"k", &[]);
+        let b = sealed(b"other-key", &[]);
+        assert_ne!(a.commit(b"x"), b.commit(b"x"));
+        assert_ne!(
+            a.commit(b"x"),
+            datacase_crypto::sha256::Sha256::digest(b"x")
+        );
     }
 }

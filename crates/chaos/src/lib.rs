@@ -22,8 +22,9 @@
 //!   `purge-unit`, `compaction`), armed per run, zero-cost when off.
 //! * **Oracle** ([`runner`]) — after a crash the engine is rebuilt from
 //!   durable state and held to a serial run that never crashed:
-//!   replies, meter counters, audit-chain head bytes, forensic
-//!   residuals, and all invariant-catalog outcomes must match.
+//!   replies, meter counters, audit-chain head bytes, the audit log's
+//!   retained bytes, forensic residuals, and all invariant-catalog
+//!   outcomes must match.
 //!
 //! The headline grounding: crash **mid-erasure** (between run purge and
 //! key destruction), recover, re-probe Table 1 — zero forensic

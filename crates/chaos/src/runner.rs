@@ -34,6 +34,7 @@ use datacase_core::checker::ComplianceReport;
 use datacase_core::regulation::Regulation;
 use datacase_engine::frontend::{Frontend, Response};
 use datacase_engine::profiles::EngineConfig;
+use datacase_engine::space::SpaceReport;
 use datacase_sim::fault::{CrashPoint, CrashSignal, FaultInjector, CRASH_POINTS};
 use datacase_sim::{Meter, MeterSnapshot, SimClock};
 use datacase_storage::backend::{recover_backend, BackendKind, DurableSnapshot};
@@ -74,6 +75,9 @@ pub struct RunOutcome {
     pub replies: Vec<Vec<Response>>,
     /// Final audit-chain head MAC.
     pub chain_head: [u8; 32],
+    /// Bytes the audit log retains: where a redaction shows, since it
+    /// leaves the head as it was.
+    pub log_bytes: u64,
     /// Did the tamper-evidence chain verify?
     pub chain_ok: bool,
     /// Final meter snapshot.
@@ -98,6 +102,7 @@ fn apply_op(fe: &mut Frontend, op: &TraceOp) -> Vec<Response> {
 /// Collect a finished engine's observable outcome.
 fn observe(fe: &mut Frontend, compiled: &CompiledScenario) -> RunOutcome {
     let report = fe.compliance_report(&Regulation::gdpr());
+    let log_bytes = SpaceReport::measure(fe).log_bytes;
     let mut forensic = fe.forensic();
     let residuals = compiled
         .erased_needles
@@ -106,6 +111,7 @@ fn observe(fe: &mut Frontend, compiled: &CompiledScenario) -> RunOutcome {
         .collect();
     RunOutcome {
         chain_head: forensic.chain_head(),
+        log_bytes,
         chain_ok: forensic.verify_chain(),
         meter: fe.meter().snapshot(),
         replies: Vec::new(),
@@ -383,6 +389,12 @@ pub fn compare(recovered: &RunOutcome, oracle: &RunOutcome) -> Vec<String> {
             hex8(&oracle.chain_head)
         ));
     }
+    if recovered.log_bytes != oracle.log_bytes {
+        breaches.push(format!(
+            "audit log retains {} B != serial {} B",
+            recovered.log_bytes, oracle.log_bytes
+        ));
+    }
     if !recovered.chain_ok {
         breaches.push("audit chain fails verification after recovery".into());
     }
@@ -495,6 +507,19 @@ mod tests {
             let breaches = compare(&run.outcome, &oracle);
             assert!(breaches.is_empty(), "{kind:?}: {breaches:?}");
         }
+    }
+
+    #[test]
+    fn retained_log_bytes_are_compared() {
+        // A redaction leaves the head as it was, so a recovered run that
+        // kept a payload the oracle redacted differs only here.
+        let compiled = compile(11, &Scenario::erase_flood());
+        let oracle = run_serial(BackendKind::Heap, &compiled);
+        let mut kept = oracle.clone();
+        kept.log_bytes += 1;
+        let breaches = compare(&kept, &oracle);
+        assert_eq!(breaches.len(), 1, "{breaches:?}");
+        assert!(breaches[0].starts_with("audit log retains"));
     }
 
     #[test]

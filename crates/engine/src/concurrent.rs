@@ -344,11 +344,11 @@ fn shard_loop(shard: usize, rx: Receiver<ShardMsg>, mut fe: Frontend) -> Fronten
 /// Fold per-shard audit chain heads (shard order) into one engine-wide
 /// digest. Two runs agree on this iff they agree on every shard's chain
 /// bytes — the concurrent run's merged total order.
-pub fn merged_chain_head(shards: &mut [Frontend]) -> [u8; 32] {
+pub fn merged_chain_head(shards: &[Frontend]) -> [u8; 32] {
     let mut h = Sha256::new();
     h.update(b"datacase-merged-chain-v1");
-    for fe in shards.iter_mut() {
-        h.update(&fe.forensic().chain_head());
+    for fe in shards {
+        h.update(&fe.model.logger.chain_head());
     }
     h.finalize()
 }
@@ -492,8 +492,8 @@ mod tests {
                 recorded.extend(join.join().unwrap());
             }
         });
-        let mut live = engine.shutdown();
-        let live_head = merged_chain_head(&mut live);
+        let live = engine.shutdown();
+        let live_head = merged_chain_head(&live);
 
         // Serial witness: same sub-batches, same per-shard order.
         recorded.sort_by_key(|(stamp, _, _)| *stamp);
@@ -503,8 +503,8 @@ mod tests {
             assert_eq!(stamps[0].shard, stamp.shard);
             assert_eq!(&serial_responses, concurrent_responses);
         }
-        let mut serial = replay.shutdown();
-        assert_eq!(merged_chain_head(&mut serial), live_head);
+        let serial = replay.shutdown();
+        assert_eq!(merged_chain_head(&serial), live_head);
     }
 
     #[test]
@@ -517,8 +517,8 @@ mod tests {
         let creates: Vec<Request> = (0..8).map(create).collect();
         engine.submit(&s, &creates).wait();
         let mut frontends = engine.shutdown();
-        let head_a = merged_chain_head(&mut frontends);
-        let head_b = merged_chain_head(&mut frontends);
+        let head_a = merged_chain_head(&frontends);
+        let head_b = merged_chain_head(&frontends);
         assert_eq!(head_a, head_b, "chain heads are stable once quiesced");
         let total: usize = frontends
             .iter_mut()

@@ -237,7 +237,7 @@ impl Frontend {
     /// Run the compliance checker against this engine's model, with the
     /// audit chain's verification and the configuration's encryption at
     /// rest as evidence.
-    pub fn compliance_report(&mut self, regulation: &Regulation) -> ComplianceReport {
+    pub fn compliance_report(&self, regulation: &Regulation) -> ComplianceReport {
         let evidence = EvidenceFlags {
             audit_log_tamper_evident: self.model.logger.verify_chain(),
             encryption_at_rest_default: self.config.encryption_at_rest(),
@@ -357,15 +357,16 @@ impl Forensic<'_> {
     }
 
     /// Verify the audit log's tamper-evident chain.
-    pub fn verify_chain(&mut self) -> bool {
+    pub fn verify_chain(&self) -> bool {
         self.fe.model.logger.verify_chain()
     }
 
     /// The audit chain's head MAC — a 32-byte digest over every record's
-    /// bytes in order. Two engines whose heads match hold byte-identical
-    /// audit chains (the batch-parity and serial-replay properties
+    /// facts and payload commitment, in order. Two engines whose heads
+    /// match logged the same records, whether or not either has since
+    /// redacted some (the batch-parity and serial-replay properties
     /// compare runs through this).
-    pub fn chain_head(&mut self) -> [u8; 32] {
+    pub fn chain_head(&self) -> [u8; 32] {
         self.fe.model.logger.chain_head()
     }
 
@@ -819,9 +820,10 @@ mod tests {
     fn the_label_table_keeps_every_chained_byte() {
         // The head this trace's chain had while the record labels were
         // still mapped in the engine: a byte of any label the engine
-        // writes moving changes it. Recomputed once since, when the strong
-        // plan gained `PurgeLogs`: key 4's records lost their payloads and
-        // the purge's charge moved every later timestamp.
+        // writes moving changes it. Recomputed twice since: when the strong
+        // plan gained `PurgeLogs` (key 4's records lost their payloads and
+        // the purge's charge moved every later timestamp), and when links
+        // began to MAC a payload's commitment instead of the payload.
         let mut fe = every_label_trace();
         let labels: std::collections::BTreeSet<&str> =
             fe.history().tuples().map(|t| t.action.label()).collect();
@@ -845,7 +847,7 @@ mod tests {
         let head = fe.forensic().chain_head();
         assert_eq!(
             datacase_crypto::sha256::to_hex(&head),
-            "82230cf63a336a6cccd1cb3fef4d065cf9500a3737cec597d15467e1435391c1"
+            "1f24495ca3f9c4b8ce669dd25a0fde4ddb956ac34c3039ecef0d54c46d9d76ad"
         );
     }
 

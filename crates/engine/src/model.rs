@@ -8,7 +8,7 @@
 //! [`Model::record`] is the engine's one way to record an action. The
 //! state holds no payload bytes (a version is `Value::Stored { len }`);
 //! the log keeps the profile's rendering of each response until an
-//! erasure redacts it.
+//! erasure redacts it to its commitment, which leaves the chain as it was.
 
 use std::collections::HashMap;
 

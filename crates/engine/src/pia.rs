@@ -154,7 +154,7 @@ impl Certificate {
 /// Certify a live engine: invariant check + empirical erasure probes on
 /// a fresh engine of the same configuration (its fault plane disarmed) +
 /// declared groundings, the erasure plans that configuration executes.
-pub fn certify(frontend: &mut Frontend, regulation: &Regulation) -> Certificate {
+pub fn certify(frontend: &Frontend, regulation: &Regulation) -> Certificate {
     let report = frontend.compliance_report(regulation);
     let config = frontend
         .config
@@ -242,7 +242,7 @@ mod tests {
         let mut fe = Frontend::new(EngineConfig::p_sys());
         let mut bench = GdprBench::new(5, 50);
         fe.submit_ops(&Session::new(Actor::Controller), &bench.load_phase(50));
-        let cert = certify(&mut fe, &Regulation::gdpr());
+        let cert = certify(&fe, &Regulation::gdpr());
         assert!(cert.granted(), "{cert:?}");
         assert_eq!(cert.probes.len(), 4);
         assert_eq!(cert.declared_groundings.len(), 4);
@@ -255,8 +255,8 @@ mod tests {
     /// surviving derived copy shows up in the LSM runs.
     #[test]
     fn certification_probes_the_certified_backend() {
-        let mut fe = Frontend::new(EngineConfig::p_gbench().with_backend(BackendKind::Lsm));
-        let cert = certify(&mut fe, &Regulation::gdpr());
+        let fe = Frontend::new(EngineConfig::p_gbench().with_backend(BackendKind::Lsm));
+        let cert = certify(&fe, &Regulation::gdpr());
         let deleted = cert
             .probes
             .iter()
@@ -286,7 +286,7 @@ mod tests {
                 action: datacase_core::action::Action::Read,
                 at,
             });
-        let cert = certify(&mut fe, &Regulation::gdpr());
+        let cert = certify(&fe, &Regulation::gdpr());
         assert!(!cert.granted());
         assert!(!cert.checker_compliant);
     }

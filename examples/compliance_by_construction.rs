@@ -67,7 +67,7 @@ fn main() {
     // 4. Certification (the DPA's process): checker + empirical probes +
     //    declared groundings.
     println!("\n--- certification ---\n");
-    let cert = certify(&mut fe, &Regulation::gdpr());
+    let cert = certify(&fe, &Regulation::gdpr());
     let passed = cert.probes.iter().filter(|p| p.matches_expected()).count();
     println!(
         "regulation: {} | checker: {} | probes: {passed}/{}",

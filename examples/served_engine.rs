@@ -91,7 +91,7 @@ fn main() {
     acme.goodbye().expect("acme goodbye");
     globex.goodbye().expect("globex goodbye");
     let mut frontends = server.shutdown();
-    let head = merged_chain_head(&mut frontends);
+    let head = merged_chain_head(&frontends);
     println!(
         "gateway drained: {} shards, merged audit chain head {:02x}{:02x}..{:02x}{:02x}",
         frontends.len(),

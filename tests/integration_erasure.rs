@@ -225,8 +225,8 @@ fn the_model_never_holds_payload_bytes() {
     // on the chain: the seven construction-time assessments (7 x 46 B)
     // and each erase's receipts (the erase, a cascaded mirror's, and a
     // permanent erase's sanitise record). A strong or permanent erase
-    // purges the unit's logs, so its create and update records lose their
-    // payloads (24 + 27 B).
+    // purges the unit's logs, so its create and update records trade
+    // their payloads (24 + 27 B) for 32-byte commitments.
     let report = |r: [u64; 6]| SpaceReport {
         personal_bytes: r[0],
         policy_bytes: r[1],
@@ -240,14 +240,14 @@ fn the_model_never_holds_payload_bytes() {
         [
             [94, 3720, 595, 112, 305, 8098],
             [67, 3720, 597, 64, 310, 8125],
-            [40, 3720, 599, 48, 342, 8152],
-            [40, 3720, 650, 48, 374, 8152],
+            [40, 3720, 663, 48, 342, 8152],
+            [40, 3720, 714, 48, 374, 8152],
         ],
         [
             [94, 3720, 595, 0, 0, 0],
             [67, 3720, 597, 0, 0, 74],
-            [40, 3720, 599, 0, 0, 25],
-            [40, 3720, 650, 0, 0, 25],
+            [40, 3720, 663, 0, 0, 25],
+            [40, 3720, 714, 0, 0, 25],
         ],
     ];
     for (backend, (before, after)) in BackendKind::ALL

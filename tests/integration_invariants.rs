@@ -17,7 +17,7 @@ fn loaded(profile: ProfileKind) -> Frontend {
 
 #[test]
 fn engine_run_passes_full_gdpr_catalog() {
-    let mut fe = loaded(ProfileKind::PSys);
+    let fe = loaded(ProfileKind::PSys);
     let report = fe.compliance_report(&Regulation::gdpr());
     assert!(
         report.is_compliant(),
@@ -224,7 +224,7 @@ fn ccpa_does_not_require_assessments() {
     // A CCPA-only deployment that never records DPIAs still passes (III is
     // not enforced), while GDPR flags nothing either since the engine
     // records assessments at startup.
-    let mut fe = loaded(ProfileKind::PBase);
+    let fe = loaded(ProfileKind::PBase);
     let ccpa = fe.compliance_report(&Regulation::ccpa());
     assert!(ccpa.is_compliant());
     assert!(!ccpa.outcomes.iter().any(|o| o.id == "III"));

@@ -239,8 +239,8 @@ fn graceful_shutdown_drains_replies_and_replays_serially() {
         // Begin graceful shutdown while both connections are mid-stream:
         // it must block until every in-flight batch is answered.
         connected.wait();
-        let mut frontends = server.shutdown();
-        let live_head = merged_chain_head(&mut frontends);
+        let frontends = server.shutdown();
+        let live_head = merged_chain_head(&frontends);
 
         for join in joins {
             recorded.extend(join.join().unwrap());
@@ -294,9 +294,9 @@ fn graceful_shutdown_drains_replies_and_replays_serially() {
                 "served replies replay serially"
             );
         }
-        let mut serial = replay.shutdown();
+        let serial = replay.shutdown();
         assert_eq!(
-            merged_chain_head(&mut serial),
+            merged_chain_head(&serial),
             live_head,
             "merged audit chain head is byte-identical to the serial replay"
         );

@@ -6,8 +6,9 @@
 //!   indistinguishable from *n* single-request submissions: same reply
 //!   stream, same work-meter counters, same simulated clock, same forensic
 //!   residuals, and the same **bytes of the audit chain** — every record's
-//!   sequence number, timestamp, and payload must match, or the chain
-//!   heads diverge. This is what makes the drivers' batch-first execution
+//!   sequence number, timestamp, and payload commitment must match, or the
+//!   chain heads diverge — with the same log bytes retained, which is
+//!   where a redaction shows. This is what makes batch-first execution
 //!   safe. The same comparison runs across crypto backends: which AES
 //!   implementation an engine uses moves wall time only, never a
 //!   simulated column.
@@ -22,6 +23,7 @@
 use data_case::sim::check::check;
 
 use data_case::crypto::CryptoBackend;
+use data_case::engine::space::SpaceReport;
 use data_case::prelude::*;
 use data_case::storage::backend::BackendKind;
 use data_case::workloads::gdprbench::{GdprBench, Mix};
@@ -84,7 +86,7 @@ fn concurrent_run(
     fired.extend(tickets.into_iter().map(Ticket::wait));
     drop(handle);
     let mut frontends = engine.shutdown();
-    let head = merged_chain_head(&mut frontends);
+    let head = merged_chain_head(&frontends);
     let shard_clocks = frontends.iter().map(|fe| fe.clock().now()).collect();
     let residuals = frontends
         .iter_mut()
@@ -93,11 +95,21 @@ fn concurrent_run(
     (fired, shard_clocks, residuals, head)
 }
 
+/// What [`run`] observes of one engine.
+type Observed = (
+    Vec<Result<Reply, EngineError>>,
+    MeterSnapshot,
+    Ts,
+    usize,
+    ([u8; 32], u64),
+);
+
 /// One full run: load 60 records, then execute `txns` WCus requests in
 /// submissions of `batch_size`, with every AES path routed through
 /// `crypto`. Returns the outcome stream, the meter counters, the final
 /// simulated instant, the count of forensic residuals for the workload's
-/// payload marker, and the audit chain's head MAC.
+/// payload marker, and the audit chain's head MAC with the log's
+/// retained bytes.
 fn run(
     backend: BackendKind,
     profile: ProfileKind,
@@ -105,13 +117,7 @@ fn run(
     txns: usize,
     batch_size: usize,
     crypto: CryptoBackend,
-) -> (
-    Vec<Result<Reply, EngineError>>,
-    MeterSnapshot,
-    Ts,
-    usize,
-    [u8; 32],
-) {
+) -> Observed {
     let mut config = EngineConfig::for_profile(profile)
         .with_backend(backend)
         .with_crypto_backend(crypto);
@@ -133,7 +139,10 @@ fn run(
     }
     let work = fe.meter().snapshot();
     let now = fe.clock().now();
-    let chain = fe.forensic().chain_head();
+    let chain = (
+        fe.forensic().chain_head(),
+        SpaceReport::measure(&fe).log_bytes,
+    );
     // GDPRBench payloads embed a "person=" marker; the residual count is
     // the physical-retention fingerprint of the whole run.
     let residuals = fe.forensic().scan(b"person=").total();
@@ -213,6 +222,12 @@ fn erase_batches_match_sequential_erasure() {
                 fe_seq.forensic().chain_head(),
                 fe_batch.forensic().chain_head(),
                 "{:?}: erase audit chains diverged",
+                backend
+            );
+            assert_eq!(
+                SpaceReport::measure(&fe_seq).log_bytes,
+                SpaceReport::measure(&fe_batch).log_bytes,
+                "{:?}: erase redactions diverged",
                 backend
             );
             let batch_residuals = fe_batch.forensic().scan(b"person=").total();
