@@ -448,8 +448,9 @@ pub fn fig3() -> (String, ErasureTimeline) {
 // Figure 1 — the invariant catalog.
 // ---------------------------------------------------------------------
 
-/// Figure 1: the invariant catalog — the nine requirement groups, the
-/// deployment invariant X and the formal G6/G17 — with article coverage.
+/// Figure 1: the invariant catalog — the nine requirement groups, IV and
+/// V under their formal ids G6 and G17, and the deployment invariant X —
+/// with article coverage.
 pub fn fig1() -> Table {
     let mut table = Table::new(
         "Figure 1 — GDPR requirements as informal invariants",
@@ -777,14 +778,11 @@ mod tests {
         // Enumerate the live catalog rather than hard-coding its size:
         // the figure must grow with the catalog, never silently lag it.
         let t = fig1();
-        assert_eq!(t.len(), CATALOG.len());
-        for invariant in &CATALOG {
-            assert!(
-                t.rows().iter().any(|row| row[0] == invariant.id),
-                "figure 1 is missing invariant {}",
-                invariant.id
-            );
-        }
+        let ids: Vec<&str> = t.rows().iter().map(|row| row[0].as_str()).collect();
+        let catalog: Vec<&str> = CATALOG.iter().map(|i| i.id).collect();
+        assert_eq!(ids, catalog);
+        // Figure 1's IV and V appear once each, under their formal ids.
+        assert_eq!(ids[3..5], ["G6", "G17"]);
     }
 
     #[test]

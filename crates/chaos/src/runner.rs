@@ -107,7 +107,7 @@ fn observe(fe: &mut Frontend, compiled: &CompiledScenario) -> RunOutcome {
     let residuals = compiled
         .erased_needles
         .iter()
-        .map(|needle| forensic.scan(needle).total())
+        .map(|(needle, _)| forensic.scan(needle).total())
         .collect();
     RunOutcome {
         chain_head: forensic.chain_head(),
@@ -286,7 +286,7 @@ fn verify_storage_recovery(
     };
     let a = recover(snapshot.clone());
     let b = recover(snapshot.clone());
-    for needle in &compiled.erased_needles {
+    for (needle, _) in &compiled.erased_needles {
         let (na, nb) = (
             a.scan_physical(needle).total(),
             b.scan_physical(needle).total(),
@@ -306,13 +306,17 @@ fn verify_storage_recovery(
     }
     // Erasures fully committed before the crash must hold in the
     // recovered substrate (the interrupted op itself is redone later).
-    for (needle, op_idx) in erased_before(compiled, crashed_at) {
-        let n = a.scan_physical(&needle).total();
+    for (needle, op_idx) in compiled
+        .erased_needles
+        .iter()
+        .filter(|(_, op)| *op < crashed_at)
+    {
+        let n = a.scan_physical(needle).total();
         if n != 0 {
             return Err(format!(
                 "resurrection: needle {:?} (erase committed at op[{op_idx}], \
                  crash at op[{crashed_at}]) scans {n} in the recovered substrate",
-                String::from_utf8_lossy(&needle)
+                String::from_utf8_lossy(needle)
             ));
         }
     }
@@ -321,48 +325,6 @@ fn verify_storage_recovery(
         sa.live_entries, sa.dead_entries
     ));
     Ok(())
-}
-
-/// Needles of subjects whose *entire* permanent erasure committed
-/// strictly before the crashed op, with the op index that finished it.
-fn erased_before(compiled: &CompiledScenario, crashed_at: usize) -> Vec<(Vec<u8>, usize)> {
-    use datacase_core::grounding::erasure::ErasureInterpretation;
-    use datacase_engine::frontend::Request;
-    let mut out = Vec::new();
-    for needle in &compiled.erased_needles {
-        let prefix = {
-            // "CHAOS-S000042" identifies the subject; its keys all live
-            // in payloads formatted "<needle>-K<key>".
-            let mut p = needle.clone();
-            p.push(b'-');
-            p
-        };
-        let mut last_erase_op = None;
-        for (i, op) in compiled.ops.iter().enumerate() {
-            let TraceOp::Submit { batch, .. } = op else {
-                continue;
-            };
-            for req in batch.requests() {
-                if let Request::Erase {
-                    key,
-                    interpretation: ErasureInterpretation::PermanentlyDeleted,
-                } = req
-                {
-                    // Key → subject mapping is the compiler's stride.
-                    let subject_tag = format!("CHAOS-S{:06}-", key / 1_000);
-                    if subject_tag.as_bytes() == prefix.as_slice() {
-                        last_erase_op = Some(i);
-                    }
-                }
-            }
-        }
-        if let Some(i) = last_erase_op {
-            if i < crashed_at {
-                out.push((needle.clone(), i));
-            }
-        }
-    }
-    out
 }
 
 /// First eight bytes of a digest, hex-encoded (event-trace labels).

@@ -279,8 +279,9 @@ pub struct CompiledScenario {
     pub ops: Vec<TraceOp>,
     /// Needles that must scan to **zero** across every persistent layer
     /// once the trace has fully executed: one per permanently-erased
-    /// subject (their records' payloads all embed it).
-    pub erased_needles: Vec<Vec<u8>>,
+    /// subject (their records' payloads all embed it), each with the index
+    /// of the op in [`ops`](Self::ops) that erases the subject's keys.
+    pub erased_needles: Vec<(Vec<u8>, usize)>,
 }
 
 /// Payload needle identifying subject `s` (fixed width, so no needle is
@@ -298,7 +299,8 @@ struct Compiler {
     next_subject: u32,
     /// Lower bound for clock advances (strictly monotone).
     cursor: Ts,
-    erased_perm: Vec<u32>,
+    /// Permanently erased subjects, each with the index of its erase op.
+    erased_perm: Vec<(u32, usize)>,
 }
 
 impl Compiler {
@@ -456,7 +458,7 @@ impl Compiler {
                         batch,
                     });
                     if interpretation == ErasureInterpretation::PermanentlyDeleted {
-                        self.erased_perm.push(s);
+                        self.erased_perm.push((s, self.ops.len() - 1));
                     }
                     // A read burst between floods keeps erase work and
                     // span work interleaved at crash-point granularity.
@@ -585,7 +587,7 @@ impl Compiler {
                                 session: Session::new(Actor::Subject),
                                 batch,
                             });
-                            self.erased_perm.push(victim);
+                            self.erased_perm.push((victim, self.ops.len() - 1));
                         }
                     }
                 }
@@ -614,7 +616,7 @@ pub fn compile(seed: u64, scenario: &Scenario) -> CompiledScenario {
         erased_needles: c
             .erased_perm
             .iter()
-            .map(|&s| subject_needle(s).into_bytes())
+            .map(|&(s, op)| (subject_needle(s).into_bytes(), op))
             .collect(),
     }
 }
@@ -672,8 +674,24 @@ mod tests {
             3,
             "three subjects permanently erased"
         );
-        for needle in &c.erased_needles {
+        for (needle, op) in &c.erased_needles {
             assert!(needle.starts_with(b"CHAOS-S"));
+            // The recorded op permanently erases the subject's keys.
+            let TraceOp::Submit { batch, .. } = &c.ops[*op] else {
+                panic!("op[{op}] is not a submit");
+            };
+            assert!(!batch.is_empty());
+            for req in batch.requests() {
+                let Request::Erase {
+                    key,
+                    interpretation: ErasureInterpretation::PermanentlyDeleted,
+                } = req
+                else {
+                    panic!("op[{op}] holds {req:?}");
+                };
+                let subject = (key / KEY_STRIDE) as u32;
+                assert_eq!(subject_needle(subject).as_bytes(), needle.as_slice());
+            }
         }
     }
 }

@@ -131,19 +131,14 @@ mod tests {
         });
         let u = state.unit_mut(uid).unwrap();
         u.encrypted_at_rest = true;
-        u.policies.grant(
-            Policy::open_ended(wk::subject_access(), subject, t(0)),
+        u.policies
+            .grant(Policy::open_ended(wk::subject_access(), subject, t(0)));
+        u.policies.grant(Policy::new(
+            wk::compliance_erase(),
+            EntityId(1),
             t(0),
-        );
-        u.policies.grant(
-            Policy::new(
-                wk::compliance_erase(),
-                EntityId(1),
-                t(0),
-                Ts::from_secs(1_000_000),
-            ),
-            t(0),
-        );
+            Ts::from_secs(1_000_000),
+        ));
         (state, history, PurposeRegistry::with_defaults())
     }
 
@@ -171,12 +166,12 @@ mod tests {
     fn compliant_world_passes_everything() {
         let report = check_world(&compliant_world(), &Regulation::gdpr(), t(100));
         assert!(report.is_compliant(), "violations: {:?}", report.violations);
-        assert_eq!(report.outcomes.len(), 12);
+        assert_eq!(report.outcomes.len(), 10);
         assert!(report.render().contains("COMPLIANT"));
     }
 
     #[test]
-    fn illegal_read_surfaces_in_g6_and_iv() {
+    fn illegal_read_surfaces_once_in_g6() {
         let mut world = compliant_world();
         world.1.push(HistoryTuple {
             unit: crate::ids::UnitId(0),
@@ -187,8 +182,10 @@ mod tests {
         });
         let report = check_world(&world, &Regulation::gdpr(), t(100));
         assert!(!report.is_compliant());
-        assert_eq!(report.of_invariant("G6").len(), 1);
-        assert_eq!(report.of_invariant("IV").len(), 1);
+        // One unlawful action, reported once under G6 (and under III:
+        // this world recorded no assessment for billing).
+        let flagged: Vec<&str> = report.violations.iter().map(|v| v.invariant).collect();
+        assert_eq!(flagged, ["III", "G6"]);
     }
 
     #[test]
@@ -208,7 +205,7 @@ mod tests {
     fn report_render_lists_all_invariants() {
         let report = check_world(&compliant_world(), &Regulation::gdpr(), t(5));
         let rendered = report.render();
-        for id in ["I", "V", "IX", "G6", "G17"] {
+        for id in ["I", "G6", "G17", "IX", "X"] {
             assert!(
                 rendered.lines().any(|l| l.trim_start().starts_with(id)),
                 "missing {id} in:\n{rendered}"

@@ -129,11 +129,12 @@ mod tests {
         let regulation = Regulation::gdpr();
         let netflix = EntityId(1);
         let uid = state.collect(EntityId(7), Origin::Subject(EntityId(7)), "cc".into(), t(0));
-        state
-            .unit_mut(uid)
-            .unwrap()
-            .policies
-            .grant(Policy::new(wk::billing(), netflix, t(0), t(100)), t(0));
+        state.unit_mut(uid).unwrap().policies.grant(Policy::new(
+            wk::billing(),
+            netflix,
+            t(0),
+            t(100),
+        ));
 
         // Authorised read within window.
         let ok = tup(uid.0, wk::billing(), 1, Action::Read, t(10));

@@ -1,15 +1,15 @@
 //! The groundings of Figure 1's informal invariants, one function each
 //! (other groundings are possible — that is the framework's point; ours
 //! are documented on each function). [`super::CATALOG`] names them; IV
-//! and V are grounded as the formal G6 and G17.
+//! and V are the formal G6 and G17 (their own modules), under those ids.
 //!
 //! | id   | group                        | GDPR articles |
 //! |------|------------------------------|---------------|
 //! | I    | Disclosure                   | 13, 14        |
 //! | II   | Storage                      | 12, 15–18, 20, 21, 23 |
 //! | III  | Pre-processing               | 35, 36        |
-//! | IV   | Sharing and Processing       | 5–11, 22, 26–29, 44, 45 |
-//! | V    | Erasure                      | 17            |
+//! | G6   | Sharing and Processing (IV)  | 5–11, 22, 26–29, 44, 45 |
+//! | G17  | Erasure (V)                  | 17            |
 //! | VI   | Design and Security          | 25, 32        |
 //! | VII  | Record keeping               | 30            |
 //! | VIII | Obligations & Accountability | 19, 33, 34    |
@@ -423,10 +423,15 @@ mod tests {
                 action: Action::Create,
                 at,
             });
-            self.state.unit_mut(uid).unwrap().policies.grant(
-                Policy::open_ended(wk::subject_access(), EntityId(subject), at),
-                at,
-            );
+            self.state
+                .unit_mut(uid)
+                .unwrap()
+                .policies
+                .grant(Policy::open_ended(
+                    wk::subject_access(),
+                    EntityId(subject),
+                    at,
+                ));
             uid
         }
 
@@ -523,34 +528,6 @@ mod tests {
             at: t(15),
         });
         assert!(fx.check("III", t(20)).is_empty());
-    }
-
-    #[test]
-    fn sharing_processing_relabels_g6() {
-        // IV and V are grounded as G6 and G17: each row reports exactly the
-        // formal invariant's violations, under the row's own id.
-        let mut fx = Fx::new();
-        let uid = fx.collect_with_consent(1, t(0));
-        fx.history.push(HistoryTuple {
-            unit: uid,
-            purpose: wk::billing(),
-            entity: EntityId(42),
-            action: Action::Read,
-            at: t(10),
-        });
-        for (row, formal) in [("IV", "G6"), ("V", "G17")] {
-            let got = fx.check(row, t(20));
-            let relabelled: Vec<Violation> = fx
-                .check(formal, t(20))
-                .into_iter()
-                .map(|v| Violation {
-                    invariant: row,
-                    ..v
-                })
-                .collect();
-            assert_eq!(got.len(), 1, "{row}");
-            assert_eq!(got, relabelled, "{row} must report {formal}'s violations");
-        }
     }
 
     #[test]

@@ -20,8 +20,8 @@ use crate::violation::{Severity, Violation};
 
 use super::CheckContext;
 
-/// The formal G17 invariant, grounded as the module docs state. Catalog
-/// row V (erasure) is grounded as this same check.
+/// The formal G17 invariant, grounded as the module docs state. It is
+/// the catalog's grounding of Figure 1's V (erasure).
 pub fn timely_erasure(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
     let mut out = Vec::new();
     let grace = ctx.regulation.erase_grace;
@@ -109,10 +109,12 @@ mod tests {
         let mut state = DatabaseState::new();
         let uid = state.collect(EntityId(7), Origin::Subject(EntityId(7)), "cc".into(), t(0));
         // Erase-by policy: must be erased by t=100.
-        state.unit_mut(uid).unwrap().policies.grant(
-            Policy::new(wk::compliance_erase(), EntityId(0), t(0), t(100)),
+        state.unit_mut(uid).unwrap().policies.grant(Policy::new(
+            wk::compliance_erase(),
+            EntityId(0),
             t(0),
-        );
+            t(100),
+        ));
         let mut regulation = Regulation::gdpr();
         regulation.erase_grace = Dur::from_secs(10);
         (

@@ -8,8 +8,9 @@ use crate::violation::{Severity, Violation};
 use super::CheckContext;
 
 /// The formal G6 invariant: every history tuple must be
-/// policy-consistent ([`HistoryTuple::policy_consistent`](crate::history::HistoryTuple::policy_consistent)). Catalog row
-/// IV (sharing and processing) is grounded as this same check.
+/// policy-consistent ([`HistoryTuple::policy_consistent`](crate::history::HistoryTuple::policy_consistent)).
+/// It is the catalog's grounding of Figure 1's IV (sharing and
+/// processing).
 pub fn policy_consistency(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
     let mut out = Vec::new();
     for tuple in ctx.history.tuples() {
@@ -52,11 +53,12 @@ mod tests {
     fn setup() -> (DatabaseState, PurposeRegistry, Regulation, UnitId) {
         let mut state = DatabaseState::new();
         let uid = state.collect(EntityId(7), Origin::Subject(EntityId(7)), "cc".into(), t(0));
-        state
-            .unit_mut(uid)
-            .unwrap()
-            .policies
-            .grant(Policy::new(wk::billing(), EntityId(1), t(0), t(100)), t(0));
+        state.unit_mut(uid).unwrap().policies.grant(Policy::new(
+            wk::billing(),
+            EntityId(1),
+            t(0),
+            t(100),
+        ));
         (
             state,
             PurposeRegistry::with_defaults(),

@@ -3,8 +3,9 @@
 //!
 //! Figure 1 groups the GDPR's system-relevant articles into nine informal
 //! invariants (I Disclosure … IX Demonstrate compliance); §2.2 formalises
-//! two of them — G6 (lawful processing = policy consistency) and G17
-//! (timely erasure). [`CATALOG`] is that list as one table: each row is an
+//! two of them — G6 (lawful processing = policy consistency, Figure 1's
+//! IV) and G17 (timely erasure, Figure 1's V). [`CATALOG`] is that list
+//! as one table, with the formal ids in IV's and V's places: each row is an
 //! id, a statement, the articles it covers and the *grounding* we chose
 //! for its informal text — what exactly is checked against the model
 //! state and history. Different groundings are possible — that is the
@@ -59,7 +60,7 @@ pub struct CheckContext<'a> {
 /// One row of the catalog: a checkable invariant and its grounding.
 #[derive(Clone, Copy, Debug)]
 pub struct Invariant {
-    /// Stable identifier ("I".."X", "G6", "G17").
+    /// Stable identifier ("I".."X", with "G6" and "G17" for IV and V).
     pub id: &'static str,
     /// Short human-readable statement.
     pub statement: &'static str,
@@ -71,9 +72,10 @@ pub struct Invariant {
     pub check: fn(&CheckContext<'_>, &'static str) -> Vec<Violation>,
 }
 
-/// Figure 1's invariants plus the deployment invariant X and the formal
-/// G6/G17, in display order. IV and V are grounded as G6 and G17.
-pub const CATALOG: [Invariant; 12] = [
+/// Figure 1's invariants plus the deployment invariant X, in display
+/// order. Rows IV (sharing and processing) and V (erasure) are the ones
+/// §2.2 formalises, so they carry the formal ids G6 and G17.
+pub const CATALOG: [Invariant; 10] = [
     Invariant {
         id: "I",
         statement: "Keep data subjects informed when collecting data.",
@@ -93,13 +95,13 @@ pub const CATALOG: [Invariant; 12] = [
         check: catalog::pre_processing,
     },
     Invariant {
-        id: "IV",
+        id: "G6",
         statement: "Do not process data indiscriminately (all actions policy-consistent).",
         articles: &[5, 6, 7, 8, 9, 10, 11, 22, 26, 27, 28, 29, 44, 45],
         check: g6::policy_consistency,
     },
     Invariant {
-        id: "V",
+        id: "G17",
         statement: "Do not store data eternally (erase-by policies honoured).",
         articles: &[17],
         check: g17::timely_erasure,
@@ -134,19 +136,6 @@ pub const CATALOG: [Invariant; 12] = [
         articles: &[28, 32],
         check: catalog::tenant_isolation,
     },
-    Invariant {
-        id: "G6",
-        statement: "Every action on every data unit is policy-consistent.",
-        articles: &[6],
-        check: g6::policy_consistency,
-    },
-    Invariant {
-        id: "G17",
-        statement: "Every personal unit has an erase-by policy and is erased (at the \
-                    regulation's minimum interpretation) by its deadline.",
-        articles: &[17],
-        check: g17::timely_erasure,
-    },
 ];
 
 #[cfg(test)]
@@ -157,7 +146,7 @@ mod tests {
     fn catalog_ids_are_unique_and_complete() {
         let ids: Vec<&str> = CATALOG.iter().map(|i| i.id).collect();
         let expected = [
-            "I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "G6", "G17",
+            "I", "II", "III", "G6", "G17", "VI", "VII", "VIII", "IX", "X",
         ];
         assert_eq!(ids, expected);
         let mut dedup = ids.clone();

@@ -5,11 +5,16 @@
 //! evolution of policies over time — grants and revocations — so the
 //! active set `P(t)` can be computed for any instant, which is what
 //! policy-consistency (G6) and the erasure deadline (G17) are defined over.
+//! It is the one policy semantics of the system: the model's units carry
+//! it, and the unit-scoped enforcers (`datacase-policy`'s metadata table
+//! and FGAC) store their rows in it, so they differ from G6 in cost only.
+//! A revocation at `r` ends access at `r` itself: `P(r)` no longer holds
+//! the revoked policies.
 //!
 //! Every unit of a loaded engine carries one of these, so the rows are kept
 //! exact-sized where the whole list is known up front
 //! ([`PolicySet::grant_all`]), and a later single [`PolicySet::grant`]
-//! grows them gently ([`push_row`]).
+//! grows them gently.
 
 use datacase_sim::time::Ts;
 
@@ -61,32 +66,17 @@ impl std::fmt::Display for Policy {
     }
 }
 
-/// Push onto a per-unit row list. Such lists are many (one per unit),
-/// live as long as the unit and rarely grow after it is created, so a full
-/// list grows by a quarter — at least one slot — instead of doubling:
-/// still amortised O(1) per push, and a unit that receives one later grant
-/// holds 11 rows' worth of memory, not 18.
-pub fn push_row<T>(rows: &mut Vec<T>, row: T) {
-    if rows.len() == rows.capacity() {
-        rows.reserve_exact((rows.len() / 4).max(1));
-    }
-    rows.push(row);
-}
-
 /// A granted policy plus its revocation state.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PolicyRecord {
-    /// The policy as granted.
-    pub policy: Policy,
-    /// When it was granted (for audit).
-    pub granted_at: Ts,
+struct PolicyRecord {
+    policy: Policy,
     /// When it was revoked, if ever (consent withdrawal, GDPR Art. 7(3)).
-    pub revoked_at: Option<Ts>,
+    revoked_at: Option<Ts>,
 }
 
 impl PolicyRecord {
     /// Is this record active at `t` (window covers `t` and not yet revoked)?
-    pub fn active_at(&self, t: Ts) -> bool {
+    fn active_at(&self, t: Ts) -> bool {
         self.policy.active_at(t) && self.revoked_at.map(|r| t < r).unwrap_or(true)
     }
 }
@@ -103,10 +93,12 @@ impl PolicyRecord {
 /// // The paper's running example: π1 = ⟨billing, Netflix, t_b, t_f⟩.
 /// let netflix = EntityId(1);
 /// let mut p = PolicySet::new();
-/// p.grant(
-///     Policy::new(well_known::billing(), netflix, Ts::from_secs(0), Ts::from_secs(100)),
-///     Ts::ZERO,
-/// );
+/// p.grant(Policy::new(
+///     well_known::billing(),
+///     netflix,
+///     Ts::from_secs(0),
+///     Ts::from_secs(100),
+/// ));
 /// assert!(p.authorises(well_known::billing(), netflix, Ts::from_secs(50)));
 /// assert!(!p.authorises(well_known::billing(), netflix, Ts::from_secs(200)));
 /// // Consent withdrawal empties P(t) from that instant on.
@@ -124,46 +116,31 @@ impl PolicySet {
         PolicySet::default()
     }
 
-    /// Grant a policy at time `now`.
-    pub fn grant(&mut self, policy: Policy, now: Ts) {
-        push_row(
-            &mut self.records,
-            PolicyRecord {
-                policy,
-                granted_at: now,
-                revoked_at: None,
-            },
-        );
+    /// Grant a policy. Sets are many (one per unit), live as long as the
+    /// unit and rarely grow after it is created, so a full set grows by a
+    /// quarter — at least one slot — instead of doubling: still amortised
+    /// O(1) per grant, and a unit that receives one later grant holds 11
+    /// rows' worth of memory, not 18.
+    pub fn grant(&mut self, policy: Policy) {
+        if self.records.len() == self.records.capacity() {
+            self.records.reserve_exact((self.records.len() / 4).max(1));
+        }
+        self.records.push(PolicyRecord {
+            policy,
+            revoked_at: None,
+        });
     }
 
-    /// Grant every policy of `policies` at `now`, in order. The rows are
-    /// reserved exactly: a unit created with its nine base policies holds
-    /// nine records, not the sixteen slots that nine pushes double to.
-    pub fn grant_all(&mut self, policies: &[Policy], now: Ts) {
+    /// Grant every policy of `policies`, in order. The rows are reserved
+    /// exactly: a unit created with its nine base policies holds nine
+    /// records, not the sixteen slots that nine pushes double to.
+    pub fn grant_all(&mut self, policies: &[Policy]) {
         self.records.reserve_exact(policies.len());
         self.records
             .extend(policies.iter().map(|&policy| PolicyRecord {
                 policy,
-                granted_at: now,
                 revoked_at: None,
             }));
-    }
-
-    /// Revoke every active policy matching `purpose`/`entity` at `now`.
-    /// Returns how many records were revoked.
-    pub fn revoke(&mut self, purpose: PurposeId, entity: EntityId, now: Ts) -> usize {
-        let mut n = 0;
-        for r in &mut self.records {
-            if r.revoked_at.is_none()
-                && r.policy.purpose == purpose
-                && r.policy.entity == entity
-                && r.policy.active_at(now)
-            {
-                r.revoked_at = Some(now);
-                n += 1;
-            }
-        }
-        n
     }
 
     /// Revoke *all* policies at `now` (erasure request: consent withdrawn
@@ -215,11 +192,6 @@ impl PolicySet {
             .min()
     }
 
-    /// All records (for audit and space accounting).
-    pub fn records(&self) -> &[PolicyRecord] {
-        &self.records
-    }
-
     /// Number of records ever granted.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -253,7 +225,7 @@ impl PolicySet {
             }
             if let Some((f, u)) = window {
                 if f <= u {
-                    out.grant(Policy::new(p.purpose, p.entity, f, u), now);
+                    out.grant(Policy::new(p.purpose, p.entity, f, u));
                 }
             }
         }
@@ -277,8 +249,8 @@ mod tests {
         let netflix = EntityId(1);
         let aws = EntityId(2);
         let mut p = PolicySet::new();
-        p.grant(Policy::new(wk::billing(), netflix, t(100), t(200)), t(100));
-        p.grant(Policy::new(wk::retention(), aws, t(100), t(200)), t(100));
+        p.grant(Policy::new(wk::billing(), netflix, t(100), t(200)));
+        p.grant(Policy::new(wk::retention(), aws, t(100), t(200)));
         assert!(p.authorises(wk::billing(), netflix, t(150)));
         assert!(p.authorises(wk::retention(), aws, t(150)));
         assert!(!p.authorises(wk::billing(), aws, t(150)));
@@ -294,35 +266,23 @@ mod tests {
             .map(|i| Policy::new(wk::billing(), e, t(i), t(100 + i)))
             .collect();
         let mut bulk = PolicySet::new();
-        bulk.grant_all(&policies, t(5));
+        bulk.grant_all(&policies);
         let mut one_by_one = PolicySet::new();
         for p in &policies {
-            one_by_one.grant(*p, t(5));
+            one_by_one.grant(*p);
         }
         assert_eq!(bulk, one_by_one);
         assert_eq!(bulk.records.capacity(), 9);
         // One later grant costs two more slots, not nine.
-        bulk.grant(policies[0], t(6));
+        bulk.grant(policies[0]);
         assert_eq!(bulk.records.capacity(), 11);
-    }
-
-    #[test]
-    fn revocation_cuts_access() {
-        let e = EntityId(1);
-        let mut p = PolicySet::new();
-        p.grant(Policy::open_ended(wk::billing(), e, t(0)), t(0));
-        assert!(p.authorises(wk::billing(), e, t(50)));
-        assert_eq!(p.revoke(wk::billing(), e, t(60)), 1);
-        assert!(p.authorises(wk::billing(), e, t(59)));
-        assert!(!p.authorises(wk::billing(), e, t(60)));
-        assert!(!p.authorises(wk::billing(), e, t(100)));
     }
 
     #[test]
     fn revoke_all_empties_active_set() {
         let mut p = PolicySet::new();
-        p.grant(Policy::open_ended(wk::billing(), EntityId(1), t(0)), t(0));
-        p.grant(Policy::open_ended(wk::retention(), EntityId(2), t(0)), t(0));
+        p.grant(Policy::open_ended(wk::billing(), EntityId(1), t(0)));
+        p.grant(Policy::open_ended(wk::retention(), EntityId(2), t(0)));
         assert!(!p.is_empty_at(t(10)));
         assert_eq!(p.revoke_all(t(10)), 2);
         assert!(p.is_empty_at(t(10)));
@@ -333,14 +293,18 @@ mod tests {
     #[test]
     fn erase_deadline_takes_earliest() {
         let mut p = PolicySet::new();
-        p.grant(
-            Policy::new(wk::compliance_erase(), EntityId(0), t(0), t(500)),
+        p.grant(Policy::new(
+            wk::compliance_erase(),
+            EntityId(0),
             t(0),
-        );
-        p.grant(
-            Policy::new(wk::compliance_erase(), EntityId(0), t(0), t(300)),
+            t(500),
+        ));
+        p.grant(Policy::new(
+            wk::compliance_erase(),
+            EntityId(0),
             t(0),
-        );
+            t(300),
+        ));
         assert_eq!(p.erase_deadline(), Some(t(300)));
         // Revocation (an erasure request) does not move the deadline.
         p.revoke_all(t(20));
@@ -350,7 +314,7 @@ mod tests {
     #[test]
     fn no_erase_policy_means_no_deadline() {
         let mut p = PolicySet::new();
-        p.grant(Policy::open_ended(wk::billing(), EntityId(1), t(0)), t(0));
+        p.grant(Policy::open_ended(wk::billing(), EntityId(1), t(0)));
         assert_eq!(p.erase_deadline(), None);
     }
 
@@ -358,10 +322,10 @@ mod tests {
     fn derived_policies_are_intersection() {
         let e = EntityId(1);
         let mut a = PolicySet::new();
-        a.grant(Policy::new(wk::analytics(), e, t(0), t(100)), t(0));
-        a.grant(Policy::new(wk::billing(), e, t(0), t(100)), t(0));
+        a.grant(Policy::new(wk::analytics(), e, t(0), t(100)));
+        a.grant(Policy::new(wk::billing(), e, t(0), t(100)));
         let mut b = PolicySet::new();
-        b.grant(Policy::new(wk::analytics(), e, t(50), t(200)), t(0));
+        b.grant(Policy::new(wk::analytics(), e, t(50), t(200)));
         let d = PolicySet::restrict_for_derivation(&[&a, &b], t(60));
         // analytics survives with tightened window [50,100]; billing (absent
         // in b) is dropped.

@@ -37,7 +37,7 @@ pub struct Regulation {
     /// before a new purpose touches personal data.
     pub require_assessment: bool,
     /// Enforced invariant identifiers (subset of the catalog: "I".."X",
-    /// "G6", "G17").
+    /// with "G6" and "G17" for IV and V).
     pub invariants: Vec<&'static str>,
 }
 
@@ -52,7 +52,7 @@ impl Regulation {
             require_encryption_at_rest: true,
             require_assessment: true,
             invariants: vec![
-                "I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "G6", "G17",
+                "I", "II", "III", "G6", "G17", "VI", "VII", "VIII", "IX", "X",
             ],
         }
     }
@@ -81,7 +81,7 @@ impl Regulation {
             notification_window: Dur::from_secs(72 * 3600),
             require_encryption_at_rest: false,
             require_assessment: false,
-            invariants: vec!["I", "II", "IV", "V", "VII", "VIII", "IX", "G6", "G17"],
+            invariants: vec!["I", "II", "G6", "G17", "VII", "VIII", "IX"],
         }
     }
 
@@ -95,7 +95,7 @@ impl Regulation {
             notification_window: Dur::from_secs(72 * 3600),
             require_encryption_at_rest: false,
             require_assessment: false,
-            invariants: vec!["I", "II", "IV", "V", "VII", "IX", "G6", "G17"],
+            invariants: vec!["I", "II", "G6", "G17", "VII", "IX"],
         }
     }
 

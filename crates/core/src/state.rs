@@ -207,11 +207,11 @@ mod tests {
         s.unit_mut(a)
             .unwrap()
             .policies
-            .grant(Policy::new(wk::analytics(), e, t(0), t(100)), t(0));
+            .grant(Policy::new(wk::analytics(), e, t(0), t(100)));
         s.unit_mut(b)
             .unwrap()
             .policies
-            .grant(Policy::new(wk::analytics(), e, t(0), t(50)), t(0));
+            .grant(Policy::new(wk::analytics(), e, t(0), t(50)));
         let d = s.derive(&[a, b], "join", false, true, Value::Number(2), t(10));
         let du = s.unit(d).unwrap();
         assert_eq!(du.subjects.len(), 2);

@@ -265,10 +265,8 @@ mod tests {
     #[test]
     fn state_at_reflects_versions_and_policies() {
         let mut u = mk_unit();
-        u.policies.grant(
-            Policy::new(wk::billing(), EntityId(1), t(10), t(100)),
-            t(10),
-        );
+        u.policies
+            .grant(Policy::new(wk::billing(), EntityId(1), t(10), t(100)));
         u.value.write(t(50), "cc-5353".into());
         let s1 = u.state_at(t(20));
         assert_eq!(s1.value, Some(&Value::Text("cc-4242".into())));

@@ -29,7 +29,7 @@ use datacase_policy::enforcer::{AccessRequest, VersionedEnforcer};
 use datacase_sim::fault::{CrashPoint, FaultInjector};
 use datacase_sim::time::Ts;
 
-/// State + audit log + registries, and the four fixed entities.
+/// State + audit log + registries, and the fixed entities.
 pub(crate) struct Model {
     pub(crate) state: DatabaseState,
     /// Appended to only by [`Model::record`] and [`Model::deny`].
@@ -39,7 +39,6 @@ pub(crate) struct Model {
     pub(crate) controller: EntityId,
     pub(crate) processor: EntityId,
     pub(crate) auditor: EntityId,
-    pub(crate) third_party: EntityId,
     subject_entities: HashMap<u32, EntityId>,
     /// The chaos taps' plane.
     fault: FaultInjector,
@@ -55,7 +54,9 @@ impl Model {
         let controller = entities.register("MetaSpace", EntityKind::Controller);
         let processor = entities.register("CloudProc", EntityKind::Processor);
         let auditor = entities.register("DPA-Auditor", EntityKind::Auditor);
-        let third_party = entities.register("AdPartner", EntityKind::ThirdParty);
+        // A third party no unit ever grants a policy: the figures and
+        // examples look it up by name to stage an unlawful read.
+        entities.register("AdPartner", EntityKind::ThirdParty);
         let mut model = Model {
             state: DatabaseState::new(),
             logger,
@@ -64,7 +65,6 @@ impl Model {
             controller,
             processor,
             auditor,
-            third_party,
             subject_entities: HashMap::new(),
             fault: FaultInjector::disabled(),
         };

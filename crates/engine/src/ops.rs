@@ -131,7 +131,7 @@ impl Frontend {
         ];
         {
             let u = self.model.state.unit_mut(unit).expect("just collected");
-            u.policies.grant_all(&base_policies, now);
+            u.policies.grant_all(&base_policies);
             u.encrypted_at_rest = self.config.encryption_at_rest();
         }
         // The enforcer sees base policies plus profile-dependent padding
@@ -333,18 +333,11 @@ impl Frontend {
                 now,
                 Ts(now.0.saturating_add(30 * 86_400_000_000_000)),
             ),
-            MetaField::Objection => {
-                // Objection: revoke sharing-ish access for the third party.
-                let third_party = self.model.third_party;
-                if let Some(u) = self.model.state.unit_mut(meta.unit) {
-                    u.policies.revoke(wk::advertising(), third_party, now);
-                }
-                Policy::new(wk::audit(), self.model.auditor, now, Ts::MAX)
-            }
+            MetaField::Objection => Policy::new(wk::audit(), self.model.auditor, now, Ts::MAX),
         };
         let before = self.model.erase_deadline(meta.unit);
         if let Some(u) = self.model.state.unit_mut(meta.unit) {
-            u.policies.grant(new_policy, now);
+            u.policies.grant(new_policy);
         }
         self.substrate.enforcer.grant(meta.unit, new_policy);
         let after = self.model.erase_deadline(meta.unit);

@@ -6,7 +6,9 @@
 //!
 //! Mechanics reproduced:
 //!
-//! * per-unit fine-grained policies (arbitrary cardinality);
+//! * per-unit fine-grained policies (arbitrary cardinality), held as a
+//!   [`PolicySet`] so the verdict is G6's: a revocation ends access at
+//!   its own instant;
 //! * a **policy index** keyed by `(entity, purpose)` whose postings are
 //!   sorted by unit id for binary search — Sieve's answer to "don't scan
 //!   every policy on every tuple";
@@ -23,7 +25,7 @@ use std::collections::HashMap;
 
 use datacase_core::ids::EntityId;
 use datacase_core::ids::UnitId;
-use datacase_core::policy::Policy;
+use datacase_core::policy::{Policy, PolicySet};
 use datacase_core::purpose::PurposeId;
 use datacase_sim::time::Ts;
 use datacase_sim::{Meter, SimClock};
@@ -50,24 +52,11 @@ impl Default for FgacConfig {
     }
 }
 
-/// One stored fine-grained policy with its guard id.
-#[derive(Clone, Debug)]
-struct StoredPolicy {
-    policy: Policy,
-    revoked_at: Option<Ts>,
-}
-
-impl StoredPolicy {
-    fn active_at(&self, t: Ts) -> bool {
-        self.policy.active_at(t) && self.revoked_at.map(|r| t < r).unwrap_or(true)
-    }
-}
-
 /// The FGAC enforcer.
 pub struct FgacEnforcer {
     config: FgacConfig,
     /// unit → its policies.
-    by_unit: HashMap<UnitId, Vec<StoredPolicy>>,
+    by_unit: HashMap<UnitId, PolicySet>,
     /// (entity, purpose) → sorted unit postings (the Sieve index).
     index: HashMap<(EntityId, PurposeId), Vec<UnitId>>,
     policies: usize,
@@ -111,18 +100,6 @@ impl FgacEnforcer {
             Err(pos) => postings.insert(pos, unit),
         }
     }
-
-    fn add_policy(&mut self, unit: UnitId, policy: Policy) {
-        self.index_insert(unit, &policy);
-        datacase_core::policy::push_row(
-            self.by_unit.entry(unit).or_default(),
-            StoredPolicy {
-                policy,
-                revoked_at: None,
-            },
-        );
-        self.policies += 1;
-    }
 }
 
 impl PolicyEnforcer for FgacEnforcer {
@@ -135,45 +112,33 @@ impl PolicyEnforcer for FgacEnforcer {
         let model = self.clock.model().clone();
         self.clock
             .charge_nanos((model.index_maintain + model.policy_check_fine) * policies.len() as u64);
-        // A unit arrives with its whole policy list: exact-sized rows.
-        self.by_unit
-            .entry(unit)
-            .or_default()
-            .reserve_exact(policies.len());
         for p in policies {
-            self.add_policy(unit, *p);
+            self.index_insert(unit, p);
         }
+        self.by_unit.entry(unit).or_default().grant_all(policies);
+        self.policies += policies.len();
     }
 
     fn grant(&mut self, unit: UnitId, policy: Policy) {
         let model = self.clock.model().clone();
         self.clock
             .charge_nanos(model.index_maintain + model.policy_check_fine);
-        self.add_policy(unit, policy);
+        self.index_insert(unit, &policy);
+        self.by_unit.entry(unit).or_default().grant(policy);
+        self.policies += 1;
     }
 
     fn revoke_all(&mut self, unit: UnitId, at: Ts) -> usize {
-        let mut n = 0;
-        if let Some(rows) = self.by_unit.get_mut(&unit) {
-            for p in rows.iter_mut() {
-                if p.revoked_at.is_none() && p.policy.active_at(at) {
-                    p.revoked_at = Some(at);
-                    n += 1;
-                }
-            }
-        }
-        n
+        self.by_unit
+            .get_mut(&unit)
+            .map_or(0, |rows| rows.revoke_all(at))
     }
 
     fn check(&mut self, req: &AccessRequest) -> Decision {
         let model = self.clock.model().clone();
         Meter::bump(&self.meter.policy_checks, 1);
-        let unit_rows = self
-            .by_unit
-            .get(&req.unit)
-            .map(|r| r.as_slice())
-            .unwrap_or(&[]);
-        let rows = unit_rows.len() as u64;
+        let unit_rows = self.by_unit.get(&req.unit);
+        let rows = unit_rows.map_or(0, PolicySet::len) as u64;
         if self.config.use_index {
             // Sieve path: one index probe narrows to the posting list and
             // the index-usage hints let the rewritten query evaluate only
@@ -205,11 +170,7 @@ impl PolicyEnforcer for FgacEnforcer {
                 model.policy_check_coarse * rows + model.policy_check_fine * rows.max(1) * 4,
             );
         }
-        let allowed = unit_rows.iter().any(|row| {
-            row.policy.entity == req.entity
-                && row.policy.purpose == req.purpose
-                && row.active_at(req.at)
-        });
+        let allowed = unit_rows.is_some_and(|r| r.authorises(req.purpose, req.entity, req.at));
         if allowed {
             Decision::Allow
         } else {
@@ -277,23 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn registered_units_hold_exactly_their_rows() {
-        let mut e = mk(true);
-        let policies: Vec<Policy> = (0..10)
-            .map(|i| Policy::new(wk::billing(), EntityId(i), t(0), t(100)))
-            .collect();
-        e.register_unit(UnitId(1), &policies);
-        assert_eq!(e.by_unit[&UnitId(1)].len(), 10);
-        assert_eq!(e.by_unit[&UnitId(1)].capacity(), 10);
-        // One later grant costs two more slots, not ten.
-        e.grant(
-            UnitId(1),
-            Policy::open_ended(wk::audit(), EntityId(1), t(0)),
-        );
-        assert_eq!(e.by_unit[&UnitId(1)].capacity(), 12);
-    }
-
-    #[test]
     fn revocation_respected() {
         let mut e = mk(true);
         e.register_unit(
@@ -301,6 +245,7 @@ mod tests {
             &[Policy::open_ended(wk::billing(), EntityId(1), t(0))],
         );
         assert_eq!(e.revoke_all(UnitId(1), t(10)), 1);
+        assert!(!e.check(&req(1, 1, t(10))).is_allow());
         assert!(!e.check(&req(1, 1, t(11))).is_allow());
     }
 

@@ -15,7 +15,13 @@
 //!
 //! All three implement [`enforcer::PolicyEnforcer`], charge their distinct
 //! cost signatures to the shared [`datacase_sim::SimClock`], and report the
-//! metadata bytes they occupy (Table 2's space accounting). The engine
+//! metadata bytes they occupy (Table 2's space accounting). The two
+//! unit-scoped mechanisms share one semantics: each stores a unit's rows
+//! as a [`datacase_core::policy::PolicySet`] and decides with
+//! [`PolicySet::authorises`](datacase_core::policy::PolicySet::authorises),
+//! G6's predicate, so a revocation stops access at its own instant and
+//! the two differ from each other only in cost. RBAC stays coarse by
+//! design: it decides per role, not per unit. The engine
 //! holds the active mechanism in an [`enforcer::VersionedEnforcer`], which
 //! counts policy mutations in a [`PolicyEpoch`] and decides every access
 //! against the current policy state.

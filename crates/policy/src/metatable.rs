@@ -5,12 +5,14 @@
 //!
 //! Every check pays the metadata-join cost plus a per-candidate policy
 //! evaluation — finer than RBAC (real per-unit consent windows), coarser
-//! and cheaper than Sieve-style FGAC.
+//! and cheaper than Sieve-style FGAC. Each unit's rows are a
+//! [`PolicySet`], so the verdict is G6's: a revocation ends access at its
+//! own instant.
 
 use std::collections::HashMap;
 
 use datacase_core::ids::UnitId;
-use datacase_core::policy::Policy;
+use datacase_core::policy::{Policy, PolicySet};
 use datacase_sim::time::Ts;
 use datacase_sim::{Meter, SimClock};
 
@@ -18,7 +20,7 @@ use crate::enforcer::{AccessRequest, Decision, PolicyEnforcer};
 
 /// The separate policy table: unit → its policy rows.
 pub struct MetaTableEnforcer {
-    table: HashMap<UnitId, Vec<Policy>>,
+    table: HashMap<UnitId, PolicySet>,
     policies: usize,
     clock: SimClock,
     meter: std::sync::Arc<Meter>,
@@ -56,29 +58,23 @@ impl PolicyEnforcer for MetaTableEnforcer {
         self.clock
             .charge_nanos((model.metadata_join + model.index_maintain) * policies.len() as u64);
         self.policies += policies.len();
-        self.table.insert(unit, policies.to_vec());
+        let mut rows = PolicySet::new();
+        rows.grant_all(policies);
+        self.table.insert(unit, rows);
     }
 
     fn grant(&mut self, unit: UnitId, policy: Policy) {
         let model = self.clock.model().clone();
         self.clock
             .charge_nanos(model.metadata_join + model.index_maintain);
-        self.table.entry(unit).or_default().push(policy);
+        self.table.entry(unit).or_default().grant(policy);
         self.policies += 1;
     }
 
     fn revoke_all(&mut self, unit: UnitId, at: Ts) -> usize {
-        // Model revocation as clipping windows to end now.
-        let mut n = 0;
-        if let Some(rows) = self.table.get_mut(&unit) {
-            for p in rows.iter_mut() {
-                if p.active_at(at) {
-                    p.until = at;
-                    n += 1;
-                }
-            }
-        }
-        n
+        self.table
+            .get_mut(&unit)
+            .map_or(0, |rows| rows.revoke_all(at))
     }
 
     fn check(&mut self, req: &AccessRequest) -> Decision {
@@ -88,16 +84,10 @@ impl PolicyEnforcer for MetaTableEnforcer {
             .charge_nanos(model.metadata_join + model.index_probe);
         Meter::bump(&self.meter.policy_checks, 1);
         Meter::bump(&self.meter.index_probes, 1);
-        let rows: &[Policy] = self
-            .table
-            .get(&req.unit)
-            .map(|r| r.as_slice())
-            .unwrap_or(&[]);
+        let rows = self.table.get(&req.unit);
         self.clock
-            .charge_nanos(model.policy_check_coarse * rows.len() as u64);
-        let allowed = rows
-            .iter()
-            .any(|p| p.entity == req.entity && p.purpose == req.purpose && p.active_at(req.at));
+            .charge_nanos(model.policy_check_coarse * rows.map_or(0, PolicySet::len) as u64);
+        let allowed = rows.is_some_and(|r| r.authorises(req.purpose, req.entity, req.at));
         if allowed {
             Decision::Allow
         } else {
@@ -165,8 +155,12 @@ mod tests {
         assert!(e.check(&req(1, 1, t(10))).is_allow());
         assert_eq!(e.revoke_all(UnitId(1), t(20)), 1);
         assert!(!e.check(&req(1, 1, t(21))).is_allow());
-        // Paper semantics: the policy row records its own end.
-        assert!(e.check(&req(1, 1, t(20))).is_allow(), "inclusive end");
+        // G6's semantics: a revocation ends access at its own instant.
+        assert!(
+            !e.check(&req(1, 1, t(20))).is_allow(),
+            "revoked at the instant"
+        );
+        assert!(e.check(&req(1, 1, t(19))).is_allow());
     }
 
     #[test]

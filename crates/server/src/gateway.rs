@@ -209,7 +209,10 @@ pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
+    /// Threads of connections not yet known to have finished.
     connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// Set when a joined connection thread had panicked.
+    panicked: Arc<AtomicBool>,
     engine: ConcurrentEngine,
 }
 
@@ -245,10 +248,12 @@ impl Server {
         let addr = listener.local_addr().expect("listener address");
         let stop = Arc::new(AtomicBool::new(false));
         let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let panicked = Arc::new(AtomicBool::new(false));
         let gate = InFlightGate::new(limits.max_in_flight_frames);
         let accept = {
             let stop = Arc::clone(&stop);
             let connections = Arc::clone(&connections);
+            let panicked = Arc::clone(&panicked);
             let handle = engine.handle();
             let shards = engine.shards() as u16;
             std::thread::Builder::new()
@@ -268,7 +273,9 @@ impl Server {
                                 serve_connection(stream, &registry, handle, shards, limits, &gate)
                             })
                             .expect("spawn connection thread");
-                        connections.lock().expect("connection list").push(conn);
+                        let mut running = connections.lock().expect("connection list");
+                        reap(&mut running, &panicked);
+                        running.push(conn);
                     }
                 })
                 .expect("spawn accept thread")
@@ -278,6 +285,7 @@ impl Server {
             stop,
             accept: Some(accept),
             connections,
+            panicked,
             engine,
         }
     }
@@ -310,9 +318,27 @@ impl Server {
         }
         let connections = std::mem::take(&mut *self.connections.lock().expect("connection list"));
         for conn in connections {
-            conn.join().expect("connection thread panicked");
+            if conn.join().is_err() {
+                self.panicked.store(true, Ordering::SeqCst);
+            }
         }
+        assert!(
+            !self.panicked.load(Ordering::SeqCst),
+            "connection thread panicked"
+        );
         self.engine.shutdown()
+    }
+}
+
+/// Join the connection threads that have finished, so a long-lived server
+/// holds one handle per open connection rather than one per connection
+/// it ever accepted. A panic is kept in `panicked` for
+/// [`Server::shutdown`] to report.
+fn reap(running: &mut Vec<JoinHandle<()>>, panicked: &AtomicBool) {
+    for done in running.extract_if(.., |conn| conn.is_finished()) {
+        if done.join().is_err() {
+            panicked.store(true, Ordering::SeqCst);
+        }
     }
 }
 
@@ -812,6 +838,47 @@ mod tests {
             "shutdown pinned by an idle client"
         );
         drop(client);
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped_on_accept() {
+        let server = Server::spawn(
+            EngineConfig::p_base(),
+            2,
+            &[TenantSpec::new("acme", "topsecret")],
+        );
+        let all_finished = || {
+            let running = server.connections.lock().expect("connection list");
+            running.iter().all(JoinHandle::is_finished)
+        };
+        for _ in 0..16 {
+            Client::connect(server.addr(), "acme", "topsecret", Actor::Controller)
+                .unwrap()
+                .goodbye()
+                .unwrap();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !all_finished() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let retained = server.connections.lock().expect("connection list").len();
+        assert!(retained <= 4, "{retained} connection threads retained");
+        server.shutdown();
+    }
+
+    #[test]
+    fn reaping_keeps_a_panic_for_shutdown() {
+        let panicked = AtomicBool::new(false);
+        let mut running = vec![
+            std::thread::spawn(|| {}),
+            std::thread::spawn(|| panic!("connection bug")),
+        ];
+        while !running.iter().all(JoinHandle::is_finished) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        reap(&mut running, &panicked);
+        assert!(running.is_empty());
+        assert!(panicked.load(Ordering::SeqCst));
     }
 
     #[test]

@@ -87,15 +87,6 @@ pub enum MaintenanceDepth {
     Full,
 }
 
-/// What one maintenance pass reclaimed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MaintenanceStats {
-    /// Dead tuples / shadowed-or-tombstone entries physically removed.
-    pub reclaimed: usize,
-    /// Payload bytes wiped or dropped from persistent storage.
-    pub bytes_wiped: u64,
-}
-
 /// Backend statistics on a shared vocabulary, so space accounting and
 /// benches read identically over heap and LSM.
 #[derive(Clone, Copy, Debug, Default)]
@@ -200,7 +191,7 @@ pub trait StorageBackend: Send {
     // ------------------------------------------------------------------
 
     /// Run a maintenance pass (the periodic half of a delete strategy).
-    fn maintain(&mut self, depth: MaintenanceDepth) -> MaintenanceStats;
+    fn maintain(&mut self, depth: MaintenanceDepth);
 
     /// Remove every retained copy of `unit_id` from log-shaped storage:
     /// scrub the unit's WAL payloads (heap) or rewrite all runs without
@@ -369,17 +360,10 @@ impl StorageBackend for LsmBackend {
         Ok(())
     }
 
-    fn maintain(&mut self, depth: MaintenanceDepth) -> MaintenanceStats {
-        let before = self.tree.stats();
+    fn maintain(&mut self, depth: MaintenanceDepth) {
         match depth {
             MaintenanceDepth::Lazy => self.tree.flush(),
             MaintenanceDepth::Full => self.tree.compact_all(),
-        }
-        let after = self.tree.stats();
-        let entries_before = before.run_entries + before.memtable_entries;
-        MaintenanceStats {
-            reclaimed: entries_before.saturating_sub(after.run_entries + after.memtable_entries),
-            bytes_wiped: before.run_bytes.saturating_sub(after.run_bytes),
         }
     }
 
@@ -530,8 +514,7 @@ mod tests {
             assert!(s.dead_entries >= 5, "{kind:?}: {s:?}");
             assert!(s.disk_bytes > 0, "{kind:?}");
             assert!(s.segments > 0, "{kind:?}");
-            let m = b.maintain(MaintenanceDepth::Full);
-            assert!(m.reclaimed >= 5, "{kind:?}: {m:?}");
+            b.maintain(MaintenanceDepth::Full);
             assert_eq!(b.stats().dead_entries, 0, "{kind:?}");
         }
     }

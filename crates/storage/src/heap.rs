@@ -20,9 +20,7 @@ use datacase_crypto::CryptoBackend;
 use datacase_sim::fault::{CrashPoint, FaultInjector};
 use datacase_sim::{Meter, SimClock};
 
-use crate::backend::{
-    BackendStats, DurableSnapshot, MaintenanceDepth, MaintenanceStats, StorageBackend,
-};
+use crate::backend::{BackendStats, DurableSnapshot, MaintenanceDepth, StorageBackend};
 use crate::btree::BTreeIndex;
 use crate::buffer::BufferPool;
 use crate::disk::Disk;
@@ -299,10 +297,10 @@ impl HeapDb {
     /// Lazy VACUUM: reclaim dead tuples in place, clean index entries.
     /// Only pages flagged in the visibility map are visited (all-visible
     /// pages are skipped for free, as PostgreSQL does).
-    fn vacuum(&mut self) -> MaintenanceStats {
+    fn vacuum(&mut self) {
         let horizon = self.txn.vacuum_horizon();
         let xid = self.txn.begin();
-        let mut stats = MaintenanceStats::default();
+        let mut reclaimed = 0;
         let candidates: Vec<u32> = std::mem::take(&mut self.dead_pages).into_iter().collect();
         for pos in candidates {
             let pos = pos as usize;
@@ -334,10 +332,8 @@ impl HeapDb {
             for (_, tid) in &to_remove {
                 page.mark_dead(tid.slot);
             }
-            let (reclaimed, wiped) = page.vacuum();
+            reclaimed += page.vacuum().0;
             let free = page.free_space();
-            stats.reclaimed += reclaimed;
-            stats.bytes_wiped += wiped as u64;
             self.fsm.set(pos as u32, free);
             // Vacuum writes its cleaned pages back sequentially (ring
             // buffer), rather than leaving them for random write-back.
@@ -348,10 +344,9 @@ impl HeapDb {
                 self.index.remove(key, tid);
             }
         }
-        self.dead = self.dead.saturating_sub(stats.reclaimed as u64);
+        self.dead = self.dead.saturating_sub(reclaimed as u64);
         self.log(WalRecord::Vacuum { xid, full: false });
         self.commit();
-        stats
     }
 
     /// VACUUM FULL: rewrite the table compactly into fresh pages, zero the
@@ -359,14 +354,13 @@ impl HeapDb {
     /// the index. The old pages are retired, not freed: the drive takes
     /// them back only once [`sanitize`](StorageBackend::sanitize) has
     /// destroyed that remanence.
-    fn vacuum_full(&mut self) -> MaintenanceStats {
+    fn vacuum_full(&mut self) {
         // Write through first: the rewrite must observe (and the zeroing
         // must physically overwrite) the real on-disk state.
         self.buffer.flush_all(&mut self.disk);
         let horizon = self.txn.vacuum_horizon();
         let xid = self.txn.begin();
         let old_pages = std::mem::take(&mut self.pages);
-        let mut stats = MaintenanceStats::default();
         self.fsm = FreeSpaceMap::new();
         self.index.clear();
         // Move live tuples into fresh pages as the scan meets them.
@@ -381,8 +375,6 @@ impl HeapDb {
                 let bytes = page.tuple(slot).expect("normal");
                 let (header, _) = tuple::decode(bytes);
                 if horizon.dead_for_all(&header) {
-                    stats.reclaimed += 1;
-                    stats.bytes_wiped += bytes.len() as u64;
                     continue;
                 }
                 moved_bytes += bytes.len() as u64;
@@ -415,7 +407,6 @@ impl HeapDb {
         self.dead_pages.clear();
         self.log(WalRecord::Vacuum { xid, full: true });
         self.commit();
-        stats
     }
 
     /// Rebuild a heap from a WAL (crash recovery). Logical replay: inserts,
@@ -451,10 +442,10 @@ impl HeapDb {
                     let _ = db.delete(key);
                 }
                 WalRecord::Vacuum { full: true, .. } => {
-                    let _ = db.vacuum_full();
+                    db.vacuum_full();
                 }
                 WalRecord::Vacuum { full: false, .. } => {
-                    let _ = db.vacuum();
+                    db.vacuum();
                 }
                 WalRecord::Checkpoint => {}
             }
@@ -551,7 +542,7 @@ impl StorageBackend for HeapDb {
         self.new_version(key, &payload, Some(flags)).map(|_| ())
     }
 
-    fn maintain(&mut self, depth: MaintenanceDepth) -> MaintenanceStats {
+    fn maintain(&mut self, depth: MaintenanceDepth) {
         match depth {
             MaintenanceDepth::Lazy => self.vacuum(),
             MaintenanceDepth::Full => self.vacuum_full(),
@@ -697,9 +688,8 @@ mod tests {
         let mut db = mk();
         db.insert(1, 100, b"sensitive-payload").unwrap();
         db.delete(1).unwrap();
-        let stats = db.vacuum();
-        assert_eq!(stats.reclaimed, 1);
-        assert!(stats.bytes_wiped > 0);
+        assert_eq!(db.stats().dead_entries, 1);
+        db.vacuum();
         assert!(db.index.get(1).is_empty(), "index entry removed");
         db.checkpoint();
         assert!(
@@ -760,8 +750,8 @@ mod tests {
             db.delete(i).unwrap();
         }
         let pages_before = db.stats().segments;
-        let stats = db.vacuum_full();
-        assert_eq!(stats.reclaimed, 1000);
+        assert_eq!(db.stats().dead_entries, 1000);
+        db.vacuum_full();
         let s = db.stats();
         assert!(s.segments < pages_before, "table shrank");
         assert_eq!(s.dead_entries, 0);

@@ -43,9 +43,7 @@ pub mod tuple;
 pub mod txn;
 pub mod wal;
 
-pub use backend::{
-    BackendKind, BackendStats, LsmBackend, MaintenanceDepth, MaintenanceStats, StorageBackend,
-};
+pub use backend::{BackendKind, BackendStats, LsmBackend, MaintenanceDepth, StorageBackend};
 pub use error::{Result, StorageError};
 pub use forensic::ForensicFindings;
 pub use heap::{HeapConfig, HeapDb};

@@ -33,11 +33,11 @@ fn active_policy_set_matches_window_algebra() {
         let mut windows = Vec::new();
         for (a, b, _) in &grants {
             let (from, until) = (Ts::from_secs(*a.min(b)), Ts::from_secs(*a.max(b)));
-            set.grant(Policy::new(p, e, from, until), Ts::ZERO);
+            set.grant(Policy::new(p, e, from, until));
             windows.push((from, until));
         }
         if let Some(r) = revoke_at {
-            set.revoke(p, e, Ts::from_secs(r));
+            set.revoke_all(Ts::from_secs(r));
         }
         let q = Ts::from_secs(query);
         // Reference semantics: a grant authorises at q iff its window
@@ -123,10 +123,7 @@ fn derivation_restricts_policies() {
             .map(|ws| {
                 let mut s = PolicySet::new();
                 for (a, b) in ws {
-                    s.grant(
-                        Policy::new(p, e, Ts::from_secs(*a), Ts::from_secs(*b)),
-                        Ts::ZERO,
-                    );
+                    s.grant(Policy::new(p, e, Ts::from_secs(*a), Ts::from_secs(*b)));
                 }
                 s
             })

@@ -1,17 +1,20 @@
 //! Property-based tests over the policy enforcement substrates.
 //!
 //! The central property: the *unit-scoped* mechanisms (metadata-table and
-//! FGAC, indexed or not) are decision-equivalent — they differ in cost and
-//! metadata footprint, never in verdict. That is exactly the paper's
-//! framing: interpretations differ in system-actions and overheads, while
-//! a fixed grounding fixes the semantics.
+//! FGAC, indexed or not) decide exactly as G6's predicate,
+//! [`PolicySet::authorises`] over the same grants and revocations — they
+//! differ in cost and metadata footprint, never in verdict, and a
+//! revocation ends access at its own instant in all of them. That is
+//! exactly the paper's framing: interpretations differ in system-actions
+//! and overheads, while a fixed grounding fixes the semantics.
 
 use data_case::sim::check::check;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use data_case::core::action::ActionKind;
 use data_case::core::ids::{EntityId, UnitId};
-use data_case::core::policy::Policy;
+use data_case::core::policy::{Policy, PolicySet};
 use data_case::core::purpose::PurposeId;
 use data_case::policy::enforcer::{AccessRequest, PolicyEnforcer};
 use data_case::policy::fgac::{FgacConfig, FgacEnforcer};
@@ -63,6 +66,8 @@ fn unit_scoped_enforcers_are_decision_equivalent() {
         let mut meta = mk_meta();
         let mut fgac_i = mk_fgac(true);
         let mut fgac_l = mk_fgac(false);
+        // G6's predicate over the same grants: one policy set per unit.
+        let mut model: HashMap<u64, PolicySet> = HashMap::new();
 
         for &(unit, entity, pi, from, until) in &grants {
             let policy = Policy::new(
@@ -74,28 +79,48 @@ fn unit_scoped_enforcers_are_decision_equivalent() {
             meta.grant(UnitId(unit), policy);
             fgac_i.grant(UnitId(unit), policy);
             fgac_l.grant(UnitId(unit), policy);
+            model.entry(unit).or_default().grant(policy);
         }
+        let mut probes: Vec<(u64, u32, usize, Ts)> = checks
+            .iter()
+            .map(|&(unit, entity, pi, at)| (unit, entity, pi, Ts::from_secs(at)))
+            .collect();
         if let Some((unit, at)) = revoke {
-            let at = Ts::from_secs(at);
-            let a = meta.revoke_all(UnitId(unit), at);
-            let b = fgac_i.revoke_all(UnitId(unit), at);
-            let c = fgac_l.revoke_all(UnitId(unit), at);
-            assert_eq!(a, b);
-            assert_eq!(b, c);
+            let r = Ts::from_secs(at);
+            let a = meta.revoke_all(UnitId(unit), r);
+            let b = fgac_i.revoke_all(UnitId(unit), r);
+            let c = fgac_l.revoke_all(UnitId(unit), r);
+            let d = model.get_mut(&unit).map_or(0, |set| set.revoke_all(r));
+            assert_eq!((a, b, c), (d, d, d), "revoked rows on unit {unit} at {r}");
+            // The revocation instant, and one second either side of it,
+            // for every entity and purpose on the revoked unit.
+            for at in [at.saturating_sub(1), at, at + 1] {
+                for entity in 0..4 {
+                    for pi in 0..ps.len() {
+                        probes.push((unit, entity, pi, Ts::from_secs(at)));
+                    }
+                }
+            }
         }
-        for &(unit, entity, pi, at) in &checks {
+        for (unit, entity, pi, at) in probes {
             let req = AccessRequest {
                 unit: UnitId(unit),
                 entity: EntityId(entity),
                 purpose: ps[pi],
                 action: ActionKind::Read,
-                at: Ts::from_secs(at),
+                at,
             };
             let m = meta.check(&req).is_allow();
             let fi = fgac_i.check(&req).is_allow();
             let fl = fgac_l.check(&req).is_allow();
-            assert_eq!(m, fi, "metatable vs indexed FGAC on {:?}", req);
-            assert_eq!(fi, fl, "indexed vs linear FGAC on {:?}", req);
+            let g6 = model
+                .get(&unit)
+                .is_some_and(|set| set.authorises(ps[pi], EntityId(entity), at));
+            assert_eq!(
+                (m, fi, fl),
+                (g6, g6, g6),
+                "metatable={m} fgac={fi} fgac-linear={fl} model={g6} on {req:?}"
+            );
         }
     });
 }
