@@ -8,7 +8,7 @@ use datacase_core::regulation::Regulation;
 use datacase_core::timeline::ErasureTimeline;
 use datacase_engine::driver::{run_ops, RunStats};
 use datacase_engine::erasure::{describe, probe_config, probe_on};
-use datacase_engine::frontend::{Batch, Frontend, Request, Session};
+use datacase_engine::frontend::{Frontend, Request, Session};
 use datacase_engine::profiles::{DeleteStrategy, EngineConfig, ProfileKind};
 use datacase_engine::space::SpaceReport;
 use datacase_engine::Actor;
@@ -62,7 +62,7 @@ fn gdpr_run(
     let mut fe = Frontend::new(config);
     let mut bench = GdprBench::new(seed, 1000);
     let load = bench.load_phase(records as usize);
-    fe.submit_ops(&Session::new(Actor::Controller), &load);
+    fe.submit(&Session::new(Actor::Controller), &load);
     let ops = bench.ops(txns as usize, mix);
     let stats = run_ops(&mut fe, &ops, actor);
     (stats, fe)
@@ -621,9 +621,9 @@ pub fn ablation_crypto_erasure(scale: Scale) -> Table {
         let mut fe = Frontend::new(config);
         let mut bench = GdprBench::new(41, 1000);
         let controller = Session::new(Actor::Controller);
-        fe.submit_ops(&controller, &bench.load_phase(records as usize));
+        fe.submit(&controller, &bench.load_phase(records as usize));
         let t0 = fe.clock().now();
-        let erasures: Batch = (0..100u64)
+        let erasures: Vec<Request> = (0..100u64)
             .map(|key| Request::Erase {
                 key,
                 interpretation: ErasureInterpretation::PermanentlyDeleted,
@@ -649,7 +649,7 @@ pub fn ablation_crypto_erasure(scale: Scale) -> Table {
         let config = EngineConfig::p_sys(); // AES-128 per-tuple keys
         let mut fe = Frontend::new(config);
         let mut bench = GdprBench::new(41, 1000);
-        fe.submit_ops(
+        fe.submit(
             &Session::new(Actor::Controller),
             &bench.load_phase(records as usize),
         );
@@ -694,7 +694,7 @@ pub fn ablation_aes_strength(scale: Scale) -> Table {
         config.tuple_encryption = size;
         let mut fe = Frontend::new(config);
         let mut y = Ycsb::new(3, records);
-        fe.submit_ops(&Session::new(Actor::Controller), &y.load_phase());
+        fe.submit(&Session::new(Actor::Controller), &y.load_phase());
         let ops = y.ops(txns as usize, YcsbWorkload::C);
         let stats = run_ops(&mut fe, &ops, Actor::Processor);
         table.row(vec![label.into(), f3(stats.simulated.as_secs_f64())]);

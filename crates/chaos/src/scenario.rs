@@ -13,12 +13,12 @@
 
 use datacase_core::grounding::erasure::ErasureInterpretation;
 use datacase_core::purpose::well_known as wk;
-use datacase_engine::frontend::{Batch, Request, Session};
+use datacase_engine::frontend::{Request, Session};
 use datacase_engine::Actor;
 use datacase_sim::rng::{child_seed, SplitMix64};
 use datacase_sim::time::{Dur, Ts};
-use datacase_workloads::opstream::{MetaField, MetaSelector};
 use datacase_workloads::record::GdprMetadata;
+use datacase_workloads::{MetaField, MetaSelector};
 
 /// Keys of subject `s` live at `s * KEY_STRIDE + i`.
 const KEY_STRIDE: u64 = 1_000;
@@ -246,7 +246,7 @@ pub enum TraceOp {
         /// The submitting session.
         session: Session,
         /// The ordered batch.
-        batch: Batch,
+        batch: Vec<Request>,
     },
     /// Advance the simulated clock to `to` (monotone; never backwards),
     /// through [`Frontend::advance_to`](datacase_engine::Frontend::advance_to):
@@ -325,7 +325,7 @@ impl Compiler {
     fn create_subject(&mut self, records: u32, ttl: Ts) -> u32 {
         let s = self.next_subject;
         self.next_subject += 1;
-        let mut batch = Batch::new();
+        let mut batch = Vec::new();
         let mut keys = Vec::new();
         for i in 0..records {
             let key = s as u64 * KEY_STRIDE + i as u64;
@@ -400,7 +400,7 @@ impl Compiler {
                 // subject-access purpose grounds reads, updates and
                 // metadata reads, so a legitimate run stays clean under
                 // the invariant catalog.
-                let mut batch = Batch::new();
+                let mut batch = Vec::new();
                 for _ in 0..ops {
                     let Some((s, key)) = self.pick_live() else {
                         break;
@@ -443,7 +443,7 @@ impl Compiler {
                     .collect();
                 for s in victims {
                     let keys = self.drain_subject(s);
-                    let mut batch = Batch::new();
+                    let mut batch = Vec::new();
                     for key in keys {
                         batch.push(Request::Erase {
                             key,
@@ -465,7 +465,7 @@ impl Compiler {
                     if let Some((_, key)) = self.pick_live() {
                         self.ops.push(TraceOp::Submit {
                             session: Session::new(Actor::Controller),
-                            batch: Batch::new().with(Request::Read { key }),
+                            batch: vec![Request::Read { key }],
                         });
                     }
                 }
@@ -483,14 +483,15 @@ impl Compiler {
                         continue;
                     }
                     let processor = Session::new(Actor::Processor);
-                    let reads: Batch = targets.iter().map(|&key| Request::Read { key }).collect();
+                    let reads: Vec<Request> =
+                        targets.iter().map(|&key| Request::Read { key }).collect();
                     // First reads (allows and denials alike).
                     self.ops.push(TraceOp::Submit {
                         session: processor.clone(),
                         batch: reads.clone(),
                     });
                     // Purpose changes bump the policy epoch.
-                    let bump: Batch = targets
+                    let bump: Vec<Request> = targets
                         .iter()
                         .map(|&key| Request::UpdateMeta {
                             key,
@@ -514,9 +515,9 @@ impl Compiler {
                 // Touch the expiring records while they are still live.
                 self.ops.push(TraceOp::Submit {
                     session: Session::new(Actor::Controller),
-                    batch: Batch::new().with(Request::ReadByMeta {
+                    batch: vec![Request::ReadByMeta {
                         selector: MetaSelector::BySubject(s),
-                    }),
+                    }],
                 });
                 // Advance past the horizon: the drain keeps G17.
                 self.cursor = ttl + Dur::from_secs(60);
@@ -534,16 +535,16 @@ impl Compiler {
                     let payload = self.payload(s, key);
                     self.ops.push(TraceOp::Submit {
                         session: Session::new(Actor::Processor).for_purpose(wk::retention()),
-                        batch: Batch::new().with(Request::Update { key, payload }),
+                        batch: vec![Request::Update { key, payload }],
                     });
                     // A processor cannot execute the right to erasure:
                     // deterministic denial, no history recorded.
                     self.ops.push(TraceOp::Submit {
                         session: Session::new(Actor::Processor),
-                        batch: Batch::new().with(Request::Erase {
+                        batch: vec![Request::Erase {
                             key,
                             interpretation: ErasureInterpretation::Deleted,
-                        }),
+                        }],
                     });
                     // The subject exercises reversible inaccessibility on
                     // one of their records; a controller read of another
@@ -552,17 +553,17 @@ impl Compiler {
                     if victim {
                         self.ops.push(TraceOp::Submit {
                             session: Session::new(Actor::Subject),
-                            batch: Batch::new().with(Request::Erase {
+                            batch: vec![Request::Erase {
                                 key,
                                 interpretation: ErasureInterpretation::ReversiblyInaccessible,
-                            }),
+                            }],
                         });
                         self.remove_key(s, key);
                     }
                     if let Some((_, other)) = self.pick_live() {
                         self.ops.push(TraceOp::Submit {
                             session: Session::new(Actor::Controller),
-                            batch: Batch::new().with(Request::Read { key: other }),
+                            batch: vec![Request::Read { key: other }],
                         });
                     }
                 }
@@ -575,7 +576,7 @@ impl Compiler {
                     self.create_subject(records_each, FAR_TTL);
                     if let Some(&victim) = self.live_subjects().first() {
                         let keys = self.drain_subject(victim);
-                        let batch: Batch = keys
+                        let batch: Vec<Request> = keys
                             .into_iter()
                             .map(|key| Request::Erase {
                                 key,
@@ -654,7 +655,7 @@ mod tests {
         let payload_of = |c: &CompiledScenario| -> Vec<u8> {
             for op in &c.ops {
                 if let TraceOp::Submit { batch, .. } = op {
-                    for r in batch.requests() {
+                    for r in batch {
                         if let Request::Create { payload, .. } = r {
                             return payload.clone();
                         }
@@ -681,7 +682,7 @@ mod tests {
                 panic!("op[{op}] is not a submit");
             };
             assert!(!batch.is_empty());
-            for req in batch.requests() {
+            for req in batch {
                 let Request::Erase {
                     key,
                     interpretation: ErasureInterpretation::PermanentlyDeleted,

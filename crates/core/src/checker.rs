@@ -85,7 +85,8 @@ pub fn check(ctx: &CheckContext<'_>) -> ComplianceReport {
         ..ComplianceReport::default()
     };
     for inv in CATALOG.iter().filter(|i| ctx.regulation.enforces(i.id)) {
-        let vs = (inv.check)(ctx, inv.id);
+        let vs = (inv.check)(ctx);
+        debug_assert!(vs.iter().all(|v| v.invariant == inv.id), "{}", inv.id);
         report.outcomes.push(InvariantOutcome {
             id: inv.id,
             statement: inv.statement,

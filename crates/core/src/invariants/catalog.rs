@@ -33,7 +33,7 @@ use super::CheckContext;
 /// Grounding: every personal base unit's history must contain a
 /// `contract`-purposed tuple (consent/contract capture) at or before its
 /// creation instant — the paper's `CtrC1234` contract example.
-pub fn disclosure(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
+pub fn disclosure(ctx: &CheckContext<'_>) -> Vec<Violation> {
     let mut out = Vec::new();
     for id in ctx.state.unit_ids_sorted() {
         let unit = ctx.state.unit(id).expect("listed");
@@ -47,7 +47,7 @@ pub fn disclosure(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violat
             .any(|t| t.purpose == wk::contract() && t.at <= unit.created_at);
         if !informed {
             out.push(Violation::on_unit(
-                invariant,
+                "I",
                 id,
                 ctx.now,
                 Severity::Breach,
@@ -64,7 +64,7 @@ pub fn disclosure(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violat
 /// Grounding: every *live* personal unit must carry an active
 /// `subject-access` policy naming one of its subjects, so access /
 /// rectification / erasure requests have an authorised path.
-pub fn storage(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
+pub fn storage(ctx: &CheckContext<'_>) -> Vec<Violation> {
     let mut out = Vec::new();
     for id in ctx.state.unit_ids_sorted() {
         let unit = ctx.state.unit(id).expect("listed");
@@ -77,7 +77,7 @@ pub fn storage(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation
             .any(|&s| unit.policies.authorises(wk::subject_access(), s, ctx.now));
         if !reachable {
             out.push(Violation::on_unit(
-                invariant,
+                "II",
                 id,
                 ctx.now,
                 Severity::Breach,
@@ -93,7 +93,7 @@ pub fn storage(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation
 /// Grounding: for every purpose under which personal data was processed
 /// (read/derive/share), an `Assess` tuple for that purpose must exist at or
 /// before the first such processing action (our DPIA evidence).
-pub fn pre_processing(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
+pub fn pre_processing(ctx: &CheckContext<'_>) -> Vec<Violation> {
     if !ctx.regulation.require_assessment {
         return Vec::new();
     }
@@ -128,7 +128,7 @@ pub fn pre_processing(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Vi
         let ok = assessed_at.get(&p).map(|&a| a <= first.at).unwrap_or(false);
         if !ok {
             out.push(Violation {
-                invariant,
+                invariant: "III",
                 unit: Some(first.unit),
                 entity: Some(first.entity),
                 at: first.at,
@@ -147,7 +147,7 @@ pub fn pre_processing(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Vi
 /// Grounding: when the regulation requires it, every live personal unit is
 /// stored encrypted at rest (per-unit flag, or the deployment-wide default
 /// evidenced by the engine).
-pub fn design_security(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
+pub fn design_security(ctx: &CheckContext<'_>) -> Vec<Violation> {
     if !ctx.regulation.require_encryption_at_rest || ctx.evidence.encryption_at_rest_default {
         return Vec::new();
     }
@@ -156,7 +156,7 @@ pub fn design_security(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<V
         let unit = ctx.state.unit(id).expect("listed");
         if unit.is_personal() && !unit.erasure.is_erased() && !unit.encrypted_at_rest {
             out.push(Violation::on_unit(
-                invariant,
+                "VI",
                 id,
                 ctx.now,
                 Severity::Breach,
@@ -173,7 +173,7 @@ pub fn design_security(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<V
 /// mutation tuple (create / update-value / erase), and every unit has a
 /// Create tuple. A history thinner than the state means operations escaped
 /// the record.
-pub fn record_keeping(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
+pub fn record_keeping(ctx: &CheckContext<'_>) -> Vec<Violation> {
     let mut out = Vec::new();
     for id in ctx.state.unit_ids_sorted() {
         let unit = ctx.state.unit(id).expect("listed");
@@ -183,7 +183,7 @@ pub fn record_keeping(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Vi
             .any(|t| matches!(t.action.kind(), ActionKind::Create | ActionKind::Derive));
         if !has_create {
             out.push(Violation::on_unit(
-                invariant,
+                "VII",
                 id,
                 ctx.now,
                 Severity::Breach,
@@ -205,7 +205,7 @@ pub fn record_keeping(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Vi
             .count();
         if unit.value.len() > mutations {
             out.push(Violation::on_unit(
-                invariant,
+                "VII",
                 id,
                 ctx.now,
                 Severity::Breach,
@@ -226,7 +226,7 @@ pub fn record_keeping(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Vi
 /// Grounding: every policy-change (`UpdatePolicy`) on a personal unit must
 /// be followed by a `Notify` tuple for the same unit within the
 /// regulation's notification window.
-pub fn obligations(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
+pub fn obligations(ctx: &CheckContext<'_>) -> Vec<Violation> {
     let window = ctx.regulation.notification_window;
     let mut out = Vec::new();
     for id in ctx.state.unit_ids_sorted() {
@@ -249,7 +249,7 @@ pub fn obligations(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Viola
                 .any(|n| n.action.kind() == ActionKind::Notify && n.at <= deadline);
             if !notified && ctx.now > deadline {
                 out.push(Violation::on_unit(
-                    invariant,
+                    "VIII",
                     id,
                     t.at,
                     Severity::Breach,
@@ -270,7 +270,7 @@ pub fn obligations(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Viola
 /// history is read off that chain, so (b) covers every tuple the checker
 /// reads. A denial is the one chained record with no tuple: it changes
 /// nothing, so no invariant reads it.
-pub fn demonstrate(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
+pub fn demonstrate(ctx: &CheckContext<'_>) -> Vec<Violation> {
     let has_personal = ctx.state.units().any(|u| u.is_personal());
     if !has_personal {
         return Vec::new();
@@ -278,7 +278,7 @@ pub fn demonstrate(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Viola
     let mut out = Vec::new();
     if ctx.history.tuples().next().is_none() {
         out.push(Violation::systemic(
-            invariant,
+            "IX",
             ctx.now,
             Severity::Critical,
             "personal data present but the action history is empty",
@@ -286,7 +286,7 @@ pub fn demonstrate(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Viola
     }
     if !ctx.evidence.audit_log_tamper_evident {
         out.push(Violation::systemic(
-            invariant,
+            "IX",
             ctx.now,
             Severity::Breach,
             "audit log integrity not demonstrated (no verified HMAC chain)",
@@ -312,7 +312,7 @@ pub fn demonstrate(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Viola
 ///   are infrastructure principals (the serving platform's shared
 ///   controller/processor/auditor) and are exempt: the gateway's
 ///   key-scoped sessions are what confine those to one tenant's block.
-pub fn tenant_isolation(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
+pub fn tenant_isolation(ctx: &CheckContext<'_>) -> Vec<Violation> {
     let dir = ctx.tenants;
     if dir.is_empty() {
         return Vec::new();
@@ -336,7 +336,7 @@ pub fn tenant_isolation(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<
             }
             many => {
                 out.push(Violation::on_unit(
-                    invariant,
+                    "X",
                     id,
                     ctx.now,
                     Severity::Critical,
@@ -354,7 +354,7 @@ pub fn tenant_isolation(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<
         if let (Some(owner), Some(actor)) = (owner, actor) {
             if actor != owner {
                 out.push(Violation {
-                    invariant,
+                    invariant: "X",
                     unit: Some(t.unit),
                     entity: Some(t.entity),
                     at: t.at,
@@ -373,7 +373,7 @@ mod tests {
     use crate::action::Action;
     use crate::history::HistoryTuple;
     use crate::ids::{EntityId, UnitId};
-    use crate::invariants::{EvidenceFlags, CATALOG};
+    use crate::invariants::EvidenceFlags;
     use crate::policy::Policy;
     use crate::purpose::PurposeRegistry;
     use crate::regulation::Regulation;
@@ -435,8 +435,12 @@ mod tests {
             uid
         }
 
-        /// Run the catalog row `id` over the fixture.
-        fn check(&self, id: &str, now: Ts) -> Vec<Violation> {
+        /// Run one grounding over the fixture.
+        fn check(
+            &self,
+            grounding: fn(&CheckContext<'_>) -> Vec<Violation>,
+            now: Ts,
+        ) -> Vec<Violation> {
             let ctx = CheckContext {
                 state: &self.state,
                 history: &self.history,
@@ -446,8 +450,7 @@ mod tests {
                 evidence: self.evidence,
                 tenants: &self.tenants,
             };
-            let row = CATALOG.iter().find(|i| i.id == id).expect("catalog row");
-            (row.check)(&ctx, row.id)
+            grounding(&ctx)
         }
     }
 
@@ -462,7 +465,7 @@ mod tests {
             "pii".into(),
             t(1),
         );
-        let v = fx.check("I", t(5));
+        let v = fx.check(disclosure, t(5));
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("consent"));
     }
@@ -477,7 +480,7 @@ mod tests {
             "pii".into(),
             t(1),
         );
-        let v = fx.check("II", t(5));
+        let v = fx.check(storage, t(5));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].unit, Some(bad));
     }
@@ -501,7 +504,7 @@ mod tests {
             action: Action::Read,
             at: t(10),
         });
-        assert!(fx.check("III", t(20)).is_empty());
+        assert!(fx.check(pre_processing, t(20)).is_empty());
         // Billing used with no assessment: violation.
         fx.history.push(HistoryTuple {
             unit: uid,
@@ -510,7 +513,7 @@ mod tests {
             action: Action::Read,
             at: t(15),
         });
-        let v = fx.check("III", t(20));
+        let v = fx.check(pre_processing, t(20));
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("billing"));
     }
@@ -527,7 +530,7 @@ mod tests {
             action: Action::Read,
             at: t(15),
         });
-        assert!(fx.check("III", t(20)).is_empty());
+        assert!(fx.check(pre_processing, t(20)).is_empty());
     }
 
     #[test]
@@ -535,24 +538,24 @@ mod tests {
         let mut fx = Fx::new();
         fx.evidence.encryption_at_rest_default = false;
         let uid = fx.collect_with_consent(1, t(0));
-        let v = fx.check("VI", t(5));
+        let v = fx.check(design_security, t(5));
         assert_eq!(v.len(), 1, "unit not flagged encrypted");
         fx.state.unit_mut(uid).unwrap().encrypted_at_rest = true;
-        assert!(fx.check("VI", t(5)).is_empty());
+        assert!(fx.check(design_security, t(5)).is_empty());
     }
 
     #[test]
     fn record_keeping_flags_unrecorded_mutations() {
         let mut fx = Fx::new();
         let uid = fx.collect_with_consent(1, t(0));
-        assert!(fx.check("VII", t(5)).is_empty());
+        assert!(fx.check(record_keeping, t(5)).is_empty());
         // Mutate the value without recording history.
         fx.state
             .unit_mut(uid)
             .unwrap()
             .value
             .write(t(3), "changed".into());
-        let v = fx.check("VII", t(5));
+        let v = fx.check(record_keeping, t(5));
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("versions"));
     }
@@ -566,7 +569,7 @@ mod tests {
             "pii".into(),
             t(0),
         );
-        let v = fx.check("VII", t(5));
+        let v = fx.check(record_keeping, t(5));
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("creation"));
     }
@@ -583,10 +586,10 @@ mod tests {
             at: t(10),
         });
         // Window is 72h; inside it, no violation yet.
-        assert!(fx.check("VIII", t(20)).is_empty());
+        assert!(fx.check(obligations, t(20)).is_empty());
         // Far beyond, with no Notify: violation.
         let far = t(10 + 73 * 3600);
-        let v = fx.check("VIII", far);
+        let v = fx.check(obligations, far);
         assert_eq!(v.len(), 1);
     }
 
@@ -609,7 +612,7 @@ mod tests {
             at: t(20),
         });
         let far = t(10 + 100 * 3600);
-        assert!(fx.check("VIII", far).is_empty());
+        assert!(fx.check(obligations, far).is_empty());
     }
 
     #[test]
@@ -622,7 +625,7 @@ mod tests {
             t(0),
         );
         fx.evidence.audit_log_tamper_evident = false;
-        let v = fx.check("IX", t(5));
+        let v = fx.check(demonstrate, t(5));
         assert_eq!(v.len(), 2, "empty history + no evidence");
         assert!(v.iter().any(|x| x.severity == Severity::Critical));
     }
@@ -630,14 +633,14 @@ mod tests {
     #[test]
     fn demonstrate_passes_on_empty_database() {
         let fx = Fx::new();
-        assert!(fx.check("IX", t(5)).is_empty());
+        assert!(fx.check(demonstrate, t(5)).is_empty());
     }
 
     #[test]
     fn tenant_isolation_vacuous_without_directory() {
         let mut fx = Fx::new();
         let _ = fx.collect_with_consent(1, t(0));
-        assert!(fx.check("X", t(5)).is_empty());
+        assert!(fx.check(tenant_isolation, t(5)).is_empty());
     }
 
     #[test]
@@ -647,7 +650,7 @@ mod tests {
         let _b = fx.collect_with_consent(2, t(0));
         fx.tenants.assign(EntityId(1), TenantId(1));
         fx.tenants.assign(EntityId(2), TenantId(2));
-        assert!(fx.check("X", t(5)).is_empty());
+        assert!(fx.check(tenant_isolation, t(5)).is_empty());
     }
 
     #[test]
@@ -658,7 +661,7 @@ mod tests {
         fx.state.unit_mut(uid).unwrap().subjects.push(EntityId(2));
         fx.tenants.assign(EntityId(1), TenantId(1));
         fx.tenants.assign(EntityId(2), TenantId(2));
-        let v = fx.check("X", t(5));
+        let v = fx.check(tenant_isolation, t(5));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].severity, Severity::Critical);
         assert!(v[0].message.contains("span"));
@@ -679,7 +682,7 @@ mod tests {
             action: Action::Read,
             at: t(3),
         });
-        let v = fx.check("X", t(5));
+        let v = fx.check(tenant_isolation, t(5));
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("tenant-2"));
         // The same action by an infrastructure entity (unassigned) is the
@@ -694,6 +697,6 @@ mod tests {
             action: Action::Read,
             at: t(3),
         });
-        assert!(ok.check("X", t(5)).is_empty());
+        assert!(ok.check(tenant_isolation, t(5)).is_empty());
     }
 }

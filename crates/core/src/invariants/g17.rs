@@ -22,7 +22,7 @@ use super::CheckContext;
 
 /// The formal G17 invariant, grounded as the module docs state. It is
 /// the catalog's grounding of Figure 1's V (erasure).
-pub fn timely_erasure(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
+pub fn timely_erasure(ctx: &CheckContext<'_>) -> Vec<Violation> {
     let mut out = Vec::new();
     let grace = ctx.regulation.erase_grace;
     for id in ctx.state.unit_ids_sorted() {
@@ -32,7 +32,7 @@ pub fn timely_erasure(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Vi
         }
         let Some(deadline) = unit.policies.erase_deadline() else {
             out.push(Violation::on_unit(
-                invariant,
+                "G17",
                 id,
                 ctx.now,
                 Severity::Breach,
@@ -47,7 +47,7 @@ pub fn timely_erasure(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Vi
         // Past due: status must satisfy the regulation's minimum…
         if !unit.erasure.satisfies(ctx.regulation.min_erasure) {
             out.push(Violation::on_unit(
-                invariant,
+                "G17",
                 id,
                 ctx.now,
                 Severity::Critical,
@@ -66,7 +66,7 @@ pub fn timely_erasure(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Vi
             .any(|t| t.action.kind() == ActionKind::Erase && t.at <= due);
         if !erased_in_time {
             out.push(Violation::on_unit(
-                invariant,
+                "G17",
                 id,
                 ctx.now,
                 Severity::Breach,
@@ -138,7 +138,7 @@ mod tests {
             evidence: EvidenceFlags::default(),
             tenants: &TenantDirectory::new(),
         };
-        timely_erasure(&ctx, "G17")
+        timely_erasure(&ctx)
     }
 
     #[test]

@@ -11,12 +11,12 @@ use super::CheckContext;
 /// policy-consistent ([`HistoryTuple::policy_consistent`](crate::history::HistoryTuple::policy_consistent)).
 /// It is the catalog's grounding of Figure 1's IV (sharing and
 /// processing).
-pub fn policy_consistency(ctx: &CheckContext<'_>, invariant: &'static str) -> Vec<Violation> {
+pub fn policy_consistency(ctx: &CheckContext<'_>) -> Vec<Violation> {
     let mut out = Vec::new();
     for tuple in ctx.history.tuples() {
         if !tuple.policy_consistent(ctx.state, ctx.purposes, ctx.regulation) {
             out.push(Violation {
-                invariant,
+                invariant: "G6",
                 unit: Some(tuple.unit),
                 entity: Some(tuple.entity),
                 at: tuple.at,
@@ -86,7 +86,7 @@ mod tests {
             evidence: EvidenceFlags::default(),
             tenants: &TenantDirectory::new(),
         };
-        assert!(policy_consistency(&ctx, "G6").is_empty());
+        assert!(policy_consistency(&ctx).is_empty());
     }
 
     #[test]
@@ -108,7 +108,7 @@ mod tests {
             evidence: EvidenceFlags::default(),
             tenants: &TenantDirectory::new(),
         };
-        let v = policy_consistency(&ctx, "G6");
+        let v = policy_consistency(&ctx);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].severity, Severity::Critical);
         assert_eq!(v[0].unit, Some(uid));
@@ -134,6 +134,6 @@ mod tests {
             evidence: EvidenceFlags::default(),
             tenants: &TenantDirectory::new(),
         };
-        assert_eq!(policy_consistency(&ctx, "G6").len(), 1);
+        assert_eq!(policy_consistency(&ctx).len(), 1);
     }
 }

@@ -67,9 +67,9 @@ pub struct Invariant {
     /// GDPR articles the invariant covers (Figure 1's bracketed lists).
     pub articles: &'static [u8],
     /// The grounding: evaluates the context and reports each violation
-    /// under the id it is passed; an empty result means the invariant
-    /// holds.
-    pub check: fn(&CheckContext<'_>, &'static str) -> Vec<Violation>,
+    /// under the row's [`id`](Invariant::id); an empty result means the
+    /// invariant holds.
+    pub check: fn(&CheckContext<'_>) -> Vec<Violation>,
 }
 
 /// Figure 1's invariants plus the deployment invariant X, in display

@@ -356,13 +356,13 @@ pub fn merged_chain_head(shards: &[Frontend]) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontend::{Actor, Batch};
+    use crate::frontend::Actor;
     use crate::profiles::EngineConfig;
     use datacase_core::purpose::well_known as wk;
     use datacase_sim::time::{Dur, Ts};
     use datacase_storage::backend::BackendKind;
-    use datacase_workloads::opstream::MetaSelector;
     use datacase_workloads::record::GdprMetadata;
+    use datacase_workloads::MetaSelector;
 
     fn session() -> Session {
         Session::new(Actor::Controller)
@@ -525,15 +525,5 @@ mod tests {
             .map(|fe| fe.forensic().scan(b"person=").total())
             .sum();
         assert!(total > 0, "P_SYS residuals visible before erasure");
-    }
-
-    #[test]
-    fn batch_type_round_trips_through_handle() {
-        let engine = ConcurrentEngine::new(EngineConfig::p_gbench(), 2);
-        let s = session();
-        let batch = Batch::from(vec![create(1), create(2)]);
-        let responses = engine.handle().call(&s, batch.requests());
-        assert!(responses.iter().all(|r| r.outcome.is_ok()));
-        engine.shutdown();
     }
 }

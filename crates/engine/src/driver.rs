@@ -2,17 +2,15 @@
 //! metric). Sharded, multi-client runs go through
 //! [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine).
 //!
-//! The driver hands the whole stream to [`Frontend::submit_ops`], which
-//! sub-batches it. Batch size never changes results — only boundary
-//! crossings and wall-clock time (the `prop_frontend` batch-parity
-//! property holds the engine to that).
+//! The driver hands the whole request stream to [`Frontend::submit`] as
+//! one batch. Batch size never changes results — only wall-clock time
+//! (the `prop_frontend` batch-parity property holds the engine to that).
 
 use datacase_sim::time::Dur;
 use datacase_sim::MeterSnapshot;
-use datacase_workloads::opstream::Op;
 
 use crate::error::EngineError;
-use crate::frontend::{Actor, Frontend, Response, Session};
+use crate::frontend::{Actor, Frontend, Request, Response, Session};
 
 /// Statistics of one workload run, tallied from the typed
 /// [`EngineError`] taxonomy (not sentinel reply values).
@@ -50,7 +48,7 @@ impl RunStats {
 }
 
 /// Run `ops` on `frontend` as `actor`, returning completion stats.
-pub fn run_ops(frontend: &mut Frontend, ops: &[Op], actor: Actor) -> RunStats {
+pub fn run_ops(frontend: &mut Frontend, ops: &[Request], actor: Actor) -> RunStats {
     let session = Session::new(actor);
     let sim_start = frontend.clock().now();
     let meter_start = frontend.meter().snapshot();
@@ -58,7 +56,7 @@ pub fn run_ops(frontend: &mut Frontend, ops: &[Op], actor: Actor) -> RunStats {
         ops: ops.len(),
         ..RunStats::default()
     };
-    for response in frontend.submit_ops(&session, ops) {
+    for response in frontend.submit(&session, ops) {
         stats.tally(&response);
     }
     stats.simulated = frontend.clock().now().since(sim_start);
@@ -89,12 +87,12 @@ mod tests {
         let stats = run_ops(&mut fe, &txns, Actor::Subject);
         assert_eq!(stats.ops, 200);
 
-        // A twin engine fed the same stream straight through
-        // `submit_ops`: the driver's tallies are the responses' outcomes.
+        // A twin engine fed the same stream straight through `submit`:
+        // the driver's tallies are the responses' outcomes.
         let mut twin = Frontend::new(config());
-        twin.submit_ops(&Session::new(Actor::Controller), &load);
+        twin.submit(&Session::new(Actor::Controller), &load);
         let mut expected = [0usize; 4];
-        for response in twin.submit_ops(&Session::new(Actor::Subject), &txns) {
+        for response in twin.submit(&Session::new(Actor::Subject), &txns) {
             match response.outcome {
                 Ok(_) => {}
                 Err(EngineError::Denied { .. }) => expected[0] += 1,

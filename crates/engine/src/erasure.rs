@@ -809,7 +809,7 @@ mod tests {
     /// deadline.
     #[test]
     fn extended_ttl_keeps_the_drain_and_g17_on_one_deadline() {
-        use datacase_workloads::opstream::MetaField;
+        use datacase_workloads::MetaField;
         let mut fe = fe_with_ttls(&[3600, 7200, 10_800, 14_400]);
         let extended = fe.run(
             &Session::new(Actor::Controller),

@@ -3,8 +3,8 @@
 //!
 //! This module is the **only public write path** into a compliant engine:
 //! callers open a [`Frontend`] over an [`EngineConfig`], describe who is
-//! asking (and why, and until when) with a [`Session`], and submit typed
-//! [`Request`]s as [`Batch`]es. Every request is answered with a
+//! asking (and why, and until when) with a [`Session`], and submit a
+//! slice of typed [`Request`]s. Every request is answered with a
 //! [`Response`] carrying `Result<Reply, EngineError>` plus an [`AuditRef`]
 //! pointing at the audit-log records the request produced — so the
 //! regulation groundings (policy enforcement, erasure semantics, audit
@@ -53,7 +53,6 @@ use datacase_sim::time::Ts;
 use datacase_sim::{Meter, SimClock};
 use datacase_storage::backend::{BackendStats, DurableSnapshot};
 use datacase_storage::forensic::ForensicFindings;
-use datacase_workloads::opstream::Op;
 
 use crate::keys::KeyIndex;
 use crate::model::Model;
@@ -63,8 +62,8 @@ use crate::substrate::Substrate;
 pub use crate::request::{Actor, AuditRef, Batch, Reply, Request, Response, Session};
 
 /// The compliant engine: the system substrate, the Data-CASE model kept
-/// next to it, and the key index binding the two, executing [`Batch`]es
-/// of [`Request`]s through a single enforcement choke point.
+/// next to it, and the key index binding the two, executing batches of
+/// [`Request`]s through a single enforcement choke point.
 ///
 /// The request handlers live in `ops`, the erasure plans in
 /// [`erasure`](crate::erasure); both work on the holders directly.
@@ -119,40 +118,15 @@ impl Frontend {
     /// down to the audit chain's bytes — and the session deadline is
     /// checked per request, denying a mid-batch tail exactly as
     /// single-request submissions would.
-    pub fn submit(&mut self, session: &Session, batch: &Batch) -> Vec<Response> {
-        crate::exec::execute(self, session, batch.requests())
+    pub fn submit(&mut self, session: &Session, requests: &[Request]) -> Vec<Response> {
+        crate::exec::execute(self, session, requests)
     }
 
     /// Submit a single request (a one-element batch).
     pub fn run(&mut self, session: &Session, request: Request) -> Response {
-        crate::exec::execute(self, session, std::slice::from_ref(&request))
+        self.submit(session, std::slice::from_ref(&request))
             .pop()
             .expect("one request in, one response out")
-    }
-
-    /// Submit a workload op stream as one batch under `session`.
-    ///
-    /// Ops are converted (each conversion clones the op's payload into
-    /// its [`Request`]) and executed in bounded sub-batches, so the whole
-    /// stream is never materialized as a second copy; response indices
-    /// still number the full stream. Sub-batching is invisible by the
-    /// batch-parity contract — splitting a batch never changes results.
-    pub fn submit_ops(&mut self, session: &Session, ops: &[Op]) -> Vec<Response> {
-        const SUBMIT_CHUNK: usize = 1024;
-        let mut responses = Vec::with_capacity(ops.len());
-        for (chunk_idx, chunk) in ops.chunks(SUBMIT_CHUNK).enumerate() {
-            let requests: Vec<Request> = chunk.iter().map(Request::from).collect();
-            let offset = chunk_idx * SUBMIT_CHUNK;
-            responses.extend(
-                crate::exec::execute(self, session, &requests)
-                    .into_iter()
-                    .map(|mut r| {
-                        r.index += offset;
-                        r
-                    }),
-            );
-        }
-        responses
     }
 
     /// Let idle time pass until `to` (a request charges the clock only its
@@ -391,8 +365,8 @@ mod tests {
     use datacase_core::grounding::erasure::ErasureInterpretation;
     use datacase_core::purpose::well_known as wk;
     use datacase_workloads::gdprbench::{GdprBench, Mix};
-    use datacase_workloads::opstream::MetaField;
     use datacase_workloads::record::GdprMetadata;
+    use datacase_workloads::MetaField;
 
     fn meta(subject: u32) -> GdprMetadata {
         GdprMetadata {
@@ -408,7 +382,7 @@ mod tests {
         let mut fe = Frontend::new(config);
         let mut bench = GdprBench::new(42, 50);
         let controller = Session::new(Actor::Controller);
-        for r in fe.submit_ops(&controller, &bench.load_phase(n)) {
+        for r in fe.submit(&controller, &bench.load_phase(n)) {
             assert!(r.is_done(), "load failed: {:?}", r.outcome);
         }
         (fe, bench)
@@ -472,9 +446,7 @@ mod tests {
         let expired = Session::new(Actor::Processor).until(Ts::ZERO);
         let rs = fe.submit(
             &expired,
-            &Batch::new()
-                .with(Request::Read { key: 1 })
-                .with(Request::Read { key: 2 }),
+            &[Request::Read { key: 1 }, Request::Read { key: 2 }],
         );
         assert!(rs.iter().all(Response::is_denied), "{rs:?}");
         assert!(rs.iter().all(|r| r.audit.is_empty()));
@@ -502,7 +474,7 @@ mod tests {
     fn audit_refs_are_contiguous_and_monotone() {
         let (mut fe, mut bench) = loaded(EngineConfig::p_base(), 50);
         let subject = Session::new(Actor::Subject);
-        let rs = fe.submit_ops(&subject, &bench.ops(120, Mix::wcus()));
+        let rs = fe.submit(&subject, &bench.ops(120, Mix::wcus()));
         let mut next = None::<u64>;
         for r in &rs {
             if let Some(expected) = next {
@@ -757,7 +729,7 @@ mod tests {
     /// denial, a metadata scan, a workload delete, hide, restore, strong
     /// and permanent erasure (with its sanitise pass).
     fn every_label_trace() -> Frontend {
-        use datacase_workloads::opstream::MetaSelector;
+        use datacase_workloads::MetaSelector;
         let mut fe = Frontend::new(EngineConfig::p_sys());
         let controller = Session::new(Actor::Controller);
         let processor = Session::new(Actor::Processor);
@@ -860,16 +832,5 @@ mod tests {
         assert_eq!(fe.audit_records(), 7, "one assessment per purpose");
         assert_eq!(fe.forensic().scan(b"unit=0 ").audit_records, 0);
         assert_eq!(fe.forensic().scan(b"unit=- ").audit_records, 7);
-    }
-
-    #[test]
-    fn batch_vocabulary_roundtrips_ops() {
-        let mut bench = GdprBench::new(7, 20);
-        let ops = bench.ops(50, Mix::wcus());
-        let batch = Batch::from_ops(&ops);
-        assert_eq!(batch.len(), 50);
-        for (op, req) in ops.iter().zip(batch.requests()) {
-            assert_eq!(op.key(), req.key());
-        }
     }
 }

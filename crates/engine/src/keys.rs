@@ -12,7 +12,7 @@ use datacase_core::ids::UnitId;
 use datacase_core::purpose::{well_known as wk, PurposeId};
 use datacase_core::tenant::KeyRange;
 use datacase_sim::time::Ts;
-use datacase_workloads::opstream::MetaSelector;
+use datacase_workloads::MetaSelector;
 
 /// Per-key bookkeeping the executor needs without touching the model.
 #[derive(Clone, Copy, Debug)]

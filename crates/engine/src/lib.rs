@@ -19,8 +19,8 @@
 //!
 //! The **only public write path** is the [`frontend`] module: a
 //! [`Frontend`] is the engine, a [`Session`] carries the authenticated
-//! [`Actor`], declared purpose, and deadline, and typed [`Request`]s are
-//! submitted as [`Batch`]es — each answered with a [`Response`] whose
+//! [`Actor`], declared purpose, and deadline, and slices of typed
+//! [`Request`]s are submitted — each answered with a [`Response`] whose
 //! outcome is `Result<Reply, EngineError>` plus an [`AuditRef`] into the
 //! audit log. Every request runs decide → apply → account to completion,
 //! in submission order: the policy check asks the profile's enforcer
@@ -75,7 +75,7 @@ pub use datacase_storage::backend::{BackendKind, BackendStats};
 pub use driver::{run_ops, RunStats};
 pub use erasure::{probe_config, probe_on, PropertyProbe};
 pub use error::EngineError;
-pub use frontend::{Actor, AuditRef, Batch, Forensic, Frontend, Reply, Request, Response, Session};
+pub use frontend::{Actor, AuditRef, Forensic, Frontend, Reply, Request, Response, Session};
 pub use pia::{assess, certify, Certificate, PiaReport};
 pub use profiles::{DeleteStrategy, EngineConfig, ProfileKind};
 pub use space::SpaceReport;

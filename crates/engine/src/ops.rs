@@ -14,8 +14,8 @@ use datacase_core::unit::Origin;
 use datacase_core::value::Value;
 use datacase_sim::time::Ts;
 use datacase_sim::Meter;
-use datacase_workloads::opstream::{MetaField, MetaSelector};
 use datacase_workloads::record::GdprMetadata;
+use datacase_workloads::{MetaField, MetaSelector};
 
 use crate::erasure;
 use crate::error::EngineError;
@@ -420,7 +420,6 @@ mod tests {
     use datacase_core::regulation::Regulation;
     use datacase_storage::backend::BackendKind;
     use datacase_workloads::gdprbench::{GdprBench, Mix};
-    use datacase_workloads::opstream::Op;
 
     fn small_db(profile: ProfileKind) -> (Frontend, GdprBench) {
         let mut config = EngineConfig::for_profile(profile);
@@ -432,7 +431,7 @@ mod tests {
 
     fn load(fe: &mut Frontend, bench: &mut GdprBench, n: usize) {
         let controller = Session::new(Actor::Controller);
-        for r in fe.submit_ops(&controller, &bench.load_phase(n)) {
+        for r in fe.submit(&controller, &bench.load_phase(n)) {
             assert!(r.is_done(), "load op failed: {:?}", r.outcome);
         }
     }
@@ -488,8 +487,8 @@ mod tests {
             let subject = Session::new(Actor::Subject);
             let mut deleted: std::collections::HashSet<u64> = Default::default();
             for op in &ops {
-                let r = fe.run(&subject, Request::from(op));
-                if let Op::DeleteData { key } = op {
+                let r = fe.run(&subject, op.clone());
+                if let Request::Delete { key } = op {
                     deleted.insert(*key);
                 }
                 if r.is_denied() {
@@ -528,7 +527,7 @@ mod tests {
             load(&mut fe, &mut bench, 300);
             let ops = bench.ops(600, Mix::wcus());
             let t0 = fe.clock().now();
-            fe.submit_ops(&Session::new(Actor::Subject), &ops);
+            fe.submit(&Session::new(Actor::Subject), &ops);
             times.push((profile, fe.clock().now().since(t0)));
         }
         assert!(
@@ -542,7 +541,7 @@ mod tests {
         let (mut fe, mut bench) = small_db(ProfileKind::PSys);
         load(&mut fe, &mut bench, 50);
         let ops = bench.ops(100, Mix::wcus());
-        fe.submit_ops(&Session::new(Actor::Subject), &ops);
+        fe.submit(&Session::new(Actor::Subject), &ops);
         let report = fe.compliance_report(&Regulation::gdpr());
         assert!(
             report.is_compliant(),
@@ -666,7 +665,7 @@ mod tests {
                     selector: MetaSelector::ByPurpose(purposes[i % purposes.len()]),
                 })
                 .collect();
-            fe.submit(&Session::new(Actor::Processor), &scans.into());
+            fe.submit(&Session::new(Actor::Processor), &scans);
             let read_units: Vec<UnitId> = fe
                 .history()
                 .tuples()

@@ -215,7 +215,7 @@ mod tests {
 
         let mut fe = Frontend::new(lsm_config);
         let mut bench = GdprBench::new(5, 50);
-        fe.submit_ops(&Session::new(Actor::Controller), &bench.load_phase(10));
+        fe.submit(&Session::new(Actor::Controller), &bench.load_phase(10));
         let report = fe.compliance_report(&Regulation::gdpr());
         assert!(!report.of_invariant("VI").is_empty());
     }
@@ -241,7 +241,7 @@ mod tests {
     fn certification_passes_for_compliant_engine() {
         let mut fe = Frontend::new(EngineConfig::p_sys());
         let mut bench = GdprBench::new(5, 50);
-        fe.submit_ops(&Session::new(Actor::Controller), &bench.load_phase(50));
+        fe.submit(&Session::new(Actor::Controller), &bench.load_phase(50));
         let cert = certify(&fe, &Regulation::gdpr());
         assert!(cert.granted(), "{cert:?}");
         assert_eq!(cert.probes.len(), 4);
@@ -274,7 +274,7 @@ mod tests {
     fn certification_denied_after_violation() {
         let mut fe = Frontend::new(EngineConfig::p_base());
         let mut bench = GdprBench::new(6, 50);
-        fe.submit_ops(&Session::new(Actor::Controller), &bench.load_phase(20));
+        fe.submit(&Session::new(Actor::Controller), &bench.load_phase(20));
         let unit = fe.unit_of_key(1).unwrap();
         let rogue = fe.entities().by_name("AdPartner").unwrap().id;
         let at = fe.clock().now();

@@ -1,14 +1,13 @@
 #![deny(missing_docs)]
-//! The request vocabulary: who is asking ([`Actor`], [`Session`]), what
-//! they ask ([`Request`], [`Batch`]) and what comes back ([`Response`],
-//! [`Reply`], [`AuditRef`]). Re-exported through
+//! Who is asking ([`Actor`], [`Session`]), what they ask ([`Request`],
+//! the workloads crate's vocabulary, re-exported here) and what comes
+//! back ([`Response`], [`Reply`], [`AuditRef`]). Re-exported through
 //! [`frontend`](crate::frontend), the one place requests are executed.
 
 use datacase_core::grounding::erasure::ErasureInterpretation;
 use datacase_core::purpose::PurposeId;
 use datacase_sim::time::Ts;
-use datacase_workloads::opstream::{MetaField, MetaSelector, Op};
-use datacase_workloads::record::GdprMetadata;
+pub use datacase_workloads::Request;
 
 use crate::error::EngineError;
 
@@ -23,202 +22,11 @@ pub enum Actor {
     Subject,
 }
 
-// ---------------------------------------------------------------------
-// Requests and batches
-// ---------------------------------------------------------------------
-
-/// One typed request to the engine.
-///
-/// The first seven variants mirror the workload vocabulary
-/// ([`Op`]); the last two are the compliance path (right to erasure,
-/// Table 1) that previously required reaching into the engine's internals.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Request {
-    /// Insert a new record with GDPR metadata (consent capture).
-    Create {
-        /// Record key.
-        key: u64,
-        /// Personal-data payload.
-        payload: Vec<u8>,
-        /// GDPR metadata attached at collection.
-        metadata: GdprMetadata,
-    },
-    /// Point read of the record's payload.
-    Read {
-        /// Record key.
-        key: u64,
-    },
-    /// Replace the record's payload.
-    Update {
-        /// Record key.
-        key: u64,
-        /// New payload.
-        payload: Vec<u8>,
-    },
-    /// Workload-path delete (grounded per the engine's
-    /// [`DeleteStrategy`](crate::profiles::DeleteStrategy)).
-    Delete {
-        /// Record key.
-        key: u64,
-    },
-    /// Read the record's metadata row (policies, purpose, TTL).
-    ReadMeta {
-        /// Record key.
-        key: u64,
-    },
-    /// Update one metadata field (policy change + subject notification).
-    UpdateMeta {
-        /// Record key.
-        key: u64,
-        /// Which field.
-        field: MetaField,
-    },
-    /// Read data *via* metadata (e.g. "all records for purpose X").
-    ReadByMeta {
-        /// The selector.
-        selector: MetaSelector,
-    },
-    /// Execute a grounded erasure interpretation immediately (the
-    /// compliance path: an Art. 17 request, not a workload delete).
-    Erase {
-        /// Record key.
-        key: u64,
-        /// The grounding to execute.
-        interpretation: ErasureInterpretation,
-    },
-    /// Restore a reversibly-inaccessible record (the inverse action that
-    /// makes that grounding invertible).
-    Restore {
-        /// Record key.
-        key: u64,
-    },
-}
-
-impl Request {
-    /// Short label for statistics.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Request::Create { .. } => "create",
-            Request::Read { .. } => "read",
-            Request::Update { .. } => "update",
-            Request::Delete { .. } => "delete",
-            Request::ReadMeta { .. } => "read-meta",
-            Request::UpdateMeta { .. } => "update-meta",
-            Request::ReadByMeta { .. } => "read-by-meta",
-            Request::Erase { .. } => "erase",
-            Request::Restore { .. } => "restore",
-        }
-    }
-
-    /// The key the request targets, when key-addressed.
-    pub fn key(&self) -> Option<u64> {
-        match self {
-            Request::Create { key, .. }
-            | Request::Read { key }
-            | Request::Update { key, .. }
-            | Request::Delete { key }
-            | Request::ReadMeta { key }
-            | Request::UpdateMeta { key, .. }
-            | Request::Erase { key, .. }
-            | Request::Restore { key } => Some(*key),
-            Request::ReadByMeta { .. } => None,
-        }
-    }
-}
-
-impl From<&Op> for Request {
-    fn from(op: &Op) -> Request {
-        match op {
-            Op::Create {
-                key,
-                payload,
-                metadata,
-            } => Request::Create {
-                key: *key,
-                payload: payload.clone(),
-                metadata: metadata.clone(),
-            },
-            Op::ReadData { key } => Request::Read { key: *key },
-            Op::UpdateData { key, payload } => Request::Update {
-                key: *key,
-                payload: payload.clone(),
-            },
-            Op::DeleteData { key } => Request::Delete { key: *key },
-            Op::ReadMeta { key } => Request::ReadMeta { key: *key },
-            Op::UpdateMeta { key, field } => Request::UpdateMeta {
-                key: *key,
-                field: *field,
-            },
-            Op::ReadByMetadata { selector } => Request::ReadByMeta {
-                selector: *selector,
-            },
-        }
-    }
-}
-
-impl From<Op> for Request {
-    fn from(op: Op) -> Request {
-        Request::from(&op)
-    }
-}
-
-/// An ordered batch of [`Request`]s submitted as one unit.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Batch {
-    requests: Vec<Request>,
-}
-
-impl Batch {
-    /// An empty batch.
-    pub fn new() -> Batch {
-        Batch::default()
-    }
-
-    /// Append a request, builder-style.
-    pub fn with(mut self, request: Request) -> Batch {
-        self.requests.push(request);
-        self
-    }
-
-    /// Append a request.
-    pub fn push(&mut self, request: Request) {
-        self.requests.push(request);
-    }
-
-    /// Convert a workload op stream into a batch.
-    pub fn from_ops(ops: &[Op]) -> Batch {
-        ops.iter().map(Request::from).collect()
-    }
-
-    /// The requests, in submission order.
-    pub fn requests(&self) -> &[Request] {
-        &self.requests
-    }
-
-    /// Number of requests in the batch.
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// Is the batch empty?
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-}
-
-impl From<Vec<Request>> for Batch {
-    fn from(requests: Vec<Request>) -> Batch {
-        Batch { requests }
-    }
-}
-
-impl FromIterator<Request> for Batch {
-    fn from_iter<I: IntoIterator<Item = Request>>(iter: I) -> Batch {
-        Batch {
-            requests: iter.into_iter().collect(),
-        }
-    }
-}
+/// An ordered batch of [`Request`]s: a plain vector, since
+/// [`Frontend::submit`](crate::frontend::Frontend::submit) takes a slice.
+/// Kept only for callers written against the former batch type; ROADMAP
+/// item 25 deletes it.
+pub type Batch = Vec<Request>;
 
 // ---------------------------------------------------------------------
 // Replies and responses

@@ -105,7 +105,7 @@ mod tests {
     fn loaded(profile: ProfileKind, n: usize) -> Frontend {
         let mut fe = Frontend::new(EngineConfig::for_profile(profile));
         let mut bench = GdprBench::new(11, 100);
-        fe.submit_ops(&Session::new(Actor::Controller), &bench.load_phase(n));
+        fe.submit(&Session::new(Actor::Controller), &bench.load_phase(n));
         fe
     }
 

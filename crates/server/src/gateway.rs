@@ -49,7 +49,7 @@ use datacase_engine::error::EngineError;
 use datacase_engine::frontend::{Frontend, Request, Response, Session};
 use datacase_engine::profiles::EngineConfig;
 use datacase_engine::Actor;
-use datacase_workloads::opstream::MetaSelector;
+use datacase_workloads::MetaSelector;
 
 use crate::wire::{read_frame_raw, write_frame, Frame, WireError};
 
@@ -457,7 +457,7 @@ fn serve_connection(
                     }
                     continue;
                 };
-                let global = match namespace_batch(tenant, &local) {
+                let global = match namespace_batch(tenant, local) {
                     Ok(global) => global,
                     Err(detail) => {
                         let refusal = Frame::ProtocolError {
@@ -508,65 +508,31 @@ fn reply_protocol_error(stream: &mut TcpStream, err: &WireError) -> Result<(), W
     )
 }
 
-/// Rewrite a tenant-local batch into the shared keyspace: keys move into
-/// the tenant's block, and the subject ids carried by `Create` metadata
-/// and `BySubject` selectors move into the tenant's subject block.
-fn namespace_batch(tenant: TenantId, local: &[Request]) -> Result<Vec<Request>, String> {
-    let key = |k: u64| {
-        tenant
-            .global_key(k)
-            .ok_or_else(|| format!("key {k} outside the tenant-local keyspace"))
-    };
-    let subject = |s: u32| {
-        tenant
-            .global_subject(s)
-            .ok_or_else(|| format!("subject {s} outside the tenant-local subject space"))
-    };
-    local
-        .iter()
-        .map(|request| {
-            Ok(match request {
-                Request::Create {
-                    key: k,
-                    payload,
-                    metadata,
-                } => {
-                    let mut metadata = metadata.clone();
-                    metadata.subject = subject(metadata.subject)?;
-                    Request::Create {
-                        key: key(*k)?,
-                        payload: payload.clone(),
-                        metadata,
-                    }
-                }
-                Request::Read { key: k } => Request::Read { key: key(*k)? },
-                Request::Update { key: k, payload } => Request::Update {
-                    key: key(*k)?,
-                    payload: payload.clone(),
-                },
-                Request::Delete { key: k } => Request::Delete { key: key(*k)? },
-                Request::ReadMeta { key: k } => Request::ReadMeta { key: key(*k)? },
-                Request::UpdateMeta { key: k, field } => Request::UpdateMeta {
-                    key: key(*k)?,
-                    field: *field,
-                },
-                Request::ReadByMeta { selector } => Request::ReadByMeta {
-                    selector: match selector {
-                        MetaSelector::BySubject(s) => MetaSelector::BySubject(subject(*s)?),
-                        MetaSelector::ByPurpose(p) => MetaSelector::ByPurpose(*p),
-                    },
-                },
-                Request::Erase {
-                    key: k,
-                    interpretation,
-                } => Request::Erase {
-                    key: key(*k)?,
-                    interpretation: *interpretation,
-                },
-                Request::Restore { key: k } => Request::Restore { key: key(*k)? },
-            })
-        })
-        .collect()
+/// Rewrite a tenant-local batch into the shared keyspace, in place: keys
+/// move into the tenant's block, and the subject ids carried by `Create`
+/// metadata and `BySubject` selectors move into the tenant's subject
+/// block. One out-of-block id rejects the whole batch.
+fn namespace_batch(tenant: TenantId, mut batch: Vec<Request>) -> Result<Vec<Request>, String> {
+    for request in &mut batch {
+        let subject = match request {
+            Request::Create { metadata, .. } => Some(&mut metadata.subject),
+            Request::ReadByMeta {
+                selector: MetaSelector::BySubject(s),
+            } => Some(s),
+            _ => None,
+        };
+        if let Some(s) = subject {
+            *s = tenant
+                .global_subject(*s)
+                .ok_or_else(|| format!("subject {s} outside the tenant-local subject space"))?;
+        }
+        if let Some(k) = request.key_mut() {
+            *k = tenant
+                .global_key(*k)
+                .ok_or_else(|| format!("key {k} outside the tenant-local keyspace"))?;
+        }
+    }
+    Ok(batch)
 }
 
 /// Rewrite global keys in a response's error back into the tenant's
@@ -714,9 +680,66 @@ mod tests {
         let over_key = Request::Read {
             key: u64::from(u32::MAX) + 1,
         };
-        assert!(namespace_batch(t, &[over_key]).is_err());
-        let ok = namespace_batch(t, &[Request::Read { key: 7 }]).unwrap();
+        assert!(namespace_batch(t, vec![over_key]).is_err());
+        let ok = namespace_batch(t, vec![Request::Read { key: 7 }]).unwrap();
         assert_eq!(ok, vec![Request::Read { key: (1 << 32) | 7 }]);
+    }
+
+    #[test]
+    fn namespacing_rewrites_every_key_and_subject_in_place() {
+        use datacase_core::grounding::erasure::ErasureInterpretation::Deleted;
+        use datacase_core::purpose::well_known as wk;
+        use datacase_workloads::{GdprMetadata, MetaField};
+        let t = TenantId(2);
+        let key = t.global_key(7).unwrap();
+        let subject = t.global_subject(3).unwrap();
+        let metadata = |subject| GdprMetadata {
+            subject,
+            purpose: wk::billing(),
+            ttl: datacase_sim::time::Ts::from_secs(60),
+            origin_device: 0,
+            objects_to_sharing: false,
+        };
+        let create = |key, subject| Request::Create {
+            key,
+            payload: b"p".to_vec(),
+            metadata: metadata(subject),
+        };
+        let by_subject = |s| Request::ReadByMeta {
+            selector: MetaSelector::BySubject(s),
+        };
+        let by_purpose = Request::ReadByMeta {
+            selector: MetaSelector::ByPurpose(wk::billing()),
+        };
+        #[rustfmt::skip]
+        let table = [
+            (create(7, 3), create(key, subject)),
+            (Request::Read { key: 7 }, Request::Read { key }),
+            (
+                Request::Update { key: 7, payload: b"q".to_vec() },
+                Request::Update { key, payload: b"q".to_vec() },
+            ),
+            (Request::Delete { key: 7 }, Request::Delete { key }),
+            (Request::ReadMeta { key: 7 }, Request::ReadMeta { key }),
+            (
+                Request::UpdateMeta { key: 7, field: MetaField::Ttl },
+                Request::UpdateMeta { key, field: MetaField::Ttl },
+            ),
+            (by_subject(3), by_subject(subject)),
+            (by_purpose.clone(), by_purpose),
+            (
+                Request::Erase { key: 7, interpretation: Deleted },
+                Request::Erase { key, interpretation: Deleted },
+            ),
+            (Request::Restore { key: 7 }, Request::Restore { key }),
+        ];
+        let (local, global): (Vec<Request>, Vec<Request>) = table.into_iter().unzip();
+        assert_eq!(namespace_batch(t, local).unwrap(), global);
+        // An out-of-block subject after a valid request rejects the whole
+        // batch, naming the subject.
+        let over = u32::MAX;
+        let err = namespace_batch(t, vec![Request::Read { key: 7 }, create(7, over)]).unwrap_err();
+        assert!(err.contains(&format!("subject {over}")), "{err}");
     }
 
     #[test]

@@ -47,8 +47,8 @@ use datacase_engine::error::EngineError;
 use datacase_engine::frontend::{AuditRef, Reply, Request, Response};
 use datacase_engine::Actor;
 use datacase_sim::time::Ts;
-use datacase_workloads::opstream::{MetaField, MetaSelector};
 use datacase_workloads::record::GdprMetadata;
+use datacase_workloads::{MetaField, MetaSelector};
 
 /// Frame magic: every Data-CASE frame starts with these two bytes.
 pub const MAGIC: [u8; 2] = *b"DC";

@@ -10,8 +10,8 @@
 use datacase_core::purpose::well_known as wk;
 use datacase_sim::rng::{child_seed, SplitMix64};
 
-use crate::opstream::{MetaField, MetaSelector, Op};
 use crate::record::MallGenerator;
+use crate::request::{MetaField, MetaSelector, Request};
 
 /// An operation mix: weights per op class (summing to 100).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -111,7 +111,7 @@ impl Mix {
     }
 }
 
-/// The GDPRBench generator: a load phase plus seeded op streams.
+/// The GDPRBench generator: a load phase plus seeded request streams.
 ///
 /// Deletions follow GDPRBench's TTL semantics: the *oldest* live records
 /// are deleted first (retention deadlines expire in insertion order), so
@@ -146,8 +146,8 @@ impl GdprBench {
         }
     }
 
-    /// The load phase: `n` create operations with Mall records.
-    pub fn load_phase(&mut self, n: usize) -> Vec<Op> {
+    /// The load phase: `n` create requests with Mall records.
+    pub fn load_phase(&mut self, n: usize) -> Vec<Request> {
         let mut ops = Vec::with_capacity(n);
         for _ in 0..n {
             ops.push(self.fresh_create());
@@ -155,12 +155,12 @@ impl GdprBench {
         ops
     }
 
-    fn fresh_create(&mut self) -> Op {
+    fn fresh_create(&mut self) -> Request {
         let key = self.next_key;
         self.next_key += 1;
         self.live_keys.push_back(key);
         let (_, metadata, payload) = self.mall.record();
-        Op::Create {
+        Request::Create {
             key,
             payload,
             metadata,
@@ -190,10 +190,10 @@ impl GdprBench {
         Some(self.rng.next_below(self.next_key))
     }
 
-    /// Generate `n` transaction-phase operations with the given mix.
+    /// Generate `n` transaction-phase requests with the given mix.
     /// Deletes target the oldest live keys (TTL order) and retire them;
     /// creates mint fresh keys.
-    pub fn ops(&mut self, n: usize, mix: Mix) -> Vec<Op> {
+    pub fn ops(&mut self, n: usize, mix: Mix) -> Vec<Request> {
         assert_eq!(mix.total(), 100, "mix weights must sum to 100");
         // Cumulative thresholds over the mix classes, in a fixed order.
         let thresholds: [(u32, u8); 7] = {
@@ -227,13 +227,13 @@ impl GdprBench {
             let op = match tag {
                 0 => self.fresh_create(),
                 1 => match self.pick_any() {
-                    Some(key) => Op::ReadData { key },
+                    Some(key) => Request::Read { key },
                     None => self.fresh_create(),
                 },
                 2 => match self.pick_live() {
                     Some(key) => {
                         let reading = self.mall.reading();
-                        Op::UpdateData {
+                        Request::Update {
                             key,
                             payload: reading.to_payload(self.payload_size),
                         }
@@ -241,11 +241,11 @@ impl GdprBench {
                     None => self.fresh_create(),
                 },
                 3 => match self.pick_expired() {
-                    Some(key) => Op::DeleteData { key },
+                    Some(key) => Request::Delete { key },
                     None => self.fresh_create(),
                 },
                 4 => match self.pick_any() {
-                    Some(key) => Op::ReadMeta { key },
+                    Some(key) => Request::ReadMeta { key },
                     None => self.fresh_create(),
                 },
                 5 => match self.pick_live() {
@@ -255,7 +255,7 @@ impl GdprBench {
                             1 => MetaField::Purpose,
                             _ => MetaField::Objection,
                         };
-                        Op::UpdateMeta { key, field }
+                        Request::UpdateMeta { key, field }
                     }
                     None => self.fresh_create(),
                 },
@@ -273,7 +273,7 @@ impl GdprBench {
                         };
                         MetaSelector::ByPurpose(p)
                     };
-                    Op::ReadByMetadata { selector }
+                    Request::ReadByMeta { selector }
                 }
             };
             out.push(op);
@@ -290,7 +290,12 @@ impl GdprBench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opstream::label_histogram;
+
+    /// Share of `requests` carrying `label`.
+    fn share(requests: &[Request], label: &str) -> f64 {
+        let n = requests.iter().filter(|r| r.label() == label).count();
+        n as f64 / requests.len() as f64
+    }
 
     #[test]
     fn mixes_sum_to_100() {
@@ -310,7 +315,7 @@ mod tests {
         let mut b = GdprBench::new(1, 100);
         let ops = b.load_phase(1000);
         assert_eq!(ops.len(), 1000);
-        let mut keys: Vec<u64> = ops.iter().filter_map(|o| o.key()).collect();
+        let mut keys: Vec<u64> = ops.iter().filter_map(Request::key).collect();
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), 1000);
@@ -322,15 +327,8 @@ mod tests {
         let mut b = GdprBench::new(2, 100);
         let _ = b.load_phase(5000);
         let ops = b.ops(10_000, Mix::wcus());
-        let h = label_histogram(&ops);
-        for label in [
-            "read-data",
-            "update-data",
-            "delete-data",
-            "read-meta",
-            "update-meta",
-        ] {
-            let share = *h.get(label).unwrap_or(&0) as f64 / ops.len() as f64;
+        for label in ["read", "update", "delete", "read-meta", "update-meta"] {
+            let share = share(&ops, label);
             assert!(
                 (share - 0.20).abs() < 0.03,
                 "{label} share {share} out of tolerance"
@@ -343,10 +341,9 @@ mod tests {
         let mut b = GdprBench::new(3, 100);
         let _ = b.load_phase(1000);
         let ops = b.ops(5000, Mix::wpro());
-        let h = label_histogram(&ops);
-        assert!(!h.contains_key("delete-data"));
-        assert!(!h.contains_key("update-data"));
-        assert!(*h.get("read-by-meta").unwrap() > 700);
+        assert_eq!(share(&ops, "delete"), 0.0);
+        assert_eq!(share(&ops, "update"), 0.0);
+        assert!(share(&ops, "read-by-meta") > 700.0 / 5000.0);
     }
 
     #[test]
@@ -356,7 +353,7 @@ mod tests {
         let ops = b.ops(5000, Mix::fig4a_customer());
         let mut deleted = std::collections::HashSet::new();
         for op in &ops {
-            if let Op::DeleteData { key } = op {
+            if let Request::Delete { key } = op {
                 assert!(deleted.insert(*key), "key {key} deleted twice");
             }
         }

@@ -14,29 +14,31 @@
 //!   Figure-4a customer mix (20 % deletes, 80 % reads);
 //! * [`ycsb`] — YCSB workloads A/B/C with zipfian key choice (C is the
 //!   paper's non-GDPR baseline);
-//! * [`opstream`] — the operation vocabulary engines execute.
+//! * [`request`] — the request vocabulary: the generators emit
+//!   [`Request`]s and the engines execute them, so a new verb is added
+//!   in one place.
 //!
 //! Every generator is seeded and deterministic.
 
 pub mod gdprbench;
-pub mod opstream;
 pub mod record;
+pub mod request;
 pub mod ycsb;
 
 pub use gdprbench::{GdprBench, Mix};
-pub use opstream::{MetaField, MetaSelector, Op};
 pub use record::{GdprMetadata, MallGenerator, MallReading};
+pub use request::{MetaField, MetaSelector, Request};
 pub use ycsb::{Ycsb, YcsbWorkload};
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// FNV-1a over the `Debug` rendering of every op: a fingerprint of
-    /// each draw a generator makes (keys, mix rolls, metadata fields,
+    /// FNV-1a over the `Debug` rendering of every request: a fingerprint
+    /// of each draw a generator makes (keys, mix rolls, metadata fields,
     /// payload bytes).
-    fn fingerprint(ops: &[Op]) -> u64 {
-        format!("{ops:?}")
+    fn fingerprint(requests: &[Request]) -> u64 {
+        format!("{requests:?}")
             .bytes()
             .fold(0xcbf2_9ce4_8422_2325, |h, b| {
                 (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
@@ -56,7 +58,7 @@ mod tests {
         let mut y = Ycsb::new(7, 200);
         let mut ycsb = y.load_phase();
         ycsb.extend(y.ops(400, YcsbWorkload::A));
-        assert_eq!(fingerprint(&gdpr), 0x460a_9cba_bd3e_becb);
-        assert_eq!(fingerprint(&ycsb), 0xe616_800e_db29_82eb);
+        assert_eq!(fingerprint(&gdpr), 0xced5_28f3_1495_927b);
+        assert_eq!(fingerprint(&ycsb), 0xeab4_f69b_155a_1e23);
     }
 }

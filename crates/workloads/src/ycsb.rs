@@ -5,8 +5,8 @@
 use datacase_sim::rng::{child_seed, SplitMix64};
 use datacase_sim::zipf::ScrambledZipfian;
 
-use crate::opstream::Op;
 use crate::record::MallGenerator;
+use crate::request::Request;
 
 /// The standard YCSB mixes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,14 +85,14 @@ impl Ycsb {
     }
 
     /// The load phase: create all `records` keys.
-    pub fn load_phase(&mut self) -> Vec<Op> {
+    pub fn load_phase(&mut self) -> Vec<Request> {
         (0..self.records)
             .map(|key| {
                 let (_, metadata, mut payload) = self.mall.record();
                 if let Some(size) = self.load_payload_size {
                     payload.resize(size, b'.');
                 }
-                Op::Create {
+                Request::Create {
                     key,
                     payload,
                     metadata,
@@ -101,17 +101,17 @@ impl Ycsb {
             .collect()
     }
 
-    /// `n` request-phase operations with the given mix, zipfian keys.
-    pub fn ops(&mut self, n: usize, workload: YcsbWorkload) -> Vec<Op> {
+    /// `n` request-phase requests with the given mix, zipfian keys.
+    pub fn ops(&mut self, n: usize, workload: YcsbWorkload) -> Vec<Request> {
         let read_pct = workload.read_pct();
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             let key = self.zipf.sample(&mut self.rng);
             if self.rng.next_below(100) < read_pct as u64 {
-                out.push(Op::ReadData { key });
+                out.push(Request::Read { key });
             } else {
                 let reading = self.mall.reading();
-                out.push(Op::UpdateData {
+                out.push(Request::Update {
                     key,
                     payload: reading.to_payload(self.payload_size),
                 });
@@ -124,22 +124,19 @@ impl Ycsb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opstream::label_histogram;
 
     #[test]
     fn c_is_pure_reads() {
         let mut y = Ycsb::new(1, 1000);
         let ops = y.ops(2000, YcsbWorkload::C);
-        let h = label_histogram(&ops);
-        assert_eq!(h["read-data"], 2000);
+        assert_eq!(ops.iter().filter(|r| r.label() == "read").count(), 2000);
     }
 
     #[test]
     fn a_is_half_updates() {
         let mut y = Ycsb::new(2, 1000);
         let ops = y.ops(10_000, YcsbWorkload::A);
-        let h = label_histogram(&ops);
-        let updates = h["update-data"] as f64 / 10_000.0;
+        let updates = ops.iter().filter(|r| r.label() == "update").count() as f64 / 10_000.0;
         assert!((updates - 0.5).abs() < 0.03, "update share {updates}");
     }
 
@@ -148,7 +145,7 @@ mod tests {
         let mut y = Ycsb::new(3, 500);
         let ops = y.load_phase();
         assert_eq!(ops.len(), 500);
-        let keys: std::collections::HashSet<u64> = ops.iter().filter_map(|o| o.key()).collect();
+        let keys: std::collections::HashSet<u64> = ops.iter().filter_map(Request::key).collect();
         assert_eq!(keys.len(), 500);
     }
 

@@ -32,7 +32,7 @@ fn main() {
     //    record.
     let mut fe = Frontend::new(EngineConfig::p_base());
     let controller = Session::new(Actor::Controller);
-    let collect: Batch = (0..6u64)
+    let collect: Vec<Request> = (0..6u64)
         .map(|i| Request::Create {
             key: i,
             payload: format!("reading-{i}").into_bytes(),

@@ -33,7 +33,7 @@ fn main() {
         config.heap.buffer_pages = (records / 390).max(32);
         let mut fe = Frontend::new(config);
         let mut bench = GdprBench::new(777, 1000);
-        fe.submit_ops(&Session::new(Actor::Controller), &bench.load_phase(records));
+        fe.submit(&Session::new(Actor::Controller), &bench.load_phase(records));
         let ops = bench.ops(txns, Mix::fig4a_customer());
         let stats = run_ops(&mut fe, &ops, Actor::Subject);
         let storage = fe.backend_stats();

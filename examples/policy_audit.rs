@@ -20,11 +20,11 @@ use data_case::workloads::gdprbench::GdprBench;
 fn main() {
     let mut fe = Frontend::new(EngineConfig::p_sys());
     let mut bench = GdprBench::new(2024, 100);
-    fe.submit_ops(&Session::new(Actor::Controller), &bench.load_phase(500));
+    fe.submit(&Session::new(Actor::Controller), &bench.load_phase(500));
     println!("loaded 500 records under P_SYS (FGAC + encrypted logs)");
 
     // Legitimate processing.
-    fe.submit_ops(
+    fe.submit(
         &Session::new(Actor::Subject),
         &bench.ops(200, data_case::workloads::gdprbench::Mix::wcus()),
     );

@@ -52,9 +52,7 @@ fn main() {
     // The subject reads their own data — the subject-access policy path.
     // Requests can also go out in batches; each gets its own response.
     let subject = Session::new(Actor::Subject);
-    let batch = Batch::new()
-        .with(Request::Read { key: 1 })
-        .with(Request::ReadMeta { key: 1 });
+    let batch = vec![Request::Read { key: 1 }, Request::ReadMeta { key: 1 }];
     for r in fe.submit(&subject, &batch) {
         match r.outcome {
             Ok(Reply::Value(n)) => {

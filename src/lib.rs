@@ -44,10 +44,9 @@ pub use datacase_workloads as workloads;
 ///
 /// Covers the simulation substrate plus everything an end-to-end scenario
 /// like `examples/quickstart.rs` needs: the session-scoped engine
-/// frontend (`Frontend` / `Session` / `Request` / `Batch` and the typed
+/// frontend (`Frontend` / `Session` / `Request` and the typed
 /// `Reply` / `EngineError` outcomes), its configuration profiles, the
-/// workload operation/record types, and the core regulation/grounding
-/// vocabulary.
+/// workload record type, and the core regulation/grounding vocabulary.
 pub mod prelude {
     pub use datacase_core::grounding::erasure::ErasureInterpretation;
     pub use datacase_core::regulation::Regulation;
@@ -56,15 +55,12 @@ pub mod prelude {
     };
     pub use datacase_engine::driver::RunStats;
     pub use datacase_engine::error::EngineError;
-    pub use datacase_engine::frontend::{
-        AuditRef, Batch, Frontend, Reply, Request, Response, Session,
-    };
+    pub use datacase_engine::frontend::{AuditRef, Frontend, Reply, Request, Response, Session};
     pub use datacase_engine::profiles::{DeleteStrategy, EngineConfig, ProfileKind};
     pub use datacase_engine::Actor;
     pub use datacase_policy::enforcer::PolicyEpoch;
     pub use datacase_server::{Client, Server, TenantSpec};
     pub use datacase_sim::time::{Dur, Ts};
     pub use datacase_sim::{CostModel, Meter, MeterSnapshot, SimClock};
-    pub use datacase_workloads::opstream::Op;
     pub use datacase_workloads::record::GdprMetadata;
 }

@@ -274,3 +274,43 @@ fn the_history_is_stored_only_by_the_audit_log() {
         offenders.join("\n")
     );
 }
+
+/// One request vocabulary and one door. Requests are executed in two
+/// places: `Frontend::submit`, which `Frontend::run` wraps, and the
+/// concurrent engine's shard worker, which owns a `Frontend` per shard. A
+/// third caller of `exec::execute` would be a second way in past the
+/// frontend's contract. The generators emit `Request` itself, so a second
+/// operation enum, or a `submit_ops` converting one, must not come back.
+#[test]
+fn requests_have_one_vocabulary_and_one_door() {
+    let root = repo_root();
+    let mut dirs = vec![root.join("src")];
+    dirs.extend(
+        CRATES
+            .iter()
+            .map(|krate| root.join("crates").join(krate).join("src")),
+    );
+    let mut offenders = Vec::new();
+    for (path, text) in rust_sources(dirs) {
+        let mut door = None;
+        for (i, line) in text.lines().enumerate() {
+            if is_file(&path, "frontend.rs") && line.contains("pub fn submit(") {
+                door = Some("    }");
+            } else if is_file(&path, "concurrent.rs") && line.starts_with("fn shard_loop(") {
+                door = Some("}");
+            }
+            let executes = line.contains("exec::execute(") && door.is_none();
+            if executes || line.contains("enum Op ") || line.contains("fn submit_ops(") {
+                offenders.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
+            }
+            if door == Some(line) {
+                door = None;
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "a second request vocabulary or a second door into execution:\n{}",
+        offenders.join("\n")
+    );
+}

@@ -30,7 +30,7 @@ fn response_sequences_agree_between_backends() {
     // engines.
     for profile in ProfileKind::PAPER {
         let mut results: Vec<Vec<String>> = Vec::new();
-        let mut streams: Vec<Vec<Op>> = Vec::new();
+        let mut streams: Vec<Vec<Request>> = Vec::new();
         for backend in BackendKind::ALL {
             let mut config = EngineConfig::for_profile(profile).with_backend(backend);
             config.maintenance_every = 40;
@@ -39,7 +39,7 @@ fn response_sequences_agree_between_backends() {
             let mut ops = bench.load_phase(200);
             ops.extend(bench.ops(400, Mix::wcus()));
             let rs: Vec<String> = fe
-                .submit_ops(&Session::new(Actor::Subject), &ops)
+                .submit(&Session::new(Actor::Subject), &ops)
                 .iter()
                 .map(normalize)
                 .collect();
@@ -163,7 +163,7 @@ fn subject_erasure_leaves_zero_residuals_on_both_backends() {
 
         // The erasure requests go through the session frontend like any
         // other compliance request — one batch, three responses.
-        let erasures: Batch = subject_keys
+        let erasures: Vec<Request> = subject_keys
             .iter()
             .map(|&key| Request::Erase {
                 key,
@@ -201,8 +201,8 @@ fn backend_stats_share_one_vocabulary() {
         let mut fe = Frontend::new(EngineConfig::p_base().with_backend(backend));
         let mut bench = GdprBench::new(17, 50);
         let controller = Session::new(Actor::Controller);
-        fe.submit_ops(&controller, &bench.load_phase(120));
-        let deletes: Batch = (0..30u64).map(|key| Request::Delete { key }).collect();
+        fe.submit(&controller, &bench.load_phase(120));
+        let deletes: Vec<Request> = (0..30u64).map(|key| Request::Delete { key }).collect();
         fe.submit(&controller, &deletes);
         fe.forensic().checkpoint();
         let s = fe.backend_stats();

@@ -10,8 +10,8 @@ use data_case::workloads::gdprbench::{GdprBench, Mix};
 fn loaded(profile: ProfileKind) -> Frontend {
     let mut fe = Frontend::new(EngineConfig::for_profile(profile));
     let mut bench = GdprBench::new(99, 50);
-    fe.submit_ops(&Session::new(Actor::Controller), &bench.load_phase(100));
-    fe.submit_ops(&Session::new(Actor::Subject), &bench.ops(150, Mix::wcus()));
+    fe.submit(&Session::new(Actor::Controller), &bench.load_phase(100));
+    fe.submit(&Session::new(Actor::Subject), &bench.ops(150, Mix::wcus()));
     fe
 }
 

@@ -10,7 +10,7 @@ use data_case::workloads::ycsb::{Ycsb, YcsbWorkload};
 fn loaded(profile: ProfileKind, records: usize, seed: u64) -> (Frontend, GdprBench) {
     let mut fe = Frontend::new(EngineConfig::for_profile(profile));
     let mut bench = GdprBench::new(seed, 100);
-    for r in fe.submit_ops(&Session::new(Actor::Controller), &bench.load_phase(records)) {
+    for r in fe.submit(&Session::new(Actor::Controller), &bench.load_phase(records)) {
         assert!(r.is_done(), "{:?}", r.outcome);
     }
     (fe, bench)
@@ -36,7 +36,7 @@ fn ycsb_c_runs_on_all_profiles_with_zero_denials() {
     for profile in ProfileKind::PAPER {
         let mut fe = Frontend::new(EngineConfig::for_profile(profile));
         let mut y = Ycsb::new(3, 300);
-        fe.submit_ops(&Session::new(Actor::Controller), &y.load_phase());
+        fe.submit(&Session::new(Actor::Controller), &y.load_phase());
         let ops = y.ops(600, YcsbWorkload::C);
         let stats = run_ops(&mut fe, &ops, Actor::Processor);
         assert_eq!(stats.denied, 0, "{profile:?}");
@@ -89,7 +89,7 @@ fn wpro_metadata_scans_return_rows() {
     let ops = bench.ops(300, Mix::wpro());
     let processor = Session::new(Actor::Processor);
     let mut rows_seen = 0usize;
-    for r in fe.submit_ops(&processor, &ops) {
+    for r in fe.submit(&processor, &ops) {
         if let Some(n) = r.rows() {
             rows_seen += n;
         }
@@ -118,8 +118,8 @@ fn disk_hits_after_crash(
     let load = bench.load_phase(400);
     let updates = bench.ops(400, Mix::wcus());
     let crash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        fe.submit_ops(&Session::new(Actor::Controller), &load);
-        fe.submit_ops(&Session::new(Actor::Subject), &updates);
+        fe.submit(&Session::new(Actor::Controller), &load);
+        fe.submit(&Session::new(Actor::Subject), &updates);
     }))
     .expect_err("the armed point must fire");
     assert!(crash.downcast_ref::<CrashSignal>().is_some(), "{point}");

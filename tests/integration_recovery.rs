@@ -11,7 +11,7 @@ use data_case::storage::backend::{
 use data_case::storage::heap::{HeapConfig, HeapDb};
 use data_case::storage::lsm::LsmConfig;
 use data_case::workloads::gdprbench::{GdprBench, Mix};
-use data_case::workloads::opstream::Op;
+use data_case::workloads::Request;
 
 fn fresh(kind: BackendKind) -> Box<dyn StorageBackend> {
     match kind {
@@ -43,17 +43,17 @@ fn recovery_after_workload_matches_logical_state() {
         let mut bench = GdprBench::new(7, 50);
         let mut model: std::collections::HashMap<u64, Vec<u8>> = Default::default();
         for op in bench.load_phase(300) {
-            if let Op::Create { key, payload, .. } = op {
+            if let Request::Create { key, payload, .. } = op {
                 db.insert(key, key, &payload).unwrap();
                 model.insert(key, payload);
             }
         }
         for op in bench.ops(300, Mix::wcus()) {
             match op {
-                Op::UpdateData { key, payload } if db.update(key, &payload).is_ok() => {
+                Request::Update { key, payload } if db.update(key, &payload).is_ok() => {
                     model.insert(key, payload);
                 }
-                Op::DeleteData { key } if db.delete(key).is_ok() => {
+                Request::Delete { key } if db.delete(key).is_ok() => {
                     model.remove(&key);
                 }
                 _ => {}

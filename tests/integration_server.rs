@@ -21,7 +21,7 @@ use data_case::core::tenant::TenantId;
 use data_case::prelude::*;
 use data_case::server::{Client, Server, TenantSpec};
 use data_case::storage::backend::BackendKind;
-use data_case::workloads::opstream::MetaSelector;
+use data_case::workloads::MetaSelector;
 
 fn tenants() -> Vec<TenantSpec> {
     vec![

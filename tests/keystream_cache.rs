@@ -67,7 +67,7 @@ fn cache_is_invisible_in_sim_time_meter_and_audit_chain() {
             let mut ops = bench.load_phase(120);
             ops.extend(bench.ops(300, Mix::wcus()));
             let outcomes: Vec<String> = fe
-                .submit_ops(&Session::new(Actor::Controller), &ops)
+                .submit(&Session::new(Actor::Controller), &ops)
                 .iter()
                 .map(|r| format!("{:?}", r.outcome))
                 .collect();

@@ -128,12 +128,12 @@ fn run(
     let subject = Session::new(Actor::Subject);
     let mut outcomes = Vec::new();
     for chunk in bench.load_phase(60).chunks(batch_size) {
-        for r in fe.submit_ops(&controller, chunk) {
+        for r in fe.submit(&controller, chunk) {
             outcomes.push(r.outcome);
         }
     }
     for chunk in bench.ops(txns, Mix::wcus()).chunks(batch_size) {
-        for r in fe.submit_ops(&subject, chunk) {
+        for r in fe.submit(&subject, chunk) {
             outcomes.push(r.outcome);
         }
     }
@@ -193,7 +193,7 @@ fn erase_batches_match_sequential_erasure() {
                 config.tuple_encryption = None;
                 let mut fe = Frontend::new(config);
                 let mut bench = GdprBench::new(seed, 60);
-                fe.submit_ops(&Session::new(Actor::Controller), &bench.load_phase(40));
+                fe.submit(&Session::new(Actor::Controller), &bench.load_phase(40));
                 fe
             };
             let controller = Session::new(Actor::Controller);
@@ -214,7 +214,7 @@ fn erase_batches_match_sequential_erasure() {
 
             let mut fe_batch = mk();
             let batch: Vec<_> = fe_batch
-                .submit(&controller, &Batch::from(requests))
+                .submit(&controller, &requests)
                 .into_iter()
                 .map(|r| r.outcome)
                 .collect();

@@ -20,7 +20,7 @@ use data_case::core::grounding::erasure::ErasureInterpretation;
 use data_case::core::purpose::PurposeId;
 use data_case::prelude::*;
 use data_case::server::wire::{self, Frame, WireError, HEADER_LEN, MAX_FRAME};
-use data_case::workloads::opstream::{MetaField, MetaSelector};
+use data_case::workloads::{MetaField, MetaSelector};
 
 fn purpose(i: u8) -> PurposeId {
     let names = ["billing", "retention", "advertising", "analytics"];
