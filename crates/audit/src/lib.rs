@@ -4,25 +4,22 @@
 //!
 //! Record keeping and accountability substrates (paper Figure 1's
 //! invariants VII "keep records of all data-operations" and IX
-//! "demonstrate compliance"), in the three flavours the compliance
-//! profiles use (§4.2):
+//! "demonstrate compliance"): one [`AuditLog`], in the [`LogFormat`] of
+//! each compliance profile (§4.2) — P_Base's CSV rows, P_GBench's full
+//! queries and responses, P_SYS's per-shard AES-128 ciphertext.
 //!
-//! * [`loggers::CsvRowLogger`] — P_Base: native CSV row-level logging of
-//!   query responses;
-//! * [`loggers::FullQueryLogger`] — P_GBench: logs *all queries and
-//!   responses* (more bytes per operation);
-//! * [`loggers::EncryptedLogger`] — P_SYS: AES-128-encrypted records, and
-//!   support for deleting a unit's log records on erasure.
+//! Every log maintains an HMAC hash chain ([`record::HmacChain`]) making
+//! it tamper-evident — the evidence invariant IX asks for — and redacts a
+//! unit's records on erasure. A link MACs a record's facts and a keyed
+//! commitment to its payload, so redaction, which swaps a payload for its
+//! commitment, never rewrites the chain: a record altered before or after
+//! an erase still fails verification, and a head taken before an erase
+//! still heads the same records after it.
 //!
-//! All three maintain an HMAC hash chain ([`record::HmacChain`]) making the
-//! log tamper-evident — the evidence invariant IX asks for. A link MACs a
-//! record's facts and a keyed commitment to its payload, so redaction,
-//! which swaps a payload for its commitment, never rewrites the chain: a
-//! record altered before or after an erase still fails verification, and
-//! a head taken before an erase still heads the same records after it.
+//! [`loggers`] keeps the former logger names as bridges to [`AuditLog`].
 
 pub mod loggers;
 pub mod record;
 
-pub use loggers::{AuditLogger, CsvRowLogger, EncryptedLogger, FullQueryLogger};
+pub use loggers::{AuditLog, LogFormat};
 pub use record::{HmacChain, LogRecord};

@@ -1,77 +1,76 @@
-//! The three logging backends of the compliance profiles.
+//! The audit log of the compliance profiles, in three formats.
 //!
-//! Every backend keeps its records in one `LogCore`: a `Vec` of the
-//! packed stored form ([`crate::record`]) — a record's facts once, its
-//! payload in an allocation of exactly the bytes the backend decided to
-//! keep (the truncated row, the query text plus response, the ciphertext)
-//! — under one HMAC chain. `bytes()` is computed from what is stored, so
-//! what Table 2 accounts is what the process holds.
-//!
-//! The chain only grows. A link commits to a payload instead of holding
-//! it ([`HmacChain`]), so redaction swaps payloads for their commitments
-//! without touching a link, and a head handed out before an erase still
-//! heads the same records after it.
+//! One [`AuditLog`] keeps its records in the packed stored form
+//! ([`crate::record`]), each payload in an allocation of exactly the
+//! bytes its [`LogFormat`] decided to keep, under one HMAC chain
+//! ([`HmacChain`]) that redaction never touches. The format decides only
+//! that encoding. `bytes()` is computed from what is stored, so what
+//! Table 2 accounts is what the process holds.
+
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use datacase_core::history::{History, HistoryTuple};
 use datacase_core::ids::UnitId;
 use datacase_crypto::aes::KeySize;
 use datacase_crypto::ctr::AesCtr;
+use datacase_crypto::CryptoBackend;
 use datacase_sim::{Meter, SimClock};
 
 use crate::record::{HmacChain, LogRecord, Stored};
 
-/// A logging backend: persists records, accounts bytes, stays
-/// tamper-evident, and supports per-unit redaction.
-pub trait AuditLogger: Send {
-    /// Persist one record: pay its simulated costs (log bytes, AES work —
-    /// driven by the stored length, never the content), then commit it to
-    /// the store and the tamper-evidence chain in call order.
-    fn log(&mut self, rec: LogRecord);
+/// Row cap for [`LogFormat::CsvRow`]: the payload bytes it keeps.
+const CSV_ROW_CAP: usize = 48;
 
-    /// The chain's current head MAC — a 32-byte digest two logs can be
-    /// compared by. Redaction does not move it.
-    fn chain_head(&self) -> [u8; 32];
-
-    /// Retained records.
-    fn records(&self) -> usize;
-
-    /// Retained bytes (Table 2 metadata accounting).
-    fn bytes(&self) -> u64;
-
-    /// Redact all records of `unit`: each non-empty payload becomes its
-    /// 32-byte commitment, and the chain is left as it is. Returns how
-    /// many records were redacted.
-    fn redact_unit(&mut self, unit: UnitId) -> usize;
-
-    /// Forensic scan of retained payloads.
-    fn scan(&self, needle: &[u8]) -> usize;
-
-    /// Verify the tamper-evidence chain (invariant IX's input): recompute
-    /// it over the retained records and compare heads.
-    fn verify_chain(&self) -> bool;
-
-    /// The action history the retained records mirror, read off the
-    /// chain's records: what the compliance checker audits. Redacted
-    /// records keep their facts, so they still project; denials project
-    /// nothing.
-    fn history(&self) -> &dyn History;
+/// What a record's payload becomes before it is stored.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LogFormat {
+    /// P_Base: CSV row-level response logging. Keeps the first 48 bytes
+    /// of the response row — cheap and small.
+    CsvRow,
+    /// P_GBench: "logging all queries and responses (no csv logs)": the
+    /// synthesised query text plus the whole response.
+    FullQuery,
+    /// P_SYS: AES-128-CTR ciphertext, so scanning for plaintext finds
+    /// nothing. The cipher is keyed by the first half of SHA-256 of the
+    /// log's key. The IV holds a record's `seq` in bytes 0–7 and the
+    /// log's engine `shard` in bytes 8–9, the top of the counter half:
+    /// shards never share a keystream while a payload stays under 2^48
+    /// blocks, and shard 0's IV is `iv_from_nonce(seq)`.
+    Encrypted {
+        /// The log's engine shard.
+        shard: u16,
+    },
 }
 
-/// Shared storage + chain logic for the backends.
-struct LogCore {
+/// The audit log: persists records, accounts bytes, stays tamper-evident,
+/// and supports per-unit redaction.
+pub struct AuditLog {
+    format: LogFormat,
+    /// The payload cipher, present iff `format` is encrypted.
+    cipher: Option<AesCtr>,
     records: Vec<Stored>,
-    by_unit: std::collections::HashMap<UnitId, Vec<u32>>,
+    by_unit: HashMap<UnitId, Vec<u32>>,
     bytes: u64,
     chain: HmacChain,
     clock: SimClock,
-    meter: std::sync::Arc<Meter>,
+    meter: Arc<Meter>,
 }
 
-impl LogCore {
-    fn new(key: &[u8], clock: SimClock, meter: std::sync::Arc<Meter>) -> LogCore {
-        LogCore {
+impl AuditLog {
+    /// An empty log in `format`, its chain sealed under `key` (and an
+    /// encrypted format's cipher derived from it), charging `clock` and
+    /// `meter`.
+    pub fn new(format: LogFormat, key: &[u8], clock: SimClock, meter: Arc<Meter>) -> AuditLog {
+        let cipher = matches!(format, LogFormat::Encrypted { .. }).then(|| {
+            let digest = datacase_crypto::sha256::Sha256::digest(key);
+            AesCtr::from_key(KeySize::Aes128, &digest[..16])
+        });
+        AuditLog {
+            format,
+            cipher,
             records: Vec::new(),
-            by_unit: std::collections::HashMap::new(),
+            by_unit: HashMap::new(),
             bytes: 0,
             chain: HmacChain::new(key),
             clock,
@@ -79,13 +78,22 @@ impl LogCore {
         }
     }
 
-    /// Pay for `rec` as stored (clock + meter + space accounting), then
-    /// commit it to the store and the chain.
+    /// Move an encrypted log's cipher onto `backend` (see
+    /// [`AesCtr::with_backend`]): same ciphertext, other implementation.
+    pub fn with_crypto_backend(mut self, backend: CryptoBackend) -> AuditLog {
+        self.cipher = self.cipher.map(|c| c.with_backend(backend));
+        self
+    }
+
+    /// Persist one record: encode its payload in the log's format, pay
+    /// its simulated costs (log bytes, AES work — driven by the stored
+    /// length, never the content), then commit it to the store and the
+    /// tamper-evidence chain in call order.
     ///
     /// # Panics
     /// Panics if `rec.at` precedes the last record's time: the log is the
     /// action history, time-ordered evidence an audit reads in order.
-    fn append(&mut self, rec: LogRecord) {
+    pub fn log(&mut self, mut rec: LogRecord) {
         if let Some(last) = self.records.last() {
             assert!(
                 last.at <= rec.at,
@@ -93,6 +101,34 @@ impl LogCore {
                 rec.at,
                 last.at
             );
+        }
+        match self.format {
+            // Only a truncated response row is stored — copied out, so
+            // that the caller's row buffer goes back to the allocator
+            // whole. Shrinking it in place would pin every retained 48
+            // bytes at the head of a hole one row wide that the next row
+            // cannot fit.
+            LogFormat::CsvRow if rec.payload.len() > CSV_ROW_CAP => {
+                rec.payload = rec.payload[..CSV_ROW_CAP].to_vec();
+            }
+            LogFormat::CsvRow => {}
+            LogFormat::FullQuery => {
+                let query = query_text(&rec);
+                let mut payload = Vec::with_capacity(query.len() + rec.payload.len());
+                payload.extend_from_slice(query.as_bytes());
+                payload.extend_from_slice(&rec.payload);
+                rec.payload = payload;
+            }
+            LogFormat::Encrypted { shard } => {
+                let cipher = self.cipher.as_ref().expect("`new` derives the cipher");
+                let len = rec.payload.len();
+                self.clock.charge(self.clock.model().aes_cost(128, len));
+                Meter::bump(&self.meter.crypto_bytes, len as u64);
+                let mut iv = AesCtr::iv_from_nonce(rec.seq);
+                iv[8..10].copy_from_slice(&shard.to_be_bytes());
+                // AES-CTR: ciphertext length equals plaintext length.
+                cipher.apply(iv, &mut rec.payload);
+            }
         }
         let unit = rec.unit;
         let rec = Stored::from(rec);
@@ -111,7 +147,26 @@ impl LogCore {
         self.records.push(rec);
     }
 
-    fn redact_unit(&mut self, unit: UnitId) -> usize {
+    /// The chain's current head MAC — a 32-byte digest two logs can be
+    /// compared by. Redaction does not move it.
+    pub fn chain_head(&self) -> [u8; 32] {
+        self.chain.head()
+    }
+
+    /// Retained records.
+    pub fn records(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Retained bytes (Table 2 metadata accounting).
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Redact all records of `unit`: each non-empty payload becomes its
+    /// 32-byte commitment, and the chain is left as it is. Returns how
+    /// many records were redacted.
+    pub fn redact_unit(&mut self, unit: UnitId) -> usize {
         let Some(positions) = self.by_unit.get(&unit) else {
             return 0;
         };
@@ -137,7 +192,8 @@ impl LogCore {
         n
     }
 
-    fn scan(&self, needle: &[u8]) -> usize {
+    /// Forensic scan of retained payloads: how many contain `needle`.
+    pub fn scan(&self, needle: &[u8]) -> usize {
         if needle.is_empty() {
             return 0;
         }
@@ -147,14 +203,24 @@ impl LogCore {
             .count()
     }
 
-    fn verify(&self) -> bool {
+    /// Verify the tamper-evidence chain (invariant IX's input): recompute
+    /// it over the retained records and compare heads.
+    pub fn verify_chain(&self) -> bool {
         self.chain.verify(self.records.iter())
+    }
+
+    /// The action history the retained records mirror, read off the
+    /// chain's records: what the compliance checker audits. Redacted
+    /// records keep their facts, so they still project; denials project
+    /// nothing.
+    pub fn history(&self) -> &dyn History {
+        self
     }
 }
 
 /// The history as a view of the stored records: `H(X)` reads the
 /// per-unit index, so nothing is materialised beyond the tuples asked for.
-impl History for LogCore {
+impl History for AuditLog {
     fn tuples(&self) -> Box<dyn Iterator<Item = HistoryTuple> + '_> {
         Box::new(self.records.iter().filter_map(Stored::tuple))
     }
@@ -168,62 +234,8 @@ impl History for LogCore {
     }
 }
 
-/// Row cap for [`CsvRowLogger`]: only this many payload bytes are kept.
-const CSV_ROW_CAP: usize = 48;
-
-/// P_Base: CSV row-level response logging. Stores a compact row rendering
-/// of the response — cheap and small.
-pub struct CsvRowLogger {
-    core: LogCore,
-}
-
-impl CsvRowLogger {
-    /// A fresh CSV logger.
-    pub fn new(key: &[u8], clock: SimClock, meter: std::sync::Arc<Meter>) -> CsvRowLogger {
-        CsvRowLogger {
-            core: LogCore::new(key, clock, meter),
-        }
-    }
-}
-
-impl AuditLogger for CsvRowLogger {
-    fn log(&mut self, mut rec: LogRecord) {
-        // Row-level: only a truncated response row is stored — copied
-        // out, so that the caller's row buffer goes back to the allocator
-        // whole. Shrinking it in place would pin every retained 48 bytes
-        // at the head of a hole one row wide that the next row cannot fit.
-        if rec.payload.len() > CSV_ROW_CAP {
-            rec.payload = rec.payload[..CSV_ROW_CAP].to_vec();
-        }
-        self.core.append(rec);
-    }
-
-    fn chain_head(&self) -> [u8; 32] {
-        self.core.chain.head()
-    }
-
-    fn records(&self) -> usize {
-        self.core.records.len()
-    }
-    fn bytes(&self) -> u64 {
-        self.core.bytes
-    }
-    fn redact_unit(&mut self, unit: UnitId) -> usize {
-        self.core.redact_unit(unit)
-    }
-    fn scan(&self, needle: &[u8]) -> usize {
-        self.core.scan(needle)
-    }
-    fn verify_chain(&self) -> bool {
-        self.core.verify()
-    }
-    fn history(&self) -> &dyn History {
-        &self.core
-    }
-}
-
-/// The query text [`FullQueryLogger`] synthesises for a record; a record
-/// that names no unit renders as `unit=-` (unit ids start at 0).
+/// The query text [`LogFormat::FullQuery`] synthesises for a record; a
+/// record that names no unit renders as `unit=-` (unit ids start at 0).
 fn query_text(rec: &LogRecord) -> String {
     let (op, purpose, entity) = (rec.op, rec.purpose, rec.entity);
     match rec.unit {
@@ -232,124 +244,46 @@ fn query_text(rec: &LogRecord) -> String {
     }
 }
 
-/// P_GBench: full query + response logging ("logging all queries and
-/// responses (no csv logs)"). Keeps the whole payload plus the query text,
-/// so it is strictly chattier than row-level CSV.
-pub struct FullQueryLogger {
-    core: LogCore,
+/// The former logger trait, cut to `log`; ROADMAP item 25 deletes it.
+pub trait AuditLogger {
+    /// See [`AuditLog::log`].
+    fn log(&mut self, rec: LogRecord);
 }
 
+impl AuditLogger for AuditLog {
+    fn log(&mut self, rec: LogRecord) {
+        AuditLog::log(self, rec);
+    }
+}
+
+/// The former CSV logger's name; ROADMAP item 25 deletes it.
+pub struct CsvRowLogger;
+/// The former query logger's name; ROADMAP item 25 deletes it.
+pub struct FullQueryLogger;
+/// The former encrypted logger's name; ROADMAP item 25 deletes it.
+pub struct EncryptedLogger;
+
+#[allow(clippy::new_ret_no_self)] // A bridge: `new` builds an `AuditLog`.
+impl CsvRowLogger {
+    /// A [`LogFormat::CsvRow`] log.
+    pub fn new(key: &[u8], clock: SimClock, meter: Arc<Meter>) -> AuditLog {
+        AuditLog::new(LogFormat::CsvRow, key, clock, meter)
+    }
+}
+
+#[allow(clippy::new_ret_no_self)]
 impl FullQueryLogger {
-    /// A fresh full-query logger.
-    pub fn new(key: &[u8], clock: SimClock, meter: std::sync::Arc<Meter>) -> FullQueryLogger {
-        FullQueryLogger {
-            core: LogCore::new(key, clock, meter),
-        }
+    /// A [`LogFormat::FullQuery`] log.
+    pub fn new(key: &[u8], clock: SimClock, meter: Arc<Meter>) -> AuditLog {
+        AuditLog::new(LogFormat::FullQuery, key, clock, meter)
     }
 }
 
-impl AuditLogger for FullQueryLogger {
-    fn log(&mut self, mut rec: LogRecord) {
-        // The stored payload is the synthesised query text plus the
-        // response payload.
-        let query = query_text(&rec);
-        let mut payload = Vec::with_capacity(query.len() + rec.payload.len());
-        payload.extend_from_slice(query.as_bytes());
-        payload.extend_from_slice(&rec.payload);
-        rec.payload = payload;
-        self.core.append(rec);
-    }
-
-    fn chain_head(&self) -> [u8; 32] {
-        self.core.chain.head()
-    }
-
-    fn records(&self) -> usize {
-        self.core.records.len()
-    }
-    fn bytes(&self) -> u64 {
-        self.core.bytes
-    }
-    fn redact_unit(&mut self, unit: UnitId) -> usize {
-        self.core.redact_unit(unit)
-    }
-    fn scan(&self, needle: &[u8]) -> usize {
-        self.core.scan(needle)
-    }
-    fn verify_chain(&self) -> bool {
-        self.core.verify()
-    }
-    fn history(&self) -> &dyn History {
-        &self.core
-    }
-}
-
-/// P_SYS: encrypted logging (AES-128) with per-unit deletion. Payloads are
-/// stored as ciphertext; scanning for plaintext finds nothing, and erasing
-/// a unit redacts its records. The cipher schedule is expanded once at
-/// construction.
-pub struct EncryptedLogger {
-    core: LogCore,
-    cipher: AesCtr,
-}
-
+#[allow(clippy::new_ret_no_self)]
 impl EncryptedLogger {
-    /// A fresh encrypted logger (AES-128, as P_SYS specifies), deriving
-    /// its payload key by hashing `key`; `key` also seals the chain.
-    pub fn new(key: &[u8], clock: SimClock, meter: std::sync::Arc<Meter>) -> EncryptedLogger {
-        let digest = datacase_crypto::sha256::Sha256::digest(key);
-        EncryptedLogger {
-            cipher: AesCtr::from_key(KeySize::Aes128, &digest[..16]),
-            core: LogCore::new(key, clock, meter),
-        }
-    }
-
-    /// Move the payload cipher onto `backend` (see
-    /// [`AesCtr::with_backend`]) — per-logger. Ciphertext bytes are
-    /// unchanged, only the implementation that produces them.
-    pub fn with_crypto_backend(
-        mut self,
-        backend: datacase_crypto::CryptoBackend,
-    ) -> EncryptedLogger {
-        self.cipher = self.cipher.with_backend(backend);
-        self
-    }
-}
-
-impl AuditLogger for EncryptedLogger {
-    fn log(&mut self, mut rec: LogRecord) {
-        let payload_len = rec.payload.len();
-        self.core
-            .clock
-            .charge(self.core.clock.model().aes_cost(128, payload_len));
-        Meter::bump(&self.core.meter.crypto_bytes, payload_len as u64);
-        // AES-CTR: ciphertext length equals plaintext length.
-        self.cipher
-            .apply(AesCtr::iv_from_nonce(rec.seq), &mut rec.payload);
-        self.core.append(rec);
-    }
-
-    fn chain_head(&self) -> [u8; 32] {
-        self.core.chain.head()
-    }
-
-    fn records(&self) -> usize {
-        self.core.records.len()
-    }
-    fn bytes(&self) -> u64 {
-        self.core.bytes
-    }
-    fn redact_unit(&mut self, unit: UnitId) -> usize {
-        self.core.redact_unit(unit)
-    }
-    fn scan(&self, needle: &[u8]) -> usize {
-        self.core.scan(needle)
-    }
-    fn verify_chain(&self) -> bool {
-        self.core.verify()
-    }
-    fn history(&self) -> &dyn History {
-        &self.core
+    /// A shard-0 [`LogFormat::Encrypted`] log.
+    pub fn new(key: &[u8], clock: SimClock, meter: Arc<Meter>) -> AuditLog {
+        AuditLog::new(LogFormat::Encrypted { shard: 0 }, key, clock, meter)
     }
 }
 
@@ -361,7 +295,6 @@ mod tests {
     use datacase_core::ids::EntityId;
     use datacase_core::purpose::well_known as wk;
     use datacase_sim::time::Ts;
-    use std::sync::Arc;
 
     fn rec(seq: u64, unit: u64, payload: &[u8]) -> LogRecord {
         LogRecord {
@@ -376,37 +309,25 @@ mod tests {
         }
     }
 
-    /// A logger the tests can name and reach into, as a forger with
-    /// write access to the store could.
-    trait Format: AuditLogger {
-        fn name(&self) -> &'static str;
-        fn core(&mut self) -> &mut LogCore;
-    }
-
-    macro_rules! format {
-        ($logger:ty, $name:literal) => {
-            impl Format for $logger {
-                fn name(&self) -> &'static str {
-                    $name
-                }
-                fn core(&mut self) -> &mut LogCore {
-                    &mut self.core
-                }
-            }
-        };
-    }
-    format!(CsvRowLogger, "csv");
-    format!(FullQueryLogger, "full");
-    format!(EncryptedLogger, "enc");
-
-    fn backends() -> Vec<Box<dyn Format>> {
+    /// The three formats, named, each over its own log.
+    fn logs() -> Vec<(&'static str, AuditLog)> {
         let clock = SimClock::commodity();
         let meter = Arc::new(Meter::new());
+        let log = |format| AuditLog::new(format, b"k", clock.clone(), meter.clone());
         vec![
-            Box::new(CsvRowLogger::new(b"k", clock.clone(), meter.clone())),
-            Box::new(FullQueryLogger::new(b"k", clock.clone(), meter.clone())),
-            Box::new(EncryptedLogger::new(b"k", clock, meter)),
+            ("csv", log(LogFormat::CsvRow)),
+            ("full", log(LogFormat::FullQuery)),
+            ("enc", log(LogFormat::Encrypted { shard: 0 })),
         ]
+    }
+
+    fn csv() -> AuditLog {
+        AuditLog::new(
+            LogFormat::CsvRow,
+            b"k",
+            SimClock::commodity(),
+            Arc::new(Meter::new()),
+        )
     }
 
     /// Five records over two units and a unit-less one, five labels, an
@@ -463,21 +384,20 @@ mod tests {
                 393,
             ),
         ];
-        for (mut b, (head, bytes)) in backends().into_iter().zip(golden) {
+        for ((name, mut b), (head, bytes)) in logs().into_iter().zip(golden) {
             for rec in golden_sequence() {
                 b.log(rec);
             }
             let before = b.chain_head();
-            assert_eq!(b.redact_unit(UnitId(7)), 2, "{}", b.name());
-            assert_eq!(b.chain_head(), before, "{}", b.name());
+            assert_eq!(b.redact_unit(UnitId(7)), 2, "{name}");
+            assert_eq!(b.chain_head(), before, "{name}");
             assert_eq!(
                 datacase_crypto::sha256::to_hex(&b.chain_head()),
                 head,
-                "{}",
-                b.name()
+                "{name}"
             );
-            assert_eq!(b.bytes(), bytes, "{}", b.name());
-            assert!(b.verify_chain(), "{}", b.name());
+            assert_eq!(b.bytes(), bytes, "{name}");
+            assert!(b.verify_chain(), "{name}");
         }
     }
 
@@ -485,20 +405,20 @@ mod tests {
     fn tampering_before_an_erase_is_still_caught() {
         // Unit 8's first record is altered in the store, then unit 7 is
         // erased: the erase must not absorb the forgery into the chain.
-        for mut b in backends() {
+        for (name, mut b) in logs() {
             for rec in golden_sequence() {
                 b.log(rec);
             }
-            b.core().records[1].payload[0] ^= 1;
-            assert!(!b.verify_chain(), "{}", b.name());
-            assert_eq!(b.redact_unit(UnitId(7)), 2, "{}", b.name());
-            assert!(!b.verify_chain(), "{}: erase hid the forgery", b.name());
+            b.records[1].payload[0] ^= 1;
+            assert!(!b.verify_chain(), "{name}");
+            assert_eq!(b.redact_unit(UnitId(7)), 2, "{name}");
+            assert!(!b.verify_chain(), "{name}: erase hid the forgery");
         }
     }
 
     #[test]
     fn a_head_from_before_a_redaction_still_heads_its_prefix() {
-        for mut b in backends() {
+        for (name, mut b) in logs() {
             let records = golden_sequence();
             let (prefix, rest) = records.split_at(3);
             for rec in prefix {
@@ -511,11 +431,11 @@ mod tests {
             b.redact_unit(UnitId(7));
             b.redact_unit(UnitId(8));
             let mut chain = HmacChain::new(b"k");
-            for rec in &b.core().records[..3] {
+            for rec in &b.records[..3] {
                 chain.extend(rec);
             }
-            assert_eq!(chain.head(), head, "{}", b.name());
-            assert!(b.verify_chain(), "{}", b.name());
+            assert_eq!(chain.head(), head, "{name}");
+            assert!(b.verify_chain(), "{name}");
         }
     }
 
@@ -523,40 +443,35 @@ mod tests {
     fn redaction_keeps_bytes_the_sum_of_record_sizes() {
         // Short and empty payloads: a commitment is longer than the first
         // and is never swapped in for the second.
-        for mut b in backends() {
+        for (name, mut b) in logs() {
             b.log(rec(1, 7, b"short"));
             b.log(rec(2, 7, b""));
             b.log(rec(3, 8, b"another payload"));
             b.redact_unit(UnitId(7));
-            let name = b.name();
-            let core = b.core();
-            let sizes: usize = core.records.iter().map(Stored::size).sum();
-            assert_eq!(core.bytes, sizes as u64, "{name}");
+            let sizes: usize = b.records.iter().map(Stored::size).sum();
+            assert_eq!(b.bytes, sizes as u64, "{name}");
             // The query log stores query text even for an empty response.
             let kept = if name == "full" { [32, 32] } else { [32, 0] };
-            assert_eq!(core.records[0].payload.len(), kept[0], "{name}");
-            assert_eq!(core.records[1].payload.len(), kept[1], "{name}");
+            assert_eq!(b.records[0].payload.len(), kept[0], "{name}");
+            assert_eq!(b.records[1].payload.len(), kept[1], "{name}");
             assert!(b.verify_chain(), "{name}");
         }
     }
 
     #[test]
     fn all_backends_log_and_verify() {
-        for mut b in backends() {
+        for (name, mut b) in logs() {
             b.log(rec(1, 1, b"payload-a"));
             b.log(rec(2, 2, b"payload-b"));
-            assert_eq!(b.records(), 2, "{}", b.name());
+            assert_eq!(b.records(), 2, "{name}");
             assert!(b.bytes() > 0);
-            assert!(b.verify_chain(), "{}", b.name());
+            assert!(b.verify_chain(), "{name}");
         }
     }
 
     #[test]
     fn full_query_logs_more_bytes_than_csv() {
-        let clock = SimClock::commodity();
-        let meter = Arc::new(Meter::new());
-        let mut csv = CsvRowLogger::new(b"k", clock.clone(), meter.clone());
-        let mut full = FullQueryLogger::new(b"k", clock, meter);
+        let [(_, mut csv), (_, mut full), _] = logs().try_into().ok().unwrap();
         let payload = vec![7u8; 100];
         csv.log(rec(1, 1, &payload));
         full.log(rec(1, 1, &payload));
@@ -569,11 +484,8 @@ mod tests {
     }
 
     #[test]
-    fn encrypted_logger_hides_plaintext() {
-        let clock = SimClock::commodity();
-        let meter = Arc::new(Meter::new());
-        let mut enc = EncryptedLogger::new(b"k", clock.clone(), meter.clone());
-        let mut csv = CsvRowLogger::new(b"k", clock, meter);
+    fn encrypted_log_hides_plaintext() {
+        let [(_, mut csv), _, (_, mut enc)] = logs().try_into().ok().unwrap();
         enc.log(rec(1, 1, b"SECRET-PII-IN-LOG"));
         csv.log(rec(1, 1, b"SECRET-PII-IN-LOG"));
         assert_eq!(enc.scan(b"SECRET-PII"), 0, "ciphertext at rest");
@@ -581,15 +493,62 @@ mod tests {
     }
 
     #[test]
+    fn shards_never_share_a_keystream() {
+        // Two engine shards number their records alike: the same seq on
+        // shard 0 and shard 1 must not be encrypted under the same
+        // keystream, or one shard's ciphertext XOR the other's would
+        // equal the plaintexts' XOR. Shard 0 keeps the unsharded IV.
+        let clock = SimClock::commodity();
+        let meter = Arc::new(Meter::new());
+        let log = |shard| {
+            let format = LogFormat::Encrypted { shard };
+            AuditLog::new(format, b"k", clock.clone(), meter.clone())
+        };
+        let (mut a, mut b) = (log(0), log(1));
+        let (pa, pb) = (b"tenant A's row".to_vec(), b"tenant B's row".to_vec());
+        a.log(rec(8, 1, &pa));
+        b.log(rec(8, 1, &pb));
+        let xor = |x: &[u8], y: &[u8]| -> Vec<u8> { x.iter().zip(y).map(|(x, y)| x ^ y).collect() };
+        let (ca, cb) = (&a.records[0].payload, &b.records[0].payload);
+        assert_ne!(xor(ca, cb), xor(&pa, &pb), "shared keystream");
+        let mut unsharded = pa.clone();
+        let digest = datacase_crypto::sha256::Sha256::digest(b"k");
+        AesCtr::from_key(KeySize::Aes128, &digest[..16])
+            .apply(AesCtr::iv_from_nonce(8), &mut unsharded);
+        assert_eq!(**ca, *unsharded, "shard 0's IV is unchanged");
+    }
+
+    #[test]
+    fn the_former_names_build_the_same_logs() {
+        let clock = SimClock::commodity();
+        let meter = Arc::new(Meter::new());
+        let mut bridged = [
+            CsvRowLogger::new(b"k", clock.clone(), meter.clone()),
+            FullQueryLogger::new(b"k", clock.clone(), meter.clone()),
+            EncryptedLogger::new(b"k", clock, meter),
+        ];
+        for ((name, mut direct), bridged) in logs().into_iter().zip(&mut bridged) {
+            direct.log(rec(1, 1, b"payload"));
+            let boxed: &mut dyn AuditLogger = bridged;
+            boxed.log(rec(1, 1, b"payload"));
+            assert_eq!(direct.chain_head(), bridged.chain_head(), "{name}");
+            assert_eq!(
+                direct.records[0].payload, bridged.records[0].payload,
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
     fn redact_unit_hides_payloads_and_keeps_the_chain() {
-        for mut b in backends() {
+        for (name, mut b) in logs() {
             b.log(rec(1, 7, b"unit7-first"));
             b.log(rec(2, 8, b"unit8-data"));
             b.log(rec(3, 7, b"unit7-second"));
             let n = b.redact_unit(UnitId(7));
-            assert_eq!(n, 2, "{}", b.name());
-            assert_eq!(b.scan(b"unit7"), 0, "{}", b.name());
-            assert!(b.verify_chain(), "{}", b.name());
+            assert_eq!(n, 2, "{name}");
+            assert_eq!(b.scan(b"unit7"), 0, "{name}");
+            assert!(b.verify_chain(), "{name}");
             assert_eq!(b.records(), 3, "records preserved, payloads committed");
         }
     }
@@ -601,7 +560,7 @@ mod tests {
             op,
             ..rec(seq, 0, b"payload")
         };
-        for mut b in backends() {
+        for (name, mut b) in logs() {
             b.log(labelled(1, Some(7), "INSERT"));
             b.log(labelled(2, Some(8), "SELECT"));
             b.log(labelled(3, Some(7), "DENIED"));
@@ -622,8 +581,7 @@ mod tests {
                     (UnitId(u64::MAX), Action::Assess, 4),
                     (UnitId(7), deleted, 5),
                 ],
-                "{}: redacted records project, the denial does not",
-                b.name()
+                "{name}: redacted records project, the denial does not"
             );
             let of_seven: Vec<(Action, Ts)> = history
                 .of_unit(UnitId(7))
@@ -636,8 +594,7 @@ mod tests {
                     (Action::Create, Ts::from_secs(1)),
                     (deleted, Ts::from_secs(5))
                 ],
-                "{}",
-                b.name()
+                "{name}"
             );
             assert!(history.of_unit(UnitId(9)).is_empty());
         }
@@ -646,51 +603,36 @@ mod tests {
     #[test]
     #[should_panic(expected = "time-ordered")]
     fn out_of_order_append_panics() {
-        let mut b = CsvRowLogger::new(b"k", SimClock::commodity(), Arc::new(Meter::new()));
+        let mut b = csv();
         b.log(rec(5, 1, b"later"));
         b.log(rec(4, 1, b"earlier"));
     }
 
     #[test]
     fn csv_truncates_row_payloads() {
-        let clock = SimClock::commodity();
-        let meter = Arc::new(Meter::new());
-        let mut csv = CsvRowLogger::new(b"k", clock, meter);
+        let mut csv = csv();
         csv.log(rec(1, 1, &vec![9u8; 500]));
         assert!(csv.bytes() < 200, "row-level keeps it compact");
     }
 
     #[test]
     fn stored_records_own_exactly_what_they_account() {
-        // A read hands the logger the whole decrypted row; what the store
+        // A read hands the log the whole decrypted row; what the store
         // retains per record is the bytes it charged for — a boxed slice
         // has no spare capacity to hide the rest of the row in.
-        let clock = SimClock::commodity();
-        let meter = Arc::new(Meter::new());
         let row = vec![9u8; 1024];
-        let mut csv = CsvRowLogger::new(b"k", clock.clone(), meter.clone());
-        let mut full = FullQueryLogger::new(b"k", clock.clone(), meter.clone());
-        let mut enc = EncryptedLogger::new(b"k", clock, meter);
-        csv.log(rec(1, 1, &row));
-        full.log(rec(1, 1, &row));
-        enc.log(rec(1, 1, &row));
         let query = query_text(&rec(1, 1, &row)).len();
-        for (name, core, kept) in [
-            ("csv", &csv.core, CSV_ROW_CAP),
-            ("full", &full.core, query + 1024),
-            ("enc", &enc.core, 1024),
-        ] {
-            assert_eq!(core.records[0].payload.len(), kept, "{name}");
-            assert_eq!(core.bytes, (40 + "read".len() + kept) as u64, "{name}");
+        let kept = [CSV_ROW_CAP, query + 1024, 1024];
+        for ((name, mut b), kept) in logs().into_iter().zip(kept) {
+            b.log(rec(1, 1, &row));
+            assert_eq!(b.records[0].payload.len(), kept, "{name}");
+            assert_eq!(b.bytes, (40 + "read".len() + kept) as u64, "{name}");
         }
     }
 
     #[test]
     fn chain_head_distinguishes_diverging_logs() {
-        let clock = SimClock::commodity();
-        let meter = Arc::new(Meter::new());
-        let mut a = CsvRowLogger::new(b"k", clock.clone(), meter.clone());
-        let mut b = CsvRowLogger::new(b"k", clock, meter);
+        let (mut a, mut b) = (csv(), csv());
         a.log(rec(1, 1, b"same"));
         b.log(rec(1, 1, b"same"));
         assert_eq!(a.chain_head(), b.chain_head());
@@ -702,7 +644,7 @@ mod tests {
     fn logging_charges_cost_and_meter() {
         let clock = SimClock::commodity();
         let meter = Arc::new(Meter::new());
-        let mut b = CsvRowLogger::new(b"k", clock.clone(), meter.clone());
+        let mut b = AuditLog::new(LogFormat::CsvRow, b"k", clock.clone(), meter.clone());
         let t0 = clock.now();
         b.log(rec(1, 1, b"x"));
         assert!(clock.now() > t0);

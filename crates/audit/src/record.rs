@@ -153,14 +153,13 @@ impl HmacChain {
         c.finalize()
     }
 
-    /// Extend the chain with a record; returns the new head MAC.
-    pub(crate) fn extend(&mut self, rec: &Stored) -> [u8; 32] {
+    /// Extend the chain with a record.
+    pub(crate) fn extend(&mut self, rec: &Stored) {
         let mut mac = self.key.clone();
         mac.update(&self.head);
         rec.feed(&mut mac, self);
         self.head = mac.finalize();
         self.links += 1;
-        self.head
     }
 
     /// The current head MAC.

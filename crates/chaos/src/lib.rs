@@ -27,9 +27,12 @@
 //!   outcomes must match.
 //!
 //! The headline grounding: crash **mid-erasure** (between run purge and
-//! key destruction), recover, re-probe Table 1 — zero forensic
-//! residuals for every permanently-erased subject, on the heap and LSM
-//! substrates alike.
+//! key destruction), recover, and every permanently erased subject stays
+//! erased, on the heap and LSM alike. P_SYS keeps payloads only as
+//! ciphertext, so its plaintext needle scans come up empty either way;
+//! the evidence is keyed: no erased key reads back from the recovered
+//! substrate and no erased unit keeps a live key. A scenario that erases
+//! permanently must reach `purge-unit` and `destroy-key`.
 //!
 //! ```
 //! use datacase_chaos::{matrix, MatrixOptions};
@@ -112,6 +115,15 @@ pub fn matrix(options: &MatrixOptions) -> MatrixReport {
                 continue;
             }
             let counts = discover_hits(kind, &compiled);
+            let erases = !compiled.erased_needles.is_empty();
+            for point in [CrashPoint::PurgeUnit, CrashPoint::DestroyKey] {
+                if erases && counts[point as usize] == 0 {
+                    report.failures.push(format!(
+                        "{}/{kind:?}: erases permanently but never reaches {point}",
+                        scenario.name
+                    ));
+                }
+            }
             for point in CrashPoint::ALL {
                 let total = counts[point as usize];
                 if total == 0 {

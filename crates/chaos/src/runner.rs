@@ -15,7 +15,8 @@
 //!    twice over the salvaged snapshot and both recoveries must agree
 //!    byte-for-byte on forensic scans (recovery is deterministic), and
 //!    data permanently erased *before* the crash must stay erased in
-//!    the recovered substrate (no resurrection through replay).
+//!    the recovered substrate: no erased key reads back and no erased
+//!    subject's needle scans.
 //! 2. **Rebuilds the engine by deterministic replay** — engine-level
 //!    state (policies, history, audit chain) is reconstructed by
 //!    replaying the recorded trace prefix on a fresh engine, re-doing
@@ -25,7 +26,7 @@
 //! 3. **Asserts the oracle** — the recovered run's replies, meter
 //!    counters, audit-chain head bytes, forensic residuals, and all
 //!    invariant-catalog outcomes must be indistinguishable from a
-//!    serial run that never crashed.
+//!    serial run that never crashed, and no erased unit keeps its key.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Once};
@@ -84,6 +85,8 @@ pub struct RunOutcome {
     pub meter: MeterSnapshot,
     /// Residual count per erased-subject needle (must be all zero).
     pub residuals: Vec<usize>,
+    /// Permanently erased units that keep a live tuple key (must be 0).
+    pub(crate) live_keys: usize,
     /// The invariant catalog's verdict.
     pub report: ComplianceReport,
 }
@@ -103,6 +106,15 @@ fn apply_op(fe: &mut Frontend, op: &TraceOp) -> Vec<Response> {
 fn observe(fe: &mut Frontend, compiled: &CompiledScenario) -> RunOutcome {
     let report = fe.compliance_report(&Regulation::gdpr());
     let log_bytes = SpaceReport::measure(fe).log_bytes;
+    let live_keys = compiled
+        .erased_needles
+        .iter()
+        .flat_map(|&(_, op)| compiled.erased_keys(op))
+        .filter(|&key| {
+            fe.unit_of_key(key)
+                .is_some_and(|u| fe.forensic().key_is_live(u))
+        })
+        .count();
     let mut forensic = fe.forensic();
     let residuals = compiled
         .erased_needles
@@ -116,6 +128,7 @@ fn observe(fe: &mut Frontend, compiled: &CompiledScenario) -> RunOutcome {
         meter: fe.meter().snapshot(),
         replies: Vec::new(),
         residuals,
+        live_keys,
         report,
     }
 }
@@ -284,7 +297,7 @@ fn verify_storage_recovery(
             Arc::new(Meter::new()),
         )
     };
-    let a = recover(snapshot.clone());
+    let mut a = recover(snapshot.clone());
     let b = recover(snapshot.clone());
     for (needle, _) in &compiled.erased_needles {
         let (na, nb) = (
@@ -317,6 +330,16 @@ fn verify_storage_recovery(
                 "resurrection: needle {:?} (erase committed at op[{op_idx}], \
                  crash at op[{crashed_at}]) scans {n} in the recovered substrate",
                 String::from_utf8_lossy(needle)
+            ));
+        }
+        // Ciphertext matches no needle: the keys must not read back.
+        if let Some(key) = compiled
+            .erased_keys(*op_idx)
+            .find(|&key| a.read(key, true).is_some())
+        {
+            return Err(format!(
+                "resurrection: key {key} (erase committed at op[{op_idx}], \
+                 crash at op[{crashed_at}]) reads back from the recovered substrate"
             ));
         }
     }
@@ -370,6 +393,12 @@ pub fn compare(recovered: &RunOutcome, oracle: &RunOutcome) -> Vec<String> {
             ));
         }
     }
+    if recovered.live_keys != 0 {
+        breaches.push(format!(
+            "{} permanently erased units keep a live key",
+            recovered.live_keys
+        ));
+    }
     if !recovered.report.is_compliant() {
         breaches.push(format!(
             "invariant catalog reports violations after recovery: {:?}",
@@ -403,6 +432,7 @@ mod tests {
                 "{kind:?}: {:?}",
                 out.residuals
             );
+            assert_eq!(out.live_keys, 0, "{kind:?}");
         }
     }
 

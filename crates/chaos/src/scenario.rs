@@ -284,6 +284,16 @@ pub struct CompiledScenario {
     pub erased_needles: Vec<(Vec<u8>, usize)>,
 }
 
+impl CompiledScenario {
+    /// The keys an [`erased_needles`](Self::erased_needles) op erases.
+    pub(crate) fn erased_keys(&self, op: usize) -> impl Iterator<Item = u64> + '_ {
+        let TraceOp::Submit { batch, .. } = &self.ops[op] else {
+            panic!("op[{op}] is not an erase batch");
+        };
+        batch.iter().filter_map(Request::key)
+    }
+}
+
 /// Payload needle identifying subject `s` (fixed width, so no needle is
 /// a prefix of another subject's).
 fn subject_needle(s: u32) -> String {

@@ -262,10 +262,11 @@ pub struct ConcurrentEngine {
 }
 
 impl ConcurrentEngine {
-    /// Spin up `shards` identical shards of `config`, each on its own
-    /// clock and meter.
+    /// Spin up `shards` (1 to 65,536) identical shards of `config`, each
+    /// on its own clock, meter, and tuple and audit keystreams.
     pub fn new(config: EngineConfig, shards: usize) -> ConcurrentEngine {
         assert!(shards > 0, "engine needs at least one shard");
+        assert!(shards <= 1 << 16, "a shard index must fit in two IV bytes");
         let mut txs = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
         for shard in 0..shards {
@@ -273,7 +274,7 @@ impl ConcurrentEngine {
             let cfg = config.clone();
             let worker = std::thread::Builder::new()
                 .name(format!("datacase-shard-{shard}"))
-                .spawn(move || shard_loop(shard, rx, Frontend::new(cfg)))
+                .spawn(move || shard_loop(shard, rx, Frontend::on_shard(cfg, shard as u16)))
                 .expect("spawn shard worker");
             txs.push(tx);
             workers.push(worker);
@@ -348,7 +349,7 @@ pub fn merged_chain_head(shards: &[Frontend]) -> [u8; 32] {
     let mut h = Sha256::new();
     h.update(b"datacase-merged-chain-v1");
     for fe in shards {
-        h.update(&fe.model.logger.chain_head());
+        h.update(&fe.model.audit.chain_head());
     }
     h.finalize()
 }
@@ -505,6 +506,30 @@ mod tests {
         }
         let serial = replay.shutdown();
         assert_eq!(merged_chain_head(&serial), live_head);
+    }
+
+    #[test]
+    fn shards_encrypt_under_their_own_keystreams() {
+        // Key 0 lands on shard 0 and key 1 on shard 1, and each becomes
+        // unit 0 there, under the same master secret. Were the tuple IVs
+        // the same, one tenant's ciphertext XOR the other's would equal
+        // the plaintexts' XOR, and either payload would give the other up.
+        let engine = ConcurrentEngine::new(EngineConfig::p_sys(), 2);
+        let replies = engine.handle().call(&session(), &[create(0), create(1)]);
+        assert!(replies.iter().all(|r| r.outcome == Ok(Reply::Done)));
+        let mut shards = engine.shutdown();
+        let plain = |key| match create(key) {
+            Request::Create { payload, .. } => payload,
+            _ => unreachable!(),
+        };
+        let mut stored = |shard: usize, key| {
+            let fe: &mut Frontend = &mut shards[shard];
+            assert_eq!(fe.unit_of_key(key), Some(datacase_core::ids::UnitId(0)));
+            fe.forensic().raw_read(key, false).expect("stored row")
+        };
+        let (c0, c1) = (stored(0, 0), stored(1, 1));
+        let xor = |a: &[u8], b: &[u8]| -> Vec<u8> { a.iter().zip(b).map(|(a, b)| a ^ b).collect() };
+        assert_ne!(xor(&c0, &c1), xor(&plain(0), &plain(1)), "shared keystream");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! [`ErasureInterpretation::Deleted`], and a workload `Request::Delete`
 //! runs [`workload_plan`]. The mapping is system
 //! dependent, as the paper says: a [`Step`] names one [`StorageBackend`]
-//! hook (or the audit logger / key vault) and renders per backend — heap
+//! hook (or the audit log / key vault) and renders per backend — heap
 //! mechanics (hidden attribute / DELETE / VACUUM / VACUUM FULL / WAL scrub
 //! / sanitise) or LSM mechanics (flagged version / tombstone / memtable
 //! flush / compaction / run purge). [`describe`] renders a plan as Table 1
@@ -35,6 +35,7 @@ use datacase_core::ids::{EntityId, UnitId};
 use datacase_core::purpose::well_known as wk;
 use datacase_core::unit::ErasureStatus;
 use datacase_sim::fault::CrashPoint;
+use datacase_sim::Meter;
 use datacase_storage::backend::{BackendKind, MaintenanceDepth, StorageBackend};
 use datacase_storage::forensic::ForensicFindings;
 
@@ -58,7 +59,7 @@ pub enum Step {
     RedactLogs,
     /// Purge the retained copies of the unit and its cascaded
     /// descendants: [`StorageBackend::purge_unit`] plus the audit
-    /// logger's redaction — every online residual the maintenance pass
+    /// log's redaction — every online residual the maintenance pass
     /// leaves (WAL payloads, LSM run entries, audit payloads).
     PurgeLogs,
     /// Multi-pass overwrite of drive remanence ([`StorageBackend::sanitize`]).
@@ -192,6 +193,7 @@ pub(crate) fn erase_now(
         model,
         keys,
         clock,
+        meter,
         ..
     } = fe;
     let backend: &mut dyn StorageBackend = substrate.backend.as_mut();
@@ -238,7 +240,7 @@ pub(crate) fn erase_now(
                     if step == Step::PurgeLogs {
                         backend.purge_unit(u.0);
                     }
-                    model.logger.redact_unit(u);
+                    model.audit.redact_unit(u);
                 }
             }
             Step::Sanitize => backend.sanitize(3),
@@ -257,7 +259,8 @@ pub(crate) fn erase_now(
     }
 
     let at = clock.now();
-    model.finish_erasure(&mut substrate.enforcer, unit, interp, entity, now, at);
+    model.finish_erasure(substrate.enforcer.as_mut(), unit, interp, entity, now, at);
+    Meter::bump(&meter.policy_mutations, 1);
     keys.unscan(key);
     if interp.implies(ErasureInterpretation::Deleted) {
         keys.unschedule(unit, model.erase_deadline(unit));

@@ -92,11 +92,17 @@ impl std::fmt::Debug for Frontend {
 impl Frontend {
     /// Build an engine for `config` on a fresh clock and meter.
     pub fn new(config: EngineConfig) -> Frontend {
+        Frontend::on_shard(config, 0)
+    }
+
+    /// [`Frontend::new`] as shard `shard`, whose tuple and audit IVs
+    /// carry `shard` (every shard numbers its units and records alike).
+    pub(crate) fn on_shard(config: EngineConfig, shard: u16) -> Frontend {
         let clock = SimClock::commodity();
         let meter = Arc::new(Meter::new());
-        let logger = crate::substrate::audit_logger(&config, &clock, &meter);
-        let model = Model::new(logger, config.fault.clone(), clock.now());
-        let substrate = Substrate::new(&config, &model, &clock, &meter);
+        let audit = crate::substrate::audit_log(&config, shard, &clock, &meter);
+        let model = Model::new(audit, config.fault.clone(), clock.now());
+        let substrate = Substrate::new(&config, &model, shard, &clock, &meter);
         Frontend {
             config,
             substrate,
@@ -166,7 +172,7 @@ impl Frontend {
     /// The action history: a read-only view of the chained audit log,
     /// one tuple per record that names an action (a denial names none).
     pub fn history(&self) -> &dyn History {
-        self.model.logger.history()
+        self.model.audit.history()
     }
 
     /// The entity registry.
@@ -185,11 +191,10 @@ impl Frontend {
         self.meter.denials.load(Ordering::Relaxed)
     }
 
-    /// The engine's current policy epoch: bumped by every policy-mutating
-    /// action (grant, revocation, erasure, metadata update) — the version
-    /// of the policy state a decision was taken against.
+    /// The engine's policy epoch: the meter's count of grants (metadata
+    /// updates) and revocations (erasures) — the policy state's version.
     pub fn policy_epoch(&self) -> PolicyEpoch {
-        self.substrate.enforcer.epoch()
+        PolicyEpoch(self.meter.policy_mutations.load(Ordering::Relaxed))
     }
 
     /// Unit id stored under a key.
@@ -205,7 +210,7 @@ impl Frontend {
     /// Number of audit-log records written so far — also the sequence
     /// number of the latest one.
     pub fn audit_records(&self) -> usize {
-        self.model.logger.records()
+        self.model.audit.records()
     }
 
     /// Run the compliance checker against this engine's model, with the
@@ -213,7 +218,7 @@ impl Frontend {
     /// rest as evidence.
     pub fn compliance_report(&self, regulation: &Regulation) -> ComplianceReport {
         let evidence = EvidenceFlags {
-            audit_log_tamper_evident: self.model.logger.verify_chain(),
+            audit_log_tamper_evident: self.model.audit.verify_chain(),
             encryption_at_rest_default: self.config.encryption_at_rest(),
         };
         self.model.check(regulation, evidence, self.clock.now())
@@ -245,7 +250,7 @@ impl Forensic<'_> {
         let backend = &mut self.fe.substrate.backend;
         backend.checkpoint();
         let mut findings = backend.scan_physical(needle);
-        findings.audit_records = self.fe.model.logger.scan(needle);
+        findings.audit_records = self.fe.model.audit.scan(needle);
         findings
     }
 
@@ -318,6 +323,13 @@ impl Forensic<'_> {
             .is_some_and(|vault| vault.destroy_key(unit.0))
     }
 
+    /// Whether the tuple vault holds a live key for `unit`: `false` with
+    /// tuple encryption off, or the key never made or destroyed.
+    pub fn key_is_live(&self, unit: UnitId) -> bool {
+        let vault = self.fe.substrate.vault.as_ref();
+        vault.is_some_and(|vault| vault.cipher(unit.0).is_ok())
+    }
+
     /// How many keystream entries the tuple vault currently caches —
     /// `0` when tuple encryption or the keystream cache is off. Lets the
     /// erasure harnesses assert the cache actually warmed before an
@@ -332,7 +344,7 @@ impl Forensic<'_> {
 
     /// Verify the audit log's tamper-evident chain.
     pub fn verify_chain(&self) -> bool {
-        self.fe.model.logger.verify_chain()
+        self.fe.model.audit.verify_chain()
     }
 
     /// The audit chain's head MAC — a 32-byte digest over every record's
@@ -341,7 +353,7 @@ impl Forensic<'_> {
     /// redacted some (the batch-parity and serial-replay properties
     /// compare runs through this).
     pub fn chain_head(&self) -> [u8; 32] {
-        self.fe.model.logger.chain_head()
+        self.fe.model.audit.chain_head()
     }
 
     /// Salvage the storage substrate's durable state — exactly what
@@ -511,6 +523,53 @@ mod tests {
         assert!(fe.policy_epoch() > epoch_before, "erase bumps the epoch");
         let r = fe.run(&session, Request::Read { key: 2 });
         assert!(r.outcome.is_err(), "stale allow leaked: {:?}", r.outcome);
+    }
+
+    #[test]
+    fn every_grant_and_revocation_bumps_the_epoch_and_registration_does_not() {
+        // RBAC ignores per-unit mutations; the count holds regardless.
+        for profile in crate::profiles::ProfileKind::PAPER {
+            let mut fe = Frontend::new(EngineConfig::for_profile(profile));
+            let controller = Session::new(Actor::Controller);
+            let create = Request::Create {
+                key: 1,
+                payload: b"row".to_vec(),
+                metadata: meta(1),
+            };
+            // A new subject and a new unit: fresh ids no earlier decision
+            // was about.
+            assert!(fe.run(&Session::new(Actor::Subject), create).is_done());
+            assert_eq!(fe.policy_epoch(), PolicyEpoch(0), "{profile:?}");
+            let grant = Request::UpdateMeta {
+                key: 1,
+                field: MetaField::Purpose,
+            };
+            assert!(fe.run(&controller, grant).is_done());
+            assert_eq!(fe.policy_epoch(), PolicyEpoch(1), "{profile:?}");
+            let erase = Request::Erase {
+                key: 1,
+                interpretation: ErasureInterpretation::Deleted,
+            };
+            assert!(fe.run(&controller, erase).outcome.is_ok());
+            assert_eq!(fe.policy_epoch(), PolicyEpoch(2), "{profile:?}");
+            assert_eq!(fe.meter().snapshot().policy_mutations, 2, "{profile:?}");
+        }
+    }
+
+    #[test]
+    fn a_gdprbench_run_reaches_its_pinned_epoch() {
+        // Controller and customer traffic on P_SYS: metadata updates
+        // grant, deletes revoke, and denied requests mutate nothing. The
+        // count is the one the versioning wrapper kept before the engine
+        // counted in its meter.
+        let (mut fe, mut bench) = loaded(EngineConfig::p_sys(), 100);
+        fe.submit(
+            &Session::new(Actor::Controller),
+            &bench.ops(300, Mix::wcon()),
+        );
+        fe.submit(&Session::new(Actor::Subject), &bench.ops(300, Mix::wcus()));
+        assert_eq!(fe.denied(), 35);
+        assert_eq!(fe.policy_epoch(), PolicyEpoch(357));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! compliance checker audits.
 //!
 //! The log is the one record of what happened: the action history the
-//! checker reads is a view of its records ([`AuditLogger::history`]), and
+//! checker reads is a view of its records ([`AuditLog::history`]), and
 //! [`Model::record`] is the engine's one way to record an action. The
 //! state holds no payload bytes (a version is `Value::Stored { len }`);
 //! the log keeps the profile's rendering of each response until an
@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use datacase_audit::loggers::AuditLogger;
+use datacase_audit::loggers::AuditLog;
 use datacase_audit::record::LogRecord;
 use datacase_core::action::Action;
 use datacase_core::checker::{self, ComplianceReport};
@@ -25,7 +25,7 @@ use datacase_core::regulation::Regulation;
 use datacase_core::state::DatabaseState;
 use datacase_core::tenant::{TenantDirectory, TenantId};
 use datacase_core::unit::ErasureStatus;
-use datacase_policy::enforcer::{AccessRequest, VersionedEnforcer};
+use datacase_policy::enforcer::{AccessRequest, PolicyEnforcer};
 use datacase_sim::fault::{CrashPoint, FaultInjector};
 use datacase_sim::time::Ts;
 
@@ -33,7 +33,7 @@ use datacase_sim::time::Ts;
 pub(crate) struct Model {
     pub(crate) state: DatabaseState,
     /// Appended to only by [`Model::record`] and [`Model::deny`].
-    pub(crate) logger: Box<dyn AuditLogger>,
+    pub(crate) audit: AuditLog,
     pub(crate) purposes: PurposeRegistry,
     pub(crate) entities: EntityRegistry,
     pub(crate) controller: EntityId,
@@ -45,11 +45,11 @@ pub(crate) struct Model {
 }
 
 impl Model {
-    /// A fresh model over the profile's audit `logger`: the fixed
+    /// A fresh model over the profile's `audit` log: the fixed
     /// entities registered, and (invariant III) a DPIA per purpose
     /// recorded at `now`, before any processing. `fault` is armed once
     /// the model is built, so building it reaches no crash tap.
-    pub(crate) fn new(logger: Box<dyn AuditLogger>, fault: FaultInjector, now: Ts) -> Model {
+    pub(crate) fn new(audit: AuditLog, fault: FaultInjector, now: Ts) -> Model {
         let mut entities = EntityRegistry::new();
         let controller = entities.register("MetaSpace", EntityKind::Controller);
         let processor = entities.register("CloudProc", EntityKind::Processor);
@@ -59,7 +59,7 @@ impl Model {
         entities.register("AdPartner", EntityKind::ThirdParty);
         let mut model = Model {
             state: DatabaseState::new(),
-            logger,
+            audit,
             purposes: PurposeRegistry::with_defaults(),
             entities,
             controller,
@@ -120,8 +120,8 @@ impl Model {
         payload: Vec<u8>,
     ) {
         self.fault.hit(CrashPoint::Account);
-        self.logger.log(LogRecord {
-            seq: self.logger.records() as u64 + 1,
+        self.audit.log(LogRecord {
+            seq: self.audit.records() as u64 + 1,
             at,
             unit,
             entity,
@@ -138,7 +138,7 @@ impl Model {
     pub(crate) fn subject_entity(
         &mut self,
         subject: u32,
-        enforcer: &mut VersionedEnforcer,
+        enforcer: &mut dyn PolicyEnforcer,
     ) -> EntityId {
         if let Some(&e) = self.subject_entities.get(&subject) {
             return e;
@@ -153,13 +153,13 @@ impl Model {
 
     /// The epilogue every erasure ends with, workload `DELETE` and
     /// compliance erase alike: consent is withdrawn wholesale in the model
-    /// and the enforcer (bumping the policy epoch), the unit is marked
-    /// erased under `interp` since `since`, and the erase is recorded for
-    /// `entity`, its receipt on the chain (a permanent erasure's sanitise
-    /// pass too). Everything but the status's `since` happens at `at`.
+    /// and the enforcer, the unit is marked erased under `interp` since
+    /// `since`, and the erase is recorded for `entity`, its receipt on the
+    /// chain (a permanent erasure's sanitise pass too). Everything but the
+    /// status's `since` happens at `at`.
     pub(crate) fn finish_erasure(
         &mut self,
-        enforcer: &mut VersionedEnforcer,
+        enforcer: &mut dyn PolicyEnforcer,
         unit: UnitId,
         interp: ErasureInterpretation,
         entity: EntityId,
@@ -211,7 +211,7 @@ impl Model {
         }
         checker::check(&CheckContext {
             state: &self.state,
-            history: self.logger.history(),
+            history: self.audit.history(),
             purposes: &self.purposes,
             regulation,
             now,

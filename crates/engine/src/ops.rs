@@ -29,7 +29,7 @@ impl Frontend {
             Actor::Processor => self.model.processor,
             Actor::Subject => self
                 .model
-                .subject_entity(subject, &mut self.substrate.enforcer),
+                .subject_entity(subject, self.substrate.enforcer.as_mut()),
         }
     }
 
@@ -340,6 +340,7 @@ impl Frontend {
             u.policies.grant(new_policy);
         }
         self.substrate.enforcer.grant(meta.unit, new_policy);
+        Meter::bump(&self.meter.policy_mutations, 1);
         let after = self.model.erase_deadline(meta.unit);
         self.keys.reschedule(meta.unit, before, after);
         // The metadata-row update is a durable write like any other

@@ -37,8 +37,8 @@ impl SpaceReport {
         let storage = frontend.backend_stats();
         SpaceReport {
             personal_bytes: personal,
-            policy_bytes: frontend.substrate.enforcer.inner().metadata_bytes(),
-            log_bytes: frontend.model.logger.bytes(),
+            policy_bytes: frontend.substrate.enforcer.metadata_bytes(),
+            log_bytes: frontend.model.audit.bytes(),
             index_bytes: storage.index_bytes,
             wal_bytes: storage.log_bytes,
             heap_overhead_bytes: storage.disk_bytes.saturating_sub(personal),

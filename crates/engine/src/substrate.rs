@@ -1,5 +1,5 @@
 //! The system substrate a profile wires up: the storage backend, the
-//! tuple key vault and the policy enforcer, plus the audit logger the
+//! tuple key vault and the policy enforcer, plus the audit log the
 //! [`Model`] owns.
 //!
 //! The compliance stack composes over any [`StorageBackend`]; this is the
@@ -8,13 +8,13 @@
 
 use std::sync::Arc;
 
-use datacase_audit::loggers::{AuditLogger, CsvRowLogger, EncryptedLogger, FullQueryLogger};
+use datacase_audit::loggers::{AuditLog, LogFormat};
 use datacase_core::action::ActionKind;
 use datacase_core::ids::{EntityId, UnitId};
 use datacase_core::purpose::{well_known as wk, PurposeId};
 use datacase_crypto::ctr::AesCtr;
 use datacase_crypto::vault::KeyVault;
-use datacase_policy::enforcer::{PolicyEnforcer, VersionedEnforcer};
+use datacase_policy::enforcer::PolicyEnforcer;
 use datacase_policy::fgac::{FgacConfig, FgacEnforcer};
 use datacase_policy::metatable::MetaTableEnforcer;
 use datacase_policy::rbac::{RbacEnforcer, Role};
@@ -30,17 +30,19 @@ pub(crate) struct Substrate {
     pub(crate) backend: Box<dyn StorageBackend>,
     /// Present when tuple encryption is on.
     pub(crate) vault: Option<KeyVault>,
-    /// Mutations through it bump the policy epoch.
-    pub(crate) enforcer: VersionedEnforcer,
+    pub(crate) enforcer: Box<dyn PolicyEnforcer>,
+    /// The engine shard this substrate serves, carried in every tuple IV.
+    shard: u16,
 }
 
 impl Substrate {
-    /// Wire the substrate `config` asks for; every part charges the
-    /// engine's `clock` and `meter`. RBAC profiles grant roles to
-    /// `model`'s fixed entities.
+    /// Wire the substrate `config` asks for on engine shard `shard`;
+    /// every part charges the engine's `clock` and `meter`. RBAC profiles
+    /// grant roles to `model`'s fixed entities.
     pub(crate) fn new(
         config: &EngineConfig,
         model: &Model,
+        shard: u16,
         clock: &SimClock,
         meter: &Arc<Meter>,
     ) -> Substrate {
@@ -84,7 +86,8 @@ impl Substrate {
         Substrate {
             backend,
             vault,
-            enforcer: VersionedEnforcer::new(enforcer),
+            enforcer,
+            shard,
         }
     }
 
@@ -100,7 +103,7 @@ impl Substrate {
         let mut buf = payload.to_vec();
         if let Some(vault) = &mut self.vault {
             vault.ensure_key(unit.0);
-            apply_keystream(vault, unit, &mut buf, clock, meter);
+            apply_keystream(vault, unit, self.shard, &mut buf, clock, meter);
         }
         buf
     }
@@ -117,45 +120,49 @@ impl Substrate {
             if vault.cipher(unit.0).is_err() {
                 return Vec::new();
             }
-            apply_keystream(vault, unit, &mut stored, clock, meter);
+            apply_keystream(vault, unit, self.shard, &mut stored, clock, meter);
         }
         stored
     }
 }
 
-/// The audit logger `config`'s profile keeps, charging `clock` and
-/// `meter`. The [`Model`] owns it: the log records what the engine did.
-pub(crate) fn audit_logger(
+/// The audit log `config`'s profile keeps on engine shard `shard`,
+/// charging `clock` and `meter`. The [`Model`] owns it: the log records
+/// what the engine did.
+pub(crate) fn audit_log(
     config: &EngineConfig,
+    shard: u16,
     clock: &SimClock,
     meter: &Arc<Meter>,
-) -> Box<dyn AuditLogger> {
-    let (clock, meter) = (clock.clone(), meter.clone());
-    match config.profile {
-        ProfileKind::Stock | ProfileKind::PBase => {
-            Box::new(CsvRowLogger::new(b"audit-key", clock, meter))
-        }
-        ProfileKind::PGBench => Box::new(FullQueryLogger::new(b"audit-key", clock, meter)),
-        ProfileKind::PSys => Box::new(
-            EncryptedLogger::new(b"audit-key", clock, meter)
-                .with_crypto_backend(config.crypto_backend),
-        ),
-    }
+) -> AuditLog {
+    const KEY: &[u8] = b"audit-key";
+    let format = match config.profile {
+        ProfileKind::Stock | ProfileKind::PBase => LogFormat::CsvRow,
+        ProfileKind::PGBench => LogFormat::FullQuery,
+        ProfileKind::PSys => LogFormat::Encrypted { shard },
+    };
+    AuditLog::new(format, KEY, clock.clone(), meter.clone())
+        .with_crypto_backend(config.crypto_backend)
 }
 
 /// One CTR pass over `buf` under `unit`'s live key. Charged as a full
 /// AES pass regardless of how the keystream is produced: the cache
 /// changes host work, never the simulated cost.
+/// The IV carries the shard in bytes 8–9, the top of the counter half,
+/// as every shard numbers its units from 0: shards never share a
+/// keystream while a payload stays under 2^48 blocks (4 PiB).
 fn apply_keystream(
     vault: &mut KeyVault,
     unit: UnitId,
+    shard: u16,
     buf: &mut [u8],
     clock: &SimClock,
     meter: &Meter,
 ) {
     clock.charge(clock.model().aes_cost(vault.key_size().bits(), buf.len()));
     Meter::bump(&meter.crypto_bytes, buf.len() as u64);
-    let iv = AesCtr::iv_from_nonce(unit.0);
+    let mut iv = AesCtr::iv_from_nonce(unit.0);
+    iv[8..10].copy_from_slice(&shard.to_be_bytes());
     if !matches!(vault.keystream_apply(unit.0, iv, buf), Ok(true)) {
         vault.cipher(unit.0).expect("live key").apply(iv, buf);
     }

@@ -103,10 +103,6 @@ impl FgacEnforcer {
 }
 
 impl PolicyEnforcer for FgacEnforcer {
-    fn name(&self) -> &'static str {
-        "Sieve-style FGAC (P_SYS)"
-    }
-
     fn register_unit(&mut self, unit: UnitId, policies: &[Policy]) {
         // Guard compilation + index insertion per policy.
         let model = self.clock.model().clone();

@@ -21,17 +21,15 @@
 //! [`PolicySet::authorises`](datacase_core::policy::PolicySet::authorises),
 //! G6's predicate, so a revocation stops access at its own instant and
 //! the two differ from each other only in cost. RBAC stays coarse by
-//! design: it decides per role, not per unit. The engine
-//! holds the active mechanism in an [`enforcer::VersionedEnforcer`], which
-//! counts policy mutations in a [`PolicyEpoch`] and decides every access
-//! against the current policy state.
+//! design: it decides per role, not per unit. The engine holds the active
+//! mechanism bare and decides every access against its current state.
 
 pub mod enforcer;
 pub mod fgac;
 pub mod metatable;
 pub mod rbac;
 
-pub use enforcer::{AccessRequest, Decision, PolicyEnforcer, PolicyEpoch, VersionedEnforcer};
+pub use enforcer::{AccessRequest, Decision, PolicyEnforcer};
 pub use fgac::{FgacConfig, FgacEnforcer};
 pub use metatable::MetaTableEnforcer;
 pub use rbac::{RbacEnforcer, Role};

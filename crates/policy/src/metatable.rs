@@ -48,10 +48,6 @@ impl MetaTableEnforcer {
 }
 
 impl PolicyEnforcer for MetaTableEnforcer {
-    fn name(&self) -> &'static str {
-        "metadata-table join (P_GBench)"
-    }
-
     fn register_unit(&mut self, unit: UnitId, policies: &[Policy]) {
         // Each policy row is an insert into the separate metadata table.
         let model = self.clock.model().clone();

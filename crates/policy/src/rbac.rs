@@ -92,10 +92,6 @@ impl RbacEnforcer {
 }
 
 impl PolicyEnforcer for RbacEnforcer {
-    fn name(&self) -> &'static str {
-        "RBAC (P_Base)"
-    }
-
     fn register_unit(&mut self, _unit: UnitId, _policies: &[Policy]) {
         // RBAC keeps no per-unit state — that is exactly its coarseness.
     }

@@ -151,6 +151,8 @@ meter_counters! {
     compaction_bytes,
     /// WAL records appended.
     wal_records,
+    /// Policy grants and revocations an engine routed to its enforcer.
+    policy_mutations,
 }
 
 impl Meter {

@@ -58,7 +58,6 @@ pub mod prelude {
     pub use datacase_engine::frontend::{AuditRef, Frontend, Reply, Request, Response, Session};
     pub use datacase_engine::profiles::{DeleteStrategy, EngineConfig, ProfileKind};
     pub use datacase_engine::Actor;
-    pub use datacase_policy::enforcer::PolicyEpoch;
     pub use datacase_server::{Client, Server, TenantSpec};
     pub use datacase_sim::time::{Dur, Ts};
     pub use datacase_sim::{CostModel, Meter, MeterSnapshot, SimClock};

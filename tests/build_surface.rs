@@ -314,3 +314,47 @@ fn requests_have_one_vocabulary_and_one_door() {
         offenders.join("\n")
     );
 }
+
+/// No forwarding layers. The audit log is one type in three formats and
+/// the engine holds its enforcer bare; the former logger and wrapper names
+/// survive only as bridges in their defining files. A caller naming one
+/// elsewhere (or boxing the log as `dyn AuditLogger` again), or the
+/// shared core the three logger types once forwarded to, would bring a
+/// layer back.
+#[test]
+fn the_log_and_the_enforcer_have_no_forwarding_layers() {
+    const BRIDGES: &[(&str, &str)] = &[
+        ("dyn AuditLogger", "crates/audit/src/loggers.rs"),
+        ("CsvRowLogger", "crates/audit/src/loggers.rs"),
+        ("FullQueryLogger", "crates/audit/src/loggers.rs"),
+        ("EncryptedLogger", "crates/audit/src/loggers.rs"),
+        ("VersionedEnforcer", "crates/policy/src/enforcer.rs"),
+    ];
+    let root = repo_root();
+    let this = root.join("tests/build_surface.rs");
+    let mut dirs = vec![root.join("src"), root.join("examples"), root.join("tests")];
+    dirs.extend(
+        CRATES
+            .iter()
+            .map(|krate| root.join("crates").join(krate).join("src")),
+    );
+    let mut offenders = Vec::new();
+    for (path, text) in rust_sources(dirs) {
+        if path == this {
+            continue;
+        }
+        for (i, line) in text.lines().enumerate() {
+            let named = BRIDGES
+                .iter()
+                .any(|(name, home)| line.contains(name) && path != root.join(home));
+            if named || line.contains("struct LogCore") {
+                offenders.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "a forwarding layer is back:\n{}",
+        offenders.join("\n")
+    );
+}

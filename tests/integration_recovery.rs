@@ -4,6 +4,8 @@
 
 use std::sync::Arc;
 
+use data_case::chaos::{compare, compile, run_serial, run_with_crash, Scenario};
+use data_case::sim::fault::CrashPoint;
 use data_case::sim::{Meter, SimClock};
 use data_case::storage::backend::{
     recover_backend, BackendKind, LsmBackend, MaintenanceDepth, StorageBackend,
@@ -110,4 +112,27 @@ fn recovery_replays_vacuum_marks() {
         }
         assert_eq!(r.stats().live_entries, 30, "{kind:?}");
     }
+}
+
+/// One cell of the full chaos matrix: a crash at the third key
+/// destruction of the churn scenario on the heap, after an earlier
+/// permanent erase has committed. The quick matrix crashes only at first
+/// hits, none of which falls after a committed permanent erase, so this
+/// cell is what holds recovery to it under `cargo test`: the erased keys
+/// must not read back from the recovered WAL.
+#[test]
+fn a_crash_after_a_permanent_erase_keeps_its_keys_erased() {
+    let compiled = compile(42, &Scenario::churn());
+    let oracle = run_serial(BackendKind::Heap, &compiled);
+    let run = run_with_crash(BackendKind::Heap, &compiled, CrashPoint::DestroyKey, 3)
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert!(
+        compiled
+            .erased_needles
+            .iter()
+            .any(|&(_, op)| op < run.crashed_at),
+        "the crash at op[{}] follows no committed permanent erase",
+        run.crashed_at
+    );
+    assert_eq!(compare(&run.outcome, &oracle), Vec::<String>::new());
 }
