@@ -9,9 +9,11 @@
 //! it, and the unit-scoped enforcers (`datacase-policy`'s metadata table
 //! and FGAC) store their rows in it, so they differ from G6 in cost only.
 //! A revocation at `r` ends access at `r` itself: `P(r)` no longer holds
-//! the revoked policies.
+//! the revoked policies. `Ts::MAX`, the instant the simulated clock
+//! saturates at, ends every record the same way: `P(Ts::MAX)` is empty.
 //!
-//! Every unit of a loaded engine carries one of these, so the rows are kept
+//! Every unit of a loaded engine carries one of these, so a row is 32
+//! bytes (the policy and one revocation instant), and the rows are kept
 //! exact-sized where the whole list is known up front
 //! ([`PolicySet::grant_all`]), and a later single [`PolicySet::grant`]
 //! grows them gently.
@@ -66,18 +68,33 @@ impl std::fmt::Display for Policy {
     }
 }
 
-/// A granted policy plus its revocation state.
+/// A granted policy plus its revocation state: 32 bytes, the policy's 24
+/// and one instant.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct PolicyRecord {
     policy: Policy,
-    /// When it was revoked, if ever (consent withdrawal, GDPR Art. 7(3)).
-    revoked_at: Option<Ts>,
+    /// When it was revoked (consent withdrawal, GDPR Art. 7(3)), or
+    /// [`NEVER`] — no `Option`, whose tag would cost 8 bytes a row.
+    revoked_at: Ts,
 }
 
+/// The `revoked_at` of a record never revoked: the end of time, which the
+/// simulated clock saturates at and never passes.
+const NEVER: Ts = Ts::MAX;
+
 impl PolicyRecord {
+    fn granted(policy: Policy) -> PolicyRecord {
+        PolicyRecord {
+            policy,
+            revoked_at: NEVER,
+        }
+    }
+
     /// Is this record active at `t` (window covers `t` and not yet revoked)?
+    /// A revocation at `r` ends access at `r` itself, and so does the end
+    /// of time: nothing is active at `Ts::MAX`.
     fn active_at(&self, t: Ts) -> bool {
-        self.policy.active_at(t) && self.revoked_at.map(|r| t < r).unwrap_or(true)
+        self.policy.active_at(t) && t < self.revoked_at
     }
 }
 
@@ -125,10 +142,7 @@ impl PolicySet {
         if self.records.len() == self.records.capacity() {
             self.records.reserve_exact((self.records.len() / 4).max(1));
         }
-        self.records.push(PolicyRecord {
-            policy,
-            revoked_at: None,
-        });
+        self.records.push(PolicyRecord::granted(policy));
     }
 
     /// Grant every policy of `policies`, in order. The rows are reserved
@@ -137,19 +151,17 @@ impl PolicySet {
     pub fn grant_all(&mut self, policies: &[Policy]) {
         self.records.reserve_exact(policies.len());
         self.records
-            .extend(policies.iter().map(|&policy| PolicyRecord {
-                policy,
-                revoked_at: None,
-            }));
+            .extend(policies.iter().copied().map(PolicyRecord::granted));
     }
 
     /// Revoke *all* policies at `now` (erasure request: consent withdrawn
-    /// wholesale). Returns how many records were revoked.
+    /// wholesale). Returns how many records were revoked. Nothing is
+    /// active at `Ts::MAX`, so revoking there revokes nothing.
     pub fn revoke_all(&mut self, now: Ts) -> usize {
         let mut n = 0;
         for r in &mut self.records {
-            if r.revoked_at.is_none() && r.policy.active_at(now) {
-                r.revoked_at = Some(now);
+            if r.revoked_at == NEVER && r.active_at(now) {
+                r.revoked_at = now;
                 n += 1;
             }
         }
@@ -257,6 +269,110 @@ mod tests {
         assert!(!p.authorises(wk::billing(), netflix, t(201)));
         assert_eq!(p.active_at(t(150)).len(), 2);
         assert_eq!(p.active_at(t(250)).len(), 0);
+    }
+
+    #[test]
+    fn a_row_is_a_policy_and_one_instant() {
+        assert_eq!(std::mem::size_of::<PolicyRecord>(), 32);
+    }
+
+    /// The rows as they were with `Option<Ts>`: `None` for never revoked.
+    #[derive(Default)]
+    struct Reference(Vec<(Policy, Option<Ts>)>);
+
+    impl Reference {
+        fn active(&self, t: Ts) -> impl Iterator<Item = &Policy> {
+            self.0
+                .iter()
+                .filter(move |(p, r)| p.active_at(t) && r.map(|r| t < r).unwrap_or(true))
+                .map(|(p, _)| p)
+        }
+        fn revoke_all(&mut self, now: Ts) -> usize {
+            let mut n = 0;
+            for (p, r) in &mut self.0 {
+                if r.is_none() && p.active_at(now) {
+                    *r = Some(now);
+                    n += 1;
+                }
+            }
+            n
+        }
+    }
+
+    /// Random grants, bulk grants and revocations, queried at instants
+    /// up to `Ts::MAX - 1`: the sentinel encoding answers every query as
+    /// the `Option` one did. At `Ts::MAX` itself it differs by design
+    /// (see the module docs), and that instant is pinned on its own.
+    #[test]
+    fn sentinel_rows_match_the_option_reference_below_the_end_of_time() {
+        datacase_sim::check::check(
+            "sentinel_rows_match_the_option_reference_below_the_end_of_time",
+            128,
+            |s| {
+                let instants = [0, 1, 5, 9, 10, 11, 50, 100, u64::MAX - 2, u64::MAX - 1];
+                let purposes = [wk::billing(), wk::retention(), wk::compliance_erase()];
+                let mut set = PolicySet::new();
+                let mut reference = Reference::default();
+                let ops = s.vec(1..40, |s| {
+                    let from = Ts(s.pick(&instants));
+                    let until = if s.bool() {
+                        Ts::MAX
+                    } else {
+                        Ts(s.pick(&instants))
+                    };
+                    let policy =
+                        Policy::new(s.pick(&purposes), EntityId(s.range(0u32..3)), from, until);
+                    (s.range(0u8..3), policy, Ts(s.pick(&instants)))
+                });
+                for (op, policy, at) in ops {
+                    match op {
+                        0 => {
+                            set.grant(policy);
+                            reference.0.push((policy, None));
+                        }
+                        1 => {
+                            set.grant_all(&[policy, policy]);
+                            reference.0.extend([(policy, None), (policy, None)]);
+                        }
+                        _ => assert_eq!(set.revoke_all(at), reference.revoke_all(at)),
+                    }
+                    for &t in &instants {
+                        let t = Ts(t);
+                        let expect: Vec<Policy> = reference.active(t).copied().collect();
+                        assert_eq!(set.active_at(t), expect, "P({t:?})");
+                        assert_eq!(set.is_empty_at(t), expect.is_empty());
+                        for purpose in purposes {
+                            for e in 0..3 {
+                                assert_eq!(
+                                    set.authorises(purpose, EntityId(e), t),
+                                    expect
+                                        .iter()
+                                        .any(|p| p.purpose == purpose && p.entity == EntityId(e))
+                                );
+                            }
+                        }
+                    }
+                    assert_eq!(set.len(), reference.0.len());
+                    let deadline = reference
+                        .0
+                        .iter()
+                        .filter(|(p, _)| p.purpose == wk::compliance_erase())
+                        .map(|(p, _)| p.until)
+                        .min();
+                    assert_eq!(set.erase_deadline(), deadline);
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn nothing_is_active_at_the_end_of_time() {
+        let mut p = PolicySet::new();
+        p.grant(Policy::open_ended(wk::billing(), EntityId(1), t(0)));
+        assert!(p.authorises(wk::billing(), EntityId(1), Ts(u64::MAX - 1)));
+        assert!(p.is_empty_at(Ts::MAX));
+        assert_eq!(p.revoke_all(Ts::MAX), 0);
+        assert!(p.authorises(wk::billing(), EntityId(1), Ts(u64::MAX - 1)));
     }
 
     #[test]

@@ -158,8 +158,7 @@ pub(crate) fn expand_key(size: KeySize, key: &[u8]) -> [[u8; 16]; MAX_ROUND_KEYS
 }
 
 /// An expanded AES key ready to encrypt 16-byte blocks: one schedule,
-/// held inline, so the value *is* the key material and
-/// `wipe` reaches all of it.
+/// held inline, so the value *is* the key material.
 #[derive(Clone)]
 pub struct Aes {
     size: KeySize,
@@ -203,13 +202,6 @@ impl Aes {
             Self::store_words(words, &mut rk);
             rk
         })
-    }
-
-    /// Overwrite the schedule with zeros. [`std::hint::black_box`] keeps
-    /// the store from being elided when the value is freed right after.
-    pub(crate) fn wipe(&mut self) {
-        self.ek = [[0; 4]; MAX_ROUND_KEYS];
-        std::hint::black_box(&self.ek);
     }
 
     /// Encrypt one 16-byte block in place (T-table hot path).

@@ -27,8 +27,10 @@ use crate::backend::{ActiveBackend, CryptoBackend};
 /// AES in counter mode with a 16-byte initial counter block.
 ///
 /// The value is exactly one expanded key schedule, held inline: there is
-/// no raw key, second schedule or selector beside it, so
-/// `wipe` leaves nothing of the key in the value.
+/// no raw key, second schedule or selector beside it. A long-lived
+/// cipher (a drive's, a log's) keeps it; the per-unit
+/// [`KeyVault`](crate::vault::KeyVault) keeps raw keys and expands one of
+/// these per operation.
 #[derive(Clone, Debug)]
 pub struct AesCtr(Lane);
 
@@ -91,17 +93,6 @@ impl AesCtr {
         match &self.0 {
             Lane::Hardware(_) => ActiveBackend::Hardware,
             Lane::Software(_) => ActiveBackend::Software,
-        }
-    }
-
-    /// Overwrite the key schedule in place with zeros — what
-    /// [`KeyVault::destroy_key`](crate::vault::KeyVault::destroy_key)
-    /// does before it frees a unit's cipher, so crypto-erasure leaves no
-    /// key material in freed memory. The cipher is useless afterwards.
-    pub(crate) fn wipe(&mut self) {
-        match &mut self.0 {
-            Lane::Hardware(hw) => hw.wipe(),
-            Lane::Software(aes) => aes.wipe(),
         }
     }
 
@@ -288,16 +279,6 @@ mod tests {
             back.apply_at(iv, 5, &mut c);
             assert_eq!(a, b, "{size:?}: the lanes produce identical ciphertext");
             assert_eq!(a, c, "{size:?}: the round trip kept the key");
-        }
-    }
-
-    #[test]
-    fn destroyed_schedule_is_wiped_before_it_is_freed() {
-        for backend in [CryptoBackend::Auto, CryptoBackend::Software] {
-            let mut ctr = AesCtr::from_key(KeySize::Aes256, &[0xA5; 32]).with_backend(backend);
-            assert_ne!(ctr.round_keys(), [[0u8; 16]; MAX_ROUND_KEYS]);
-            ctr.wipe();
-            assert_eq!(ctr.round_keys(), [[0u8; 16]; MAX_ROUND_KEYS], "{backend}");
         }
     }
 

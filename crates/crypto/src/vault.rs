@@ -55,22 +55,22 @@ struct UnitKey {
     /// re-derived, no matter how many destroy/recreate cycles a unit
     /// goes through. Outlives the key as its tombstone.
     generation: u64,
-    /// The unit's cipher while its key is live. The expanded schedule is
-    /// the only long-lived copy of the key the vault keeps, and it is
-    /// boxed so it never moves when the map grows: no stale copy is left
-    /// in a freed table, and the in-place wipe reaches the one there is.
-    live: Option<Box<AesCtr>>,
+    /// The unit's raw key (`key_len` bytes) while it is live: the only
+    /// long-lived copy of the key the vault keeps. It is boxed so it never
+    /// moves when the map grows: no stale copy is left in a freed table,
+    /// and the in-place wipe reaches the one there is.
+    live: Option<Box<[u8]>>,
 }
 
 /// A vault holding one symmetric key per data unit.
 ///
 /// Keys are derived deterministically from a vault master secret, the
-/// unit id and the unit's key generation, and expanded straight into the
-/// unit's [`AesCtr`]: the schedule is built once when the key
-/// materialises and lent out by [`cipher`](KeyVault::cipher), so
-/// per-operation crypto never re-runs key expansion, and no raw key is
-/// stored beside it. [`destroy_key`](KeyVault::destroy_key) zeroes that
-/// one heap schedule before freeing it — after it, no path through the
+/// unit id and the unit's key generation, and kept raw, one heap box per
+/// live unit: 16 or 32 bytes where an expanded schedule would take ~256.
+/// [`cipher`](KeyVault::cipher) expands the key on use into an [`AesCtr`]
+/// that lives for one operation — a stack temporary, as the derivation's
+/// temporaries are. [`destroy_key`](KeyVault::destroy_key) zeroes the
+/// key box in place before freeing it — after it, no path through the
 /// vault can reach a working cipher. Not covered: stack temporaries of
 /// derivation and expansion are not scrubbed, cached keystream is dropped
 /// rather than overwritten, and the vault keeps its master secret, which
@@ -80,9 +80,9 @@ pub struct KeyVault {
     master: [u8; 32],
     size: KeySize,
     units: HashMap<u64, UnitKey>,
-    /// The backend every schedule in this vault is expanded under — a
+    /// The backend every cipher this vault lends is expanded under — a
     /// **construction-time invariant**: the builder asserts no unit
-    /// exists yet, so a vault can never hold mixed-backend schedules.
+    /// exists yet, so every operation on a vault runs on one lane.
     backend: CryptoBackend,
     /// Bounded keystream cache for repeated same-IV re-reads (zipfian
     /// hot tuples). `0` capacity disables it. See
@@ -116,22 +116,22 @@ impl KeyVault {
         self
     }
 
-    /// Expand every schedule in this vault under `backend` — per-vault,
+    /// Expand every cipher this vault lends under `backend` — per-vault,
     /// so one engine's selector cannot reroute any other engine in the
     /// process. Derived key *material* is unchanged (the backends are
     /// byte-identical); only expansion and round implementation differ.
     ///
     /// Must be called before any key materialises: the backend is a
-    /// construction-time invariant, so a vault can never hold schedules
-    /// expanded by different backends.
+    /// construction-time invariant, so every operation on the vault runs
+    /// on one lane.
     ///
     /// # Panics
-    /// Panics if any schedule has already been expanded.
+    /// Panics if any key has already been derived.
     pub fn with_backend(mut self, backend: CryptoBackend) -> KeyVault {
         assert!(
             self.units.is_empty(),
             "KeyVault backend is a construction-time invariant: set it \
-             before the first ensure_key, not after schedules exist"
+             before the first ensure_key, not after keys exist"
         );
         self.backend = backend;
         self
@@ -142,8 +142,8 @@ impl KeyVault {
         self.size
     }
 
-    /// Make sure `unit` has a live key, deriving it and expanding its
-    /// cipher schedule if it has none (never created, or destroyed).
+    /// Make sure `unit` has a live key, deriving it if it has none
+    /// (never created, or destroyed).
     pub fn ensure_key(&mut self, unit: u64) {
         let slot = self.units.entry(unit).or_insert(UnitKey {
             generation: 0,
@@ -154,11 +154,7 @@ impl KeyVault {
             // same material: every destroy bumped the generation, and the
             // generation is hashed into the derivation.
             let key = Self::derive_raw(&self.master, self.size, unit, slot.generation);
-            slot.live = Some(Box::new(AesCtr::expand(
-                self.size,
-                &key[..self.size.key_len()],
-                self.backend,
-            )));
+            slot.live = Some(Box::from(&key[..self.size.key_len()]));
         }
     }
 
@@ -178,13 +174,22 @@ impl KeyVault {
         key
     }
 
-    /// The unit's CTR cipher, if its key is live — the schedule expanded
-    /// once at [`ensure_key`](KeyVault::ensure_key) time, lent for the
-    /// length of one operation.
-    pub fn cipher(&self, unit: u64) -> Result<&AesCtr, VaultError> {
-        self.units
-            .get(&unit)
-            .and_then(|slot| slot.live.as_deref())
+    /// The unit's live raw key, if it has one.
+    fn key(&self, unit: u64) -> Option<&[u8]> {
+        self.units.get(&unit).and_then(|slot| slot.live.as_deref())
+    }
+
+    /// Whether `unit` has a live key. Reads the key box only: no cipher
+    /// is expanded.
+    pub fn is_live(&self, unit: u64) -> bool {
+        self.key(unit).is_some()
+    }
+
+    /// The unit's CTR cipher, if its key is live — expanded from the raw
+    /// key on every call, so hold it for one operation and let it go.
+    pub fn cipher(&self, unit: u64) -> Result<AesCtr, VaultError> {
+        self.key(unit)
+            .map(|key| AesCtr::expand(self.size, key, self.backend))
             .ok_or(VaultError::KeyUnavailable(unit))
     }
 
@@ -214,11 +219,11 @@ impl KeyVault {
         if self.ks_capacity == 0 {
             return Ok(false);
         }
-        let (generation, cipher) = match self.units.get(&unit) {
+        let (generation, raw_key) = match self.units.get(&unit) {
             Some(UnitKey {
                 generation,
-                live: Some(cipher),
-            }) => (*generation, cipher),
+                live: Some(key),
+            }) => (*generation, key),
             _ => return Err(VaultError::KeyUnavailable(unit)),
         };
         let needed = data.len().next_multiple_of(16);
@@ -251,7 +256,11 @@ impl KeyVault {
             // prefix by running the cipher from the first uncovered block.
             let covered_blocks = (entry.keystream.len() / 16) as u64;
             let mut suffix = vec![0u8; needed - entry.keystream.len()];
-            cipher.apply_at(iv, covered_blocks, &mut suffix);
+            AesCtr::expand(self.size, raw_key, self.backend).apply_at(
+                iv,
+                covered_blocks,
+                &mut suffix,
+            );
             entry.keystream.extend_from_slice(&suffix);
         }
         for (d, k) in data.iter_mut().zip(entry.keystream.iter()) {
@@ -279,22 +288,26 @@ impl KeyVault {
     ///
     /// Returns true if a live key existed. After this call, ciphertexts of
     /// the unit are permanently unreadable through the vault: the heap
-    /// schedule that held the key is overwritten in place, then freed,
-    /// and the unit's generation moves on so `ensure_key` derives a
-    /// different key from here on.
+    /// box that held the key is overwritten in place, then freed, and the
+    /// unit's generation moves on so `ensure_key` derives a different key
+    /// from here on.
     pub fn destroy_key(&mut self, unit: u64) -> bool {
         // Cached keystream goes with the key: XORing it with ciphertext
         // would reveal plaintext, so erasure must not leave it behind.
         self.purge_unit(unit);
-        let Some(slot) = self.units.get_mut(&unit) else {
-            return false;
-        };
-        let Some(mut cipher) = slot.live.take() else {
-            return false;
-        };
-        cipher.wipe();
+        self.retire(unit).is_some()
+    }
+
+    /// Take `unit`'s live key box out of the vault, zeroed in place, and
+    /// move its generation on. [`std::hint::black_box`] keeps the stores
+    /// from being elided when the box is freed right after.
+    fn retire(&mut self, unit: u64) -> Option<Box<[u8]>> {
+        let slot = self.units.get_mut(&unit)?;
+        let mut key = slot.live.take()?;
+        key.fill(0);
+        std::hint::black_box(&key);
         slot.generation += 1;
-        true
+        Some(key)
     }
 }
 
@@ -356,28 +369,47 @@ mod tests {
     }
 
     #[test]
-    fn cipher_lends_the_one_schedule_and_it_never_moves() {
+    fn the_raw_key_never_moves() {
         let mut v = KeyVault::new(b"master", KeySize::Aes256);
         v.ensure_key(3);
-        let at = v.cipher(3).unwrap() as *const AesCtr;
+        let at = v.key(3).unwrap().as_ptr();
         // A second ensure is a no-op, and growing the map around it does
-        // not relocate the schedule: `destroy_key`'s in-place wipe
-        // reaches the only place the key has ever been.
+        // not relocate the key: `destroy_key`'s in-place wipe reaches the
+        // only place the key has ever been.
         for unit in 0..1000 {
             v.ensure_key(unit);
         }
-        assert!(std::ptr::eq(at, v.cipher(3).unwrap()));
+        assert!(std::ptr::eq(at, v.key(3).unwrap().as_ptr()));
+        // The box holds exactly the key, and the lent cipher runs on it.
+        assert_eq!(v.key(3).unwrap().len(), KeySize::Aes256.key_len());
+        let mut direct = vec![0u8; 32];
+        AesCtr::from_key(KeySize::Aes256, v.key(3).unwrap())
+            .apply(AesCtr::iv_from_nonce(0), &mut direct);
+        assert_eq!(stream(&v, 3), direct);
     }
 
     #[test]
-    fn size_of_a_cipher_is_one_schedule() {
-        // 15 round keys x 16 B = 240 B, plus the lane's bookkeeping. Two
-        // more schedules or a `Vec` header beside it would not fit.
-        assert!(
-            std::mem::size_of::<AesCtr>() <= 320,
-            "AesCtr is {} B",
-            std::mem::size_of::<AesCtr>()
-        );
+    fn destroyed_key_is_zeroed_before_it_is_freed() {
+        for size in [KeySize::Aes128, KeySize::Aes192, KeySize::Aes256] {
+            let mut v = KeyVault::new(b"master", size);
+            v.ensure_key(5);
+            let at = v.key(5).unwrap().as_ptr();
+            assert!(v.key(5).unwrap().iter().any(|&b| b != 0));
+            // `destroy_key` is `purge_unit` then `retire`, which hands back
+            // the very box the key lived in, already zeroed.
+            let retired = v.retire(5).expect("live key");
+            assert!(std::ptr::eq(at, retired.as_ptr()), "{size:?}");
+            assert_eq!(&retired[..], &vec![0u8; size.key_len()][..], "{size:?}");
+            assert!(!v.is_live(5));
+            assert!(v.retire(5).is_none());
+        }
+    }
+
+    #[test]
+    fn a_unit_record_is_a_generation_and_a_pointer() {
+        // The generation and the key box's fat pointer; an inline
+        // schedule (~256 B) or a second box would not fit.
+        assert_eq!(std::mem::size_of::<UnitKey>(), 24);
     }
 
     #[test]

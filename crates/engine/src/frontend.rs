@@ -327,7 +327,7 @@ impl Forensic<'_> {
     /// tuple encryption off, or the key never made or destroyed.
     pub fn key_is_live(&self, unit: UnitId) -> bool {
         let vault = self.fe.substrate.vault.as_ref();
-        vault.is_some_and(|vault| vault.cipher(unit.0).is_ok())
+        vault.is_some_and(|vault| vault.is_live(unit.0))
     }
 
     /// How many keystream entries the tuple vault currently caches —

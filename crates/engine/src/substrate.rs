@@ -117,7 +117,7 @@ impl Substrate {
         meter: &Meter,
     ) -> Vec<u8> {
         if let Some(vault) = &mut self.vault {
-            if vault.cipher(unit.0).is_err() {
+            if !vault.is_live(unit.0) {
                 return Vec::new();
             }
             apply_keystream(vault, unit, self.shard, &mut stored, clock, meter);
