@@ -9,8 +9,9 @@
 //! plaintext drive a clean frame *is* the drive's buffer, not a copy of it.
 //! The first mutation through [`BufferPool::page_mut`] copies the image, so
 //! the drive keeps the old bytes until write-back hands it the new image —
-//! and the old one becomes its remanence ghost. An encrypted drive never
-//! shares: it decrypts into a fresh image and encrypts a copy on write.
+//! and the old one becomes its remanence ghost. An encrypted drive shares
+//! the same way: it keeps the image and computes its ciphertext only when
+//! forensics reads the raw sector.
 
 use std::collections::HashMap;
 
@@ -281,7 +282,8 @@ mod tests {
         assert_eq!(disk.scan_raw(b"new-bytes"), vec![a]);
         assert_eq!(disk.scan_remanent(b"old-bytes"), vec![a]);
 
-        // An encrypted drive never lends its buffer to the pool.
+        // An encrypted drive shares the same way: it stores the image it
+        // was handed and seals it only when forensics reads the raw bytes.
         let clock = SimClock::commodity();
         let meter = Arc::new(Meter::new());
         let cipher = datacase_crypto::sector::SectorCipher::from_passphrase(
@@ -294,7 +296,7 @@ mod tests {
         pool.page_mut(&mut luks, b).insert(b"secret").unwrap();
         pool.flush_all(&mut luks);
         let frame = Arc::clone(pool.page(&mut luks, b).image());
-        assert!(!Arc::ptr_eq(&frame, &luks.read_page(b)));
+        assert!(Arc::ptr_eq(&frame, &luks.read_page(b)));
         assert_eq!(luks.read_page(b)[..], frame[..]);
         assert_ne!(*luks.raw(b), frame[..]);
     }

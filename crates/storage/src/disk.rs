@@ -69,10 +69,11 @@ enum Raw {
     /// The all-zero page as the drive seals it: plain zeros on a plaintext
     /// drive, the ciphertext of zeros under the sector's IV on LUKS.
     SealedZero,
-    /// Any other content (ciphertext on LUKS). Taken as never all zeros: an
+    /// Any other content, as the page image the buffer pool handed over and
+    /// still shares. On LUKS the raw bytes are that image's ciphertext,
+    /// computed only when forensics asks. Taken as never all zeros: an
     /// all-zero page is written as sealed zero, and a ciphertext of other
-    /// content is all zeros with probability 2^-65536. On a plaintext drive
-    /// this is the image the buffer pool shares.
+    /// content is all zeros with probability 2^-65536.
     Image(Arc<[u8]>),
 }
 
@@ -215,27 +216,25 @@ impl Disk {
             model.page_read_disk
         });
         Meter::bump(&self.meter.pages_read_disk, 1);
-        let data = &self.sectors[id as usize].data;
-        let Some(c) = &self.cipher else {
-            return match data {
-                Raw::Image(image) => Arc::clone(image),
-                _ => zero_image(),
-            };
-        };
-        self.clock
-            .charge(model.aes_cost(c.key_size().bits(), PAGE_SIZE));
-        Meter::bump(&self.meter.crypto_bytes, PAGE_SIZE as u64);
-        if let Raw::SealedZero = data {
-            return zero_image();
+        if let Some(c) = &self.cipher {
+            self.clock
+                .charge(model.aes_cost(c.key_size().bits(), PAGE_SIZE));
+            Meter::bump(&self.meter.crypto_bytes, PAGE_SIZE as u64);
         }
-        let mut image: Arc<[u8]> = Arc::from(&*self.materialise(id, data));
-        c.apply(id as u64, Arc::get_mut(&mut image).expect("fresh image"));
-        image
+        match &self.sectors[id as usize].data {
+            Raw::Image(image) => Arc::clone(image),
+            // Raw zeros decrypt to keystream.
+            Raw::Wiped if self.cipher.is_some() => {
+                let mut image = vec![0u8; PAGE_SIZE];
+                self.seal(id, &mut image);
+                image.into()
+            }
+            _ => zero_image(),
+        }
     }
 
     /// Write a page image to disk (encrypting if enabled). Charges random
-    /// disk-write and crypto costs. A plaintext drive keeps a reference to
-    /// `image`; an encrypted one encrypts a copy into a buffer of its own.
+    /// disk-write and crypto costs, and keeps a reference to `image`.
     pub fn write_page(&mut self, id: u32, image: &Arc<[u8]>) {
         self.write_page_inner(id, image, false)
     }
@@ -257,14 +256,7 @@ impl Disk {
         let data = if image.iter().all(|&b| b == 0) {
             Raw::SealedZero
         } else {
-            match &self.cipher {
-                None => Raw::Image(Arc::clone(image)),
-                Some(c) => {
-                    let mut sealed: Arc<[u8]> = Arc::from(&image[..]);
-                    c.apply(id as u64, Arc::get_mut(&mut sealed).expect("fresh image"));
-                    Raw::Image(sealed)
-                }
-            }
+            Raw::Image(Arc::clone(image))
         };
         if let Some(c) = &self.cipher {
             self.clock
@@ -314,17 +306,23 @@ impl Disk {
     }
 
     /// The raw bytes generation `raw` of sector `id` stands for; the only
-    /// place a sealed zero's keystream is ever computed.
+    /// place the drive's ciphertext is ever computed.
     fn materialise<'a>(&self, id: u32, raw: &'a Raw) -> Cow<'a, [u8]> {
-        match raw {
-            Raw::Image(image) => Cow::Borrowed(image),
-            zero => {
-                let mut page = vec![0u8; PAGE_SIZE];
-                if let (Raw::SealedZero, Some(c)) = (zero, &self.cipher) {
-                    c.apply(id as u64, &mut page);
-                }
-                Cow::Owned(page)
-            }
+        let mut page = match raw {
+            Raw::Image(image) if self.cipher.is_none() => return Cow::Borrowed(image),
+            Raw::Image(image) => image.to_vec(),
+            Raw::SealedZero => vec![0u8; PAGE_SIZE],
+            Raw::Wiped => return Cow::Owned(vec![0u8; PAGE_SIZE]),
+        };
+        self.seal(id, &mut page);
+        Cow::Owned(page)
+    }
+
+    /// Encrypt (or decrypt) a page of sector `id` in place; a no-op on a
+    /// plaintext drive.
+    fn seal(&self, id: u32, page: &mut [u8]) {
+        if let Some(c) = &self.cipher {
+            c.apply(id as u64, page);
         }
     }
 
