@@ -4,6 +4,9 @@
 //! encrypts the whole page, every page read decrypts it, with a key derived
 //! from a passphrase via [`crate::kdf::luks_derive_key`]. The IV is bound to
 //! the sector number (ESSIV-flavoured: we hash the sector with the key).
+//! The number is a caller's `u64`: the simulated disk packs the sector id
+//! into its low half and the sector's write generation into its high
+//! half, so every generation of a sector gets an IV of its own.
 
 use crate::aes::KeySize;
 use crate::backend::CryptoBackend;

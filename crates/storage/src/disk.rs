@@ -7,11 +7,12 @@
 //! plaintext scan comes back clean — exactly the protection the paper's
 //! profile P_GBench buys with LUKS.
 //!
-//! Every encrypted page read/write routes through
-//! [`SectorCipher::apply`], whose page-sized buffers take the
-//! whole-block entry (`AesCtr::apply_blocks`: AES-NI where the host has
-//! it, the T-table fallback elsewhere) — the sector layer is the biggest
-//! per-byte AES consumer in the system.
+//! Every encrypted page read and write is *charged* one page of sector AES
+//! (simulated cost and `crypto_bytes`) but runs none: the drive keeps the
+//! page image it was handed, shared with the buffer pool, and runs
+//! [`SectorCipher::apply`] only when a forensic reader asks for raw bytes.
+//! The sector IV binds the sector *and* its write generation, so no two
+//! generations of a sector share a keystream.
 //!
 //! # Sector life cycle
 //!
@@ -38,13 +39,17 @@
 //!
 //! Only content holds a buffer. Sealed zero and wiped are states, not
 //! bytes, so a free or freshly allocated sector costs no page of memory,
-//! and on a plaintext drive a written sector keeps a reference to the
-//! image the buffer pool handed it (see [`crate::page`]). On an encrypted
-//! drive a sealed zero is pure keystream, and overwriting it leaves that
-//! keystream as a ghost exactly as a drive would; it stays a bufferless
-//! state whose bytes are materialised only when forensics scans it, so the
-//! raw and remanent bytes of every sector are what they would be with a
-//! buffer per generation.
+//! and a written sector keeps a reference to the image the buffer pool
+//! handed it (see [`crate::page`]), encrypted drive or not. On an
+//! encrypted drive the raw bytes of a generation — a content image's
+//! ciphertext, or a sealed zero's pure keystream, which an overwrite
+//! leaves behind as a ghost exactly as a drive would — are computed only
+//! when forensics scans them, so the raw and remanent bytes of every
+//! sector are what they would be with a buffer per generation. Each
+//! sector counts its writes (a reuse from the free list counts as one),
+//! each generation remembers the count it was stored under, and the IV
+//! binds that count: a sector's raw bytes XOR its ghost is the XOR of two
+//! keystreams, not a page of plaintext.
 //!
 //! **An unsanitised sector is never reused.** Its ghost is the whole
 //! difference between *strongly* and *permanently* deleted in the paper's
@@ -63,18 +68,20 @@ use datacase_sim::{Meter, SimClock};
 use crate::page::{zero_image, PAGE_SIZE};
 
 /// One generation of a sector's raw bytes. Only content holds a buffer.
+/// A sealed generation carries the sector's write count when it was
+/// stored, which LUKS binds into its IV.
 enum Raw {
     /// Raw zeros: what a sanitisation pass leaves.
     Wiped,
     /// The all-zero page as the drive seals it: plain zeros on a plaintext
     /// drive, the ciphertext of zeros under the sector's IV on LUKS.
-    SealedZero,
+    SealedZero(u32),
     /// Any other content, as the page image the buffer pool handed over and
     /// still shares. On LUKS the raw bytes are that image's ciphertext,
     /// computed only when forensics asks. Taken as never all zeros: an
     /// all-zero page is written as sealed zero, and a ciphertext of other
     /// content is all zeros with probability 2^-65536.
-    Image(Arc<[u8]>),
+    Image(Arc<[u8]>, u32),
 }
 
 impl Raw {
@@ -82,8 +89,8 @@ impl Raw {
     fn is_zeros(&self, encrypted: bool) -> bool {
         match self {
             Raw::Wiped => true,
-            Raw::SealedZero => !encrypted,
-            Raw::Image(_) => false,
+            Raw::SealedZero(_) => !encrypted,
+            Raw::Image(..) => false,
         }
     }
 }
@@ -97,6 +104,10 @@ struct Sector {
     ghost: Option<Raw>,
     /// On the free list: wiped, no ghost, and owned by no one.
     free: bool,
+    /// Writes the sector has taken, wrapping: the generation the next
+    /// stored page is sealed under, so no two of its generations share a
+    /// keystream until 2^32 writes.
+    writes: u32,
 }
 
 /// A page-granular simulated disk.
@@ -181,14 +192,18 @@ impl Disk {
             Some(id) => {
                 let sector = &mut self.sectors[id as usize];
                 sector.free = false;
-                sector.data = Raw::SealedZero;
+                // A fresh count: the zero page must not be sealed under
+                // the keystream of the content it replaces.
+                sector.writes = sector.writes.wrapping_add(1);
+                sector.data = Raw::SealedZero(sector.writes);
                 id
             }
             None => {
                 self.sectors.push(Sector {
-                    data: Raw::SealedZero,
+                    data: Raw::SealedZero(0),
                     ghost: None,
                     free: false,
+                    writes: 0,
                 });
                 (self.sectors.len() - 1) as u32
             }
@@ -221,12 +236,13 @@ impl Disk {
                 .charge(model.aes_cost(c.key_size().bits(), PAGE_SIZE));
             Meter::bump(&self.meter.crypto_bytes, PAGE_SIZE as u64);
         }
-        match &self.sectors[id as usize].data {
-            Raw::Image(image) => Arc::clone(image),
+        let sector = &self.sectors[id as usize];
+        match &sector.data {
+            Raw::Image(image, _) => Arc::clone(image),
             // Raw zeros decrypt to keystream.
             Raw::Wiped if self.cipher.is_some() => {
                 let mut image = vec![0u8; PAGE_SIZE];
-                self.seal(id, &mut image);
+                self.seal(id, sector.writes, &mut image);
                 image.into()
             }
             _ => zero_image(),
@@ -253,11 +269,6 @@ impl Disk {
             model.page_write_disk
         });
         Meter::bump(&self.meter.pages_written, 1);
-        let data = if image.iter().all(|&b| b == 0) {
-            Raw::SealedZero
-        } else {
-            Raw::Image(Arc::clone(image))
-        };
         if let Some(c) = &self.cipher {
             self.clock
                 .charge(model.aes_cost(c.key_size().bits(), PAGE_SIZE));
@@ -266,6 +277,12 @@ impl Disk {
         let encrypted = self.cipher.is_some();
         let sector = &mut self.sectors[id as usize];
         debug_assert!(!sector.free, "write to free sector {id}");
+        sector.writes = sector.writes.wrapping_add(1);
+        let data = if image.iter().all(|&b| b == 0) {
+            Raw::SealedZero(sector.writes)
+        } else {
+            Raw::Image(Arc::clone(image), sector.writes)
+        };
         // Physical remanence: non-zero previous content lingers at the
         // drive layer until sanitised; an all-zero sector has nothing to
         // leave behind, and the ghost already there stays.
@@ -308,21 +325,22 @@ impl Disk {
     /// The raw bytes generation `raw` of sector `id` stands for; the only
     /// place the drive's ciphertext is ever computed.
     fn materialise<'a>(&self, id: u32, raw: &'a Raw) -> Cow<'a, [u8]> {
-        let mut page = match raw {
-            Raw::Image(image) if self.cipher.is_none() => return Cow::Borrowed(image),
-            Raw::Image(image) => image.to_vec(),
-            Raw::SealedZero => vec![0u8; PAGE_SIZE],
+        let (mut page, generation) = match raw {
+            Raw::Image(image, _) if self.cipher.is_none() => return Cow::Borrowed(image),
+            Raw::Image(image, generation) => (image.to_vec(), *generation),
+            Raw::SealedZero(generation) => (vec![0u8; PAGE_SIZE], *generation),
             Raw::Wiped => return Cow::Owned(vec![0u8; PAGE_SIZE]),
         };
-        self.seal(id, &mut page);
+        self.seal(id, generation, &mut page);
         Cow::Owned(page)
     }
 
-    /// Encrypt (or decrypt) a page of sector `id` in place; a no-op on a
-    /// plaintext drive.
-    fn seal(&self, id: u32, page: &mut [u8]) {
+    /// Encrypt (or decrypt) a page of sector `id`'s write generation
+    /// `generation` in place; a no-op on a plaintext drive. The IV binds
+    /// both, so two generations of one sector never share a keystream.
+    fn seal(&self, id: u32, generation: u32, page: &mut [u8]) {
         if let Some(c) = &self.cipher {
-            c.apply(id as u64, page);
+            c.apply(u64::from(id) | u64::from(generation) << 32, page);
         }
     }
 
@@ -389,7 +407,7 @@ impl Disk {
             .sectors
             .iter()
             .flat_map(|s| [Some(&s.data), s.ghost.as_ref()])
-            .filter(|raw| matches!(raw, Some(Raw::Image(_))))
+            .filter(|raw| matches!(raw, Some(Raw::Image(..))))
             .count();
         images * PAGE_SIZE
     }
@@ -609,40 +627,79 @@ mod tests {
         }
     }
 
+    #[test]
+    fn raw_xor_ghost_reveals_no_plaintext() {
+        // A sector's raw bytes and its ghost are two generations sealed
+        // under the same key. Under one IV their XOR would be the XOR of
+        // the two plaintexts: over a sealed zero (bare keystream) the
+        // written page itself, over content the two-time pad of both.
+        let mut d = mk_disk(true);
+        let id = d.allocate();
+        let xor = |d: &Disk| -> Vec<u8> {
+            let ghost = d.remanent(id).expect("ghost");
+            d.raw(id).iter().zip(ghost.iter()).map(|(a, b)| a ^ b).collect()
+        };
+        let first = page_with(b"FIRST-PLAINTEXT");
+        d.write_page(id, &first);
+        assert_ne!(xor(&d), first[..], "raw ^ keystream ghost is the page");
+        let second = page_with(b"SECOND-PLAINTEXT");
+        d.write_page(id, &second);
+        let pad: Vec<u8> = first.iter().zip(second.iter()).map(|(a, b)| a ^ b).collect();
+        assert_ne!(xor(&d), pad, "raw ^ ghost is the two-time pad");
+    }
+
     /// The parent's drive, one plain buffer per generation: the rules the
     /// bufferless states must reproduce byte for byte.
     struct Model {
         sectors: Vec<(Vec<u8>, Option<Vec<u8>>)>,
+        /// Per sector: its write count, and the counts its raw bytes and
+        /// its ghost were sealed under.
+        gens: Vec<(u32, u32, Option<u32>)>,
         free: Vec<u32>,
         cipher: Option<SectorCipher>,
     }
 
     impl Model {
-        fn seal(&self, id: u32, mut page: Vec<u8>) -> Vec<u8> {
+        fn seal(&self, id: u32, generation: u32, mut page: Vec<u8>) -> Vec<u8> {
             if let Some(c) = &self.cipher {
-                c.apply(id as u64, &mut page);
+                c.apply(u64::from(id) | u64::from(generation) << 32, &mut page);
             }
             page
         }
         fn allocate(&mut self) -> u32 {
-            let id = self.free.pop().unwrap_or_else(|| {
-                self.sectors.push((Vec::new(), None));
-                self.sectors.len() as u32 - 1
-            });
-            self.sectors[id as usize].0 = self.seal(id, vec![0; PAGE_SIZE]);
+            let id = match self.free.pop() {
+                Some(id) => {
+                    self.gens[id as usize].0 += 1;
+                    id
+                }
+                None => {
+                    self.sectors.push((Vec::new(), None));
+                    self.gens.push((0, 0, None));
+                    self.sectors.len() as u32 - 1
+                }
+            };
+            let generation = self.gens[id as usize].0;
+            self.sectors[id as usize].0 = self.seal(id, generation, vec![0; PAGE_SIZE]);
+            self.gens[id as usize].1 = generation;
             id
         }
         fn write(&mut self, id: u32, page: &[u8]) {
-            let data = self.seal(id, page.to_vec());
+            self.gens[id as usize].0 += 1;
+            let generation = self.gens[id as usize].0;
+            let data = self.seal(id, generation, page.to_vec());
             let (raw, ghost) = &mut self.sectors[id as usize];
+            let (_, raw_gen, ghost_gen) = &mut self.gens[id as usize];
             if raw.iter().any(|&b| b != 0) {
                 *ghost = Some(std::mem::replace(raw, data));
+                *ghost_gen = Some(*raw_gen);
             } else {
                 *raw = data;
             }
+            *raw_gen = generation;
         }
         fn sanitize(&mut self, id: u32) {
             self.sectors[id as usize] = (vec![0; PAGE_SIZE], None);
+            self.gens[id as usize].2 = None;
         }
         fn in_use(&self) -> Vec<u32> {
             (0..self.sectors.len() as u32)
@@ -653,13 +710,14 @@ mod tests {
         fn images(&self) -> usize {
             let all = (0..self.sectors.len() as u32).flat_map(|id| {
                 let (raw, ghost) = &self.sectors[id as usize];
-                [Some(raw), ghost.as_ref()]
+                let (_, raw_gen, ghost_gen) = self.gens[id as usize];
+                [Some((raw, raw_gen)), ghost.as_ref().zip(ghost_gen)]
                     .into_iter()
                     .flatten()
-                    .map(move |g| (id, g))
+                    .map(move |(g, generation)| (id, g, generation))
             });
-            all.filter(|&(id, g)| {
-                g.iter().any(|&b| b != 0) && *g != self.seal(id, vec![0; PAGE_SIZE])
+            all.filter(|&(id, g, generation)| {
+                g.iter().any(|&b| b != 0) && *g != self.seal(id, generation, vec![0; PAGE_SIZE])
             })
             .count()
         }
@@ -675,6 +733,7 @@ mod tests {
             let mut d = mk_disk(encrypted);
             let mut m = Model {
                 sectors: Vec::new(),
+                gens: Vec::new(),
                 free: Vec::new(),
                 cipher: encrypted.then(cipher),
             };
