@@ -285,6 +285,22 @@ pub struct CompiledScenario {
 }
 
 impl CompiledScenario {
+    /// Every key the trace creates or updates, ascending, once each.
+    pub(crate) fn written_keys(&self) -> std::collections::BTreeSet<u64> {
+        self.ops
+            .iter()
+            .filter_map(|op| match op {
+                TraceOp::Submit { batch, .. } => Some(batch),
+                TraceOp::Advance { .. } => None,
+            })
+            .flatten()
+            .filter_map(|request| match request {
+                Request::Create { key, .. } | Request::Update { key, .. } => Some(*key),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// The keys an [`erased_needles`](Self::erased_needles) op erases.
     pub(crate) fn erased_keys(&self, op: usize) -> impl Iterator<Item = u64> + '_ {
         let TraceOp::Submit { batch, .. } = &self.ops[op] else {

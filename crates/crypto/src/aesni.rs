@@ -445,14 +445,22 @@ mod tests {
         if !available() {
             return;
         }
-        datacase_sim::check::check("keygenassist_schedule_matches_the_fips_expansion", 256, |s| {
-            let key = s.vec(32..=32, |s| s.range(0u8..=255));
-            for size in [KeySize::Aes128, KeySize::Aes192, KeySize::Aes256] {
-                let key = &key[..size.key_len()];
-                let hw = AesNi::new(size, key).expect("detected");
-                assert_eq!(hw.round_keys(), crate::aes::expand_key(size, key), "{size:?}");
-            }
-        });
+        datacase_sim::check::check(
+            "keygenassist_schedule_matches_the_fips_expansion",
+            256,
+            |s| {
+                let key = s.vec(32..=32, |s| s.range(0u8..=255));
+                for size in [KeySize::Aes128, KeySize::Aes192, KeySize::Aes256] {
+                    let key = &key[..size.key_len()];
+                    let hw = AesNi::new(size, key).expect("detected");
+                    assert_eq!(
+                        hw.round_keys(),
+                        crate::aes::expand_key(size, key),
+                        "{size:?}"
+                    );
+                }
+            },
+        );
     }
 
     #[test]

@@ -637,14 +637,22 @@ mod tests {
         let id = d.allocate();
         let xor = |d: &Disk| -> Vec<u8> {
             let ghost = d.remanent(id).expect("ghost");
-            d.raw(id).iter().zip(ghost.iter()).map(|(a, b)| a ^ b).collect()
+            d.raw(id)
+                .iter()
+                .zip(ghost.iter())
+                .map(|(a, b)| a ^ b)
+                .collect()
         };
         let first = page_with(b"FIRST-PLAINTEXT");
         d.write_page(id, &first);
         assert_ne!(xor(&d), first[..], "raw ^ keystream ghost is the page");
         let second = page_with(b"SECOND-PLAINTEXT");
         d.write_page(id, &second);
-        let pad: Vec<u8> = first.iter().zip(second.iter()).map(|(a, b)| a ^ b).collect();
+        let pad: Vec<u8> = first
+            .iter()
+            .zip(second.iter())
+            .map(|(a, b)| a ^ b)
+            .collect();
         assert_ne!(xor(&d), pad, "raw ^ ghost is the two-time pad");
     }
 
