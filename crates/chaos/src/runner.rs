@@ -305,10 +305,13 @@ fn verify_storage_recovery(
     for key in compiled.written_keys() {
         let (ra, rb) = (a.read(key, true), b.read(key, true));
         if ra != rb {
+            let shown =
+                |r: Option<Vec<u8>>| r.map_or("nothing".into(), |v| format!("{} B", v.len()));
             return Err(format!(
-                "storage recovery is nondeterministic: key {key} reads {:?} vs {:?} bytes",
-                ra.map(|v| v.len()),
-                rb.map(|v| v.len())
+                "storage recovery is nondeterministic: key {key} reads back different bytes \
+                 ({} vs {})",
+                shown(ra),
+                shown(rb)
             ));
         }
     }
