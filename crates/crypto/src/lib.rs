@@ -22,8 +22,11 @@
 //! fallback ([`aes`]), and a property-based equivalence gate pins both
 //! against the byte-oriented FIPS-197 rounds in [`mod@reference`] — see the
 //! workspace `tests/prop_crypto.rs`. A cipher ([`ctr::AesCtr`]) *is* the
-//! one schedule of the lane it resolved to; the per-unit [`vault`] owns
-//! one per live unit and wipes it on destroy.
+//! one schedule of the lane it resolved to. The per-unit [`vault`] keeps
+//! no schedule: it owns one boxed raw key per live unit — the one
+//! long-lived copy of that key — expands a schedule from it per
+//! operation, a stack temporary as the derivation's temporaries are, and
+//! zeroes the box on destroy.
 //!
 //! Modules:
 //! * [`aes`] — AES-128/192/256 key expansion and the T-table encrypt rounds.
