@@ -13,7 +13,7 @@
 //!
 //! * **Key expansion** runs in XMM registers for AES-128 and AES-256:
 //!   one `_mm_aeskeygenassist_si128` per round key, its rcon an immediate
-//!   (so the rounds are unrolled), then three shift-XORs fold the
+//!   (so the rounds are unrolled), then two shift-XORs fold the
 //!   previous round key in — the construction of Intel's AES-NI white
 //!   paper. Keys are expanded per operation (the vault keeps raw keys),
 //!   so this is on the hot path. AES-192, whose round keys straddle the
@@ -140,29 +140,14 @@ mod imp {
         let mut ek = [_mm_setzero_si128(); MAX_RK];
         ek[0] = _mm_loadu_si128(key.as_ptr() as *const __m128i);
         ek[1] = _mm_loadu_si128(key[16..].as_ptr() as *const __m128i);
-        macro_rules! even {
+        macro_rules! pair {
             ($($r:literal: $rcon:literal),*) => {$(
                 ek[$r] = fold::<3>(ek[$r - 2], _mm_aeskeygenassist_si128::<$rcon>(ek[$r - 1]));
+                ek[$r + 1] = fold::<2>(ek[$r - 1], _mm_aeskeygenassist_si128::<0>(ek[$r]));
             )*};
         }
-        macro_rules! odd {
-            ($($r:literal),*) => {$(
-                ek[$r] = fold::<2>(ek[$r - 2], _mm_aeskeygenassist_si128::<0>(ek[$r - 1]));
-            )*};
-        }
-        even!(2: 0x01);
-        odd!(3);
-        even!(4: 0x02);
-        odd!(5);
-        even!(6: 0x04);
-        odd!(7);
-        even!(8: 0x08);
-        odd!(9);
-        even!(10: 0x10);
-        odd!(11);
-        even!(12: 0x20);
-        odd!(13);
-        even!(14: 0x40);
+        pair!(2: 0x01, 4: 0x02, 6: 0x04, 8: 0x08, 10: 0x10, 12: 0x20);
+        ek[14] = fold::<3>(ek[12], _mm_aeskeygenassist_si128::<0x40>(ek[13]));
         ek
     }
 

@@ -80,9 +80,7 @@ pub struct KeyVault {
     master: [u8; 32],
     size: KeySize,
     units: HashMap<u64, UnitKey>,
-    /// The backend every cipher this vault lends is expanded under — a
-    /// **construction-time invariant**: the builder asserts no unit
-    /// exists yet, so every operation on a vault runs on one lane.
+    /// The backend every cipher this vault lends is expanded under.
     backend: CryptoBackend,
     /// Bounded keystream cache for repeated same-IV re-reads (zipfian
     /// hot tuples). `0` capacity disables it. See
@@ -120,19 +118,9 @@ impl KeyVault {
     /// so one engine's selector cannot reroute any other engine in the
     /// process. Derived key *material* is unchanged (the backends are
     /// byte-identical); only expansion and round implementation differ.
-    ///
-    /// Must be called before any key materialises: the backend is a
-    /// construction-time invariant, so every operation on the vault runs
-    /// on one lane.
-    ///
-    /// # Panics
-    /// Panics if any key has already been derived.
+    /// The vault stores no schedule, so keys derived before the call are
+    /// lent on the new lane too.
     pub fn with_backend(mut self, backend: CryptoBackend) -> KeyVault {
-        assert!(
-            self.units.is_empty(),
-            "KeyVault backend is a construction-time invariant: set it \
-             before the first ensure_key, not after keys exist"
-        );
         self.backend = backend;
         self
     }
@@ -518,23 +506,18 @@ mod tests {
     }
 
     #[test]
-    fn backend_is_a_construction_time_invariant() {
-        // Setting the backend before any key exists is fine…
-        let mut v = KeyVault::new(b"m", KeySize::Aes128).with_backend(CryptoBackend::Software);
+    fn ciphers_run_on_the_backend_set_last() {
+        // No schedule is stored, so a key derived before the call is
+        // lent on the new lane, with the same stream.
+        let mut v = KeyVault::new(b"m", KeySize::Aes128);
         v.ensure_key(1);
+        let before = stream(&v, 1);
+        let v = v.with_backend(CryptoBackend::Software);
         assert_eq!(
             v.cipher(1).unwrap().active_backend(),
             CryptoBackend::Software.resolve()
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "construction-time invariant")]
-    fn backend_change_after_first_key_is_impossible() {
-        let mut v = KeyVault::new(b"m", KeySize::Aes128);
-        v.ensure_key(1);
-        // A schedule exists: rerouting now would silently mix backends.
-        let _ = v.with_backend(CryptoBackend::Software);
+        assert_eq!(stream(&v, 1), before);
     }
 
     #[test]

@@ -322,8 +322,8 @@ impl Disk {
         self.free.push(id);
     }
 
-    /// The raw bytes generation `raw` of sector `id` stands for; the only
-    /// place the drive's ciphertext is ever computed.
+    /// The raw bytes generation `raw` of sector `id` stands for: what a
+    /// forensic reader sees, and the only place a stored page is sealed.
     fn materialise<'a>(&self, id: u32, raw: &'a Raw) -> Cow<'a, [u8]> {
         let (mut page, generation) = match raw {
             Raw::Image(image, _) if self.cipher.is_none() => return Cow::Borrowed(image),
