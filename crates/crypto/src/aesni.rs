@@ -11,14 +11,13 @@
 //!
 //! Implementation notes:
 //!
-//! * **Key expansion** runs in XMM registers for AES-128 and AES-256:
-//!   one `_mm_aeskeygenassist_si128` per round key, its rcon an immediate
-//!   (so the rounds are unrolled), then two shift-XORs fold the
-//!   previous round key in — the construction of Intel's AES-NI white
-//!   paper. Keys are expanded per operation (the vault keeps raw keys),
-//!   so this is on the hot path. AES-192, whose round keys straddle the
-//!   6-word key period, keeps the FIPS-197 word recurrence with
-//!   `SubWord` / `RotWord(SubWord(·))` read from one AESKEYGENASSIST.
+//! * **Key expansion** is AESKEYGENASSIST-based: the FIPS-197 schedule
+//!   recurrence runs over little-endian schedule words, with `SubWord` /
+//!   `RotWord(SubWord(·))` supplied by `_mm_aeskeygenassist_si128`
+//!   (rcon folded in as a plain XOR afterwards, which keeps the
+//!   immediate-operand constraint out of the loop and makes one routine
+//!   serve all three key sizes). The per-unit vault keeps raw keys, so
+//!   this runs once per tuple operation.
 //! * **No decrypt direction**: every cipher in the system is CTR, so the
 //!   schedule is the encryption round keys and nothing else.
 //! * **CTR keystream** runs `WIDE` (8) counter blocks per iteration in XMM
@@ -38,7 +37,7 @@ mod imp {
     use core::arch::x86_64::{
         __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_aeskeygenassist_si128,
         _mm_cvtsi128_si32, _mm_loadu_si128, _mm_set1_epi32, _mm_set_epi64x, _mm_setzero_si128,
-        _mm_shuffle_epi32, _mm_slli_si128, _mm_srli_si128, _mm_storeu_si128, _mm_xor_si128,
+        _mm_srli_si128, _mm_storeu_si128, _mm_xor_si128,
     };
 
     use crate::aes::{KeySize, MAX_ROUND_KEYS as MAX_RK};
@@ -88,93 +87,13 @@ mod imp {
         (sub, rot_sub)
     }
 
-    /// `prev` with each of its words XORed with all the words before it
-    /// (two shift-XORs: by one word, then by two), then `assist`'s word
-    /// `LANE` broadcast and XORed in. That is the next round key of a
-    /// schedule whose key period is one round key (AES-128, `LANE` 3 =
-    /// `RotWord(SubWord(w3)) ^ rcon`), and of each half of AES-256's
-    /// two-round-key period (`LANE` 2 = `SubWord(w3)` for the odd half).
-    ///
-    /// # Safety
-    /// Requires the `aes` target feature (checked by [`AesNi::new`]).
-    #[inline]
-    #[target_feature(enable = "aes")]
-    unsafe fn fold<const LANE: i32>(prev: __m128i, assist: __m128i) -> __m128i {
-        let mut k = prev;
-        k = _mm_xor_si128(k, _mm_slli_si128::<4>(k));
-        k = _mm_xor_si128(k, _mm_slli_si128::<8>(k));
-        let t = match LANE {
-            3 => _mm_shuffle_epi32::<0xff>(assist),
-            _ => _mm_shuffle_epi32::<0xaa>(assist),
-        };
-        _mm_xor_si128(k, t)
-    }
-
-    /// AES-128 expansion: round key `r` from round key `r - 1` and one
-    /// AESKEYGENASSIST under `rcon(r)`.
-    ///
-    /// # Safety
-    /// Requires the `aes` target feature (checked by [`AesNi::new`]).
-    #[target_feature(enable = "aes")]
-    unsafe fn expand_128(key: &[u8]) -> [__m128i; MAX_RK] {
-        let mut ek = [_mm_setzero_si128(); MAX_RK];
-        ek[0] = _mm_loadu_si128(key.as_ptr() as *const __m128i);
-        macro_rules! round {
-            ($($r:literal: $rcon:literal),*) => {$(
-                ek[$r] = fold::<3>(ek[$r - 1], _mm_aeskeygenassist_si128::<$rcon>(ek[$r - 1]));
-            )*};
-        }
-        round!(1: 0x01, 2: 0x02, 3: 0x04, 4: 0x08, 5: 0x10, 6: 0x20, 7: 0x40, 8: 0x80,
-               9: 0x1b, 10: 0x36);
-        ek
-    }
-
-    /// AES-256 expansion: each even round key from the two before it and
-    /// `RotWord(SubWord(·)) ^ rcon` of the odd one; each odd round key
-    /// from the two before it and `SubWord(·)` of the even one.
-    ///
-    /// # Safety
-    /// Requires the `aes` target feature (checked by [`AesNi::new`]).
-    #[target_feature(enable = "aes")]
-    unsafe fn expand_256(key: &[u8]) -> [__m128i; MAX_RK] {
-        let mut ek = [_mm_setzero_si128(); MAX_RK];
-        ek[0] = _mm_loadu_si128(key.as_ptr() as *const __m128i);
-        ek[1] = _mm_loadu_si128(key[16..].as_ptr() as *const __m128i);
-        macro_rules! pair {
-            ($($r:literal: $rcon:literal),*) => {$(
-                ek[$r] = fold::<3>(ek[$r - 2], _mm_aeskeygenassist_si128::<$rcon>(ek[$r - 1]));
-                ek[$r + 1] = fold::<2>(ek[$r - 1], _mm_aeskeygenassist_si128::<0>(ek[$r]));
-            )*};
-        }
-        pair!(2: 0x01, 4: 0x02, 6: 0x04, 8: 0x08, 10: 0x10, 12: 0x20);
-        ek[14] = fold::<3>(ek[12], _mm_aeskeygenassist_si128::<0x40>(ek[13]));
-        ek
-    }
-
-    /// The schedule of `key` for `size`.
+    /// FIPS-197 §5.2 key expansion over little-endian u32 schedule words,
+    /// non-linear steps via [`sub_rot_word`].
     ///
     /// # Safety
     /// Requires the `aes` target feature (checked by [`AesNi::new`]).
     #[target_feature(enable = "aes")]
     unsafe fn expand(size: KeySize, key: &[u8]) -> AesNi {
-        let ek = match size {
-            KeySize::Aes128 => expand_128(key),
-            KeySize::Aes192 => expand_words(size, key),
-            KeySize::Aes256 => expand_256(key),
-        };
-        AesNi {
-            ek,
-            rounds: size.rounds(),
-        }
-    }
-
-    /// FIPS-197 §5.2 key expansion over little-endian u32 schedule words,
-    /// non-linear steps via [`sub_rot_word`]: the AES-192 path.
-    ///
-    /// # Safety
-    /// Requires the `aes` target feature (checked by [`AesNi::new`]).
-    #[target_feature(enable = "aes")]
-    unsafe fn expand_words(size: KeySize, key: &[u8]) -> [__m128i; MAX_RK] {
         let nk = size.nk();
         let nr = size.rounds();
         let nwords = 4 * (nr + 1);
@@ -206,7 +125,7 @@ mod imp {
             // byte layout, so a straight unaligned load materialises it.
             *rk = _mm_loadu_si128(w[4 * r..].as_ptr() as *const __m128i);
         }
-        ek
+        AesNi { ek, rounds: nr }
     }
 
     impl AesNi {
@@ -424,9 +343,9 @@ mod tests {
 
     #[test]
     fn keygenassist_schedule_matches_the_fips_expansion() {
-        // The register-only AES-128/256 expansions and AES-192's word
-        // recurrence, pinned round key by round key to the one software
-        // expansion on random keys.
+        // The AESKEYGENASSIST word recurrence, pinned round key by round
+        // key to the one software expansion on random keys of all three
+        // sizes.
         if !available() {
             return;
         }

@@ -283,19 +283,20 @@ impl KeyVault {
         // Cached keystream goes with the key: XORing it with ciphertext
         // would reveal plaintext, so erasure must not leave it behind.
         self.purge_unit(unit);
-        self.retire(unit).is_some()
-    }
-
-    /// Take `unit`'s live key box out of the vault, zeroed in place, and
-    /// move its generation on. [`std::hint::black_box`] keeps the stores
-    /// from being elided when the box is freed right after.
-    fn retire(&mut self, unit: u64) -> Option<Box<[u8]>> {
-        let slot = self.units.get_mut(&unit)?;
-        let mut key = slot.live.take()?;
+        let Some(slot) = self.units.get_mut(&unit) else {
+            return false;
+        };
+        let Some(mut key) = slot.live.take() else {
+            return false;
+        };
+        // Zero the one copy in place; [`std::hint::black_box`] keeps the
+        // stores from being elided when the box is freed right after.
         key.fill(0);
         std::hint::black_box(&key);
+        #[cfg(test)]
+        tests::freeing(&key);
         slot.generation += 1;
-        Some(key)
+        true
     }
 }
 
@@ -304,6 +305,7 @@ mod tests {
     use super::*;
     use crate::ctr::AesCtr;
     use datacase_sim::check::check;
+    use std::cell::RefCell;
 
     /// The first 32 keystream bytes of `unit`'s live key under a fixed IV
     /// — a fingerprint of the key, now that the vault never hands the raw
@@ -376,6 +378,17 @@ mod tests {
         assert_eq!(stream(&v, 3), direct);
     }
 
+    thread_local! {
+        /// Address and bytes of every key box `destroy_key` frees on this
+        /// thread, read just before the free.
+        static FREED: RefCell<Vec<(*const u8, Vec<u8>)>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// `destroy_key`'s last look at a key box before it is freed.
+    pub(super) fn freeing(key: &[u8]) {
+        FREED.with(|f| f.borrow_mut().push((key.as_ptr(), key.to_vec())));
+    }
+
     #[test]
     fn destroyed_key_is_zeroed_before_it_is_freed() {
         for size in [KeySize::Aes128, KeySize::Aes192, KeySize::Aes256] {
@@ -383,13 +396,14 @@ mod tests {
             v.ensure_key(5);
             let at = v.key(5).unwrap().as_ptr();
             assert!(v.key(5).unwrap().iter().any(|&b| b != 0));
-            // `destroy_key` is `purge_unit` then `retire`, which hands back
-            // the very box the key lived in, already zeroed.
-            let retired = v.retire(5).expect("live key");
-            assert!(std::ptr::eq(at, retired.as_ptr()), "{size:?}");
-            assert_eq!(&retired[..], &vec![0u8; size.key_len()][..], "{size:?}");
+            // The box `destroy_key` frees is the very one the key lived
+            // in, and it is all zeros by then.
+            assert!(v.destroy_key(5));
+            let freed = FREED.with(|f| f.take());
+            assert_eq!(freed, vec![(at, vec![0u8; size.key_len()])], "{size:?}");
             assert!(!v.is_live(5));
-            assert!(v.retire(5).is_none());
+            assert!(!v.destroy_key(5));
+            assert!(FREED.with(|f| f.borrow().is_empty()));
         }
     }
 
@@ -398,6 +412,17 @@ mod tests {
         // The generation and the key box's fat pointer; an inline
         // schedule (~256 B) or a second box would not fit.
         assert_eq!(std::mem::size_of::<UnitKey>(), 24);
+    }
+
+    #[test]
+    fn size_of_a_cipher_is_one_schedule() {
+        // 15 round keys x 16 B = 240 B, plus the lane's bookkeeping. Two
+        // more schedules or a `Vec` header beside it would not fit.
+        assert!(
+            std::mem::size_of::<AesCtr>() <= 320,
+            "AesCtr is {} B",
+            std::mem::size_of::<AesCtr>()
+        );
     }
 
     #[test]
