@@ -173,20 +173,20 @@ mod imp {
         }
 
         /// XOR whole 16-byte blocks of `data` with the CTR keystream whose
-        /// counter block is `iv` advanced by `start_block` steps — the
-        /// same stream contract as the software
-        /// [`AesCtr`](crate::ctr::AesCtr) path: the IV's last 8 bytes are
-        /// a big-endian wrapping counter, incremented once per block.
+        /// first counter block is `iv` — the same stream contract as the
+        /// software [`AesCtr`](crate::ctr::AesCtr) path: the IV's last 8
+        /// bytes are a big-endian wrapping counter, incremented once per
+        /// block.
         ///
         /// # Panics
         /// Panics if `data.len()` is not a multiple of 16.
-        pub fn ctr_xor_blocks(&self, iv: [u8; 16], start_block: u64, data: &mut [u8]) {
+        pub fn ctr_xor_blocks(&self, iv: [u8; 16], data: &mut [u8]) {
             assert!(
                 data.len().is_multiple_of(16),
                 "ctr_xor_blocks requires whole blocks"
             );
             // SAFETY: `self` exists ⇒ `AesNi::new` detected AES-NI.
-            unsafe { self.ctr_xor_hw(iv, start_block, data) }
+            unsafe { self.ctr_xor_hw(iv, data) }
         }
 
         /// # Safety
@@ -216,10 +216,9 @@ mod imp {
         /// # Safety
         /// Requires the `aes` target feature (checked by [`AesNi::new`]).
         #[target_feature(enable = "aes")]
-        unsafe fn ctr_xor_hw(&self, iv: [u8; 16], start_block: u64, data: &mut [u8]) {
+        unsafe fn ctr_xor_hw(&self, iv: [u8; 16], data: &mut [u8]) {
             let prefix_le = u64::from_le_bytes(iv[0..8].try_into().expect("8 bytes"));
-            let mut counter = u64::from_be_bytes(iv[8..16].try_into().expect("8 bytes"))
-                .wrapping_add(start_block);
+            let mut counter = u64::from_be_bytes(iv[8..16].try_into().expect("8 bytes"));
             let nr = self.rounds;
             let rk0 = self.ek[0];
             let rk_last = self.ek[nr];
@@ -305,7 +304,7 @@ mod imp {
         }
 
         /// Unreachable: no value of this type exists.
-        pub fn ctr_xor_blocks(&self, _iv: [u8; 16], _start_block: u64, _data: &mut [u8]) {
+        pub fn ctr_xor_blocks(&self, _iv: [u8; 16], _data: &mut [u8]) {
             match self.never {}
         }
     }
@@ -383,7 +382,7 @@ mod tests {
             let data: Vec<u8> = (0..blocks * 16).map(|i| i as u8).collect();
             let mut a = data.clone();
             let mut b = data;
-            hw.ctr_xor_blocks(iv, 0, &mut a);
+            hw.ctr_xor_blocks(iv, &mut a);
             sw.apply_blocks(iv, &mut b);
             assert_eq!(a, b, "{blocks} blocks");
         }

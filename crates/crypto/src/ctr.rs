@@ -110,33 +110,15 @@ impl AesCtr {
     /// and increments once per 16-byte block. Calling this twice with the
     /// same IV restores the original data (CTR is an involution).
     pub fn apply(&self, iv: [u8; 16], data: &mut [u8]) {
-        self.apply_at(iv, 0, data);
-    }
-
-    /// [`apply`](AesCtr::apply) starting `start_block` counter steps past
-    /// `iv` — the entry for resuming a stream mid-way (e.g. XORing a
-    /// cached keystream prefix and generating only the uncovered suffix).
-    /// `apply_at(iv, n, data)` produces exactly the bytes `apply(iv, buf)`
-    /// would have placed at offset `16 * n` of a longer buffer.
-    pub fn apply_at(&self, iv: [u8; 16], start_block: u64, data: &mut [u8]) {
         let whole = data.len() & !15;
         let (blocks, tail) = data.split_at_mut(whole);
-        self.xor_keystream(iv, start_block, blocks);
+        self.xor_keystream(iv, blocks);
         if !tail.is_empty() {
-            let ks = self.keystream_block(iv, start_block.wrapping_add((whole / 16) as u64));
+            let ks = self.keystream_block(iv, (whole / 16) as u64);
             for (d, k) in tail.iter_mut().zip(ks.iter()) {
                 *d ^= k;
             }
         }
-    }
-
-    /// `iv` with its counter half advanced by `start_block` steps.
-    fn iv_at(iv: [u8; 16], start_block: u64) -> [u8; 16] {
-        let mut out = iv;
-        let counter =
-            u64::from_be_bytes(iv[8..16].try_into().expect("8 bytes")).wrapping_add(start_block);
-        out[8..16].copy_from_slice(&counter.to_be_bytes());
-        out
     }
 
     /// [`apply`](AesCtr::apply) specialised to whole 16-byte blocks — the
@@ -150,12 +132,15 @@ impl AesCtr {
             data.len().is_multiple_of(16),
             "apply_blocks requires whole blocks"
         );
-        self.xor_keystream(iv, 0, data);
+        self.xor_keystream(iv, data);
     }
 
     /// The keystream block at `block_index` counter steps past `iv`.
     fn keystream_block(&self, iv: [u8; 16], block_index: u64) -> [u8; 16] {
-        let mut block = Self::iv_at(iv, block_index);
+        let mut block = iv;
+        let counter =
+            u64::from_be_bytes(iv[8..16].try_into().expect("8 bytes")).wrapping_add(block_index);
+        block[8..16].copy_from_slice(&counter.to_be_bytes());
         match &self.0 {
             Lane::Hardware(hw) => hw.encrypt_block(&mut block),
             Lane::Software(aes) => aes.encrypt_block(&mut block),
@@ -164,20 +149,19 @@ impl AesCtr {
     }
 
     /// XOR whole blocks of `data` (`len % 16 == 0`) with the keystream
-    /// starting `start_block` counter steps past `iv`. The hardware lane
-    /// hands the whole call to [`AesNi::ctr_xor_blocks`] (8 counter blocks
-    /// at a time through AESENC, SSE2 XOR). The software lane sets the
-    /// IV's word lanes up once — per block only the counter lanes change
-    /// — and XORs each keystream block in as one u128.
-    fn xor_keystream(&self, iv: [u8; 16], start_block: u64, data: &mut [u8]) {
+    /// from `iv`. The hardware lane hands the whole call to
+    /// [`AesNi::ctr_xor_blocks`] (8 counter blocks at a time through
+    /// AESENC, SSE2 XOR). The software lane sets the IV's word lanes up
+    /// once — per block only the counter lanes change — and XORs each
+    /// keystream block in as one u128.
+    fn xor_keystream(&self, iv: [u8; 16], data: &mut [u8]) {
         let aes = match &self.0 {
-            Lane::Hardware(hw) => return hw.ctr_xor_blocks(iv, start_block, data),
+            Lane::Hardware(hw) => return hw.ctr_xor_blocks(iv, data),
             Lane::Software(aes) => aes,
         };
         let hi = u32::from_be_bytes(iv[0..4].try_into().expect("4 bytes"));
         let lo = u32::from_be_bytes(iv[4..8].try_into().expect("4 bytes"));
-        let mut counter =
-            u64::from_be_bytes(iv[8..16].try_into().expect("8 bytes")).wrapping_add(start_block);
+        let mut counter = u64::from_be_bytes(iv[8..16].try_into().expect("8 bytes"));
         for chunk in data.chunks_exact_mut(16) {
             let ks = aes.encrypt_words([hi, lo, (counter >> 32) as u32, counter as u32]);
             Self::xor_block(chunk, ks);
@@ -274,9 +258,9 @@ mod tests {
             let iv = [0xFF; 16]; // counter at u64::MAX: the stream wraps it
             let plain: Vec<u8> = (0..200).map(|i| i as u8).collect();
             let [mut a, mut b, mut c] = [plain.clone(), plain.clone(), plain];
-            auto.apply_at(iv, 5, &mut a);
-            forced.apply_at(iv, 5, &mut b);
-            back.apply_at(iv, 5, &mut c);
+            auto.apply(iv, &mut a);
+            forced.apply(iv, &mut b);
+            back.apply(iv, &mut c);
             assert_eq!(a, b, "{size:?}: the lanes produce identical ciphertext");
             assert_eq!(a, c, "{size:?}: the round trip kept the key");
         }
@@ -294,15 +278,22 @@ mod tests {
     }
 
     #[test]
-    fn apply_at_matches_the_tail_of_a_longer_apply() {
+    fn an_advanced_iv_continues_the_stream() {
+        // The stream from an IV whose counter half is n steps further is
+        // the stream from the first IV past its first n blocks, across the
+        // counter's wrap at 2^64 too.
         let ctr = AesCtr::from_key(KeySize::Aes256, &[0x31; 32]);
-        for skip_blocks in [1usize, 3, 4, 7] {
-            let iv = AesCtr::iv_from_nonce(0xDEAD_0000 + skip_blocks as u64);
-            let mut whole: Vec<u8> = (0..(skip_blocks * 16 + 100)).map(|i| i as u8).collect();
-            let mut tail = whole[skip_blocks * 16..].to_vec();
+        for (counter, skip_blocks) in [(0u64, 1u64), (5, 3), (u64::MAX - 2, 4), (u64::MAX, 7)] {
+            let mut iv = AesCtr::iv_from_nonce(0xDEAD_0000);
+            iv[8..].copy_from_slice(&counter.to_be_bytes());
+            let mut later = iv;
+            later[8..].copy_from_slice(&counter.wrapping_add(skip_blocks).to_be_bytes());
+            let skip = skip_blocks as usize * 16;
+            let mut whole: Vec<u8> = (0..(skip + 100)).map(|i| i as u8).collect();
+            let mut tail = whole[skip..].to_vec();
             ctr.apply(iv, &mut whole);
-            ctr.apply_at(iv, skip_blocks as u64, &mut tail);
-            assert_eq!(tail, whole[skip_blocks * 16..], "offset {skip_blocks}");
+            ctr.apply(later, &mut tail);
+            assert_eq!(tail, whole[skip..], "counter {counter:#x} + {skip_blocks}");
         }
     }
 

@@ -24,9 +24,10 @@
 //! workspace `tests/prop_crypto.rs`. A cipher ([`ctr::AesCtr`]) *is* the
 //! one schedule of the lane it resolved to. The per-unit [`vault`] keeps
 //! no schedule: it owns one boxed raw key per live unit — the one
-//! long-lived copy of that key — expands a schedule from it per
-//! operation, a stack temporary as the derivation's temporaries are, and
-//! zeroes the box on destroy.
+//! long-lived copy of that key, drawn from a forward-secure SHA-256
+//! ratchet, fresh for every stored version — expands a schedule from it
+//! per operation, a stack temporary as the ratchet's temporaries are, and
+//! zeroes every box it lets go.
 //!
 //! Modules:
 //! * [`aes`] — AES-128/192/256 key expansion and the T-table encrypt rounds.
@@ -41,7 +42,8 @@
 //! * [`hmac`] — HMAC-SHA-256.
 //! * [`kdf`] — a LUKS-flavoured iterated-hash key-derivation shim.
 //! * [`vault`] — per-data-unit key vault enabling *crypto-erasure* (destroy
-//!   the key ⇒ ciphertext is permanently unreadable), the alternative
+//!   the key ⇒ ciphertext is permanently unreadable, since nothing the
+//!   vault retains re-derives it), the alternative
 //!   grounding of permanent deletion discussed in the paper's related work.
 //! * [`sector`] — sector/page encryption helper emulating LUKS-style
 //!   disk-layer encryption for the P_GBench profile.

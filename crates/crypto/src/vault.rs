@@ -5,10 +5,11 @@
 //! deletion**: encrypt each data unit under its own key and destroy the key
 //! on erasure. The ciphertext may physically persist (in backups, WAL, old
 //! SSTable runs) yet the unit is unrecoverable — a *non-invertible*
-//! transformation in Data-CASE terms. The engine's crypto-erasure ablation
-//! compares this against VACUUM FULL + drive sanitisation.
+//! transformation in Data-CASE terms, as long as nothing the system keeps
+//! can bring the key back. The engine's crypto-erasure ablation compares
+//! this against VACUUM FULL + drive sanitisation.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use crate::aes::KeySize;
 use crate::backend::CryptoBackend;
@@ -34,91 +35,75 @@ impl std::fmt::Display for VaultError {
 
 impl std::error::Error for VaultError {}
 
-/// One cached keystream segment: the CTR stream for a (unit, IV) pair
-/// from block 0, stamped with the key generation it was generated under.
-///
-/// Only *keystream* is cached — never plaintext, never ciphertext — so a
-/// cache entry on its own reveals nothing about the data it protected:
-/// the encryption-at-rest capsule stays sealed.
+/// One unit's raw key (`key_len` bytes): the only long-lived copy of it.
+/// It is boxed so it never moves when the map grows, and every box is
+/// zeroed in place before it is freed — replaced by a newer key,
+/// destroyed, refused by the write it was drawn for, or dropped with the
+/// vault.
 #[derive(Debug)]
-struct KeystreamEntry {
-    generation: u64,
-    keystream: Vec<u8>,
+struct KeyBox(Box<[u8]>);
+
+impl Drop for KeyBox {
+    fn drop(&mut self) {
+        self.0.fill(0);
+        // Keeps the stores from being elided when the box is freed right
+        // after.
+        std::hint::black_box(&self.0);
+        #[cfg(test)]
+        tests::freeing(&self.0);
+    }
 }
 
-/// Everything the vault knows about one data unit.
-#[derive(Debug)]
-struct UnitKey {
-    /// Monotonic key generation, bumped by every
-    /// [`destroy_key`](KeyVault::destroy_key) and hashed into the
-    /// derivation — so no destroyed generation's material can ever be
-    /// re-derived, no matter how many destroy/recreate cycles a unit
-    /// goes through. Outlives the key as its tombstone.
-    generation: u64,
-    /// The unit's raw key (`key_len` bytes) while it is live: the only
-    /// long-lived copy of the key the vault keeps. It is boxed so it never
-    /// moves when the map grows: no stale copy is left in a freed table,
-    /// and the in-place wipe reaches the one there is.
-    live: Option<Box<[u8]>>,
-}
-
-/// A vault holding one symmetric key per data unit.
+/// A vault holding one symmetric key per data unit, drawn from a
+/// forward-secure ratchet.
 ///
-/// Keys are derived deterministically from a vault master secret, the
-/// unit id and the unit's key generation, and kept raw, one heap box per
-/// live unit: 16 or 32 bytes where an expanded schedule would take ~256.
-/// [`cipher`](KeyVault::cipher) expands the key on use into an [`AesCtr`]
-/// that lives for one operation — a stack temporary, as the derivation's
-/// temporaries are. [`destroy_key`](KeyVault::destroy_key) zeroes the
-/// key box in place before freeing it — after it, no path through the
-/// vault can reach a working cipher. Not covered: stack temporaries of
-/// derivation and expansion are not scrubbed, cached keystream is dropped
-/// rather than overwritten, and the vault keeps its master secret, which
-/// with the old generation number re-derives the destroyed key.
+/// The vault retains a 32-byte ratchet state and one key box per live
+/// unit, nothing else. A draw takes `SHA-256(state ‖ 1)` as the key (its
+/// first `key_len` bytes) and overwrites the state with
+/// `SHA-256(state ‖ 0)`, so the state derives only keys not yet drawn:
+/// once a key's box is zeroed, nothing the vault holds brings it back.
+/// [`rekey`](KeyVault::rekey) gives every stored version of a unit a key
+/// of its own, so each key encrypts exactly one plaintext.
+/// [`cipher`](KeyVault::cipher) expands the unit's key on use into an
+/// [`AesCtr`] that lives for one operation.
+/// [`destroy_key`](KeyVault::destroy_key) zeroes the box and forgets the
+/// unit. Not covered: stack temporaries of the ratchet's hashes and of key
+/// expansion are not scrubbed, and whoever knows the seed can run the
+/// ratchet from the start. The engine seeds it from a literal and the
+/// shard index, the same in every deployment; a per-deployment secret
+/// waits for a free `EngineConfig` field (ROADMAP item 23(b)).
 #[derive(Debug)]
 pub struct KeyVault {
-    master: [u8; 32],
+    state: [u8; 32],
     size: KeySize,
-    units: HashMap<u64, UnitKey>,
+    units: HashMap<u64, KeyBox>,
     /// The backend every cipher this vault lends is expanded under.
     backend: CryptoBackend,
-    /// Bounded keystream cache for repeated same-IV re-reads (zipfian
-    /// hot tuples). `0` capacity disables it. See
-    /// [`keystream_apply`](KeyVault::keystream_apply).
-    ks_cache: HashMap<(u64, [u8; 16]), KeystreamEntry>,
-    /// Insertion order of `ks_cache` keys — deterministic FIFO eviction.
-    ks_order: VecDeque<(u64, [u8; 16])>,
-    /// Maximum number of cached keystream segments.
-    ks_capacity: usize,
 }
 
 impl KeyVault {
-    /// A vault deriving keys of the given size from `master_secret`.
-    pub fn new(master_secret: &[u8], size: KeySize) -> KeyVault {
+    /// A vault of keys of the given size, its ratchet seeded from
+    /// `secret`.
+    pub fn new(secret: &[u8], size: KeySize) -> KeyVault {
         KeyVault {
-            master: Sha256::digest(master_secret),
+            state: Sha256::digest(secret),
             size,
             units: HashMap::new(),
             backend: CryptoBackend::Auto,
-            ks_cache: HashMap::new(),
-            ks_order: VecDeque::new(),
-            ks_capacity: 0,
         }
     }
 
-    /// Enable the keystream cache with room for `capacity` (unit, IV)
-    /// segments (`0` disables it — the default, so measured crypto costs
-    /// stay paper-faithful unless a configuration opts in).
-    pub fn with_keystream_cache(mut self, capacity: usize) -> KeyVault {
-        self.ks_capacity = capacity;
+    /// The vault unchanged: it keeps no keystream cache. A bridge for the
+    /// benchmark's frozen API; ROADMAP item 25 deletes it.
+    pub fn with_keystream_cache(self, _capacity: usize) -> KeyVault {
         self
     }
 
     /// Expand every cipher this vault lends under `backend` — per-vault,
     /// so one engine's selector cannot reroute any other engine in the
-    /// process. Derived key *material* is unchanged (the backends are
+    /// process. Key *material* is unchanged (the backends are
     /// byte-identical); only expansion and round implementation differ.
-    /// The vault stores no schedule, so keys derived before the call are
+    /// The vault stores no schedule, so keys drawn before the call are
     /// lent on the new lane too.
     pub fn with_backend(mut self, backend: CryptoBackend) -> KeyVault {
         self.backend = backend;
@@ -130,47 +115,59 @@ impl KeyVault {
         self.size
     }
 
-    /// Make sure `unit` has a live key, deriving it if it has none
-    /// (never created, or destroyed).
+    /// `SHA-256(state ‖ branch)`: branch 1 is a key, branch 0 the next
+    /// state.
+    fn step(state: &[u8; 32], branch: u8) -> [u8; 32] {
+        let mut h = Sha256::new();
+        h.update(state);
+        h.update(&[branch]);
+        h.finalize()
+    }
+
+    /// Draw the next key off the ratchet and move the state past it.
+    fn draw(&mut self) -> KeyBox {
+        let key = KeyBox(Box::from(
+            &Self::step(&self.state, 1)[..self.size.key_len()],
+        ));
+        self.state = Self::step(&self.state, 0);
+        key
+    }
+
+    /// Make sure `unit` has a live key, drawing one if it has none (never
+    /// created, or destroyed).
     pub fn ensure_key(&mut self, unit: u64) {
-        let slot = self.units.entry(unit).or_insert(UnitKey {
-            generation: 0,
-            live: None,
-        });
-        if slot.live.is_none() {
-            // A destroyed key must never be silently recreated with the
-            // same material: every destroy bumped the generation, and the
-            // generation is hashed into the derivation.
-            let key = Self::derive_raw(&self.master, self.size, unit, slot.generation);
-            slot.live = Some(Box::from(&key[..self.size.key_len()]));
+        if !self.units.contains_key(&unit) {
+            let key = self.draw();
+            self.units.insert(unit, key);
         }
     }
 
-    /// The unit's raw key in the first `key_len` bytes.
-    fn derive_raw(master: &[u8; 32], size: KeySize, unit: u64, generation: u64) -> [u8; 32] {
-        let mut h = Sha256::new();
-        h.update(master);
-        h.update(&unit.to_be_bytes());
-        h.update(&generation.to_be_bytes());
-        let mut key = h.finalize();
-        if size == KeySize::Aes256 {
-            let mut h2 = Sha256::new();
-            h2.update(&key);
-            h2.update(b"ext");
-            key[16..].copy_from_slice(&h2.finalize()[..16]);
-        }
-        key
+    /// Encrypt a new version of `unit` under a key of its own: draw a
+    /// fresh key and lend its cipher to `write`, which encrypts the
+    /// version and stores it. The key replaces the unit's current one only
+    /// if `write` succeeds, so a refused write leaves the stored version
+    /// readable under the key it was written with. Whichever key loses is
+    /// zeroed before it is freed.
+    pub fn rekey<E>(
+        &mut self,
+        unit: u64,
+        write: impl FnOnce(&AesCtr) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let key = self.draw();
+        write(&AesCtr::expand(self.size, &key.0, self.backend))?;
+        self.units.insert(unit, key);
+        Ok(())
     }
 
     /// The unit's live raw key, if it has one.
     fn key(&self, unit: u64) -> Option<&[u8]> {
-        self.units.get(&unit).and_then(|slot| slot.live.as_deref())
+        self.units.get(&unit).map(|key| &*key.0)
     }
 
     /// Whether `unit` has a live key. Reads the key box only: no cipher
     /// is expanded.
     pub fn is_live(&self, unit: u64) -> bool {
-        self.key(unit).is_some()
+        self.units.contains_key(&unit)
     }
 
     /// The unit's CTR cipher, if its key is live — expanded from the raw
@@ -181,95 +178,16 @@ impl KeyVault {
             .ok_or(VaultError::KeyUnavailable(unit))
     }
 
-    /// Apply the unit's CTR stream for `iv` to `data` via the keystream
-    /// cache: a hit XORs the cached stream (no AES at all), a miss (or a
-    /// too-short entry) generates the uncovered blocks through the
-    /// unit's cipher and caches them for the next same-IV operation —
-    /// exactly the hot-tuple re-read pattern of zipfian workloads, where
-    /// the IV is bound to the unit and never changes.
-    ///
-    /// Returns `Ok(true)` if the cache served (fully or after extension),
-    /// `Ok(false)` if caching is disabled (caller takes the ordinary
-    /// [`cipher`](KeyVault::cipher) path), and `Err` if the unit's key is
-    /// destroyed or was never created. Output bytes are identical to
-    /// `cipher(unit)?.apply(iv, data)` in every case.
-    ///
-    /// Entries are stamped with the unit's key generation: a destroyed
-    /// key's stream can never be served for a recreated key, even though
-    /// [`destroy_key`](KeyVault::destroy_key) also drops the entries
-    /// eagerly (the stamp is defence in depth).
+    /// Always `Ok(false)`, "not served": the vault keeps no keystream
+    /// cache, so the caller takes [`cipher`](KeyVault::cipher). A bridge
+    /// for the benchmark's frozen API; ROADMAP item 25 deletes it.
     pub fn keystream_apply(
         &mut self,
-        unit: u64,
-        iv: [u8; 16],
-        data: &mut [u8],
+        _unit: u64,
+        _iv: [u8; 16],
+        _data: &mut [u8],
     ) -> Result<bool, VaultError> {
-        if self.ks_capacity == 0 {
-            return Ok(false);
-        }
-        let (generation, raw_key) = match self.units.get(&unit) {
-            Some(UnitKey {
-                generation,
-                live: Some(key),
-            }) => (*generation, key),
-            _ => return Err(VaultError::KeyUnavailable(unit)),
-        };
-        let needed = data.len().next_multiple_of(16);
-        let key = (unit, iv);
-        let stale = self
-            .ks_cache
-            .get(&key)
-            .is_some_and(|e| e.generation != generation);
-        if stale {
-            self.ks_cache.remove(&key);
-            self.ks_order.retain(|k| *k != key);
-        }
-        let entry = match self.ks_cache.get_mut(&key) {
-            Some(e) => e,
-            None => {
-                if self.ks_cache.len() >= self.ks_capacity {
-                    if let Some(oldest) = self.ks_order.pop_front() {
-                        self.ks_cache.remove(&oldest);
-                    }
-                }
-                self.ks_order.push_back(key);
-                self.ks_cache.entry(key).or_insert(KeystreamEntry {
-                    generation,
-                    keystream: Vec::new(),
-                })
-            }
-        };
-        if entry.keystream.len() < needed {
-            // Keystream is the encryption of zeros: extend the cached
-            // prefix by running the cipher from the first uncovered block.
-            let covered_blocks = (entry.keystream.len() / 16) as u64;
-            let mut suffix = vec![0u8; needed - entry.keystream.len()];
-            AesCtr::expand(self.size, raw_key, self.backend).apply_at(
-                iv,
-                covered_blocks,
-                &mut suffix,
-            );
-            entry.keystream.extend_from_slice(&suffix);
-        }
-        for (d, k) in data.iter_mut().zip(entry.keystream.iter()) {
-            *d ^= k;
-        }
-        Ok(true)
-    }
-
-    /// Drop every cached keystream segment for `unit` without touching
-    /// its key — the cache-invalidation half of
-    /// [`destroy_key`](KeyVault::destroy_key), exposed for purge paths
-    /// that scrub a unit's physical traces while the key stays live.
-    pub fn purge_unit(&mut self, unit: u64) {
-        self.ks_cache.retain(|(u, _), _| *u != unit);
-        self.ks_order.retain(|(u, _)| *u != unit);
-    }
-
-    /// Cached keystream segments currently held (tests and space
-    /// accounting).
-    pub fn cached_keystreams(&self) -> usize {
-        self.ks_cache.len()
+        Ok(false)
     }
 
     /// Destroy the key for `unit` — the crypto-erasure system-action.
@@ -277,26 +195,9 @@ impl KeyVault {
     /// Returns true if a live key existed. After this call, ciphertexts of
     /// the unit are permanently unreadable through the vault: the heap
     /// box that held the key is overwritten in place, then freed, and the
-    /// unit's generation moves on so `ensure_key` derives a different key
-    /// from here on.
+    /// unit is forgotten, so a later key for it is a fresh draw.
     pub fn destroy_key(&mut self, unit: u64) -> bool {
-        // Cached keystream goes with the key: XORing it with ciphertext
-        // would reveal plaintext, so erasure must not leave it behind.
-        self.purge_unit(unit);
-        let Some(slot) = self.units.get_mut(&unit) else {
-            return false;
-        };
-        let Some(mut key) = slot.live.take() else {
-            return false;
-        };
-        // Zero the one copy in place; [`std::hint::black_box`] keeps the
-        // stores from being elided when the box is freed right after.
-        key.fill(0);
-        std::hint::black_box(&key);
-        #[cfg(test)]
-        tests::freeing(&key);
-        slot.generation += 1;
-        true
+        self.units.remove(&unit).is_some()
     }
 }
 
@@ -306,6 +207,7 @@ mod tests {
     use crate::ctr::AesCtr;
     use datacase_sim::check::check;
     use std::cell::RefCell;
+    use std::collections::HashSet;
 
     /// The first 32 keystream bytes of `unit`'s live key under a fixed IV
     /// — a fingerprint of the key, now that the vault never hands the raw
@@ -359,13 +261,30 @@ mod tests {
     }
 
     #[test]
+    fn the_ratchet_matches_its_definition() {
+        // Draw n is SHA-256(s_n ‖ 1) cut to the key length, where s_0 is
+        // SHA-256(secret) and s_{n+1} = SHA-256(s_n ‖ 0).
+        for size in [KeySize::Aes128, KeySize::Aes192, KeySize::Aes256] {
+            let mut v = KeyVault::new(b"seed", size);
+            let mut state = Sha256::digest(b"seed");
+            for unit in 0..4 {
+                v.ensure_key(unit);
+                let hash = |branch: u8| Sha256::digest(&[&state[..], &[branch]].concat());
+                assert_eq!(v.key(unit).unwrap(), &hash(1)[..size.key_len()]);
+                state = hash(0);
+                assert_eq!(v.state, state, "{size:?}: the old state is overwritten");
+            }
+        }
+    }
+
+    #[test]
     fn the_raw_key_never_moves() {
         let mut v = KeyVault::new(b"master", KeySize::Aes256);
         v.ensure_key(3);
         let at = v.key(3).unwrap().as_ptr();
         // A second ensure is a no-op, and growing the map around it does
-        // not relocate the key: `destroy_key`'s in-place wipe reaches the
-        // only place the key has ever been.
+        // not relocate the key: the in-place wipe reaches the only place
+        // the key has ever been.
         for unit in 0..1000 {
             v.ensure_key(unit);
         }
@@ -379,14 +298,18 @@ mod tests {
     }
 
     thread_local! {
-        /// Address and bytes of every key box `destroy_key` frees on this
-        /// thread, read just before the free.
+        /// Address and bytes of every key box freed on this thread, read
+        /// just before the free.
         static FREED: RefCell<Vec<(*const u8, Vec<u8>)>> = const { RefCell::new(Vec::new()) };
     }
 
-    /// `destroy_key`'s last look at a key box before it is freed.
+    /// A key box's last look before it is freed.
     pub(super) fn freeing(key: &[u8]) {
         FREED.with(|f| f.borrow_mut().push((key.as_ptr(), key.to_vec())));
+    }
+
+    fn freed() -> Vec<(*const u8, Vec<u8>)> {
+        FREED.with(|f| f.take())
     }
 
     #[test]
@@ -396,22 +319,50 @@ mod tests {
             v.ensure_key(5);
             let at = v.key(5).unwrap().as_ptr();
             assert!(v.key(5).unwrap().iter().any(|&b| b != 0));
+            freed();
             // The box `destroy_key` frees is the very one the key lived
             // in, and it is all zeros by then.
             assert!(v.destroy_key(5));
-            let freed = FREED.with(|f| f.take());
-            assert_eq!(freed, vec![(at, vec![0u8; size.key_len()])], "{size:?}");
+            assert_eq!(freed(), vec![(at, vec![0u8; size.key_len()])], "{size:?}");
             assert!(!v.is_live(5));
             assert!(!v.destroy_key(5));
-            assert!(FREED.with(|f| f.borrow().is_empty()));
+            assert!(freed().is_empty());
         }
     }
 
     #[test]
-    fn a_unit_record_is_a_generation_and_a_pointer() {
-        // The generation and the key box's fat pointer; an inline
-        // schedule (~256 B) or a second box would not fit.
-        assert_eq!(std::mem::size_of::<UnitKey>(), 24);
+    fn destroyed_keys_stay_destroyed() {
+        // Whatever the vault retains after a destroy — the live boxes and
+        // the ratchet state — never gives a key of the unit back, the
+        // destroyed one or any it replaced: no live box equals one, and
+        // 10^4 draws from a copy of the state never yield one.
+        for size in [KeySize::Aes128, KeySize::Aes256] {
+            let mut v = KeyVault::new(b"engine-master-secret", size);
+            for unit in 0..8 {
+                v.ensure_key(unit);
+            }
+            let mut gone = HashSet::from([v.key(3).unwrap().to_vec()]);
+            for version in 0..4 {
+                v.rekey(3, |_| Ok::<(), ()>(())).unwrap();
+                assert_eq!(v.units.len(), 8, "version {version} replaced, not added");
+                gone.insert(v.key(3).unwrap().to_vec());
+            }
+            assert_eq!(gone.len(), 5);
+            assert!(v.destroy_key(3));
+            assert!(v.units.values().all(|key| !gone.contains(&*key.0)));
+            let mut copy = KeyVault::new(b"", size);
+            copy.state = v.state;
+            for _ in 0..10_000 {
+                assert!(!gone.contains(&*copy.draw().0), "{size:?}: re-derived");
+            }
+        }
+    }
+
+    #[test]
+    fn a_unit_record_is_one_pointer() {
+        // The key box's fat pointer and nothing beside it: an inline
+        // schedule (~256 B), a generation or a second box would not fit.
+        assert_eq!(std::mem::size_of::<KeyBox>(), 16);
     }
 
     #[test]
@@ -426,114 +377,21 @@ mod tests {
     }
 
     #[test]
-    fn keystream_cache_matches_direct_cipher_and_extends() {
+    fn the_keystream_bridge_serves_nothing() {
         let mut v = KeyVault::new(b"master", KeySize::Aes128).with_keystream_cache(8);
-        v.ensure_key(4);
-        let iv = AesCtr::iv_from_nonce(4);
-        let plain: Vec<u8> = (0..100).map(|i| i as u8).collect();
-        // Cold: generates + caches. Warm: served from cache. Longer than
-        // cached: extends the segment. All byte-identical to the cipher.
-        for len in [40usize, 40, 100, 7] {
-            let mut via_cache = plain[..len].to_vec();
-            assert_eq!(v.keystream_apply(4, iv, &mut via_cache), Ok(true));
-            let mut direct = plain[..len].to_vec();
-            v.cipher(4).unwrap().apply(iv, &mut direct);
-            assert_eq!(via_cache, direct, "len {len}");
-        }
-        assert_eq!(v.cached_keystreams(), 1, "one (unit, iv) segment");
-    }
-
-    #[test]
-    fn keystream_cache_disabled_returns_false() {
-        let mut v = KeyVault::new(b"master", KeySize::Aes128);
         v.ensure_key(1);
         let mut data = vec![0xAB; 32];
         assert_eq!(
             v.keystream_apply(1, AesCtr::iv_from_nonce(1), &mut data),
             Ok(false)
         );
-        assert_eq!(data, vec![0xAB; 32], "disabled cache must not touch data");
-    }
-
-    #[test]
-    fn destroy_key_purges_cached_keystream() {
-        let mut v = KeyVault::new(b"master", KeySize::Aes256).with_keystream_cache(8);
-        v.ensure_key(6);
-        let iv = AesCtr::iv_from_nonce(6);
-        let mut data = vec![0u8; 64];
-        v.keystream_apply(6, iv, &mut data).unwrap();
-        assert_eq!(v.cached_keystreams(), 1);
-        v.destroy_key(6);
-        assert_eq!(
-            v.cached_keystreams(),
-            0,
-            "keystream must not outlive the key"
-        );
-        let mut again = vec![0u8; 64];
-        assert_eq!(
-            v.keystream_apply(6, iv, &mut again),
-            Err(VaultError::KeyUnavailable(6)),
-            "no stale keystream after crypto-erasure"
-        );
-    }
-
-    #[test]
-    fn purge_unit_invalidates_cache_but_keeps_key() {
-        let mut v = KeyVault::new(b"master", KeySize::Aes128).with_keystream_cache(8);
-        v.ensure_key(2);
-        let iv = AesCtr::iv_from_nonce(2);
-        let mut data = vec![0u8; 32];
-        v.keystream_apply(2, iv, &mut data).unwrap();
-        v.purge_unit(2);
-        assert_eq!(v.cached_keystreams(), 0);
-        // Key still live: the next apply regenerates and still matches.
-        let mut a = b"regenerated-after-purge!".to_vec();
-        let mut b = a.clone();
-        assert_eq!(v.keystream_apply(2, iv, &mut a), Ok(true));
-        v.cipher(2).unwrap().apply(iv, &mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn recreated_key_never_sees_the_old_generations_stream() {
-        let mut v = KeyVault::new(b"master", KeySize::Aes128).with_keystream_cache(8);
-        v.ensure_key(9);
-        let iv = AesCtr::iv_from_nonce(9);
-        let mut old_stream = vec![0u8; 32];
-        v.keystream_apply(9, iv, &mut old_stream).unwrap();
-        v.destroy_key(9);
-        v.ensure_key(9);
-        let mut new_stream = vec![0u8; 32];
-        v.keystream_apply(9, iv, &mut new_stream).unwrap();
-        assert_ne!(old_stream, new_stream, "generations must not alias");
-        let mut direct = vec![0u8; 32];
-        v.cipher(9).unwrap().apply(iv, &mut direct);
-        assert_eq!(new_stream, direct);
-    }
-
-    #[test]
-    fn keystream_cache_capacity_is_bounded_fifo() {
-        let mut v = KeyVault::new(b"master", KeySize::Aes128).with_keystream_cache(2);
-        for unit in 1..=3u64 {
-            v.ensure_key(unit);
-            let mut data = vec![0u8; 16];
-            v.keystream_apply(unit, AesCtr::iv_from_nonce(unit), &mut data)
-                .unwrap();
-        }
-        assert_eq!(v.cached_keystreams(), 2, "oldest segment evicted");
-        // The evicted (oldest) entry regenerates correctly on re-probe.
-        let mut a = vec![0x11; 48];
-        let mut b = a.clone();
-        v.keystream_apply(1, AesCtr::iv_from_nonce(1), &mut a)
-            .unwrap();
-        v.cipher(1).unwrap().apply(AesCtr::iv_from_nonce(1), &mut b);
-        assert_eq!(a, b);
+        assert_eq!(data, vec![0xAB; 32], "the bridge must not touch data");
     }
 
     #[test]
     fn ciphers_run_on_the_backend_set_last() {
-        // No schedule is stored, so a key derived before the call is
-        // lent on the new lane, with the same stream.
+        // No schedule is stored, so a key drawn before the call is lent
+        // on the new lane, with the same stream.
         let mut v = KeyVault::new(b"m", KeySize::Aes128);
         v.ensure_key(1);
         let before = stream(&v, 1);
@@ -546,7 +404,7 @@ mod tests {
     }
 
     #[test]
-    fn all_backends_derive_identical_key_material() {
+    fn all_backends_draw_identical_key_material() {
         let mut auto = KeyVault::new(b"master", KeySize::Aes256);
         let mut forced =
             KeyVault::new(b"master", KeySize::Aes256).with_backend(CryptoBackend::Software);
@@ -555,103 +413,91 @@ mod tests {
         assert_eq!(stream(&auto, 3), stream(&forced, 3));
     }
 
-    /// What a caller does per tuple: the cache if it serves, the unit's
-    /// cipher otherwise.
-    fn apply(v: &mut KeyVault, unit: u64, data: &mut [u8]) -> Result<(), VaultError> {
-        let iv = AesCtr::iv_from_nonce(unit);
-        if !v.keystream_apply(unit, iv, data)? {
-            v.cipher(unit)?.apply(iv, data);
-        }
-        Ok(())
-    }
-
-    /// Random ensure / destroy / cipher / keystream_apply / purge_unit
-    /// sequences over 8 units, with the keystream cache off and at 4
-    /// entries, against a `unit -> (generation, live)` model plus the
-    /// cache's expected FIFO occupancy: the invariants one record per
-    /// unit now keeps by construction.
+    /// Random ensure / rekey (accepted or refused) / destroy / cipher
+    /// sequences over 8 units against a `unit -> live key` model: every
+    /// key the vault lends is distinct, a destroyed or never-drawn unit is
+    /// `KeyUnavailable`, and every key box that loses — replaced,
+    /// refused or destroyed — is zeroed before it is freed.
     #[test]
     fn vault_lifecycle_matches_a_model() {
         check("vault_lifecycle_matches_a_model", 64, |s| {
-            let ops = s.vec(1..80, |s| {
-                (s.range(0u8..5), s.range(0u64..8), s.range(0usize..70))
-            });
-            let mut plain = KeyVault::new(b"model", KeySize::Aes128);
-            let mut cached = KeyVault::new(b"model", KeySize::Aes128).with_keystream_cache(4);
-            let mut model: HashMap<u64, (u64, bool)> = HashMap::new();
-            // Per unit, the key fingerprint of every generation so far.
-            let mut seen: HashMap<u64, Vec<Vec<u8>>> = HashMap::new();
-            // Units with a cached segment, oldest first (one IV per unit).
-            let mut segments: VecDeque<u64> = VecDeque::new();
-            for (op, unit, len) in ops {
-                let (generation, live) = *model.get(&unit).unwrap_or(&(0, false));
+            let ops = s.vec(1..80, |s| (s.range(0u8..5), s.range(0u64..8)));
+            let mut v = KeyVault::new(b"model", KeySize::Aes128);
+            // The fingerprint of each unit's live key.
+            let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+            // Every key the vault ever lent, by fingerprint.
+            let mut lent: HashSet<Vec<u8>> = HashSet::new();
+            freed();
+            for (op, unit) in ops {
+                let box_at = v.key(unit).map(<[u8]>::as_ptr);
+                let live = model.contains_key(&unit);
+                let mut fresh = |cipher: &AesCtr| {
+                    let mut fingerprint = vec![0u8; 32];
+                    cipher.apply(AesCtr::iv_from_nonce(0), &mut fingerprint);
+                    assert!(lent.insert(fingerprint.clone()), "a key was lent twice");
+                    fingerprint
+                };
                 match op {
                     0 => {
-                        plain.ensure_key(unit);
-                        cached.ensure_key(unit);
-                        model.insert(unit, (generation, true));
-                        let fingerprint = stream(&plain, unit);
-                        assert_eq!(&fingerprint, &stream(&cached, unit));
-                        let earlier = seen.entry(unit).or_default();
-                        if live {
-                            assert_eq!(
-                                earlier.last(),
-                                Some(&fingerprint),
-                                "ensure re-keyed live unit {}",
-                                unit
-                            );
+                        v.ensure_key(unit);
+                        if !live {
+                            model.insert(unit, fresh(&v.cipher(unit).unwrap()));
+                        }
+                        assert!(freed().is_empty(), "ensure freed a key");
+                    }
+                    1 | 2 => {
+                        let accept = op == 1;
+                        let mut drawn = None;
+                        let r = v.rekey(unit, |cipher| {
+                            drawn = Some(fresh(cipher));
+                            if accept {
+                                Ok(())
+                            } else {
+                                Err("refused")
+                            }
+                        });
+                        assert_eq!(r.is_ok(), accept);
+                        let frees = freed();
+                        if accept {
+                            model.insert(unit, drawn.unwrap());
+                            // The replaced box, zeroed, and nothing else.
+                            let expect: Vec<_> =
+                                box_at.map(|at| (at, vec![0u8; 16])).into_iter().collect();
+                            assert_eq!(frees, expect, "replacing unit {unit}'s key");
                         } else {
-                            assert!(
-                                !earlier.contains(&fingerprint),
-                                "unit {} generation {} reuses a destroyed key",
-                                unit,
-                                generation
-                            );
-                            earlier.push(fingerprint);
+                            assert_eq!(frees.len(), 1, "the refused key is freed");
+                            assert_eq!(frees[0].1, vec![0u8; 16], "the refused key is zeroed");
+                            assert_eq!(v.key(unit).map(<[u8]>::as_ptr), box_at);
                         }
-                    }
-                    1 => {
-                        assert_eq!(plain.destroy_key(unit), live);
-                        assert_eq!(cached.destroy_key(unit), live);
-                        segments.retain(|u| *u != unit);
-                        if live {
-                            model.insert(unit, (generation + 1, false));
-                        }
-                    }
-                    2 => {
-                        assert_eq!(plain.cipher(unit).is_ok(), live);
-                        assert_eq!(cached.cipher(unit).is_ok(), live);
                     }
                     3 => {
-                        let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
-                        let (mut a, mut b) = (data.clone(), data);
-                        let expect = if live {
-                            Ok(())
-                        } else {
-                            Err(VaultError::KeyUnavailable(unit))
-                        };
-                        assert_eq!(&apply(&mut plain, unit, &mut a), &expect);
-                        assert_eq!(&apply(&mut cached, unit, &mut b), &expect);
-                        assert_eq!(a, b, "cache on and off diverged on unit {}", unit);
-                        if live && !segments.contains(&unit) {
-                            if segments.len() == 4 {
-                                segments.pop_front();
-                            }
-                            segments.push_back(unit);
+                        assert_eq!(v.destroy_key(unit), live);
+                        model.remove(&unit);
+                        let expect: Vec<_> =
+                            box_at.map(|at| (at, vec![0u8; 16])).into_iter().collect();
+                        assert_eq!(freed(), expect, "destroying unit {unit}'s key");
+                    }
+                    _ => {}
+                }
+                for unit in 0..8 {
+                    match model.get(&unit) {
+                        Some(fingerprint) => assert_eq!(&stream(&v, unit), fingerprint),
+                        None => {
+                            assert!(!v.is_live(unit));
+                            assert_eq!(
+                                v.cipher(unit).unwrap_err(),
+                                VaultError::KeyUnavailable(unit)
+                            );
                         }
                     }
-                    _ => {
-                        plain.purge_unit(unit);
-                        cached.purge_unit(unit);
-                        segments.retain(|u| *u != unit);
-                    }
                 }
-                assert_eq!(cached.cached_keystreams(), segments.len());
             }
-            for (unit, (_, live)) in model {
-                assert_eq!(plain.cipher(unit).is_ok(), live);
-                assert_eq!(cached.cipher(unit).is_ok(), live);
-            }
+            drop(v);
+            assert_eq!(
+                freed().len(),
+                model.len(),
+                "dropping the vault frees every key"
+            );
         });
     }
 }

@@ -263,7 +263,7 @@ pub struct ConcurrentEngine {
 
 impl ConcurrentEngine {
     /// Spin up `shards` (1 to 65,536) identical shards of `config`, each
-    /// on its own clock, meter, and tuple and audit keystreams.
+    /// on its own clock, meter, tuple key ratchet and audit keystream.
     pub fn new(config: EngineConfig, shards: usize) -> ConcurrentEngine {
         assert!(shards > 0, "engine needs at least one shard");
         assert!(shards <= 1 << 16, "a shard index must fit in two IV bytes");
@@ -511,9 +511,10 @@ mod tests {
     #[test]
     fn shards_encrypt_under_their_own_keystreams() {
         // Key 0 lands on shard 0 and key 1 on shard 1, and each becomes
-        // unit 0 there, under the same master secret. Were the tuple IVs
-        // the same, one tenant's ciphertext XOR the other's would equal
-        // the plaintexts' XOR, and either payload would give the other up.
+        // unit 0 there. Were the shards' key ratchets seeded alike, both
+        // would draw the same first key, one tenant's ciphertext XOR the
+        // other's would equal the plaintexts' XOR, and either payload
+        // would give the other up.
         let engine = ConcurrentEngine::new(EngineConfig::p_sys(), 2);
         let replies = engine.handle().call(&session(), &[create(0), create(1)]);
         assert!(replies.iter().all(|r| r.outcome == Ok(Reply::Done)));

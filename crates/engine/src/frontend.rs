@@ -330,18 +330,6 @@ impl Forensic<'_> {
         vault.is_some_and(|vault| vault.is_live(unit.0))
     }
 
-    /// How many keystream entries the tuple vault currently caches —
-    /// `0` when tuple encryption or the keystream cache is off. Lets the
-    /// erasure harnesses assert the cache actually warmed before an
-    /// erasure, and actually emptied after one.
-    pub fn cached_keystreams(&mut self) -> usize {
-        self.fe
-            .substrate
-            .vault
-            .as_ref()
-            .map_or(0, |vault| vault.cached_keystreams())
-    }
-
     /// Verify the audit log's tamper-evident chain.
     pub fn verify_chain(&self) -> bool {
         self.fe.model.audit.verify_chain()

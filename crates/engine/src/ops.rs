@@ -10,10 +10,11 @@ use datacase_core::ids::{EntityId, UnitId};
 use datacase_core::policy::Policy;
 use datacase_core::purpose::{well_known as wk, PurposeId};
 use datacase_core::tenant::KeyRange;
-use datacase_core::unit::Origin;
+use datacase_core::unit::{DataUnit, Origin};
 use datacase_core::value::Value;
 use datacase_sim::time::Ts;
 use datacase_sim::Meter;
+use datacase_storage::error::StorageError;
 use datacase_workloads::record::GdprMetadata;
 use datacase_workloads::{MetaField, MetaSelector};
 
@@ -108,14 +109,29 @@ impl Frontend {
             });
         }
         let now = self.clock.now();
+        // Physical insert (encrypted per profile) first: a refused insert
+        // leaves the model, the enforcer and the vault as they were.
+        let unit = self.model.state.allocate_unit_id();
+        self.substrate
+            .store_payload(
+                unit,
+                payload,
+                &self.clock,
+                &self.meter,
+                |backend, stored| backend.insert(key, unit.0, stored),
+            )
+            .map_err(|e| EngineError::Backend {
+                detail: e.to_string(),
+            })?;
         let subject_e = self.actor_entity(Actor::Subject, metadata.subject);
         let (controller, processor) = (self.model.controller, self.model.processor);
-        let unit = self.model.state.collect(
+        self.model.state.insert(DataUnit::base(
+            unit,
             subject_e,
             Origin::Device(format!("dev-{}", metadata.origin_device)),
             Value::Stored { len: payload.len() },
             now,
-        );
+        ));
         // Base policy set (also the model's ground truth for G6/G17).
         let ttl = metadata.ttl;
         let base_policies = vec![
@@ -149,15 +165,6 @@ impl Frontend {
         self.substrate
             .enforcer
             .register_unit(unit, &enforcer_policies);
-        // Physical insert (encrypted per profile).
-        let stored = self
-            .substrate
-            .encrypt_payload(unit, payload, &self.clock, &self.meter);
-        if let Err(e) = self.substrate.backend.insert(key, unit.0, &stored) {
-            return Err(EngineError::Backend {
-                detail: e.to_string(),
-            });
-        }
         self.keys.insert(
             key,
             KeyMeta {
@@ -220,12 +227,20 @@ impl Frontend {
         });
         let entity = self.actor_entity(actor, meta.subject);
         self.check(meta.unit, entity, purpose, ActionKind::UpdateValue)?;
-        let stored = self
-            .substrate
-            .encrypt_payload(meta.unit, payload, &self.clock, &self.meter);
-        if self.substrate.backend.update(key, &stored).is_err() {
-            return Err(self.gone(key, meta.unit));
-        }
+        self.substrate
+            .store_payload(
+                meta.unit,
+                payload,
+                &self.clock,
+                &self.meter,
+                |backend, stored| backend.update(key, stored),
+            )
+            .map_err(|e| match e {
+                StorageError::KeyNotFound(_) => self.gone(key, meta.unit),
+                e => EngineError::Backend {
+                    detail: e.to_string(),
+                },
+            })?;
         let now = self.clock.now();
         if let Some(u) = self.model.state.unit_mut(meta.unit) {
             u.value.write(now, Value::Stored { len: payload.len() });

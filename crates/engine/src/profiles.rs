@@ -132,18 +132,9 @@ pub struct EngineConfig {
     /// shards) in the same process. Ciphertext is byte-identical across
     /// backends; only wall-clock changes.
     pub crypto_backend: CryptoBackend,
-    /// Capacity (entries) of the [`KeyVault`] keystream cache; `0`
-    /// disables it. A hit serves a hot tuple's CTR keystream from memory
-    /// and collapses the host-side decrypt to a XOR — simulated AES cost
-    /// and meter bytes are charged identically either way, so every
-    /// reported figure is bit-identical with the cache on or off. The
-    /// cache holds keystream, never plaintext, and entries are stamped
-    /// with the key generation: [`KeyVault::destroy_key`] (crypto-erasure)
-    /// drops them with the key. Off by default on every paper profile;
-    /// opt in with [`EngineConfig::with_keystream_cache`].
-    ///
-    /// [`KeyVault`]: datacase_crypto::vault::KeyVault
-    /// [`KeyVault::destroy_key`]: datacase_crypto::vault::KeyVault::destroy_key
+    /// Read by nothing: the tuple vault keeps no keystream cache, so the
+    /// value changes no output byte and no simulated nanosecond. A bridge
+    /// for the benchmark's frozen field list; ROADMAP item 25 deletes it.
     pub keystream_cache: usize,
     /// Deterministic crash-injection plane (chaos harness). Disabled by
     /// default — every tap is a no-op branch on a `None`. When armed via
@@ -222,14 +213,6 @@ impl EngineConfig {
     /// The same configuration over a different storage substrate.
     pub fn with_backend(mut self, backend: BackendKind) -> EngineConfig {
         self.backend = backend;
-        self
-    }
-
-    /// The same configuration with a generation-stamped keystream cache
-    /// of `capacity` entries (`0` disables caching). See
-    /// [`EngineConfig::keystream_cache`] for the invariants.
-    pub fn with_keystream_cache(mut self, capacity: usize) -> EngineConfig {
-        self.keystream_cache = capacity;
         self
     }
 

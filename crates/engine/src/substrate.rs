@@ -12,7 +12,6 @@ use datacase_audit::loggers::{AuditLog, LogFormat};
 use datacase_core::action::ActionKind;
 use datacase_core::ids::{EntityId, UnitId};
 use datacase_core::purpose::{well_known as wk, PurposeId};
-use datacase_crypto::ctr::AesCtr;
 use datacase_crypto::vault::KeyVault;
 use datacase_policy::enforcer::PolicyEnforcer;
 use datacase_policy::fgac::{FgacConfig, FgacEnforcer};
@@ -20,6 +19,7 @@ use datacase_policy::metatable::MetaTableEnforcer;
 use datacase_policy::rbac::{RbacEnforcer, Role};
 use datacase_sim::{Meter, SimClock};
 use datacase_storage::backend::{BackendKind, LsmBackend, StorageBackend};
+use datacase_storage::error::StorageError;
 use datacase_storage::heap::HeapDb;
 
 use crate::model::Model;
@@ -31,9 +31,12 @@ pub(crate) struct Substrate {
     /// Present when tuple encryption is on.
     pub(crate) vault: Option<KeyVault>,
     pub(crate) enforcer: Box<dyn PolicyEnforcer>,
-    /// The engine shard this substrate serves, carried in every tuple IV.
-    shard: u16,
 }
+
+/// The CTR IV of every stored tuple version. Each version is encrypted
+/// under a key of its own, so each key encrypts one plaintext and no IV
+/// needs to vary.
+const TUPLE_IV: [u8; 16] = [0; 16];
 
 impl Substrate {
     /// Wire the substrate `config` asks for on engine shard `shard`;
@@ -63,10 +66,11 @@ impl Substrate {
             )),
         };
 
+        // Every shard numbers its units from 0, so each seeds its own
+        // ratchet: shards never draw the same key.
         let vault = config.tuple_encryption.map(|size| {
-            KeyVault::new(b"engine-master-secret", size)
-                .with_backend(config.crypto_backend)
-                .with_keystream_cache(config.keystream_cache)
+            let seed = [&b"engine-master-secret"[..], &shard.to_be_bytes()].concat();
+            KeyVault::new(&seed, size).with_backend(config.crypto_backend)
         });
 
         let backend: Box<dyn StorageBackend> = match config.backend {
@@ -87,40 +91,48 @@ impl Substrate {
             backend,
             vault,
             enforcer,
-            shard,
         }
     }
 
-    /// Encrypt a unit's payload for the backend, when tuple encryption is
-    /// on.
-    pub(crate) fn encrypt_payload(
+    /// Store a new version of `unit`'s payload through `write` (the
+    /// backend's insert or update), encrypted under a fresh key of its own
+    /// when tuple encryption is on. The key replaces the unit's previous
+    /// one only once the backend accepts the write, so a refused write
+    /// leaves the stored version readable.
+    pub(crate) fn store_payload(
         &mut self,
         unit: UnitId,
         payload: &[u8],
         clock: &SimClock,
         meter: &Meter,
-    ) -> Vec<u8> {
-        let mut buf = payload.to_vec();
-        if let Some(vault) = &mut self.vault {
-            vault.ensure_key(unit.0);
-            apply_keystream(vault, unit, self.shard, &mut buf, clock, meter);
-        }
-        buf
+        write: impl FnOnce(&mut dyn StorageBackend, &[u8]) -> Result<(), StorageError>,
+    ) -> Result<(), StorageError> {
+        let backend = self.backend.as_mut();
+        let Some(vault) = &mut self.vault else {
+            return write(backend, payload);
+        };
+        charge_aes(vault, payload.len(), clock, meter);
+        vault.rekey(unit.0, |cipher| {
+            let mut buf = payload.to_vec();
+            cipher.apply(TUPLE_IV, &mut buf);
+            write(backend, &buf)
+        })
     }
 
     /// Decrypt a stored payload. A crypto-erased unit reads back empty.
     pub(crate) fn decrypt_payload(
-        &mut self,
+        &self,
         unit: UnitId,
         mut stored: Vec<u8>,
         clock: &SimClock,
         meter: &Meter,
     ) -> Vec<u8> {
-        if let Some(vault) = &mut self.vault {
-            if !vault.is_live(unit.0) {
+        if let Some(vault) = &self.vault {
+            let Ok(cipher) = vault.cipher(unit.0) else {
                 return Vec::new();
-            }
-            apply_keystream(vault, unit, self.shard, &mut stored, clock, meter);
+            };
+            charge_aes(vault, stored.len(), clock, meter);
+            cipher.apply(TUPLE_IV, &mut stored);
         }
         stored
     }
@@ -145,27 +157,11 @@ pub(crate) fn audit_log(
         .with_crypto_backend(config.crypto_backend)
 }
 
-/// One CTR pass over `buf` under `unit`'s live key. Charged as a full
-/// AES pass regardless of how the keystream is produced: the cache
-/// changes host work, never the simulated cost.
-/// The IV carries the shard in bytes 8–9, the top of the counter half,
-/// as every shard numbers its units from 0: shards never share a
-/// keystream while a payload stays under 2^48 blocks (4 PiB).
-fn apply_keystream(
-    vault: &mut KeyVault,
-    unit: UnitId,
-    shard: u16,
-    buf: &mut [u8],
-    clock: &SimClock,
-    meter: &Meter,
-) {
-    clock.charge(clock.model().aes_cost(vault.key_size().bits(), buf.len()));
-    Meter::bump(&meter.crypto_bytes, buf.len() as u64);
-    let mut iv = AesCtr::iv_from_nonce(unit.0);
-    iv[8..10].copy_from_slice(&shard.to_be_bytes());
-    if !matches!(vault.keystream_apply(unit.0, iv, buf), Ok(true)) {
-        vault.cipher(unit.0).expect("live key").apply(iv, buf);
-    }
+/// Charge one AES pass over `len` bytes of tuple payload under `vault`'s
+/// key size.
+fn charge_aes(vault: &KeyVault, len: usize, clock: &SimClock, meter: &Meter) {
+    clock.charge(clock.model().aes_cost(vault.key_size().bits(), len));
+    Meter::bump(&meter.crypto_bytes, len as u64);
 }
 
 fn install_roles(

@@ -320,7 +320,9 @@ fn requests_have_one_vocabulary_and_one_door() {
 /// survive only as bridges in their defining files. A caller naming one
 /// elsewhere (or boxing the log as `dyn AuditLogger` again), or the
 /// shared core the three logger types once forwarded to, would bring a
-/// layer back.
+/// layer back. The same holds for the tuple vault's keystream-cache
+/// bridges: the vault keeps no cache, and a caller of either would
+/// be calling a no-op.
 #[test]
 fn the_log_and_the_enforcer_have_no_forwarding_layers() {
     const BRIDGES: &[(&str, &str)] = &[
@@ -329,6 +331,8 @@ fn the_log_and_the_enforcer_have_no_forwarding_layers() {
         ("FullQueryLogger", "crates/audit/src/loggers.rs"),
         ("EncryptedLogger", "crates/audit/src/loggers.rs"),
         ("VersionedEnforcer", "crates/policy/src/enforcer.rs"),
+        ("keystream_apply", "crates/crypto/src/vault.rs"),
+        ("with_keystream_cache", "crates/crypto/src/vault.rs"),
     ];
     let root = repo_root();
     let this = root.join("tests/build_surface.rs");

@@ -13,7 +13,7 @@
 //!
 //! The `backend_`-named properties run the **selector cross-product**:
 //! block/CTR/sector × 128/192/256-bit keys × unaligned lengths × nonzero
-//! offsets, plus the keystream-cache × backend interaction. The forced
+//! offsets, entered through the IV's counter half. The forced
 //! `Software` run is what covers the fallback lane on hosts with AES-NI.
 
 use data_case::sim::check::check;
@@ -21,7 +21,6 @@ use data_case::sim::check::check;
 use data_case::crypto::aes::{Aes, KeySize};
 use data_case::crypto::ctr::AesCtr;
 use data_case::crypto::sector::SectorCipher;
-use data_case::crypto::vault::KeyVault;
 use data_case::crypto::{aesni, kdf, reference, ActiveBackend, CryptoBackend};
 
 const ALL_SIZES: [KeySize; 3] = [KeySize::Aes128, KeySize::Aes192, KeySize::Aes256];
@@ -93,25 +92,44 @@ fn apply_blocks_agrees_with_apply() {
     });
 }
 
-/// Offset entry: the keystream reached through `apply_at` must agree,
-/// at every key size, with the reference path applied over a longer
-/// buffer that *contains* the offset region — i.e. starting
-/// `start_block` blocks into the stream is the same as skipping that
-/// prefix. Lengths are ragged so the bulk loop and the partial tail
-/// are both crossed with nonzero block offsets.
+/// The counter block `blocks` steps past `iv` (the counter half is the
+/// IV's last 8 bytes, big-endian, wrapping).
+fn advance(iv: [u8; 16], blocks: u64) -> [u8; 16] {
+    let mut out = iv;
+    let counter = u64::from_be_bytes(iv[8..].try_into().unwrap()).wrapping_add(blocks);
+    out[8..].copy_from_slice(&counter.to_be_bytes());
+    out
+}
+
+/// A random IV whose counter half sits within 40 blocks of 2^64 in half
+/// the cases, so streams started there cross the counter's wrap.
+fn offset_iv(s: &mut data_case::sim::check::Source) -> [u8; 16] {
+    let mut iv: [u8; 16] = s.vec(16..=16, |s| s.range(0u8..=255)).try_into().unwrap();
+    if s.bool() {
+        iv[8..].copy_from_slice(&(u64::MAX - s.range(0u64..40)).to_be_bytes());
+    }
+    iv
+}
+
+/// Offset entry: the keystream from an IV advanced `start_block` counter
+/// steps must agree, at every key size, with the reference path applied
+/// over a longer buffer that *contains* the offset region — i.e.
+/// starting `start_block` blocks into the stream is the same as skipping
+/// that prefix, across the counter's wrap too. Lengths are ragged so the
+/// bulk loop and the partial tail are both crossed with nonzero block
+/// offsets.
 #[test]
 fn batched_offset_keystream_agrees_with_reference() {
     check("batched_offset_keystream_agrees_with_reference", 64, |s| {
         let key = s.vec(32..=32, |s| s.range(0u8..=255));
-        let iv = s.vec(16..=16, |s| s.range(0u8..=255));
+        let iv = offset_iv(s);
         let start_block = s.range(0u64..40);
         let data = s.vec(0..300, |s| s.range(0u8..=255));
-        let iv: [u8; 16] = iv.try_into().unwrap();
         for size in ALL_SIZES {
             let key = &key[..size.key_len()];
             let ctr = AesCtr::from_key(size, key);
             let mut fast = data.clone();
-            ctr.apply_at(iv, start_block, &mut fast);
+            ctr.apply(advance(iv, start_block), &mut fast);
             // Oracle: reference-encrypt a zero prefix plus the data and
             // keep the tail past the prefix.
             let prefix = start_block as usize * 16;
@@ -125,7 +143,7 @@ fn batched_offset_keystream_agrees_with_reference() {
                 size
             );
             // Involution through the offset entry alone.
-            ctr.apply_at(iv, start_block, &mut fast);
+            ctr.apply(advance(iv, start_block), &mut fast);
             assert_eq!(&fast, &data, "{:?} offset involution broken", size);
         }
     });
@@ -206,18 +224,17 @@ fn backend_ctr_cross_product_agrees() {
     });
 }
 
-/// Offset entry across backends: nonzero `apply_at` block offsets —
-/// crossing the hardware 8-wide loop, its scalar remainder, and the
-/// partial tail — must equal skipping the same prefix of a reference
-/// stream, for every backend and key size.
+/// Offset entry across backends: IVs advanced by nonzero block offsets —
+/// crossing the hardware 8-wide loop, its scalar remainder, the partial
+/// tail and the counter's wrap — must equal skipping the same prefix of
+/// a reference stream, for every backend and key size.
 #[test]
 fn backend_offset_keystream_cross_product() {
     check("backend_offset_keystream_cross_product", 64, |s| {
         let key = s.vec(32..=32, |s| s.range(0u8..=255));
-        let iv = s.vec(16..=16, |s| s.range(0u8..=255));
+        let iv = offset_iv(s);
         let start_block = s.range(1u64..40);
         let data = s.vec(0..300, |s| s.range(0u8..=255));
-        let iv: [u8; 16] = iv.try_into().unwrap();
         for size in ALL_SIZES {
             let key = &key[..size.key_len()];
             let prefix = start_block as usize * 16;
@@ -227,7 +244,7 @@ fn backend_offset_keystream_cross_product() {
             for backend in ALL_BACKENDS {
                 let ctr = AesCtr::from_key(size, key).with_backend(backend);
                 let mut got = data.clone();
-                ctr.apply_at(iv, start_block, &mut got);
+                ctr.apply(advance(iv, start_block), &mut got);
                 assert_eq!(
                     &got,
                     &whole[prefix..],
@@ -235,7 +252,7 @@ fn backend_offset_keystream_cross_product() {
                     size,
                     backend
                 );
-                ctr.apply_at(iv, start_block, &mut got);
+                ctr.apply(advance(iv, start_block), &mut got);
                 assert_eq!(
                     &got, &data,
                     "{:?} {} offset involution broken",
@@ -294,48 +311,5 @@ fn backend_dispatch_resolves_and_reports_consistently() {
         };
         assert_eq!(ctr.active_backend(), expect, "{backend} misreported");
         assert_eq!(backend.resolve(), expect, "{backend} resolved elsewhere");
-    }
-}
-
-/// Keystream-cache × hardware-backend interaction: a vault's cached
-/// stream must be byte-identical no matter which backend generated it,
-/// a warm hit must serve the same bytes as a cold generate, and
-/// `destroy_key` must purge the cache under every backend (crypto-erasure
-/// is backend-independent).
-#[test]
-fn backend_keystream_cache_interaction() {
-    let unit = 7u64;
-    let iv = AesCtr::iv_from_nonce(unit);
-    let plain: Vec<u8> = (0..100u32).map(|i| i as u8).collect();
-    let mut streams: Vec<Vec<u8>> = Vec::new();
-    for backend in ALL_BACKENDS {
-        let mut vault = KeyVault::new(b"gate-master", KeySize::Aes256)
-            .with_backend(backend)
-            .with_keystream_cache(8);
-        vault.ensure_key(unit);
-        // Cold: generates through `backend` and caches.
-        let mut cold = plain.clone();
-        assert_eq!(vault.keystream_apply(unit, iv, &mut cold), Ok(true));
-        assert_eq!(vault.cached_keystreams(), 1);
-        // Warm: served from cache, byte-identical to the cold pass.
-        let mut warm = plain.clone();
-        assert_eq!(vault.keystream_apply(unit, iv, &mut warm), Ok(true));
-        assert_eq!(warm, cold, "{backend} warm hit diverged from generate");
-        streams.push(cold);
-        // Crypto-erasure purges the cached stream regardless of backend.
-        assert!(vault.destroy_key(unit));
-        assert_eq!(
-            vault.cached_keystreams(),
-            0,
-            "{backend} left keystream behind after destroy_key"
-        );
-        let mut after = plain.clone();
-        assert!(
-            vault.keystream_apply(unit, iv, &mut after).is_err(),
-            "{backend} served a stream for a destroyed key"
-        );
-    }
-    for pair in streams.windows(2) {
-        assert_eq!(pair[0], pair[1], "cached streams differ across backends");
     }
 }
