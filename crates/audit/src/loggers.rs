@@ -6,12 +6,19 @@
 //! ([`HmacChain`]) that redaction never touches. The format decides only
 //! that encoding. `bytes()` is computed from what is stored, so what
 //! Table 2 accounts is what the process holds.
+//!
+//! The records sit in fixed-capacity segments of 4,096 records
+//! (about 288 KiB each) that are allocated once and never grow, so a
+//! record never moves once written and a growing log never copies
+//! itself into an array twice the size, which would leave the old one
+//! behind as a resident hole in the allocator. The per-unit index is a
+//! [`UnitMap`] of global record positions, a slot per dense unit id.
 
-use std::collections::HashMap;
+use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 use datacase_core::history::{History, HistoryTuple};
-use datacase_core::ids::UnitId;
+use datacase_core::ids::{UnitId, UnitMap};
 use datacase_crypto::aes::KeySize;
 use datacase_crypto::ctr::AesCtr;
 use datacase_crypto::CryptoBackend;
@@ -21,6 +28,62 @@ use crate::record::{HmacChain, LogRecord, Stored};
 
 /// Row cap for [`LogFormat::CsvRow`]: the payload bytes it keeps.
 const CSV_ROW_CAP: usize = 48;
+
+/// Records per segment of the store: 4,096 × 72 B = 288 KiB.
+const SEGMENT: usize = 4096;
+
+/// The stored records, in append order, in segments of [`SEGMENT`]
+/// records: every segment but the last is full, and none reallocates.
+/// A record is addressed by its global position, as in one array.
+#[derive(Default)]
+struct Records {
+    segments: Vec<Vec<Stored>>,
+}
+
+impl Records {
+    /// Append `rec`, opening a new segment when the last one is full.
+    fn push(&mut self, rec: Stored) {
+        match self.segments.last_mut() {
+            Some(segment) if segment.len() < SEGMENT => segment.push(rec),
+            _ => {
+                let mut segment = Vec::with_capacity(SEGMENT);
+                segment.push(rec);
+                self.segments.push(segment);
+            }
+        }
+    }
+
+    /// Number of records.
+    fn len(&self) -> usize {
+        self.segments
+            .last()
+            .map_or(0, |last| (self.segments.len() - 1) * SEGMENT + last.len())
+    }
+
+    /// The last record appended.
+    fn last(&self) -> Option<&Stored> {
+        self.segments.last()?.last()
+    }
+
+    /// The records in append order.
+    fn iter(&self) -> impl Iterator<Item = &Stored> {
+        self.segments.iter().flatten()
+    }
+}
+
+impl Index<usize> for Records {
+    type Output = Stored;
+
+    fn index(&self, i: usize) -> &Stored {
+        &self.segments[i / SEGMENT][i % SEGMENT]
+    }
+}
+
+impl IndexMut<usize> for Records {
+    fn index_mut(&mut self, i: usize) -> &mut Stored {
+        &mut self.segments[i / SEGMENT][i % SEGMENT]
+    }
+}
 
 /// What a record's payload becomes before it is stored.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,8 +112,9 @@ pub struct AuditLog {
     format: LogFormat,
     /// The payload cipher, present iff `format` is encrypted.
     cipher: Option<AesCtr>,
-    records: Vec<Stored>,
-    by_unit: HashMap<UnitId, Vec<u32>>,
+    records: Records,
+    /// unit → the positions of its records, a slot per dense unit id.
+    by_unit: UnitMap<Vec<u32>>,
     bytes: u64,
     chain: HmacChain,
     clock: SimClock,
@@ -69,8 +133,8 @@ impl AuditLog {
         AuditLog {
             format,
             cipher,
-            records: Vec::new(),
-            by_unit: HashMap::new(),
+            records: Records::default(),
+            by_unit: UnitMap::new(),
             bytes: 0,
             chain: HmacChain::new(key),
             clock,
@@ -140,8 +204,7 @@ impl AuditLog {
         self.chain.extend(&rec);
         if let Some(unit) = unit {
             self.by_unit
-                .entry(unit)
-                .or_default()
+                .get_or_insert_default(unit)
                 .push(self.records.len() as u32);
         }
         self.records.push(rec);
@@ -167,7 +230,7 @@ impl AuditLog {
     /// 32-byte commitment, and the chain is left as it is. Returns how
     /// many records were redacted.
     pub fn redact_unit(&mut self, unit: UnitId) -> usize {
-        let Some(positions) = self.by_unit.get(&unit) else {
+        let Some(positions) = self.by_unit.get(unit) else {
             return 0;
         };
         let mut n = 0;
@@ -226,7 +289,7 @@ impl History for AuditLog {
     }
 
     fn of_unit(&self, unit: UnitId) -> Vec<HistoryTuple> {
-        let positions = self.by_unit.get(&unit).map_or(&[][..], Vec::as_slice);
+        let positions = self.by_unit.get(unit).map_or(&[][..], Vec::as_slice);
         positions
             .iter()
             .filter_map(|&i| self.records[i as usize].tuple())
@@ -431,7 +494,7 @@ mod tests {
             b.redact_unit(UnitId(7));
             b.redact_unit(UnitId(8));
             let mut chain = HmacChain::new(b"k");
-            for rec in &b.records[..3] {
+            for rec in b.records.iter().take(3) {
                 chain.extend(rec);
             }
             assert_eq!(chain.head(), head, "{name}");
@@ -597,6 +660,70 @@ mod tests {
                 "{name}"
             );
             assert!(history.of_unit(UnitId(9)).is_empty());
+        }
+    }
+
+    #[test]
+    fn a_stored_record_never_moves() {
+        // A `Vec` of records would have reallocated a dozen times over
+        // these appends, leaving each old array behind as a hole.
+        let mut b = csv();
+        b.log(rec(0, 0, b"first"));
+        let first: *const Stored = &b.records[0];
+        for seq in 1..=10_000 {
+            b.log(rec(seq, seq % 97, b"payload"));
+        }
+        assert_eq!(b.records(), 10_001);
+        assert!(std::ptr::eq(first, &b.records[0]), "record 0 moved");
+        assert_eq!(b.records.segments.len(), 10_001usize.div_ceil(SEGMENT));
+        assert!(b.records.segments.iter().all(|s| s.capacity() == SEGMENT));
+    }
+
+    #[test]
+    fn a_unit_straddling_two_segments_redacts_projects_and_verifies() {
+        // Unit 7's records sit at positions 4,095 and 4,096: the last slot
+        // of the first segment and the first slot of the second.
+        assert_eq!(SEGMENT, 4096);
+        for (name, mut b) in logs() {
+            for seq in 0..4095 {
+                b.log(rec(seq, 1 + seq % 5, b"filler"));
+            }
+            let select = |seq, payload: &[u8]| LogRecord {
+                op: "SELECT",
+                ..rec(seq, 7, payload)
+            };
+            b.log(select(4095, b"unit7-before"));
+            b.log(select(4096, b"unit7-after"));
+            b.log(rec(4097, 8, b"unit8-data"));
+            assert_eq!(b.records(), 4098, "{name}");
+            assert!(std::ptr::eq(b.records.last().unwrap(), &b.records[4097]));
+            let of_seven: Vec<Ts> = b
+                .history()
+                .of_unit(UnitId(7))
+                .iter()
+                .map(|t| t.at)
+                .collect();
+            assert_eq!(of_seven, [4095, 4096].map(Ts::from_secs), "{name}");
+            let before = b.chain_head();
+            assert_eq!(b.redact_unit(UnitId(7)), 2, "{name}");
+            assert_eq!(b.scan(b"unit7"), 0, "{name}");
+            assert!(
+                b.records[4095].redacted && b.records[4096].redacted,
+                "{name}"
+            );
+            assert!(
+                !b.records[4094].redacted && !b.records[4097].redacted,
+                "{name}"
+            );
+            assert_eq!(
+                b.history().of_unit(UnitId(7)).len(),
+                2,
+                "{name}: facts kept"
+            );
+            assert_eq!(b.chain_head(), before, "{name}");
+            assert!(b.verify_chain(), "{name}");
+            b.records[4096].payload[0] ^= 1;
+            assert!(!b.verify_chain(), "{name}: tampering past the seam");
         }
     }
 

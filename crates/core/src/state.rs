@@ -1,11 +1,15 @@
 //! The abstract database state: "the collection of the states of all data
 //! units in the database" (paper §2.1).
-
-use std::collections::HashMap;
+//!
+//! Unit ids are dense indices: the state allocates them from 0 up, one
+//! at a time, and keeps its units in a [`UnitMap`] slot per id, so a
+//! unit costs its `DataUnit` and no hash-table entry. An engine shard
+//! owns one state, and every other per-unit table of the shard (policy
+//! rows, audit positions, key bindings) is a `UnitMap` over the same ids.
 
 use datacase_sim::time::Ts;
 
-use crate::ids::{EntityId, UnitId};
+use crate::ids::{EntityId, UnitId, UnitMap};
 use crate::policy::PolicySet;
 use crate::provenance::{Derivation, ProvenanceGraph};
 use crate::unit::{DataUnit, ErasureStatus, Origin};
@@ -24,7 +28,7 @@ use crate::value::Value;
 /// examples demonstrate the framework without a storage engine.
 #[derive(Clone, Debug, Default)]
 pub struct DatabaseState {
-    units: HashMap<UnitId, DataUnit>,
+    units: UnitMap<DataUnit>,
     provenance: ProvenanceGraph,
     next_unit: u64,
 }
@@ -35,7 +39,8 @@ impl DatabaseState {
         DatabaseState::default()
     }
 
-    /// Allocate the next unit id.
+    /// Allocate the next unit id: one past the highest id allocated or
+    /// inserted so far. An id allocated and never inserted stays a hole.
     pub fn allocate_unit_id(&mut self) -> UnitId {
         let id = UnitId(self.next_unit);
         self.next_unit += 1;
@@ -56,7 +61,7 @@ impl DatabaseState {
     /// Panics if the id is already present.
     pub fn insert(&mut self, unit: DataUnit) {
         assert!(
-            !self.units.contains_key(&unit.id),
+            self.units.get(unit.id).is_none(),
             "unit {} already present",
             unit.id
         );
@@ -81,14 +86,18 @@ impl DatabaseState {
         assert!(!inputs.is_empty(), "derivation needs at least one input");
         let mut subjects: Vec<EntityId> = Vec::new();
         for &i in inputs {
-            let u = self.units.get(&i).expect("derivation input must exist");
+            let u = self.units.get(i).expect("derivation input must exist");
             for &s in &u.subjects {
                 if identifying && !subjects.contains(&s) {
                     subjects.push(s);
                 }
             }
         }
-        let parent_sets: Vec<&PolicySet> = inputs.iter().map(|i| &self.units[i].policies).collect();
+        let parent_sets: Vec<&PolicySet> = inputs
+            .iter()
+            .filter_map(|&i| self.units.get(i))
+            .map(|u| &u.policies)
+            .collect();
         let policies = PolicySet::restrict_for_derivation(&parent_sets, now);
         let id = self.allocate_unit_id();
         self.units.insert(
@@ -108,12 +117,12 @@ impl DatabaseState {
 
     /// Look up a unit.
     pub fn unit(&self, id: UnitId) -> Option<&DataUnit> {
-        self.units.get(&id)
+        self.units.get(id)
     }
 
     /// Mutable lookup.
     pub fn unit_mut(&mut self, id: UnitId) -> Option<&mut DataUnit> {
-        self.units.get_mut(&id)
+        self.units.get_mut(id)
     }
 
     /// The provenance graph.
@@ -121,16 +130,15 @@ impl DatabaseState {
         &self.provenance
     }
 
-    /// Iterate over all units (arbitrary order).
+    /// Iterate over all units, in ascending id.
     pub fn units(&self) -> impl Iterator<Item = &DataUnit> {
         self.units.values()
     }
 
-    /// Iterate over unit ids in ascending order (deterministic reports).
+    /// The unit ids in ascending order (deterministic reports): the
+    /// table's own order, so nothing is sorted.
     pub fn unit_ids_sorted(&self) -> Vec<UnitId> {
-        let mut ids: Vec<UnitId> = self.units.keys().copied().collect();
-        ids.sort();
-        ids
+        self.units.values().map(|u| u.id).collect()
     }
 
     /// Number of units (including erased ones — the model never forgets
@@ -148,7 +156,7 @@ impl DatabaseState {
     /// beyond reversible inaccessibility)?
     pub fn content_alive(&self, id: UnitId) -> bool {
         self.units
-            .get(&id)
+            .get(id)
             .map(|u| {
                 u.erasure.rank() <= 1 && !u.value.current().map(Value::is_erased).unwrap_or(true)
             })
@@ -158,7 +166,7 @@ impl DatabaseState {
     /// Mark a unit erased at the model level and blank its value.
     /// Delegates the regression check to [`DataUnit::escalate_erasure`].
     pub fn mark_erased(&mut self, id: UnitId, status: ErasureStatus, now: Ts) {
-        let u = self.units.get_mut(&id).expect("unit must exist to erase");
+        let u = self.units.get_mut(id).expect("unit must exist to erase");
         u.escalate_erasure(status);
         if status.rank() >= 2 {
             u.blank_value(now);
@@ -196,6 +204,20 @@ mod tests {
         assert_eq!(b, UnitId(1));
         assert_eq!(s.len(), 2);
         assert!(s.content_alive(a));
+    }
+
+    #[test]
+    fn a_burned_id_stays_a_hole_and_units_iterate_in_id_order() {
+        let mut s = DatabaseState::new();
+        let a = s.collect(EntityId(1), Origin::Subject(EntityId(1)), "a".into(), t(0));
+        let burned = s.allocate_unit_id(); // a create the backend refused
+        let b = s.collect(EntityId(2), Origin::Subject(EntityId(2)), "b".into(), t(1));
+        assert_eq!((a, burned, b), (UnitId(0), UnitId(1), UnitId(2)));
+        assert_eq!(s.len(), 2);
+        assert!(s.unit(burned).is_none());
+        assert_eq!(s.unit_ids_sorted(), [a, b]);
+        let ids: Vec<UnitId> = s.units().map(|u| u.id).collect();
+        assert_eq!(ids, [a, b]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use datacase_core::ids::UnitId;
+use datacase_core::ids::{UnitId, UnitMap};
 use datacase_core::purpose::{well_known as wk, PurposeId};
 use datacase_core::tenant::KeyRange;
 use datacase_sim::time::Ts;
@@ -27,7 +27,8 @@ pub(crate) struct KeyMeta {
 #[derive(Default)]
 pub(crate) struct KeyIndex {
     meta: HashMap<u64, KeyMeta>,
-    unit_key: HashMap<UnitId, u64>,
+    // A slot per dense unit id of the shard.
+    unit_key: UnitMap<u64>,
     // Ordered, so a metadata scan reads the same keys in the same order
     // on every run (the simulated clock depends on which pages it hits).
     by_purpose: HashMap<PurposeId, BTreeSet<u64>>,
@@ -55,7 +56,7 @@ impl KeyIndex {
 
     /// Key a unit is stored under.
     pub(crate) fn key_of(&self, unit: UnitId) -> Option<u64> {
-        self.unit_key.get(&unit).copied()
+        self.unit_key.get(unit).copied()
     }
 
     /// Bind a record: its key, its unit, both scan indexes, and its

@@ -23,8 +23,7 @@
 
 use std::collections::HashMap;
 
-use datacase_core::ids::EntityId;
-use datacase_core::ids::UnitId;
+use datacase_core::ids::{EntityId, UnitId, UnitMap};
 use datacase_core::policy::{Policy, PolicySet};
 use datacase_core::purpose::PurposeId;
 use datacase_sim::time::Ts;
@@ -55,8 +54,8 @@ impl Default for FgacConfig {
 /// The FGAC enforcer.
 pub struct FgacEnforcer {
     config: FgacConfig,
-    /// unit → its policies.
-    by_unit: HashMap<UnitId, PolicySet>,
+    /// unit → its policies, a slot per dense unit id.
+    by_unit: UnitMap<PolicySet>,
     /// (entity, purpose) → sorted unit postings (the Sieve index).
     index: HashMap<(EntityId, PurposeId), Vec<UnitId>>,
     policies: usize,
@@ -79,7 +78,7 @@ impl FgacEnforcer {
     pub fn new(config: FgacConfig, clock: SimClock, meter: std::sync::Arc<Meter>) -> FgacEnforcer {
         FgacEnforcer {
             config,
-            by_unit: HashMap::new(),
+            by_unit: UnitMap::new(),
             index: HashMap::new(),
             policies: 0,
             clock,
@@ -111,7 +110,7 @@ impl PolicyEnforcer for FgacEnforcer {
         for p in policies {
             self.index_insert(unit, p);
         }
-        self.by_unit.entry(unit).or_default().grant_all(policies);
+        self.by_unit.get_or_insert_default(unit).grant_all(policies);
         self.policies += policies.len();
     }
 
@@ -120,20 +119,20 @@ impl PolicyEnforcer for FgacEnforcer {
         self.clock
             .charge_nanos(model.index_maintain + model.policy_check_fine);
         self.index_insert(unit, &policy);
-        self.by_unit.entry(unit).or_default().grant(policy);
+        self.by_unit.get_or_insert_default(unit).grant(policy);
         self.policies += 1;
     }
 
     fn revoke_all(&mut self, unit: UnitId, at: Ts) -> usize {
         self.by_unit
-            .get_mut(&unit)
+            .get_mut(unit)
             .map_or(0, |rows| rows.revoke_all(at))
     }
 
     fn check(&mut self, req: &AccessRequest) -> Decision {
         let model = self.clock.model().clone();
         Meter::bump(&self.meter.policy_checks, 1);
-        let unit_rows = self.by_unit.get(&req.unit);
+        let unit_rows = self.by_unit.get(req.unit);
         let rows = unit_rows.map_or(0, PolicySet::len) as u64;
         if self.config.use_index {
             // Sieve path: one index probe narrows to the posting list and

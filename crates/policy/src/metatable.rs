@@ -9,18 +9,17 @@
 //! [`PolicySet`], so the verdict is G6's: a revocation ends access at its
 //! own instant.
 
-use std::collections::HashMap;
-
-use datacase_core::ids::UnitId;
+use datacase_core::ids::{UnitId, UnitMap};
 use datacase_core::policy::{Policy, PolicySet};
 use datacase_sim::time::Ts;
 use datacase_sim::{Meter, SimClock};
 
 use crate::enforcer::{AccessRequest, Decision, PolicyEnforcer};
 
-/// The separate policy table: unit → its policy rows.
+/// The separate policy table: unit → its policy rows, a slot per dense
+/// unit id.
 pub struct MetaTableEnforcer {
-    table: HashMap<UnitId, PolicySet>,
+    table: UnitMap<PolicySet>,
     policies: usize,
     clock: SimClock,
     meter: std::sync::Arc<Meter>,
@@ -39,7 +38,7 @@ impl MetaTableEnforcer {
     /// An empty policy table.
     pub fn new(clock: SimClock, meter: std::sync::Arc<Meter>) -> MetaTableEnforcer {
         MetaTableEnforcer {
-            table: HashMap::new(),
+            table: UnitMap::new(),
             policies: 0,
             clock,
             meter,
@@ -63,13 +62,13 @@ impl PolicyEnforcer for MetaTableEnforcer {
         let model = self.clock.model().clone();
         self.clock
             .charge_nanos(model.metadata_join + model.index_maintain);
-        self.table.entry(unit).or_default().grant(policy);
+        self.table.get_or_insert_default(unit).grant(policy);
         self.policies += 1;
     }
 
     fn revoke_all(&mut self, unit: UnitId, at: Ts) -> usize {
         self.table
-            .get_mut(&unit)
+            .get_mut(unit)
             .map_or(0, |rows| rows.revoke_all(at))
     }
 
@@ -80,7 +79,7 @@ impl PolicyEnforcer for MetaTableEnforcer {
             .charge_nanos(model.metadata_join + model.index_probe);
         Meter::bump(&self.meter.policy_checks, 1);
         Meter::bump(&self.meter.index_probes, 1);
-        let rows = self.table.get(&req.unit);
+        let rows = self.table.get(req.unit);
         self.clock
             .charge_nanos(model.policy_check_coarse * rows.map_or(0, PolicySet::len) as u64);
         let allowed = rows.is_some_and(|r| r.authorises(req.purpose, req.entity, req.at));
