@@ -6,8 +6,9 @@
 //! active set `P(t)` can be computed for any instant, which is what
 //! policy-consistency (G6) and the erasure deadline (G17) are defined over.
 //! It is the one policy semantics of the system: the model's units carry
-//! it, and the unit-scoped enforcers (`datacase-policy`'s metadata table
-//! and FGAC) store their rows in it, so they differ from G6 in cost only.
+//! it, and `datacase-policy`'s unit-scoped policy table (the metadata
+//! table and Sieve FGAC, one type) stores its rows in it, so both
+//! mechanisms differ from G6 in cost only.
 //! A revocation at `r` ends access at `r` itself: `P(r)` no longer holds
 //! the revoked policies. `Ts::MAX`, the instant the simulated clock
 //! saturates at, ends every record the same way: `P(Ts::MAX)` is empty.
@@ -182,6 +183,15 @@ impl PolicySet {
         self.records
             .iter()
             .any(|r| r.active_at(t) && r.policy.purpose == purpose && r.policy.entity == entity)
+    }
+
+    /// Was a policy for `(purpose, entity)` ever granted, active or not?
+    /// Rows are never removed, so this is what an index posted at every
+    /// grant and never pruned would answer.
+    pub fn names(&self, purpose: PurposeId, entity: EntityId) -> bool {
+        self.records
+            .iter()
+            .any(|r| r.policy.purpose == purpose && r.policy.entity == entity)
     }
 
     /// Is `P(t)` empty (no active policy at all)? This is the condition in
@@ -404,6 +414,22 @@ mod tests {
         assert!(p.is_empty_at(t(10)));
         // History of grants is preserved for audit.
         assert_eq!(p.len(), 2);
+    }
+
+    #[test]
+    fn names_counts_revoked_and_expired_rows() {
+        let mut p = PolicySet::new();
+        p.grant(Policy::new(wk::billing(), EntityId(1), t(0), t(10)));
+        p.grant(Policy::open_ended(wk::retention(), EntityId(2), t(0)));
+        p.revoke_all(t(5));
+        assert!(p.is_empty_at(t(20)));
+        assert!(p.names(wk::billing(), EntityId(1)));
+        assert!(p.names(wk::retention(), EntityId(2)));
+        assert!(
+            !p.names(wk::billing(), EntityId(2)),
+            "pairs, not either half"
+        );
+        assert!(!p.names(wk::retention(), EntityId(1)));
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl Model {
 
     /// The entity of data-subject number `subject`, registered on first
     /// sight. RBAC-based profiles enrol a new subject into the
-    /// data-subject role; unit-scoped enforcers ignore the hook.
+    /// data-subject role; the unit-scoped policy table ignores the hook.
     pub(crate) fn subject_entity(
         &mut self,
         subject: u32,

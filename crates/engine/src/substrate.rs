@@ -14,9 +14,8 @@ use datacase_core::ids::{EntityId, UnitId};
 use datacase_core::purpose::{well_known as wk, PurposeId};
 use datacase_crypto::vault::KeyVault;
 use datacase_policy::enforcer::PolicyEnforcer;
-use datacase_policy::fgac::{FgacConfig, FgacEnforcer};
-use datacase_policy::metatable::MetaTableEnforcer;
 use datacase_policy::rbac::{RbacEnforcer, Role};
+use datacase_policy::table::{Mechanism, PolicyTable};
 use datacase_sim::{Meter, SimClock};
 use datacase_storage::backend::{BackendKind, LsmBackend, StorageBackend};
 use datacase_storage::error::StorageError;
@@ -55,11 +54,14 @@ impl Substrate {
                 install_roles(&mut rbac, model.controller, model.processor, model.auditor);
                 Box::new(rbac)
             }
-            ProfileKind::PGBench => Box::new(MetaTableEnforcer::new(clock.clone(), meter.clone())),
-            ProfileKind::PSys => Box::new(FgacEnforcer::new(
-                FgacConfig {
-                    use_index: config.fgac_index,
-                    ..FgacConfig::default()
+            ProfileKind::PGBench => Box::new(PolicyTable::new(
+                Mechanism::MetaTable,
+                clock.clone(),
+                meter.clone(),
+            )),
+            ProfileKind::PSys => Box::new(PolicyTable::new(
+                Mechanism::Sieve {
+                    indexed: config.fgac_index,
                 },
                 clock.clone(),
                 meter.clone(),

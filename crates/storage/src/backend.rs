@@ -369,16 +369,11 @@ impl StorageBackend for LsmBackend {
 
     fn purge_unit(&mut self, unit_id: u64) -> usize {
         // A run rewrite cannot keep "just the live version": any rows of
-        // the unit still live are removed with its retained copies, so
-        // account for them before the purge desyncs the live counter.
-        let live_of_unit = self
-            .tree
-            .range_units(0, u64::MAX)
-            .iter()
-            .filter(|(_, unit, _)| *unit == unit_id)
-            .count() as u64;
-        self.live = self.live.saturating_sub(live_of_unit);
-        self.tree.purge_unit(unit_id)
+        // the unit still live are removed with its retained copies, and
+        // the rewrite counts them so the live counter follows.
+        let (purged, live_of_unit) = self.tree.purge_unit(unit_id);
+        self.live = self.live.saturating_sub(live_of_unit as u64);
+        purged
     }
 
     fn sanitize(&mut self, _passes: u32) {
@@ -525,9 +520,13 @@ mod tests {
         b.insert(1, 100, b"unit-a-live").unwrap();
         b.insert(2, 200, b"unit-b-live").unwrap();
         b.checkpoint();
+        // Key 1's live version and its retained first version sit in two
+        // runs: the unit has one live row, not two.
+        b.update(1, b"unit-a-updated").unwrap();
+        b.checkpoint();
         // Purging a still-live unit removes its rows on the LSM (a run
         // rewrite keeps nothing); the live counter must follow.
-        assert!(b.purge_unit(100) > 0);
+        assert_eq!(b.purge_unit(100), 2, "both versions of key 1");
         assert_eq!(b.read(1, false), None);
         assert_eq!(b.stats().live_entries, 1);
         assert_eq!(b.read(2, false).unwrap(), b"unit-b-live");

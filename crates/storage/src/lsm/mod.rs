@@ -12,6 +12,7 @@ pub mod bloom;
 pub mod memtable;
 pub mod sstable;
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use datacase_sim::fault::{CrashPoint, FaultInjector};
@@ -394,22 +395,36 @@ impl LsmTree {
 
     /// Rewrite every run dropping any entry of `unit` (the LSM
     /// "sanitisation" for permanent deletion). Expensive: full rewrite.
-    pub fn purge_unit(&mut self, unit_id: u64) -> usize {
+    /// Returns the entries removed and how many of the unit's keys were
+    /// live, i.e. had a put as their newest entry (a key's entries all
+    /// belong to one unit).
+    pub fn purge_unit(&mut self, unit_id: u64) -> (usize, usize) {
         self.flush();
         self.config.fault.hit(CrashPoint::PurgeUnit);
         let mut purged = 0;
+        // The unit's keys → (seq, is a put) of the newest entry seen.
+        let mut newest: HashMap<u64, (u64, bool)> = HashMap::new();
         for level in &mut self.levels {
             for run in level.iter_mut() {
+                for (key, e) in run.range(0, u64::MAX) {
+                    if e.unit_id() == unit_id {
+                        let slot = newest.entry(key).or_insert((0, false));
+                        if e.seq() >= slot.0 {
+                            *slot = (e.seq(), !e.is_tombstone());
+                        }
+                    }
+                }
                 let (new_run, removed) = run.without_unit(unit_id);
                 purged += removed;
                 *run = Arc::new(new_run);
             }
         }
+        let live = newest.values().filter(|&&(_, put)| put).count();
         let total_bytes: u64 = self.levels.iter().flatten().map(|r| r.bytes()).sum();
         self.clock
             .charge_nanos(self.clock.model().compaction_per_byte * total_bytes);
         self.commit_manifest();
-        purged
+        (purged, live)
     }
 }
 
@@ -528,8 +543,9 @@ mod tests {
         t.put(2, 200, b"unit-200-data");
         t.flush();
         t.delete(1, 100);
-        let purged = t.purge_unit(100);
+        let (purged, live) = t.purge_unit(100);
         assert!(purged > 0);
+        assert_eq!(live, 0, "the unit's one key was deleted");
         assert_eq!(t.scan_physical(b"unit-100-pii"), 0);
         assert!(t.scan_physical(b"unit-200-data") > 0, "other units intact");
         assert_eq!(t.get(2).unwrap(), b"unit-200-data");

@@ -322,7 +322,10 @@ fn requests_have_one_vocabulary_and_one_door() {
 /// shared core the three logger types once forwarded to, would bring a
 /// layer back. The same holds for the tuple vault's keystream-cache
 /// bridges: the vault keeps no cache, and a caller of either would
-/// be calling a no-op.
+/// be calling a no-op. And the metadata table and Sieve FGAC are one
+/// policy table whose mechanism is data: exactly two types implement
+/// `PolicyEnforcer`, RBAC and that table, and the two mechanisms' former
+/// type names are bridges to it.
 #[test]
 fn the_log_and_the_enforcer_have_no_forwarding_layers() {
     const BRIDGES: &[(&str, &str)] = &[
@@ -331,6 +334,9 @@ fn the_log_and_the_enforcer_have_no_forwarding_layers() {
         ("FullQueryLogger", "crates/audit/src/loggers.rs"),
         ("EncryptedLogger", "crates/audit/src/loggers.rs"),
         ("VersionedEnforcer", "crates/policy/src/enforcer.rs"),
+        ("FgacConfig", "crates/policy/src/fgac.rs"),
+        ("FgacEnforcer", "crates/policy/src/fgac.rs"),
+        ("MetaTableEnforcer", "crates/policy/src/metatable.rs"),
         ("keystream_apply", "crates/crypto/src/vault.rs"),
         ("with_keystream_cache", "crates/crypto/src/vault.rs"),
     ];
@@ -343,6 +349,7 @@ fn the_log_and_the_enforcer_have_no_forwarding_layers() {
             .map(|krate| root.join("crates").join(krate).join("src")),
     );
     let mut offenders = Vec::new();
+    let mut enforcers = BTreeSet::new();
     for (path, text) in rust_sources(dirs) {
         if path == this {
             continue;
@@ -354,11 +361,22 @@ fn the_log_and_the_enforcer_have_no_forwarding_layers() {
             if named || line.contains("struct LogCore") {
                 offenders.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
             }
+            let implemented = line.trim_start().starts_with("impl");
+            if let Some((_, implementor)) = line.split_once("PolicyEnforcer for ") {
+                if implemented {
+                    enforcers.insert(implementor.trim_end_matches(" {").to_string());
+                }
+            }
         }
     }
     assert!(
         offenders.is_empty(),
         "a forwarding layer is back:\n{}",
         offenders.join("\n")
+    );
+    assert_eq!(
+        enforcers,
+        BTreeSet::from(["PolicyTable".to_string(), "RbacEnforcer".to_string()]),
+        "a second unit-scoped enforcer is back beside the policy table"
     );
 }

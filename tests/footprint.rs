@@ -1,13 +1,13 @@
 //! Footprint guard: the heap bytes one loaded P_SYS unit costs.
 //!
 //! Every unit of a loaded engine carries its own state — its tuple key,
-//! its policy rows in the model and in FGAC, its stored version, its
-//! index entries and audit records — so every byte of it is paid once per
-//! row of the table. This suite counts live heap bytes with its own global
-//! allocator across a load of [`UNITS`] GDPRBench units (100 B payloads)
-//! through `Frontend::submit`, on the heap and on the LSM substrate, and
-//! bounds the bytes per unit about 5 % above what a load reads today (it
-//! prints the value). A regression of a few hundred bytes per unit — an
+//! its policy rows in the model and in the policy table, its stored
+//! version, its index entries and audit records — so every byte of it is
+//! paid once per row of the table. This suite counts live heap bytes with
+//! its own global allocator across a load of [`UNITS`] GDPRBench units
+//! (100 B payloads) through `Frontend::submit`, on the heap and on the LSM
+//! substrate, and bounds the bytes per unit about 5 % above what a load
+//! reads today (it prints the value). A regression of a few hundred bytes per unit — an
 //! expanded key schedule kept per unit, a wider policy row — fails it.
 //!
 //! It counts the bytes *requested* and not yet freed, so it cannot see
@@ -93,12 +93,14 @@ fn bytes_per_unit(backend: BackendKind) -> usize {
 
 #[test]
 fn a_loaded_p_sys_unit_stays_within_its_heap_budget() {
-    // (substrate, bound in bytes per unit): the loads read 1,815 and
-    // 1,644 B; with the per-unit tables of a shard in hash maps instead
-    // of dense `UnitMap`s they read 1,951 and 1,780 B, and with an
-    // expanded AES schedule per unit in the key vault and an `Option<Ts>`
-    // per policy row as well, 2,359 and 2,188 B.
-    for (backend, bound) in [(BackendKind::Heap, 1_905), (BackendKind::Lsm, 1_725)] {
+    // (substrate, bound in bytes per unit): the loads read 1,673 and
+    // 1,502 B; with Sieve's index kept as postings (a sorted unit list per
+    // (entity, purpose) key) instead of its books they read 1,815 and
+    // 1,644 B, with the per-unit tables of a shard in hash maps instead
+    // of dense `UnitMap`s as well 1,951 and 1,780 B, and with an expanded
+    // AES schedule per unit in the key vault and an `Option<Ts>` per
+    // policy row as well, 2,359 and 2,188 B.
+    for (backend, bound) in [(BackendKind::Heap, 1_755), (BackendKind::Lsm, 1_575)] {
         let per_unit = bytes_per_unit(backend);
         println!("{backend:?}: {per_unit} heap bytes per loaded P_SYS unit (bound {bound})");
         assert!(

@@ -1,15 +1,16 @@
 //! Property-based tests over the policy enforcement substrates.
 //!
-//! The central property: the *unit-scoped* mechanisms (metadata-table and
-//! FGAC, indexed or not) decide exactly as G6's predicate,
+//! The central property: the *unit-scoped* policy table, under each of its
+//! mechanisms (metadata table, and Sieve FGAC indexed or not), decides
+//! exactly as G6's predicate,
 //! [`PolicySet::authorises`] over the same grants and revocations — they
 //! differ in cost and metadata footprint, never in verdict, and a
 //! revocation ends access at its own instant in all of them. That is
 //! exactly the paper's framing: interpretations differ in system-actions
 //! and overheads, while a fixed grounding fixes the semantics.
 
-use data_case::sim::check::check;
-use std::collections::HashMap;
+use data_case::sim::check::{check, Source};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use data_case::core::action::ActionKind;
@@ -17,8 +18,7 @@ use data_case::core::ids::{EntityId, UnitId};
 use data_case::core::policy::{Policy, PolicySet};
 use data_case::core::purpose::PurposeId;
 use data_case::policy::enforcer::{AccessRequest, PolicyEnforcer};
-use data_case::policy::fgac::{FgacConfig, FgacEnforcer};
-use data_case::policy::metatable::MetaTableEnforcer;
+use data_case::policy::table::{Mechanism, PolicyTable};
 use data_case::sim::time::Ts;
 use data_case::sim::{Meter, SimClock};
 
@@ -28,6 +28,10 @@ fn purposes() -> Vec<PurposeId> {
         PurposeId::new("prop-analytics"),
         PurposeId::new("prop-retention"),
     ]
+}
+
+fn mk(mechanism: Mechanism) -> PolicyTable {
+    PolicyTable::new(mechanism, SimClock::commodity(), Arc::new(Meter::new()))
 }
 
 #[test]
@@ -52,20 +56,9 @@ fn unit_scoped_enforcers_are_decision_equivalent() {
         });
         let revoke = s.option(|s| (s.range(0u64..6), s.range(0u64..110)));
         let ps = purposes();
-        let mk_meta = || MetaTableEnforcer::new(SimClock::commodity(), Arc::new(Meter::new()));
-        let mk_fgac = |idx: bool| {
-            FgacEnforcer::new(
-                FgacConfig {
-                    use_index: idx,
-                    ..FgacConfig::default()
-                },
-                SimClock::commodity(),
-                Arc::new(Meter::new()),
-            )
-        };
-        let mut meta = mk_meta();
-        let mut fgac_i = mk_fgac(true);
-        let mut fgac_l = mk_fgac(false);
+        let mut meta = mk(Mechanism::MetaTable);
+        let mut fgac_i = mk(Mechanism::Sieve { indexed: true });
+        let mut fgac_l = mk(Mechanism::Sieve { indexed: false });
         // G6's predicate over the same grants: one policy set per unit.
         let mut model: HashMap<u64, PolicySet> = HashMap::new();
 
@@ -131,11 +124,7 @@ fn metadata_bytes_monotone() {
     check("metadata_bytes_monotone", 48, |s| {
         let n = s.range(1usize..60);
         let p = PurposeId::new("prop-bytes");
-        let mut e = FgacEnforcer::new(
-            FgacConfig::default(),
-            SimClock::commodity(),
-            Arc::new(Meter::new()),
-        );
+        let mut e = mk(Mechanism::Sieve { indexed: true });
         let mut last = e.metadata_bytes();
         for i in 0..n {
             e.grant(
@@ -147,4 +136,57 @@ fn metadata_bytes_monotone() {
             last = now;
         }
     });
+}
+
+/// The indexed Sieve table keeps its index as books — a key set and a
+/// posting count — instead of postings. Its footprint must still be what
+/// the postings it stands for would occupy, rebuilt here from the stream:
+/// 160 B a row ever granted, 24 B a distinct `(entity, purpose)` key and
+/// 8 B a distinct `(unit, entity, purpose)` posting. The registered lists
+/// repeat pairs within themselves and across later grants, and some
+/// grants go to units never registered.
+#[test]
+fn sieve_books_match_postings_rebuilt_from_the_stream() {
+    check(
+        "sieve_books_match_postings_rebuilt_from_the_stream",
+        48,
+        |s| {
+            fn policy(s: &mut Source) -> (u32, usize, u64) {
+                (s.range(0u32..3), s.range(0usize..3), s.range(0u64..50))
+            }
+            let registered = s.vec(0..6, |s| s.vec(0..8, policy));
+            let grants = s.vec(0..20, |s| (s.range(0u64..10), policy(s)));
+            let ps = purposes();
+            let mk_policy = |(entity, pi, from): (u32, usize, u64)| {
+                Policy::open_ended(ps[pi], EntityId(entity), Ts::from_secs(from))
+            };
+            let mut table = mk(Mechanism::Sieve { indexed: true });
+            let mut rows = 0u64;
+            let mut keys = HashSet::new();
+            let mut postings = HashSet::new();
+            let mut book = |unit: u64, p: &Policy| {
+                rows += 1;
+                keys.insert((p.entity, p.purpose));
+                postings.insert((unit, p.entity, p.purpose));
+            };
+            for (unit, list) in registered.iter().enumerate() {
+                let list: Vec<Policy> = list.iter().copied().map(mk_policy).collect();
+                table.register_unit(UnitId(unit as u64), &list);
+                list.iter().for_each(|p| book(unit as u64, p));
+            }
+            for &(unit, p) in &grants {
+                let p = mk_policy(p);
+                table.grant(UnitId(unit), p);
+                book(unit, &p);
+            }
+            let want = 160 * rows + 24 * keys.len() as u64 + 8 * postings.len() as u64;
+            assert_eq!(
+                table.metadata_bytes(),
+                want,
+                "{rows} rows, {} keys, {} postings",
+                keys.len(),
+                postings.len()
+            );
+        },
+    );
 }
