@@ -5,10 +5,11 @@
 //! evolution of policies over time — grants and revocations — so the
 //! active set `P(t)` can be computed for any instant, which is what
 //! policy-consistency (G6) and the erasure deadline (G17) are defined over.
-//! It is the one policy semantics of the system: the model's units carry
-//! it, and `datacase-policy`'s unit-scoped policy table (the metadata
-//! table and Sieve FGAC, one type) stores its rows in it, so both
-//! mechanisms differ from G6 in cost only.
+//! It is the one policy semantics of the system, and each unit's rows are
+//! kept once: the model's units carry them, and `datacase-policy`'s
+//! unit-scoped policy table (the metadata table and Sieve FGAC, one type)
+//! is handed them to decide from, so both mechanisms differ from G6 in
+//! cost only.
 //! A revocation at `r` ends access at `r` itself: `P(r)` no longer holds
 //! the revoked policies. `Ts::MAX`, the instant the simulated clock
 //! saturates at, ends every record the same way: `P(Ts::MAX)` is empty.

@@ -3,9 +3,10 @@
 //!
 //! Unit ids are dense indices: the state allocates them from 0 up, one
 //! at a time, and keeps its units in a [`UnitMap`] slot per id, so a
-//! unit costs its `DataUnit` and no hash-table entry. An engine shard
-//! owns one state, and every other per-unit table of the shard (policy
-//! rows, audit positions, key bindings) is a `UnitMap` over the same ids.
+//! unit costs its `DataUnit` and no hash-table entry. A unit's policy
+//! rows live in its `DataUnit`, once. An engine shard owns one state, and
+//! every other per-unit table of the shard (audit positions, key
+//! bindings) is a `UnitMap` over the same ids.
 
 use datacase_sim::time::Ts;
 

@@ -259,7 +259,7 @@ pub(crate) fn erase_now(
     }
 
     let at = clock.now();
-    model.finish_erasure(substrate.enforcer.as_mut(), unit, interp, entity, now, at);
+    model.finish_erasure(unit, interp, entity, now, at);
     Meter::bump(&meter.policy_mutations, 1);
     keys.unscan(key);
     if interp.implies(ErasureInterpretation::Deleted) {

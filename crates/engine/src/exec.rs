@@ -138,8 +138,9 @@ impl Frontend {
         }
     }
 
-    /// The decide step for one access: ask the profile's enforcer. A
-    /// denial is audited (a `DENIED` record) before it is returned.
+    /// The decide step for one access: ask the profile's enforcer against
+    /// the unit's rows. A denial is audited (a `DENIED` record) before it
+    /// is returned.
     pub(crate) fn check(
         &mut self,
         unit: UnitId,
@@ -157,7 +158,8 @@ impl Frontend {
             action,
             at: self.clock.now(),
         };
-        match self.substrate.enforcer.check(&req) {
+        let rows = self.model.state.unit(unit).map(|u| &u.policies);
+        match self.substrate.enforcer.check(&req, rows) {
             Decision::Allow => Ok(()),
             Decision::Deny(reason) => {
                 self.model.deny(&req, &reason);

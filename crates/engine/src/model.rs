@@ -152,14 +152,13 @@ impl Model {
     }
 
     /// The epilogue every erasure ends with, workload `DELETE` and
-    /// compliance erase alike: consent is withdrawn wholesale in the model
-    /// and the enforcer, the unit is marked erased under `interp` since
-    /// `since`, and the erase is recorded for `entity`, its receipt on the
-    /// chain (a permanent erasure's sanitise pass too). Everything but the
-    /// status's `since` happens at `at`.
+    /// compliance erase alike: consent is withdrawn wholesale in the
+    /// unit's rows (the enforcer keeps none), the unit is marked erased
+    /// under `interp` since `since`, and the erase is recorded for
+    /// `entity`, its receipt on the chain (a permanent erasure's sanitise
+    /// pass too). Everything but the status's `since` happens at `at`.
     pub(crate) fn finish_erasure(
         &mut self,
-        enforcer: &mut dyn PolicyEnforcer,
         unit: UnitId,
         interp: ErasureInterpretation,
         entity: EntityId,
@@ -169,7 +168,6 @@ impl Model {
         if let Some(u) = self.state.unit_mut(unit) {
             u.policies.revoke_all(at);
         }
-        enforcer.revoke_all(unit, at);
         self.state
             .mark_erased(unit, ErasureStatus::of(interp, since), at);
         let ce = wk::compliance_erase();

@@ -132,9 +132,11 @@ impl Frontend {
             Value::Stored { len: payload.len() },
             now,
         ));
-        // Base policy set (also the model's ground truth for G6/G17).
+        // The unit's policy rows, which G6, G17 and the enforcer read: the
+        // base set, padded to `policies_per_unit` with short-lived rows
+        // (finer-grained slicing in P_SYS — Sieve metadata volume).
         let ttl = metadata.ttl;
-        let base_policies = vec![
+        let mut policies = vec![
             Policy::open_ended(wk::subject_access(), subject_e, now),
             Policy::new(wk::compliance_erase(), subject_e, now, ttl),
             Policy::new(wk::compliance_erase(), controller, now, ttl),
@@ -145,26 +147,21 @@ impl Frontend {
             Policy::new(wk::retention(), processor, now, ttl),
             Policy::open_ended(wk::audit(), self.model.auditor, now),
         ];
-        {
-            let u = self.model.state.unit_mut(unit).expect("just collected");
-            u.policies.grant_all(&base_policies);
-            u.encrypted_at_rest = self.config.encryption_at_rest();
-        }
-        // The enforcer sees base policies plus profile-dependent padding
-        // (finer-grained slicing in P_SYS — Sieve metadata volume).
-        let mut enforcer_policies = base_policies;
-        while enforcer_policies.len() < self.config.policies_per_unit {
-            let i = enforcer_policies.len() as u64;
-            enforcer_policies.push(Policy::new(
+        while policies.len() < self.config.policies_per_unit {
+            let i = policies.len() as u64;
+            policies.push(Policy::new(
                 wk::analytics(),
                 processor,
                 now,
                 Ts(now.0.saturating_add(1 + i)),
             ));
         }
-        self.substrate
-            .enforcer
-            .register_unit(unit, &enforcer_policies);
+        self.substrate.enforcer.register_unit(&policies);
+        {
+            let u = self.model.state.unit_mut(unit).expect("just collected");
+            u.policies.grant_all(&policies);
+            u.encrypted_at_rest = self.config.encryption_at_rest();
+        }
         self.keys.insert(
             key,
             KeyMeta {
@@ -335,7 +332,7 @@ impl Frontend {
         self.check(meta.unit, entity, wk::contract(), ActionKind::UpdatePolicy)?;
         let now = self.clock.now();
         let controller = self.model.controller;
-        // Apply the policy change to the model + enforcer.
+        // Apply the policy change to the model.
         let new_policy = match field {
             MetaField::Ttl => {
                 let new_ttl = Ts(meta.ttl.0.saturating_add(86_400_000_000_000)); // +1 day
@@ -351,10 +348,12 @@ impl Frontend {
             MetaField::Objection => Policy::new(wk::audit(), self.model.auditor, now, Ts::MAX),
         };
         let before = self.model.erase_deadline(meta.unit);
+        // The enforcer books the grant against the rows from before it.
+        let rows = self.model.state.unit(meta.unit).map(|u| &u.policies);
+        self.substrate.enforcer.grant(rows, new_policy);
         if let Some(u) = self.model.state.unit_mut(meta.unit) {
             u.policies.grant(new_policy);
         }
-        self.substrate.enforcer.grant(meta.unit, new_policy);
         Meter::bump(&self.meter.policy_mutations, 1);
         let after = self.model.erase_deadline(meta.unit);
         self.keys.reschedule(meta.unit, before, after);

@@ -1,11 +1,12 @@
 //! The common enforcement interface.
 //!
 //! Every request is decided by asking the profile's enforcer against the
-//! *current* policy state — there is no cached outcome to keep sound.
+//! unit's *current* rows, which the model holds and hands in — there is
+//! no cached outcome, and no second copy of the rows, to keep sound.
 
 use datacase_core::action::ActionKind;
-use datacase_core::ids::{EntityId, UnitId};
-use datacase_core::policy::Policy;
+use datacase_core::ids::{EntityId, UnitId, UnitMap};
+use datacase_core::policy::{Policy, PolicySet};
 use datacase_core::purpose::PurposeId;
 use datacase_sim::time::Ts;
 
@@ -42,25 +43,23 @@ impl Decision {
     }
 }
 
-/// A policy enforcement mechanism (one per compliance profile).
+/// A policy enforcement mechanism (one per compliance profile). It keeps
+/// no unit's rows: the model holds each unit's [`PolicySet`] and hands it in.
 pub trait PolicyEnforcer: Send {
     /// Register a new unit with its initial policies.
-    fn register_unit(&mut self, unit: UnitId, policies: &[Policy]);
+    fn register_unit(&mut self, policies: &[Policy]);
 
     /// A new data-subject entity appeared (RBAC uses this to enrol the
     /// subject into the data-subject role; unit-scoped mechanisms ignore
     /// it).
     fn on_new_subject(&mut self, _entity: EntityId) {}
 
-    /// Grant an additional policy on a unit.
-    fn grant(&mut self, unit: UnitId, policy: Policy);
+    /// Grant an additional policy on a unit whose rows *before* the grant
+    /// are `rows` (`None` for a unit that has none).
+    fn grant(&mut self, rows: Option<&PolicySet>, policy: Policy);
 
-    /// Revoke all policies on a unit (erasure request / consent
-    /// withdrawal); returns how many were revoked.
-    fn revoke_all(&mut self, unit: UnitId, at: Ts) -> usize;
-
-    /// Evaluate an access request.
-    fn check(&mut self, req: &AccessRequest) -> Decision;
+    /// Evaluate an access request against the unit's current `rows`.
+    fn check(&mut self, req: &AccessRequest, rows: Option<&PolicySet>) -> Decision;
 
     /// Metadata bytes this mechanism occupies (policies + indexes).
     fn metadata_bytes(&self) -> u64;
@@ -71,14 +70,38 @@ pub trait PolicyEnforcer: Send {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PolicyEpoch(pub u64);
 
-/// The former versioning wrapper's name; ROADMAP item 25 deletes it.
-pub struct VersionedEnforcer;
+/// The former versioning wrapper's name, and the one holder of policy
+/// rows outside the model: it keeps each registered unit's rows for a
+/// standalone enforcer, for the benchmark's policy probe alone. Nothing
+/// in the workspace builds it; ROADMAP item 25 deletes it.
+pub struct VersionedEnforcer {
+    inner: Box<dyn PolicyEnforcer>,
+    rows: UnitMap<PolicySet>,
+}
 
-#[allow(clippy::new_ret_no_self)] // A bridge: `new` is the identity.
 impl VersionedEnforcer {
-    /// `inner`, unchanged.
-    pub fn new(inner: Box<dyn PolicyEnforcer>) -> Box<dyn PolicyEnforcer> {
-        inner
+    /// `inner`, keeping rows for it.
+    pub fn new(inner: Box<dyn PolicyEnforcer>) -> VersionedEnforcer {
+        VersionedEnforcer {
+            inner,
+            rows: UnitMap::new(),
+        }
+    }
+
+    /// See [`PolicyEnforcer::on_new_subject`].
+    pub fn on_new_subject(&mut self, entity: EntityId) {
+        self.inner.on_new_subject(entity);
+    }
+
+    /// Register `unit` with `policies`, keeping its rows.
+    pub fn register_unit(&mut self, unit: UnitId, policies: &[Policy]) {
+        self.inner.register_unit(policies);
+        self.rows.get_or_insert_default(unit).grant_all(policies);
+    }
+
+    /// Decide `req` against the rows kept for its unit.
+    pub fn check(&mut self, req: &AccessRequest) -> Decision {
+        self.inner.check(req, self.rows.get(req.unit))
     }
 }
 

@@ -15,18 +15,19 @@
 //!
 //! Both implement [`enforcer::PolicyEnforcer`], charge their distinct
 //! cost signatures to the shared [`datacase_sim::SimClock`], and report the
-//! metadata bytes they occupy (Table 2's space accounting). The table
-//! stores a unit's rows as a [`datacase_core::policy::PolicySet`] and
-//! decides with
+//! metadata bytes they occupy (Table 2's space accounting). Neither keeps
+//! a unit's rows: they live once, in the model, as the unit's
+//! [`datacase_core::policy::PolicySet`], and every call is handed them.
+//! The table keeps its books and decides with
 //! [`PolicySet::authorises`](datacase_core::policy::PolicySet::authorises),
 //! G6's predicate, so a revocation stops access at its own instant and
 //! the two mechanisms differ only in cost: they are one type, and the
 //! mechanism is data. RBAC stays coarse by design: it decides per role,
-//! not per unit. The engine holds the active enforcer bare and decides
-//! every access against its current state.
+//! not per unit, and ignores the rows.
 //!
 //! [`fgac`] and [`metatable`] keep the two mechanisms' former type names
-//! as bridges to the table; ROADMAP item 25 deletes them.
+//! as bridges to the table, and [`enforcer`] the versioning wrapper's,
+//! which keeps rows for the benchmark alone; ROADMAP item 25 deletes them.
 
 pub mod enforcer;
 pub mod fgac;

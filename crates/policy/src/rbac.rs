@@ -9,10 +9,9 @@
 use std::collections::{HashMap, HashSet};
 
 use datacase_core::action::ActionKind;
-use datacase_core::ids::{EntityId, UnitId};
-use datacase_core::policy::Policy;
+use datacase_core::ids::EntityId;
+use datacase_core::policy::{Policy, PolicySet};
 use datacase_core::purpose::PurposeId;
-use datacase_sim::time::Ts;
 use datacase_sim::{Meter, SimClock};
 
 use crate::enforcer::{AccessRequest, Decision, PolicyEnforcer};
@@ -92,7 +91,7 @@ impl RbacEnforcer {
 }
 
 impl PolicyEnforcer for RbacEnforcer {
-    fn register_unit(&mut self, _unit: UnitId, _policies: &[Policy]) {
+    fn register_unit(&mut self, _policies: &[Policy]) {
         // RBAC keeps no per-unit state — that is exactly its coarseness.
     }
 
@@ -102,13 +101,9 @@ impl PolicyEnforcer for RbacEnforcer {
         }
     }
 
-    fn grant(&mut self, _unit: UnitId, _policy: Policy) {}
+    fn grant(&mut self, _rows: Option<&PolicySet>, _policy: Policy) {}
 
-    fn revoke_all(&mut self, _unit: UnitId, _at: Ts) -> usize {
-        0
-    }
-
-    fn check(&mut self, req: &AccessRequest) -> Decision {
+    fn check(&mut self, req: &AccessRequest, _rows: Option<&PolicySet>) -> Decision {
         self.clock
             .charge_nanos(self.clock.model().policy_check_coarse);
         Meter::bump(&self.meter.policy_checks, 1);
@@ -150,7 +145,9 @@ impl PolicyEnforcer for RbacEnforcer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datacase_core::ids::UnitId;
     use datacase_core::purpose::well_known as wk;
+    use datacase_sim::time::Ts;
     use std::sync::Arc;
 
     fn mk() -> RbacEnforcer {
@@ -175,11 +172,15 @@ mod tests {
             vec![(wk::billing(), vec![ActionKind::Read, ActionKind::ReadMeta])],
         ));
         e.add_member(EntityId(1), billing);
-        assert!(e.check(&req(1, wk::billing(), ActionKind::Read)).is_allow());
-        assert!(!e
-            .check(&req(1, wk::billing(), ActionKind::UpdateValue))
+        assert!(e
+            .check(&req(1, wk::billing(), ActionKind::Read), None)
             .is_allow());
-        assert!(!e.check(&req(2, wk::billing(), ActionKind::Read)).is_allow());
+        assert!(!e
+            .check(&req(1, wk::billing(), ActionKind::UpdateValue), None)
+            .is_allow());
+        assert!(!e
+            .check(&req(2, wk::billing(), ActionKind::Read), None)
+            .is_allow());
     }
 
     #[test]
@@ -195,9 +196,11 @@ mod tests {
         ));
         e.add_member(EntityId(1), r1);
         e.add_member(EntityId(1), r2);
-        assert!(e.check(&req(1, wk::billing(), ActionKind::Read)).is_allow());
         assert!(e
-            .check(&req(1, wk::compliance_erase(), ActionKind::Erase))
+            .check(&req(1, wk::billing(), ActionKind::Read), None)
+            .is_allow());
+        assert!(e
+            .check(&req(1, wk::compliance_erase(), ActionKind::Erase), None)
             .is_allow());
     }
 
@@ -210,16 +213,19 @@ mod tests {
             vec![(wk::billing(), vec![ActionKind::Read])],
         ));
         e.add_member(EntityId(1), r);
-        e.register_unit(UnitId(9), &[]);
+        e.register_unit(&[]);
         // No unit policy exists, yet RBAC allows: least restrictive.
         assert!(e
-            .check(&AccessRequest {
-                unit: UnitId(9),
-                entity: EntityId(1),
-                purpose: wk::billing(),
-                action: ActionKind::Read,
-                at: Ts::from_secs(1),
-            })
+            .check(
+                &AccessRequest {
+                    unit: UnitId(9),
+                    entity: EntityId(1),
+                    purpose: wk::billing(),
+                    action: ActionKind::Read,
+                    at: Ts::from_secs(1),
+                },
+                Some(&PolicySet::new()),
+            )
             .is_allow());
     }
 
@@ -228,7 +234,7 @@ mod tests {
         let clock = SimClock::commodity();
         let meter = Arc::new(Meter::new());
         let mut e = RbacEnforcer::new(clock, meter.clone());
-        let _ = e.check(&req(1, wk::billing(), ActionKind::Read));
+        let _ = e.check(&req(1, wk::billing(), ActionKind::Read), None);
         let s = meter.snapshot();
         assert_eq!(s.policy_checks, 1);
         assert_eq!(s.denials, 1);
@@ -245,8 +251,8 @@ mod tests {
             e.add_member(EntityId(i), r);
         }
         // Constant in the number of data units: the whole point of P_Base.
-        for u in 0..10_000u64 {
-            e.register_unit(UnitId(u), &[]);
+        for _ in 0..10_000u64 {
+            e.register_unit(&[]);
         }
         assert!(e.metadata_bytes() < 10_000);
     }

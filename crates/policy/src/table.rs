@@ -1,10 +1,12 @@
 //! The unit-scoped policy table: one type behind P_GBench's metadata
 //! table and P_SYS's Sieve FGAC middleware (paper §4.2).
 //!
-//! Both keep each unit's policy rows as a [`PolicySet`] and decide with
-//! G6's predicate, [`PolicySet::authorises`], so a revocation ends access
-//! at its own instant under either. They differ only in the work they
-//! charge and the metadata they occupy, so the [`Mechanism`] is data:
+//! A unit's rows live once, in the model, as the [`PolicySet`] G6 reads.
+//! The table keeps only its books and decides from the rows it is handed
+//! with G6's predicate, [`PolicySet::authorises`], so a revocation ends
+//! access at its own instant under either mechanism, and a derived unit
+//! is decided on its own rows. The mechanisms differ only in the work
+//! they charge and the metadata they occupy, so the [`Mechanism`] is data:
 //!
 //! * [`Mechanism::MetaTable`] — "stores policies and other metadata in a
 //!   table separate from the one containing personal data. Thus, all
@@ -20,26 +22,26 @@
 //!   Figure 4b. Unindexed is Sieve's motivating ablation: the checks scan
 //!   the rows, and without index hints evaluate four times the guards.
 //!
-//! Sieve's index is kept as its books. A posting is added for every
-//! granted policy and never removed, so a unit is a candidate for
+//! The books are the units registered, the rows ever granted and the
+//! indexed Sieve's index size. A posting is added for every granted
+//! policy and never removed, so a unit is a candidate for
 //! `(entity, purpose)` exactly when one of its rows
 //! [names](PolicySet::names) the pair: the probe is answered from the
-//! rows, and the index keeps only its size for Table 2's space
-//! accounting — its keys and its count of distinct
-//! `(unit, entity, purpose)` postings. The unindexed ablation keeps none.
+//! rows, and the index keeps only its keys and its count of distinct
+//! `(unit, entity, purpose)` postings, deduplicated against the unit's
+//! rows from before each grant.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use datacase_core::ids::{EntityId, UnitId, UnitMap};
+use datacase_core::ids::EntityId;
 use datacase_core::policy::{Policy, PolicySet};
 use datacase_core::purpose::PurposeId;
-use datacase_sim::time::Ts;
 use datacase_sim::{Meter, SimClock};
 
 use crate::enforcer::{AccessRequest, Decision, PolicyEnforcer};
 
-/// How a [`PolicyTable`] enforces its rows.
+/// How a [`PolicyTable`] enforces a unit's rows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mechanism {
     /// P_GBench: a separate metadata table, joined on every check.
@@ -56,11 +58,11 @@ pub enum Mechanism {
 /// index hints, the policy's provenance): Sieve's "associated metadata".
 const GUARD_BYTES_PER_POLICY: u64 = 96;
 
-/// Each unit's policy rows, enforced by one [`Mechanism`].
+/// The books of the units' policy rows, enforced by one [`Mechanism`].
 pub struct PolicyTable {
     mechanism: Mechanism,
-    /// unit → its policy rows, a slot per dense unit id.
-    rows: UnitMap<PolicySet>,
+    /// Units registered.
+    units: u64,
     /// Rows ever granted, across units.
     granted: u64,
     /// The indexed Sieve's books: the index's keys ...
@@ -75,7 +77,7 @@ impl std::fmt::Debug for PolicyTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PolicyTable")
             .field("mechanism", &self.mechanism)
-            .field("units", &self.rows.len())
+            .field("units", &self.units)
             .field("granted", &self.granted)
             .finish()
     }
@@ -87,7 +89,7 @@ impl PolicyTable {
     pub fn new(mechanism: Mechanism, clock: SimClock, meter: Arc<Meter>) -> PolicyTable {
         PolicyTable {
             mechanism,
-            rows: UnitMap::new(),
+            units: 0,
             granted: 0,
             index_keys: HashSet::new(),
             postings: 0,
@@ -98,9 +100,9 @@ impl PolicyTable {
 
     /// What [`register_unit`](PolicyEnforcer::register_unit) and
     /// [`grant`](PolicyEnforcer::grant) share: charge the write of each
-    /// of `policies`, book the postings they add, and hand back `unit`'s
-    /// rows for the caller to grant them into.
-    fn add(&mut self, unit: UnitId, policies: &[Policy]) -> &mut PolicySet {
+    /// of `policies` and book the postings they add to a unit whose rows
+    /// before them are `rows`.
+    fn add(&mut self, rows: Option<&PolicySet>, policies: &[Policy]) {
         let model = self.clock.model();
         let per_row = match self.mechanism {
             // An insert into the separate metadata table.
@@ -110,38 +112,31 @@ impl PolicyTable {
         };
         self.clock.charge_nanos(per_row * policies.len() as u64);
         self.granted += policies.len() as u64;
-        let rows = self.rows.get_or_insert_default(unit);
         if self.mechanism == (Mechanism::Sieve { indexed: true }) {
             for (i, p) in policies.iter().enumerate() {
                 let pair = |q: &Policy| (q.entity, q.purpose) == (p.entity, p.purpose);
-                if !rows.names(p.purpose, p.entity) && !policies[..i].iter().any(pair) {
+                let posted = rows.is_some_and(|r| r.names(p.purpose, p.entity));
+                if !posted && !policies[..i].iter().any(pair) {
                     self.postings += 1;
                     self.index_keys.insert((p.entity, p.purpose));
                 }
             }
         }
-        rows
     }
 }
 
 impl PolicyEnforcer for PolicyTable {
-    fn register_unit(&mut self, unit: UnitId, policies: &[Policy]) {
-        self.add(unit, policies).grant_all(policies);
+    fn register_unit(&mut self, policies: &[Policy]) {
+        self.units += 1;
+        self.add(None, policies);
     }
 
-    fn grant(&mut self, unit: UnitId, policy: Policy) {
-        self.add(unit, &[policy]).grant(policy);
+    fn grant(&mut self, rows: Option<&PolicySet>, policy: Policy) {
+        self.add(rows, &[policy]);
     }
 
-    fn revoke_all(&mut self, unit: UnitId, at: Ts) -> usize {
-        self.rows
-            .get_mut(unit)
-            .map_or(0, |rows| rows.revoke_all(at))
-    }
-
-    fn check(&mut self, req: &AccessRequest) -> Decision {
+    fn check(&mut self, req: &AccessRequest, unit_rows: Option<&PolicySet>) -> Decision {
         let model = self.clock.model();
-        let unit_rows = self.rows.get(req.unit);
         let rows = unit_rows.map_or(0, PolicySet::len) as u64;
         Meter::bump(&self.meter.policy_checks, 1);
         match self.mechanism {
@@ -197,7 +192,7 @@ impl PolicyEnforcer for PolicyTable {
     fn metadata_bytes(&self) -> u64 {
         match self.mechanism {
             // Rows plus the per-unit index on the policy table.
-            Mechanism::MetaTable => self.granted * 32 + self.rows.len() as u64 * 24,
+            Mechanism::MetaTable => self.granted * 32 + self.units * 24,
             // Rows with their guard metadata, plus the index: a header
             // per key and a unit id per posting.
             Mechanism::Sieve { .. } => {
@@ -213,7 +208,9 @@ impl PolicyEnforcer for PolicyTable {
 mod tests {
     use super::*;
     use datacase_core::action::ActionKind;
+    use datacase_core::ids::UnitId;
     use datacase_core::purpose::well_known as wk;
+    use datacase_sim::time::Ts;
 
     const SIEVE: Mechanism = Mechanism::Sieve { indexed: true };
     const SIEVE_UNINDEXED: Mechanism = Mechanism::Sieve { indexed: false };
@@ -236,36 +233,57 @@ mod tests {
         }
     }
 
+    /// Register a unit with `policies` on `table`, returning the rows the
+    /// model keeps for it.
+    fn register(table: &mut PolicyTable, policies: &[Policy]) -> PolicySet {
+        table.register_unit(policies);
+        let mut rows = PolicySet::new();
+        rows.grant_all(policies);
+        rows
+    }
+
+    /// Grant `policy` on `rows` through `table`, as the engine does: the
+    /// table sees the rows from before the grant.
+    fn grant(table: &mut PolicyTable, rows: &mut PolicySet, policy: Policy) {
+        table.grant(Some(&*rows), policy);
+        rows.grant(policy);
+    }
+
     #[test]
     fn meta_table_enforces_per_unit_windows() {
         let mut e = mk(Mechanism::MetaTable);
-        e.register_unit(
-            UnitId(1),
+        let rows = register(
+            &mut e,
             &[Policy::new(wk::billing(), EntityId(1), t(0), t(100))],
         );
-        assert!(e.check(&req(1, 1, t(50))).is_allow());
-        assert!(!e.check(&req(1, 1, t(150))).is_allow(), "window expired");
-        assert!(!e.check(&req(1, 2, t(50))).is_allow(), "wrong entity");
-        assert!(!e.check(&req(2, 1, t(50))).is_allow(), "unknown unit");
+        let rows = Some(&rows);
+        assert!(e.check(&req(1, 1, t(50)), rows).is_allow());
+        assert!(
+            !e.check(&req(1, 1, t(150)), rows).is_allow(),
+            "window expired"
+        );
+        assert!(!e.check(&req(1, 2, t(50)), rows).is_allow(), "wrong entity");
+        assert!(!e.check(&req(2, 1, t(50)), None).is_allow(), "unknown unit");
     }
 
     #[test]
     fn meta_table_grants_and_revokes_all() {
         let mut e = mk(Mechanism::MetaTable);
-        e.register_unit(UnitId(1), &[]);
-        e.grant(
-            UnitId(1),
+        let mut rows = register(&mut e, &[]);
+        grant(
+            &mut e,
+            &mut rows,
             Policy::open_ended(wk::billing(), EntityId(1), t(0)),
         );
-        assert!(e.check(&req(1, 1, t(10))).is_allow());
-        assert_eq!(e.revoke_all(UnitId(1), t(20)), 1);
-        assert!(!e.check(&req(1, 1, t(21))).is_allow());
+        assert!(e.check(&req(1, 1, t(10)), Some(&rows)).is_allow());
+        assert_eq!(rows.revoke_all(t(20)), 1);
+        assert!(!e.check(&req(1, 1, t(21)), Some(&rows)).is_allow());
         // G6's semantics: a revocation ends access at its own instant.
         assert!(
-            !e.check(&req(1, 1, t(20))).is_allow(),
+            !e.check(&req(1, 1, t(20)), Some(&rows)).is_allow(),
             "revoked at the instant"
         );
-        assert!(e.check(&req(1, 1, t(19))).is_allow());
+        assert!(e.check(&req(1, 1, t(19)), Some(&rows)).is_allow());
     }
 
     #[test]
@@ -273,12 +291,12 @@ mod tests {
         let clock = SimClock::commodity();
         let meter = Arc::new(Meter::new());
         let mut e = PolicyTable::new(Mechanism::MetaTable, clock.clone(), meter.clone());
-        e.register_unit(
-            UnitId(1),
+        let rows = register(
+            &mut e,
             &[Policy::open_ended(wk::billing(), EntityId(1), t(0))],
         );
         let t0 = clock.now();
-        let _ = e.check(&req(1, 1, t(10)));
+        let _ = e.check(&req(1, 1, t(10)), Some(&rows));
         let cost = clock.now().since(t0);
         assert!(
             cost.0 >= clock.model().metadata_join,
@@ -299,18 +317,18 @@ mod tests {
         ));
         rbac.add_member(EntityId(1), role);
         let t0 = c1.now();
-        let _ = rbac.check(&req(1, 1, t(10)));
+        let _ = rbac.check(&req(1, 1, t(10)), None);
         let rbac_cost = c1.now().since(t0);
 
         let c2 = SimClock::commodity();
         let m2 = Arc::new(Meter::new());
         let mut mt = PolicyTable::new(Mechanism::MetaTable, c2.clone(), m2);
-        mt.register_unit(
-            UnitId(1),
+        let rows = register(
+            &mut mt,
             &[Policy::open_ended(wk::billing(), EntityId(1), t(0))],
         );
         let t1 = c2.now();
-        let _ = mt.check(&req(1, 1, t(10)));
+        let _ = mt.check(&req(1, 1, t(10)), Some(&rows));
         let mt_cost = c2.now().since(t1);
         assert!(mt_cost > rbac_cost);
     }
@@ -319,39 +337,40 @@ mod tests {
     fn sieve_enforces_fine_grained_windows() {
         for mechanism in [SIEVE, SIEVE_UNINDEXED] {
             let mut e = mk(mechanism);
-            e.register_unit(
-                UnitId(1),
+            let rows = register(
+                &mut e,
                 &[Policy::new(wk::billing(), EntityId(1), t(0), t(100))],
             );
-            assert!(e.check(&req(1, 1, t(50))).is_allow(), "{mechanism:?}");
-            assert!(!e.check(&req(1, 1, t(200))).is_allow());
-            assert!(!e.check(&req(1, 2, t(50))).is_allow());
-            assert!(!e.check(&req(2, 1, t(50))).is_allow());
+            let rows = Some(&rows);
+            assert!(e.check(&req(1, 1, t(50)), rows).is_allow(), "{mechanism:?}");
+            assert!(!e.check(&req(1, 1, t(200)), rows).is_allow());
+            assert!(!e.check(&req(1, 2, t(50)), rows).is_allow());
+            assert!(!e.check(&req(2, 1, t(50)), None).is_allow());
         }
     }
 
     #[test]
     fn sieve_respects_revocation() {
         let mut e = mk(SIEVE);
-        e.register_unit(
-            UnitId(1),
+        let mut rows = register(
+            &mut e,
             &[Policy::open_ended(wk::billing(), EntityId(1), t(0))],
         );
-        assert_eq!(e.revoke_all(UnitId(1), t(10)), 1);
-        assert!(!e.check(&req(1, 1, t(10))).is_allow());
-        assert!(!e.check(&req(1, 1, t(11))).is_allow());
+        assert_eq!(rows.revoke_all(t(10)), 1);
+        assert!(!e.check(&req(1, 1, t(10)), Some(&rows)).is_allow());
+        assert!(!e.check(&req(1, 1, t(11)), Some(&rows)).is_allow());
     }
 
     #[test]
     fn sieve_checks_cost_more_than_meta_table() {
         let c1 = SimClock::commodity();
         let mut fg = PolicyTable::new(SIEVE, c1.clone(), Arc::new(Meter::new()));
-        fg.register_unit(
-            UnitId(1),
+        let rows = register(
+            &mut fg,
             &[Policy::open_ended(wk::billing(), EntityId(1), t(0))],
         );
         let t0 = c1.now();
-        let _ = fg.check(&req(1, 1, t(5)));
+        let _ = fg.check(&req(1, 1, t(5)), Some(&rows));
         let fg_cost = c1.now().since(t0);
         // The fine guard evaluation alone exceeds a coarse check.
         assert!(fg_cost.0 >= c1.model().policy_check_fine);
@@ -366,16 +385,16 @@ mod tests {
 
         let c_idx = SimClock::commodity();
         let mut with_index = PolicyTable::new(SIEVE, c_idx.clone(), Arc::new(Meter::new()));
-        with_index.register_unit(UnitId(1), &policies);
+        let rows = register(&mut with_index, &policies);
         let t0 = c_idx.now();
-        let _ = with_index.check(&req(1, 7, t(5)));
+        let _ = with_index.check(&req(1, 7, t(5)), Some(&rows));
         let idx_cost = c_idx.now().since(t0);
 
         let c_lin = SimClock::commodity();
         let mut without = PolicyTable::new(SIEVE_UNINDEXED, c_lin.clone(), Arc::new(Meter::new()));
-        without.register_unit(UnitId(1), &policies);
+        let rows = register(&mut without, &policies);
         let t1 = c_lin.now();
-        let _ = without.check(&req(1, 7, t(5)));
+        let _ = without.check(&req(1, 7, t(5)), Some(&rows));
         let lin_cost = c_lin.now().since(t1);
 
         assert!(
@@ -387,9 +406,9 @@ mod tests {
     #[test]
     fn sieve_metadata_footprint_grows_with_policies() {
         let mut e = mk(SIEVE);
-        for u in 0..100u64 {
-            e.register_unit(
-                UnitId(u),
+        for _ in 0..100u64 {
+            register(
+                &mut e,
                 &[
                     Policy::open_ended(wk::billing(), EntityId(1), t(0)),
                     Policy::open_ended(wk::retention(), EntityId(2), t(0)),
@@ -403,17 +422,20 @@ mod tests {
     #[test]
     fn sieve_duplicate_grants_index_once() {
         let mut e = mk(SIEVE);
-        e.grant(
-            UnitId(1),
+        let mut rows = PolicySet::new();
+        grant(
+            &mut e,
+            &mut rows,
             Policy::new(wk::billing(), EntityId(1), t(0), t(10)),
         );
-        e.grant(
-            UnitId(1),
+        grant(
+            &mut e,
+            &mut rows,
             Policy::new(wk::billing(), EntityId(1), t(20), t(30)),
         );
         // Two windows, one posting; both enforced.
-        assert!(e.check(&req(1, 1, t(5))).is_allow());
-        assert!(!e.check(&req(1, 1, t(15))).is_allow());
-        assert!(e.check(&req(1, 1, t(25))).is_allow());
+        assert!(e.check(&req(1, 1, t(5)), Some(&rows)).is_allow());
+        assert!(!e.check(&req(1, 1, t(15)), Some(&rows)).is_allow());
+        assert!(e.check(&req(1, 1, t(25)), Some(&rows)).is_allow());
     }
 }

@@ -380,3 +380,51 @@ fn the_log_and_the_enforcer_have_no_forwarding_layers() {
         "a second unit-scoped enforcer is back beside the policy table"
     );
 }
+
+/// A unit's policy rows live once, in the model: each `DataUnit` holds
+/// its `PolicySet` (`crates/core/src/unit.rs`), which G6 reads and every
+/// enforcer is handed. The policy table keeps only its books, so no
+/// program code under `crates/` keeps a second map of units to rows —
+/// but for the `VersionedEnforcer` bridge, which keeps rows for the
+/// benchmark's standalone enforcer — and no enforcer can revoke rows it
+/// does not hold.
+#[test]
+fn policy_rows_live_once_in_the_model() {
+    let root = repo_root();
+    let dirs = CRATES
+        .iter()
+        .map(|krate| root.join("crates").join(krate).join("src"))
+        .collect();
+    let enforcer = root.join("crates/policy/src/enforcer.rs");
+    let mut offenders = Vec::new();
+    for (path, text) in rust_sources(dirs) {
+        if path == root.join("crates/core/src/unit.rs") {
+            continue;
+        }
+        let mut in_bridge = false;
+        for (i, line) in text.lines().enumerate() {
+            if line.trim() == "#[cfg(test)]" {
+                break;
+            }
+            in_bridge |= path == enforcer && line.starts_with("pub struct VersionedEnforcer");
+            if line.contains("Map<") && line.contains("PolicySet>") && !in_bridge {
+                offenders.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
+            }
+            in_bridge &= line != "}";
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "a second copy of the units' policy rows:\n{}",
+        offenders.join("\n")
+    );
+    let text = std::fs::read_to_string(&enforcer).expect("read enforcer.rs");
+    let start = text
+        .find("pub trait PolicyEnforcer")
+        .expect("the trait is defined in enforcer.rs");
+    let end = start + text[start..].find("\n}").expect("the trait's body ends");
+    assert!(
+        !text[start..end].contains("revoke_all"),
+        "PolicyEnforcer revokes rows again, so an enforcer keeps them"
+    );
+}

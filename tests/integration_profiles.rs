@@ -97,6 +97,72 @@ fn wpro_metadata_scans_return_rows() {
     assert!(rows_seen > 0, "metadata-based reads must surface data");
 }
 
+/// A unit derived from another (a planted mirror) is decided on its own
+/// rows, the restriction of its source's that G6 reads. On both
+/// unit-scoped profiles and both backends, a processor read of the mirror
+/// under the source's purpose is allowed and adds no violation to the
+/// report, which flags the mirror's unrecorded creation (VII) before the
+/// read. A read under a purpose none of the mirror's rows names is
+/// refused with the mechanism's deny text.
+#[test]
+fn derived_units_are_decided_on_their_own_rows() {
+    use data_case::core::purpose::well_known as wk;
+    use data_case::storage::backend::BackendKind;
+    for backend in BackendKind::ALL {
+        for (profile, unnamed) in [
+            (ProfileKind::PGBench, "no policy row"),
+            (ProfileKind::PSys, "policy index has no entry"),
+        ] {
+            let cell = format!("{}/{backend:?}", profile.label());
+            let mut fe = Frontend::new(EngineConfig::for_profile(profile).with_backend(backend));
+            let metadata = GdprMetadata {
+                subject: 5,
+                purpose: wk::smart_space(),
+                ttl: Ts::from_secs(1_000_000),
+                origin_device: 2,
+                objects_to_sharing: false,
+            };
+            let create = Request::Create {
+                key: 1,
+                payload: b"SOURCE".to_vec(),
+                metadata,
+            };
+            assert!(fe.run(&Session::new(Actor::Controller), create).is_done());
+            let source = fe.unit_of_key(1).unwrap();
+            let mirror = fe
+                .forensic()
+                .plant_derived(&[source], "mirror", true, true, b"MIRROR", 2);
+            let flagged = |fe: &Frontend| -> Vec<_> {
+                let report = fe.compliance_report(&Regulation::gdpr());
+                let flagged = report.violations.iter().map(|v| (v.invariant, v.unit));
+                flagged.collect()
+            };
+            let planted = flagged(&fe);
+            assert!(
+                planted.contains(&("VII", Some(mirror))),
+                "{cell}: {planted:?}"
+            );
+
+            let processor = Session::new(Actor::Processor);
+            let read = Request::Read { key: 2 };
+            let r = fe.run(
+                &processor.clone().for_purpose(wk::smart_space()),
+                read.clone(),
+            );
+            assert!(r.value().is_some(), "{cell}: {:?}", r.outcome);
+            assert_eq!(flagged(&fe), planted, "{cell}");
+
+            let r = fe.run(&processor.for_purpose(wk::billing()), read);
+            match r.err() {
+                Some(EngineError::Denied { reason }) => {
+                    assert!(reason.starts_with(unnamed), "{cell}: {reason}")
+                }
+                other => panic!("{cell}: {other:?}"),
+            }
+        }
+    }
+}
+
 /// Crash P_GBench mid-batch at `point` (arrival `nth`) with a buffer
 /// pool far smaller than the table, then scan the wrecked engine's disk
 /// for the rows' plaintext marker. Returns the hits on the two layers

@@ -1,13 +1,13 @@
 //! Property-based tests over the policy enforcement substrates.
 //!
 //! The central property: the *unit-scoped* policy table, under each of its
-//! mechanisms (metadata table, and Sieve FGAC indexed or not), decides
-//! exactly as G6's predicate,
-//! [`PolicySet::authorises`] over the same grants and revocations — they
-//! differ in cost and metadata footprint, never in verdict, and a
-//! revocation ends access at its own instant in all of them. That is
-//! exactly the paper's framing: interpretations differ in system-actions
-//! and overheads, while a fixed grounding fixes the semantics.
+//! mechanisms (metadata table, and Sieve FGAC indexed or not), handed a
+//! unit's rows, decides exactly as G6's predicate,
+//! [`PolicySet::authorises`] over them — the mechanisms differ in cost and
+//! metadata footprint, never in verdict, and a revocation ends access at
+//! its own instant in all of them. That is exactly the paper's framing:
+//! interpretations differ in system-actions and overheads, while a fixed
+//! grounding fixes the semantics.
 
 use data_case::sim::check::{check, Source};
 use std::collections::{HashMap, HashSet};
@@ -59,7 +59,8 @@ fn unit_scoped_enforcers_are_decision_equivalent() {
         let mut meta = mk(Mechanism::MetaTable);
         let mut fgac_i = mk(Mechanism::Sieve { indexed: true });
         let mut fgac_l = mk(Mechanism::Sieve { indexed: false });
-        // G6's predicate over the same grants: one policy set per unit.
+        // The model's rows, one policy set per unit: what G6 reads and
+        // what every table is handed, from before each grant.
         let mut model: HashMap<u64, PolicySet> = HashMap::new();
 
         for &(unit, entity, pi, from, until) in &grants {
@@ -69,9 +70,10 @@ fn unit_scoped_enforcers_are_decision_equivalent() {
                 Ts::from_secs(from),
                 Ts::from_secs(until),
             );
-            meta.grant(UnitId(unit), policy);
-            fgac_i.grant(UnitId(unit), policy);
-            fgac_l.grant(UnitId(unit), policy);
+            let rows = model.get(&unit);
+            meta.grant(rows, policy);
+            fgac_i.grant(rows, policy);
+            fgac_l.grant(rows, policy);
             model.entry(unit).or_default().grant(policy);
         }
         let mut probes: Vec<(u64, u32, usize, Ts)> = checks
@@ -79,12 +81,10 @@ fn unit_scoped_enforcers_are_decision_equivalent() {
             .map(|&(unit, entity, pi, at)| (unit, entity, pi, Ts::from_secs(at)))
             .collect();
         if let Some((unit, at)) = revoke {
-            let r = Ts::from_secs(at);
-            let a = meta.revoke_all(UnitId(unit), r);
-            let b = fgac_i.revoke_all(UnitId(unit), r);
-            let c = fgac_l.revoke_all(UnitId(unit), r);
-            let d = model.get_mut(&unit).map_or(0, |set| set.revoke_all(r));
-            assert_eq!((a, b, c), (d, d, d), "revoked rows on unit {unit} at {r}");
+            // Revoked in the model alone: no table keeps rows to revoke.
+            if let Some(set) = model.get_mut(&unit) {
+                set.revoke_all(Ts::from_secs(at));
+            }
             // The revocation instant, and one second either side of it,
             // for every entity and purpose on the revoked unit.
             for at in [at.saturating_sub(1), at, at + 1] {
@@ -103,12 +103,11 @@ fn unit_scoped_enforcers_are_decision_equivalent() {
                 action: ActionKind::Read,
                 at,
             };
-            let m = meta.check(&req).is_allow();
-            let fi = fgac_i.check(&req).is_allow();
-            let fl = fgac_l.check(&req).is_allow();
-            let g6 = model
-                .get(&unit)
-                .is_some_and(|set| set.authorises(ps[pi], EntityId(entity), at));
+            let rows = model.get(&unit);
+            let m = meta.check(&req, rows).is_allow();
+            let fi = fgac_i.check(&req, rows).is_allow();
+            let fl = fgac_l.check(&req, rows).is_allow();
+            let g6 = rows.is_some_and(|set| set.authorises(ps[pi], EntityId(entity), at));
             assert_eq!(
                 (m, fi, fl),
                 (g6, g6, g6),
@@ -126,11 +125,9 @@ fn metadata_bytes_monotone() {
         let p = PurposeId::new("prop-bytes");
         let mut e = mk(Mechanism::Sieve { indexed: true });
         let mut last = e.metadata_bytes();
-        for i in 0..n {
-            e.grant(
-                UnitId(i as u64),
-                Policy::open_ended(p, EntityId(1), Ts::ZERO),
-            );
+        for _ in 0..n {
+            // A grant to a unit of its own, which has no rows before it.
+            e.grant(None, Policy::open_ended(p, EntityId(1), Ts::ZERO));
             let now = e.metadata_bytes();
             assert!(now > last);
             last = now;
@@ -144,7 +141,8 @@ fn metadata_bytes_monotone() {
 /// 160 B a row ever granted, 24 B a distinct `(entity, purpose)` key and
 /// 8 B a distinct `(unit, entity, purpose)` posting. The registered lists
 /// repeat pairs within themselves and across later grants, and some
-/// grants go to units never registered.
+/// grants go to units never registered. Each call is handed the unit's
+/// rows from before it, as the engine hands the model's.
 #[test]
 fn sieve_books_match_postings_rebuilt_from_the_stream() {
     check(
@@ -161,6 +159,7 @@ fn sieve_books_match_postings_rebuilt_from_the_stream() {
                 Policy::open_ended(ps[pi], EntityId(entity), Ts::from_secs(from))
             };
             let mut table = mk(Mechanism::Sieve { indexed: true });
+            let mut model: HashMap<u64, PolicySet> = HashMap::new();
             let mut rows = 0u64;
             let mut keys = HashSet::new();
             let mut postings = HashSet::new();
@@ -171,12 +170,14 @@ fn sieve_books_match_postings_rebuilt_from_the_stream() {
             };
             for (unit, list) in registered.iter().enumerate() {
                 let list: Vec<Policy> = list.iter().copied().map(mk_policy).collect();
-                table.register_unit(UnitId(unit as u64), &list);
+                table.register_unit(&list);
+                model.entry(unit as u64).or_default().grant_all(&list);
                 list.iter().for_each(|p| book(unit as u64, p));
             }
             for &(unit, p) in &grants {
                 let p = mk_policy(p);
-                table.grant(UnitId(unit), p);
+                table.grant(model.get(&unit), p);
+                model.entry(unit).or_default().grant(p);
                 book(unit, &p);
             }
             let want = 160 * rows + 24 * keys.len() as u64 + 8 * postings.len() as u64;
